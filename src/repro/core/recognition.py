@@ -23,7 +23,6 @@ connection signature.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
@@ -168,7 +167,7 @@ class TrafficRecognition:
         self._flows: Dict[int, _FlowState] = {}
         # Window ids are per-recognizer (not module-global) so repeated
         # runs in one process number their windows identically.
-        self._window_ids = itertools.count(1)
+        self._last_window_id = 0  # not itertools.count: pool snapshots pickle it
         self.windows_opened = 0
         # Ablation knob: with signature tracking off, the guard only
         # learns AVS IPs from DNS and loses the server after silent
@@ -279,9 +278,13 @@ class TrafficRecognition:
         return len(self._flows)
 
     # -- window mechanics ------------------------------------------------------------
+    def _next_window_id(self) -> int:
+        self._last_window_id += 1
+        return self._last_window_id
+
     def _open_window(self, speaker: _SpeakerState, fs: _FlowState, packet: Packet, now: float) -> None:
         window = Window(
-            window_id=next(self._window_ids),
+            window_id=self._next_window_id(),
             flow=fs.flow,
             speaker_ip=fs.flow.client.ip,
             opened_at=now,

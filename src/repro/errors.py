@@ -49,6 +49,11 @@ class WorkloadError(ReproError):
     """An experiment workload was specified inconsistently."""
 
 
+class SnapshotError(ReproError):
+    """A world could not be snapshotted for the scenario pool (it holds
+    persistent state pickle cannot serialize, such as a closure)."""
+
+
 class ExperimentError(ReproError):
     """The parallel experiment engine failed (bad worker count, or a
     worker process died mid-task)."""

@@ -259,13 +259,11 @@ def _summarize_full(scenario, spec: HomeSpec) -> HomeSummary:
     workload.run(spec.legit_commands, spec.attacks)
     records = scenario.speaker.settle_all()
     matrix = score_interactions(records)
-    resilience = summarize_resilience(
-        scenario.guard.command_events(),
-        scenario.guard.log.resilience_counts(),
-    )
+    events = scenario.guard.command_events()
+    resilience = summarize_resilience(events, scenario.guard.log.resilience_counts())
     latencies = [
         event.decision_latency
-        for event in scenario.guard.command_events()
+        for event in events
         if getattr(event, "decision_latency", None) is not None
     ]
     return HomeSummary(

@@ -19,24 +19,24 @@ This module amortizes the build with a **snapshot/reset protocol**:
    same run, and with an unarmed fault injector wired through every
    component so per-home fault plans can be armed later.
 
-2. **Deep-copy restore with shared immutables.**  ``acquire(spec)``
-   deep-copies the template with a pre-seeded memo that *shares* the
-   heavyweight value-transparent objects (propagation model + caches,
-   testbed geometry, command corpus, fitted trace classifier) and
-   rebinds everything stateful — simulator, event queue, hosts, TCP
-   stacks, RNG generators — into the copy.  Every persistent callback
-   in the substrate is a bound method, a ``functools.partial`` over a
-   bound method, or a callable object precisely so this rebinding works
-   (``copy.deepcopy`` treats plain closures as atoms that would keep
-   pointing into the template's graph; :func:`snapshot_hazards` audits
-   for regressions).
+2. **Pickled snapshot with shared immutables.**  The template world is
+   pickled once after its build, with the heavyweight value-transparent
+   objects (propagation model + caches, testbed geometry, command
+   corpus, fitted trace classifier) written as persistent references.
+   ``acquire(spec)`` unpickles it: every home shares those objects and
+   gets a private copy of everything stateful — simulator, event queue,
+   hosts, TCP stacks, RNG generators.  Every persistent callback in the
+   substrate is a bound method, a ``functools.partial`` over a bound
+   method, or a callable object precisely because pickle rebinds those
+   into the restored graph; it rejects a stored closure or lambda, so
+   such a template fails to build with :class:`~repro.errors.SnapshotError`.
 
-3. **Rehome.**  The copy is re-keyed to the target home: module-global
-   id counters reset to their deterministic post-build values, the RNG
-   hub reseeds every stream in place from the home's derived seed (see
-   :meth:`repro.sim.random.RngHub.reseed` for why memo-warm and
-   memo-cold builds are indistinguishable afterwards), and the fault
-   injector re-arms with the home's plan.
+3. **Rehome.**  The restored world is re-keyed to the target home:
+   module-global id counters reset to their deterministic post-build
+   values, the RNG hub reseeds every stream in place from the home's
+   derived seed (see :meth:`repro.sim.random.RngHub.reseed` for why
+   memo-warm and memo-cold builds are indistinguishable afterwards),
+   and the fault injector re-arms with the home's plan.
 
 The contract — enforced by tests and asserted before every timed
 benchmark cell — is that a pooled-and-rehomed home produces **byte
@@ -46,14 +46,16 @@ same way (:func:`build_home_cold`).
 
 from __future__ import annotations
 
-import copy
-import types
+import copyreg
+import io
+import pickle
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.audio.voiceprint import reset_utterance_ids
 from repro.core.config import VoiceGuardConfig
+from repro.errors import SnapshotError
 from repro.experiments.parallel import derive_seed
 from repro.experiments.scenarios import Scenario, build_scenario
 from repro.experiments.synthesis import HomeSpec, fleet_world
@@ -175,13 +177,72 @@ def rehome(scenario: Scenario, spec: HomeSpec, packet_mark: int) -> None:
         scenario.env.faults.rearm(home_fault_plan(spec))
 
 
+@lru_cache(maxsize=None)
+def _plain_class(cls: type) -> bool:
+    """Whether instances of ``cls`` pickle as exactly their ``__dict__``
+    and take it back through plain ``setattr``: a class of this package
+    with default pickling and ``__setattr__``, an instance dict, and no
+    slots or builtin base (whose state the dict would not carry)."""
+    return (
+        cls.__module__.startswith("repro.")
+        and cls.__reduce_ex__ is object.__reduce_ex__
+        and cls.__reduce__ is object.__reduce__
+        and cls.__setattr__ is object.__setattr__
+        and getattr(cls, "__getstate__", None) is getattr(object, "__getstate__", None)
+        and not hasattr(cls, "__setstate__")
+        and any("__dict__" in vars(base) for base in cls.__mro__)
+        and all(base is object or (base.__module__ != "builtins"
+                                   and not vars(base).get("__slots__"))
+                for base in cls.__mro__)
+    )
+
+
+class _SnapshotPickler(pickle.Pickler):
+    """Pickles a world, writing each shared immutable as a reference.
+
+    Plain objects are written with their ``__dict__`` as *slot state*,
+    which the unpickler applies with ``setattr`` rather than by filling
+    a materialized instance dict.  Restored objects thus get the same
+    compact attribute storage as constructed ones; on CPython 3.11+ a
+    materialized dict would make every attribute access in the restored
+    world take the interpreter's slow path.
+    """
+
+    def __init__(self, file: io.BytesIO, shared: Tuple[object, ...]) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._shared_index = {id(obj): index for index, obj in enumerate(shared)}
+
+    def persistent_id(self, obj: object) -> Optional[int]:
+        return self._shared_index.get(id(obj))
+
+    def reducer_override(self, obj: object):
+        cls = type(obj)
+        if not _plain_class(cls):
+            return NotImplemented
+        return copyreg.__newobj__, (cls,), (None, obj.__dict__)
+
+
+def snapshot(scenario: Scenario, shared: Tuple[object, ...], key: PoolKey) -> bytes:
+    """Pickle ``scenario`` with ``shared`` written as references.
+
+    Raises :class:`SnapshotError` naming the bucket when the world holds
+    state pickle rejects (a closure, a lambda, a generator, ...).
+    """
+    buffer = io.BytesIO()
+    try:
+        _SnapshotPickler(buffer, shared).dump(scenario)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise SnapshotError(f"pool template {key!r} cannot be snapshotted: {exc}") from exc
+    return buffer.getvalue()
+
+
 @dataclass
 class _Template:
-    """A pristine bucket world plus its restore bookkeeping."""
+    """A pickled pristine bucket world plus its restore bookkeeping."""
 
-    scenario: Scenario
-    packet_mark: int  # post-build packet counter (deterministic per bucket)
+    blob: bytes
     shared: Tuple[object, ...]
+    packet_mark: int  # post-build packet counter (deterministic per bucket)
 
 
 class ScenarioPool:
@@ -190,7 +251,8 @@ class ScenarioPool:
     ``acquire(spec)`` returns a fully wired scenario for ``spec``'s
     home, building the bucket's template on first touch and restoring
     from it afterwards.  The returned scenario is private to the
-    caller; the template is never run and never mutated.
+    caller; the template is only a pickle, so it is never run and never
+    mutated.
     """
 
     def __init__(self, config: Optional[VoiceGuardConfig] = None,
@@ -207,10 +269,11 @@ class ScenarioPool:
         if entry is None:
             memo_bucket = (("fleet.pool",) + key) if self.use_memos else None
             scenario = _build_bucket_scenario(key, self.config, memo_bucket)
+            shared = _shared_immutables(scenario)
             entry = _Template(
-                scenario=scenario,
+                blob=snapshot(scenario, shared, key),
+                shared=shared,
                 packet_mark=peek_packet_number(),
-                shared=_shared_immutables(scenario),
             )
             self._templates[key] = entry
             self.template_builds += 1
@@ -219,8 +282,9 @@ class ScenarioPool:
     def acquire(self, spec: HomeSpec) -> Scenario:
         """A private, rehomed world for ``spec`` (snapshot restore)."""
         entry = self.template(pool_key(spec))
-        memo: Dict[int, object] = {id(obj): obj for obj in entry.shared}
-        scenario = copy.deepcopy(entry.scenario, memo)
+        unpickler = pickle.Unpickler(io.BytesIO(entry.blob))
+        unpickler.persistent_load = entry.shared.__getitem__
+        scenario = unpickler.load()
         rehome(scenario, spec, entry.packet_mark)
         self.restores += 1
         return scenario
@@ -243,80 +307,3 @@ def build_home_cold(spec: HomeSpec,
     rehome(scenario, spec, peek_packet_number())
     return scenario
 
-
-# ---------------------------------------------------------------------------
-# Snapshot-safety audit
-# ---------------------------------------------------------------------------
-
-_ATOMIC_TYPES = (str, bytes, int, float, bool, complex, type(None), type)
-
-
-def _hazardous_function(fn: object) -> Optional[types.FunctionType]:
-    """The plain-function hazard inside ``fn``, if any.
-
-    ``copy.deepcopy`` rebinds bound methods and ``functools.partial``
-    objects into the copied graph, but plain functions are atoms: a
-    closure (or a lambda capturing anything) stored as persistent state
-    would keep referencing the *template's* objects after a restore.
-    Module-level functions with no closure are stateless and safe.
-    """
-    if isinstance(fn, partial):
-        for piece in (fn.func, *fn.args, *fn.keywords.values()):
-            found = _hazardous_function(piece)
-            if found is not None:
-                return found
-        return None
-    if isinstance(fn, types.MethodType):
-        return None
-    if isinstance(fn, types.FunctionType) and fn.__closure__:
-        return fn
-    return None
-
-
-def snapshot_hazards(scenario: Scenario, max_objects: int = 200_000) -> List[str]:
-    """Closure-valued persistent state reachable from ``scenario``.
-
-    Walks the scenario's object graph (instance attributes, containers,
-    and pending event-queue entries) and reports every stored plain
-    function that captures a closure — exactly the category of callback
-    ``copy.deepcopy`` cannot rebind.  A template eligible for pooling
-    must report none; the pool's tests pin that down so a future
-    `lambda`-wired callback fails loudly instead of silently corrupting
-    restored homes.
-    """
-    hazards: List[str] = []
-    seen: set = set()
-    shared = {id(obj) for obj in _shared_immutables(scenario)}
-    stack: List[Tuple[object, str]] = [(scenario, "scenario")]
-    budget = max_objects
-
-    def visit(value: object, path: str) -> None:
-        if isinstance(value, _ATOMIC_TYPES):
-            return
-        found = _hazardous_function(value)
-        if found is not None:
-            hazards.append(f"{path}: {found.__module__}.{found.__qualname__}")
-            return
-        if id(value) in seen or id(value) in shared:
-            return
-        seen.add(id(value))
-        stack.append((value, path))
-
-    while stack and budget > 0:
-        obj, path = stack.pop()
-        budget -= 1
-        if isinstance(obj, dict):
-            for key, value in obj.items():
-                visit(value, f"{path}[{key!r}]")
-        elif isinstance(obj, (list, tuple, set, frozenset)):
-            for index, value in enumerate(obj):
-                visit(value, f"{path}[{index}]")
-        else:
-            state = getattr(obj, "__dict__", None)
-            if state:
-                for name, value in state.items():
-                    visit(value, f"{path}.{name}")
-            for slot_name in getattr(type(obj), "__slots__", ()):
-                value = getattr(obj, slot_name, None)
-                visit(value, f"{path}.{slot_name}")
-    return hazards

@@ -277,9 +277,8 @@ def _build_echo_side(scenario: Scenario, anomalous_rate: float, misc_domains: in
 
     # Cloud-side IP churn: sessions often land on a different server.
     # A callable object (not a closure): the hook is permanent state on
-    # the cloud, and deepcopy-based world snapshots must rebind its rng
-    # and record references into the copied graph (a closure would be
-    # copied as an atom still pointing at the template's).
+    # the cloud, and pickled world snapshots must rebind its rng and
+    # record references into the restored graph (pickle rejects closures).
     avs.on_session_closed = _SessionChurn(env.rng.stream("cloud.avs.rotate"), record)
 
     domains = list(sig.OTHER_AMAZON_SIGNATURES)[:misc_domains]
@@ -334,8 +333,8 @@ class _ExecuteDispatch:
     records live on the speaker that heard the utterance (ids are
     process-global, so at most one speaker knows each id and the rest
     no-op).  A callable object, not a closure: the hook is permanent
-    cloud state, and deepcopy-based world snapshots must rebind the
-    speaker references into the copied graph.
+    cloud state, and pickled world snapshots must rebind the speaker
+    references into the restored graph (pickle rejects closures).
     """
 
     def __init__(self, speakers: List[SmartSpeaker]) -> None:

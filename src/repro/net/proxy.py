@@ -19,7 +19,6 @@ and forwards datagrams with the same policy interface.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -46,8 +45,8 @@ class ForwarderDecision(enum.Enum):
     DROP = "drop"
 
 
-# Flow ids are allocated per-proxy (see TransparentProxy._flow_ids) so
-# repeated in-process runs are deterministic; TCP flows and the UDP
+# Flow ids are allocated per-proxy (see TransparentProxy._next_flow_id)
+# so repeated in-process runs are deterministic; TCP flows and the UDP
 # forwarder's flows share the owning proxy's counter, keeping ids unique
 # within one guard (the recognizer keys its per-flow state on them).
 
@@ -201,9 +200,13 @@ class TransparentProxy(TapHost):
         self._flows_by_downstream: Dict[Tuple[Endpoint, Endpoint], ProxiedFlow] = {}
         self.flows: List[ProxiedFlow] = []
         self.udp_forwarder: Optional["UdpForwarder"] = None
-        self._flow_ids = itertools.count(1)
+        self._last_flow_id = 0
         for port in self.proxied_ports:
             self.stack.listen(port, self._accept_downstream, transparent=True, tuning=self._tuning)
+
+    def _next_flow_id(self) -> int:
+        self._last_flow_id += 1
+        return self._last_flow_id
 
     # -- installation ---------------------------------------------------
     def install(self, network: Network, covered_ip: IPv4Address) -> None:
@@ -269,7 +272,7 @@ class TransparentProxy(TapHost):
     # -- downstream (speaker-side) ---------------------------------------
     def _accept_downstream(self, downstream: TcpConnection) -> None:
         flow = ProxiedFlow(
-            flow_id=next(self._flow_ids),
+            flow_id=self._next_flow_id(),
             protocol=Protocol.TCP,
             client=downstream.remote,
             server=downstream.local,
@@ -284,11 +287,9 @@ class TransparentProxy(TapHost):
         )
         # ``functools.partial`` over bound methods rather than lambdas:
         # these callbacks live on connections that outlast this call, and
-        # ``copy.deepcopy`` recurses into a partial's function and args
-        # (rebinding them into the copied object graph) while it treats a
-        # lambda as an atom shared with the original — which would make a
-        # snapshot-restored world call back into the template's flows
-        # (see repro.experiments.pool).
+        # the pickled world snapshots of repro.experiments.pool must
+        # restore them.  Pickle rebinds a partial's bound method and args
+        # into the restored object graph; it rejects a lambda outright.
         downstream.on_record = partial(self._on_client_record, flow)
         downstream.on_close = partial(self._on_downstream_close, flow)
         downstream.on_established = partial(self._open_upstream, flow)
@@ -477,7 +478,7 @@ class UdpForwarder:
         flow = self._flows.get(key)
         if flow is None:
             flow = ProxiedFlow(
-                flow_id=next(self.proxy._flow_ids),
+                flow_id=self.proxy._next_flow_id(),
                 protocol=Protocol.UDP,
                 client=packet.src,
                 server=packet.dst,

@@ -22,7 +22,6 @@ and let the null object absorb the calls.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -138,19 +137,23 @@ class SpanTracer:
             raise ConfigError("tracer clock must expose a .now attribute")
         self._clock = clock
         self.spans: List[Span] = []
-        self._ids = itertools.count(1)
+        self._last_id = 0
 
     @property
     def now(self) -> float:
         return self._clock.now
 
     # -- creation -------------------------------------------------------
+    def _next_span_id(self) -> int:
+        self._last_id += 1
+        return self._last_id
+
     def begin(self, name: str, parent: Optional[Span] = None, **attrs: object) -> Span:
         """Open a span at the current simulated time."""
         parent_id = None
         if parent is not None and parent is not NULL_SPAN:
             parent_id = parent.span_id
-        span = Span(self, next(self._ids), name, self.now, parent_id)
+        span = Span(self, self._next_span_id(), name, self.now, parent_id)
         if attrs:
             span.attrs.update(attrs)
         self.spans.append(span)

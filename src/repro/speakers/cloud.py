@@ -73,9 +73,9 @@ class AvsCloud(Host):
         self._sessions[conn.four_tuple] = state
         self.stats.sessions_opened += 1
         # partial() over bound methods, not lambdas: the AVS session is
-        # long-lived, and deepcopy-based world snapshots must rebind
-        # these callbacks into the copied graph (lambdas are copied as
-        # shared atoms; see repro.experiments.pool).
+        # long-lived, and pickled world snapshots must rebind these
+        # callbacks into the restored graph (pickle rejects lambdas; see
+        # repro.experiments.pool).
         conn.on_record = partial(self._on_record, state)
         conn.on_close = partial(self._on_close, state)
 

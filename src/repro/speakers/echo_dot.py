@@ -107,8 +107,8 @@ class EchoDot(SmartSpeaker):
         conn = self.tcp_stack.connect(Endpoint(ip, 443), tuning=TcpTuning())
         tls = TlsSession()
         # The AVS connection is permanent state: its callbacks must be
-        # partials/bound methods so a deepcopy-based world snapshot
-        # rebinds them (a lambda here would keep calling the template).
+        # partials/bound methods, which a pickled world snapshot rebinds
+        # into the restored world (a lambda here cannot be pickled).
         conn.on_established = partial(self._on_avs_established, tls)
         conn.on_close = self._on_avs_close
         self._conn = conn

@@ -2,7 +2,7 @@
 fast-vs-full cross-validation statistics.
 
 The load-bearing contract here is byte identity: a home restored from
-a pool template (deepcopy + rehome) must produce exactly the guard
+a pool template (unpickle + rehome) must produce exactly the guard
 event stream a freshly built world produces.  Everything else — the
 5x fleet benchmark, the ``fleet-validate`` statistics, million-home
 full-fidelity claims — leans on that invariant.
@@ -10,13 +10,14 @@ full-fidelity claims — leans on that invariant.
 
 from __future__ import annotations
 
+import io
 import math
 
 import pytest
 
 from repro.core.config import VoiceGuardConfig
 from repro.core.recognizers import clear_recognizer_memo
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import ConfigError, SnapshotError, WorkloadError
 from repro.experiments.bench_sim import guard_event_stream
 from repro.experiments.fleet import (
     FleetConfig,
@@ -32,9 +33,12 @@ from repro.experiments.fleet_validate import (
 from repro.experiments.parallel import derive_seed
 from repro.experiments.pool import (
     ScenarioPool,
+    _build_bucket_scenario,
+    _SnapshotPickler,
+    _shared_immutables,
     build_home_cold,
     pool_key,
-    snapshot_hazards,
+    snapshot,
     template_seed,
 )
 from repro.experiments.synthesis import HomeSpec, PopulationModel
@@ -82,23 +86,52 @@ def run_home(scenario, spec):
     return guard_event_stream(scenario.guard)
 
 
+# One spec per kind of world bucket: every testbed (the house carries a
+# fitted trace classifier), both device kinds, one to three owners, and
+# an armed fault plan.
+IDENTITY_SPECS = {
+    "apartment": make_spec(index=0),
+    "apartment-watch-2owners": make_spec(index=1, deployment=1, owner_count=2,
+                                         device_kind="smartwatch"),
+    "office-3owners": make_spec(index=2, testbed="office", owner_count=3),
+    "house-watch": make_spec(index=3, testbed="house",
+                             device_kind="smartwatch"),
+    "apartment-faults": make_spec(index=4, push_loss=0.02),
+}
+
+
 class TestPoolIdentity:
     def test_pooled_stream_matches_cold_build(self):
-        """The tentpole invariant, across buckets and with faults armed."""
-        specs = [
-            make_spec(index=0),
-            make_spec(index=1, deployment=1, owner_count=2,
-                      device_kind="smartwatch"),
-            make_spec(index=2, push_loss=0.02),  # fault injector armed
-        ]
+        """The tentpole invariant, on every kind of bucket."""
         pool = ScenarioPool()
-        for spec in specs:
-            pooled = run_home(pool.acquire(spec), spec)
+        for name, spec in IDENTITY_SPECS.items():
+            pooled_scenario = pool.acquire(spec)
+            if spec.testbed == "house":
+                assert pooled_scenario.trace_classifier is not None
+            if spec.push_loss > 0.0:
+                assert pooled_scenario.env.faults.plan is not None
+            pooled = run_home(pooled_scenario, spec)
             cold = run_home(build_home_cold(spec), spec)
-            assert pooled == cold, f"stream diverged for spec {spec.index}"
-        # Three specs, two world buckets (0 and 2 share one).
-        assert pool.template_builds == 2
-        assert pool.restores == 3
+            assert pooled == cold, f"stream diverged for {name}"
+        # Five specs, four world buckets (the fault spec shares one).
+        assert pool.template_builds == 4
+        assert pool.restores == 5
+
+    def test_restores_share_immutables_and_nothing_else(self):
+        """Two restores of one bucket: private state, shared constants."""
+        pool = ScenarioPool()
+        spec = IDENTITY_SPECS["house-watch"]
+        first, second = pool.acquire(spec), pool.acquire(spec)
+        assert first.sim is not second.sim
+        assert first.guard is not second.guard
+        assert first.guard.proxy is not second.guard.proxy
+        shared = pool.template(pool_key(spec)).shared
+        assert len(shared) == 5  # model, testbed, plan, corpus, classifier
+        for scenario in (first, second):
+            restored = _shared_immutables(scenario)
+            assert len(restored) == len(shared)
+            for ours, template in zip(restored, shared):
+                assert ours is template
 
     def test_restores_are_isolated_from_pool_history(self):
         """Same spec, same stream — no matter what ran on the pool before."""
@@ -171,19 +204,45 @@ class TestPoolLearnedRecognizers:
         clear_recognizer_memo()
 
 
+class _TypeRecordingPickler(_SnapshotPickler):
+    """The snapshot pickler, recording the type of every object it meets."""
+
+    def __init__(self, shared):
+        super().__init__(io.BytesIO(), shared)
+        self.types = set()
+
+    def persistent_id(self, obj):
+        self.types.add(type(obj))
+        return super().persistent_id(obj)
+
+
 class TestSnapshotHazards:
     def test_template_is_closure_free(self):
+        """Each bucket the test populations reach snapshots cleanly."""
+        keys = {pool_key(CHEAP_POPULATION.home(0, 0, offset, offset))
+                for offset in range(16)}
+        keys.update(pool_key(spec) for spec in IDENTITY_SPECS.values())
         pool = ScenarioPool()
-        entry = pool.template(pool_key(make_spec()))
-        assert snapshot_hazards(entry.scenario) == []
+        for key in sorted(keys):
+            assert pool.template(key).blob  # raises SnapshotError if not
+        assert pool.template_builds == len(keys)
 
     def test_planted_closure_is_detected(self):
-        pool = ScenarioPool()
-        entry = pool.template(pool_key(make_spec()))
+        key = pool_key(make_spec())
+        scenario = _build_bucket_scenario(key, None, ("fleet.pool",) + key)
         captured = object()
-        entry.scenario.guard._planted_callback = lambda: captured
-        hazards = snapshot_hazards(entry.scenario)
-        assert any("_planted_callback" in hazard for hazard in hazards)
+        scenario.guard._planted_callback = lambda: captured
+        with pytest.raises(SnapshotError, match="apartment"):
+            snapshot(scenario, _shared_immutables(scenario), key)
+
+    def test_no_itertools_objects_in_snapshot(self):
+        key = pool_key(IDENTITY_SPECS["house-watch"])
+        scenario = _build_bucket_scenario(key, None, ("fleet.pool",) + key)
+        pickler = _TypeRecordingPickler(_shared_immutables(scenario))
+        pickler.dump(scenario)
+        leaked = sorted(t.__qualname__ for t in pickler.types
+                        if t.__module__ == "itertools")
+        assert leaked == []
 
 
 class TestRngHubReseed:
