@@ -7,7 +7,7 @@ wrapper keeps error messages in simulation vocabulary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.errors import NetworkError
 
@@ -22,64 +22,73 @@ def _validate_ipv4(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True, order=True)
-class IPv4Address:
+class IPv4Address(tuple):
     """A dotted-quad IPv4 address.
 
-    Addresses are immutable, so RFC1918 membership and the hash are
-    computed once at construction: the network hot path asks
-    ``is_private`` for every packet and hashes endpoints for every
-    demux lookup, and recomputing either from the string dominated the
-    kernel profile.
+    An immutable one-element tuple ``(text,)``: every packet demux hashes
+    and compares addresses, and a tuple does both in C.  The hash is
+    ``hash((text,))``, the value the frozen dataclass this replaced
+    produced, so set and dict iteration orders are unchanged; ordering
+    compares the text, as before.  Being a tuple, an address also equals
+    the plain tuple ``(text,)``.
     """
 
-    text: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _validate_ipv4(self.text)
-        first, second, _, _ = self.text.split(".")
-        first_octet = int(first)
-        second_octet = int(second)
-        private = (
-            first_octet == 10
-            or (first_octet == 192 and second_octet == 168)
-            or (first_octet == 172 and 16 <= second_octet <= 31)
-        )
-        object.__setattr__(self, "_is_private", private)
-        # Same value the dataclass-generated hash would produce, so set
-        # iteration orders (and anything else hash-dependent) are
-        # unchanged by the caching.
-        object.__setattr__(self, "_hash", hash((self.text,)))
+    def __new__(cls, text: str) -> "IPv4Address":
+        _validate_ipv4(text)
+        return tuple.__new__(cls, (text,))
+
+    text = property(itemgetter(0), doc="The dotted-quad text.")
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
     def __str__(self) -> str:
-        return self.text
+        return self[0]
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __repr__(self) -> str:
+        return f"IPv4Address(text={self[0]!r})"
 
     @property
     def is_private(self) -> bool:
         """True for RFC1918 addresses (the home LAN side)."""
-        return self._is_private
+        first, second, _ = self[0].split(".", 2)
+        first_octet = int(first)
+        second_octet = int(second)
+        return (
+            first_octet == 10
+            or (first_octet == 192 and second_octet == 168)
+            or (first_octet == 172 and 16 <= second_octet <= 31)
+        )
 
 
-@dataclass(frozen=True, order=True)
-class Endpoint:
-    """An (address, port) pair, one side of a flow."""
+class Endpoint(tuple):
+    """An (address, port) pair, one side of a flow.
 
-    ip: IPv4Address
-    port: int
+    A two-element tuple ``(ip, port)`` for the same reason as
+    :class:`IPv4Address`; its hash is ``hash((ip, port))``, unchanged
+    from the dataclass it replaced.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 < self.port <= 65535:
-            raise NetworkError(f"invalid port {self.port!r}")
-        object.__setattr__(self, "_hash", hash((self.ip, self.port)))
+    __slots__ = ()
+
+    def __new__(cls, ip: IPv4Address, port: int) -> "Endpoint":
+        if not 0 < port <= 65535:
+            raise NetworkError(f"invalid port {port!r}")
+        return tuple.__new__(cls, (ip, port))
+
+    ip = property(itemgetter(0), doc="The address.")
+    port = property(itemgetter(1), doc="The port number.")
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
     def __str__(self) -> str:
-        return f"{self.ip}:{self.port}"
+        return f"{self[0]}:{self[1]}"
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __repr__(self) -> str:
+        return f"Endpoint(ip={self[0]!r}, port={self[1]!r})"
 
 
 def endpoint(ip: str, port: int) -> Endpoint:

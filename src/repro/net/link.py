@@ -23,6 +23,8 @@ from repro.sim.simulator import Simulator
 
 PacketObserver = Callable[[Packet, str], None]
 
+_TCP = Protocol.TCP
+
 
 class Host:
     """A network endpoint with one IPv4 address.
@@ -233,7 +235,9 @@ class Network:
                 path_cache.clear()
             path = self._path_for(origin, packet)
             path_cache[key] = path
-        target, crosses_wan, base, fifo_id, scope = path
+        receive_tcp, receive, crosses_wan, base, fifo_id, scope = path
+        if packet.protocol is _TCP:
+            receive = receive_tcp
         if crosses_wan and self.wan_loss > 0.0 and self._loss_rng.random() < self.wan_loss:
             # Lost in transit; TCP's retransmission handles recovery.
             self.packets_lost += 1
@@ -256,7 +260,7 @@ class Network:
             self._prune_delivery_floors(now)
         # Arrival is never before `now`, so the schedule-in-the-past
         # validation in Simulator.post_at is skipped on this hot path.
-        sim._queue.post(arrival, self._deliver, (packet, target, scope))
+        sim._queue.post(arrival, self._deliver, (packet, receive, scope))
 
     def _send_legacy(self, origin: Host, packet: Packet) -> None:
         """The pre-PR send path, kept verbatim as the benchmark
@@ -275,14 +279,28 @@ class Network:
         key = (packet.src.ip, packet.dst.ip, packet.protocol)
         arrival = max(self.sim.now + latency, self._last_delivery.get(key, 0.0) + 1e-6)
         self._last_delivery[key] = arrival
-        self.sim.schedule_at(arrival, self._deliver, packet, target)
+        self.sim.schedule_at(arrival, self._deliver_legacy, packet, target)
 
     def _path_for(self, origin: Host, packet: Packet) -> tuple:
         """Resolve everything about a path that only depends on the
-        (origin, src, dst) key: the delivery target, whether the WAN
-        loss model applies, the base hop latency, the interned FIFO
-        floor id, and the observer scope label."""
+        (origin, src, dst) key: the receiving callables for TCP and for
+        other packets, whether the WAN loss model applies, the base hop
+        latency, the interned FIFO floor id, and the observer scope
+        label.
+
+        A tap's ``intercept`` receives every packet it diverts.  A host
+        otherwise gets its ``receive``, except that TCP segments go
+        straight to the host's stack when ``receive`` is the stock
+        :meth:`Host.receive`, which would only forward them there.
+        """
         target = self._route(origin, packet)
+        if isinstance(target, TapHost) and packet.dst.ip != target.ip:
+            receive = receive_tcp = target.intercept
+        else:
+            receive = receive_tcp = target.receive
+            stack = target._tcp_stack
+            if stack is not None and getattr(receive, "__func__", None) is Host.receive:
+                receive_tcp = stack.receive
         local = packet.src.ip.is_private and packet.dst.ip.is_private
         base = (
             self.lan_latency
@@ -291,7 +309,7 @@ class Network:
         )
         fifo_triple = (packet.src.ip, packet.dst.ip, packet.protocol)
         fifo_id = self._fifo_ids.setdefault(fifo_triple, len(self._fifo_ids))
-        return (target, not local, base, fifo_id, "lan" if local else "wan")
+        return (receive_tcp, receive, not local, base, fifo_id, "lan" if local else "wan")
 
     def _prune_delivery_floors(self, now: float) -> None:
         """Drop FIFO floors that simulated time has already passed.
@@ -322,10 +340,15 @@ class Network:
         )
         return base * (1.0 + self.jitter * float(self._rng.random()))
 
-    def _deliver(self, packet: Packet, target: Host, scope: Optional[str] = None) -> None:
+    def _deliver(self, packet: Packet, receive: Callable[[Packet], None], scope: str) -> None:
         self.delivered_count += 1
-        if scope is None:
-            scope = "lan" if (packet.src.ip.is_private and packet.dst.ip.is_private) else "wan"
+        for observer in self._observers:
+            observer(packet, scope)
+        receive(packet)
+
+    def _deliver_legacy(self, packet: Packet, target: Host) -> None:
+        self.delivered_count += 1
+        scope = "lan" if (packet.src.ip.is_private and packet.dst.ip.is_private) else "wan"
         for observer in self._observers:
             observer(packet, scope)
         if isinstance(target, TapHost) and packet.dst.ip != target.ip:

@@ -148,7 +148,7 @@ class Packet:
         self.tls_type = tls_type
         self.tls_record_seq = tls_record_seq
         self.meta = {} if meta is None else meta
-        self.number = next_packet_number() if number is None else number
+        self.number = next(_packet_ids) if number is None else number
         self.send_time = send_time
 
     def _astuple(self) -> tuple:

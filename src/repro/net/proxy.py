@@ -30,6 +30,9 @@ from repro.net.packet import Packet, Protocol, TcpFlags
 from repro.net.tcp import TcpConnection, TcpStack, TcpTuning
 from repro.obs.tracer import NULL_SPAN, Observability
 
+_SYN = TcpFlags.SYN.value
+_ACK = TcpFlags.ACK.value
+
 
 class ForwarderDecision(enum.Enum):
     """Policy verdict for one client record/datagram.
@@ -249,12 +252,16 @@ class TransparentProxy(TapHost):
         for snooper in self._snoopers:
             snooper(packet)
         if packet.protocol is Protocol.TCP:
-            if self._belongs_to_proxy(packet):
-                self.stack.receive(packet)
+            # One demux lookup: a segment of a terminated connection
+            # goes straight to it; only a new SYN needs the stack.
+            connection = self.stack._connections.get((packet.dst, packet.src))
+            if connection is not None:
+                connection.handle(packet)
                 return
+            flag_bits = packet.flags._value_
             if (
-                TcpFlags.SYN in packet.flags
-                and TcpFlags.ACK not in packet.flags
+                flag_bits & _SYN
+                and not flag_bits & _ACK
                 and packet.dst.port in self.proxied_ports
             ):
                 self.stack.receive(packet)
@@ -265,9 +272,6 @@ class TransparentProxy(TapHost):
             self.udp_forwarder.handle(packet)
             return
         self.bridge(packet)
-
-    def _belongs_to_proxy(self, packet: Packet) -> bool:
-        return (packet.dst, packet.src) in self.stack._connections
 
     # -- downstream (speaker-side) ---------------------------------------
     def _accept_downstream(self, downstream: TcpConnection) -> None:
@@ -307,7 +311,12 @@ class TransparentProxy(TapHost):
 
     def _on_client_record(self, flow: ProxiedFlow, conn: TcpConnection,
                           packet: Packet) -> None:
-        decision = self._policy_decision(flow, packet)
+        if self._record_shims:
+            decision = self._policy_decision(flow, packet)
+        elif self.record_policy is not None:
+            decision = self.record_policy(flow, packet)
+        else:
+            decision = ForwarderDecision.FORWARD
         if decision is ForwarderDecision.DROP:
             flow.records_discarded += 1
             self._m_discarded.inc()

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConnectionClosedError, NetworkError
-from repro.net.addresses import Endpoint
+from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.link import Host
 from repro.net.packet import Packet, Protocol, TcpFlags, TlsRecordType
 from repro.sim import compat
@@ -34,7 +34,9 @@ from repro.sim.process import DeadlineTimer
 
 # Integer flag masks and pre-built combinations: ``enum.Flag``'s
 # ``__contains__`` / ``__or__`` dominate the per-segment profile, while
-# one ``.value`` read plus int ``&`` per check does not.
+# one ``_value_`` read plus int ``&`` per check does not.  (``_value_``
+# is the member's plain attribute; ``.value`` goes through a descriptor
+# call on every read.)
 _SYN = TcpFlags.SYN.value
 _ACK = TcpFlags.ACK.value
 _FIN = TcpFlags.FIN.value
@@ -44,6 +46,11 @@ _SYN_ACK = TcpFlags.SYN | TcpFlags.ACK
 _PSH_ACK = TcpFlags.PSH | TcpFlags.ACK
 _FIN_ACK = TcpFlags.FIN | TcpFlags.ACK
 _KEEPALIVE_ACK = TcpFlags.KEEPALIVE | TcpFlags.ACK
+_TCP = Protocol.TCP
+
+# Client ports handed out by TcpStack.connect, in order, wrapping around.
+_EPHEMERAL_FIRST = 49201
+_EPHEMERAL_LAST = 65000
 
 
 class TcpState(enum.Enum):
@@ -55,43 +62,6 @@ class TcpState(enum.Enum):
     ESTABLISHED = "established"
     FIN_WAIT = "fin_wait"
     CLOSE_WAIT = "close_wait"
-
-
-class _Unacked:
-    """A sent-but-unacknowledged segment awaiting ACK or retransmit.
-
-    Instances never escape their connection, so they are recycled
-    through a small free list (:func:`_unacked_acquire` /
-    :func:`_unacked_release`) instead of being allocated per data
-    segment.
-    """
-
-    __slots__ = ("seq_end", "packet", "retries")
-
-    def __init__(self, seq_end: int = 0, packet: Optional[Packet] = None, retries: int = 0) -> None:
-        self.seq_end = seq_end
-        self.packet = packet
-        self.retries = retries
-
-
-_UNACKED_POOL: List[_Unacked] = []
-_UNACKED_POOL_MAX = 256
-
-
-def _unacked_acquire(seq_end: int, packet: Packet) -> _Unacked:
-    if _UNACKED_POOL:
-        segment = _UNACKED_POOL.pop()
-        segment.seq_end = seq_end
-        segment.packet = packet
-        segment.retries = 0
-        return segment
-    return _Unacked(seq_end, packet)
-
-
-def _unacked_release(segment: _Unacked) -> None:
-    if len(_UNACKED_POOL) < _UNACKED_POOL_MAX:
-        segment.packet = None  # do not retain the packet via the pool
-        _UNACKED_POOL.append(segment)
 
 
 @dataclass
@@ -139,7 +109,11 @@ class TcpConnection:
 
         self.snd_next = 0
         self.rcv_next = 0
-        self._unacked: List[_Unacked] = []
+        # Sent-but-unacknowledged data segments as (seq_end, packet),
+        # oldest first.  Only the head is ever retransmitted, and a
+        # segment becomes the head once, so one retry counter suffices.
+        self._unacked: List[Tuple[int, Packet]] = []
+        self._head_retries = 0
         self._out_of_order: dict = {}  # seq -> data packet awaiting gap fill
         self._recovering = False
         network = stack.host.network
@@ -203,18 +177,24 @@ class TcpConnection:
             raise ConnectionClosedError(
                 f"send on {self.local}->{self.remote} in state {self.state.value}"
             )
-        packet = self._make_packet(
-            flags=_PSH_ACK,
+        seq = self.snd_next
+        packet = Packet(
+            src=self.local,
+            dst=self.remote,
+            protocol=_TCP,
             payload_len=payload_len,
+            flags=_PSH_ACK,
+            seq=seq,
+            ack=self.rcv_next,
             tls_type=tls_type,
             tls_record_seq=tls_record_seq,
+            meta=dict(meta) if meta else None,
         )
-        if meta:
-            packet.meta.update(meta)
-        self.snd_next += payload_len
+        self.snd_next = seq_end = seq + payload_len
         self.bytes_sent += payload_len
-        self._unacked.append(_unacked_acquire(self.snd_next, packet))
-        self._transmit(packet)
+        self._unacked.append((seq_end, packet))
+        host = self.stack.host
+        host.network.send(host, packet)
         self._arm_rto()
         return packet
 
@@ -238,7 +218,7 @@ class TcpConnection:
     # -- receiving ------------------------------------------------------
     def handle(self, packet: Packet) -> None:
         """Process one inbound packet for this connection."""
-        self._last_rx_time = now = self.sim._clock._now
+        self._last_rx_time = now = self._sim._clock._now
         self._probes_sent = 0
         # Bump the idle deadline instead of letting the keepalive wake
         # up every <idle> seconds just to discover traffic arrived and
@@ -248,14 +228,30 @@ class TcpConnection:
         # the callback now only runs when the link is genuinely idle.
         timer = self._keepalive_timer
         if timer is not None and timer._deadline is not None:
-            timer.schedule_at(now + self.tuning.keepalive_idle)
-        flag_bits = packet.flags.value
+            deadline = now + self.tuning.keepalive_idle
+            next_fire = timer._next_fire
+            if next_fire is not None and next_fire <= deadline:
+                # DeadlineTimer.schedule_at's no-heap-traffic case,
+                # inlined: a wakeup is already queued at or before the
+                # new deadline and will re-arm for the remainder.
+                timer._deadline = deadline
+            else:
+                timer.schedule_at(deadline)
+        flag_bits = packet.flags._value_
+        state = self.state
+
+        if flag_bits == _ACK and state is TcpState.ESTABLISHED and not packet.payload_len:
+            # Pure ACK on an open connection: half of all segments on a
+            # proxied flow.  Skips the flag-by-flag walk below.
+            if self._unacked:
+                self._process_ack(packet.ack)
+            return
 
         if flag_bits & _RST:
             self._finish("rst")
             return
 
-        if self.state is TcpState.SYN_SENT:
+        if state is TcpState.SYN_SENT:
             if flag_bits & _SYN and flag_bits & _ACK:
                 self.state = TcpState.ESTABLISHED
                 self._cancel_rto()
@@ -266,7 +262,7 @@ class TcpConnection:
                     self.on_established(self)
             return
 
-        if self.state is TcpState.SYN_RCVD:
+        if state is TcpState.SYN_RCVD:
             if flag_bits & _ACK:
                 self.state = TcpState.ESTABLISHED
                 self._arm_keepalive()
@@ -281,7 +277,7 @@ class TcpConnection:
             self._transmit(self._make_packet(flags=TcpFlags.ACK))
             return
 
-        if flag_bits & _ACK:
+        if flag_bits & _ACK and self._unacked:
             self._process_ack(packet.ack)
 
         if packet.payload_len > 0:
@@ -339,9 +335,19 @@ class TcpConnection:
             self._transmit(self._make_packet(flags=TcpFlags.ACK))
             return
         self._deliver(packet)
-        while self.rcv_next in self._out_of_order:
-            self._deliver(self._out_of_order.pop(self.rcv_next))
-        self._transmit(self._make_packet(flags=TcpFlags.ACK))
+        out_of_order = self._out_of_order
+        while self.rcv_next in out_of_order:
+            self._deliver(out_of_order.pop(self.rcv_next))
+        ack = Packet(
+            src=self.local,
+            dst=self.remote,
+            protocol=_TCP,
+            flags=TcpFlags.ACK,
+            seq=self.snd_next,
+            ack=self.rcv_next,
+        )
+        host = self.stack.host
+        host.network.send(host, ack)
 
     def _deliver(self, packet: Packet) -> None:
         self.rcv_next = packet.seq + packet.payload_len
@@ -351,19 +357,16 @@ class TcpConnection:
 
     def _process_ack(self, ack: int) -> None:
         unacked = self._unacked
-        if not unacked:
-            return
         # seq_end values are strictly increasing (appends follow
         # snd_next), so acknowledged segments form a prefix.
         cleared = 0
         total = len(unacked)
-        while cleared < total and unacked[cleared].seq_end <= ack:
+        while cleared < total and unacked[cleared][0] <= ack:
             cleared += 1
         if cleared == 0:
             return
-        for i in range(cleared):
-            _unacked_release(unacked[i])
         del unacked[:cleared]
+        self._head_retries = 0
         if unacked:
             self._arm_rto(restart=True)
             if self._recovering:
@@ -376,18 +379,16 @@ class TcpConnection:
             self._cancel_rto()
 
     def _clear_unacked(self) -> None:
-        unacked = self._unacked
-        for segment in unacked:
-            _unacked_release(segment)
-        unacked.clear()
+        self._unacked.clear()
+        self._head_retries = 0
 
     def _arm_rto(self, restart: bool = False) -> None:
         if not self._legacy:
             timer = self._rto_timer
             if timer is None:
                 timer = self._rto_timer = DeadlineTimer(self.sim, self._on_rto)
-            if restart or not timer.armed:
-                timer.schedule_in(self.tuning.rto)
+            if restart or timer._deadline is None:
+                timer.schedule_at(self._sim._clock._now + self.tuning.rto)
             return
         # Legacy (pre-PR) path: cancel + re-push a heap entry per
         # advancing ACK — the timer-churn leak the benchmark measures.
@@ -419,23 +420,23 @@ class TcpConnection:
     def _retransmit_head(self) -> None:
         if not self._unacked:
             return
-        segment = self._unacked[0]
-        segment.retries += 1
-        if segment.retries > self.tuning.max_retries:
+        original = self._unacked[0][1]
+        self._head_retries += 1
+        if self._head_retries > self.tuning.max_retries:
             self.abort("timeout")
             return
         self.retransmissions += 1
         retransmit = Packet(
-            src=segment.packet.src,
-            dst=segment.packet.dst,
+            src=original.src,
+            dst=original.dst,
             protocol=Protocol.TCP,
-            payload_len=segment.packet.payload_len,
-            flags=segment.packet.flags,
-            seq=segment.packet.seq,
+            payload_len=original.payload_len,
+            flags=original.flags,
+            seq=original.seq,
             ack=self.rcv_next,
-            tls_type=segment.packet.tls_type,
-            tls_record_seq=segment.packet.tls_record_seq,
-            meta=dict(segment.packet.meta, retransmission=True),
+            tls_type=original.tls_type,
+            tls_record_seq=original.tls_record_seq,
+            meta=dict(original.meta, retransmission=True),
         )
         self._transmit(retransmit)
 
@@ -512,7 +513,7 @@ class TcpStack:
         host.register_tcp_stack(self)
         self._connections: Dict[Tuple[Endpoint, Endpoint], TcpConnection] = {}
         self._listeners: Dict[int, _Listener] = {}
-        self._ephemeral = 49200
+        self._ephemeral = _EPHEMERAL_FIRST - 1
 
     # -- API ------------------------------------------------------------
     def listen(
@@ -535,7 +536,7 @@ class TcpStack:
     ) -> TcpConnection:
         """Open a client connection; ``local_ip`` may spoof another host."""
         ip = local_ip if local_ip is not None else self.host.ip
-        local = Endpoint(ip, self._next_port())
+        local = self._free_local(ip, remote)
         connection = TcpConnection(self, local, remote, tuning)
         self._connections[connection.four_tuple] = connection
         connection.open_active()
@@ -558,7 +559,7 @@ class TcpStack:
         if connection is not None:
             connection.handle(packet)
             return
-        flag_bits = packet.flags.value
+        flag_bits = packet.flags._value_
         if flag_bits & _SYN and not flag_bits & _ACK:
             self._accept_syn(packet)
         # Anything else for an unknown connection is silently ignored, as
@@ -578,8 +579,17 @@ class TcpStack:
         listener.accept(connection)
         connection._transmit(connection._make_packet(flags=_SYN_ACK))
 
-    def _next_port(self) -> int:
-        self._ephemeral += 1
-        if self._ephemeral > 65000:
-            self._ephemeral = 49201
-        return self._ephemeral
+    def _free_local(self, ip: IPv4Address, remote: Endpoint) -> Endpoint:
+        """The next ephemeral local endpoint whose 4-tuple to ``remote``
+        is not live.  After the port counter wraps, a long-lived
+        connection may still hold a port; reusing it would overwrite
+        that connection in the demux table."""
+        for _ in range(_EPHEMERAL_LAST - _EPHEMERAL_FIRST + 1):
+            self._ephemeral += 1
+            if self._ephemeral > _EPHEMERAL_LAST:
+                self._ephemeral = _EPHEMERAL_FIRST
+            local = Endpoint(ip, self._ephemeral)
+            if (local, remote) not in self._connections:
+                return local
+        raise NetworkError(
+            f"no free ephemeral port on {self.host.name} for {ip} -> {remote}")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import NetworkError
@@ -58,6 +61,74 @@ class TestAddresses:
         b = endpoint("10.0.0.1", 2000)
         assert len({a, b, a}) == 2
         assert a < b
+
+    def test_hashes_match_the_dataclass_formula(self):
+        # The frozen dataclasses these types once were hashed as
+        # hash((text,)) and hash((ip, port)); set and dict iteration
+        # orders (and so every golden) depend on keeping those values.
+        for text in ("192.168.1.200", "54.239.28.85", "10.0.0.1"):
+            ip = IPv4Address(text)
+            assert hash(ip) == hash((text,))
+            for port in (1, 443, 49201, 65535):
+                assert hash(Endpoint(ip, port)) == hash(((text,), port))
+
+    def test_equality(self):
+        assert IPv4Address("10.0.0.1") == IPv4Address("10.0.0.1")
+        assert IPv4Address("10.0.0.1") != IPv4Address("10.0.0.2")
+        assert endpoint("10.0.0.1", 1) == endpoint("10.0.0.1", 1)
+        assert endpoint("10.0.0.1", 1) != endpoint("10.0.0.1", 2)
+        assert endpoint("10.0.0.1", 1) != IPv4Address("10.0.0.1")
+
+    def test_ordering_follows_text_then_port(self):
+        texts = ["54.1.1.1", "10.0.0.2", "192.168.1.200", "10.0.0.10"]
+        assert [ip.text for ip in sorted(IPv4Address(t) for t in texts)] == sorted(texts)
+        pairs = [("10.0.0.2", 80), ("10.0.0.10", 443), ("10.0.0.2", 22)]
+        ordered = sorted(endpoint(t, p) for t, p in pairs)
+        assert [(e.ip.text, e.port) for e in ordered] == sorted(pairs)
+
+    def test_str_and_repr_unchanged(self):
+        ip = IPv4Address("192.168.1.200")
+        ep = Endpoint(ip, 443)
+        assert str(ip) == f"{ip}" == "192.168.1.200"
+        assert repr(ip) == "IPv4Address(text='192.168.1.200')"
+        assert str(ep) == f"{ep}" == "192.168.1.200:443"
+        assert repr(ep) == "Endpoint(ip=IPv4Address(text='192.168.1.200'), port=443)"
+
+    def test_accessors(self):
+        ep = endpoint("172.16.4.5", 8443)
+        assert ep.ip == IPv4Address("172.16.4.5")
+        assert ep.ip.text == "172.16.4.5"
+        assert ep.port == 8443
+        assert ep.ip.is_private
+
+    def test_immutable(self):
+        ep = endpoint("10.0.0.1", 443)
+        with pytest.raises(AttributeError):
+            ep.port = 80
+        with pytest.raises(AttributeError):
+            ep.ip.text = "10.0.0.2"
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        ep = endpoint("192.168.1.200", 443)
+        back = pickle.loads(pickle.dumps(ep, protocol=protocol))
+        assert back == ep and hash(back) == hash(ep)
+        assert type(back) is Endpoint and type(back.ip) is IPv4Address
+        assert copy.deepcopy(ep) == ep
+
+    @pytest.mark.parametrize("port", [1, 65535])
+    def test_port_bounds_accepted(self, port):
+        assert Endpoint(IPv4Address("10.0.0.1"), port).port == port
+
+    @pytest.mark.parametrize("port", [65536, 10**6])
+    def test_ports_above_range_rejected(self, port):
+        with pytest.raises(NetworkError):
+            Endpoint(IPv4Address("10.0.0.1"), port)
+
+    @pytest.mark.parametrize("bad", ["", "1.2.3.", "1..2.3", "-1.2.3.4", "1.2.3.256"])
+    def test_more_invalid_addresses(self, bad):
+        with pytest.raises(NetworkError):
+            IPv4Address(bad)
 
 
 class TestPacket:

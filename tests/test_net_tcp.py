@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConnectionClosedError
+from repro.errors import ConnectionClosedError, NetworkError
+from repro.net import tcp
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.link import Host, Network, TapHost
-from repro.net.packet import Packet, Protocol, TlsRecordType
+from repro.net.packet import Packet, Protocol, TcpFlags, TlsRecordType
 from repro.net.tcp import TcpStack, TcpState, TcpTuning
 from repro.sim.random import RngHub
 
@@ -234,3 +235,139 @@ class TestKeepalive:
         conn.on_close = lambda c, r: reasons.append(r)
         sim.run_for(60.0)
         assert reasons == ["timeout"]
+
+
+class _BlackHoleTap(TapHost):
+    """Eats every packet it intercepts."""
+
+    def intercept(self, packet):
+        pass
+
+
+def _pure_ack(conn, ack):
+    """A bare ACK from ``conn``'s peer acknowledging up to ``ack``."""
+    return Packet(src=conn.remote, dst=conn.local, protocol=Protocol.TCP,
+                  flags=TcpFlags.ACK, seq=0, ack=ack)
+
+
+class TestPureAckPaths:
+    """Bare ACKs take a shortcut through ``TcpConnection.handle`` on
+    established connections; every other state keeps the full walk."""
+
+    def test_ack_completing_syn_rcvd_establishes(self, world):
+        sim, network, client, server = world
+        accepted = []
+        established = []
+
+        def accept(conn):
+            assert conn.state is TcpState.SYN_RCVD
+            conn.on_established = established.append
+            accepted.append(conn)
+
+        server.listen(443, accept)
+        client.connect(Endpoint(server.host.ip, 443))
+        sim.run_for(1.0)
+        assert len(accepted) == 1
+        assert accepted[0].state is TcpState.ESTABLISHED
+        assert established == accepted
+
+    def test_go_back_n_resends_next_hole_before_rto(self, world):
+        sim, network, client, server = world
+        tap = _DropTap("tap", IPv4Address("192.168.1.50"), drop_count=2)
+        network.attach(tap)
+        network.install_tap(client.host.ip, tap)
+        conn, srv = connect(sim, client, server, tuning=TcpTuning(rto=1.0))
+        received = []
+        srv.on_record = lambda c, p: received.append(p.payload_len)
+        for size in (10, 20, 30):
+            conn.send_record(size, tls_record_seq=0)
+        # One RTO retransmits the first hole; the (pure) ACK for it must
+        # resend the second hole at once, not a second RTO later.
+        sim.run_for(1.5)
+        assert received == [10, 20, 30]
+        assert conn.retransmissions == 2
+
+    @pytest.mark.parametrize("state", [TcpState.FIN_WAIT, TcpState.CLOSE_WAIT])
+    def test_ack_clears_unacked_data_while_closing(self, world, state):
+        sim, network, client, server = world
+        conn, srv = connect(sim, client, server)
+        tap = _BlackHoleTap("tap", IPv4Address("192.168.1.50"))
+        network.attach(tap)
+        network.install_tap(client.host.ip, tap)
+        conn.send_record(10, tls_record_seq=0)
+        # The model passes through CLOSE_WAIT inside one handle() call,
+        # so both closing states are entered directly here.
+        conn.state = state
+        client.receive(_pure_ack(conn, conn.snd_next))
+        sim.run_for(3.0)
+        assert conn.retransmissions == 0
+        assert conn.state is state
+
+    def test_unacked_data_retransmits_without_the_ack(self, world):
+        sim, network, client, server = world
+        conn, srv = connect(sim, client, server)
+        tap = _BlackHoleTap("tap", IPv4Address("192.168.1.50"))
+        network.attach(tap)
+        network.install_tap(client.host.ip, tap)
+        conn.send_record(10, tls_record_seq=0)
+        conn.state = TcpState.FIN_WAIT
+        sim.run_for(3.0)
+        assert conn.retransmissions > 0
+
+    def test_probe_reply_resets_probe_count(self, world):
+        sim, network, client, server = world
+        probes = []
+        network.add_observer(
+            lambda p, scope: probes.append(sim.now) if TcpFlags.KEEPALIVE in p.flags else None)
+        tuning = TcpTuning(keepalive_idle=5.0, keepalive_interval=1.0, keepalive_probes=1)
+        conn, srv = connect(sim, client, server, tuning=tuning)
+        sim.run_for(5.5)
+        assert probes, "no keepalive probe was sent"
+        assert conn._probes_sent == 0
+        # With a budget of one probe, a reply that failed to reset the
+        # count would abort the connection at the next idle period.
+        sim.run_for(60.0)
+        assert len(probes) > 2
+        assert conn.state is TcpState.ESTABLISHED
+        assert srv.state is TcpState.ESTABLISHED
+
+    def test_observer_added_after_traffic_sees_later_packets(self, world):
+        sim, network, client, server = world
+        conn, srv = connect(sim, client, server)
+        conn.send_record(10, tls_record_seq=0)
+        sim.run_for(1.0)
+        seen = []
+        network.add_observer(lambda p, scope: seen.append((p.number, scope)))
+        before = network.delivered_count
+        for size in (10, 20, 30):
+            conn.send_record(size, tls_record_seq=0)
+        sim.run_for(1.0)
+        assert len(seen) == network.delivered_count - before == 6
+        assert {scope for _, scope in seen} == {"wan"}
+
+
+class TestEphemeralPorts:
+    def test_wrapped_counter_skips_live_four_tuples(self, world):
+        sim, network, client, server = world
+        first, srv = connect(sim, client, server)
+        assert first.local.port == 49201
+        client._ephemeral = 65000  # the next port wraps back to 49201
+        second = client.connect(Endpoint(server.host.ip, 443))
+        sim.run_for(1.0)
+        assert second.local.port == 49202
+        assert client.connection_count == 2
+        assert first.state is TcpState.ESTABLISHED
+        assert second.state is TcpState.ESTABLISHED
+        received = []
+        srv.on_record = lambda c, p: received.append(p.payload_len)
+        first.send_record(10, tls_record_seq=0)
+        sim.run_for(1.0)
+        assert received == [10]
+
+    def test_exhausted_port_range_raises(self, world, monkeypatch):
+        sim, network, client, server = world
+        monkeypatch.setattr(tcp, "_EPHEMERAL_LAST", 49202)
+        connect(sim, client, server)
+        client.connect(Endpoint(server.host.ip, 443))
+        with pytest.raises(NetworkError):
+            client.connect(Endpoint(server.host.ip, 443))
