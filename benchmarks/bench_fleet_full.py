@@ -34,7 +34,6 @@ import sys
 import time
 from typing import List
 
-from repro.experiments.bench_sim import guard_event_stream
 from repro.experiments.fleet import FleetConfig, clear_scenario_pool, run_fleet
 from repro.experiments.pool import ScenarioPool, build_home_cold, pool_key
 from repro.experiments.synthesis import HomeSpec, PopulationModel
@@ -80,7 +79,7 @@ def _home_stream(scenario, spec: HomeSpec) -> tuple:
     workload = SevenDayWorkload(scenario)
     workload.run(spec.legit_commands, spec.attacks)
     scenario.speaker.settle_all()
-    return guard_event_stream(scenario.guard)
+    return scenario.guard.log.event_stream()
 
 
 def verify_equality(config: FleetConfig) -> dict:

@@ -36,7 +36,6 @@ import sys
 import time
 
 from repro.core.config import VoiceGuardConfig
-from repro.experiments.bench_sim import guard_event_stream
 from repro.experiments.loadtest import (
     LoadCell,
     run_loadtest,
@@ -64,7 +63,7 @@ def assert_single_flow_identical(seed: int, smoke: bool) -> int:
     ):
         scenario = build_scenario("house", "echo", seed=seed, config=config)
         SevenDayWorkload(scenario).run(legit, malicious)
-        streams.append(guard_event_stream(scenario.guard))
+        streams.append(scenario.guard.log.event_stream())
         clocks.append(scenario.sim.now)
     if streams[0] != streams[1]:
         raise AssertionError(

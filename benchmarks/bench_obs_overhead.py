@@ -38,29 +38,6 @@ FULL_COUNTS = (91, 69)
 SMOKE_COUNTS = (10, 7)
 
 
-def _event_stream(guard) -> List[tuple]:
-    """The guard's command-event stream, as comparable tuples."""
-    stream = []
-    for event in guard.log.events:
-        stream.append((
-            event.window_id,
-            event.flow_id,
-            event.speaker_ip,
-            event.protocol,
-            event.opened_at,
-            event.classification.value if event.classification else None,
-            event.classified_at,
-            event.classify_packet_count,
-            event.verdict.value if event.verdict else None,
-            event.verdict_at,
-            event.released_at,
-            event.discarded_at,
-            event.held_records,
-            tuple(repr(report) for report in event.rssi_reports),
-        ))
-    return stream
-
-
 def _run_cell(tracing: bool, seed: int, legit: int,
               malicious: int) -> Tuple[float, List[tuple], int]:
     """One timed end-to-end cell run; returns (seconds, stream, spans)."""
@@ -71,7 +48,7 @@ def _run_cell(tracing: bool, seed: int, legit: int,
     workload.run(legit, malicious)
     scenario.speaker.settle_all()
     elapsed = time.perf_counter() - start
-    return elapsed, _event_stream(scenario.guard), len(scenario.env.obs.tracer)
+    return elapsed, scenario.guard.log.event_stream(), len(scenario.env.obs.tracer)
 
 
 def run_bench(seed: int = 7, repeats: int = 3, smoke: bool = False) -> dict:

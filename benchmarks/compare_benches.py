@@ -20,6 +20,10 @@ Boolean invariants (``tables_identical``, ``streams_identical``,
 mode: equivalence is asserted per run, not timed, so smoke runs prove
 it just as hard as full runs.
 
+Every ``BENCH_*.json`` in the baseline directory must be listed in
+:data:`BENCHES`: a retired bench's payload left behind would otherwise
+sit there ungated, so an unlisted baseline fails the check.
+
 A markdown summary table is appended to ``$GITHUB_STEP_SUMMARY`` when
 set (and always printed).  Exit 1 on any failed row.
 
@@ -73,13 +77,6 @@ BENCHES = {
             Metric("speedups.mean_rssi_many_vs_reference", floor=1.0),
             Metric("speedups.sample_batch_vs_scalar", floor=0.8),
             Metric("speedups.walls_many_vs_scalar", floor=1.0),
-        ],
-    ),
-    "BENCH_sim.json": Bench(
-        mode_path="smoke",
-        metrics=[
-            Metric("speedups.seven_day", floor=1.0),
-            Metric("speedups.compressed_gap", floor=0.8),
         ],
     ),
     "BENCH_obs.json": Bench(
@@ -207,6 +204,10 @@ def run_compare(
     tolerance: float,
 ) -> List[Row]:
     rows: List[Row] = []
+    for path in sorted(baseline_dir.glob("BENCH_*.json")):
+        if path.name not in BENCHES:
+            rows.append(Row(path.name, "(file)", "present", None, "registry",
+                            False, "baseline not listed in BENCHES"))
     for name, bench in sorted(BENCHES.items()):
         base_path = baseline_dir / name
         cand_path = candidate_dir / name

@@ -2,8 +2,7 @@
 # Refresh the committed benchmark artifacts.
 #
 #   benchmarks/run_benches.sh          # kernel benches -> BENCH_rssi.json,
-#                                      # BENCH_sim.json, BENCH_obs.json,
-#                                      # BENCH_fleet.json,
+#                                      # BENCH_obs.json, BENCH_fleet.json,
 #                                      # BENCH_fleet_full.json,
 #                                      # BENCH_load.json,
 #                                      # BENCH_recognition.json
@@ -21,10 +20,9 @@
 #
 # Every bench asserts, before timing, that the optimized path reproduces
 # its reference bit-for-bit (RSSI: batched kernels vs scalar reference;
-# sim: guard event streams legacy vs current kernel; load: concurrency
-# knobs on vs off on a single flow; recognition: same-seed retrains and
-# serial-vs-parallel grid tables), so a passing run doubles as an
-# equivalence check.
+# obs: tracing off vs on; load: concurrency knobs on vs off on a single
+# flow; recognition: same-seed retrains and serial-vs-parallel grid
+# tables), so a passing run doubles as an equivalence check.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -35,10 +33,8 @@ OUT="${BENCH_RESULTS_DIR:-benchmarks/results}"
 mkdir -p "$OUT"
 
 if [ "${1:-}" = "--smoke" ]; then
-    python -m repro bench-rssi --seed 7 --seconds 0.05 \
+    python benchmarks/bench_rssi_kernel.py --seed 7 --seconds 0.05 \
         --output "$OUT/BENCH_rssi.json"
-    python -m repro bench-sim --seed 11 --smoke \
-        --output "$OUT/BENCH_sim.json"
     python benchmarks/bench_obs_overhead.py --smoke \
         --output "$OUT/BENCH_obs.json"
     python benchmarks/bench_fleet.py --smoke \
@@ -52,8 +48,7 @@ if [ "${1:-}" = "--smoke" ]; then
     exit 0
 fi
 
-python -m repro bench-rssi --seed 7 --output "$OUT/BENCH_rssi.json"
-python -m repro bench-sim --seed 11 --output "$OUT/BENCH_sim.json"
+python benchmarks/bench_rssi_kernel.py --seed 7 --output "$OUT/BENCH_rssi.json"
 python benchmarks/bench_obs_overhead.py --output "$OUT/BENCH_obs.json"
 python benchmarks/bench_fleet.py --output "$OUT/BENCH_fleet.json"
 python benchmarks/bench_fleet_full.py --output "$OUT/BENCH_fleet_full.json"

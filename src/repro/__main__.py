@@ -14,9 +14,7 @@ Commands
 ``loadtest``    — bursty multi-speaker load: throughput vs hold-time tail
 ``recognition-robustness`` — matcher x traffic-morphing adversary accuracy grid
 ``trace``       — run one traced scenario; waterfall + phase timings from spans
-``bench-rssi``  — microbenchmark the RSSI kernel, write BENCH_rssi.json
-``bench-sim``   — legacy-vs-current sim-kernel bench, write BENCH_sim.json
-``profile``     — cProfile a scenario workload (the bench's companion tool)
+``profile``     — cProfile a scenario workload
 ``demo``        — the quickstart scenario, narrated
 """
 
@@ -256,35 +254,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_rssi(args: argparse.Namespace) -> int:
-    from repro.experiments.bench_rssi import render_bench, run_bench_rssi, write_bench
-
-    payload = run_bench_rssi(
-        testbed_name=args.testbed, seed=args.seed, min_seconds=args.seconds
-    )
-    print(render_bench(payload))
-    if args.output:
-        write_bench(args.output, payload)
-        print(f"(written to {args.output})")
-    return 0
-
-
-def _cmd_bench_sim(args: argparse.Namespace) -> int:
-    from repro.experiments.bench_sim import render_bench, run_bench_sim, write_bench
-
-    payload = run_bench_sim(seed=args.seed, repeats=args.repeats,
-                            smoke=args.smoke)
-    print(render_bench(payload))
-    if args.output:
-        write_bench(args.output, payload)
-        print(f"(written to {args.output})")
-    if not args.smoke and payload["speedups"]["seven_day"] < payload["seven_day_floor"]:
-        print(f"FAIL: seven_day speedup {payload['speedups']['seven_day']}x "
-              f"below the {payload['seven_day_floor']}x floor", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.experiments.profile_scenario import render_profile, run_profile
 
@@ -294,7 +263,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         seed=args.seed,
         counts=(args.commands, args.attacks),
         seven_day=args.seven_day,
-        legacy=args.legacy,
         top=args.top,
         sort=args.sort,
     )
@@ -488,35 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also dump the span forest as JSONL here")
     trace.set_defaults(func=_cmd_trace)
 
-    bench = sub.add_parser("bench-rssi", parents=[common],
-                           help="microbenchmark the RSSI kernel + event queue")
-    bench.add_argument("--testbed", choices=["house", "apartment", "office"],
-                       default="house")
-    bench.add_argument("--seconds", type=float, default=0.2,
-                       help="minimum wall time per microbenchmark")
-    bench.add_argument("--output", default=None,
-                       help="also write the machine-readable JSON payload here "
-                            "(e.g. benchmarks/results/BENCH_rssi.json)")
-    bench.set_defaults(func=_cmd_bench_rssi)
-
-    bench_sim = sub.add_parser(
-        "bench-sim", parents=[common],
-        help="time the legacy vs current sim kernel on the house/echo "
-             "workload (asserts byte-identical guard event streams first)")
-    bench_sim.add_argument("--repeats", type=int, default=2,
-                           help="interleaved runs per kernel (min is reported)")
-    bench_sim.add_argument("--smoke", action="store_true",
-                           help="short run: exercises the whole path and the "
-                                "equality assertions, numbers not citable")
-    bench_sim.add_argument("--output", default=None,
-                           help="also write the machine-readable JSON payload "
-                                "here (e.g. benchmarks/results/BENCH_sim.json)")
-    bench_sim.set_defaults(func=_cmd_bench_sim)
-
     profile = sub.add_parser(
         "profile", parents=[common],
-        help="cProfile one scenario workload; --legacy profiles the "
-             "pre-optimization kernel for before/after comparison")
+        help="cProfile one scenario workload")
     profile.add_argument("scenario", nargs="?", default="house",
                          choices=["house", "apartment", "office"],
                          help="testbed to profile (default: house)")
@@ -528,8 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--seven-day", action="store_true",
                          help="spread episodes over the paper's real seven-day "
                               "timeline (idle-time costs dominate)")
-    profile.add_argument("--legacy", action="store_true",
-                         help="profile the pre-optimization kernel")
     profile.add_argument("--top", type=int, default=30,
                          help="rows of the pstats table to print")
     profile.add_argument("--sort", choices=["cumulative", "tottime", "calls"],

@@ -85,6 +85,34 @@ class GuardLog:
     def __iter__(self):
         return iter(self.events)
 
+    def event_stream(self) -> List[tuple]:
+        """The command-event stream as comparable tuples, in log order.
+
+        This is the equivalence oracle: every field that decides a
+        detection outcome (timestamps, classifications, verdicts, packet
+        counts, held records, RSSI report reprs).  Two runs that must
+        behave identically must yield equal streams.
+        """
+        return [
+            (
+                e.window_id,
+                e.flow_id,
+                e.speaker_ip,
+                e.protocol,
+                e.opened_at,
+                e.classification.value if e.classification else None,
+                e.classified_at,
+                e.classify_packet_count,
+                e.verdict.value if e.verdict else None,
+                e.verdict_at,
+                e.released_at,
+                e.discarded_at,
+                e.held_records,
+                tuple(repr(report) for report in e.rssi_reports),
+            )
+            for e in self.events
+        ]
+
     def commands(self) -> List[CommandEvent]:
         """Events classified as commands."""
         return [e for e in self.events if e.classification is TrafficClass.COMMAND]

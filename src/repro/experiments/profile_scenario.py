@@ -1,17 +1,9 @@
 """``repro profile`` — cProfile a full scenario run.
 
-This is the tool the kernel optimization work was driven by: build a
-scenario, run the standard workload under :mod:`cProfile`, and print
-the hottest functions.  ``--legacy`` profiles the pre-optimization
-kernel (via :mod:`repro.sim.compat`) so before/after profiles can be
-compared on the same checkout; ``--seven-day`` stretches the idle gaps
-to the paper's real timeline, which is where timer churn and idle
-polling dominate.
-
-The profile and the benchmark deliberately share their workload shape
-(:data:`repro.experiments.bench_sim.SEVEN_DAY_GAP`,
-``FULL_COUNTS``/``SMOKE_COUNTS``): what you profile is what
-``BENCH_sim.json`` measures.
+Build a scenario, run the standard workload under :mod:`cProfile`, and
+print the hottest functions.  ``--seven-day`` stretches the idle gaps
+to the paper's real timeline (:data:`repro.experiments.workload.SEVEN_DAY_GAP`),
+which is where timer churn and idle polling dominate.
 """
 
 from __future__ import annotations
@@ -19,15 +11,10 @@ from __future__ import annotations
 import cProfile
 import io
 import pstats
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.experiments.bench_sim import (
-    FULL_COUNTS,
-    SEVEN_DAY_GAP,
-    SMOKE_COUNTS,
-    guard_event_stream,
-)
-from repro.sim import compat
+from repro.experiments.scenarios import build_scenario
+from repro.experiments.workload import SEVEN_DAY_GAP, SevenDayWorkload
 
 SORT_KEYS = ("cumulative", "tottime", "calls")
 
@@ -36,36 +23,29 @@ def run_profile(
     testbed_name: str = "house",
     speaker_kind: str = "echo",
     seed: int = 11,
-    counts: Optional[Tuple[int, int]] = None,
+    counts: Tuple[int, int] = (10, 7),
     seven_day: bool = False,
-    legacy: bool = False,
     top: int = 30,
     sort: str = "cumulative",
 ) -> Dict:
     """Profile one workload run; returns stats text plus run facts.
 
-    Only the workload phase is profiled — scenario construction is
-    excluded, matching what ``bench-sim`` times.
+    Only the workload phase is profiled; scenario construction is
+    excluded.
     """
     if sort not in SORT_KEYS:
         raise ValueError(f"sort must be one of {SORT_KEYS}, got {sort!r}")
-    from repro.experiments.scenarios import build_scenario
-    from repro.experiments.workload import SevenDayWorkload
 
-    legit, malicious = SMOKE_COUNTS if counts is None else counts
+    legit, malicious = counts
     gap = SEVEN_DAY_GAP if seven_day else None
-    compat.use_legacy_kernel(legacy)
-    try:
-        scenario = build_scenario(testbed_name, speaker_kind, deployment=0,
-                                  seed=seed, owner_count=2, tracing=False)
-        workload = SevenDayWorkload(scenario, episode_gap=gap)
-        profiler = cProfile.Profile()
-        profiler.enable()
-        workload.run(legit, malicious)
-        scenario.speaker.settle_all()
-        profiler.disable()
-    finally:
-        compat.use_legacy_kernel(False)
+    scenario = build_scenario(testbed_name, speaker_kind, deployment=0,
+                              seed=seed, owner_count=2, tracing=False)
+    workload = SevenDayWorkload(scenario, episode_gap=gap)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    workload.run(legit, malicious)
+    scenario.speaker.settle_all()
+    profiler.disable()
 
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
@@ -74,7 +54,6 @@ def run_profile(
     total_calls = stats.total_calls
     total_time = stats.total_tt
     return {
-        "kernel": "legacy" if legacy else "current",
         "testbed": testbed_name,
         "speaker": speaker_kind,
         "seed": seed,
@@ -82,7 +61,7 @@ def run_profile(
         "malicious_count": malicious,
         "seven_day": seven_day,
         "sim_seconds": scenario.sim.now,
-        "command_events": len(guard_event_stream(scenario.guard)),
+        "command_events": len(scenario.guard.command_events()),
         "total_calls": total_calls,
         "total_time_s": total_time,
         "stats_text": buffer.getvalue(),
@@ -96,7 +75,7 @@ def render_profile(result: Dict) -> str:
     lines = [
         f"Profile — {result['testbed']}/{result['speaker']}, "
         f"{result['legit_count']}+{result['malicious_count']} commands, "
-        f"seed {result['seed']}, kernel={result['kernel']}"
+        f"seed {result['seed']}"
         + (", seven-day timeline" if result["seven_day"] else ""),
         f"  simulated {result['sim_seconds']:.1f} s ({days:.2f} days), "
         f"{result['command_events']} command events, "

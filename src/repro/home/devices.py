@@ -17,7 +17,6 @@ from repro.faults.plan import FaultInjector
 from repro.home.person import Person
 from repro.radio.bluetooth import BluetoothBeacon, BluetoothScanner, RssiSample
 from repro.radio.propagation import PropagationModel
-from repro.sim import compat
 from repro.sim.process import PeriodicTask
 from repro.sim.simulator import Simulator
 
@@ -128,10 +127,9 @@ class MotionSensor:
     every tracked person stands still outside the region the sensor
     sleeps entirely, re-joining its 0.25 s poll grid when a
     movement listener (:meth:`Person.add_movement_listener`) wakes it.
-    The instants at which a poll *observes* anything are exactly the
-    legacy schedule's, so fire times are bit-identical; only the no-op
-    wakeups disappear.  ``repro.sim.compat`` legacy mode keeps the
-    original poll-every-tick behaviour for the kernel benchmark.
+    The instants at which a poll *observes* anything are exactly those
+    of polling every tick, so fire times are bit-identical; only the
+    no-op wakeups disappear.
     """
 
     POLL_PERIOD = 0.25
@@ -159,18 +157,11 @@ class MotionSensor:
         self._stopped = True
         self._next_poll = 0.0
         self._poll_handle = None
-        if compat.legacy_kernel_enabled():
-            self._task = PeriodicTask(sim, self.POLL_PERIOD, self._poll, first_delay=self.POLL_PERIOD)
-        else:
-            self._task = None
-            for person in persons:
-                person.add_movement_listener(self._on_person_moved)
+        for person in persons:
+            person.add_movement_listener(self._on_person_moved)
 
     def start(self) -> None:
         """Begin polling for motion."""
-        if self._task is not None:
-            self._task.start()
-            return
         if not self._stopped:
             return
         self._stopped = False
@@ -179,9 +170,6 @@ class MotionSensor:
 
     def stop(self) -> None:
         """Stop polling."""
-        if self._task is not None:
-            self._task.stop()
-            return
         self._stopped = True
         if self._poll_handle is not None:
             self._poll_handle.cancel()
@@ -206,24 +194,23 @@ class MotionSensor:
             if self.on_motion is not None:
                 self.on_motion(now)
 
-    # -- gated polling (optimized kernel) -------------------------------
+    # -- gated polling ----------------------------------------------------
     def _poll_event(self) -> None:
         self._poll_handle = None
         if self._stopped:
             return
         now = self._next_poll
         self._poll(now)
-        # Advancing by repeated addition reproduces PeriodicTask's grid
-        # exactly (each fire schedules the next at fire time + period).
+        # Advancing by repeated addition keeps the tick grid float-exact
+        # (each tick is the previous tick + period).
         self._next_poll = now + self.POLL_PERIOD
         self._schedule_next()
 
     def _schedule_next(self) -> None:
-        # Fast-forward through the refractory window: legacy polls in it
+        # Fast-forward through the refractory window: polls in it
         # return before reading any position, so nothing observable can
         # happen until the first grid instant past it.  The loop repeats
-        # the legacy per-tick comparison so the landing tick is
-        # float-exact.
+        # _poll's per-tick comparison so the landing tick is float-exact.
         t = self._next_poll
         last_fired = self._last_fired
         period = self.POLL_PERIOD

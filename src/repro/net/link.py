@@ -17,7 +17,6 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import NetworkError
 from repro.net.addresses import IPv4Address
 from repro.net.packet import Packet, Protocol
-from repro.sim import compat
 from repro.sim.random import RngHub
 from repro.sim.simulator import Simulator
 
@@ -141,7 +140,6 @@ class Network:
         self._observers: List[PacketObserver] = []
         self._last_delivery: Dict[tuple, float] = {}
         self.delivered_count = 0
-        self._legacy = compat.legacy_kernel_enabled()
         # (origin_ip, src, dst) -> routing/latency facts.  Routing only
         # changes when the topology does, so everything derivable from
         # the key is computed once instead of per packet.  Endpoints
@@ -218,9 +216,6 @@ class Network:
         delivered to the tap *unless the tap itself is the origin* —
         packets a tap re-injects go straight to their true destination.
         """
-        if self._legacy:
-            self._send_legacy(origin, packet)
-            return
         sim = self.sim
         now = sim._clock._now
         packet.send_time = now
@@ -261,25 +256,6 @@ class Network:
         # Arrival is never before `now`, so the schedule-in-the-past
         # validation in Simulator.post_at is skipped on this hot path.
         sim._queue.post(arrival, self._deliver, (packet, receive, scope))
-
-    def _send_legacy(self, origin: Host, packet: Packet) -> None:
-        """The pre-PR send path, kept verbatim as the benchmark
-        baseline: per-packet routing and RFC1918 checks, scalar jitter
-        draws, a cancellable heap entry per delivery, and no floor
-        pruning (see :mod:`repro.sim.compat`)."""
-        packet.send_time = self.sim.now
-        target = self._route(origin, packet)
-        crosses_wan = not (
-            _is_private_uncached(packet.src.ip) and _is_private_uncached(packet.dst.ip)
-        )
-        if crosses_wan and self.wan_loss > 0.0 and self._loss_rng.random() < self.wan_loss:
-            self.packets_lost += 1
-            return
-        latency = self._latency(origin.ip, target.ip)
-        key = (packet.src.ip, packet.dst.ip, packet.protocol)
-        arrival = max(self.sim.now + latency, self._last_delivery.get(key, 0.0) + 1e-6)
-        self._last_delivery[key] = arrival
-        self.sim.schedule_at(arrival, self._deliver_legacy, packet, target)
 
     def _path_for(self, origin: Host, packet: Packet) -> tuple:
         """Resolve everything about a path that only depends on the
@@ -332,40 +308,8 @@ class Network:
                 return tap
         return self.host_for(packet.dst.ip)
 
-    def _latency(self, a: IPv4Address, b: IPv4Address) -> float:
-        base = (
-            self.lan_latency
-            if (_is_private_uncached(a) and _is_private_uncached(b))
-            else self.wan_latency
-        )
-        return base * (1.0 + self.jitter * float(self._rng.random()))
-
     def _deliver(self, packet: Packet, receive: Callable[[Packet], None], scope: str) -> None:
         self.delivered_count += 1
         for observer in self._observers:
             observer(packet, scope)
         receive(packet)
-
-    def _deliver_legacy(self, packet: Packet, target: Host) -> None:
-        self.delivered_count += 1
-        scope = "lan" if (packet.src.ip.is_private and packet.dst.ip.is_private) else "wan"
-        for observer in self._observers:
-            observer(packet, scope)
-        if isinstance(target, TapHost) and packet.dst.ip != target.ip:
-            target.intercept(packet)
-        else:
-            target.receive(packet)
-
-
-def _is_private_uncached(ip: IPv4Address) -> bool:
-    """The pre-PR per-call RFC1918 check (re-parses the dotted quad).
-
-    Only the legacy benchmark baseline uses it, so the cost the cached
-    :attr:`IPv4Address.is_private` removed stays measurable.
-    """
-    octets = [int(part) for part in ip.text.split(".")]
-    if octets[0] == 10:
-        return True
-    if octets[0] == 192 and octets[1] == 168:
-        return True
-    return octets[0] == 172 and 16 <= octets[1] <= 31

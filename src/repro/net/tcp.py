@@ -29,7 +29,6 @@ from repro.errors import ConnectionClosedError, NetworkError
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.link import Host
 from repro.net.packet import Packet, Protocol, TcpFlags, TlsRecordType
-from repro.sim import compat
 from repro.sim.process import DeadlineTimer
 
 # Integer flag masks and pre-built combinations: ``enum.Flag``'s
@@ -118,14 +117,9 @@ class TcpConnection:
         self._recovering = False
         network = stack.host.network
         self._sim = network.sim if network is not None else None
-        # Fast kernel: a deadline-bumping RTO timer (zero heap traffic
-        # per advancing ACK).  Legacy: the pre-PR cancel + re-push
-        # handle churn, kept for the benchmark baseline.
-        self._legacy = compat.legacy_kernel_enabled()
+        # Deadline-bumping timers: zero heap traffic per advancing ACK.
         self._rto_timer: Optional[DeadlineTimer] = None
-        self._rto_handle = None
         self._keepalive_timer: Optional[DeadlineTimer] = None
-        self._keepalive_handle = None
         self._probes_sent = 0
         self._last_rx_time = 0.0
         self.bytes_sent = 0
@@ -383,30 +377,17 @@ class TcpConnection:
         self._head_retries = 0
 
     def _arm_rto(self, restart: bool = False) -> None:
-        if not self._legacy:
-            timer = self._rto_timer
-            if timer is None:
-                timer = self._rto_timer = DeadlineTimer(self.sim, self._on_rto)
-            if restart or timer._deadline is None:
-                timer.schedule_at(self._sim._clock._now + self.tuning.rto)
-            return
-        # Legacy (pre-PR) path: cancel + re-push a heap entry per
-        # advancing ACK — the timer-churn leak the benchmark measures.
-        if self._rto_handle is not None:
-            if not restart:
-                return
-            self._rto_handle.cancel()
-        self._rto_handle = self.sim.schedule(self.tuning.rto, self._on_rto)
+        timer = self._rto_timer
+        if timer is None:
+            timer = self._rto_timer = DeadlineTimer(self.sim, self._on_rto)
+        if restart or timer._deadline is None:
+            timer.schedule_at(self._sim._clock._now + self.tuning.rto)
 
     def _cancel_rto(self) -> None:
         if self._rto_timer is not None:
             self._rto_timer.cancel()
-        if self._rto_handle is not None:
-            self._rto_handle.cancel()
-            self._rto_handle = None
 
     def _on_rto(self) -> None:
-        self._rto_handle = None
         if self.state is TcpState.SYN_SENT:
             self._transmit(self._make_packet(flags=TcpFlags.SYN))
             self._arm_rto()
@@ -444,21 +425,12 @@ class TcpConnection:
         self._schedule_keepalive(self.tuning.keepalive_idle)
 
     def _schedule_keepalive(self, delay: float) -> None:
-        if not self._legacy:
-            timer = self._keepalive_timer
-            if timer is None:
-                timer = self._keepalive_timer = DeadlineTimer(
-                    self.sim, self._on_keepalive_timer
-                )
-            timer.schedule_in(delay)
-            return
-        # Legacy (pre-PR) path: a fresh cancellable heap entry per arm.
-        if self._keepalive_handle is not None:
-            self._keepalive_handle.cancel()
-        self._keepalive_handle = self.sim.schedule(delay, self._on_keepalive_timer)
+        timer = self._keepalive_timer
+        if timer is None:
+            timer = self._keepalive_timer = DeadlineTimer(self.sim, self._on_keepalive_timer)
+        timer.schedule_in(delay)
 
     def _on_keepalive_timer(self) -> None:
-        self._keepalive_handle = None
         if self.state is not TcpState.ESTABLISHED:
             return
         idle = self.sim.now - self._last_rx_time
@@ -483,9 +455,6 @@ class TcpConnection:
         self._cancel_rto()
         if self._keepalive_timer is not None:
             self._keepalive_timer.cancel()
-        if self._keepalive_handle is not None:
-            self._keepalive_handle.cancel()
-            self._keepalive_handle = None
         self._clear_unacked()
         self.stack.forget(self)
         if self.on_close:

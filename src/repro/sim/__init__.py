@@ -9,7 +9,7 @@ reproduction is deterministic for a given seed.
 
 from repro.sim.clock import SimClock
 from repro.sim.events import Event, EventHandle, EventQueue
-from repro.sim.process import PeriodicTask, Timer
+from repro.sim.process import PeriodicTask
 from repro.sim.random import RngHub, bounded_lognormal
 from repro.sim.simulator import Simulator
 
@@ -21,6 +21,5 @@ __all__ = [
     "RngHub",
     "SimClock",
     "Simulator",
-    "Timer",
     "bounded_lognormal",
 ]

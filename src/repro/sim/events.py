@@ -5,9 +5,8 @@ monotonically increasing tie-breaker, so two events scheduled for the
 same instant fire in the order they were scheduled.  Cancellation is
 lazy: a cancelled event stays in the heap but is skipped when popped.
 
-:class:`EventQueue` is the optimized kernel.  Heap entries are plain
-tuples, so ordering is resolved by C-level tuple comparison instead of
-a Python ``__lt__`` per heap hop, and two entry shapes coexist:
+:class:`EventQueue` heap entries are plain tuples, so ordering is
+resolved by C-level tuple comparison, and two entry shapes coexist:
 
 ``(time, seq, event)``
     a cancellable entry carrying an :class:`Event` (returned as an
@@ -24,22 +23,17 @@ Dead entries no longer accumulate: when cancelled entries outnumber
 live ones the queue *compacts*, rebuilding the heap without them — so a
 timer-churn workload (cancel + re-push per packet) keeps
 ``len(queue._heap)`` within a small constant factor of ``len(queue)``
-instead of stranding one dead event per packet (the pre-PR leak).
+instead of stranding one dead event per packet.
 
 The queue keeps an incremental count of live (scheduled, uncancelled)
 events, so ``len(queue)`` — and therefore
 :attr:`repro.sim.simulator.Simulator.pending_events` — is O(1) instead
 of a scan of the whole heap.
-
-:class:`LegacyEventQueue` preserves the pre-PR implementation verbatim
-(``Event``-object heap, no compaction) as the benchmark baseline; see
-:mod:`repro.sim.compat`.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -54,8 +48,8 @@ _COMPACT_MIN_DEAD = 8
 class Event:
     """A scheduled callback.
 
-    Ordering uses only ``time`` and ``sequence``; the payload fields
-    never participate in comparisons.
+    The queue orders events by their heap entry's ``(time, sequence)``;
+    the event itself is never compared.
     """
 
     __slots__ = ("time", "sequence", "callback", "args", "cancelled", "_in_queue")
@@ -75,19 +69,9 @@ class Event:
         self.cancelled = cancelled
         self._in_queue = False
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.sequence < other.sequence
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "live"
         return f"Event(time={self.time!r}, sequence={self.sequence}, {state})"
-
-    def fire(self) -> None:
-        """Run the callback unless the event was cancelled."""
-        if not self.cancelled:
-            self.callback(*self.args)
 
 
 class EventHandle:
@@ -272,85 +256,3 @@ class EventQueue:
         heapq.heapify(kept)
         self._dead = 0
 
-
-class LegacyEventQueue:
-    """The pre-PR queue, kept verbatim as the benchmark baseline.
-
-    A heap of :class:`Event` objects compared via Python ``__lt__``;
-    cancellation is lazy with *no* compaction, so a cancel + re-push
-    timer pattern strands one dead event per cycle (the timer-churn
-    leak this PR's optimized queue fixes).
-    """
-
-    def __init__(self) -> None:
-        self._heap: list = []
-        self._counter = itertools.count()
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def push(self, time: float, callback: Callback, args: Tuple[Any, ...] = ()) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if not callable(callback):
-            raise SimulationError(f"event callback must be callable, got {callback!r}")
-        event = Event(time=float(time), sequence=next(self._counter), callback=callback, args=args)
-        event._in_queue = True
-        heapq.heappush(self._heap, event)
-        self._live += 1
-        return EventHandle(event, self)
-
-    def post(self, time: float, callback: Callback, args: Tuple[Any, ...] = ()) -> None:
-        """Legacy mode has no handle-free path; every post is a push."""
-        self.push(time, callback, args)
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` if the queue is empty."""
-        self._drop_cancelled_head()
-        if not self._heap:
-            return None
-        return self._heap[0].time
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or ``None`` if empty."""
-        self._drop_cancelled_head()
-        if not self._heap:
-            return None
-        event = heapq.heappop(self._heap)
-        event._in_queue = False
-        self._live -= 1
-        return event
-
-    def pop_entry(self) -> Optional[Tuple[float, Callback, Tuple[Any, ...]]]:
-        """Pop the next live entry as ``(time, callback, args)``."""
-        event = self.pop()
-        if event is None:
-            return None
-        return (event.time, event.callback, event.args)
-
-    def pop_entry_before(
-        self, limit: float
-    ) -> Optional[Tuple[float, Callback, Tuple[Any, ...]]]:
-        """Pop the next live entry at or before ``limit``, else ``None``.
-
-        Mirrors the pre-PR run loop's cost profile: a peek (with head
-        cleanup) followed by a pop.
-        """
-        next_time = self.peek_time()
-        if next_time is None or next_time > limit:
-            return None
-        event = self.pop()
-        return (event.time, event.callback, event.args)
-
-    def _note_cancelled(self, event: Event) -> None:
-        """Keep the live count exact when a queued event is cancelled.
-
-        Cancelling an event that already fired (or was popped) must not
-        decrement: it was accounted for when it left the heap.
-        """
-        if event._in_queue:
-            self._live -= 1
-
-    def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)._in_queue = False

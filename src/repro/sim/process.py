@@ -1,73 +1,28 @@
 """Higher-level scheduling helpers built on the simulator.
 
-:class:`Timer` is a restartable one-shot timer, used for TCP
-retransmission/keepalive deadlines and decision timeouts.
-:class:`PeriodicTask` re-schedules itself at a fixed interval, used for
-speaker heartbeats and RSSI sampling during trace recording.
+:class:`DeadlineTimer` is a one-shot timer whose deadline can be bumped
+without heap traffic, used for TCP retransmission and keepalive
+deadlines and speaker heartbeats.  :class:`PeriodicTask` re-schedules
+itself at a fixed interval, used for RSSI sampling during trace
+recording.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import EventHandle
 from repro.sim.simulator import Simulator
 
 
-class Timer:
-    """A one-shot timer that can be restarted or cancelled.
-
-    The callback fires once, ``interval`` seconds after the most recent
-    :meth:`start` / :meth:`restart`.
-    """
-
-    def __init__(self, sim: Simulator, interval: float, callback: Callable[[], None]) -> None:
-        if interval < 0:
-            raise SimulationError(f"timer interval must be >= 0, got {interval!r}")
-        self._sim = sim
-        self._interval = float(interval)
-        self._callback = callback
-        self._handle: Optional[EventHandle] = None
-
-    @property
-    def interval(self) -> float:
-        """The configured one-shot interval."""
-        return self._interval
-
-    @property
-    def running(self) -> bool:
-        """Whether the timer is armed."""
-        return self._handle is not None and not self._handle.cancelled
-
-    def start(self) -> None:
-        """Arm the timer; a no-op if it is already running."""
-        if not self.running:
-            self._handle = self._sim.schedule(self._interval, self._fire)
-
-    def restart(self) -> None:
-        """Re-arm the timer from now, cancelling any pending expiry."""
-        self.cancel()
-        self._handle = self._sim.schedule(self._interval, self._fire)
-
-    def cancel(self) -> None:
-        """Disarm the timer (idempotent)."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def _fire(self) -> None:
-        self._handle = None
-        self._callback()
-
-
 class DeadlineTimer:
     """A one-shot timer whose deadline can be *bumped* without touching
     the event heap.
 
-    :meth:`Timer.restart` cancels and re-pushes a heap entry every
-    time, which on a per-packet timer (TCP retransmission, keepalive)
-    strands one dead event per packet — the timer-churn leak.  A
+    A restartable timer that cancels and re-pushes a heap entry every
+    time strands, on a per-packet timer (TCP retransmission,
+    keepalive), one dead event per packet — the timer-churn leak.  A
     :class:`DeadlineTimer` instead just stores the new deadline: when
     the already-queued event fires early it quietly re-arms itself for
     the remaining interval.  Pushing a new heap entry is only needed
@@ -195,29 +150,3 @@ class PeriodicTask:
         if not self._stopped:
             self._handle = self._sim.schedule(self._period, self._tick)
 
-
-def call_repeatedly(
-    sim: Simulator,
-    period: float,
-    callback: Callable[[float], None],
-    *,
-    count: int,
-    first_delay: float = 0.0,
-) -> PeriodicTask:
-    """Schedule ``callback`` exactly ``count`` times, ``period`` apart.
-
-    Returns the underlying :class:`PeriodicTask` (already started).
-    """
-    if count <= 0:
-        raise SimulationError(f"count must be positive, got {count!r}")
-    task_ref: dict[str, Any] = {}
-
-    def wrapped(now: float) -> None:
-        callback(now)
-        if task_ref["task"].fire_count >= count:
-            task_ref["task"].stop()
-
-    task = PeriodicTask(sim, period, wrapped, first_delay=first_delay)
-    task_ref["task"] = task
-    task.start()
-    return task

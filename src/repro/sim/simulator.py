@@ -5,9 +5,8 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim import compat
 from repro.sim.clock import SimClock
-from repro.sim.events import EventHandle, EventQueue, LegacyEventQueue
+from repro.sim.events import EventHandle, EventQueue
 
 
 class Simulator:
@@ -31,10 +30,7 @@ class Simulator:
 
     def __init__(self, start: float = 0.0) -> None:
         self._clock = SimClock(start)
-        if compat.legacy_kernel_enabled():
-            self._queue = LegacyEventQueue()
-        else:
-            self._queue = EventQueue()
+        self._queue = EventQueue()
         self._running = False
 
     @property

@@ -28,7 +28,6 @@ from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.dns import DnsClient
 from repro.net.tcp import TcpConnection, TcpTuning
 from repro.net.tls import TlsSession
-from repro.sim import compat
 from repro.sim.process import DeadlineTimer
 from repro.speakers import signatures as sig
 from repro.speakers.base import InteractionRecord, SmartSpeaker
@@ -62,7 +61,6 @@ class EchoDot(SmartSpeaker):
         self.misc_domains = list(misc_domains or [])
         self._conn: Optional[TcpConnection] = None
         self._tls: Optional[TlsSession] = None
-        self._heartbeat_handle = None
         self._heartbeat_timer = None
         self._pending: List[tuple] = []  # interactions waiting for a connection
         self._reconnect_scheduled = False
@@ -159,27 +157,18 @@ class EchoDot(SmartSpeaker):
 
     # -- heartbeats ------------------------------------------------------------
     def _schedule_heartbeat(self) -> None:
-        if not compat.legacy_kernel_enabled():
-            # ~20k heartbeats ride a deadline-bumping timer over a
-            # seven-day run; the handle-per-beat path below is the
-            # pre-PR baseline.
-            timer = self._heartbeat_timer
-            if timer is None:
-                timer = self._heartbeat_timer = DeadlineTimer(self.sim, self._heartbeat)
-            timer.schedule_in(sig.HEARTBEAT_PERIOD)
-            return
-        self._cancel_heartbeat()
-        self._heartbeat_handle = self.sim.schedule(sig.HEARTBEAT_PERIOD, self._heartbeat)
+        # ~20k heartbeats ride one deadline-bumping timer over a
+        # seven-day run instead of a cancellable heap entry per beat.
+        timer = self._heartbeat_timer
+        if timer is None:
+            timer = self._heartbeat_timer = DeadlineTimer(self.sim, self._heartbeat)
+        timer.schedule_in(sig.HEARTBEAT_PERIOD)
 
     def _cancel_heartbeat(self) -> None:
         if self._heartbeat_timer is not None:
             self._heartbeat_timer.cancel()
-        if self._heartbeat_handle is not None:
-            self._heartbeat_handle.cancel()
-            self._heartbeat_handle = None
 
     def _heartbeat(self) -> None:
-        self._heartbeat_handle = None
         if self.connected and self._tls is not None:
             self._send_record(self._conn, self._tls, sig.HEARTBEAT_LEN, {"heartbeat": True})
             self._schedule_heartbeat()

@@ -35,7 +35,6 @@ DIGESTS_PATH = pathlib.Path(__file__).parent / "goldens" / "digests.json"
 
 COMPRESSED_COUNTS = (10, 7)
 SEVEN_DAY_COUNTS = (30, 23)
-SEVEN_DAY_GAP = (2700.0, 4800.0)
 LOADTEST_SPEAKERS = 4
 LOADTEST_RATE = "high"
 LOADTEST_UTTERANCES = 8
@@ -45,17 +44,8 @@ FLEET_HOMES = 2
 def guard_digest(scenario, extra: bytes = b"") -> str:
     """SHA-256 of the guard's event stream and the final sim clock."""
     digest = hashlib.sha256()
-    for event in scenario.guard.log.events:
-        digest.update(repr((
-            event.window_id, event.flow_id, event.speaker_ip, event.protocol,
-            event.opened_at,
-            event.classification.value if event.classification else None,
-            event.classified_at, event.classify_packet_count,
-            event.verdict.value if event.verdict else None,
-            event.verdict_at, event.released_at, event.discarded_at,
-            event.held_records,
-            tuple(repr(report) for report in event.rssi_reports),
-        )).encode())
+    for item in scenario.guard.log.event_stream():
+        digest.update(repr(item).encode())
     digest.update(repr(scenario.sim.now).encode())
     digest.update(extra)
     return digest.hexdigest()
@@ -75,7 +65,7 @@ def compressed() -> str:
 
 
 def sevenday() -> str:
-    return _guard_home(202, SEVEN_DAY_COUNTS, SEVEN_DAY_GAP)
+    return _guard_home(202, SEVEN_DAY_COUNTS, workload_module.SEVEN_DAY_GAP)
 
 
 def _loadtest_cell(mode: str) -> Callable[[], str]:

@@ -21,7 +21,6 @@ from repro.core.decision import (
     Verdict,
 )
 from repro.errors import ConfigError
-from repro.experiments.bench_sim import guard_event_stream
 from repro.experiments.scenarios import add_echo_speaker, build_scenario
 from repro.experiments.workload import SevenDayWorkload
 from repro.faults.plan import FaultPlan
@@ -271,7 +270,7 @@ class TestSingleFlowByteIdentity:
             scenario = build_scenario("apartment", "echo", seed=17,
                                       config=config)
             SevenDayWorkload(scenario).run(4, 3)
-            streams.append(guard_event_stream(scenario.guard))
+            streams.append(scenario.guard.log.event_stream())
             clocks.append(scenario.sim.now)
         assert streams[0] == streams[1]
         assert clocks[0] == clocks[1]

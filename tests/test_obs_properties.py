@@ -152,22 +152,6 @@ def test_histogram_edge_mismatch_rejected():
 # Tracing never perturbs a run
 # ---------------------------------------------------------------------------
 
-def _event_stream(scenario):
-    stream = []
-    for event in scenario.guard.log.events:
-        stream.append((
-            event.window_id, event.flow_id, event.speaker_ip, event.protocol,
-            event.opened_at,
-            event.classification.value if event.classification else None,
-            event.classified_at, event.classify_packet_count,
-            event.verdict.value if event.verdict else None,
-            event.verdict_at, event.released_at, event.discarded_at,
-            event.held_records,
-            tuple(repr(report) for report in event.rssi_reports),
-        ))
-    return stream
-
-
 def _run_scenario(tracing, seed, speaker_kind, owner_count):
     from repro.audio.speech import full_utterance_duration
     from repro.experiments.scenarios import build_scenario
@@ -198,7 +182,7 @@ def _run_scenario(tracing, seed, speaker_kind, owner_count):
 def test_tracing_never_changes_the_event_stream(seed, speaker_kind, owner_count):
     plain = _run_scenario(False, seed, speaker_kind, owner_count)
     traced = _run_scenario(True, seed, speaker_kind, owner_count)
-    assert _event_stream(plain) == _event_stream(traced)
+    assert plain.guard.log.event_stream() == traced.guard.log.event_stream()
     assert len(plain.env.obs.tracer) == 0  # disabled tracer collected nothing
     assert traced.env.obs.tracer.enabled
     # Both runs recorded the same metrics (metrics are always on).

@@ -18,7 +18,6 @@ import pytest
 from repro.core.config import VoiceGuardConfig
 from repro.core.recognizers import clear_recognizer_memo
 from repro.errors import ConfigError, SnapshotError, WorkloadError
-from repro.experiments.bench_sim import guard_event_stream
 from repro.experiments.fleet import (
     FleetConfig,
     FleetProgressMeter,
@@ -83,7 +82,7 @@ def run_home(scenario, spec):
     workload = SevenDayWorkload(scenario)
     workload.run(spec.legit_commands, spec.attacks)
     scenario.speaker.settle_all()
-    return guard_event_stream(scenario.guard)
+    return scenario.guard.log.event_stream()
 
 
 # One spec per kind of world bucket: every testbed (the house carries a

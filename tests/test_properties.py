@@ -32,7 +32,7 @@ class TestEventQueueProperties:
         for t in times:
             queue.push(t, fired.append, (t,))
         while (event := queue.pop()) is not None:
-            event.fire()
+            event.callback(*event.args)
         assert fired == sorted(fired)
         assert len(fired) == len(times)
 
@@ -50,7 +50,7 @@ class TestEventQueueProperties:
             else:
                 handle.cancel()
         while (event := queue.pop()) is not None:
-            event.fire()
+            event.callback(*event.args)
         assert len(fired) == expected
 
 

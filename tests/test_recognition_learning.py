@@ -52,7 +52,6 @@ from repro.core.recognizers import (
 )
 from repro.core.registry import PluginRegistry, RegistrationError
 from repro.errors import ConfigError, WorkloadError
-from repro.experiments.bench_sim import guard_event_stream
 from repro.experiments.recognition_robustness import (
     run_recognition_cell,
     run_recognition_robustness,
@@ -369,8 +368,8 @@ class TestLiveMorphingShim:
         baseline = _run_one_command()
         adversary = MorphingAdversary(TrafficMorpher(), seed=123)
         shimmed = _run_one_command(adversary=adversary)
-        assert (guard_event_stream(shimmed.guard)
-                == guard_event_stream(baseline.guard))
+        assert (shimmed.guard.log.event_stream()
+                == baseline.guard.log.event_stream())
         assert adversary.records_shaped > 0
         assert adversary.phantoms_injected == 0
 
@@ -382,8 +381,8 @@ class TestLiveMorphingShim:
             PadToFixedMorpher(), seed=123,
             speaker_ips=[IPv4Address("10.9.9.9")])  # nobody's IP
         shimmed = _run_one_command(adversary=adversary)
-        assert (guard_event_stream(shimmed.guard)
-                == guard_event_stream(baseline.guard))
+        assert (shimmed.guard.log.event_stream()
+                == baseline.guard.log.event_stream())
         assert adversary.records_shaped == 0
 
     def test_padding_at_the_tap_blinds_the_signature_guard(self):

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.events import EventQueue
-from repro.sim.process import PeriodicTask, Timer, call_repeatedly
+from repro.sim.process import PeriodicTask
 
 
 class TestSimClock:
@@ -45,7 +45,7 @@ class TestEventQueue:
         queue.push(1.0, fired.append, ("a",))
         queue.push(2.0, fired.append, ("b",))
         while (event := queue.pop()) is not None:
-            event.fire()
+            event.callback(*event.args)
         assert fired == ["a", "b", "c"]
 
     def test_ties_fire_in_schedule_order(self):
@@ -54,7 +54,7 @@ class TestEventQueue:
         for name in "abc":
             queue.push(1.0, fired.append, (name,))
         while (event := queue.pop()) is not None:
-            event.fire()
+            event.callback(*event.args)
         assert fired == ["a", "b", "c"]
 
     def test_cancelled_events_are_skipped(self):
@@ -64,7 +64,7 @@ class TestEventQueue:
         queue.push(2.0, fired.append, ("b",))
         handle.cancel()
         while (event := queue.pop()) is not None:
-            event.fire()
+            event.callback(*event.args)
         assert fired == ["b"]
 
     def test_len_ignores_cancelled(self):
@@ -147,44 +147,6 @@ class TestSimulator:
         assert sim.step() is False
 
 
-class TestTimer:
-    def test_fires_after_interval(self, sim):
-        fired = []
-        timer = Timer(sim, 2.0, lambda: fired.append(sim.now))
-        timer.start()
-        sim.run()
-        assert fired == [2.0]
-
-    def test_restart_postpones(self, sim):
-        fired = []
-        timer = Timer(sim, 2.0, lambda: fired.append(sim.now))
-        timer.start()
-        sim.run_until(1.0)
-        timer.restart()
-        sim.run()
-        assert fired == [3.0]
-
-    def test_cancel_prevents_firing(self, sim):
-        fired = []
-        timer = Timer(sim, 2.0, lambda: fired.append(sim.now))
-        timer.start()
-        timer.cancel()
-        sim.run()
-        assert fired == []
-
-    def test_start_is_idempotent_while_running(self, sim):
-        fired = []
-        timer = Timer(sim, 2.0, lambda: fired.append(sim.now))
-        timer.start()
-        timer.start()
-        sim.run()
-        assert fired == [2.0]
-
-    def test_negative_interval_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            Timer(sim, -1.0, lambda: None)
-
-
 class TestPeriodicTask:
     def test_fires_periodically(self, sim):
         times = []
@@ -216,16 +178,6 @@ class TestPeriodicTask:
     def test_zero_period_rejected(self, sim):
         with pytest.raises(SimulationError):
             PeriodicTask(sim, 0.0, lambda now: None)
-
-    def test_call_repeatedly_exact_count(self, sim):
-        times = []
-        call_repeatedly(sim, 0.5, times.append, count=4, first_delay=0.0)
-        sim.run_until(10.0)
-        assert len(times) == 4
-
-    def test_call_repeatedly_rejects_zero_count(self, sim):
-        with pytest.raises(SimulationError):
-            call_repeatedly(sim, 0.5, lambda now: None, count=0)
 
 
 class TestRngHub:

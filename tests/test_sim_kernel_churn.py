@@ -1,15 +1,14 @@
-"""The timer-churn fix: heap compaction, cancel bookkeeping,
-deadline-bumping timers, FIFO-floor pruning, and the kernel's
-byte-identity guarantee.
+"""Timer churn: heap compaction, cancel bookkeeping, deadline-bumping
+timers, FIFO-floor pruning, and tap routing edges.
 
-The headline regression test models the leak this PR fixes: a
+The headline regression test models the timer-churn leak: a
 long-lived TCP flow re-arms its retransmission timer on every advancing
-ACK (cancel + re-push).  On the pre-PR queue every cycle strands one
-dead event, so the heap grows without bound over a fleet-length run; on
-the compacting queue the heap stays within a small constant factor of
-the live count, with pop order unchanged.  The legacy queue is kept
-runnable (``repro.sim.compat``), so the test demonstrates the failure
-it guards against instead of asserting it blind.
+ACK (cancel + re-push).  A queue without compaction strands one dead
+event per cycle, so its heap grows without bound over a fleet-length
+run; the compacting queue keeps the heap within a small constant factor
+of the live count, and pops survivors in (time, push order).
+End-to-end byte identity of the kernel is pinned against the digest the
+removed legacy (non-compacting) kernel produced on the same scenario.
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ import pytest
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.link import Host, Network, TapHost
 from repro.net.packet import Packet, Protocol
-from repro.sim import compat
-from repro.sim.events import EventQueue, LegacyEventQueue
+from repro.sim.events import EventQueue
 from repro.sim.process import DeadlineTimer
 from repro.sim.random import RngHub
-from repro.sim.simulator import Simulator
+from tests.equivalence import guard_digest
 
 
 def _churn(queue, cycles, rearm_gap=1.0, rto=30.0):
@@ -49,30 +47,23 @@ class TestHeapStaysBounded:
         # compaction threshold allows a handful, never thousands.
         assert len(queue._heap) <= 16
 
-    def test_legacy_queue_leaks_one_dead_event_per_cycle(self):
-        # The pre-PR behaviour this PR fixes — the same workload on the
-        # legacy queue strands (almost) every cancelled entry.
-        queue = LegacyEventQueue()
-        _churn(queue, self.CYCLES)
-        assert len(queue) == 1
-        assert len(queue._heap) > self.CYCLES * 0.9
-
     def test_pop_order_unchanged_by_compaction(self):
-        # Interleave churn with unrelated events; both queues must pop
-        # the survivors in the same order.
-        def build(queue):
-            times = [7.0, 3.0, 11.0, 5.0, 2.0, 13.0, 0.5]
-            for t in times:
-                queue.push(t, lambda: None)
-            _churn(queue, 200, rearm_gap=0.01, rto=4.0)
-            order = []
-            while True:
-                event = queue.pop()
-                if event is None:
-                    return order
-                order.append((event.time, event.sequence))
-
-        assert build(EventQueue()) == build(LegacyEventQueue())
+        # Interleave churn with unrelated events: compaction must leave
+        # the survivors popping in (time, push order).  The 6.0 entry
+        # ties with the final re-arm (200 * 0.01 + 4.0), pushed later.
+        queue = EventQueue()
+        times = [7.0, 3.0, 11.0, 6.0, 2.0, 13.0, 0.5, 3.0]
+        for t in times:
+            queue.push(t, lambda: None)
+        last = _churn(queue, 200, rearm_gap=0.01, rto=4.0)
+        assert len(queue._heap) < 100  # compaction ran
+        survivors = [(t, seq) for seq, t in enumerate(times)]
+        survivors.append((last.time, queue._next_seq - 1))  # final push
+        order = []
+        while (event := queue.pop()) is not None:
+            order.append((event.time, event.sequence))
+        assert order == sorted(survivors)
+        assert order[4:6] == [(6.0, 3), (6.0, queue._next_seq - 1)]
 
     def test_compaction_spares_handle_free_posts(self):
         queue = EventQueue()
@@ -217,7 +208,7 @@ class TestDeliveryFloorPruning:
         """A fleet of devices talking to one sink, in bursts with idle
         time in between — each device is a new (src, dst, protocol)
         floor entry, and every drain makes the previous burst's floors
-        stale.  The pre-PR dict kept all of them forever."""
+        stale.  Without pruning the dict keeps all of them forever."""
         sink = Host("sink", IPv4Address("10.0.1.1"))
         network.attach(sink)
         sink.register_udp_any(lambda packet: None)
@@ -238,15 +229,6 @@ class TestDeliveryFloorPruning:
         # 200 distinct paths were used; stale floors must have been
         # pruned instead of retained one-per-path forever.
         assert len(network._last_delivery) < self.PATHS / 2
-
-    def test_legacy_path_retains_every_floor(self, sim):
-        compat.use_legacy_kernel(True)
-        try:
-            network = Network(sim, RngHub(5))
-            self._flood(network, sim)
-            assert len(network._last_delivery) == self.PATHS  # the pre-PR leak
-        finally:
-            compat.use_legacy_kernel(False)
 
     def test_path_cache_is_bounded_under_ephemeral_ports(self, sim):
         # The routing cache is keyed by (origin, src, dst) endpoints;
@@ -376,17 +358,24 @@ class TestTapRoutingEdges:
 
 
 class TestKernelByteIdentity:
+    # SHA-256 (tests.equivalence.guard_digest) of the guard event stream
+    # and final sim clock that the legacy kernel — plain heap, no
+    # compaction, no floor pruning — produced for the scenario below.
+    # It had 21 command events and ended at t = 2409.551141306251.
+    LEGACY_KERNEL_DIGEST = (
+        "12dc4170d26c9c64c1f87acce62913c55d6a7366ebe41c0849853ec0d73f9332")
+
     @pytest.mark.slow
     def test_guard_event_stream_identical_across_kernels(self):
-        # The whole-PR invariant, end to end: the same scenario seed
-        # must produce the same guard decisions, at the same simulated
-        # times, on the optimized and the legacy kernel.
-        from repro.experiments.bench_sim import _run_cell
+        # The kernel invariant, end to end: the same scenario seed must
+        # produce the same guard decisions, at the same simulated times,
+        # on the optimized kernel as on the legacy one.
+        from repro.experiments.scenarios import build_scenario
+        from repro.experiments.workload import SevenDayWorkload
 
-        fast = _run_cell(False, seed=11, legit=6, malicious=4,
-                         episode_gap=None)
-        legacy = _run_cell(True, seed=11, legit=6, malicious=4,
-                           episode_gap=None)
-        assert fast[1] == legacy[1]  # guard event streams
-        assert fast[2] == legacy[2]  # final simulated clock
-        assert len(fast[1]) > 0
+        scenario = build_scenario("house", "echo", deployment=0, seed=11,
+                                  owner_count=2, tracing=False)
+        SevenDayWorkload(scenario, episode_gap=None).run(6, 4)
+        scenario.speaker.settle_all()
+        assert len(scenario.guard.log.event_stream()) == 21
+        assert guard_digest(scenario) == self.LEGACY_KERNEL_DIGEST
