@@ -1,12 +1,19 @@
 #!/usr/bin/env python
 """RSSI kernel microbenchmarks: radio hot path, wall geometry, event queue.
 
-Times every layer of the radio hot path: the pre-optimization scalar
-reference (re-implemented here, verbatim, so the "before" cost stays
-measurable), the memoized scalar path, the vectorized batch APIs, the
+Times every layer of the radio hot path: an unmemoized scalar
+reference, the memoized scalar path, the vectorized batch APIs, the
 wall-crossing kernels, and event-queue dispatch.  The reference and the
 batched grid kernel are asserted equal before either is timed: a
 speedup that changed the numbers would be a bug, not a win.
+
+The reference is not a frozen copy of the pre-optimization code.  It
+drops the memos (it hashes the shadowing cell on every call), but it
+counts walls and slabs with the production
+``FloorPlan.walls_crossed_scalar`` and ``slab_penalties``.  Making
+those faster makes the reference faster too, so the ``*_vs_reference``
+and ``walls_many_vs_scalar`` ratios shrink when the scalar side
+improves; read them with the absolute ``usec_per_op`` beside them.
 
 Usage (from the repository root)::
 
@@ -40,10 +47,10 @@ GRID_SAMPLES = 16  # the paper's 4 orientations x 4 measurements
 GRID_MAP_FLOOR = 5.0  # batched grid kernel vs the scalar reference
 
 
-# -- the pre-optimization reference, kept runnable ------------------------
+# -- the unmemoized scalar reference --------------------------------------
 def reference_mean_rssi(model: PropagationModel, tx: Point, rx: Point) -> float:
-    """The original ``mean_rssi``: no memo, per-call SHA-256, per-wall
-    python loop.  This is the "before" every speedup is measured against."""
+    """``mean_rssi`` with every memo off: per-call SHA-256, and the
+    production per-pair wall and slab counts (see the module note)."""
     p = model.params
     d = max(distance(tx, rx), p.reference_distance)
     path_loss = p.path_loss_per_decade * np.log10(d / p.reference_distance)
@@ -69,7 +76,8 @@ def reference_average_rssi(
     samples: int = GRID_SAMPLES,
     body_blocked_fraction: float = 0.25,
 ) -> float:
-    """The original ``average_rssi``: full mean recompute per sample."""
+    """``average_rssi`` on the unmemoized reference: full mean recompute
+    per sample."""
     p = model.params
     readings = []
     for index in range(samples):

@@ -21,7 +21,6 @@ from repro.radio.geometry import (
     count_floor_crossings,
     floor_crossing_points,
     point_in_rect,
-    segment_crosses_wall,
 )
 
 # Wall-crossing results are memoized on exact endpoint coordinates; the
@@ -29,6 +28,10 @@ from repro.radio.geometry import (
 # simulations (every sample at a fresh position) cannot grow it without
 # limit.
 _CROSSING_CACHE_MAX = 1 << 16
+
+# One wall of the scalar crossing test: start x/y, direction x/y,
+# tolerance-widened z bounds and door intervals (see _rows).
+_WallRow = Tuple[float, float, float, float, float, float, Tuple[Tuple[float, float], ...]]
 
 FLOOR_HEIGHT = 3.0  # metres between storeys
 DEVICE_CARRY_HEIGHT = 1.0  # phones/watches carried about a metre up
@@ -56,11 +59,6 @@ class Wall:
     z_low: float
     z_high: float
     doors: Tuple[Door, ...] = ()
-
-    def crossed_by(self, a: Point, b: Point) -> bool:
-        """Whether the segment a->b penetrates this wall (doors excluded)."""
-        openings = [(door.u_start, door.u_end) for door in self.doors]
-        return segment_crosses_wall(a, b, self.start, self.end, self.z_low, self.z_high, openings)
 
 
 @dataclass(frozen=True)
@@ -160,6 +158,8 @@ class FloorPlan:
         self.slab_zones: List[SlabZone] = []
         # Vectorized wall substrate: rebuilt lazily after wall changes.
         self._wall_array: Optional[WallArray] = None
+        self._wall_rows: Optional[Tuple[_WallRow, ...]] = None
+        self._floor_heights = tuple(FLOOR_HEIGHT * level for level in range(1, floor_count))
         self._crossing_cache: Dict[Tuple[float, ...], int] = {}
         self._version = 0
 
@@ -199,6 +199,7 @@ class FloorPlan:
 
     def _invalidate_geometry(self) -> None:
         self._wall_array = None
+        self._wall_rows = None
         self._crossing_cache.clear()
         self._version += 1
 
@@ -216,9 +217,9 @@ class FloorPlan:
 
     # -- queries ------------------------------------------------------------
     @property
-    def floor_heights(self) -> List[float]:
+    def floor_heights(self) -> Tuple[float, ...]:
         """Z coordinates of the slabs between floors."""
-        return [FLOOR_HEIGHT * level for level in range(1, self.floor_count)]
+        return self._floor_heights
 
     def point(self, number: int) -> MeasurementPoint:
         """Look up a numbered measurement point."""
@@ -287,8 +288,51 @@ class FloorPlan:
         return count
 
     def walls_crossed_scalar(self, a: Point, b: Point) -> int:
-        """Reference implementation: the original per-wall python loop."""
-        return sum(1 for wall in self.walls if wall.crossed_by(a, b))
+        """Crossing count for one pair: a single loop over the wall rows.
+
+        Per wall it evaluates the float expressions of
+        :func:`~repro.radio.geometry.segment_crosses_wall` in the same
+        order, with the per-wall terms (direction, tolerance-widened z
+        and door bounds) taken from :meth:`_rows`, so the count equals
+        ``sum(segment_crosses_wall(a, b, ...) for each wall)`` exactly.
+        """
+        ax, ay, az = a.x, a.y, a.z
+        rx, ry, dz = b.x - ax, b.y - ay, b.z - az
+        count = 0
+        for qx, qy, sx, sy, z_low, z_high, openings in self._rows():
+            denom = rx * sy - ry * sx
+            if abs(denom) < 1e-12:
+                continue
+            qpx, qpy = qx - ax, qy - ay
+            t = (qpx * sy - qpy * sx) / denom
+            if not -1e-9 <= t <= 1 + 1e-9:
+                continue
+            u = (qpx * ry - qpy * rx) / denom
+            if not -1e-9 <= u <= 1 + 1e-9 or not z_low <= az + dz * t <= z_high:
+                continue
+            for u_low, u_high in openings:
+                if u_low <= u <= u_high:
+                    break
+            else:
+                count += 1
+        return count
+
+    def _rows(self) -> Tuple[_WallRow, ...]:
+        """Per-wall terms of the crossing test, built on first use."""
+        if self._wall_rows is None:
+            self._wall_rows = tuple(
+                (
+                    wall.start[0],
+                    wall.start[1],
+                    wall.end[0] - wall.start[0],
+                    wall.end[1] - wall.start[1],
+                    wall.z_low - 1e-9,
+                    wall.z_high + 1e-9,
+                    tuple((door.u_start - 1e-9, door.u_end + 1e-9) for door in wall.doors),
+                )
+                for wall in self.walls
+            )
+        return self._wall_rows
 
     def walls_crossed_many(self, a: Point, points: Sequence[Point]) -> np.ndarray:
         """Crossing counts from ``a`` to every receiver in ``points``.

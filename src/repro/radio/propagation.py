@@ -113,10 +113,15 @@ class PropagationModel:
         return value
 
     def mean_rssi_uncached(self, tx: Point, rx: Point) -> float:
-        """The scalar reference computation (no memoization)."""
+        """The scalar reference computation (no memoization).
+
+        Only the log runs in numpy (see the module note on
+        ``np.log10``); its result becomes a python float at once, so the
+        rest is plain IEEE double arithmetic with the same values.
+        """
         p = self.params
         d = max(distance(tx, rx), p.reference_distance)
-        path_loss = p.path_loss_per_decade * np.log10(d / p.reference_distance)
+        path_loss = p.path_loss_per_decade * float(np.log10(d / p.reference_distance))
         walls = self.plan.walls_crossed(tx, rx)
         slab_loss = self.plan.slab_penalties(tx, rx, p.floor_penalty)
         rssi = (

@@ -24,7 +24,7 @@ Figure 10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FloorPlanError
 from repro.radio.floorplan import (
@@ -44,38 +44,57 @@ SPEAKER_HEIGHT = 0.8  # speakers sit on furniture
 HOUSE_LEAK_POINT_NUMBERS = (55, 56, 59, 60, 61, 62)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WalkRoute:
-    """A named walking route (Figure 10 vocabulary)."""
+    """A named walking route (Figure 10 vocabulary).
+
+    Immutable: ``waypoints`` is stored as a tuple and the segment table
+    :meth:`position_at` walks is built once, at construction.
+    """
 
     name: str
-    waypoints: List[Point]  # person positions (z = floor height walked on)
+    waypoints: Tuple[Point, ...]  # person positions (z = floor height walked on)
     duration: float  # seconds to traverse end to end
+    # The segment table: (start, end, length) for every segment but the
+    # last, the last one, and the total length.
+    _leading: Tuple[Tuple[Point, Point, float], ...] = field(
+        init=False, repr=False, compare=False)
+    _final: Optional[Tuple[Point, Point, float]] = field(
+        init=False, repr=False, compare=False)
+    _length: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        waypoints = tuple(self.waypoints)
+        segments = []
+        total = 0.0
+        for a, b in zip(waypoints, waypoints[1:]):
+            step = ((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2) ** 0.5
+            segments.append((a, b, step))
+            total += step
+        object.__setattr__(self, "waypoints", waypoints)
+        object.__setattr__(self, "_leading", tuple(segments[:-1]))
+        object.__setattr__(self, "_final", segments[-1] if segments else None)
+        object.__setattr__(self, "_length", total)
 
     def position_at(self, t: float) -> Point:
         """Person position ``t`` seconds into the walk (clamped)."""
         if not self.waypoints:
             raise FloorPlanError(f"route {self.name!r} has no waypoints")
-        if len(self.waypoints) == 1 or self.duration <= 0:
+        if self.duration <= 0 or self._length == 0:
             return self.waypoints[0]
         clamped = min(max(t, 0.0), self.duration)
-        # Constant speed along the polyline.
-        lengths = []
-        total = 0.0
-        for a, b in zip(self.waypoints, self.waypoints[1:]):
-            step = ((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2) ** 0.5
-            lengths.append(step)
-            total += step
-        if total == 0:
-            return self.waypoints[0]
-        target = total * clamped / self.duration
+        # Constant speed along the polyline; the last segment takes any
+        # remainder float rounding leaves past the others.
+        target = self._length * clamped / self.duration
         walked = 0.0
-        for (a, b), step in zip(zip(self.waypoints, self.waypoints[1:]), lengths):
-            if walked + step >= target or (a, b) == (self.waypoints[-2], self.waypoints[-1]):
-                frac = 0.0 if step == 0 else (target - walked) / step
-                return a.lerp(b, min(max(frac, 0.0), 1.0))
+        for a, b, step in self._leading:
+            if walked + step >= target:
+                break
             walked += step
-        return self.waypoints[-1]
+        else:
+            a, b, step = self._final
+        frac = 0.0 if step == 0 else (target - walked) / step
+        return a.lerp(b, min(max(frac, 0.0), 1.0))
 
 
 @dataclass

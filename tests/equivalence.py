@@ -9,7 +9,9 @@ handful of fixed-seed workloads and reduces each to one SHA-256:
 * ``sevenday`` — the same kind of home, 30 + 23 episodes ~1 h apart;
 * ``loadtest.<mode>`` — one smoke-sized 4-speaker loadtest cell per
   guard mode;
-* ``fleet_full`` — a 2-home full-fidelity fleet table.
+* ``fleet_full`` — a 2-home full-fidelity fleet table;
+* ``fleet_fast`` — a 512-home reduced-order fleet table in 128-home
+  chunks (its RSSI surfaces come from the propagation model).
 
 Guard runs digest the guard's command-event stream plus the final sim
 clock; loadtest cells add the cell row and its metrics snapshot, and
@@ -39,6 +41,8 @@ LOADTEST_SPEAKERS = 4
 LOADTEST_RATE = "high"
 LOADTEST_UTTERANCES = 8
 FLEET_HOMES = 2
+FAST_FLEET_HOMES = 512
+FAST_FLEET_CHUNK = 128
 
 
 def guard_digest(scenario, extra: bytes = b"") -> str:
@@ -90,12 +94,19 @@ def _loadtest_cell(mode: str) -> Callable[[], str]:
     return run
 
 
-def fleet_full() -> str:
-    config = fleet.FleetConfig(
-        homes=FLEET_HOMES, chunk_size=FLEET_HOMES, fidelity="full", seed=404,
-        population=synthesis.PopulationModel())
+def _fleet_table(**config) -> str:
+    config = fleet.FleetConfig(population=synthesis.PopulationModel(), **config)
     table = fleet.run_fleet(config, workers=1).render()
     return hashlib.sha256(table.encode()).hexdigest()
+
+
+def fleet_full() -> str:
+    return _fleet_table(homes=FLEET_HOMES, chunk_size=FLEET_HOMES, fidelity="full", seed=404)
+
+
+def fleet_fast() -> str:
+    return _fleet_table(homes=FAST_FLEET_HOMES, chunk_size=FAST_FLEET_CHUNK,
+                        fidelity="fast", seed=505)
 
 
 RUNS: Dict[str, Callable[[], str]] = {
@@ -103,6 +114,7 @@ RUNS: Dict[str, Callable[[], str]] = {
     "sevenday": sevenday,
     **{f"loadtest.{mode}": _loadtest_cell(mode) for mode in loadtest.MODES},
     "fleet_full": fleet_full,
+    "fleet_fast": fleet_fast,
 }
 
 
