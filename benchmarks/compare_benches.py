@@ -86,16 +86,6 @@ BENCHES = {
         ],
         invariants=["events_identical"],
     ),
-    "BENCH_fleet.json": Bench(
-        mode_path="smoke",
-        metrics=[Metric("speedup", floor=1.0)],
-        invariants=["tables_identical"],
-    ),
-    "BENCH_fleet_full.json": Bench(
-        mode_path="smoke",
-        metrics=[Metric("speedup", floor=1.0)],
-        invariants=["tables_identical", "streams_identical"],
-    ),
     "BENCH_load.json": Bench(
         mode_path="smoke",
         metrics=[

@@ -2,9 +2,7 @@
 # Refresh the committed benchmark artifacts.
 #
 #   benchmarks/run_benches.sh          # kernel benches -> BENCH_rssi.json,
-#                                      # BENCH_obs.json, BENCH_fleet.json,
-#                                      # BENCH_fleet_full.json,
-#                                      # BENCH_load.json,
+#                                      # BENCH_obs.json, BENCH_load.json,
 #                                      # BENCH_recognition.json
 #   benchmarks/run_benches.sh --smoke  # same benches at minimal wall time:
 #                                      # exercises the whole path (CI's
@@ -37,10 +35,6 @@ if [ "${1:-}" = "--smoke" ]; then
         --output "$OUT/BENCH_rssi.json"
     python benchmarks/bench_obs_overhead.py --smoke \
         --output "$OUT/BENCH_obs.json"
-    python benchmarks/bench_fleet.py --smoke \
-        --output "$OUT/BENCH_fleet.json"
-    python benchmarks/bench_fleet_full.py --smoke \
-        --output "$OUT/BENCH_fleet_full.json"
     python benchmarks/bench_load.py --smoke \
         --output "$OUT/BENCH_load.json"
     python benchmarks/bench_recognition.py --smoke \
@@ -50,8 +44,6 @@ fi
 
 python benchmarks/bench_rssi_kernel.py --seed 7 --output "$OUT/BENCH_rssi.json"
 python benchmarks/bench_obs_overhead.py --output "$OUT/BENCH_obs.json"
-python benchmarks/bench_fleet.py --output "$OUT/BENCH_fleet.json"
-python benchmarks/bench_fleet_full.py --output "$OUT/BENCH_fleet_full.json"
 python benchmarks/bench_load.py --output "$OUT/BENCH_load.json"
 python benchmarks/bench_recognition.py --output "$OUT/BENCH_recognition.json"
 

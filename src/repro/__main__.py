@@ -14,7 +14,6 @@ Commands
 ``loadtest``    — bursty multi-speaker load: throughput vs hold-time tail
 ``recognition-robustness`` — matcher x traffic-morphing adversary accuracy grid
 ``trace``       — run one traced scenario; waterfall + phase timings from spans
-``profile``     — cProfile a scenario workload
 ``demo``        — the quickstart scenario, narrated
 """
 
@@ -116,11 +115,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         seed=args.seed,
         chunk_size=args.chunk_size,
         fidelity=args.fidelity,
-        full_build=args.full_build,
         population=population,
     )
-    result = run_fleet(config, workers=args.workers, dispatch=args.dispatch,
-                       window=args.window,
+    result = run_fleet(config, workers=args.workers, window=args.window,
                        progress=True if args.progress else None)
     print(result.render())
     print(result.render_throughput(), file=sys.stderr)
@@ -141,7 +138,6 @@ def _cmd_fleet_validate(args: argparse.Namespace) -> int:
         shards=args.shards,
         seed=args.seed,
         workers=args.workers,
-        full_build=args.full_build,
         progress=True if args.progress else None,
     )
     print(result.render())
@@ -254,28 +250,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.experiments.profile_scenario import render_profile, run_profile
-
-    result = run_profile(
-        testbed_name=args.scenario,
-        speaker_kind=args.speaker,
-        seed=args.seed,
-        counts=(args.commands, args.attacks),
-        seven_day=args.seven_day,
-        top=args.top,
-        sort=args.sort,
-    )
-    print(render_profile(result))
-    if args.output:
-        import pathlib
-
-        pathlib.Path(args.output).write_text(render_profile(result) + "\n",
-                                             encoding="utf-8")
-        print(f"(written to {args.output})")
-    return 0
-
-
 def _cmd_demo(args: argparse.Namespace) -> int:
     import runpy
     import pathlib
@@ -341,21 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "only on (seed, shard, offset)")
     fleet.add_argument("--chunk-size", type=int, default=256,
                        help="homes per pool task (amortizes dispatch cost)")
-    fleet.add_argument("--dispatch", choices=["chunked", "per-task"],
-                       default="chunked",
-                       help="per-task = one home per pool submit "
-                            "(the benchmark baseline)")
     fleet.add_argument("--fidelity", choices=["fast", "full"], default="fast",
                        help="fast = reduced-order home model; full = "
                             "packet-level scenario per home (validation only)")
     fleet.add_argument("--attack-prevalence", type=float, default=0.25,
                        help="fraction of homes the campaign reaches")
-    fleet.add_argument("--full-build", choices=["pooled", "cold"],
-                       default="pooled",
-                       help="full fidelity only: pooled = warm-start "
-                            "scenario templates (fast); cold = rebuild "
-                            "every world (benchmark baseline). Identical "
-                            "tables either way")
     fleet.add_argument("--progress", action="store_true",
                        help="counted progress on stderr: homes done, "
                             "homes/sec, ETA (fed by chunk metrics)")
@@ -374,10 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="population size (full fidelity runs "
                                      "every home at packet level)")
     fleet_validate.add_argument("--shards", type=int, default=4)
-    fleet_validate.add_argument("--full-build", choices=["pooled", "cold"],
-                                default="pooled",
-                                help="full-fidelity world strategy "
-                                     "(identical results either way)")
     fleet_validate.add_argument("--progress", action="store_true",
                                 help="counted progress on stderr")
     fleet_validate.add_argument("--strict", action="store_true",
@@ -455,28 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--jsonl", default=None,
                        help="also dump the span forest as JSONL here")
     trace.set_defaults(func=_cmd_trace)
-
-    profile = sub.add_parser(
-        "profile", parents=[common],
-        help="cProfile one scenario workload")
-    profile.add_argument("scenario", nargs="?", default="house",
-                         choices=["house", "apartment", "office"],
-                         help="testbed to profile (default: house)")
-    profile.add_argument("--speaker", choices=["echo", "google"], default="echo")
-    profile.add_argument("--commands", type=int, default=10,
-                         help="legitimate owner commands to issue")
-    profile.add_argument("--attacks", type=int, default=7,
-                         help="replayed attacks to issue afterwards")
-    profile.add_argument("--seven-day", action="store_true",
-                         help="spread episodes over the paper's real seven-day "
-                              "timeline (idle-time costs dominate)")
-    profile.add_argument("--top", type=int, default=30,
-                         help="rows of the pstats table to print")
-    profile.add_argument("--sort", choices=["cumulative", "tottime", "calls"],
-                         default="cumulative")
-    profile.add_argument("--output", default=None,
-                         help="also write the rendered profile here")
-    profile.set_defaults(func=_cmd_profile)
 
     demo = sub.add_parser("demo", parents=[common], help="run the quickstart demo")
     demo.set_defaults(func=_cmd_demo)

@@ -42,7 +42,7 @@ def fmt_percent(value: float, decimals: int = 2) -> str:
 
 def render_task_timings(timings: Sequence[object],
                         title: str = "Experiment task timings") -> str:
-    """Render the engine's per-task timing records as a table.
+    """Render the engine's task timing records as a table.
 
     ``timings`` is a sequence of :class:`repro.experiments.parallel.TaskTiming`
     (anything with ``label``, ``elapsed`` and ``source`` works).

@@ -14,9 +14,7 @@ Architecture — built for constant memory and maximum homes/sec:
   process never materializes a million specs, let alone results.
 * Dispatch is **chunked**: one pool task simulates ``chunk_size``
   homes and returns a single folded :class:`FleetAccumulator` payload,
-  amortizing submit/pickle/IPC overhead that would otherwise dominate
-  (the ``BENCH_fleet.json`` sweep measures this against
-  one-task-per-submit dispatch).
+  amortizing submit/pickle/IPC overhead that would otherwise dominate.
 * Aggregation is **streaming**: chunk payloads fold into per-testbed
   integer counters, a mergeable :class:`~repro.obs.metrics.QuantileSketch`
   for latency percentiles, and a
@@ -25,7 +23,7 @@ Architecture — built for constant memory and maximum homes/sec:
   window) — peak memory is independent of fleet size.
 * Every quantity a fleet table renders is a pure function of integer
   counts, so the table is byte-identical across worker counts, chunk
-  sizes, shard orderings, and dispatch modes.
+  sizes, and shard orderings.
 
 Two fidelities share the same population and reducers:
 
@@ -287,22 +285,11 @@ def simulate_home_full(spec: HomeSpec) -> HomeSummary:
     Worlds come from the warm-start scenario pool
     (:mod:`repro.experiments.pool`): one template build per world
     bucket, then a snapshot restore + rehome per home — byte-identical
-    to :func:`simulate_home_full_cold` and an order of magnitude
-    faster, which is what makes ``--fidelity full`` usable beyond a
-    handful of homes.
+    to a from-scratch build (:func:`repro.experiments.pool.build_home_cold`)
+    and an order of magnitude faster, which is what makes
+    ``--fidelity full`` usable beyond a handful of homes.
     """
     return _summarize_full(_scenario_pool().acquire(spec), spec)
-
-
-def simulate_home_full_cold(spec: HomeSpec) -> HomeSummary:
-    """Packet-level fidelity with a from-scratch world build per home.
-
-    The pool's equality oracle and the ``BENCH_fleet_full`` baseline;
-    selected at fleet level with ``full_build="cold"``.
-    """
-    from repro.experiments.pool import build_home_cold
-
-    return _summarize_full(build_home_cold(spec), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +307,7 @@ def _sketch_add_array(sketch: QuantileSketch, values_us: np.ndarray) -> None:
     """Bulk-add integer-microsecond latencies to a sketch.
 
     Bucket indices are computed vectorized; because *every* fleet path
-    (serial, pooled, per-task, chunked) lands values through this one
+    (serial or pooled, any chunking) lands values through this one
     helper, the resulting sketch is identical across all of them.
     """
     if values_us.size == 0:
@@ -436,10 +423,6 @@ class FleetConfig:
     seed: int = 0
     chunk_size: int = 256
     fidelity: str = "fast"
-    # full fidelity only: "pooled" restores homes from warm-start
-    # templates; "cold" rebuilds every world from scratch (the
-    # benchmark baseline).  Both produce byte-identical tables.
-    full_build: str = "pooled"
     population: PopulationModel = field(default_factory=PopulationModel)
 
     def __post_init__(self) -> None:
@@ -452,10 +435,6 @@ class FleetConfig:
         if self.fidelity not in FIDELITIES:
             raise WorkloadError(
                 f"unknown fidelity {self.fidelity!r}; choose from {FIDELITIES}")
-        if self.full_build not in ("pooled", "cold"):
-            raise WorkloadError(
-                f"unknown full_build {self.full_build!r}; "
-                f"choose from ('pooled', 'cold')")
 
     def shard_size(self, shard: int) -> int:
         base, remainder = divmod(self.homes, self.shards)
@@ -465,11 +444,10 @@ class FleetConfig:
         base, remainder = divmod(self.homes, self.shards)
         return shard * base + min(shard, remainder)
 
-    def iter_chunks(self, chunk_size: Optional[int] = None,
-                    shard_order: Optional[List[int]] = None,
+    def iter_chunks(self, shard_order: Optional[List[int]] = None,
                     ) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(shard, lo, hi)`` chunk bounds, streaming."""
-        chunk = chunk_size or self.chunk_size
+        chunk = self.chunk_size
         shards = shard_order if shard_order is not None else range(self.shards)
         for shard in shards:
             size = self.shard_size(shard)
@@ -494,12 +472,9 @@ def run_fleet_chunk(config: FleetConfig, shard: int, lo: int, hi: int) -> dict:
     blocked_counter = scope.counter("attacks_blocked")
     latency_hist = scope.histogram("decision_latency", DEFAULT_LATENCY_EDGES)
 
-    if config.fidelity == "fast":
-        simulate = simulate_home
-    elif config.full_build == "cold":
-        simulate = simulate_home_full_cold
-    else:
-        simulate = simulate_home_full
+    # simulate_home_full is looked up per call so that a wrapper
+    # installed on the module (e.g. a benchmark audit) sees every home.
+    simulate = simulate_home if config.fidelity == "fast" else simulate_home_full
     start_index = config.shard_start(shard)
     for offset in range(lo, hi):
         spec = config.population.home(config.seed, shard, offset,
@@ -538,11 +513,6 @@ def _histogram_add_array(hist, values_us: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # Orchestration
 # ---------------------------------------------------------------------------
-
-def _fold_chunk(accumulator: FleetAccumulator, payload: object,
-                task: ExperimentTask) -> FleetAccumulator:
-    return accumulator.merge_payload(payload)
-
 
 class FleetProgressMeter:
     """Counted progress for a streaming fleet run.
@@ -618,7 +588,6 @@ class FleetResult:
     elapsed: float
     chunks: int
     workers: int
-    dispatch: str
 
     @property
     def homes_per_sec(self) -> float:
@@ -652,7 +621,7 @@ class FleetResult:
 
         Every cell derives from integer counts or sketch buckets, so
         the rendering is byte-identical across worker counts, chunk
-        sizes, shard orders, and dispatch modes.
+        sizes, and shard orders.
         """
         acc = self.accumulator
         rows = [
@@ -683,7 +652,7 @@ class FleetResult:
     def render_throughput(self) -> str:
         return (f"{self.config.homes} homes in {self.elapsed:.2f}s — "
                 f"{self.homes_per_sec:,.0f} homes/sec "
-                f"({self.dispatch} dispatch, workers={self.workers}, "
+                f"(workers={self.workers}, "
                 f"chunk={self.config.chunk_size}, {self.chunks} tasks)")
 
 
@@ -691,26 +660,20 @@ def run_fleet(
     config: FleetConfig,
     workers: int = 1,
     progress=None,
-    dispatch: str = "chunked",
     shard_order: Optional[List[int]] = None,
     window: Optional[int] = None,
 ) -> FleetResult:
     """Stream a fleet through the experiment engine.
 
-    ``dispatch="chunked"`` (the fast path) folds chunk payloads as
-    futures complete with bounded in-flight backpressure;
-    ``dispatch="per-task"`` submits one home per pool task and
-    materializes every result — kept runnable as the benchmark
-    baseline the chunked path is measured against.  Both produce the
-    same accumulator state, and therefore the same table.
+    Chunk payloads fold as futures complete, with at most ``window``
+    tasks in flight (default ``4 * workers``), so memory stays bounded
+    at any fleet size.
 
     ``progress=True`` attaches a :class:`FleetProgressMeter` (counted
     homes done / homes-per-sec / ETA on stderr, fed by each chunk's
     metrics snapshot); a callable instead receives the engine's
-    per-task messages, the pre-meter behaviour.
+    task progress messages, the pre-meter behaviour.
     """
-    if dispatch not in ("chunked", "per-task"):
-        raise WorkloadError(f"unknown dispatch mode {dispatch!r}")
     meter = FleetProgressMeter(config.homes) if progress is True else None
     engine = ExperimentEngine(workers=workers, use_cache=False,
                               progress=progress if callable(progress) else None)
@@ -719,45 +682,25 @@ def run_fleet(
         # Build every world bucket before the pool forks: children
         # inherit the warmed cache instead of rebuilding it per worker.
         warm_worlds(config.population)
-    if dispatch == "per-task":
-        tasks = [
-            ExperimentTask(
-                fn=run_fleet_chunk,
-                args=(config, shard, lo, hi),
-                label=f"fleet/s{shard}/{lo}",
-                cacheable=False,
-            )
-            for shard, lo, hi in config.iter_chunks(chunk_size=1,
-                                                    shard_order=shard_order)
-        ]
-        results = engine.run(tasks)
-        accumulator = FleetAccumulator()
-        for payload in results:
-            accumulator.merge_payload(payload)
-            if meter is not None:
-                meter.update(payload)
-        chunks = len(tasks)
-    else:
-        task_stream = (
-            ExperimentTask(
-                fn=run_fleet_chunk,
-                args=(config, shard, lo, hi),
-                label=f"fleet/s{shard}/{lo}-{hi}",
-                cacheable=False,
-            )
-            for shard, lo, hi in config.iter_chunks(shard_order=shard_order)
+    task_stream = (
+        ExperimentTask(
+            fn=run_fleet_chunk,
+            args=(config, shard, lo, hi),
+            label=f"fleet/s{shard}/{lo}-{hi}",
+            cacheable=False,
         )
+        for shard, lo, hi in config.iter_chunks(shard_order=shard_order)
+    )
 
-        def fold(accumulator, payload, task):
-            accumulator = _fold_chunk(accumulator, payload, task)
-            if meter is not None:
-                meter.update(payload)
-            return accumulator
+    def fold(accumulator, payload, task):
+        accumulator = accumulator.merge_payload(payload)
+        if meter is not None:
+            meter.update(payload)
+        return accumulator
 
-        accumulator, chunks = engine.run_fold(
-            task_stream, fold, initial=FleetAccumulator(),
-            window=window,
-        )
+    accumulator, chunks = engine.run_fold(
+        task_stream, fold, initial=FleetAccumulator(), window=window,
+    )
     elapsed = time.perf_counter() - start
     return FleetResult(
         config=config,
@@ -765,5 +708,4 @@ def run_fleet(
         elapsed=elapsed,
         chunks=chunks,
         workers=engine.workers,
-        dispatch=dispatch,
     )

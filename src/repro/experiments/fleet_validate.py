@@ -209,15 +209,9 @@ def run_fleet_validate(
     seed: int = 0,
     workers: int = 1,
     population: Optional[PopulationModel] = None,
-    full_build: str = "pooled",
     progress=None,
 ) -> FleetValidationResult:
-    """Stream one population through both fidelities and compare.
-
-    ``full_build`` selects the full-fidelity world strategy ("pooled"
-    warm-start templates or "cold" per-home rebuilds — byte-identical
-    outcomes, so the statistics never depend on the choice).
-    """
+    """Stream one population through both fidelities and compare."""
     population = population if population is not None else PopulationModel()
     start = time.perf_counter()
     fast = run_fleet(
@@ -228,7 +222,7 @@ def run_fleet_validate(
     full = run_fleet(
         FleetConfig(homes=homes, shards=shards, seed=seed,
                     chunk_size=FULL_CHUNK_SIZE, fidelity="full",
-                    full_build=full_build, population=population),
+                    population=population),
         workers=workers, progress=progress,
     )
     names = sorted(fast.accumulator.per_testbed)

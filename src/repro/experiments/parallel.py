@@ -13,7 +13,7 @@ result.  This module provides that executor:
   (``workers=1``, byte-identical to calling the functions in a loop)
   or on a ``ProcessPoolExecutor``, preserving submission order in the
   returned results.
-* :func:`derive_seed` — deterministic per-task seed derivation from a
+* :func:`derive_seed` — deterministic seed derivation per task from a
   base seed and arbitrary labels (SHA-256 based, so stable across
   processes, platforms and Python hash randomization).
 * An on-disk result cache keyed by the task's arguments plus a
@@ -402,7 +402,7 @@ class ExperimentEngine:
         result is folded into the accumulator via
         ``fold(accumulator, result, task)`` and then *released*: the
         engine holds at most ``window`` tasks in flight (default
-        ``4 * workers``) and never a per-task result list.
+        ``4 * workers``) and never a list of task results.
 
         Returns ``(accumulator, task_count)``.
 
@@ -412,7 +412,11 @@ class ExperimentEngine:
         of worker count — the fleet reducers (integer counters,
         mergeable sketches, :func:`repro.obs.metrics.merge_snapshots`)
         all are.
+
+        Raises :class:`ExperimentError` for a ``window`` below one.
         """
+        if window is not None and window < 1:
+            raise ExperimentError(f"window must be >= 1, got {window!r}")
         accumulator = initial
         count = 0
         iterator: Iterator[ExperimentTask] = iter(tasks)
@@ -424,7 +428,7 @@ class ExperimentEngine:
                 count += 1
             return accumulator, count
 
-        window = window if window and window > 0 else 4 * self.workers
+        window = window or 4 * self.workers
         pool = self._make_pool(self.workers)
         in_flight: Dict[concurrent.futures.Future, ExperimentTask] = {}
         try:

@@ -38,10 +38,9 @@ This module amortizes the build with a **snapshot/reset protocol**:
    memo-warm and memo-cold builds are indistinguishable afterwards),
    and the fault injector re-arms with the home's plan.
 
-The contract — enforced by tests and asserted before every timed
-benchmark cell — is that a pooled-and-rehomed home produces **byte
-identical** guard event streams to a freshly built home rehomed the
-same way (:func:`build_home_cold`).
+The contract — enforced by tests — is that a pooled-and-rehomed home
+produces **byte identical** guard event streams to a freshly built home
+rehomed the same way (:func:`build_home_cold`).
 """
 
 from __future__ import annotations
@@ -296,12 +295,12 @@ class ScenarioPool:
 
 def build_home_cold(spec: HomeSpec,
                     config: Optional[VoiceGuardConfig] = None) -> Scenario:
-    """The no-pool baseline: build ``spec``'s world from scratch.
+    """Build ``spec``'s world from scratch, without the pool.
 
     Same bucket seed, same rehome — so the result is byte-identical to
     ``ScenarioPool.acquire(spec)`` — but with calibration/training
     memos bypassed and the full build re-simulated per call.  This is
-    the equality oracle's reference side and the benchmark's baseline.
+    the equality oracle's reference side.
     """
     scenario = _build_bucket_scenario(pool_key(spec), config, memo_bucket=None)
     rehome(scenario, spec, peek_packet_number())

@@ -7,7 +7,7 @@ Names are dot-namespaced by subsystem (``proxy.records_held``,
 ``decision.latency`` ...); :meth:`MetricsRegistry.scope` binds a prefix
 so a component never repeats its namespace.
 
-Snapshots are plain picklable dicts, so per-task snapshots survive the
+Snapshots are plain picklable dicts, so each task's snapshot survives the
 process-pool boundary of :mod:`repro.experiments.parallel` and can be
 merged across tasks with :func:`merge_snapshots`.
 """
@@ -192,7 +192,7 @@ class MetricsRegistry:
 
 
 def merge_snapshots(snapshots: Iterable[Optional[dict]]) -> Dict[str, dict]:
-    """Merge per-task snapshots: counters and histogram buckets add,
+    """Merge task snapshots: counters and histogram buckets add,
     gauges keep the maximum (their per-run meaning is a level, so the
     cross-task fold reports the worst case).  ``None`` entries (tasks
     without metrics) are skipped."""

@@ -1,6 +1,6 @@
 """Fleet simulation tests: sharded synthesis determinism, floor-plan
 jitter geometry, byte-identical fleet tables across worker counts /
-chunk sizes / shard orders / dispatch modes, reducer associativity,
+chunk sizes / shard orders, reducer associativity,
 and the constant-memory guarantee of the streaming fold."""
 
 from __future__ import annotations
@@ -245,14 +245,15 @@ class TestFleetDeterminism:
         config = FleetConfig(homes=240, shards=4, seed=11, chunk_size=7)
         assert run_fleet(config, workers=2).render() == reference
 
+    def test_per_task_dispatch_invariant(self, reference):
+        # chunk_size=1 is one home per pool task, the finest grain.
+        config = FleetConfig(homes=240, shards=4, seed=11, chunk_size=1)
+        assert run_fleet(config, workers=2).render() == reference
+
     def test_shard_order_invariant(self, small_fleet, reference):
         shuffled = run_fleet(small_fleet, workers=2,
                              shard_order=[2, 0, 3, 1])
         assert shuffled.render() == reference
-
-    def test_per_task_dispatch_invariant(self, small_fleet, reference):
-        baseline = run_fleet(small_fleet, workers=2, dispatch="per-task")
-        assert baseline.render() == reference
 
     def test_different_seed_differs(self, small_fleet, reference):
         other = FleetConfig(homes=240, shards=4, seed=12, chunk_size=32)
@@ -290,10 +291,6 @@ class TestFleetConfig:
             FleetConfig(homes=10, chunk_size=0)
         with pytest.raises(WorkloadError):
             FleetConfig(homes=10, fidelity="cinematic")
-
-    def test_unknown_dispatch_rejected(self):
-        with pytest.raises(WorkloadError):
-            run_fleet(FleetConfig(homes=10), dispatch="telepathic")
 
 
 class TestFleetCli:

@@ -286,6 +286,14 @@ class TestRunFold:
         assert total == sum(3 * i for i in range(12))
         assert count == 12
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_rejected(self, workers, window):
+        engine = ExperimentEngine(workers=workers, use_cache=False)
+        with pytest.raises(ExperimentError, match="window must be >= 1"):
+            engine.run_fold(self._tasks(3), lambda acc, v, task: acc + v,
+                            initial=0, window=window)
+
     def test_fold_receives_task(self):
         engine = ExperimentEngine(workers=1, use_cache=False)
         labels, _ = engine.run_fold(

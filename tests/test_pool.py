@@ -4,8 +4,8 @@ fast-vs-full cross-validation statistics.
 The load-bearing contract here is byte identity: a home restored from
 a pool template (unpickle + rehome) must produce exactly the guard
 event stream a freshly built world produces.  Everything else — the
-5x fleet benchmark, the ``fleet-validate`` statistics, million-home
-full-fidelity claims — leans on that invariant.
+``fleet-validate`` statistics, million-home full-fidelity claims —
+leans on that invariant.
 """
 
 from __future__ import annotations
@@ -17,10 +17,13 @@ import pytest
 
 from repro.core.config import VoiceGuardConfig
 from repro.core.recognizers import clear_recognizer_memo
-from repro.errors import ConfigError, SnapshotError, WorkloadError
+from repro.errors import ConfigError, SnapshotError
 from repro.experiments.fleet import (
+    FleetAccumulator,
     FleetConfig,
     FleetProgressMeter,
+    FleetResult,
+    _summarize_full,
     clear_scenario_pool,
     run_fleet,
 )
@@ -260,19 +263,23 @@ class TestRngHubReseed:
 
 
 class TestFleetFullBuild:
-    def test_config_rejects_unknown_full_build(self):
-        with pytest.raises(WorkloadError):
-            FleetConfig(homes=4, shards=2, seed=1, full_build="warm")
-
     @pytest.mark.slow
     def test_pooled_and_cold_fleets_render_identically(self):
         clear_scenario_pool()
-        kwargs = dict(homes=4, shards=2, seed=11, chunk_size=2,
-                      fidelity="full", population=CHEAP_POPULATION)
-        pooled = run_fleet(FleetConfig(full_build="pooled", **kwargs),
-                           workers=1)
-        cold = run_fleet(FleetConfig(full_build="cold", **kwargs), workers=1)
-        assert pooled.render() == cold.render()
+        config = FleetConfig(homes=4, shards=2, seed=11, chunk_size=2,
+                             fidelity="full", population=CHEAP_POPULATION)
+        pooled = run_fleet(config, workers=1)
+        # The cold side: the same specs, each world built from scratch.
+        cold = FleetAccumulator()
+        for shard, lo, hi in config.iter_chunks():
+            start = config.shard_start(shard)
+            for offset in range(lo, hi):
+                spec = config.population.home(config.seed, shard, offset,
+                                              start + offset)
+                cold.add_home(_summarize_full(build_home_cold(spec), spec))
+        cold_result = FleetResult(config=config, accumulator=cold,
+                                  elapsed=0.0, chunks=0, workers=1)
+        assert pooled.render() == cold_result.render()
 
 
 class TestProgressMeter:

@@ -170,27 +170,12 @@ class TestCli:
             main(["fig", "99"])
 
     @pytest.mark.parametrize("argv", [
-        ["bench-sim"], ["bench-rssi"], ["profile", "--legacy"],
+        ["bench-sim"], ["bench-rssi"], ["profile", "--legacy"], ["profile"],
+        ["fleet", "--dispatch", "per-task"], ["fleet", "--full-build", "cold"],
+        ["fleet-validate", "--full-build", "cold"],
     ])
     def test_retired_kernel_bench_options_rejected(self, argv):
         from repro.__main__ import main
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-
-    def test_profile_counts_command_events_not_windows(self, capsys):
-        from repro.__main__ import main
-        from repro.experiments.scenarios import build_scenario
-        from repro.experiments.workload import SevenDayWorkload
-
-        assert main(["profile", "--seed", "11", "--commands", "3",
-                     "--attacks", "2", "--top", "1"]) == 0
-        out = capsys.readouterr().out
-        # The same workload, outside the profiler.
-        scenario = build_scenario("house", "echo", deployment=0, seed=11,
-                                  owner_count=2, tracing=False)
-        SevenDayWorkload(scenario).run(3, 2)
-        scenario.speaker.settle_all()
-        commands = len(scenario.guard.command_events())
-        assert len(scenario.guard.log) > commands  # windows outnumber commands
-        assert f", {commands} command events," in out
