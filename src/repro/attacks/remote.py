@@ -59,7 +59,7 @@ class CompromisedPlaybackAttack(Attack):
         """Queue a series of payloads (large-scale media-embedded
         attacks): one launch every ``interval`` seconds."""
         for index, text in enumerate(texts):
-            self.env.sim.schedule(
+            self.env.sim.post(
                 interval * (index + 1),
                 lambda t=text: self.launch_from_device(t, duration_for(t)),
             )

@@ -117,7 +117,7 @@ class TrafficHandler:
                 else:
                     self._discard(window)
 
-        self.sim.schedule(self.config.max_hold, failsafe)
+        self.sim.post(self.config.max_hold, failsafe)
         self.decision.decide(context, on_result)
 
     # -- backpressure ---------------------------------------------------------

@@ -382,9 +382,9 @@ class TrafficRecognition:
             else:
                 # Never reschedule closer than 1 ms: tiny float residues
                 # would otherwise freeze simulated time in place.
-                self.sim.schedule(max(remaining, 0.001), check)
+                self.sim.post(max(remaining, 0.001), check)
 
-        self.sim.schedule(self.config.classification_timeout, check)
+        self.sim.post(self.config.classification_timeout, check)
 
     def _expire_stale_window(self, fs: _FlowState, now: float) -> None:
         window = fs.window

@@ -124,7 +124,7 @@ class SevenDayWorkload:
             # Linger at the stair exit until the 8-second floor trace
             # completes, then continue to the destination.
             end_point = self._point(number)
-            env.sim.schedule(self.POST_STAIR_PAUSE, owner.teleport, end_point)
+            env.sim.post(self.POST_STAIR_PAUSE, owner.teleport, end_point)
             return self.POST_STAIR_PAUSE + 2.0
         owner.teleport(self._point(number))
         return 1.0

@@ -70,7 +70,7 @@ class MobileDevice:
         def after_wake() -> None:
             self.scanner.scan(self.sim, beacon, callback)
 
-        self.sim.schedule(self.app_wake_delay(), after_wake)
+        self.sim.post(self.app_wake_delay(), after_wake)
 
     def record_trace(
         self,

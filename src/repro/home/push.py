@@ -133,7 +133,7 @@ class PushService:
                     )
                 )
 
-            self.sim.schedule(self.REPORT_LATENCY, deliver_report)
+            self.sim.post(self.REPORT_LATENCY, deliver_report)
 
         def on_delivered() -> None:
             if faults is not None and faults.device_offline(device.name):
@@ -144,7 +144,7 @@ class PushService:
                 return
             device.measure_rssi(beacon, on_sample)
 
-        self.sim.schedule(delay, on_delivered)
+        self.sim.post(delay, on_delivered)
         self.pushes_sent += 1
         self._m_sent.inc()
         self._m_delivery.record(delay)

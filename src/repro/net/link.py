@@ -12,6 +12,7 @@ lets it impersonate either side transparently.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import NetworkError
@@ -253,9 +254,14 @@ class Network:
         last_delivery[fifo_id] = arrival
         if len(last_delivery) >= self._prune_at:
             self._prune_delivery_floors(now)
-        # Arrival is never before `now`, so the schedule-in-the-past
-        # validation in Simulator.post_at is skipped on this hot path.
-        sim._queue.post(arrival, self._deliver, (packet, receive, scope))
+        # Arrival is never before `now`, so the delivery goes on the heap
+        # directly as a handle-free entry (see repro.sim.events), with
+        # no Simulator.post_at validation or EventQueue.post frame.
+        queue = sim._queue
+        seq = queue._next_seq
+        queue._next_seq = seq + 1
+        heappush(queue._heap, (arrival, seq, None, self._deliver, (packet, receive, scope)))
+        queue._live += 1
 
     def _path_for(self, origin: Host, packet: Packet) -> tuple:
         """Resolve everything about a path that only depends on the
@@ -310,6 +316,7 @@ class Network:
 
     def _deliver(self, packet: Packet, receive: Callable[[Packet], None], scope: str) -> None:
         self.delivered_count += 1
-        for observer in self._observers:
-            observer(packet, scope)
+        if self._observers:
+            for observer in self._observers:
+                observer(packet, scope)
         receive(packet)

@@ -27,7 +27,7 @@ from repro.errors import NetworkError
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.link import Network, TapHost
 from repro.net.packet import Packet, Protocol, TcpFlags
-from repro.net.tcp import TcpConnection, TcpStack, TcpTuning
+from repro.net.tcp import TcpConnection, TcpStack, TcpState, TcpTuning
 from repro.obs.tracer import NULL_SPAN, Observability
 
 _SYN = TcpFlags.SYN.value
@@ -317,7 +317,21 @@ class TransparentProxy(TapHost):
             decision = self.record_policy(flow, packet)
         else:
             decision = ForwarderDecision.FORWARD
-        if decision is ForwarderDecision.DROP:
+        if decision is ForwarderDecision.FORWARD:
+            upstream = flow.upstream
+            if upstream is not None and upstream.state is TcpState.ESTABLISHED:
+                # The common case, every idle heartbeat: straight
+                # upstream, no HeldRecord.  send_record copies ``meta``.
+                upstream.send_record(
+                    packet.payload_len,
+                    packet.tls_type,
+                    tls_record_seq=packet.tls_record_seq,
+                    meta=packet.meta,
+                )
+                flow.records_forwarded += 1
+                self._m_forwarded.inc()
+                return
+        elif decision is ForwarderDecision.DROP:
             flow.records_discarded += 1
             self._m_discarded.inc()
             return
@@ -401,13 +415,13 @@ class TransparentProxy(TapHost):
     def _on_server_record(self, flow: ProxiedFlow, conn: TcpConnection,
                           packet: Packet) -> None:
         downstream = flow.downstream
-        if downstream is None or not downstream.is_established:
+        if downstream is None or downstream.state is not TcpState.ESTABLISHED:
             return
         downstream.send_record(
             packet.payload_len,
             packet.tls_type,
             tls_record_seq=packet.tls_record_seq,
-            meta=dict(packet.meta),
+            meta=packet.meta,
         )
 
     # -- teardown propagation ---------------------------------------------

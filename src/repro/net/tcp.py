@@ -43,6 +43,7 @@ _RST = TcpFlags.RST.value
 _KEEPALIVE = TcpFlags.KEEPALIVE.value
 _SYN_ACK = TcpFlags.SYN | TcpFlags.ACK
 _PSH_ACK = TcpFlags.PSH | TcpFlags.ACK
+_PSH_ACK_BITS = _PSH_ACK.value
 _FIN_ACK = TcpFlags.FIN | TcpFlags.ACK
 _KEEPALIVE_ACK = TcpFlags.KEEPALIVE | TcpFlags.ACK
 _TCP = Protocol.TCP
@@ -73,6 +74,10 @@ class TcpTuning:
     keepalive_interval: float = 5.0
     keepalive_probes: int = 3
     delayed_ack: float = 0.0005
+
+
+# States in which received data reaches ``on_record``.
+_DELIVERING = (TcpState.ESTABLISHED, TcpState.FIN_WAIT)
 
 
 class TcpConnection:
@@ -189,7 +194,14 @@ class TcpConnection:
         self._unacked.append((seq_end, packet))
         host = self.stack.host
         host.network.send(host, packet)
-        self._arm_rto()
+        # _arm_rto() inlined: an armed RTO keeps its deadline, and a
+        # disarmed one (the idle case: the last ACK cleared it) goes
+        # straight to the timer.
+        timer = self._rto_timer
+        if timer is None:
+            self._arm_rto()
+        elif timer._deadline is None:
+            timer.schedule_at(self._sim._clock._now + self.tuning.rto)
         return packet
 
     def close(self) -> None:
@@ -234,11 +246,23 @@ class TcpConnection:
         flag_bits = packet.flags._value_
         state = self.state
 
-        if flag_bits == _ACK and state is TcpState.ESTABLISHED and not packet.payload_len:
-            # Pure ACK on an open connection: half of all segments on a
-            # proxied flow.  Skips the flag-by-flag walk below.
-            if self._unacked:
-                self._process_ack(packet.ack)
+        if state is TcpState.ESTABLISHED and (flag_bits == _ACK or flag_bits == _PSH_ACK_BITS):
+            # A pure ACK or a data segment on an open connection: nearly
+            # every segment.  Skips the flag-by-flag walk below.
+            unacked = self._unacked
+            if unacked:
+                if unacked[-1][0] <= packet.ack:
+                    # Everything acknowledged (one record in flight, the
+                    # idle heartbeat case): _process_ack's full-clear
+                    # branch, inlined.
+                    unacked.clear()
+                    self._head_retries = 0
+                    self._recovering = False
+                    self._rto_timer._deadline = None
+                else:
+                    self._process_ack(packet.ack)
+            if packet.payload_len:
+                self._receive_data(packet)
             return
 
         if flag_bits & _RST:
@@ -328,10 +352,15 @@ class TcpConnection:
             # Duplicate of delivered data: re-ACK, do not re-deliver.
             self._transmit(self._make_packet(flags=TcpFlags.ACK))
             return
-        self._deliver(packet)
+        # _deliver() inlined for the in-order segment.
+        self.rcv_next = packet.seq + packet.payload_len
+        self.bytes_received += packet.payload_len
+        if self.on_record and self.state in _DELIVERING:
+            self.on_record(self, packet)
         out_of_order = self._out_of_order
-        while self.rcv_next in out_of_order:
-            self._deliver(out_of_order.pop(self.rcv_next))
+        if out_of_order:
+            while self.rcv_next in out_of_order:
+                self._deliver(out_of_order.pop(self.rcv_next))
         ack = Packet(
             src=self.local,
             dst=self.remote,
@@ -346,7 +375,7 @@ class TcpConnection:
     def _deliver(self, packet: Packet) -> None:
         self.rcv_next = packet.seq + packet.payload_len
         self.bytes_received += packet.payload_len
-        if self.on_record and self.state in (TcpState.ESTABLISHED, TcpState.FIN_WAIT):
+        if self.on_record and self.state in _DELIVERING:
             self.on_record(self, packet)
 
     def _process_ack(self, ack: int) -> None:
@@ -370,7 +399,7 @@ class TcpConnection:
                 self._retransmit_head()
         else:
             self._recovering = False
-            self._cancel_rto()
+            self._rto_timer._deadline = None
 
     def _clear_unacked(self) -> None:
         self._unacked.clear()

@@ -141,5 +141,5 @@ class BluetoothScanner:
                 scanner_name=self.name,
             ))
 
-        sim.schedule(duration, finish)
+        sim.post(duration, finish)
         return duration

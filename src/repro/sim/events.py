@@ -14,7 +14,10 @@ resolved by C-level tuple comparison, and two entry shapes coexist:
 ``(time, seq, None, callback, args)``
     a handle-free entry from :meth:`post` for the fire-and-forget
     majority (packet deliveries, scheduled sends), which skips both the
-    ``Event`` and the ``EventHandle`` allocation.
+    ``Event`` and the ``EventHandle`` allocation.  The per-packet hot
+    paths (``Network.send`` and ``DeadlineTimer``) push this shape
+    themselves, exactly as :meth:`post` does: take ``_next_seq``, bump
+    it, push a float time, and add one to ``_live``.
 
 The sequence field is unique, so comparisons never reach the third
 element and the two shapes can share one heap.
@@ -199,29 +202,6 @@ class EventQueue:
             return (head[0], event.callback, event.args)
         return None
 
-    def pop_entry_before(
-        self, limit: float
-    ) -> Optional[Tuple[float, Callback, Tuple[Any, ...]]]:
-        """Pop the next live entry at or before ``limit``, else ``None``."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            event = head[2]
-            if event is not None and event.cancelled:
-                heapq.heappop(heap)
-                event._in_queue = False
-                self._dead -= 1
-                continue
-            if head[0] > limit:
-                return None
-            heapq.heappop(heap)
-            self._live -= 1
-            if event is None:
-                return (head[0], head[3], head[4])
-            event._in_queue = False
-            return (head[0], event.callback, event.args)
-        return None
-
     # -- cancellation bookkeeping --------------------------------------
     def _note_cancelled(self, event: Event) -> None:
         """Keep the live count exact when a queued event is cancelled.
@@ -245,14 +225,17 @@ class EventQueue:
         of the queue, keeping :meth:`_note_cancelled` exact even if the
         same handle is cancelled again after the compaction.
         """
+        heap = self._heap
         kept = []
-        for entry in self._heap:
+        for entry in heap:
             event = entry[2]
             if event is not None and event.cancelled:
                 event._in_queue = False
             else:
                 kept.append(entry)
-        self._heap = kept
-        heapq.heapify(kept)
+        # In place: Simulator.run_until holds the heap list while the
+        # callbacks it fires cancel events.
+        heap[:] = kept
+        heapq.heapify(heap)
         self._dead = 0
 

@@ -9,6 +9,7 @@ recording.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
@@ -33,8 +34,10 @@ class DeadlineTimer:
     the deadline, so observable behaviour matches a cancel + re-push
     timer; only the heap traffic differs.
 
-    Wakeups ride the handle-free :meth:`Simulator.post_at` path: the
-    timer never allocates an :class:`~repro.sim.events.Event` or an
+    Wakeups are handle-free heap entries, pushed here directly rather
+    than through :meth:`Simulator.post_at` (a per-packet timer pays for
+    every frame): the timer never allocates an
+    :class:`~repro.sim.events.Event` or an
     :class:`~repro.sim.events.EventHandle`, and cancellation never
     touches the heap.  ``_next_fire`` tracks the earliest outstanding
     wakeup; any wakeup that arrives while disarmed (or before a bumped
@@ -67,8 +70,18 @@ class DeadlineTimer:
             # No outstanding wakeup covers the new deadline; post one.
             # (A wakeup made redundant by an earlier one stays queued
             # and no-ops — cheaper than cancelling it out of the heap.)
+            sim = self._sim
+            if deadline < sim._clock._now:
+                raise SimulationError(
+                    f"cannot schedule at {deadline:.6f}, which is before now "
+                    f"({sim.now:.6f})"
+                )
             self._next_fire = deadline
-            self._sim.post_at(deadline, self._fire)
+            queue = sim._queue
+            seq = queue._next_seq
+            queue._next_seq = seq + 1
+            heappush(queue._heap, (float(deadline), seq, None, self._fire, ()))
+            queue._live += 1
         # Otherwise the pending (earlier) wakeup will fire and lazily
         # re-arm for the remainder — the zero-heap-traffic hot path.
 
@@ -82,8 +95,7 @@ class DeadlineTimer:
         self._deadline = None
 
     def _fire(self) -> None:
-        sim = self._sim
-        now = sim._clock._now
+        now = self._sim._clock._now
         next_fire = self._next_fire
         if next_fire is not None and next_fire <= now:
             self._next_fire = None
@@ -94,7 +106,11 @@ class DeadlineTimer:
             # Bumped since this wakeup was queued: re-arm for the rest.
             if self._next_fire is None:
                 self._next_fire = deadline
-                sim.post_at(deadline, self._fire)
+                queue = self._sim._queue
+                seq = queue._next_seq
+                queue._next_seq = seq + 1
+                heappush(queue._heap, (float(deadline), seq, None, self._fire, ()))
+                queue._live += 1
             return
         self._deadline = None
         self._callback()

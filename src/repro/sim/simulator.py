@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -105,22 +106,49 @@ class Simulator:
 
         The clock always ends exactly at ``time`` even if the queue is
         empty, so periodic measurements can rely on the deadline.
+
+        The heap is popped inline, one entry shape at a time (see
+        :mod:`repro.sim.events`): this loop runs once per simulated
+        event, so it pays no per-event helper call or result tuple.
+        Cancelled entries at the head are discarded even past ``time``,
+        and ``len(queue)`` stays exact throughout, as with :meth:`step`.
         """
         clock = self._clock
         if time < clock._now:
             raise SimulationError(
                 f"run_until({time:.6f}) is before now ({self.now:.6f})"
             )
-        pop_entry_before = self._queue.pop_entry_before
+        queue = self._queue
+        # The queue compacts in place, so this alias stays valid while
+        # callbacks cancel events.
+        heap = queue._heap
+        budget = -1 if max_events is None else max(max_events, 0)
         fired = 0
-        while max_events is None or fired < max_events:
-            entry = pop_entry_before(time)
-            if entry is None:
-                break
-            # The heap pops in time order and never yields past events,
-            # so the monotonicity check in advance_to is redundant here.
-            clock._now = entry[0]
-            entry[1](*entry[2])
+        while fired != budget and heap:
+            head = heap[0]
+            event = head[2]
+            if event is None:
+                if head[0] > time:
+                    break
+                heappop(heap)
+                queue._live -= 1
+                # The heap pops in time order and never yields past
+                # events, so advance_to's monotonicity check is redundant.
+                clock._now = head[0]
+                head[3](*head[4])
+            elif event.cancelled:
+                heappop(heap)
+                event._in_queue = False
+                queue._dead -= 1
+                continue
+            else:
+                if head[0] > time:
+                    break
+                heappop(heap)
+                event._in_queue = False
+                queue._live -= 1
+                clock._now = head[0]
+                event.callback(*event.args)
             fired += 1
         clock.advance_to(time)
         return fired

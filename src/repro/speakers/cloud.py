@@ -19,7 +19,7 @@ import numpy as np
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.link import Host
 from repro.net.packet import Packet, Protocol, TlsRecordType
-from repro.net.tcp import TcpConnection, TcpStack
+from repro.net.tcp import TcpConnection, TcpStack, TcpState
 from repro.net.tls import TlsSession, TlsViolation
 from repro.speakers.signatures import HEARTBEAT_LEN
 
@@ -89,7 +89,9 @@ class AvsCloud(Host):
         if state.dead:
             return
         self.stats.records_received += 1
-        violation = state.tls.accept_record(packet.tls_record_seq, conn.sim.now)
+        # The clock is read directly, as on the TCP hot path: this runs
+        # for every heartbeat of a seven-day timeline.
+        violation = state.tls.accept_record(packet.tls_record_seq, conn._sim._clock._now)
         if violation is not None:
             # Record gap: the held packets were dropped by a middlebox.
             # Alert and close, as a real TLS stack would on a MAC failure.
@@ -137,12 +139,12 @@ class AvsCloud(Host):
                 self._schedule_send(conn, state, index * 0.01, length,
                                     TlsRecordType.APPLICATION_DATA, record_meta)
 
-        conn.sim.schedule(delay, send_response)
+        conn.sim.post(delay, send_response)
 
     # -- send helpers ------------------------------------------------------
     def _send(self, conn: TcpConnection, state: _SessionState, length: int,
               tls_type: TlsRecordType, meta: Optional[dict] = None) -> None:
-        if not conn.is_established:
+        if conn.state is not TcpState.ESTABLISHED:
             return
         conn.send_record(length, tls_type, tls_record_seq=state.tls.next_send_seq(),
                          meta=meta or {})
@@ -150,7 +152,7 @@ class AvsCloud(Host):
     def _schedule_send(self, conn: TcpConnection, state: _SessionState, delay: float,
                        length: int, tls_type: TlsRecordType,
                        meta: Optional[dict] = None) -> None:
-        conn.sim.schedule(delay, self._send, conn, state, length, tls_type, meta)
+        conn._sim.post(delay, self._send, conn, state, length, tls_type, meta)
 
 
 class GoogleCloud(Host):
@@ -213,17 +215,17 @@ class GoogleCloud(Host):
             conn.send_record(length, TlsRecordType.APPLICATION_DATA,
                              tls_record_seq=state.tls.next_send_seq(), meta=meta)
 
-        conn.sim.schedule(self.DIRECTIVE_DELAY, send, DIRECTIVE_RECORD_LEN,
-                          {"directive": True, "interaction_id": interaction_id})
+        conn.sim.post(self.DIRECTIVE_DELAY, send, DIRECTIVE_RECORD_LEN,
+                      {"directive": True, "interaction_id": interaction_id})
         delay = float(self._rng.uniform(*self.PROCESSING_DELAY))
         meta = {"response": True, "interaction_id": interaction_id}
 
         def send_response() -> None:
             for index in range(4):
                 length = int(self._rng.integers(700, 1400))
-                conn.sim.schedule(index * 0.01, send, length, meta if index == 0 else {})
+                conn.sim.post(index * 0.01, send, length, meta if index == 0 else {})
 
-        conn.sim.schedule(delay, send_response)
+        conn.sim.post(delay, send_response)
 
     # -- QUIC (UDP) side -------------------------------------------------------
     def _on_datagram(self, packet: Packet) -> None:
@@ -244,7 +246,7 @@ class GoogleCloud(Host):
                     payload_len=length, tls_type=TlsRecordType.APPLICATION_DATA,
                     meta=meta,
                 ))
-            self.network.sim.schedule(delay, do_send)
+            self.network.sim.post(delay, do_send)
 
         reply(DIRECTIVE_RECORD_LEN, {"directive": True, "interaction_id": interaction_id},
               self.DIRECTIVE_DELAY)

@@ -26,7 +26,7 @@ from repro.errors import ConnectionClosedError
 from repro.home.environment import HomeEnvironment
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.dns import DnsClient
-from repro.net.tcp import TcpConnection, TcpTuning
+from repro.net.tcp import TcpConnection, TcpState, TcpTuning
 from repro.net.tls import TlsSession
 from repro.sim.process import DeadlineTimer
 from repro.speakers import signatures as sig
@@ -169,9 +169,12 @@ class EchoDot(SmartSpeaker):
             self._heartbeat_timer.cancel()
 
     def _heartbeat(self) -> None:
-        if self.connected and self._tls is not None:
-            self._send_record(self._conn, self._tls, sig.HEARTBEAT_LEN, {"heartbeat": True})
-            self._schedule_heartbeat()
+        # ``connected`` and ``schedule_in`` spelled out: this fires
+        # every 30 s for a week.
+        conn = self._conn
+        if conn is not None and conn.state is TcpState.ESTABLISHED and self._tls is not None:
+            self._send_record(conn, self._tls, sig.HEARTBEAT_LEN, {"heartbeat": True})
+            self._heartbeat_timer.schedule_at(self.sim._clock._now + sig.HEARTBEAT_PERIOD)
 
     # -- interactions ------------------------------------------------------------
     def _start_interaction(self, record: InteractionRecord, utterance: VoiceUtterance) -> None:
@@ -226,7 +229,7 @@ class EchoDot(SmartSpeaker):
 
     # -- low-level send ------------------------------------------------------------
     def _send_record(self, conn: TcpConnection, tls: TlsSession, length: int, meta: dict) -> None:
-        if not conn.is_established:
+        if conn.state is not TcpState.ESTABLISHED:
             return
         try:
             conn.send_record(length, tls_record_seq=tls.next_send_seq(), meta=meta)

@@ -81,8 +81,8 @@ class GoogleHomeMini(SmartSpeaker):
             else:
                 self._run_tcp(record, server, script)
 
-        self.sim.schedule(self.ACTIVATION_LAG * 0.5,
-                          lambda: self.dns.resolve(sig.GOOGLE_DOMAIN, on_resolved))
+        self.sim.post(self.ACTIVATION_LAG * 0.5,
+                      lambda: self.dns.resolve(sig.GOOGLE_DOMAIN, on_resolved))
 
     # -- TCP session ---------------------------------------------------------------
     def _run_tcp(self, record: InteractionRecord, server: Endpoint,
@@ -97,9 +97,9 @@ class GoogleHomeMini(SmartSpeaker):
                 meta = {}
                 if index == last:
                     meta = {"command_end": True, "interaction_id": record.interaction_id}
-                self.sim.schedule(spec.offset, self._send_tcp, c, tls, spec.length, meta)
+                self.sim.post(spec.offset, self._send_tcp, c, tls, spec.length, meta)
             idle = script[last].offset + float(self._rng.uniform(*self.IDLE_CLOSE))
-            self.sim.schedule(idle, self._close_if_open, c)
+            self.sim.post(idle, self._close_if_open, c)
 
         def on_record(c: TcpConnection, packet) -> None:
             if packet.meta.get("response"):
@@ -138,5 +138,5 @@ class GoogleHomeMini(SmartSpeaker):
             meta = {}
             if index == last:
                 meta = {"command_end": True, "interaction_id": record.interaction_id}
-            self.sim.schedule(spec.offset, flow.send, spec.length,
-                              TlsRecordType.APPLICATION_DATA, meta)
+            self.sim.post(spec.offset, flow.send, spec.length,
+                          TlsRecordType.APPLICATION_DATA, meta)

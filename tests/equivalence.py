@@ -7,6 +7,10 @@ handful of fixed-seed workloads and reduces each to one SHA-256:
 * ``compressed`` — a house/echo home, 10 owner commands and 7 replay
   attacks with the compressed (~1 min) idle gaps;
 * ``sevenday`` — the same kind of home, 30 + 23 episodes ~1 h apart;
+* ``sevenday_packets`` — a short seven-day home (4 + 3 episodes) reduced
+  packet by packet, as a ``Network`` observer sees every delivery, plus
+  its metrics snapshot: pins the idle heartbeat round trip itself, not
+  only the guard stream it feeds;
 * ``loadtest.<mode>`` — one smoke-sized 4-speaker loadtest cell per
   guard mode;
 * ``fleet_full`` — a 2-home full-fidelity fleet table;
@@ -32,11 +36,14 @@ from typing import Callable, Dict
 
 from repro.experiments import fleet, loadtest, scenarios, synthesis
 from repro.experiments import workload as workload_module
+from repro.net.packet import Packet
+from repro.speakers.base import reset_interaction_ids
 
 DIGESTS_PATH = pathlib.Path(__file__).parent / "goldens" / "digests.json"
 
 COMPRESSED_COUNTS = (10, 7)
 SEVEN_DAY_COUNTS = (30, 23)
+PACKET_HOME_COUNTS = (4, 3)
 LOADTEST_SPEAKERS = 4
 LOADTEST_RATE = "high"
 LOADTEST_UTTERANCES = 8
@@ -70,6 +77,47 @@ def compressed() -> str:
 
 def sevenday() -> str:
     return _guard_home(202, SEVEN_DAY_COUNTS, workload_module.SEVEN_DAY_GAP)
+
+
+def _packet_fields(packet: Packet) -> tuple:
+    return (packet.number, packet.send_time, str(packet.src), str(packet.dst),
+            packet.flags._value_, packet.seq, packet.ack, packet.payload_len,
+            packet.tls_type.value, packet.tls_record_seq, sorted(packet.meta.items()))
+
+
+def sevenday_packets() -> str:
+    """SHA-256 over every packet a short seven-day home delivers, boot
+    traffic included, then the home's metrics snapshot.
+
+    Interaction ids ride in packet ``meta``; their counter is
+    process-global, so it restarts here to keep the digest independent
+    of whatever ran earlier in the process.
+    """
+    reset_interaction_ids()
+    digest = hashlib.sha256()
+
+    def observe(packet: Packet, _scope: str) -> None:
+        digest.update(repr(_packet_fields(packet)).encode())
+
+    real_network = scenarios.Network
+
+    def observed_network(*args, **kwargs):
+        network = real_network(*args, **kwargs)
+        network.add_observer(observe)
+        return network
+
+    scenarios.Network = observed_network
+    try:
+        scenario = scenarios.build_scenario(
+            "house", "echo", deployment=0, owner_count=2, seed=606)
+    finally:
+        scenarios.Network = real_network
+    driver = workload_module.SevenDayWorkload(
+        scenario, episode_gap=workload_module.SEVEN_DAY_GAP)
+    driver.run(*PACKET_HOME_COUNTS)
+    scenario.speaker.settle_all()
+    digest.update(json.dumps(scenario.env.obs.metrics.snapshot(), sort_keys=True).encode())
+    return digest.hexdigest()
 
 
 def _loadtest_cell(mode: str) -> Callable[[], str]:
@@ -112,6 +160,7 @@ def fleet_fast() -> str:
 RUNS: Dict[str, Callable[[], str]] = {
     "compressed": compressed,
     "sevenday": sevenday,
+    "sevenday_packets": sevenday_packets,
     **{f"loadtest.{mode}": _loadtest_cell(mode) for mode in loadtest.MODES},
     "fleet_full": fleet_full,
     "fleet_fast": fleet_fast,

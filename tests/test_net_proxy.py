@@ -191,6 +191,67 @@ class TestTransparentProxy:
         assert proxy.flows[0].records_discarded == 1
 
 
+class TestForwardPath:
+    """A FORWARD record on an established upstream goes straight to
+    ``send_record``; every other case still parks a ``HeldRecord``."""
+
+    def test_forward_before_upstream_established_flushes_in_order(self, proxied_world):
+        sim, network, speaker, server, proxy, received = proxied_world
+        sizes = (10, 20, 30)
+
+        def send_at_once(conn):
+            for index, size in enumerate(sizes):
+                conn.send_record(size, tls_record_seq=index)
+
+        conn = speaker.connect(Endpoint(IPv4Address("54.1.1.1"), 443))
+        conn.on_established = send_at_once
+        # The records reach the proxy over the LAN long before the
+        # spoofed upstream handshake crosses the WAN and back.
+        sim.run_for(0.01)
+        flow = proxy.flows[0]
+        assert not flow.upstream.is_established
+        assert [r.payload_len for r in flow.awaiting_upstream] == list(sizes)
+        assert received == []
+        sim.run_for(1.0)
+        assert flow.awaiting_upstream == []
+        assert [p.payload_len for p in received] == list(sizes)
+        assert [p.tls_record_seq for p in received] == [0, 1, 2]
+        assert flow.records_forwarded == 3
+
+    def test_forwarded_meta_is_a_copy(self, proxied_world):
+        sim, network, speaker, server, proxy, received = proxied_world
+        inbound = []
+        proxy.record_policy = lambda flow, p: inbound.append(p) or ForwarderDecision.FORWARD
+        conn = speaker.connect(Endpoint(IPv4Address("54.1.1.1"), 443))
+        sim.run_for(1.0)
+        conn.send_record(100, tls_record_seq=0, meta={"heartbeat": True})
+        sim.run_for(1.0)
+        assert len(inbound) == len(received) == 1
+        forwarded = received[0]
+        assert forwarded.meta == {"heartbeat": True}
+        assert forwarded.meta is not inbound[0].meta
+        inbound[0].meta["heartbeat"] = False
+        assert forwarded.meta == {"heartbeat": True}
+
+    def test_server_record_meta_is_a_copy(self, proxied_world):
+        sim, network, speaker, server, proxy, received = proxied_world
+        server._listeners.clear()
+        server.listen(443, lambda conn: setattr(
+            conn, "on_record",
+            lambda c, p: c.send_record(42, tls_record_seq=0, meta={"heartbeat_ack": True})))
+        replies = []
+        network.add_observer(
+            lambda p, scope: replies.append(p) if p.payload_len == 42 else None)
+        conn = speaker.connect(Endpoint(IPv4Address("54.1.1.1"), 443))
+        sim.run_for(1.0)
+        conn.send_record(10, tls_record_seq=0)
+        sim.run_for(1.0)
+        from_server, to_speaker = replies
+        assert to_speaker.dst == conn.local
+        assert to_speaker.meta == from_server.meta == {"heartbeat_ack": True}
+        assert to_speaker.meta is not from_server.meta
+
+
 class TestUdpForwarder:
     @pytest.fixture
     def udp_world(self, sim):

@@ -346,6 +346,76 @@ class TestPureAckPaths:
         assert {scope for _, scope in seen} == {"wan"}
 
 
+def _black_holed(world):
+    """An established pair whose client-side segments vanish from now on,
+    so ACKs reach the client only when a test hands them over."""
+    sim, network, client, server = world
+    conn, srv = connect(sim, client, server, tuning=TcpTuning(rto=1.0))
+    tap = _BlackHoleTap("tap", IPv4Address("192.168.1.50"))
+    network.attach(tap)
+    network.install_tap(client.host.ip, tap)
+    return sim, client, conn, srv
+
+
+class TestAckBookkeeping:
+    """The established fast path of ``handle`` clears a fully
+    acknowledged send queue inline; partial ACKs keep the full
+    ``_process_ack`` walk."""
+
+    def test_partial_ack_keeps_head_and_restarts_rto(self, world):
+        sim, client, conn, srv = _black_holed(world)
+        for size in (10, 20, 30):
+            conn.send_record(size, tls_record_seq=0)
+        first_deadline = conn._rto_timer.deadline
+        sim.run_for(0.4)
+        client.receive(_pure_ack(conn, conn._unacked[0][0]))
+        assert [end for end, _ in conn._unacked] == [30, 60]
+        assert conn._unacked[0][1].payload_len == 20
+        assert conn._rto_timer.deadline == sim.now + 1.0 > first_deadline
+        sim.run_for(0.9)  # past the first deadline, short of the restarted one
+        assert conn.retransmissions == 0
+        sim.run_for(0.2)
+        assert conn.retransmissions == 1
+
+    def test_full_ack_clears_queue_and_disarms_rto(self, world):
+        sim, client, conn, srv = _black_holed(world)
+        for size in (10, 20):
+            conn.send_record(size, tls_record_seq=0)
+        assert conn._rto_timer.armed
+        client.receive(_pure_ack(conn, conn.snd_next))
+        assert conn._unacked == []
+        assert not conn._rto_timer.armed
+        sim.run_for(5.0)
+        assert conn.retransmissions == 0
+        # The next record re-arms from scratch.
+        conn.send_record(5, tls_record_seq=0)
+        assert conn._rto_timer.deadline == sim.now + 1.0
+
+    @pytest.mark.parametrize("carrier", ["pure-ack", "data"])
+    def test_ack_of_retransmission_resends_next_hole(self, world, carrier):
+        sim, client, conn, srv = _black_holed(world)
+        for size in (10, 20, 30):
+            conn.send_record(size, tls_record_seq=0)
+        sim.run_for(1.05)  # one RTO: the head is retransmitted
+        assert conn.retransmissions == 1 and conn._recovering
+        delivered = []
+        conn.on_record = lambda c, p: delivered.append(p.payload_len)
+        ack = _pure_ack(conn, 10)
+        if carrier == "data":
+            ack.flags = TcpFlags.PSH | TcpFlags.ACK
+            ack.payload_len = 7
+            ack.seq = conn.rcv_next
+        client.receive(ack)
+        # Go-back-N: the ACK confirming the retransmission resends the
+        # next hole at once, without waiting for another RTO.
+        assert conn.retransmissions == 2
+        assert [end for end, _ in conn._unacked] == [30, 60]
+        assert delivered == ([7] if carrier == "data" else [])
+        client.receive(_pure_ack(conn, conn.snd_next))
+        assert conn._unacked == [] and not conn._recovering
+        assert not conn._rto_timer.armed
+
+
 class TestEphemeralPorts:
     def test_wrapped_counter_skips_live_four_tuples(self, world):
         sim, network, client, server = world
