@@ -3,9 +3,10 @@
 
 Times every layer of the radio hot path: an unmemoized scalar
 reference, the memoized scalar path, the vectorized batch APIs, the
-wall-crossing kernels, and event-queue dispatch.  The reference and the
-batched grid kernel are asserted equal before either is timed: a
-speedup that changed the numbers would be a bug, not a win.
+wall-crossing kernels, a floor trace, and event-queue dispatch.  The
+reference and the batched grid kernel are asserted equal before either
+is timed, and so are the batched and the per-tick ``instant_rssi``
+trace: a speedup that changed the numbers would be a bug, not a win.
 
 The reference is not a frozen copy of the pre-optimization code.  It
 drops the memos (it hashes the shadowing cell on every call), but it
@@ -38,10 +39,14 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
+from repro.core.threshold import perimeter_route
+from repro.home.devices import TRACE_SAMPLE_COUNT, TRACE_SAMPLE_PERIOD
+from repro.home.environment import HomeEnvironment
 from repro.radio.geometry import Point, distance
 from repro.radio.propagation import PropagationModel
 from repro.radio.testbeds import testbed_by_name
 from repro.sim.events import EventQueue
+from repro.sim.process import PeriodicTask
 
 GRID_SAMPLES = 16  # the paper's 4 orientations x 4 measurements
 GRID_MAP_FLOOR = 5.0  # batched grid kernel vs the scalar reference
@@ -88,6 +93,46 @@ def reference_average_rssi(
             rssi -= float(abs(rng.normal(p.body_occlusion, p.body_occlusion / 2)))
         readings.append(float(max(rssi, p.rssi_floor)))
     return float(np.mean(readings))
+
+
+def scalar_trace(device, beacon, callback) -> None:
+    """A floor trace with every sample from ``instant_rssi`` (the
+    reference for ``MobileDevice.record_trace``'s per-trace pass)."""
+    samples = []
+
+    def take_sample(now: float) -> None:
+        samples.append(device.scanner.instant_rssi(beacon, now))
+        if len(samples) >= TRACE_SAMPLE_COUNT:
+            task.stop()
+            callback(samples)
+
+    task = PeriodicTask(device.sim, TRACE_SAMPLE_PERIOD, take_sample, first_delay=0.0)
+    task.start()
+
+
+def _walking_trace(testbed_name: str, seed: int, record) -> Callable[[], int]:
+    """One op: walk the testbed's stair route (the speaker room's
+    perimeter where there is none) and record a 40-sample trace that
+    starts 1.0-1.3 s into it, so no two traces share a position.
+    Returns the op; it counts samples."""
+    env = HomeEnvironment(testbed_by_name(testbed_name), seed=seed)
+    route = env.testbed.routes.get("up") or perimeter_route(env.testbed.speaker_room(0))
+    owner = env.add_person("owner", route.waypoints[0])
+    phone = env.add_smartphone("phone", owner)
+    jitter = np.random.default_rng(seed)
+
+    def op() -> int:
+        traces: List[list] = []
+        owner.follow(route)
+        env.sim.run_for(1.0 + 0.3 * float(jitter.random()))
+        record(phone, env.speaker_beacon, traces.append)
+        env.sim.run_for(TRACE_SAMPLE_COUNT * TRACE_SAMPLE_PERIOD)
+        op.traces.extend(traces)
+        op.states = (owner._rng.bit_generator.state, phone.scanner._rng.bit_generator.state)
+        return TRACE_SAMPLE_COUNT
+
+    op.traces = []
+    return op
 
 
 # -- timing ----------------------------------------------------------------
@@ -194,6 +239,23 @@ def run_bench_rssi(
         min_seconds,
     )
 
+    # A floor trace (one 40-sample walk): the per-trace batched pass of
+    # record_trace against per-tick instant_rssi, on twin worlds whose
+    # traces and generator states are asserted equal first.
+    def batched(device, beacon, callback):
+        device.record_trace(beacon, callback)
+
+    checks = [_walking_trace(testbed_name, seed, rec) for rec in (scalar_trace, batched)]
+    for check in checks:
+        for _ in range(3):
+            check()
+    if checks[0].traces != checks[1].traces or checks[0].states != checks[1].states:
+        raise AssertionError("batched trace diverged from per-tick instant_rssi")
+    benches["trace_scalar"] = _time_ops(_walking_trace(testbed_name, seed, scalar_trace),
+                                        min_seconds)
+    benches["trace_batched"] = _time_ops(_walking_trace(testbed_name, seed, batched),
+                                         min_seconds)
+
     # Event queue: dispatch throughput and the O(1) pending count.
     def _dispatch() -> int:
         queue = EventQueue()
@@ -243,6 +305,11 @@ def run_bench_rssi(
             / benches["walls_crossed_scalar"]["ops_per_sec"],
             2,
         ),
+        "trace_vs_scalar": round(
+            benches["trace_batched"]["ops_per_sec"]
+            / benches["trace_scalar"]["ops_per_sec"],
+            2,
+        ),
     }
     return {
         "meta": {
@@ -261,6 +328,7 @@ def run_bench_rssi(
         "units": {
             "grid_map_*": "locations (16-sample averages) per second",
             "mean_rssi_* / sample_* / walls_*": "single evaluations per second",
+            "trace_*": "trace samples per second, sim ticks included",
             "event_push_pop": "queue operations per second",
             "pending_events_read_10k": "len() reads per second on a 10k heap",
         },

@@ -77,6 +77,7 @@ BENCHES = {
             Metric("speedups.mean_rssi_many_vs_reference", floor=1.0),
             Metric("speedups.sample_batch_vs_scalar", floor=0.8),
             Metric("speedups.walls_many_vs_scalar", floor=1.0),
+            Metric("speedups.trace_vs_scalar", floor=1.0),
         ],
     ),
     "BENCH_obs.json": Bench(

@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_validate.add_argument("--progress", action="store_true",
                                 help="counted progress on stderr")
     fleet_validate.add_argument("--strict", action="store_true",
-                                help="exit 1 if any testbed fails the 1% "
+                                help="exit 1 if any testbed fails the 1%% "
                                      "criteria (CI gating)")
     fleet_validate.add_argument("--output", default=None,
                                 help="also write the validation report here")

@@ -9,6 +9,7 @@ threshold-calibration walk (Section IV-C).
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -83,11 +84,38 @@ class MobileDevice:
 
         Used for floor-level traces: the Decision Module starts a trace
         whenever the stair motion sensor fires.
+
+        The sample times are known now, and so are the receiver
+        positions as long as the carrier keeps to its current walk or
+        spot: every walking sample's mean RSSI is computed here in one
+        vectorized pass (:meth:`PropagationModel.mean_rssi_coords`), and
+        the one mean of the point the carrier stands at after (or
+        throughout) by the scalar :meth:`PropagationModel.mean_rssi`.  A
+        tick then only makes its draws
+        (:meth:`BluetoothScanner.sample_at_mean`) — unless the carrier
+        has moved since (``follow``/``teleport``), the beacon has moved,
+        or the floor plan has changed, in which case that sample is the
+        scalar :meth:`BluetoothScanner.instant_rssi`.  Either way each
+        sample is the one ``instant_rssi`` would give.
         """
+        scanner, carrier = self.scanner, self.carrier
+        model = scanner.model
+        plan = model.plan
+        period = float(period)
+        # The float chain the task's ticks land on: now + 0.0, then + period.
+        times = list(accumulate(repeat(period, sample_count - 1), initial=self.sim.now + 0.0))
+        tx, moves, version = beacon.position, carrier.move_count, plan.version
+        walking, still = carrier.device_path(times)
+        means = model.mean_rssi_coords(tx, walking).tolist() if walking.size else []
+        if len(means) < len(times):
+            means.extend(repeat(model.mean_rssi(tx, still), len(times) - len(means)))
         samples: List[RssiSample] = []
 
         def take_sample(now: float) -> None:
-            samples.append(self.scanner.instant_rssi(beacon, now))
+            if carrier.move_count == moves and beacon.position is tx and plan.version == version:
+                samples.append(scanner.sample_at_mean(beacon, means[len(samples)], now))
+            else:
+                samples.append(scanner.instant_rssi(beacon, now))
             if len(samples) >= sample_count:
                 task.stop()
                 callback(samples)

@@ -8,7 +8,8 @@ every person every frame.
 
 from __future__ import annotations
 
-from typing import Optional
+from bisect import bisect_left
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +20,11 @@ from repro.radio.testbeds import WalkRoute
 from repro.sim.simulator import Simulator
 
 WALKING_SPEED = 1.2  # m/s, used when walking directly to a point
+
+# Device positions as a (3, n) array of x, y and z rows.
+_NO_COORDINATES = np.empty((3, 0))
+# Point.offset(dz=DEVICE_CARRY_HEIGHT), column-wise.
+_CARRY_OFFSET = np.array([[0.0], [0.0], [DEVICE_CARRY_HEIGHT]])
 
 
 class Person:
@@ -41,6 +47,9 @@ class Person:
         self._walk: Optional[WalkRoute] = None
         self._walk_started = 0.0
         self._movement_listeners: list = []
+        # Bumped by every follow/teleport: a position computed ahead of
+        # time stays valid while this is unchanged.
+        self.move_count = 0
 
     # -- position ---------------------------------------------------------
     @property
@@ -58,6 +67,29 @@ class Person:
     def device_position(self) -> Point:
         """Where a carried device sits (about a metre above the feet)."""
         return self.position.offset(dz=DEVICE_CARRY_HEIGHT)
+
+    def device_path(self, times: Sequence[float]) -> Tuple[np.ndarray, Point]:
+        """Where a carried device will be at ``times`` (ascending, none
+        before now) if no move starts before then.
+
+        Returns ``(walking, still)``.  The first ``walking.shape[1]``
+        times fall inside the current walk and map to the columns (x, y
+        and z rows) of its vectorized
+        :meth:`~repro.radio.testbeds.WalkRoute.positions_at`; every
+        later time (all of them for a person standing still) maps to
+        the one point ``still``.  Each position equals
+        :meth:`device_position` read at that time: the same walk
+        expressions, the same last waypoint once the walk is over, the
+        same ``offset(dz=DEVICE_CARRY_HEIGHT)``.
+        """
+        walk = self._walk
+        if walk is None:
+            return _NO_COORDINATES, self._anchor.offset(dz=DEVICE_CARRY_HEIGHT)
+        started = self._walk_started
+        elapsed = [t - started for t in times]
+        walking = walk.positions_at(elapsed[:bisect_left(elapsed, walk.duration)])
+        still = walk.waypoints[-1].offset(dz=DEVICE_CARRY_HEIGHT)
+        return walking + _CARRY_OFFSET, still
 
     def body_blocks_radio(self) -> bool:
         """Whether the carrier's body currently shadows the radio path.
@@ -83,6 +115,7 @@ class Person:
         """Place the person at ``point`` immediately (workload setup)."""
         self._walk = None
         self._anchor = point
+        self.move_count += 1
         for listener in self._movement_listeners:
             listener()
 
@@ -90,6 +123,7 @@ class Person:
         """Begin walking ``route`` now; position interpolates over time."""
         self._walk = route
         self._walk_started = self.sim.now
+        self.move_count += 1
         for listener in self._movement_listeners:
             listener()
 

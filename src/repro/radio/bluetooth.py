@@ -10,7 +10,7 @@ visible component of the paper's Figure 7 query-latency distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,14 +22,33 @@ from repro.sim.random import bounded_lognormal
 from repro.sim.simulator import Simulator
 
 
-@dataclass(frozen=True)
-class RssiSample:
-    """One reported measurement of a beacon's signal strength."""
+class RssiSample(tuple):
+    """One reported measurement of a beacon's signal strength.
 
-    rssi: float
-    time: float
-    beacon_name: str
-    scanner_name: str
+    An immutable 4-tuple ``(rssi, time, beacon_name, scanner_name)``,
+    like :class:`~repro.radio.geometry.Point`: a floor trace builds one
+    per 0.2 s tick.  Hash (``hash((rssi, time, beacon_name,
+    scanner_name))``) and repr are those of the frozen dataclass it
+    replaced.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rssi: float, time: float, beacon_name: str,
+                scanner_name: str) -> "RssiSample":
+        return tuple.__new__(cls, (rssi, time, beacon_name, scanner_name))
+
+    rssi = property(itemgetter(0), doc="The reported RSSI.")
+    time = property(itemgetter(1), doc="When it was measured (sim seconds).")
+    beacon_name = property(itemgetter(2), doc="The measured beacon.")
+    scanner_name = property(itemgetter(3), doc="The measuring scanner.")
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (f"RssiSample(rssi={self[0]!r}, time={self[1]!r}, "
+                f"beacon_name={self[2]!r}, scanner_name={self[3]!r})")
 
 
 class BluetoothBeacon:
@@ -82,13 +101,22 @@ class BluetoothScanner:
         self.scans_failed = 0
 
     def instant_rssi(self, beacon: BluetoothBeacon, time: float) -> RssiSample:
-        """A single immediate measurement (used for trace recording,
-        where the app samples every 0.2 s)."""
+        """A single immediate measurement (the reference for a trace
+        sample, where the app samples every 0.2 s)."""
         blocked = bool(self.body_blocked_provider()) if self.body_blocked_provider else False
         rssi = self.model.sample_rssi(
             beacon.position, self.position_provider(), self._rng, body_blocked=blocked
         )
-        return RssiSample(rssi=rssi, time=time, beacon_name=beacon.name, scanner_name=self.name)
+        return tuple.__new__(RssiSample, (rssi, time, beacon.name, self.name))
+
+    def sample_at_mean(self, beacon: BluetoothBeacon, mean: float, time: float) -> RssiSample:
+        """:meth:`instant_rssi` for a receiver whose mean RSSI
+        (:meth:`PropagationModel.mean_rssi` to the current position) is
+        already known: the same draws from the same streams, in the same
+        order, and the same sample."""
+        blocked = bool(self.body_blocked_provider()) if self.body_blocked_provider else False
+        rssi = self.model.noisy_rssi(mean, self._rng, blocked)
+        return tuple.__new__(RssiSample, (rssi, time, beacon.name, self.name))
 
     # A scan window catches several advertisement frames; the reported
     # RSSI is their average, which is much steadier than one frame.

@@ -18,6 +18,7 @@ from repro.errors import FloorPlanError
 from repro.radio.geometry import (
     Point,
     WallArray,
+    coordinates,
     count_floor_crossings,
     floor_crossing_points,
     point_in_rect,
@@ -279,7 +280,7 @@ class FloorPlan:
         kernel a net loss for one pair (it wins ~5x per point once a
         whole grid amortizes it — see :meth:`walls_crossed_many`).
         """
-        key = (a.x, a.y, a.z, b.x, b.y, b.z)
+        key = a + b
         cached = self._crossing_cache.get(key)
         if cached is not None:
             return cached
@@ -296,8 +297,9 @@ class FloorPlan:
         and door bounds) taken from :meth:`_rows`, so the count equals
         ``sum(segment_crosses_wall(a, b, ...) for each wall)`` exactly.
         """
-        ax, ay, az = a.x, a.y, a.z
-        rx, ry, dz = b.x - ax, b.y - ay, b.z - az
+        ax, ay, az = a
+        bx, by, bz = b
+        rx, ry, dz = bx - ax, by - ay, bz - az
         count = 0
         for qx, qy, sx, sy, z_low, z_high, openings in self._rows():
             denom = rx * sy - ry * sx
@@ -341,9 +343,9 @@ class FloorPlan:
         :meth:`walls_crossed` per point.  Results land in the same
         memo the scalar entry point reads.
         """
-        counts = self.wall_array.crossing_counts_many(a, points)
+        counts = self.wall_array.crossing_counts(a, coordinates(points))
         for rx, count in zip(points, counts):
-            self._remember_crossing((a.x, a.y, a.z, rx.x, rx.y, rx.z), int(count))
+            self._remember_crossing(a + rx, int(count))
         return counts
 
     def _remember_crossing(self, key: Tuple[float, ...], count: int) -> None:
@@ -370,6 +372,47 @@ class FloorPlan:
                     penalty = zone.attenuation
                     break
             total += penalty
+        return total
+
+    def slab_penalties_many(
+        self, a: Point, coords: np.ndarray, default_penalty: float
+    ) -> np.ndarray:
+        """:meth:`slab_penalties` from ``a`` to every column of
+        ``coords`` (a (3, n) array of receiver x, y and z rows),
+        bit-identical.
+
+        Per slab, only the receivers whose segment pierces it are
+        evaluated, with the scalar path's float expressions; the first
+        registered zone covering a pierce point wins, and each total
+        sums its slabs' penalties in slab order from 0.0, as the scalar
+        loop does.
+        """
+        ax, ay, az = a
+        bz = coords[2]
+        total = np.zeros(bz.size, dtype=np.float64)
+        for height in self._floor_heights:
+            # min(az, bz) < height < max(az, bz), split on the fixed end.
+            if az < height:
+                pierced = np.flatnonzero(height < bz)
+            elif height < az:
+                pierced = np.flatnonzero(bz < height)
+            else:
+                continue
+            dz = bz[pierced] - az
+            keep = np.abs(dz) >= 1e-12
+            pierced, dz = pierced[keep], dz[keep]
+            if not pierced.size:
+                continue
+            t = (height - az) / dz
+            x = ax + (coords[0, pierced] - ax) * t
+            y = ay + (coords[1, pierced] - ay) * t
+            penalty = np.full(pierced.size, default_penalty, dtype=np.float64)
+            for zone in reversed(self.slab_zones):
+                if abs(height - zone.slab_height) > 1e-6:
+                    continue
+                covered = (zone.x0 <= x) & (x <= zone.x1) & (zone.y0 <= y) & (y <= zone.y1)
+                penalty[covered] = zone.attenuation
+            total[pierced] += penalty
         return total
 
     def same_room(self, a: Point, b: Point) -> bool:

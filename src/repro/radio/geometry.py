@@ -16,40 +16,79 @@ tolerances as the scalar path, so crossing counts agree bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point in metres; ``z`` is height above the ground floor."""
+class Point(tuple):
+    """A point in metres; ``z`` is height above the ground floor.
 
-    x: float
-    y: float
-    z: float = 1.0
+    An immutable 3-tuple ``(x, y, z)``: the radio path builds one per
+    receiver sample and hashes endpoint pairs into its memos, and a
+    tuple is built, hashed and compared in C.  The hash is
+    ``hash((x, y, z))``, the value the frozen dataclass this replaced
+    produced, and the repr is unchanged.  Being a tuple, a point also
+    equals the plain tuple ``(x, y, z)``, and ``a + b`` concatenates two
+    points into the six-float endpoint-pair key the memos use.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, z: float = 1.0) -> "Point":
+        return tuple.__new__(cls, (x, y, z))
+
+    x = property(itemgetter(0), doc="Metres along the plan's x axis.")
+    y = property(itemgetter(1), doc="Metres along the plan's y axis.")
+    z = property(itemgetter(2), doc="Height above the ground floor.")
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Point(x={self[0]!r}, y={self[1]!r}, z={self[2]!r})"
 
     def offset(self, dx: float = 0.0, dy: float = 0.0, dz: float = 0.0) -> "Point":
         """A new point displaced by (dx, dy, dz)."""
-        return Point(self.x + dx, self.y + dy, self.z + dz)
+        x, y, z = self
+        return tuple.__new__(Point, (x + dx, y + dy, z + dz))
 
     def lerp(self, other: "Point", t: float) -> "Point":
         """Linear interpolation: ``t=0`` is self, ``t=1`` is other."""
-        return Point(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-            self.z + (other.z - self.z) * t,
-        )
+        x, y, z = self
+        ox, oy, oz = other
+        return tuple.__new__(Point, (x + (ox - x) * t, y + (oy - y) * t, z + (oz - z) * t))
 
     def xy(self) -> Tuple[float, float]:
         """The (x, y) projection."""
-        return (self.x, self.y)
+        return (self[0], self[1])
 
 
 def distance(a: Point, b: Point) -> float:
     """Euclidean 3-D distance in metres."""
     return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
+
+
+def coordinates(points: Sequence[Point]) -> np.ndarray:
+    """``points`` as a (3, n) array of x, y and z rows."""
+    flat = np.fromiter(chain.from_iterable(points), dtype=np.float64, count=3 * len(points))
+    return flat.reshape(-1, 3).T
+
+
+def distances(a: Point, coords: np.ndarray) -> np.ndarray:
+    """``distance(a, Point(x, y, z))`` for every column of the (3, n)
+    array ``coords``, bit-identical.
+
+    The squares are taken one element at a time with ``**``, exactly
+    as :func:`distance` takes them: ``**`` is libm ``pow``, which rounds
+    differently from ``v * v`` on about 1 input in 1,200, and numpy's
+    ``v ** 2`` (like ``v * v``) multiplies.
+    """
+    dx, dy, dz = (np.array(a)[:, None] - coords).tolist()
+    return np.sqrt(np.array(
+        [u ** 2 + v ** 2 + w ** 2 for u, v, w in zip(dx, dy, dz)], dtype=np.float64))
 
 
 def _segment_intersection_2d(
@@ -154,7 +193,7 @@ class WallArray:
 
     Answers :func:`segment_crosses_wall` for every wall at once
     (:meth:`crossing_mask`) or for every (wall, receiver) pair of a
-    measurement grid (:meth:`crossing_counts_many`).  The arithmetic
+    measurement grid or a trace (:meth:`crossing_counts`).  The arithmetic
     mirrors the scalar reference operation-for-operation — same float64
     products, same division, same ``1e-12`` / ``1e-9`` tolerances — so
     the resulting crossing counts are identical, not merely close.
@@ -187,11 +226,12 @@ class WallArray:
         self.door_walls: List[Tuple[int, Tuple[Tuple[float, float], ...]]] = [
             (index, tuple(w[4])) for index, w in enumerate(walls) if w[4]
         ]
-        # Axis-aligned bounding boxes (for python-side prefilters).
-        self.bx0 = np.minimum(self.qx, ex)
-        self.bx1 = np.maximum(self.qx, ex)
-        self.by0 = np.minimum(self.qy, ey)
-        self.by1 = np.maximum(self.qy, ey)
+        # Column forms for the (walls x receivers) kernel, with the
+        # tolerance-widened z bounds folded in.
+        self._sx = self.sx[:, None]
+        self._sy = self.sy[:, None]
+        self._z_low = self.z_low[:, None] - 1e-9
+        self._z_high = self.z_high[:, None] + 1e-9
 
     def crossing_mask(self, a: Point, b: Point) -> np.ndarray:
         """Boolean mask of walls penetrated by the 3-D segment a->b."""
@@ -220,34 +260,32 @@ class WallArray:
                         break
         return ok
 
-    def crossing_counts_many(self, a: Point, points: Sequence[Point]) -> np.ndarray:
+    def crossing_counts(self, a: Point, coords: np.ndarray) -> np.ndarray:
         """Crossing counts from ``a`` to each receiver, as one matrix op.
 
-        Returns an int64 array aligned with ``points``; entry *i* equals
-        ``sum(segment_crosses_wall(a, points[i], wall) for wall in walls)``.
+        ``coords`` holds the receivers as a (3, n) array of x, y and z
+        rows.  Returns an int64 array aligned with its columns; entry
+        *i* equals ``sum(segment_crosses_wall(a, receiver_i, wall) for
+        wall in walls)``.
         """
-        n = len(points)
+        n = coords.shape[1]
         if self.count == 0 or n == 0:
             return np.zeros(n, dtype=np.int64)
-        bx = np.array([q.x for q in points], dtype=np.float64)
-        by = np.array([q.y for q in points], dtype=np.float64)
-        bz = np.array([q.z for q in points], dtype=np.float64)
-        rx = bx - a.x  # (n,)
-        ry = by - a.y
-        qpx = (self.qx - a.x)[:, None]  # (m, 1)
-        qpy = (self.qy - a.y)[:, None]
-        sx = self.sx[:, None]
-        sy = self.sy[:, None]
-        denom = rx[None, :] * sy - ry[None, :] * sx  # (m, n)
+        ax, ay, az = a
+        qpx = (self.qx - ax)[:, None]  # (m, 1)
+        qpy = (self.qy - ay)[:, None]
+        rx = coords[0] - ax  # (n,)
+        ry = coords[1] - ay
+        denom = rx * self._sy - ry * self._sx  # (m, n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (qpx * sy - qpy * sx) / denom
-            u = (qpx * ry[None, :] - qpy * rx[None, :]) / denom
-            z = a.z + (bz[None, :] - a.z) * t
+            t = (qpx * self._sy - qpy * self._sx) / denom
+            u = (qpx * ry - qpy * rx) / denom
+            z = az + (coords[2] - az) * t
         ok = (
             (np.abs(denom) >= 1e-12)
             & (t >= -1e-9) & (t <= 1 + 1e-9)
             & (u >= -1e-9) & (u <= 1 + 1e-9)
-            & (z >= self.z_low[:, None] - 1e-9) & (z <= self.z_high[:, None] + 1e-9)
+            & (z >= self._z_low) & (z <= self._z_high)
         )
         for index, openings in self.door_walls:
             row = ok[index]

@@ -25,9 +25,13 @@ scalar reference:
   pair (``_mean_cache``) and its SHA-256-derived shadowing term is a
   seeded field cached per quantized key (``_shadow_cache``), so the
   hash runs once per 0.25 m cell instead of once per sample;
-* ``mean_rssi_many`` evaluates a whole measurement grid with numpy
-  (vectorized distances and wall counts via
-  :meth:`FloorPlan.walls_crossed_many`);
+* ``mean_rssi_coords`` is the one vectorized pipeline: receivers as
+  coordinate arrays, distances squared exactly as ``distance`` squares
+  them, one walls x receivers :class:`~repro.radio.geometry.WallArray`
+  pass, slab penalties where a segment pierces a slab.
+  ``mean_rssi_many`` wraps it for a measurement grid (behind the
+  endpoint memo), and a floor trace feeds it its walking positions
+  (see :meth:`repro.home.devices.MobileDevice.record_trace`);
 * ``sample_rssi_batch`` / ``average_rssi_batch`` draw all per-sample
   noise as one ``Generator.standard_normal(size)`` array, consuming the
   bitstream in exactly the order of the scalar loop.
@@ -48,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.radio.floorplan import FloorPlan
-from repro.radio.geometry import Point, distance
+from repro.radio.geometry import Point, coordinates, distance, distances
 
 # Bounds for the memoization layers: mobility workloads sample at a
 # fresh position every time, so the dictionaries are wiped wholesale
@@ -102,7 +106,7 @@ class PropagationModel:
         :meth:`mean_rssi_uncached`, the scalar reference.
         """
         self._check_plan_version()
-        key = (tx.x, tx.y, tx.z, rx.x, rx.y, rx.z)
+        key = tx + rx
         cached = self._mean_cache.get(key)
         if cached is not None:
             return cached
@@ -136,51 +140,64 @@ class PropagationModel:
     def mean_rssi_many(self, tx: Point, points: Sequence[Point]) -> np.ndarray:
         """Expected RSSI from ``tx`` to every receiver, vectorized.
 
-        Bit-identical to ``[mean_rssi(tx, rx) for rx in points]``: the
-        distance/path-loss arithmetic runs as elementwise float64 ops in
-        the same order as the scalar path, wall counts come from the
-        broadcasted kernel, and results are written into the same memo
-        ``mean_rssi`` reads (so a following sampling pass is all hits).
+        Bit-identical to ``[mean_rssi(tx, rx) for rx in points]``: memo
+        misses go through :meth:`mean_rssi_coords`, and their results
+        are written into the same memo ``mean_rssi`` reads (so a
+        following sampling pass over a grid is all hits).
         """
         self._check_plan_version()
-        n = len(points)
-        out = np.empty(n, dtype=np.float64)
+        cache = self._mean_cache
+        out = np.empty(len(points), dtype=np.float64)
         missing: List[int] = []
         for index, rx in enumerate(points):
-            cached = self._mean_cache.get((tx.x, tx.y, tx.z, rx.x, rx.y, rx.z))
+            cached = cache.get(tx + rx)
             if cached is None:
                 missing.append(index)
             else:
                 out[index] = cached
         if not missing:
             return out
-        p = self.params
-        subset = [points[i] for i in missing]
-        dx = np.array([tx.x - rx.x for rx in subset], dtype=np.float64)
-        dy = np.array([tx.y - rx.y for rx in subset], dtype=np.float64)
-        dz = np.array([tx.z - rx.z for rx in subset], dtype=np.float64)
-        d = np.maximum(np.sqrt(dx * dx + dy * dy + dz * dz), p.reference_distance)
-        path_loss = p.path_loss_per_decade * np.log10(d / p.reference_distance)
-        walls = self.plan.walls_crossed_many(tx, subset)
-        slab = np.array(
-            [self.plan.slab_penalties(tx, rx, p.floor_penalty) for rx in subset],
-            dtype=np.float64,
-        )
-        shadow = np.array(
-            [self._static_shadowing(tx, rx) for rx in subset], dtype=np.float64
-        )
-        rssi = np.maximum(
-            p.reference_rssi - path_loss - p.wall_penalty * walls - slab + shadow,
-            p.rssi_floor,
-        )
-        if len(self._mean_cache) + len(missing) >= _MEAN_CACHE_MAX:
-            self._mean_cache.clear()
-        for slot, index in enumerate(missing):
-            value = float(rssi[slot])
-            rx = points[index]
-            self._mean_cache[(tx.x, tx.y, tx.z, rx.x, rx.y, rx.z)] = value
+        values = self.mean_rssi_coords(tx, coordinates([points[i] for i in missing]))
+        if len(cache) + len(missing) >= _MEAN_CACHE_MAX:
+            cache.clear()
+        for index, value in zip(missing, values.tolist()):
+            cache[tx + points[index]] = value
             out[index] = value
         return out
+
+    def mean_rssi_coords(self, tx: Point, coords: np.ndarray) -> np.ndarray:
+        """Expected RSSI from ``tx`` to every column of ``coords``, a
+        (3, n) array of receiver x, y and z rows: the one vectorized
+        pipeline.
+
+        Entry *i* is bit-identical to :meth:`mean_rssi_uncached`: the
+        distances square exactly as :func:`distance` does, the path-loss
+        arithmetic runs as elementwise float64 ops in the scalar order,
+        wall counts come from one walls x receivers
+        :class:`~repro.radio.geometry.WallArray` pass, slab penalties
+        are evaluated only where a segment pierces a slab, and the
+        shadowing term comes from the cell memo (SHA-256 on a miss).
+        The endpoint memos are neither read nor written: a walking
+        receiver's coordinates never repeat.
+        """
+        self._check_plan_version()
+        p = self.params
+        plan = self.plan
+        d = np.maximum(distances(tx, coords), p.reference_distance)
+        path_loss = p.path_loss_per_decade * np.log10(d / p.reference_distance)
+        walls = plan.wall_array.crossing_counts(tx, coords)
+        slab = plan.slab_penalties_many(tx, coords, p.floor_penalty)
+        rssi = p.reference_rssi - path_loss - p.wall_penalty * walls - slab
+        # Shadowing cells: round(c * 4) per coordinate, as the scalar
+        # path quantizes (np.rint rounds half to even, like round()).
+        tx_cell = (round(tx.x * 4), round(tx.y * 4), round(tx.z * 4))
+        cache = self._shadow_cache
+        shadow = []
+        for cell in np.rint(coords * 4).astype(np.int64).T.tolist():
+            key = tx_cell + tuple(cell)
+            value = cache.get(key)
+            shadow.append(value if value is not None else self._shadow_miss(key))
+        return np.maximum(rssi + np.array(shadow), p.rssi_floor)
 
     def _static_shadowing(self, tx: Point, rx: Point) -> float:
         """Deterministic zero-mean shadowing tied to the endpoint pair.
@@ -197,6 +214,10 @@ class PropagationModel:
         value = self._shadow_cache.get(qkey)
         if value is not None:
             return value
+        return self._shadow_miss(qkey)
+
+    def _shadow_miss(self, qkey: Tuple[int, ...]) -> float:
+        """Hash one quantized endpoint-pair cell into the field cache."""
         key = (
             f"{self._seed}|{qkey[0]},{qkey[1]},{qkey[2]}"
             f"|{qkey[3]},{qkey[4]},{qkey[5]}"
@@ -221,9 +242,15 @@ class PropagationModel:
         body_blocked: bool = False,
     ) -> float:
         """One noisy RSSI measurement as a scanner would report it."""
+        return self.noisy_rssi(self.mean_rssi(tx, rx), rng, body_blocked)
+
+    def noisy_rssi(
+        self, mean: float, rng: np.random.Generator, body_blocked: bool = False
+    ) -> float:
+        """One measurement around a known ``mean``: the noise draw, then
+        (if blocked) the body-occlusion draw, then the sensitivity floor."""
         p = self.params
-        rssi = self.mean_rssi(tx, rx)
-        rssi += float(rng.normal(0.0, p.sample_noise_sigma))
+        rssi = mean + float(rng.normal(0.0, p.sample_noise_sigma))
         if body_blocked:
             rssi -= float(abs(rng.normal(p.body_occlusion, p.body_occlusion / 2)))
         return float(max(rssi, p.rssi_floor))

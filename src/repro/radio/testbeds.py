@@ -24,7 +24,9 @@ Figure 10.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import FloorPlanError
 from repro.radio.floorplan import (
@@ -62,19 +64,30 @@ class WalkRoute:
     _final: Optional[Tuple[Point, Point, float]] = field(
         init=False, repr=False, compare=False)
     _length: float = field(init=False, repr=False, compare=False)
+    # The same table as columns for positions_at: the walked distance
+    # after each leading segment, and per segment its start, its end
+    # minus its start (lerp's ``other - self``), its length and the
+    # distance walked before it.
+    _ends: np.ndarray = field(init=False, repr=False, compare=False)
+    _columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         waypoints = tuple(self.waypoints)
         segments = []
-        total = 0.0
+        walked = [0.0]
         for a, b in zip(waypoints, waypoints[1:]):
             step = ((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2) ** 0.5
             segments.append((a, b, step))
-            total += step
+            walked.append(walked[-1] + step)
         object.__setattr__(self, "waypoints", waypoints)
         object.__setattr__(self, "_leading", tuple(segments[:-1]))
         object.__setattr__(self, "_final", segments[-1] if segments else None)
-        object.__setattr__(self, "_length", total)
+        object.__setattr__(self, "_length", walked[-1])
+        object.__setattr__(self, "_ends", np.array(walked[1:-1], dtype=np.float64))
+        object.__setattr__(self, "_columns", np.array(
+            [a + (b.x - a.x, b.y - a.y, b.z - a.z, step, before)
+             for (a, b, step), before in zip(segments, walked)],
+            dtype=np.float64).reshape(len(segments), 8).T.copy())
 
     def position_at(self, t: float) -> Point:
         """Person position ``t`` seconds into the walk (clamped)."""
@@ -95,6 +108,27 @@ class WalkRoute:
             a, b, step = self._final
         frac = 0.0 if step == 0 else (target - walked) / step
         return a.lerp(b, min(max(frac, 0.0), 1.0))
+
+    def positions_at(self, ts: Sequence[float]) -> np.ndarray:
+        """:meth:`position_at` for every time in ``ts``, as a (3, n)
+        array of x, y and z rows, with the same float expressions
+        elementwise.
+
+        The clamps become ``clip`` and the segment loop becomes a search
+        of the walked distances the loop accumulates (they never
+        decrease): the first leading segment whose end reaches the
+        target, else the last segment.
+        """
+        ts = np.asarray(ts, dtype=np.float64)
+        if not self.waypoints:
+            raise FloorPlanError(f"route {self.name!r} has no waypoints")
+        if self.duration <= 0 or self._length == 0:
+            return np.full((ts.size, 3), self.waypoints[0], dtype=np.float64).T
+        target = self._length * np.clip(ts, 0.0, self.duration) / self.duration
+        table = self._columns[:, np.searchsorted(self._ends, target, side="left")]
+        step = table[6]
+        frac = np.divide(target - table[7], step, out=np.zeros_like(target), where=step != 0)
+        return table[:3] + table[3:6] * np.clip(frac, 0.0, 1.0)
 
 
 @dataclass

@@ -13,7 +13,6 @@ from heapq import heappush
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import EventHandle
 from repro.sim.simulator import Simulator
 
 
@@ -121,6 +120,14 @@ class PeriodicTask:
 
     The first invocation happens ``first_delay`` seconds after
     :meth:`start` (defaulting to one full period).
+
+    Ticks are handle-free :meth:`Simulator.post` entries, which take
+    their sequence number exactly where :meth:`Simulator.schedule`
+    would, so event order is that of a cancellable chain.  Nothing is
+    cancelled: :meth:`stop` only marks the task stopped, and each
+    :meth:`start` opens a new *generation*; a tick of an older
+    generation still in the queue is a no-op, so stopping and
+    restarting, from anywhere, never leaves two live chains.
     """
 
     def __init__(
@@ -136,7 +143,7 @@ class PeriodicTask:
         self._period = float(period)
         self._callback = callback
         self._first_delay = period if first_delay is None else float(first_delay)
-        self._handle: Optional[EventHandle] = None
+        self._generation = 0
         self._stopped = True
         self.fire_count = 0
 
@@ -149,20 +156,17 @@ class PeriodicTask:
         """Begin periodic firing; a no-op if already running."""
         if self._stopped:
             self._stopped = False
-            self._handle = self._sim.schedule(self._first_delay, self._tick)
+            self._generation += 1
+            self._sim.post(self._first_delay, self._tick, self._generation)
 
     def stop(self) -> None:
         """Stop firing.  Safe to call from inside the callback."""
         self._stopped = True
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
 
-    def _tick(self) -> None:
-        if self._stopped:
+    def _tick(self, generation: int) -> None:
+        if self._stopped or generation != self._generation:
             return
         self.fire_count += 1
         self._callback(self._sim.now)
-        if not self._stopped:
-            self._handle = self._sim.schedule(self._period, self._tick)
-
+        if not self._stopped and generation == self._generation:
+            self._sim.post(self._period, self._tick, generation)

@@ -15,7 +15,11 @@ handful of fixed-seed workloads and reduces each to one SHA-256:
   guard mode;
 * ``fleet_full`` — a 2-home full-fidelity fleet table;
 * ``fleet_fast`` — a 512-home reduced-order fleet table in 128-home
-  chunks (its RSSI surfaces come from the propagation model).
+  chunks (its RSSI surfaces come from the propagation model);
+* ``floor_traces`` — every RSSI sample of every floor trace a
+  compressed house home records (its classifier-training walks and the
+  live stair traces, some of which a post-stair teleport interrupts),
+  then the training-trace features of one house pool template build.
 
 Guard runs digest the guard's command-event stream plus the final sim
 clock; loadtest cells add the cell row and its metrics snapshot, and
@@ -34,8 +38,10 @@ import json
 import pathlib
 from typing import Callable, Dict
 
-from repro.experiments import fleet, loadtest, scenarios, synthesis
+from repro.core.floor import TraceClassifier
+from repro.experiments import fleet, loadtest, pool, scenarios, synthesis
 from repro.experiments import workload as workload_module
+from repro.home.devices import MobileDevice
 from repro.net.packet import Packet
 from repro.speakers.base import reset_interaction_ids
 
@@ -50,6 +56,7 @@ LOADTEST_UTTERANCES = 8
 FLEET_HOMES = 2
 FAST_FLEET_HOMES = 512
 FAST_FLEET_CHUNK = 128
+FLOOR_TRACE_POOL_KEY = ("house", 0, 1.0, 1, "smartphone")
 
 
 def guard_digest(scenario, extra: bytes = b"") -> str:
@@ -157,6 +164,45 @@ def fleet_fast() -> str:
                         fidelity="fast", seed=505)
 
 
+def floor_traces() -> str:
+    """SHA-256 over every floor-trace sample of a compressed house home,
+    then the training features one house pool template build fits.
+
+    ``MobileDevice.record_trace`` and ``TraceClassifier.fit`` are
+    wrapped for the duration of the run: each finished trace adds its
+    samples' ``(rssi, time, beacon, scanner)`` fields, each fit its
+    ``label -> [(slope, intercept), ...]`` training set.  The template
+    is built without the calibration/training memos, so its training
+    walks really run.
+    """
+    digest = hashlib.sha256()
+    real_record = MobileDevice.record_trace
+    real_fit = TraceClassifier.fit
+
+    def record_trace(device, beacon, callback, *args, **kwargs):
+        def observed(samples):
+            for s in samples:
+                digest.update(repr((s.rssi, s.time, s.beacon_name, s.scanner_name)).encode())
+            callback(samples)
+        real_record(device, beacon, observed, *args, **kwargs)
+
+    def fit(classifier, training):
+        digest.update(repr(sorted(
+            (label, [(f.slope, f.intercept) for f in features])
+            for label, features in training.items())).encode())
+        real_fit(classifier, training)
+
+    MobileDevice.record_trace = record_trace
+    TraceClassifier.fit = fit
+    try:
+        digest.update(_guard_home(101, COMPRESSED_COUNTS).encode())
+        pool.ScenarioPool(use_memos=False).template(FLOOR_TRACE_POOL_KEY)
+    finally:
+        MobileDevice.record_trace = real_record
+        TraceClassifier.fit = real_fit
+    return digest.hexdigest()
+
+
 RUNS: Dict[str, Callable[[], str]] = {
     "compressed": compressed,
     "sevenday": sevenday,
@@ -164,6 +210,7 @@ RUNS: Dict[str, Callable[[], str]] = {
     **{f"loadtest.{mode}": _loadtest_cell(mode) for mode in loadtest.MODES},
     "fleet_full": fleet_full,
     "fleet_fast": fleet_fast,
+    "floor_traces": floor_traces,
 }
 
 

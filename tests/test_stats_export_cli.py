@@ -179,3 +179,24 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+
+def _subcommands():
+    import argparse
+
+    from repro.__main__ import build_parser
+    actions = build_parser()._subparsers._group_actions
+    return sorted(name for action in actions
+                  if isinstance(action, argparse._SubParsersAction)
+                  for name in action.choices)
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_every_subcommand_help_renders(command, capsys):
+    # argparse %-formats help strings when it renders them, so a bare
+    # "%" in one (e.g. "1% criteria") crashes --help with a TypeError.
+    from repro.__main__ import main
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert "usage:" in capsys.readouterr().out
