@@ -24,7 +24,7 @@ def main() -> None:
     parser.add_argument("--output", default="reproduction_report.txt")
     args = parser.parse_args()
 
-    report = generate_report(scale=args.scale, seed=args.seed)
+    report = generate_report(scale=args.scale, seed=args.seed, progress=print)
     text = report.render()
     output = pathlib.Path(args.output)
     output.write_text(text, encoding="utf-8")

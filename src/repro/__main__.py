@@ -20,6 +20,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 
@@ -27,6 +28,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import generate_report
 
     report = generate_report(scale=args.scale, seed=args.seed,
+                             progress=functools.partial(print, file=sys.stderr),
                              workers=args.workers,
                              use_cache=not args.no_cache)
     print(report.render())
@@ -117,8 +119,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         fidelity=args.fidelity,
         population=population,
     )
-    result = run_fleet(config, workers=args.workers, window=args.window,
-                       progress=True if args.progress else None)
+    result = run_fleet(config, workers=args.workers, progress=args.progress)
     print(result.render())
     print(result.render_throughput(), file=sys.stderr)
     if args.output:
@@ -138,7 +139,7 @@ def _cmd_fleet_validate(args: argparse.Namespace) -> int:
         shards=args.shards,
         seed=args.seed,
         workers=args.workers,
-        progress=True if args.progress else None,
+        progress=args.progress,
     )
     print(result.render())
     print(result.render_throughput(), file=sys.stderr)
@@ -158,6 +159,8 @@ def _cmd_fleet_validate(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.experiments.parallel import cache_stats, prune_cache
 
+    if args.keep_days is not None and not args.prune:
+        args.parser.error("--keep-days only applies with --prune")
     if args.prune:
         report = prune_cache(cache_dir=args.cache_dir,
                              keep_days=args.keep_days)
@@ -262,6 +265,14 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 1
 
 
+def _days(text: str) -> float:
+    """A ``--keep-days`` value: a non-negative number of days."""
+    value = float(text)
+    if not value >= 0.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be >= 0 days, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse parser for ``python -m repro``."""
     parser = argparse.ArgumentParser(
@@ -322,9 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fraction of homes the campaign reaches")
     fleet.add_argument("--progress", action="store_true",
                        help="counted progress on stderr: homes done, "
-                            "homes/sec, ETA (fed by chunk metrics)")
-    fleet.add_argument("--window", type=int, default=None,
-                       help="max in-flight pool tasks (default 4x workers)")
+                            "homes/sec, ETA")
     fleet.add_argument("--output", default=None,
                        help="also write the fleet tables here")
     fleet.set_defaults(func=_cmd_fleet)
@@ -353,12 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("--prune", action="store_true",
                        help="delete cache entries (all, or older than "
                             "--keep-days) and report bytes reclaimed")
-    cache.add_argument("--keep-days", type=float, default=None,
+    cache.add_argument("--keep-days", type=_days, default=None,
                        help="with --prune: keep entries younger than this")
     cache.add_argument("--cache-dir", default=None,
                        help="cache location (default $REPRO_CACHE_DIR or "
                             "~/.cache/repro/experiments)")
-    cache.set_defaults(func=_cmd_cache)
+    cache.set_defaults(func=_cmd_cache, parser=cache)
 
     endurance = sub.add_parser("endurance", parents=[common, parallel],
                                help="hold-endurance sweep")

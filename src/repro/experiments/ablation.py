@@ -167,8 +167,6 @@ def run_defense_matrix(
     legit_trials: int = 8,
     workers: int = 1,
     use_cache: bool = False,
-    cache_dir=None,
-    progress=None,
 ) -> DefenseMatrixResult:
     """VoiceGuard vs voice-match vs no defense, full attack gallery.
 
@@ -183,8 +181,7 @@ def run_defense_matrix(
         )
         for defense in ("none", "voice_match", "voiceguard")
     ]
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache,
-                              cache_dir=cache_dir, progress=progress)
+    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
     result = DefenseMatrixResult()
     for arm in engine.run(tasks):
         result.absorb(arm)
@@ -221,8 +218,6 @@ def run_floor_ablation(
     malicious: int = 40,
     workers: int = 1,
     use_cache: bool = False,
-    cache_dir=None,
-    progress=None,
 ) -> FloorAblationResult:
     common = dict(seed=seed, legit_count=legit, malicious_count=malicious)
     tasks = [
@@ -232,8 +227,7 @@ def run_floor_ablation(
                        kwargs=dict(common, with_floor_tracking=False),
                        label="floor/tracking-off"),
     ]
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache,
-                              cache_dir=cache_dir, progress=progress)
+    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
     with_tracking, without = engine.run(tasks)
     return FloorAblationResult(with_tracking=with_tracking, without_tracking=without)
 
@@ -295,8 +289,6 @@ def run_signature_ablation(
     commands: int = 25,
     workers: int = 1,
     use_cache: bool = False,
-    cache_dir=None,
-    progress=None,
 ) -> SignatureAblationResult:
     """Measure guarded-command coverage with and without signatures.
 
@@ -311,8 +303,7 @@ def run_signature_ablation(
                        label=f"signature/{'on' if use_signature else 'off'}")
         for use_signature in (True, False)
     ]
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache,
-                              cache_dir=cache_dir, progress=progress)
+    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
     with_sig, without_sig = engine.run(tasks)
     return SignatureAblationResult(
         reconnects=with_sig["reconnects"],
@@ -397,8 +388,6 @@ def run_firewall_comparison(
     commands: int = 20,
     workers: int = 1,
     use_cache: bool = False,
-    cache_dir=None,
-    progress=None,
 ) -> FirewallComparisonResult:
     """Mixed-workload UX under the proxy vs under a firewall.
 
@@ -414,8 +403,7 @@ def run_firewall_comparison(
         ExperimentTask(fn=_run_firewall_arm, args=(seed + 1, commands),
                        label="firewall-comparison/firewall"),
     ]
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache,
-                              cache_dir=cache_dir, progress=progress)
+    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
     proxy_stats, firewall_stats = engine.run(tasks)
 
     return FirewallComparisonResult(

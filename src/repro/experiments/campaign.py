@@ -119,8 +119,6 @@ def run_campaign(
     seed: int = 200,
     workers: int = 1,
     use_cache: bool = False,
-    cache_dir=None,
-    progress=None,
 ) -> CampaignResult:
     """Run the campaign against ``homes`` protected and ``homes``
     unprotected households.
@@ -140,6 +138,5 @@ def run_campaign(
                 label=f"campaign/home{index}/"
                       f"{'guarded' if protected else 'unprotected'}",
             ))
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache,
-                              cache_dir=cache_dir, progress=progress)
+    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
     return CampaignResult(homes=engine.run(tasks))

@@ -16,11 +16,12 @@ Architecture — built for constant memory and maximum homes/sec:
   homes and returns a single folded :class:`FleetAccumulator` payload,
   amortizing submit/pickle/IPC overhead that would otherwise dominate.
 * Aggregation is **streaming**: chunk payloads fold into per-testbed
-  integer counters, a mergeable :class:`~repro.obs.metrics.QuantileSketch`
-  for latency percentiles, and a
-  :func:`~repro.obs.metrics.merge_snapshots` metrics fold as futures
-  complete (:meth:`ExperimentEngine.run_fold`, bounded in-flight
-  window) — peak memory is independent of fleet size.
+  integer counters and a mergeable
+  :class:`~repro.obs.metrics.QuantileSketch` for latency percentiles as
+  futures complete (:meth:`ExperimentEngine.run_fold`, at most
+  ``4 * workers`` chunks in flight) — peak memory is independent of
+  fleet size.  Each home outcome is counted once, in
+  :class:`FleetAccumulator`.
 * Every quantity a fleet table renders is a pure function of integer
   counts, so the table is byte-identical across worker counts, chunk
   sizes, and shard orderings.
@@ -61,12 +62,7 @@ from repro.experiments.synthesis import (
     fleet_world,
     warm_worlds,
 )
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_EDGES,
-    MetricsRegistry,
-    QuantileSketch,
-    merge_snapshots,
-)
+from repro.obs.metrics import QuantileSketch
 
 FIDELITIES = ("fast", "full")
 
@@ -338,17 +334,15 @@ def _sketch_add_array(sketch: QuantileSketch, values_us: np.ndarray) -> None:
 class FleetAccumulator:
     """Constant-memory fold target for a streaming fleet run.
 
-    Holds per-testbed integer counters, a per-testbed mergeable
-    latency sketch, and a merged metrics snapshot — never a per-home
-    result.  ``merge_payload`` is commutative and associative over the
-    integer state, which is what makes fleet tables independent of
-    completion order.
+    Holds per-testbed integer counters and a per-testbed mergeable
+    latency sketch — never a per-home result.  ``merge_payload`` is
+    commutative and associative over the integer state, which is what
+    makes fleet tables independent of completion order.
     """
 
     def __init__(self) -> None:
         self.per_testbed: Dict[str, Dict[str, int]] = {}
         self.sketches: Dict[str, QuantileSketch] = {}
-        self.metrics: Optional[dict] = None
 
     # -- in-worker accumulation -----------------------------------------
     def _bucket(self, testbed: str) -> Dict[str, int]:
@@ -380,7 +374,6 @@ class FleetAccumulator:
                             for name, counts in self.per_testbed.items()},
             "sketches": {name: sketch.to_dict()
                          for name, sketch in self.sketches.items()},
-            "metrics": self.metrics,
         }
 
     def merge_payload(self, payload: dict) -> "FleetAccumulator":
@@ -391,8 +384,6 @@ class FleetAccumulator:
         for name, sketch_payload in payload["sketches"].items():
             self._bucket(name)  # ensure the sketch exists
             self.sketches[name].merge(QuantileSketch.from_dict(sketch_payload))
-        if payload.get("metrics"):
-            self.metrics = merge_snapshots([self.metrics, payload["metrics"]])
         return self
 
     # -- fleet-level views ----------------------------------------------
@@ -463,15 +454,6 @@ def run_fleet_chunk(config: FleetConfig, shard: int, lo: int, hi: int) -> dict:
     matter how many homes the chunk covers.
     """
     accumulator = FleetAccumulator()
-    registry = MetricsRegistry()
-    scope = registry.scope("fleet")
-    homes_counter = scope.counter("homes")
-    decisions_counter = scope.counter("decisions")
-    timeouts_counter = scope.counter("timeouts")
-    false_block_counter = scope.counter("false_blocks")
-    blocked_counter = scope.counter("attacks_blocked")
-    latency_hist = scope.histogram("decision_latency", DEFAULT_LATENCY_EDGES)
-
     # simulate_home_full is looked up per call so that a wrapper
     # installed on the module (e.g. a benchmark audit) sees every home.
     simulate = simulate_home if config.fidelity == "fast" else simulate_home_full
@@ -479,35 +461,8 @@ def run_fleet_chunk(config: FleetConfig, shard: int, lo: int, hi: int) -> dict:
     for offset in range(lo, hi):
         spec = config.population.home(config.seed, shard, offset,
                                       start_index + offset)
-        summary = simulate(spec)
-        accumulator.add_home(summary)
-        homes_counter.inc()
-        decisions_counter.inc(summary.decisions)
-        timeouts_counter.inc(summary.timeouts)
-        false_block_counter.inc(summary.false_blocks)
-        blocked_counter.inc(summary.attacks_blocked)
-        _histogram_add_array(latency_hist, summary.latencies_us)
-    accumulator.metrics = registry.snapshot()
+        accumulator.add_home(simulate(spec))
     return accumulator.to_payload()
-
-
-def _histogram_add_array(hist, values_us: np.ndarray) -> None:
-    """Vectorized bulk-record of microsecond latencies (as seconds)."""
-    if values_us.size == 0:
-        return
-    seconds = np.asarray(values_us, dtype=np.float64) / 1e6
-    slots = np.searchsorted(np.asarray(hist.edges), seconds, side="left")
-    counts = np.bincount(slots, minlength=len(hist.counts))
-    for i, n in enumerate(counts):
-        hist.counts[i] += int(n)
-    hist.count += int(seconds.size)
-    hist.total += float(seconds.sum())
-    mn = float(seconds.min())
-    mx = float(seconds.max())
-    if mn < hist.min:
-        hist.min = mn
-    if mx > hist.max:
-        hist.max = mx
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +472,8 @@ def _histogram_add_array(hist, values_us: np.ndarray) -> None:
 class FleetProgressMeter:
     """Counted progress for a streaming fleet run.
 
-    Reads each folded chunk's ``fleet.homes`` counter from its
-    ``obs.metrics`` snapshot (every chunk carries one) and reports
-    homes done, instantaneous throughput, and the ETA implied by the
+    Counts each folded chunk's homes from its ``per_testbed`` counts
+    and reports homes done, throughput, and the ETA implied by the
     mean rate so far.  Emission is rate-limited so a million-home fast
     run doesn't drown stderr; the final update always emits.
     """
@@ -528,12 +482,6 @@ class FleetProgressMeter:
                  min_interval: float = 0.5) -> None:
         self.total = total_homes
         self.done = 0
-        # Chunks whose payload carried no metrics snapshot.  The folded
-        # snapshot's collect_metric_snapshots logs a counted warning for
-        # these; the live progress line surfaces the same count so an
-        # operator watching a long run sees the under-reporting as it
-        # happens, not in a log file afterwards.
-        self.missing_metrics = 0
         self.emit = emit if emit is not None else self._default_emit
         self.min_interval = min_interval
         self.start = time.perf_counter()
@@ -545,20 +493,10 @@ class FleetProgressMeter:
 
         print(message, file=sys.stderr, flush=True)
 
-    def _chunk_homes(self, payload: dict) -> int:
-        metrics = payload.get("metrics")
-        if not isinstance(metrics, dict):
-            self.missing_metrics += 1
-            metrics = {}
-        homes = metrics.get("counters", {}).get("fleet.homes")
-        if homes is None:  # metrics-free payload: fall back to counts
-            homes = sum(counts.get("homes", 0)
-                        for counts in payload.get("per_testbed", {}).values())
-        return int(homes)
-
     def update(self, payload: dict) -> None:
         """Fold one chunk's payload into the meter, maybe emitting."""
-        self.done += self._chunk_homes(payload)
+        self.done += sum(counts["homes"]
+                         for counts in payload["per_testbed"].values())
         now = time.perf_counter()
         final = self.done >= self.total
         if not final and now - self._last_emit < self.min_interval:
@@ -568,14 +506,10 @@ class FleetProgressMeter:
         rate = self.done / elapsed
         remaining = max(self.total - self.done, 0)
         eta = remaining / rate if rate > 0 else float("inf")
-        warning = (
-            f" [{self.missing_metrics} chunks w/o metrics]"
-            if self.missing_metrics else ""
-        )
         self.emit(
             f"fleet: {self.done}/{self.total} homes "
             f"({self.done / self.total:.0%}) — {rate:,.0f} homes/sec, "
-            f"ETA {eta:,.0f}s{warning}"
+            f"ETA {eta:,.0f}s"
         )
 
 
@@ -659,24 +593,21 @@ class FleetResult:
 def run_fleet(
     config: FleetConfig,
     workers: int = 1,
-    progress=None,
+    progress: bool = False,
     shard_order: Optional[List[int]] = None,
-    window: Optional[int] = None,
 ) -> FleetResult:
     """Stream a fleet through the experiment engine.
 
-    Chunk payloads fold as futures complete, with at most ``window``
-    tasks in flight (default ``4 * workers``), so memory stays bounded
-    at any fleet size.
+    Chunk payloads fold as futures complete, with at most
+    ``4 * workers`` tasks in flight, so memory stays bounded at any
+    fleet size.  Chunks are never cached: a million per-chunk entries
+    would cost more to read back than to recompute.
 
     ``progress=True`` attaches a :class:`FleetProgressMeter` (counted
-    homes done / homes-per-sec / ETA on stderr, fed by each chunk's
-    metrics snapshot); a callable instead receives the engine's
-    task progress messages, the pre-meter behaviour.
+    homes done / homes-per-sec / ETA on stderr).
     """
-    meter = FleetProgressMeter(config.homes) if progress is True else None
-    engine = ExperimentEngine(workers=workers, use_cache=False,
-                              progress=progress if callable(progress) else None)
+    meter = FleetProgressMeter(config.homes) if progress else None
+    engine = ExperimentEngine(workers=workers, use_cache=False)
     start = time.perf_counter()
     if config.fidelity == "fast":
         # Build every world bucket before the pool forks: children
@@ -687,7 +618,6 @@ def run_fleet(
             fn=run_fleet_chunk,
             args=(config, shard, lo, hi),
             label=f"fleet/s{shard}/{lo}-{hi}",
-            cacheable=False,
         )
         for shard, lo, hi in config.iter_chunks(shard_order=shard_order)
     )
@@ -699,7 +629,7 @@ def run_fleet(
         return accumulator
 
     accumulator, chunks = engine.run_fold(
-        task_stream, fold, initial=FleetAccumulator(), window=window,
+        task_stream, fold, initial=FleetAccumulator(),
     )
     elapsed = time.perf_counter() - start
     return FleetResult(

@@ -209,7 +209,7 @@ def run_fleet_validate(
     seed: int = 0,
     workers: int = 1,
     population: Optional[PopulationModel] = None,
-    progress=None,
+    progress: bool = False,
 ) -> FleetValidationResult:
     """Stream one population through both fidelities and compare."""
     population = population if population is not None else PopulationModel()

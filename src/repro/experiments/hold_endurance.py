@@ -126,8 +126,6 @@ def run_hold_endurance(
     seed: int = 29,
     workers: int = 1,
     use_cache: bool = False,
-    cache_dir=None,
-    progress=None,
 ) -> HoldEnduranceResult:
     """Sweep hold durations for the proxy and a silent-drop actuator.
 
@@ -144,6 +142,5 @@ def run_hold_endurance(
                 kwargs=dict(use_proxy_hold=use_proxy_hold, seed=arm_seed),
                 label=f"hold/{actuator}/{hold_seconds:g}s",
             ))
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache,
-                              cache_dir=cache_dir, progress=progress)
+    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
     return HoldEnduranceResult(trials=engine.run(tasks))

@@ -285,8 +285,6 @@ def run_loadtest(
     utterances: Optional[int] = None,
     workers: int = 1,
     use_cache: bool = False,
-    cache_dir=None,
-    progress=None,
 ) -> LoadtestResult:
     """Run the grid through the parallel engine.
 
@@ -321,7 +319,6 @@ def run_loadtest(
     add(stress_speakers, stress_rate, "strict")
     add(stress_speakers, stress_rate, "degraded")
 
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache,
-                              cache_dir=cache_dir, progress=progress)
+    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
     cells = engine.run(tasks)
     return LoadtestResult(cells=list(cells), seed=seed)

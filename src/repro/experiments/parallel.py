@@ -9,10 +9,13 @@ result.  This module provides that executor:
 
 * :class:`ExperimentTask` — a picklable unit of work (a module-level
   callable plus its arguments) with a stable content-addressed key.
-* :class:`ExperimentEngine` — runs a batch of tasks either serially
-  (``workers=1``, byte-identical to calling the functions in a loop)
-  or on a ``ProcessPoolExecutor``, preserving submission order in the
-  returned results.
+* :class:`ExperimentEngine` — one streaming loop,
+  :meth:`~ExperimentEngine.run_fold`, folds each task's result as it
+  completes, either serially (``workers=1``, byte-identical to calling
+  the functions in a loop) or on a ``ProcessPoolExecutor`` with a
+  bounded number of tasks in flight.  :meth:`~ExperimentEngine.run` is
+  that loop with a fold that stores each result at its submission
+  index.
 * :func:`derive_seed` — deterministic seed derivation per task from a
   base seed and arbitrary labels (SHA-256 based, so stable across
   processes, platforms and Python hash randomization).
@@ -27,10 +30,12 @@ flight, rather than hanging the run.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import dataclasses
 import enum
 import hashlib
+import itertools
 import logging
 import multiprocessing
 import os
@@ -120,19 +125,12 @@ class ExperimentTask:
     ``fn`` must be importable by name (no lambdas/closures) so the task
     can cross a process boundary; its arguments and return value must
     be picklable.
-
-    ``cacheable=False`` opts a task out of the on-disk result cache
-    entirely — no lookup, no write — even when the engine runs with
-    ``use_cache=True``.  Fleet workloads set it: a million per-chunk
-    cache entries would turn the content-addressed cache into a disk
-    leak for results that are cheaper to recompute than to read back.
     """
 
     fn: Callable[..., Any]
     args: Tuple[object, ...] = ()
     kwargs: Dict[str, object] = field(default_factory=dict)
     label: str = ""
-    cacheable: bool = True
 
     def __post_init__(self) -> None:
         if not self.label:
@@ -154,7 +152,6 @@ class TaskTiming:
     label: str
     elapsed: float
     cache_hit: bool = False
-    workers: int = 1
 
     @property
     def source(self) -> str:
@@ -239,13 +236,17 @@ def _pool_invoke(fn: Callable[..., Any], args: tuple, kwargs: dict) -> Tuple[obj
     return value, time.perf_counter() - start
 
 
+# Marks a task the cache could not serve (a cached result may be None).
+_MISS = object()
+
+
 class ExperimentEngine:
     """Fans independent experiment tasks out over a process pool.
 
     ``workers=1`` (the default) executes in-process, in submission
     order — byte-identical to the historical serial loops.  ``workers=0``
-    means "one per CPU".  Results always come back in submission order
-    regardless of completion order.
+    means "one per CPU".  :meth:`run` returns results in submission
+    order regardless of completion order.
     """
 
     def __init__(
@@ -263,39 +264,52 @@ class ExperimentEngine:
         self.progress = progress
         self.timings: List[TaskTiming] = []
         self.cache_hits = 0
-        self.cache_misses = 0
 
     # -- cache -------------------------------------------------------------
     def _cache_path(self, task: ExperimentTask) -> pathlib.Path:
         name = getattr(task.fn, "__name__", "task")
         return self.cache_dir / f"{name}-{task.cache_key()[:40]}.pkl"
 
-    def _cache_load(self, task: ExperimentTask) -> Tuple[bool, object]:
+    def _cached(self, task: ExperimentTask) -> object:
+        """The task's cached result (counted, timed, reported), else ``_MISS``."""
+        if not self.use_cache:
+            return _MISS
         path = self._cache_path(task)
         if not path.exists():
-            return False, None
+            return _MISS
         try:
             with path.open("rb") as handle:
-                return True, pickle.load(handle)
+                value = pickle.load(handle)
         except Exception:
             # Corrupt or unreadable entry: drop it and recompute.
             try:
                 path.unlink()
             except OSError:
                 pass
-            return False, None
+            return _MISS
+        self.cache_hits += 1
+        self.timings.append(TaskTiming(task.label, 0.0, cache_hit=True))
+        self._emit(f"cached {task.label}")
+        return value
 
     def _cache_store(self, task: ExperimentTask, value: object) -> None:
+        path = self._cache_path(task)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            path = self._cache_path(task)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
             with tmp.open("wb") as handle:
                 pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
-        except (OSError, pickle.PicklingError):
-            # Caching is best-effort; an unwritable cache never fails a run.
-            pass
+        except Exception as exc:
+            # Caching is best-effort: an unwritable cache or an unpicklable
+            # result (pickle raises TypeError for a lock, AttributeError
+            # for a local object) never fails a run or leaves a spill
+            # file behind.
+            log.warning("not caching %s: %r", task.label, exc)
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
 
     # -- progress ----------------------------------------------------------
     def _emit(self, message: str) -> None:
@@ -306,40 +320,23 @@ class ExperimentEngine:
     def run(self, tasks: Sequence[ExperimentTask]) -> List[object]:
         """Execute ``tasks``; returns their results in submission order."""
         tasks = list(tasks)
-        results: List[object] = [None] * len(tasks)
-        pending: List[int] = []
+        # Submission indices per task object, so a task listed twice
+        # fills both of its slots.
+        slots: Dict[int, collections.deque] = {}
         for index, task in enumerate(tasks):
-            if self.use_cache and task.cacheable:
-                hit, value = self._cache_load(task)
-                if hit:
-                    results[index] = value
-                    self.cache_hits += 1
-                    self.timings.append(TaskTiming(task.label, 0.0, cache_hit=True,
-                                                   workers=self.workers))
-                    self._emit(f"cached {task.label}")
-                    continue
-                self.cache_misses += 1
-            pending.append(index)
+            slots.setdefault(id(task), collections.deque()).append(index)
 
-        if self.workers <= 1 or len(pending) <= 1:
-            self._run_serial(tasks, pending, results)
-        else:
-            self._run_pool(tasks, pending, results)
+        def store(results: List[object], value: object, task: ExperimentTask):
+            results[slots[id(task)].popleft()] = value
+            return results
+
+        results, _ = self.run_fold(tasks, store, [None] * len(tasks))
         return results
 
     def _finish(self, task: ExperimentTask, value: object, elapsed: float) -> None:
-        self.timings.append(TaskTiming(task.label, elapsed, workers=self.workers))
-        if self.use_cache and task.cacheable:
+        self.timings.append(TaskTiming(task.label, elapsed))
+        if self.use_cache:
             self._cache_store(task, value)
-
-    def _run_serial(self, tasks, pending, results) -> None:
-        for index in pending:
-            task = tasks[index]
-            self._emit(f"running {task.label}...")
-            start = time.perf_counter()
-            value = task.execute()
-            results[index] = value
-            self._finish(task, value, time.perf_counter() - start)
 
     def _make_pool(self, width: int) -> concurrent.futures.ProcessPoolExecutor:
         # Fork start-up is near-free and inherits imported modules; fall
@@ -351,49 +348,11 @@ class ExperimentEngine:
             max_workers=width, mp_context=context,
         )
 
-    def _run_pool(self, tasks, pending, results) -> None:
-        pool = self._make_pool(min(self.workers, len(pending)))
-        futures = {}
-        try:
-            for index in pending:
-                task = tasks[index]
-                self._emit(f"running {task.label}...")
-                futures[pool.submit(_pool_invoke, task.fn, task.args,
-                                    dict(task.kwargs))] = index
-            done = 0
-            while futures:
-                ready, _ = concurrent.futures.wait(
-                    futures, return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                for future in ready:
-                    # Dropping the future releases the engine's handle on
-                    # the pickled result as soon as it lands in `results`.
-                    index = futures.pop(future)
-                    task = tasks[index]
-                    try:
-                        value, elapsed = future.result()
-                    except concurrent.futures.process.BrokenProcessPool as exc:
-                        raise ExperimentError(
-                            f"worker crashed while running {task.label!r} "
-                            f"(pool of {self.workers} broken): {exc}"
-                        ) from exc
-                    results[index] = value
-                    self._finish(task, value, elapsed)
-                    done += 1
-                    self._emit(f"finished {task.label} "
-                               f"({done}/{len(pending)}, {elapsed:.1f}s)")
-        finally:
-            # cancel_futures stops queued tasks after a failure; waiting
-            # joins the workers so nothing lingers past the run.
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    # -- streaming execution ------------------------------------------------
     def run_fold(
         self,
         tasks: Iterable[ExperimentTask],
         fold: Callable[[Any, object, ExperimentTask], Any],
         initial: Any = None,
-        window: Optional[int] = None,
     ) -> Tuple[Any, int]:
         """Stream ``tasks`` through the engine with constant memory.
 
@@ -401,110 +360,90 @@ class ExperimentEngine:
         chunks never materializes a task list, and each completed
         result is folded into the accumulator via
         ``fold(accumulator, result, task)`` and then *released*: the
-        engine holds at most ``window`` tasks in flight (default
-        ``4 * workers``) and never a list of task results.
+        engine holds at most ``4 * workers`` tasks in flight and never
+        a list of task results.
 
         Returns ``(accumulator, task_count)``.
 
-        Serially (``workers=1``) results fold in submission order; on a
-        pool they fold in *completion* order, so ``fold`` must be
+        A pool starts only once two tasks miss the cache, and is never
+        wider than the misses it has seen (up to ``workers``); otherwise
+        every task runs in-process, folding in submission order.  On a
+        pool results fold in *completion* order, so ``fold`` must be
         commutative and associative for the outcome to be independent
-        of worker count — the fleet reducers (integer counters,
-        mergeable sketches, :func:`repro.obs.metrics.merge_snapshots`)
-        all are.
-
-        Raises :class:`ExperimentError` for a ``window`` below one.
+        of worker count — the fleet reducers (integer counters and
+        mergeable sketches) and :meth:`run`'s indexed store all are.
         """
-        if window is not None and window < 1:
-            raise ExperimentError(f"window must be >= 1, got {window!r}")
         accumulator = initial
         count = 0
-        iterator: Iterator[ExperimentTask] = iter(tasks)
+        queue: Iterator[Tuple[ExperimentTask, object]] = (
+            (task, self._cached(task)) for task in tasks)
+        width = 0
+        if self.workers > 1:
+            # Read ahead until ``workers`` tasks have missed the cache;
+            # the misses seen so far are the pool's width.
+            ahead = []
+            for item in queue:
+                ahead.append(item)
+                width += item[1] is _MISS
+                if width == self.workers:
+                    break
+            queue = itertools.chain(ahead, queue)
 
-        if self.workers <= 1:
-            for task in iterator:
-                value = self._fold_one_serial(task)
+        if width < 2:
+            for task, value in queue:
+                if value is _MISS:
+                    self._emit(f"running {task.label}...")
+                    start = time.perf_counter()
+                    value = task.execute()
+                    self._finish(task, value, time.perf_counter() - start)
                 accumulator = fold(accumulator, value, task)
                 count += 1
             return accumulator, count
 
-        window = window or 4 * self.workers
-        pool = self._make_pool(self.workers)
+        window = 4 * self.workers
+        pool = self._make_pool(width)
         in_flight: Dict[concurrent.futures.Future, ExperimentTask] = {}
         try:
             while True:
                 # Top up to the backpressure window; cache hits fold
                 # immediately without occupying a slot.
-                while len(in_flight) < window:
-                    task = next(iterator, None)
-                    if task is None:
-                        break
-                    if self.use_cache and task.cacheable:
-                        hit, value = self._cache_load(task)
-                        if hit:
-                            self.cache_hits += 1
-                            self.timings.append(TaskTiming(
-                                task.label, 0.0, cache_hit=True,
-                                workers=self.workers))
-                            accumulator = fold(accumulator, value, task)
-                            count += 1
-                            continue
-                        self.cache_misses += 1
+                for task, value in queue:
+                    if value is not _MISS:
+                        accumulator = fold(accumulator, value, task)
+                        count += 1
+                        continue
                     self._emit(f"running {task.label}...")
                     in_flight[pool.submit(_pool_invoke, task.fn, task.args,
                                           dict(task.kwargs))] = task
+                    if len(in_flight) >= window:
+                        break
                 if not in_flight:
                     break
                 ready, _ = concurrent.futures.wait(
                     in_flight, return_when=concurrent.futures.FIRST_COMPLETED,
                 )
                 for future in ready:
+                    # Dropping the future releases the engine's handle on
+                    # the pickled result as soon as it is folded.
                     task = in_flight.pop(future)
                     try:
                         value, elapsed = future.result()
                     except concurrent.futures.process.BrokenProcessPool as exc:
                         raise ExperimentError(
                             f"worker crashed while running {task.label!r} "
-                            f"(pool of {self.workers} broken): {exc}"
+                            f"(pool of {width} broken): {exc}"
                         ) from exc
                     self._finish(task, value, elapsed)
                     accumulator = fold(accumulator, value, task)
                     count += 1
-                    self._emit(f"folded {task.label} ({count} done, "
+                    self._emit(f"finished {task.label} ({count} done, "
                                f"{elapsed:.1f}s)")
                     del value
         finally:
+            # cancel_futures stops queued tasks after a failure; waiting
+            # joins the workers so nothing lingers past the run.
             pool.shutdown(wait=True, cancel_futures=True)
         return accumulator, count
-
-    def _fold_one_serial(self, task: ExperimentTask) -> object:
-        if self.use_cache and task.cacheable:
-            hit, value = self._cache_load(task)
-            if hit:
-                self.cache_hits += 1
-                self.timings.append(TaskTiming(task.label, 0.0, cache_hit=True,
-                                               workers=self.workers))
-                self._emit(f"cached {task.label}")
-                return value
-            self.cache_misses += 1
-        self._emit(f"running {task.label}...")
-        start = time.perf_counter()
-        value = task.execute()
-        self._finish(task, value, time.perf_counter() - start)
-        return value
-
-
-def run_tasks(
-    tasks: Sequence[ExperimentTask],
-    workers: int = 1,
-    use_cache: bool = False,
-    cache_dir: Optional[os.PathLike] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[object]:
-    """One-shot convenience: build an engine, run, return the results."""
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache,
-                              cache_dir=cache_dir, progress=progress)
-    return engine.run(tasks)
 
 
 def collect_metric_snapshots(results: Sequence[object]) -> List[dict]:

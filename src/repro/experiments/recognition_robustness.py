@@ -229,8 +229,6 @@ def run_recognition_robustness(
     eval_windows: Optional[int] = None,
     workers: int = 1,
     use_cache: bool = False,
-    cache_dir=None,
-    progress=None,
 ) -> RecognitionRobustnessResult:
     """Run the grid through the parallel engine.
 
@@ -273,7 +271,6 @@ def run_recognition_robustness(
             for kind in adaptive_kinds:
                 add(speaker, kind, adversary, adaptive=True)
 
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache,
-                              cache_dir=cache_dir, progress=progress)
+    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
     cells = engine.run(tasks)
     return RecognitionRobustnessResult(cells=list(cells), seed=seed)

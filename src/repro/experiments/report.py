@@ -184,10 +184,9 @@ def report_section_specs(scale: float, seed: int) -> List[SectionSpec]:
 def generate_report(
     scale: float = 0.3,
     seed: int = 3,
-    progress: Optional[Callable[[str], None]] = print,
+    progress: Optional[Callable[[str], None]] = None,
     workers: int = 1,
     use_cache: bool = False,
-    cache_dir=None,
 ) -> ReproductionReport:
     """Regenerate every paper table and figure.
 
@@ -195,12 +194,14 @@ def generate_report(
     paper scale, ~30 s of wall-clock; 0.3 ≈ a third of the commands in
     a few seconds).  ``workers`` regenerates sections on a process
     pool; the section texts are identical to a serial run.
+    ``progress``, when given, receives the engine's per-section
+    "running"/"finished" lines (the CLI sends them to stderr).
     """
     specs = report_section_specs(scale, seed)
     tasks = [ExperimentTask(fn=fn, kwargs=kwargs, label=name)
              for name, fn, kwargs in specs]
     engine = ExperimentEngine(workers=workers, use_cache=use_cache,
-                              cache_dir=cache_dir, progress=progress)
+                              progress=progress)
     texts = engine.run(tasks)
 
     elapsed_by_label = {timing.label: timing.elapsed for timing in engine.timings}

@@ -226,8 +226,6 @@ def run_resilience(
     policies: Sequence[str] = tuple(POLICIES),
     workers: int = 1,
     use_cache: bool = False,
-    cache_dir=None,
-    progress=None,
 ) -> ResilienceResult:
     """Run the full sweep through the parallel engine.
 
@@ -254,7 +252,6 @@ def run_resilience(
                     ),
                     label=f"resilience/{testbed}/loss{int(round(rate * 100))}/{policy}",
                 ))
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache,
-                              cache_dir=cache_dir, progress=progress)
+    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
     cells = engine.run(tasks)
     return ResilienceResult(cells=list(cells), seed=seed)

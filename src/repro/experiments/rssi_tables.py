@@ -133,8 +133,6 @@ def run_rssi_table(
     scale: float = 1.0,
     workers: int = 1,
     use_cache: bool = False,
-    cache_dir=None,
-    progress=None,
 ) -> RssiTableResult:
     """Run all four cells of one table.
 
@@ -159,7 +157,6 @@ def run_rssi_table(
                 ),
                 label=f"rssi/{testbed}/{speaker}/loc{deployment + 1}",
             ))
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache,
-                              cache_dir=cache_dir, progress=progress)
+    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
     cells = engine.run(tasks)
     return RssiTableResult(testbed=testbed, cells=cells)

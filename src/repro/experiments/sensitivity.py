@@ -65,8 +65,6 @@ def run_sensitivity(
     scale: int = 30,
     workers: int = 1,
     use_cache: bool = False,
-    cache_dir=None,
-    progress=None,
 ) -> SensitivityResult:
     """Sweep the RSSI margin and decision timeout.
 
@@ -97,8 +95,7 @@ def run_sensitivity(
         ))
         labels.append(("decision_timeout", timeout))
 
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache,
-                              cache_dir=cache_dir, progress=progress)
+    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
     result = SensitivityResult()
     for (parameter, value), cell in zip(labels, engine.run(tasks)):
         result.points.append(SweepPoint(

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
@@ -24,7 +25,7 @@ from repro.experiments.synthesis import (
     scale_testbed,
     warm_worlds,
 )
-from repro.obs.metrics import merge_snapshots
+from repro.obs.metrics import MetricsRegistry, merge_snapshots
 # Aliased: a module-level name starting with "test" would be collected
 # by pytest as a test item.
 from repro.radio.testbeds import testbed_by_name as build_testbed
@@ -199,25 +200,26 @@ class TestFleetAccumulator:
         assert {name: s.to_dict() for name, s in whole.sketches.items()} == \
                {name: s.to_dict() for name, s in split.sketches.items()}
 
-    def test_merge_snapshots_fold_is_associative(self, small_fleet):
-        snapshots = [p["metrics"] for p in self._payloads(small_fleet)]
+    def test_merge_snapshots_fold_is_associative(self):
+        # Fleet payloads carry no metrics snapshot; the per-run guard
+        # snapshots that non-fleet experiments fold still merge the
+        # same way one at a time as all at once.
+        rng = np.random.default_rng(5)
+        snapshots = []
+        for _ in range(6):
+            registry = MetricsRegistry()
+            scope = registry.scope("guard")
+            scope.counter("decisions").inc(int(rng.integers(0, 50)))
+            scope.counter("timeouts").inc(int(rng.integers(0, 5)))
+            latency = scope.histogram("decision_latency")
+            for value in rng.exponential(1.5, size=int(rng.integers(1, 20))):
+                latency.record(float(value))
+            snapshots.append(registry.snapshot())
         all_at_once = merge_snapshots(snapshots)
         incremental = snapshots[0]
         for snapshot in snapshots[1:]:
             incremental = merge_snapshots([incremental, snapshot])
         assert incremental == all_at_once
-
-    def test_chunk_metrics_cover_every_home(self, small_fleet):
-        payloads = self._payloads(small_fleet)
-        merged = merge_snapshots([p["metrics"] for p in payloads])
-        assert merged["counters"]["fleet.homes"] == small_fleet.homes
-        acc = FleetAccumulator()
-        for payload in payloads:
-            acc.merge_payload(payload)
-        totals = acc.totals()
-        assert merged["counters"]["fleet.decisions"] == totals["decisions"]
-        assert merged["counters"]["fleet.false_blocks"] == \
-            totals["false_blocks"]
 
     def test_total_sketch_merges_testbeds(self, small_fleet):
         acc = FleetAccumulator()

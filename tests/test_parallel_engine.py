@@ -5,6 +5,7 @@ the NaN-free table rendering that rides along with it."""
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.analysis.metrics import ConfusionMatrix
 from repro.analysis.reporting import fmt_percent, render_task_timings
 from repro.errors import ExperimentError
 from repro.experiments.parallel import (
+    CACHE_DIR_ENV,
     ExperimentEngine,
     ExperimentTask,
     code_version,
@@ -36,6 +38,10 @@ def _touch_and_square(value, marker_dir):
 
 def _crash(code):
     os._exit(code)
+
+
+def _lock():
+    return threading.Lock()
 
 
 class TestDeriveSeed:
@@ -66,6 +72,37 @@ class TestEngineBasics:
         tasks = [ExperimentTask(fn=_square, args=(i,), label=f"sq/{i}")
                  for i in range(7)]
         assert engine.run(tasks) == [i * i for i in range(7)]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_duplicated_task_fills_both_slots(self, workers):
+        shared = ExperimentTask(fn=_square, args=(5,))
+        tasks = [shared, ExperimentTask(fn=_square, args=(2,)), shared,
+                 ExperimentTask(fn=_square, args=(3,))]
+        assert ExperimentEngine(workers=workers).run(tasks) == [25, 4, 25, 9]
+
+    def test_pool_width_capped_by_pending_tasks(self, monkeypatch):
+        widths = []
+        real = ExperimentEngine._make_pool
+
+        def spy(engine, width):
+            widths.append(width)
+            return real(engine, width)
+
+        monkeypatch.setattr(ExperimentEngine, "_make_pool", spy)
+        engine = ExperimentEngine(workers=4)
+        tasks = [ExperimentTask(fn=_square, args=(i,)) for i in range(2)]
+        assert engine.run(tasks) == [0, 1]
+        assert widths == [2]
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_no_pool_for_one_pending_task(self, monkeypatch, count):
+        def forbidden(engine, width):
+            raise AssertionError("a pool started for a single task")
+
+        monkeypatch.setattr(ExperimentEngine, "_make_pool", forbidden)
+        engine = ExperimentEngine(workers=2)
+        tasks = [ExperimentTask(fn=_square, args=(7,))][:count]
+        assert engine.run(tasks) == [49][:count]
 
     def test_timings_recorded(self):
         engine = ExperimentEngine(workers=1)
@@ -141,6 +178,15 @@ class TestCache:
         again = ExperimentEngine(workers=1, use_cache=True, cache_dir=cache)
         assert again.run([task]) == [36]
 
+    def test_unpicklable_result_skips_the_cache(self, tmp_path):
+        # A result the cache cannot pickle still returns, and leaves no
+        # entry or spill file behind.
+        cache = tmp_path / "cache"
+        engine = ExperimentEngine(workers=1, use_cache=True, cache_dir=cache)
+        [result] = engine.run([ExperimentTask(fn=_lock)])
+        assert isinstance(result, type(threading.Lock()))
+        assert not cache.exists() or not list(cache.iterdir())
+
     def test_code_version_is_stable(self):
         assert code_version() == code_version()
         assert len(code_version()) == 16
@@ -182,13 +228,15 @@ class TestRssiTableParallel:
             assert a.matrix == b.matrix
             assert a.scenario_name == b.scenario_name
 
-    def test_cached_rerun_matches(self, serial, tmp_path):
+    def test_cached_rerun_matches(self, serial, tmp_path, monkeypatch):
         from repro.experiments.rssi_tables import run_rssi_table
 
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         cold = run_rssi_table("apartment", seed=7, scale=self.SCALE,
-                              use_cache=True, cache_dir=tmp_path)
+                              use_cache=True)
+        assert len(list(tmp_path.glob("*.pkl"))) == 4  # one entry per cell
         warm = run_rssi_table("apartment", seed=7, scale=self.SCALE,
-                              use_cache=True, cache_dir=tmp_path)
+                              use_cache=True)
         assert cold.render() == serial.render()
         assert warm.render() == serial.render()
 
@@ -258,8 +306,8 @@ def _triple(value):
 
 class TestRunFold:
     def _tasks(self, n):
-        return (ExperimentTask(fn=_triple, args=(i,), label=f"t{i}",
-                               cacheable=False) for i in range(n))
+        return (ExperimentTask(fn=_triple, args=(i,), label=f"t{i}")
+                for i in range(n))
 
     def test_serial_fold(self):
         engine = ExperimentEngine(workers=1, use_cache=False)
@@ -279,20 +327,24 @@ class TestRunFold:
         assert count == 20
 
     def test_pool_fold_bounded_window(self):
+        # The stream is pulled lazily: never more than 4 * workers tasks
+        # ahead of the folds.
         engine = ExperimentEngine(workers=2, use_cache=False)
-        total, count = engine.run_fold(self._tasks(12),
-                                       lambda acc, v, task: acc + v,
-                                       initial=0, window=2)
-        assert total == sum(3 * i for i in range(12))
-        assert count == 12
+        pulled = []
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("window", [0, -5])
-    def test_window_below_one_rejected(self, workers, window):
-        engine = ExperimentEngine(workers=workers, use_cache=False)
-        with pytest.raises(ExperimentError, match="window must be >= 1"):
-            engine.run_fold(self._tasks(3), lambda acc, v, task: acc + v,
-                            initial=0, window=window)
+        def stream():
+            for task in self._tasks(30):
+                pulled.append(task)
+                yield task
+
+        def fold(acc, value, task):
+            assert len(pulled) - acc[1] <= 4 * engine.workers
+            return acc[0] + value, acc[1] + 1
+
+        (total, folded), count = engine.run_fold(stream(), fold,
+                                                 initial=(0, 0))
+        assert total == sum(3 * i for i in range(30))
+        assert count == folded == 30
 
     def test_fold_receives_task(self):
         engine = ExperimentEngine(workers=1, use_cache=False)
@@ -306,33 +358,6 @@ class TestRunFold:
         engine = ExperimentEngine(workers=1, use_cache=False)
         acc, count = engine.run_fold(iter(()), lambda a, v, t: a, initial=7)
         assert (acc, count) == (7, 0)
-
-
-class TestCacheableFlag:
-    def test_uncacheable_task_never_writes(self, tmp_path):
-        marker = tmp_path / "markers"
-        marker.mkdir()
-        cache = tmp_path / "cache"
-        task = ExperimentTask(fn=_touch_and_square, args=(4, str(marker)),
-                              cacheable=False)
-        for _ in range(2):
-            engine = ExperimentEngine(workers=1, use_cache=True,
-                                      cache_dir=cache)
-            [result] = engine.run([task])
-            assert result == 16
-        assert len(list(marker.iterdir())) == 2  # executed both times
-        assert not list(cache.glob("*.pkl"))
-
-    def test_cacheable_task_still_cached(self, tmp_path):
-        marker = tmp_path / "markers"
-        marker.mkdir()
-        cache = tmp_path / "cache"
-        task = ExperimentTask(fn=_touch_and_square, args=(4, str(marker)))
-        for _ in range(2):
-            engine = ExperimentEngine(workers=1, use_cache=True,
-                                      cache_dir=cache)
-            engine.run([task])
-        assert len(list(marker.iterdir())) == 1  # second run was a hit
 
 
 class TestCacheTools:
@@ -386,15 +411,14 @@ class TestCacheTools:
 
 class TestPoolReleasesFutures:
     def test_large_fold_constant_accumulator(self):
-        # 60 tasks through 2 workers with a window of 3: if the pool
+        # 60 tasks through 2 workers with a window of 8: if the pool
         # path held every future/result, this would accumulate 60
         # payloads; the fold sees them exactly once each instead.
         engine = ExperimentEngine(workers=2, use_cache=False)
         seen = []
         _, count = engine.run_fold(
-            (ExperimentTask(fn=_triple, args=(i,), cacheable=False)
-             for i in range(60)),
+            (ExperimentTask(fn=_triple, args=(i,)) for i in range(60)),
             lambda acc, v, task: seen.append(v) or acc,
-            initial=None, window=3)
+            initial=None)
         assert count == 60
         assert sorted(seen) == [3 * i for i in range(60)]

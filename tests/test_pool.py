@@ -26,6 +26,7 @@ from repro.experiments.fleet import (
     _summarize_full,
     clear_scenario_pool,
     run_fleet,
+    run_fleet_chunk,
 )
 from repro.experiments.fleet_validate import (
     CHI2_CRITICAL_DF1,
@@ -283,12 +284,17 @@ class TestFleetFullBuild:
 
 
 class TestProgressMeter:
+    @staticmethod
+    def _payload(**homes):
+        return {"per_testbed": {name: {"homes": n}
+                                for name, n in homes.items()}}
+
     def test_counts_and_final_emission(self):
         messages = []
         meter = FleetProgressMeter(10, emit=messages.append,
                                    min_interval=0.0)
-        meter.update({"metrics": {"counters": {"fleet.homes": 4}}})
-        meter.update({"metrics": {"counters": {"fleet.homes": 6}}})
+        meter.update(self._payload(house=4))
+        meter.update(self._payload(house=6))
         assert meter.done == 10
         assert messages[0].startswith("fleet: 4/10 homes (40%)")
         assert messages[-1].startswith("fleet: 10/10 homes (100%)")
@@ -296,39 +302,33 @@ class TestProgressMeter:
     def test_metrics_free_payload_falls_back_to_counts(self):
         messages = []
         meter = FleetProgressMeter(3, emit=messages.append, min_interval=0.0)
-        meter.update({"per_testbed": {"apartment": {"homes": 1},
-                                      "house": {"homes": 2}}})
+        meter.update(self._payload(apartment=1, house=2))
         assert meter.done == 3
 
-    def test_metrics_free_payloads_surface_in_the_progress_line(self):
-        # The folded snapshot logs a counted warning for metric-less
-        # results; the live progress line must carry the same count.
+    def test_chunk_payloads_alone_drive_the_meter(self):
+        # Real chunk payloads carry counts and sketches only: the meter
+        # counts every home from them and emits the final line.
+        config = FleetConfig(homes=12, shards=2, seed=1, chunk_size=4)
         messages = []
-        meter = FleetProgressMeter(4, emit=messages.append, min_interval=0.0)
-        meter.update({"metrics": {"counters": {"fleet.homes": 1}}})
-        meter.update({"per_testbed": {"house": {"homes": 1}}})
-        meter.update({"per_testbed": {"house": {"homes": 2}}})
-        assert meter.missing_metrics == 2
-        assert "w/o metrics" not in messages[0]
-        assert "[1 chunks w/o metrics]" in messages[1]
-        assert "[2 chunks w/o metrics]" in messages[-1]
-
-    def test_fully_metriced_run_emits_no_warning(self):
-        messages = []
-        meter = FleetProgressMeter(2, emit=messages.append, min_interval=0.0)
-        meter.update({"metrics": {"counters": {"fleet.homes": 2}}})
-        assert meter.missing_metrics == 0
-        assert "w/o metrics" not in messages[-1]
+        meter = FleetProgressMeter(config.homes, emit=messages.append,
+                                   min_interval=3600.0)
+        for shard, lo, hi in config.iter_chunks():
+            payload = run_fleet_chunk(config, shard, lo, hi)
+            assert set(payload) == {"per_testbed", "sketches"}
+            meter.update(payload)
+        assert meter.done == 12
+        assert len(messages) == 2  # the first update, then the final one
+        assert messages[-1].startswith("fleet: 12/12 homes (100%)")
 
     def test_rate_limit_suppresses_intermediate_emissions(self):
         messages = []
         meter = FleetProgressMeter(4, emit=messages.append,
                                    min_interval=3600.0)
-        meter.update({"metrics": {"counters": {"fleet.homes": 1}}})
+        meter.update(self._payload(house=1))
         assert len(messages) == 1  # the first update always emits
-        meter.update({"metrics": {"counters": {"fleet.homes": 1}}})
+        meter.update(self._payload(house=1))
         assert len(messages) == 1  # within the interval, not final
-        meter.update({"metrics": {"counters": {"fleet.homes": 2}}})
+        meter.update(self._payload(house=2))
         assert len(messages) == 2  # final emission always fires
         assert messages[-1].startswith("fleet: 4/4 homes")
 

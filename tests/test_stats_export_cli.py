@@ -142,7 +142,59 @@ class TestCampaign:
         assert "VoiceGuard" in result.render()
 
 
+def _section_alpha():
+    return "alpha text"
+
+
+def _section_beta():
+    return "beta text"
+
+
 class TestCli:
+    def test_report_stdout_is_the_report_alone(self, monkeypatch, capsys):
+        # Engine progress lines are chatter: stderr, like every other
+        # subcommand's, never mixed into the report on stdout.
+        from repro.__main__ import main
+        from repro.experiments import report as report_module
+
+        monkeypatch.setattr(report_module, "report_section_specs",
+                            lambda scale, seed: [("alpha", _section_alpha, {}),
+                                                 ("beta", _section_beta, {})])
+        made = []
+        real = report_module.generate_report
+
+        def capture(**kwargs):
+            made.append(real(**kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(report_module, "generate_report", capture)
+        assert main(["report", "--no-cache"]) == 0
+        out, err = capsys.readouterr()
+        assert out == made[0].render() + "\n"
+        assert "alpha text" in out and "beta text" in out
+        assert "running alpha..." in err and "running beta..." in err
+
+    def test_keep_days_without_prune_rejected(self, capsys):
+        from repro.__main__ import main
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "--keep-days", "3"])
+        assert excinfo.value.code == 2
+        assert "--prune" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("days", ["-1", "nan"])
+    def test_bad_keep_days_rejected_before_pruning(self, days, tmp_path,
+                                                   monkeypatch):
+        from repro.__main__ import main
+        from repro.experiments.parallel import (
+            CACHE_DIR_ENV, ExperimentEngine, ExperimentTask,
+        )
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        ExperimentEngine(use_cache=True).run([ExperimentTask(fn=_section_alpha)])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "--prune", "--keep-days", days])
+        assert excinfo.value.code == 2
+        assert len(list(tmp_path.glob("*.pkl"))) == 1  # the fresh entry stays
+
     def test_fig3_runs(self, capsys):
         from repro.__main__ import main
         assert main(["fig", "3", "--seed", "5"]) == 0
