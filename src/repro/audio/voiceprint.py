@@ -21,8 +21,7 @@ The guard never reads any of this; only the voice-match baseline does.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,21 +30,6 @@ VOICEPRINT_DIM = 32
 _LIVE_NOISE = 0.080  # articulation variation between a speaker's utterances
 _REPLAY_CHANNEL_NOISE = 0.045  # loudspeaker + re-recording channel
 _SYNTHESIS_ARTIFACT = 0.110  # TTS cloning residual
-_utterance_ids = itertools.count(1)
-
-
-def peek_utterance_id() -> int:
-    """The id the next utterance will get (snapshot bookkeeping)."""
-    global _utterance_ids
-    value = next(_utterance_ids)
-    _utterance_ids = itertools.count(value)
-    return value
-
-
-def reset_utterance_ids(start: int = 1) -> None:
-    """Restart utterance numbering (snapshot restore / test isolation)."""
-    global _utterance_ids
-    _utterance_ids = itertools.count(start)
 
 
 class UtteranceSource(enum.Enum):
@@ -95,7 +79,6 @@ class VoiceUtterance:
     embedding: Optional[np.ndarray]
     source: UtteranceSource
     speaker_label: str
-    utterance_id: int = field(default_factory=lambda: next(_utterance_ids))
 
     @property
     def is_attack(self) -> bool:

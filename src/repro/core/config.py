@@ -22,7 +22,6 @@ class VoiceGuardConfig:
     idle_gap: float = 2.5  # seconds of app-data silence that ends a spike
     classification_timeout: float = 0.6  # give up waiting for more packets
     classification_max_packets: int = 7
-    heartbeat_len: int = 41  # ignored for spike detection
 
     # Window recognizer: "signature" (the paper's matcher, default) or a
     # trainable kind from repro.core.recognizers ("knn" / "mlp"), trained
@@ -44,9 +43,6 @@ class VoiceGuardConfig:
     retry_base: float = 1.5  # first backoff delay; doubles per attempt...
     retry_cap: float = 6.0  # ...but never exceeds this
     proximity_cache_ttl: float = 0.0  # degraded mode: trust proximity this recent (0 = off)
-
-    # Floor tracking.
-    floor_tracking: bool = True  # only effective on multi-floor testbeds
 
     # Safety bound: never hold a flow longer than this, whatever happens.
     max_hold: float = 25.0

@@ -178,7 +178,7 @@ class VoiceGuard:
         return tracker
 
     def _floor_ok(self, device_name: str) -> bool:
-        if not self.config.floor_tracking or self.floor_tracker is None:
+        if self.floor_tracker is None:
             return True
         return self.floor_tracker.floor_ok(device_name)
 

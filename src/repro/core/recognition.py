@@ -243,7 +243,7 @@ class TrafficRecognition:
             return ForwarderDecision.FORWARD
 
         self._expire_stale_window(fs, now)
-        heartbeat = packet.payload_len == self.config.heartbeat_len
+        heartbeat = packet.payload_len == sig.HEARTBEAT_LEN
 
         if fs.window is None:
             if heartbeat:

@@ -21,10 +21,7 @@ provides that escalation without heavy ML dependencies:
   same pluggable interface, so experiments sweep all three by name via
   the :data:`RECOGNIZERS` registry.
 * :func:`train_window_recognizer` — per-speaker training from corpus
-  traces, memoized per world bucket exactly like ``threshold.py``'s
-  calibration memo so :class:`~repro.experiments.pool.ScenarioPool`
-  warm-starts stay byte-identical (a memo-warm build never touches the
-  training RNG streams; ``RngHub.reseed`` makes that unobservable).
+  traces, drawing only from dedicated ``recognition.train.*`` streams.
 
 Online semantics: a learned recognizer decides only when the spike
 ends (every record of a pending window stays held until the
@@ -37,7 +34,7 @@ recognizer is installed — the default signature path is untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -507,7 +504,7 @@ class MlpRecognizer(LearnedRecognizer):
 
 
 # ---------------------------------------------------------------------------
-# Registry + memoized training
+# Registry + training
 # ---------------------------------------------------------------------------
 
 RECOGNIZERS = PluginRegistry("window recognizer")
@@ -516,26 +513,12 @@ RECOGNIZERS.register("knn", KnnRecognizer)
 RECOGNIZERS.register("mlp", MlpRecognizer)
 
 
-# Keyed like threshold.py's calibration memo: per world bucket plus the
-# training hyper-identity.  Trained recognizers are immutable after fit
-# (predict-only), so replaying the stored object is safe; a memo-warm
-# build never creates the training streams, and the pool's per-home
-# ``RngHub.reseed`` makes warm and cold builds indistinguishable.
-_RECOGNIZER_MEMO: Dict[tuple, WindowRecognizer] = {}
-
-
-def clear_recognizer_memo() -> None:
-    """Drop memoized recognizer training (tests / cold benchmarks)."""
-    _RECOGNIZER_MEMO.clear()
-
-
 def train_window_recognizer(
     kind: str,
     speaker_kind: str,
     hub: RngHub,
     train_per_class: int = 30,
     morpher=None,
-    memo_bucket: Optional[tuple] = None,
 ) -> WindowRecognizer:
     """Build and train one recognizer from the hub's named streams.
 
@@ -544,19 +527,11 @@ def train_window_recognizer(
     Training data, morph draws, and weight init each consume their own
     stream (``recognition.train.data`` / ``.morph`` / ``.init``), so
     installing a recognizer never perturbs any other component's
-    randomness, and a memo hit draws from none of them.
+    randomness.
     """
     if train_per_class < 1:
         raise WorkloadError(
             f"train_per_class must be positive, got {train_per_class!r}")
-    morph_name = getattr(morpher, "name", None) if morpher is not None else None
-    memo_key = None
-    if memo_bucket is not None:
-        memo_key = (memo_bucket, kind, speaker_kind, train_per_class,
-                    morph_name)
-        hit = _RECOGNIZER_MEMO.get(memo_key)
-        if hit is not None:
-            return hit
     recognizer = RECOGNIZERS.create(kind, speaker_kind)
     assert isinstance(recognizer, WindowRecognizer)
     if recognizer.trainable:
@@ -567,6 +542,4 @@ def train_window_recognizer(
             morph_rng = hub.stream("recognition.train.morph")
             samples = [morph_sample(s, morpher, morph_rng) for s in samples]
         recognizer.fit(samples, hub.stream("recognition.train.init"))
-    if memo_key is not None:
-        _RECOGNIZER_MEMO[memo_key] = recognizer
     return recognizer

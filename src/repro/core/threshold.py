@@ -11,7 +11,7 @@ rooms — behind walls or floors — read below it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from repro.errors import ConfigError
 from repro.home.devices import MobileDevice
@@ -55,38 +55,16 @@ class CalibrationResult:
         return len(self.samples)
 
 
-# Memoized calibration walks, keyed by the caller's *world bucket*
-# (quantized geometry + deployment + device mix + build seed) plus the
-# walk parameters.  A calibration walk is a deterministic function of
-# that bucket, so within one process it only needs to run once per
-# bucket; later builds replay the stored result while advancing the sim
-# clock by exactly the walk's duration, keeping event timelines aligned
-# with a memo-cold build.  (RNG stream *states* do diverge — the walk's
-# sampling draws are skipped — which is why the scenario pool re-seeds
-# every stream per home afterwards; see repro.experiments.pool.rehome.)
-_CALIBRATION_MEMO: Dict[tuple, Tuple["CalibrationResult", float]] = {}
-
-
-def clear_calibration_memo() -> None:
-    """Drop memoized calibration walks (tests / cold benchmarks)."""
-    _CALIBRATION_MEMO.clear()
-
-
 class ThresholdCalibrator:
     """Runs the calibration walk inside the simulation.
 
     Note: :meth:`calibrate` *advances the simulator* by the duration of
     the walk; run calibrations during experiment setup, before any
-    traffic of interest.  ``memo_bucket`` (a hashable description of
-    everything that determines the walk — geometry, deployment, build
-    seed) enables the per-bucket memo above; leave it ``None`` for the
-    always-recompute behaviour.
+    traffic of interest.
     """
 
-    def __init__(self, env: HomeEnvironment,
-                 memo_bucket: Optional[tuple] = None) -> None:
+    def __init__(self, env: HomeEnvironment) -> None:
         self.env = env
-        self.memo_bucket = memo_bucket
 
     def calibrate(
         self,
@@ -97,18 +75,6 @@ class ThresholdCalibrator:
     ) -> CalibrationResult:
         """Walk ``device``'s carrier around ``room`` and compute the
         threshold as the minimum sampled RSSI."""
-        memo_key = None
-        if self.memo_bucket is not None:
-            memo_key = (self.memo_bucket, device.name, device.kind,
-                        room.name, laps, inset)
-            hit = _CALIBRATION_MEMO.get(memo_key)
-            if hit is not None:
-                result, duration = hit
-                # Advance the clock exactly as the walk would have, so
-                # everything scheduled later lands at the same instants
-                # as in a memo-cold build.
-                self.env.sim.run_for(duration)
-                return result
         route = perimeter_route(room, inset=inset, laps=laps)
         carrier = device.carrier
         return_point = carrier.position
@@ -121,12 +87,9 @@ class ThresholdCalibrator:
         carrier.teleport(return_point)
         if not samples:
             raise ConfigError("calibration walk produced no samples")
-        result = CalibrationResult(
+        return CalibrationResult(
             device_name=device.name,
             room_name=room.name,
             threshold=min(samples),
             samples=samples,
         )
-        if memo_key is not None:
-            _CALIBRATION_MEMO[memo_key] = (result, route.duration)
-        return result

@@ -14,10 +14,10 @@ This module amortizes the build with a **snapshot/reset protocol**:
    :mod:`repro.experiments.synthesis` quantize into a small set of
    ``(testbed, deployment, plan_scale, owner_count, device_kind)``
    buckets.  The pool builds one fully wired scenario per bucket from a
-   bucket-derived seed, with memoized calibration and training
-   (``memo_bucket``) so even templates amortize across processes of the
-   same run, and with an unarmed fault injector wired through every
-   component so per-home fault plans can be armed later.
+   bucket-derived seed — calibration walks and training walks really
+   run, once per bucket per process — with an unarmed fault injector
+   wired through every component so per-home fault plans can be armed
+   later.
 
 2. **Pickled snapshot with shared immutables.**  The template world is
    pickled once after its build, with the heavyweight value-transparent
@@ -32,11 +32,13 @@ This module amortizes the build with a **snapshot/reset protocol**:
    such a template fails to build with :class:`~repro.errors.SnapshotError`.
 
 3. **Rehome.**  The restored world is re-keyed to the target home:
-   module-global id counters reset to their deterministic post-build
-   values, the RNG hub reseeds every stream in place from the home's
-   derived seed (see :meth:`repro.sim.random.RngHub.reseed` for why
-   memo-warm and memo-cold builds are indistinguishable afterwards),
-   and the fault injector re-arms with the home's plan.
+   packet numbering resets to its deterministic post-build value, the
+   RNG hub reseeds every stream in place from the home's derived seed
+   (see :meth:`repro.sim.random.RngHub.reseed`), and the fault injector
+   re-arms with the home's plan.  Interaction ids need no reset: their
+   counter lives on the world's
+   :class:`~repro.home.environment.HomeEnvironment`, and a build speaks
+   no command, so every restored home numbers its interactions from 1.
 
 The contract — enforced by tests — is that a pooled-and-rehomed home
 produces **byte identical** guard event streams to a freshly built home
@@ -52,7 +54,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from repro.audio.voiceprint import reset_utterance_ids
 from repro.core.config import VoiceGuardConfig
 from repro.errors import SnapshotError
 from repro.experiments.parallel import derive_seed
@@ -60,7 +61,6 @@ from repro.experiments.scenarios import Scenario, build_scenario
 from repro.experiments.synthesis import HomeSpec, fleet_world
 from repro.faults.plan import FaultPlan
 from repro.net.packet import peek_packet_number, reset_packet_numbers
-from repro.speakers.base import reset_interaction_ids
 
 # (testbed, deployment, plan_scale, owner_count, device_kind): the
 # fields of a HomeSpec that select *which world gets built*; everything
@@ -107,8 +107,7 @@ def home_fault_plan(spec: HomeSpec) -> Optional[FaultPlan]:
     )
 
 
-def _build_bucket_scenario(key: PoolKey, config: Optional[VoiceGuardConfig],
-                           memo_bucket: Optional[tuple]) -> Scenario:
+def _build_bucket_scenario(key: PoolKey, config: Optional[VoiceGuardConfig]) -> Scenario:
     """One wired world for ``key``, built from the bucket seed.
 
     The scaled testbed comes from the fleet world cache — one geometry
@@ -127,7 +126,6 @@ def _build_bucket_scenario(key: PoolKey, config: Optional[VoiceGuardConfig],
         config=config if config is not None else fleet_guard_config(),
         fault_plan=None,
         testbed=world.testbed,
-        memo_bucket=memo_bucket,
         with_fault_injector=True,
     )
 
@@ -160,17 +158,15 @@ def rehome(scenario: Scenario, spec: HomeSpec, packet_mark: int) -> None:
     and the cold path (after a fresh build), which is what makes the
     two byte-identical:
 
-    * module-global id counters are normalized — packet numbering to
-      its deterministic post-build value, interaction/utterance ids to
-      1 (world construction consumes neither), so ids are independent
-      of process history and of how many homes ran before this one;
+    * packet numbering (the one process-global counter) is normalized
+      to its deterministic post-build value, so packet numbers are
+      independent of process history and of how many homes ran before
+      this one;
     * the RNG hub reseeds every stream in place from the home's seed;
     * the environment's (always present, possibly unarmed) fault
       injector re-arms with the home's plan.
     """
     reset_packet_numbers(packet_mark)
-    reset_interaction_ids(1)
-    reset_utterance_ids(1)
     scenario.env.rng.reseed(derive_seed(spec.seed, "fleet.rehome"))
     if scenario.env.faults is not None:
         scenario.env.faults.rearm(home_fault_plan(spec))
@@ -254,10 +250,8 @@ class ScenarioPool:
     mutated.
     """
 
-    def __init__(self, config: Optional[VoiceGuardConfig] = None,
-                 use_memos: bool = True) -> None:
+    def __init__(self, config: Optional[VoiceGuardConfig] = None) -> None:
         self.config = config
-        self.use_memos = use_memos
         self._templates: Dict[PoolKey, _Template] = {}
         self.template_builds = 0
         self.restores = 0
@@ -266,8 +260,7 @@ class ScenarioPool:
         """The bucket's template, building it on first use."""
         entry = self._templates.get(key)
         if entry is None:
-            memo_bucket = (("fleet.pool",) + key) if self.use_memos else None
-            scenario = _build_bucket_scenario(key, self.config, memo_bucket)
+            scenario = _build_bucket_scenario(key, self.config)
             shared = _shared_immutables(scenario)
             entry = _Template(
                 blob=snapshot(scenario, shared, key),
@@ -298,11 +291,11 @@ def build_home_cold(spec: HomeSpec,
     """Build ``spec``'s world from scratch, without the pool.
 
     Same bucket seed, same rehome — so the result is byte-identical to
-    ``ScenarioPool.acquire(spec)`` — but with calibration/training
-    memos bypassed and the full build re-simulated per call.  This is
+    ``ScenarioPool.acquire(spec)`` — but with the full build
+    re-simulated per call instead of restored from a pickle.  This is
     the equality oracle's reference side.
     """
-    scenario = _build_bucket_scenario(pool_key(spec), config, memo_bucket=None)
+    scenario = _build_bucket_scenario(pool_key(spec), config)
     rehome(scenario, spec, peek_packet_number())
     return scenario
 

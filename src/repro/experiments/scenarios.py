@@ -46,6 +46,7 @@ AVS_IPS = ("54.239.28.85", "54.239.29.12", "52.94.236.48")
 GOOGLE_CLOUD_IP = "142.250.65.68"
 MISC_CLOUD_BASE = "52.46.130.{}"
 AVS_ROTATE_PROBABILITY = 0.6
+MISC_DOMAINS = 2  # other Amazon domains the primary Echo Dot talks to
 
 SETTLE_TIME = 6.0  # sim-seconds for boot traffic to complete
 
@@ -104,12 +105,10 @@ def build_scenario(
     anomalous_rate: float = 0.004,
     calibrate: bool = True,
     with_floor_tracking: Optional[bool] = None,
-    misc_domains: int = 2,
     with_guard: bool = True,
     fault_plan: Optional[FaultPlan] = None,
     tracing: bool = False,
     testbed: Optional[Testbed] = None,
-    memo_bucket: Optional[tuple] = None,
     with_fault_injector: bool = False,
 ) -> Scenario:
     """Build a fully wired scenario.
@@ -122,13 +121,12 @@ def build_scenario(
     span collection (``env.obs.tracer``); it never changes a run.
     ``testbed`` substitutes a pre-built (e.g. geometrically jittered)
     testbed for the named one; ``testbed_name`` still labels the run.
-    ``memo_bucket`` (a hashable key covering geometry/deployment/seed/
-    device mix) lets repeat builds of the same world bucket replay
-    memoized calibration walks and trace-classifier training instead of
-    re-simulating them — the scenario pool's warm-build path; leave it
-    ``None`` to always recompute.  ``with_fault_injector`` forces an
-    unarmed fault injector to exist even without a plan, so a pooled
-    world can be re-armed per home (byte-identical to having none).
+    Every call re-simulates the full set-up (calibration walks, boot,
+    trace-classifier training); the scenario pool
+    (:mod:`repro.experiments.pool`) is what amortizes it across homes.
+    ``with_fault_injector`` forces an unarmed fault injector to exist
+    even without a plan, so a pooled world can be re-armed per home
+    (byte-identical to having none).
     """
     if speaker_kind not in ("echo", "google"):
         raise WorkloadError(f"unknown speaker kind {speaker_kind!r}")
@@ -155,7 +153,7 @@ def build_scenario(
 
     # -- clouds ---------------------------------------------------------
     if speaker_kind == "echo":
-        _build_echo_side(scenario, anomalous_rate, misc_domains)
+        _build_echo_side(scenario, anomalous_rate)
     else:
         _build_google_side(scenario)
 
@@ -171,7 +169,7 @@ def build_scenario(
         # matcher this branch never runs and the build is byte-identical
         # to a pre-recognizer guard.
         if guard.config.recognizer != "signature":
-            _install_trained_recognizer(scenario, profile, memo_bucket)
+            _install_trained_recognizer(scenario, profile)
 
     # -- owners and devices ------------------------------------------------
     speaker_room = testbed.speaker_room(deployment)
@@ -187,7 +185,7 @@ def build_scenario(
 
     # -- calibration + registration -----------------------------------------
     if calibrate:
-        calibrator = ThresholdCalibrator(env, memo_bucket=memo_bucket)
+        calibrator = ThresholdCalibrator(env)
         for device in scenario.devices:
             result = calibrator.calibrate(device, speaker_room)
             scenario.calibrations[device.name] = result
@@ -208,7 +206,7 @@ def build_scenario(
         else testbed.stair_region is not None
     )
     if with_guard and wants_floor and testbed.stair_region is not None:
-        classifier = train_trace_classifier(scenario, memo_bucket=memo_bucket)
+        classifier = train_trace_classifier(scenario)
         scenario.trace_classifier = classifier
         sensor = env.install_motion_sensor()
         scenario.motion_sensor = sensor
@@ -217,15 +215,11 @@ def build_scenario(
     return scenario
 
 
-def _install_trained_recognizer(scenario: Scenario, profile: SpeakerProfile,
-                                memo_bucket: Optional[tuple]) -> None:
+def _install_trained_recognizer(scenario: Scenario, profile: SpeakerProfile) -> None:
     """Train and install the configured window recognizer.
 
-    Training is memoized per ``memo_bucket`` exactly like threshold
-    calibration: a pooled warm build replays the stored recognizer and
-    draws from no stream, which ``RngHub.reseed`` makes indistinguishable
-    from a cold build.  Imports are lazy so the default signature path
-    never loads numpy-heavy training code or the attacks layer.
+    Imports are lazy so the default signature path never loads
+    numpy-heavy training code or the attacks layer.
     """
     from repro.core.recognizers import train_window_recognizer
 
@@ -241,7 +235,6 @@ def _install_trained_recognizer(scenario: Scenario, profile: SpeakerProfile,
         scenario.env.rng,
         train_per_class=config.recognizer_train_windows,
         morpher=morpher,
-        memo_bucket=memo_bucket,
     )
     scenario.guard.set_window_recognizer(profile, recognizer)
 
@@ -262,7 +255,7 @@ class _SessionChurn:
             self.record.rotate()
 
 
-def _build_echo_side(scenario: Scenario, anomalous_rate: float, misc_domains: int) -> None:
+def _build_echo_side(scenario: Scenario, anomalous_rate: float) -> None:
     env, network = scenario.env, scenario.network
     rng = env.rng.stream("cloud.avs")
     avs = AvsCloud("avs-cloud", IPv4Address(AVS_IPS[0]), rng)
@@ -281,7 +274,7 @@ def _build_echo_side(scenario: Scenario, anomalous_rate: float, misc_domains: in
     # record references into the restored graph (pickle rejects closures).
     avs.on_session_closed = _SessionChurn(env.rng.stream("cloud.avs.rotate"), record)
 
-    domains = list(sig.OTHER_AMAZON_SIGNATURES)[:misc_domains]
+    domains = list(sig.OTHER_AMAZON_SIGNATURES)[:MISC_DOMAINS]
     for index, domain in enumerate(domains):
         misc = MiscCloud(f"misc-{index}", IPv4Address(MISC_CLOUD_BASE.format(10 + index)))
         network.attach(misc)
@@ -330,9 +323,9 @@ class _ExecuteDispatch:
     interaction.
 
     One AVS cloud serves every Echo Dot in the home, but interaction
-    records live on the speaker that heard the utterance (ids are
-    process-global, so at most one speaker knows each id and the rest
-    no-op).  A callable object, not a closure: the hook is permanent
+    records live on the speaker that heard the utterance (ids come from
+    the world's one counter, so at most one speaker knows each id and
+    the rest no-op).  A callable object, not a closure: the hook is permanent
     cloud state, and pickled world snapshots must rebind the speaker
     references into the restored graph (pickle rejects closures).
     """
@@ -465,7 +458,6 @@ def collect_route_features(
     device: MobileDevice,
     route_name: str,
     repetitions: int,
-    step_log: Optional[List[float]] = None,
 ) -> List[TraceFeatures]:
     """Walk ``route_name`` ``repetitions`` times recording traces.
 
@@ -473,13 +465,6 @@ def collect_route_features(
     moment the stair sensor would trigger, and the walker stands still
     at the route's end until the 8-second trace completes — matching
     how live traces are captured.
-
-    ``step_log``, if given, collects every ``run_for`` increment in
-    order.  Replaying those exact floats from the same starting clock
-    reproduces the clock's value chain bit-for-bit — which a single
-    fused ``run_for(total)`` would not — so memoized training (see
-    :func:`train_trace_classifier`) keeps later event timestamps
-    byte-identical to a memo-cold build.
     """
     env = scenario.env
     route = scenario.env.testbed.routes[route_name]
@@ -502,9 +487,6 @@ def collect_route_features(
         # to a poll period after region entry; train the same way.
         trigger_offset = base_offset + float(jitter_rng.uniform(0.0, 0.3))
         tail = route.duration - trigger_offset + 9.5
-        if step_log is not None:
-            step_log.append(trigger_offset)
-            step_log.append(tail)
         env.sim.run_for(trigger_offset)
         device.record_trace(env.speaker_beacon, on_trace)
         env.sim.run_for(tail)
@@ -515,25 +497,10 @@ def collect_route_features(
     return features
 
 
-# Memoized training collections, keyed like the calibration memo (see
-# repro.core.threshold): the walks are deterministic per world bucket,
-# so repeat builds replay the recorded features — refitting the (cheap,
-# pure) classifier — while advancing the sim clock through the exact
-# recorded ``run_for`` step sequence (bit-for-bit clock parity).
-_TRAINING_MEMO: Dict[tuple, Tuple[Dict[str, Tuple[TraceFeatures, ...]],
-                                  Tuple[float, ...]]] = {}
-
-
-def clear_training_memo() -> None:
-    """Drop memoized trace-classifier training (tests / cold benchmarks)."""
-    _TRAINING_MEMO.clear()
-
-
 def train_trace_classifier(
     scenario: Scenario,
     device: Optional[MobileDevice] = None,
     repetitions: Optional[Dict[str, int]] = None,
-    memo_bucket: Optional[tuple] = None,
 ) -> TraceClassifier:
     """Collect the paper's training traces and fit the classifier.
 
@@ -544,33 +511,13 @@ def train_trace_classifier(
     reps = dict(TRAINING_REPS)
     if repetitions:
         reps.update(repetitions)
-    memo_key = None
-    if memo_bucket is not None:
-        memo_key = (memo_bucket, device.name, device.kind,
-                    tuple(sorted(reps.items())))
-        hit = _TRAINING_MEMO.get(memo_key)
-        if hit is not None:
-            training_stored, steps = hit
-            for step in steps:
-                scenario.env.sim.run_for(step)
-            classifier = TraceClassifier()
-            classifier.fit({label: list(features)
-                            for label, features in training_stored.items()})
-            return classifier
-    step_log: List[float] = []
     training: Dict[str, List[TraceFeatures]] = {}
     for route_name, count in reps.items():
         if route_name not in scenario.env.testbed.routes:
             continue
         label = ROUTE_CLASS.get(route_name, route_name)
-        features = collect_route_features(scenario, device, route_name, count,
-                                          step_log=step_log)
+        features = collect_route_features(scenario, device, route_name, count)
         training.setdefault(label, []).extend(features)
-    if memo_key is not None:
-        _TRAINING_MEMO[memo_key] = (
-            {label: tuple(features) for label, features in training.items()},
-            tuple(step_log),
-        )
     classifier = TraceClassifier()
     classifier.fit(training)
     return classifier

@@ -91,6 +91,14 @@ class HomeEnvironment:
         # 2.4 GHz coexistence: components report when they occupy the
         # band (speakers streaming audio); BLE scans slow down then.
         self.wifi_busy_providers: List[Callable[[], bool]] = []
+        # One counter for every speaker in the world: a cloud's execute
+        # callback routes by interaction id across all of them.
+        self._interaction_count = 0
+
+    def next_interaction_id(self) -> int:
+        """A fresh interaction id, unique within this world (from 1)."""
+        self._interaction_count += 1
+        return self._interaction_count
 
     def wifi_busy(self) -> bool:
         """True while any registered component streams on 2.4 GHz."""

@@ -56,11 +56,11 @@ class RngHub:
 
         The two cases are indistinguishable by construction — a stream's
         post-reseed state equals its would-be-fresh state — so *which*
-        streams happen to exist at reseed time is unobservable.  That is
-        the property the scenario pool leans on: a memo-warm world build
-        (which skips calibration/training draws and never creates their
-        streams) and a memo-cold build land in identical RNG states after
-        :func:`repro.experiments.pool.rehome` reseeds the hub per home.
+        streams happen to exist at reseed time, and how far the world
+        build advanced them, is unobservable.  That is the property the
+        scenario pool leans on: after :func:`repro.experiments.pool.rehome`
+        reseeds the hub, a home's randomness depends on its own seed
+        alone, not on the bucket template it was restored from.
 
         Existing generator *objects* keep their identity (components hold
         references to them); only their internal state is replaced.

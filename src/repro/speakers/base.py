@@ -10,7 +10,6 @@ at the cloud is what Tables II-IV score.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -23,23 +22,6 @@ from repro.net.addresses import IPv4Address
 from repro.net.link import Host
 from repro.net.tcp import TcpStack
 from repro.radio.geometry import Point
-
-_interaction_ids = itertools.count(1)
-
-
-def peek_interaction_id() -> int:
-    """The id the next interaction will get (snapshot bookkeeping)."""
-    global _interaction_ids
-    value = next(_interaction_ids)
-    _interaction_ids = itertools.count(value)
-    return value
-
-
-def reset_interaction_ids(start: int = 1) -> None:
-    """Restart interaction numbering (snapshot restore / test isolation)."""
-    global _interaction_ids
-    _interaction_ids = itertools.count(start)
-
 
 class InteractionOutcome(enum.Enum):
     """What ultimately happened to a voice command."""
@@ -128,7 +110,7 @@ class SmartSpeaker(Host):
     def on_audio(self, utterance: VoiceUtterance, source_point: Point) -> None:
         """Environment callback: an audible utterance reached the mics."""
         record = InteractionRecord(
-            interaction_id=next(_interaction_ids),
+            interaction_id=self.env.next_interaction_id(),
             text=utterance.text,
             source=utterance.source,
             speaker_label=utterance.speaker_label,

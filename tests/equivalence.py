@@ -43,7 +43,6 @@ from repro.experiments import fleet, loadtest, pool, scenarios, synthesis
 from repro.experiments import workload as workload_module
 from repro.home.devices import MobileDevice
 from repro.net.packet import Packet
-from repro.speakers.base import reset_interaction_ids
 
 DIGESTS_PATH = pathlib.Path(__file__).parent / "goldens" / "digests.json"
 
@@ -96,11 +95,10 @@ def sevenday_packets() -> str:
     """SHA-256 over every packet a short seven-day home delivers, boot
     traffic included, then the home's metrics snapshot.
 
-    Interaction ids ride in packet ``meta``; their counter is
-    process-global, so it restarts here to keep the digest independent
-    of whatever ran earlier in the process.
+    Interaction ids ride in packet ``meta``; their counter belongs to
+    the home's environment, so they start at 1 whatever ran earlier in
+    the process.
     """
-    reset_interaction_ids()
     digest = hashlib.sha256()
 
     def observe(packet: Packet, _scope: str) -> None:
@@ -171,9 +169,8 @@ def floor_traces() -> str:
     ``MobileDevice.record_trace`` and ``TraceClassifier.fit`` are
     wrapped for the duration of the run: each finished trace adds its
     samples' ``(rssi, time, beacon, scanner)`` fields, each fit its
-    ``label -> [(slope, intercept), ...]`` training set.  The template
-    is built without the calibration/training memos, so its training
-    walks really run.
+    ``label -> [(slope, intercept), ...]`` training set.  A fresh pool
+    builds the template from scratch, so its training walks really run.
     """
     digest = hashlib.sha256()
     real_record = MobileDevice.record_trace
@@ -196,7 +193,7 @@ def floor_traces() -> str:
     TraceClassifier.fit = fit
     try:
         digest.update(_guard_home(101, COMPRESSED_COUNTS).encode())
-        pool.ScenarioPool(use_memos=False).template(FLOOR_TRACE_POOL_KEY)
+        pool.ScenarioPool().template(FLOOR_TRACE_POOL_KEY)
     finally:
         MobileDevice.record_trace = real_record
         TraceClassifier.fit = real_fit

@@ -108,6 +108,16 @@ class TestWorkload:
         assert result.malicious_total == 8
         assert result.matrix.accuracy >= 0.85
 
+    def test_interaction_ids_independent_of_process_history(self):
+        """Two identical runs in one process number their interactions
+        alike: ids belong to the run's world, not to the process."""
+        runs = [run_rssi_experiment("apartment", "echo", 0, seed=1,
+                                    legit_count=5, malicious_count=5)
+                for _ in range(2)]
+        first, second = ([r.interaction_id for r in run.records] for run in runs)
+        assert first
+        assert first == second
+
     def test_workload_respects_counts(self):
         scenario = build_scenario(
             "apartment", "echo", deployment=0, seed=89, owner_count=1,

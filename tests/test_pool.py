@@ -16,7 +16,6 @@ import math
 import pytest
 
 from repro.core.config import VoiceGuardConfig
-from repro.core.recognizers import clear_recognizer_memo
 from repro.errors import ConfigError, SnapshotError
 from repro.experiments.fleet import (
     FleetAccumulator,
@@ -44,6 +43,7 @@ from repro.experiments.pool import (
     snapshot,
     template_seed,
 )
+from repro.experiments.scenarios import build_scenario
 from repro.experiments.synthesis import HomeSpec, PopulationModel
 from repro.experiments.workload import SevenDayWorkload
 from repro.obs.metrics import QuantileSketch, ks_critical_value, sketch_ks_distance
@@ -146,6 +146,22 @@ class TestPoolIdentity:
         again = run_home(pool.acquire(spec_a), spec_a)
         assert first == again
 
+    def test_restored_home_numbers_interactions_from_one(self):
+        """Interaction ids belong to the world: a restored home numbers
+        its commands from 1 whatever ran earlier in the process, and
+        nothing resets a counter to make it so."""
+        spec = make_spec(index=0, legit=3, attacks=2)
+        earlier = build_scenario("apartment", "echo", seed=5, owner_count=1)
+        SevenDayWorkload(earlier).run(2, 1)
+        assert earlier.speaker.interactions
+        pool = ScenarioPool()
+        for _ in range(2):
+            scenario = pool.acquire(spec)
+            run_home(scenario, spec)
+            ids = sorted(scenario.speaker.interactions)
+            assert ids == list(range(1, len(ids) + 1))
+            assert ids
+
     def test_template_reused_within_bucket(self):
         pool = ScenarioPool()
         spec = make_spec(index=0)
@@ -178,7 +194,6 @@ class TestPoolLearnedRecognizers:
     """Warm-start identity extends to guards with trained recognizers."""
 
     def test_pooled_mlp_weights_and_stream_match_cold_build(self):
-        clear_recognizer_memo()
         config = VoiceGuardConfig(recognizer="mlp")
         spec = make_spec(index=0)
         pooled_scenario = ScenarioPool(config=config).acquire(spec)
@@ -191,20 +206,6 @@ class TestPoolLearnedRecognizers:
         assert _only_recognizer(cold_scenario).weight_bytes() == pooled_weights
         assert run_home(cold_scenario, spec) == pooled_stream
 
-    def test_memo_warm_template_rebuild_is_byte_identical(self):
-        # pool.clear() drops the templates but not the recognizer memo:
-        # the rebuilt template trains from the memo (zero stream draws)
-        # and the restored home must still replay the same bytes.
-        clear_recognizer_memo()
-        config = VoiceGuardConfig(recognizer="knn")
-        spec = make_spec(index=0)
-        pool = ScenarioPool(config=config)
-        first = run_home(pool.acquire(spec), spec)
-        pool.clear()
-        warm = run_home(pool.acquire(spec), spec)
-        assert pool.template_builds == 2
-        assert warm == first
-        clear_recognizer_memo()
 
 
 class _TypeRecordingPickler(_SnapshotPickler):
@@ -232,7 +233,7 @@ class TestSnapshotHazards:
 
     def test_planted_closure_is_detected(self):
         key = pool_key(make_spec())
-        scenario = _build_bucket_scenario(key, None, ("fleet.pool",) + key)
+        scenario = _build_bucket_scenario(key, None)
         captured = object()
         scenario.guard._planted_callback = lambda: captured
         with pytest.raises(SnapshotError, match="apartment"):
@@ -240,7 +241,7 @@ class TestSnapshotHazards:
 
     def test_no_itertools_objects_in_snapshot(self):
         key = pool_key(IDENTITY_SPECS["house-watch"])
-        scenario = _build_bucket_scenario(key, None, ("fleet.pool",) + key)
+        scenario = _build_bucket_scenario(key, None)
         pickler = _TypeRecordingPickler(_shared_immutables(scenario))
         pickler.dump(scenario)
         leaked = sorted(t.__qualname__ for t in pickler.types
@@ -257,7 +258,8 @@ class TestRngHubReseed:
         assert (hub.stream("a").normal(size=4).tolist()
                 == fresh.stream("a").normal(size=4).tolist())
         # A stream first created *after* the reseed must be
-        # indistinguishable too (memo-warm builds skip some streams).
+        # indistinguishable too: which streams a build happened to
+        # create is no part of a home's randomness.
         assert (hub.stream("b").normal(size=4).tolist()
                 == fresh.stream("b").normal(size=4).tolist())
         assert hub.seed == 2

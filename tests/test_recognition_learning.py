@@ -8,8 +8,7 @@ Four layers of pinning:
   count ordering and sim-clock monotonicity; padding never shrinks a
   record.
 * **Seeded determinism** — same seed, same bits: retrained weights,
-  knn predictions, memo-warm vs cold training, and the robustness grid
-  rendered at workers 1/2/4.
+  knn predictions, and the robustness grid rendered at workers 1/2/4.
 * **Acceptance** — at least one morphing adversary costs the signature
   matcher >= 20 points of echo accuracy while the learned recognizer
   retrained on morphed traces lands within 10 points of its clean
@@ -44,7 +43,6 @@ from repro.core.recognizers import (
     PERMUTATION_INVARIANT,
     RECOGNIZERS,
     WindowSample,
-    clear_recognizer_memo,
     extract_features,
     morph_sample,
     synth_windows,
@@ -260,24 +258,6 @@ class TestSeededDeterminism:
         for sample in probe:
             assert (first.predict_window(sample.lengths, sample.offsets)
                     is second.predict_window(sample.lengths, sample.offsets))
-
-    def test_memo_warm_returns_the_trained_object(self):
-        clear_recognizer_memo()
-        bucket = ("test.recognition.memo", 1)
-        cold = train_window_recognizer("mlp", "echo", RngHub(5),
-                                       train_per_class=8, memo_bucket=bucket)
-        warm_hub = RngHub(5)
-        warm = train_window_recognizer("mlp", "echo", warm_hub,
-                                       train_per_class=8, memo_bucket=bucket)
-        assert warm is cold
-        # A memo hit draws from no stream: the hub stays untouched.
-        assert warm_hub._streams == {}
-        clear_recognizer_memo()
-        recold = train_window_recognizer("mlp", "echo", RngHub(5),
-                                         train_per_class=8,
-                                         memo_bucket=bucket)
-        assert recold is not cold
-        assert recold.weight_bytes() == cold.weight_bytes()
 
     def test_grid_table_identical_across_workers_1_2_4(self):
         rendered = [
