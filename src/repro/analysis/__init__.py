@@ -1,6 +1,6 @@
 """Analysis utilities: metrics, regression, traces, report rendering."""
 
-from repro.analysis.metrics import BinaryLabel, ConfusionMatrix
+from repro.analysis.metrics import ConfusionMatrix
 from repro.analysis.regression import LinearFit, linear_fit
 from repro.analysis.export import (
     export_delays,
@@ -19,7 +19,6 @@ from repro.analysis.stats import (
 from repro.analysis.traces import RssiTrace
 
 __all__ = [
-    "BinaryLabel",
     "ConfidenceInterval",
     "ConfusionMatrix",
     "LinearFit",

@@ -8,15 +8,8 @@ show up as precision loss (Tables II-IV).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
-
-
-class BinaryLabel(enum.Enum):
-    """Positive/negative class labels (positive = malicious)."""
-    POSITIVE = "positive"  # malicious / command (class of interest)
-    NEGATIVE = "negative"
 
 
 @dataclass

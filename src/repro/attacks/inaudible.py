@@ -87,8 +87,3 @@ class LaserAttack(Attack):
             source=UtteranceSource.LASER,
             speaker_label=utterance.speaker_label,
         )
-
-    def launch_through_window(self, text: str, duration: float):
-        """Fire at the speaker from outside: position is the speaker's
-        own location (the laser lands directly on the device)."""
-        return self.launch(text, duration, self.env.speaker_beacon.position)

@@ -54,12 +54,3 @@ class CompromisedPlaybackAttack(Attack):
     def launch_from_device(self, text: str, duration: float) -> AttackResult:
         """Play the payload from the compromised device's position."""
         return self.launch(text, duration, self.device_position)
-
-    def schedule_campaign(self, texts: list, duration_for, interval: float) -> None:
-        """Queue a series of payloads (large-scale media-embedded
-        attacks): one launch every ``interval`` seconds."""
-        for index, text in enumerate(texts):
-            self.env.sim.post(
-                interval * (index + 1),
-                lambda t=text: self.launch_from_device(t, duration_for(t)),
-            )

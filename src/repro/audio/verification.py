@@ -14,7 +14,7 @@ embeddings are, by construction of the threat model, nearly identical).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,16 +64,14 @@ class VoiceMatchVerifier:
         sample_count: int = 5,
     ) -> None:
         """Enroll a speaker from ``sample_count`` live samples."""
-        if sample_count < 1:
-            raise ValueError(f"enrollment needs at least one sample, got {sample_count!r}")
-        samples = [voiceprint.observe(rng) for _ in range(sample_count)]
-        centroid = np.mean(samples, axis=0)
-        self._centroid = centroid / np.linalg.norm(centroid)
-        self._speaker_name = voiceprint.speaker_name
+        self.enroll_from_samples(
+            voiceprint.speaker_name,
+            [voiceprint.observe(rng) for _ in range(sample_count)],
+        )
 
     def enroll_from_samples(self, speaker_name: str, samples: Sequence[np.ndarray]) -> None:
-        """Enroll directly from embedding samples (used by attackers who
-        collected the victim's audio)."""
+        """Enroll from embedding samples (the centroid of their
+        directions)."""
         if not samples:
             raise ValueError("enrollment needs at least one sample")
         centroid = np.mean(np.asarray(samples), axis=0)
@@ -99,29 +97,3 @@ class VoiceMatchVerifier:
             accepted=score >= self.accept_threshold,
             enrolled_speaker=self._speaker_name,
         )
-
-    def equal_error_threshold(
-        self,
-        genuine_scores: List[float],
-        impostor_scores: List[float],
-    ) -> float:
-        """Threshold where false-accept and false-reject rates cross.
-
-        Utility for calibration experiments; operates on score lists
-        the caller produced.
-        """
-        if not genuine_scores or not impostor_scores:
-            raise ValueError("need both genuine and impostor scores")
-        candidates = sorted(set(genuine_scores) | set(impostor_scores))
-        best_threshold = candidates[0]
-        best_gap = float("inf")
-        genuine = np.asarray(genuine_scores)
-        impostor = np.asarray(impostor_scores)
-        for threshold in candidates:
-            frr = float(np.mean(genuine < threshold))
-            far = float(np.mean(impostor >= threshold))
-            gap = abs(frr - far)
-            if gap < best_gap:
-                best_gap = gap
-                best_threshold = threshold
-        return float(best_threshold)

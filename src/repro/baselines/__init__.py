@@ -3,9 +3,6 @@
 * :mod:`repro.baselines.naive_spike` — the strawman traffic detector of
   Figure 3: every spike after a no-traffic period is treated as a voice
   command, so the Echo's response spikes get held too, adding delays.
-* :mod:`repro.baselines.voice_match` — the commercial speakers' built-in
-  voice recognition: accepts anything carrying the owner's voice, so
-  replay/synthesis attacks pass.
 * :mod:`repro.baselines.firewall` — a blocking firewall that drops
   packets instead of holding them: decisions cost retransmissions,
   broken sessions, and repeated commands.
@@ -13,6 +10,5 @@
 
 from repro.baselines.firewall import FirewallTap
 from repro.baselines.naive_spike import NaiveSpikeDetector
-from repro.baselines.voice_match import VoiceMatchDefense
 
-__all__ = ["FirewallTap", "NaiveSpikeDetector", "VoiceMatchDefense"]
+__all__ = ["FirewallTap", "NaiveSpikeDetector"]

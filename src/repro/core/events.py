@@ -117,10 +117,6 @@ class GuardLog:
         """Events classified as commands."""
         return [e for e in self.events if e.classification is TrafficClass.COMMAND]
 
-    def with_verdict(self, verdict: Verdict) -> List[CommandEvent]:
-        """Events carrying the given verdict."""
-        return [e for e in self.events if e.verdict is verdict]
-
     def between(self, start: float, end: float) -> List[CommandEvent]:
         """Events opened inside [start, end]."""
         return [e for e in self.events if start <= e.opened_at <= end]

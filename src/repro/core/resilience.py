@@ -97,18 +97,6 @@ class ProximityCache:
         """The raw (time, satisfied) entry for a device, if present."""
         return self._entries.get(device_name)
 
-    def purge_stale(self, now: float) -> int:
-        """Drop entries older than the TTL; returns how many were removed.
-
-        Keeps week-long runs from accumulating entries for devices that
-        unregistered long ago; correctness never depends on calling it.
-        """
-        stale = [name for name, (time, _) in self._entries.items()
-                 if now - time > self.ttl]
-        for name in stale:
-            del self._entries[name]
-        return len(stale)
-
 
 def count_events(events: List[ResilienceEvent]) -> Dict[str, int]:
     """Per-type counts of a resilience event trail."""

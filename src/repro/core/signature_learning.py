@@ -103,15 +103,3 @@ class SignatureLearner:
         if self.active is None:
             return False
         return tuple(prefix[: self.prefix_length]) == self.active.lengths
-
-    def matches_so_far(self, prefix: List[int]) -> bool:
-        """Whether a partial prefix is still consistent with the
-        learned signature (used for incremental tracking)."""
-        if self.active is None:
-            return False
-        return tuple(prefix) == self.active.lengths[: len(prefix)]
-
-    @property
-    def signature_changes(self) -> int:
-        """How many times the adopted signature has changed."""
-        return len(self.history)

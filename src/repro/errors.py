@@ -41,10 +41,6 @@ class RegistrationError(ReproError):
     registration requires manual owner approval)."""
 
 
-class DecisionTimeoutError(ReproError):
-    """No registered device answered an RSSI query before the deadline."""
-
-
 class WorkloadError(ReproError):
     """An experiment workload was specified inconsistently."""
 

@@ -136,7 +136,8 @@ def run_fig3(seed: int = 5) -> Fig3Result:
     spikes = group_spikes(events)
 
     naive = NaiveSpikeDetector()
-    verdicts = naive.evaluate_interaction([s.lengths for s in spikes])
+    spike_lengths = [s.lengths for s in spikes]
+    verdicts = naive.evaluate_interaction(spike_lengths)
     naive_holds = sum(1 for v in verdicts if v.would_hold)
 
     guard_events = scenario.guard.log.events[windows_before:]
@@ -145,7 +146,7 @@ def run_fig3(seed: int = 5) -> Fig3Result:
     return Fig3Result(
         spikes=spikes,
         naive_holds=naive_holds,
-        naive_wrong_holds=max(naive_holds - 1, 0),
+        naive_wrong_holds=naive.unnecessary_holds(spike_lengths),
         guard_command_windows=len(commands),
         guard_response_windows=len(responses),
         guard_response_hold_times=[e.hold_duration for e in responses if e.hold_duration],

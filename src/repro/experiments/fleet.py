@@ -237,12 +237,6 @@ def _scenario_pool():
     return _SCENARIO_POOL
 
 
-def clear_scenario_pool() -> None:
-    """Drop the worker pool's templates (tests / memory pressure)."""
-    global _SCENARIO_POOL
-    _SCENARIO_POOL = None
-
-
 def _summarize_full(scenario, spec: HomeSpec) -> HomeSummary:
     """Run a built home through its workload and fold the summary."""
     from repro.analysis.metrics import summarize_resilience

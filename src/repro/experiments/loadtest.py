@@ -40,7 +40,7 @@ from repro.errors import WorkloadError
 from repro.experiments.parallel import ExperimentEngine, ExperimentTask, derive_seed
 from repro.experiments.scenarios import add_echo_speaker, build_scenario
 from repro.faults.plan import FaultPlan
-from repro.obs.metrics import histogram_quantile, merge_snapshots
+from repro.obs.metrics import histogram_quantile
 
 TESTBED = "apartment"
 SPEAKER_COUNTS = (1, 2, 4)
@@ -271,10 +271,6 @@ class LoadtestResult:
             "no batching; degraded = 75% push loss + 4 KiB held-byte budget."
         )
         return "\n".join(lines)
-
-    def merged_metrics(self) -> dict:
-        """One fleet-style fold of every cell's metrics snapshot."""
-        return merge_snapshots(cell.metrics for cell in self.cells)
 
 
 def run_loadtest(

@@ -444,31 +444,3 @@ class ExperimentEngine:
             # joins the workers so nothing lingers past the run.
             pool.shutdown(wait=True, cancel_futures=True)
         return accumulator, count
-
-
-def collect_metric_snapshots(results: Sequence[object]) -> List[dict]:
-    """Pull ``metrics`` snapshots out of heterogeneous task results.
-
-    Results without a snapshot (older cache entries, tasks that don't
-    collect metrics) are skipped so a mixed batch still folds — but no
-    longer *silently*: a counted warning is logged, because a fleet
-    aggregation that quietly dropped homes would under-report every
-    population metric downstream.
-    """
-    snapshots: List[dict] = []
-    missing = 0
-    for result in results:
-        snapshot = getattr(result, "metrics", None)
-        if snapshot is None and isinstance(result, dict):
-            snapshot = result.get("metrics")
-        if isinstance(snapshot, dict):
-            snapshots.append(snapshot)
-        else:
-            missing += 1
-    if missing:
-        log.warning(
-            "collect_metric_snapshots: %d of %d results carried no metrics "
-            "snapshot; the merged metrics under-report by those runs",
-            missing, len(results),
-        )
-    return snapshots

@@ -32,13 +32,13 @@ This module amortizes the build with a **snapshot/reset protocol**:
    such a template fails to build with :class:`~repro.errors.SnapshotError`.
 
 3. **Rehome.**  The restored world is re-keyed to the target home:
-   packet numbering resets to its deterministic post-build value, the
-   RNG hub reseeds every stream in place from the home's derived seed
-   (see :meth:`repro.sim.random.RngHub.reseed`), and the fault injector
-   re-arms with the home's plan.  Interaction ids need no reset: their
-   counter lives on the world's
-   :class:`~repro.home.environment.HomeEnvironment`, and a build speaks
-   no command, so every restored home numbers its interactions from 1.
+   the RNG hub reseeds every stream in place from the home's derived
+   seed (see :meth:`repro.sim.random.RngHub.reseed`), and the fault
+   injector re-arms with the home's plan.  Ids need no reset: packet
+   numbers count on the world's :class:`~repro.net.link.Network` and
+   interaction ids on its
+   :class:`~repro.home.environment.HomeEnvironment`, so both travel in
+   the snapshot and resume where the template's build left off.
 
 The contract — enforced by tests — is that a pooled-and-rehomed home
 produces **byte identical** guard event streams to a freshly built home
@@ -60,7 +60,6 @@ from repro.experiments.parallel import derive_seed
 from repro.experiments.scenarios import Scenario, build_scenario
 from repro.experiments.synthesis import HomeSpec, fleet_world
 from repro.faults.plan import FaultPlan
-from repro.net.packet import peek_packet_number, reset_packet_numbers
 
 # (testbed, deployment, plan_scale, owner_count, device_kind): the
 # fields of a HomeSpec that select *which world gets built*; everything
@@ -151,22 +150,20 @@ def _shared_immutables(scenario: Scenario) -> Tuple[object, ...]:
     return tuple(shared)
 
 
-def rehome(scenario: Scenario, spec: HomeSpec, packet_mark: int) -> None:
+def rehome(scenario: Scenario, spec: HomeSpec) -> None:
     """Re-key a just-built or just-restored world to one home.
 
     Applied identically on the pooled path (after the template copy)
     and the cold path (after a fresh build), which is what makes the
     two byte-identical:
 
-    * packet numbering (the one process-global counter) is normalized
-      to its deterministic post-build value, so packet numbers are
-      independent of process history and of how many homes ran before
-      this one;
     * the RNG hub reseeds every stream in place from the home's seed;
     * the environment's (always present, possibly unarmed) fault
       injector re-arms with the home's plan.
+
+    Every counter a world numbers things with is part of the world, so
+    nothing else needs resetting.
     """
-    reset_packet_numbers(packet_mark)
     scenario.env.rng.reseed(derive_seed(spec.seed, "fleet.rehome"))
     if scenario.env.faults is not None:
         scenario.env.faults.rearm(home_fault_plan(spec))
@@ -233,11 +230,10 @@ def snapshot(scenario: Scenario, shared: Tuple[object, ...], key: PoolKey) -> by
 
 @dataclass
 class _Template:
-    """A pickled pristine bucket world plus its restore bookkeeping."""
+    """A pickled pristine bucket world plus its shared immutables."""
 
     blob: bytes
     shared: Tuple[object, ...]
-    packet_mark: int  # post-build packet counter (deterministic per bucket)
 
 
 class ScenarioPool:
@@ -262,11 +258,7 @@ class ScenarioPool:
         if entry is None:
             scenario = _build_bucket_scenario(key, self.config)
             shared = _shared_immutables(scenario)
-            entry = _Template(
-                blob=snapshot(scenario, shared, key),
-                shared=shared,
-                packet_mark=peek_packet_number(),
-            )
+            entry = _Template(blob=snapshot(scenario, shared, key), shared=shared)
             self._templates[key] = entry
             self.template_builds += 1
         return entry
@@ -277,7 +269,7 @@ class ScenarioPool:
         unpickler = pickle.Unpickler(io.BytesIO(entry.blob))
         unpickler.persistent_load = entry.shared.__getitem__
         scenario = unpickler.load()
-        rehome(scenario, spec, entry.packet_mark)
+        rehome(scenario, spec)
         self.restores += 1
         return scenario
 
@@ -296,6 +288,6 @@ def build_home_cold(spec: HomeSpec,
     the equality oracle's reference side.
     """
     scenario = _build_bucket_scenario(pool_key(spec), config)
-    rehome(scenario, spec, peek_packet_number())
+    rehome(scenario, spec)
     return scenario
 

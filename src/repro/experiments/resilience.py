@@ -202,21 +202,6 @@ class ResilienceResult:
         ]
         return "\n".join(notes)
 
-    def availability_by_policy(self, push_loss: float) -> Dict[str, float]:
-        """Pooled availability per policy at one fault rate (across
-        testbeds) — the headline retry-vs-single comparison."""
-        pooled: Dict[str, List[int]] = {}
-        for cell in self.cells:
-            if cell.push_loss != push_loss:
-                continue
-            decided, timeouts = pooled.setdefault(cell.policy, [0, 0])
-            pooled[cell.policy][0] = decided + cell.summary.decisions
-            pooled[cell.policy][1] = timeouts + cell.summary.timeouts
-        return {
-            policy: (decided - timeouts) / decided if decided else float("nan")
-            for policy, (decided, timeouts) in pooled.items()
-        }
-
 
 def run_resilience(
     seed: int = 0,

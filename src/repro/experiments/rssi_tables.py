@@ -12,13 +12,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.reporting import fmt_percent, render_table
 from repro.core.config import VoiceGuardConfig
-from repro.experiments.parallel import (
-    ExperimentEngine,
-    ExperimentTask,
-    collect_metric_snapshots,
-)
+from repro.experiments.parallel import ExperimentEngine, ExperimentTask
 from repro.experiments.runner import RssiExperimentResult, run_rssi_experiment
-from repro.obs.metrics import merge_snapshots
 
 # Paper-reported cell values for reference printing: per testbed, per
 # (speaker, location): (legit correct/total, malicious correct/total).
@@ -72,13 +67,6 @@ class RssiTableResult:
 
     testbed: str
     cells: List[RssiExperimentResult]
-
-    def metrics_snapshot(self) -> Optional[dict]:
-        """Table-level metrics: every cell's snapshot folded into one."""
-        snapshots = collect_metric_snapshots(self.cells)
-        if not snapshots:
-            return None
-        return merge_snapshots(snapshots)
 
     def render(self) -> str:
         """Render as paper-style text."""

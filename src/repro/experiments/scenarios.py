@@ -74,17 +74,8 @@ class Scenario:
     extra_speakers: List[SmartSpeaker] = field(default_factory=list)
 
     @property
-    def all_speakers(self) -> List[SmartSpeaker]:
-        """The primary speaker plus every extra one, in install order."""
-        return [self.speaker] + list(self.extra_speakers)
-
-    @property
     def sim(self):
         return self.env.sim
-
-    @property
-    def rng_hub(self):
-        return self.env.rng
 
     def run_for(self, duration: float) -> None:
         self.env.sim.run_for(duration)

@@ -30,7 +30,7 @@ chunking — the property the fleet determinism tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -347,11 +347,6 @@ def fleet_world(testbed_name: str, deployment: int, plan_scale: float) -> FleetW
     return world
 
 
-def clear_world_cache() -> None:
-    """Drop memoized worlds (tests; long-lived interactive sessions)."""
-    _WORLD_CACHE.clear()
-
-
 def warm_worlds(population: "PopulationModel") -> int:
     """Pre-build every world bucket the population can reach.
 
@@ -365,8 +360,3 @@ def warm_worlds(population: "PopulationModel") -> int:
             for scale in population.plan_scales:
                 fleet_world(name, deployment, scale)
     return len(population.testbed_mix) * 2 * len(population.plan_scales)
-
-
-def scaled_spec(spec: HomeSpec, **overrides) -> HomeSpec:
-    """A copy of ``spec`` with fields replaced (test/CLI convenience)."""
-    return replace(spec, **overrides)

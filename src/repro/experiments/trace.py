@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analysis.reporting import render_metrics_snapshot
 from repro.audio.speech import full_utterance_duration

@@ -23,7 +23,6 @@ from repro.faults.plan import FaultInjector, FaultPlan
 from repro.home.devices import MobileDevice, MotionSensor, Smartphone, Smartwatch
 from repro.home.person import Person
 from repro.home.push import PushService
-from repro.net.packet import reset_packet_numbers
 from repro.obs.tracer import Observability
 from repro.radio.bluetooth import BluetoothBeacon
 from repro.radio.geometry import Point, distance
@@ -57,9 +56,6 @@ class HomeEnvironment:
             )
         self.testbed = testbed
         self.deployment = deployment
-        # Each experiment's world starts with fresh packet numbering so
-        # repeated runs in one process produce identical traces.
-        reset_packet_numbers()
         self.rng = RngHub(seed)
         self.sim = Simulator()
         # Metrics are always live (they cannot perturb a run); span

@@ -105,10 +105,6 @@ class PacketCapture:
         return iter(self.records)
 
     # -- filters --------------------------------------------------------
-    def involving(self, ip: IPv4Address) -> List[CaptureRecord]:
-        """Records with ``ip`` as either endpoint."""
-        return [r for r in self.records if ip in (r.src_ip, r.dst_ip)]
-
     def from_ip(self, ip: IPv4Address) -> List[CaptureRecord]:
         """Records sent by ``ip``."""
         return [r for r in self.records if r.src_ip == ip]

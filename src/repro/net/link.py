@@ -40,7 +40,6 @@ class Host:
         self.network: Optional[Network] = None
         self._tcp_stack = None  # set by TcpStack.__init__
         self._udp_handlers: Dict[int, Callable[[Packet], None]] = {}
-        self._udp_any_port: Optional[Callable[[Packet], None]] = None
 
     # -- wiring ---------------------------------------------------------
     def attached(self, network: "Network") -> None:
@@ -64,11 +63,6 @@ class Host:
         """Register a per-port UDP handler."""
         self._udp_handlers[port] = handler
 
-    def register_udp_any(self, handler: Callable[[Packet], None]) -> None:
-        """Receive every UDP packet delivered to this host regardless of
-        destination port/IP — needed by the transparent UDP forwarder."""
-        self._udp_any_port = handler
-
     # -- traffic --------------------------------------------------------
     def send(self, packet: Packet) -> None:
         """Inject a packet into the network with this host as origin."""
@@ -81,9 +75,6 @@ class Host:
         if packet.protocol is Protocol.TCP:
             if self._tcp_stack is not None:
                 self._tcp_stack.receive(packet)
-            return
-        if self._udp_any_port is not None:
-            self._udp_any_port(packet)
             return
         handler = self._udp_handlers.get(packet.dst.port)
         if handler is not None:
@@ -136,6 +127,8 @@ class Network:
         self.jitter = jitter
         self.wan_loss = wan_loss  # per-packet drop probability on the WAN
         self.packets_lost = 0
+        # Packets are numbered on first send, per world (see Packet).
+        self._packet_count = 0
         self._hosts: Dict[IPv4Address, Host] = {}
         self._taps: Dict[IPv4Address, TapHost] = {}
         self._observers: List[PacketObserver] = []
@@ -216,10 +209,15 @@ class Network:
         A packet whose source or destination IP is covered by a tap is
         delivered to the tap *unless the tap itself is the origin* —
         packets a tap re-injects go straight to their true destination.
+        A packet's first send stamps its ``number``; a lost packet still
+        uses its number up.
         """
         sim = self.sim
         now = sim._clock._now
         packet.send_time = now
+        if packet.number is None:
+            self._packet_count += 1
+            packet.number = self._packet_count
         key = (origin.ip, packet.src, packet.dst)
         path_cache = self._path_cache
         path = path_cache.get(key)

@@ -11,7 +11,6 @@ recognizer works on lengths alone.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Dict, Optional
 
 from repro.errors import NetworkError
@@ -53,43 +52,6 @@ class TlsRecordType(enum.Enum):
     ALERT = "alert"
 
 
-_packet_ids = itertools.count(1)
-
-
-def next_packet_number() -> int:
-    """The next packet sequence number (display/debug identity only)."""
-    return next(_packet_ids)
-
-
-def peek_packet_number() -> int:
-    """The number the *next* packet will get, without consuming it.
-
-    Snapshot support (:mod:`repro.experiments.pool`): a restored world
-    must resume numbering exactly where the template's build left off,
-    so the pool records this value at build time and feeds it back to
-    :func:`reset_packet_numbers` before each simulated home.
-    """
-    global _packet_ids
-    value = next(_packet_ids)
-    _packet_ids = itertools.count(value)
-    return value
-
-
-def reset_packet_numbers(start: int = 1) -> None:
-    """Restart packet numbering.
-
-    Packet numbers are cosmetic (they appear in :meth:`Packet.brief`),
-    but a module-global counter leaks state across in-process runs: the
-    second run of an otherwise identical experiment numbers its packets
-    differently.  :class:`repro.home.environment.HomeEnvironment` calls
-    this at construction so every run starts from 1 and repeated runs in
-    one process are deterministic (which the parallel engine's cache
-    keys assume).
-    """
-    global _packet_ids
-    _packet_ids = itertools.count(start)
-
-
 class Packet:
     """One simulated packet.
 
@@ -98,6 +60,10 @@ class Packet:
     ``tls_record_seq`` carries the TLS record sequence number for
     application-data records so the receiving endpoint can detect the
     desynchronization caused by dropped records.
+    ``number`` is ``None`` until the packet is first sent: the
+    :class:`~repro.net.link.Network` then stamps it with the next number
+    of its own counter (display/debug identity only), and a re-send, such
+    as a tap bridging the packet, keeps it.
 
     A plain ``__slots__`` class rather than a dataclass: tens of
     thousands of packets are built per scenario, and skipping the
@@ -133,7 +99,6 @@ class Packet:
         tls_type: TlsRecordType = TlsRecordType.NONE,
         tls_record_seq: Optional[int] = None,
         meta: Optional[Dict[str, Any]] = None,
-        number: Optional[int] = None,
         send_time: float = 0.0,
     ) -> None:
         if payload_len < 0:
@@ -148,7 +113,7 @@ class Packet:
         self.tls_type = tls_type
         self.tls_record_seq = tls_record_seq
         self.meta = {} if meta is None else meta
-        self.number = next(_packet_ids) if number is None else number
+        self.number: Optional[int] = None
         self.send_time = send_time
 
     def _astuple(self) -> tuple:

@@ -52,11 +52,6 @@ class TlsSession:
         self.violation: Optional[TlsViolation] = None
 
     @property
-    def records_sent(self) -> int:
-        """Records stamped by the sender side."""
-        return self._send_seq
-
-    @property
     def records_received(self) -> int:
         """In-sequence records accepted so far."""
         return self._recv_expected

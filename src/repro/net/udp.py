@@ -68,14 +68,3 @@ class UdpFlow:
         self.datagrams_received += 1
         if self.on_datagram:
             self.on_datagram(self, packet)
-
-
-def ephemeral_udp_flow(
-    host: Host,
-    remote: Endpoint,
-    port: int,
-    on_datagram: Optional[Callable[[UdpFlow, Packet], None]] = None,
-) -> UdpFlow:
-    """Create a flow bound to ``port`` on ``host`` toward ``remote``."""
-    local = Endpoint(host.ip, port)
-    return UdpFlow(host, local, remote, on_datagram)

@@ -60,9 +60,6 @@ class Gauge:
     def inc(self, n: float = 1.0) -> None:
         self.set(self.value + n)
 
-    def dec(self, n: float = 1.0) -> None:
-        self.value -= n
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Gauge({self.name!r}, {self.value})"
 

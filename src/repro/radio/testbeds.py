@@ -37,7 +37,7 @@ from repro.radio.floorplan import (
     Room,
     SlabZone,
 )
-from repro.radio.geometry import Point
+from repro.radio.geometry import Point, path_points
 
 SPEAKER_HEIGHT = 0.8  # speakers sit on furniture
 
@@ -240,8 +240,8 @@ def house_testbed() -> Testbed:
     stair_bottom = Point(6.3, 4.8, 0.0)
     stair_top = Point(7.7, 3.3, FLOOR_HEIGHT)
     plan.add_points("stairwell", [
-        stair_bottom.lerp(stair_top, i / 6.0).offset(dz=DEVICE_CARRY_HEIGHT)
-        for i in range(7)
+        point.offset(dz=DEVICE_CARRY_HEIGHT)
+        for point in path_points(stair_bottom, stair_top, 7)
     ])
     # #49-62 bedroom A.  Eight perimeter points (laterally far from the
     # speaker) then the six-point leak cluster directly above it, whose

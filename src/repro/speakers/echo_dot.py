@@ -21,6 +21,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from repro.audio.speech import response_segment_duration
 from repro.audio.voiceprint import VoiceUtterance
 from repro.errors import ConnectionClosedError
 from repro.home.environment import HomeEnvironment
@@ -214,7 +215,7 @@ class EchoDot(SmartSpeaker):
         spike at the end of each one (spikes 3-5 of Figure 3)."""
         elapsed = 0.0
         for words in segments:
-            elapsed += words / 2.0
+            elapsed += response_segment_duration(words)
             spike = self.traffic.response_spike()
             for spec in spike:
                 self.sim.post(elapsed + spec.offset, self._send_on_current, spec.length)

@@ -36,11 +36,6 @@ class ResponseSegment:
 
     words: int
 
-    @property
-    def duration(self) -> float:
-        """Seconds to speak this segment at 2 words/s."""
-        return self.words / 2.0  # paper's 2 words/second pace
-
 
 @dataclass
 class CommandPhaseScript:

@@ -154,7 +154,7 @@ class TestSignatureLearnerUnit:
         for flow_id in range(10, 12):
             self._feed(learner, flow_id, [5, 6, 7, 8])
         assert learner.active.lengths == (5, 6, 7, 8)
-        assert learner.signature_changes == 1
+        assert [s.lengths for s in learner.history] == [(1, 2, 3, 4)]
 
     def test_extra_packets_ignored_per_flow(self):
         learner = SignatureLearner(prefix_length=4, confirmations=1)
@@ -166,8 +166,6 @@ class TestSignatureLearnerUnit:
         self._feed(learner, 1, [1, 2, 3, 4])
         assert learner.matches([1, 2, 3, 4])
         assert not learner.matches([1, 2, 3, 5])
-        assert learner.matches_so_far([1, 2])
-        assert not learner.matches_so_far([2])
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigError):

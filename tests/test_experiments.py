@@ -16,6 +16,7 @@ from repro.experiments.scenarios import (
     train_trace_classifier,
 )
 from repro.experiments.workload import SevenDayWorkload
+from repro.net.capture import PacketCapture
 from repro.speakers.base import InteractionRecord
 
 
@@ -117,6 +118,24 @@ class TestWorkload:
         first, second = ([r.interaction_id for r in run.records] for run in runs)
         assert first
         assert first == second
+
+    def test_packet_numbers_independent_of_other_worlds(self):
+        """Packet numbers belong to the world: building a second world
+        before running the first leaves the first's numbering alone."""
+
+        def first_numbers(build_another):
+            scenario = build_scenario("apartment", "echo", deployment=0,
+                                      owner_count=1, seed=5)
+            if build_another:
+                build_scenario("office", "google", deployment=1,
+                               owner_count=2, seed=6)
+            capture = PacketCapture().attach(scenario.network)
+            scenario.run_for(120.0)
+            return [record.number for record in capture.records[:5]]
+
+        alone = first_numbers(build_another=False)
+        assert alone == [169, 171, 170, 172, 173]
+        assert first_numbers(build_another=True) == alone
 
     def test_workload_respects_counts(self):
         scenario = build_scenario(

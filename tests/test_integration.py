@@ -111,7 +111,7 @@ class TestEchoEndToEnd:
         scenario.owners[0].teleport(env.testbed.device_point(30).offset(dz=-1.0))
         env.sim.run_for(2.0)
         before = set(scenario.speaker.interactions)
-        attack.launch_through_window("unlock the door please now", 3.0)
+        attack.launch("unlock the door please now", 3.0, env.speaker_beacon.position)
         env.sim.run_for(20.0)
         new = [scenario.speaker.interactions[i]
                for i in scenario.speaker.interactions if i not in before]
@@ -250,7 +250,7 @@ class TestFailureModes:
         # The query cannot complete in 50 ms, so even the owner's own
         # command is (safely) blocked.
         assert record.outcome is InteractionOutcome.BLOCKED
-        timeouts = scenario.guard.log.with_verdict(Verdict.TIMEOUT)
+        timeouts = [e for e in scenario.guard.log.events if e.verdict is Verdict.TIMEOUT]
         assert timeouts
 
     def test_decision_timeout_fail_open(self):

@@ -12,6 +12,7 @@ from repro.experiments.loadtest import (
     saturation_knee,
 )
 from repro.errors import WorkloadError
+from repro.obs.metrics import merge_snapshots
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +67,7 @@ class TestLoadtestGrid:
         assert "coordinated" in rendered and "degraded" in rendered
 
     def test_merged_metrics_fold(self, smoke_result):
-        merged = smoke_result.merged_metrics()
+        merged = merge_snapshots(cell.metrics for cell in smoke_result.cells)
         assert merged["counters"]["decision.queries"] > 0
         assert "proxy.hold_duration" in merged["histograms"]
 

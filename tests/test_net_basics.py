@@ -13,7 +13,7 @@ from repro.net.capture import PacketCapture
 from repro.net.dns import DnsClient, DnsServer
 from repro.net.link import Host, Network, TapHost
 from repro.net.packet import Packet, Protocol, TcpFlags, TlsRecordType
-from repro.net.udp import UdpFlow, ephemeral_udp_flow
+from repro.net.udp import UdpFlow
 from repro.sim.random import RngHub
 
 
@@ -152,12 +152,26 @@ class TestPacket:
         )
         assert not ack.is_application_data
 
-    def test_packet_numbers_increase(self):
-        a = Packet(src=endpoint("10.0.0.1", 1), dst=endpoint("10.0.0.2", 2),
-                   protocol=Protocol.UDP, payload_len=1)
-        b = Packet(src=endpoint("10.0.0.1", 1), dst=endpoint("10.0.0.2", 2),
-                   protocol=Protocol.UDP, payload_len=1)
-        assert b.number > a.number
+    def test_packet_numbers_increase(self, sim, network):
+        """A network numbers packets 1, 2, 3... in the order it first
+        sends them, not the order they were built."""
+        a = make_host(network, "a", "192.168.1.10")
+        b = make_host(network, "b", "192.168.1.11")
+        received = []
+        b.register_udp_handler(9, received.append)
+        packets = [Packet(src=Endpoint(a.ip, 1), dst=Endpoint(b.ip, 9),
+                          protocol=Protocol.UDP, payload_len=size)
+                   for size in (1, 2, 3)]
+        for packet in reversed(packets):
+            a.send(packet)
+        sim.run()
+        assert [p.payload_len for p in received] == [3, 2, 1]
+        assert [p.number for p in received] == [1, 2, 3]
+
+    def test_unsent_packet_has_no_number(self):
+        packet = Packet(src=endpoint("10.0.0.1", 1), dst=endpoint("10.0.0.2", 2),
+                        protocol=Protocol.UDP, payload_len=1)
+        assert packet.number is None
 
     def test_brief_renders(self):
         packet = Packet(src=endpoint("10.0.0.1", 1), dst=endpoint("10.0.0.2", 2),
@@ -235,6 +249,40 @@ class TestNetwork:
                             protocol=Protocol.UDP, payload_len=7))
         sim.run()
         assert [p.payload_len for p in received] == [7]
+
+    def test_bridged_packet_keeps_its_number(self, sim, network):
+        speaker = make_host(network, "speaker", "192.168.1.200")
+        cloud = make_host(network, "cloud", "54.1.1.1")
+        received = []
+        cloud.register_udp_handler(9, received.append)
+        tap = TapHost("tap", IPv4Address("192.168.1.50"))
+        network.attach(tap)
+        network.install_tap(speaker.ip, tap)
+        seen = []
+        network.add_observer(lambda p, scope: seen.append(p.number))
+        speaker.send(Packet(src=Endpoint(speaker.ip, 1), dst=Endpoint(cloud.ip, 9),
+                            protocol=Protocol.UDP, payload_len=7))
+        sim.run()
+        # Delivered twice (speaker -> tap, tap -> cloud) under one number.
+        assert seen == [1, 1]
+        assert [p.number for p in received] == [1]
+
+    def test_lost_packet_uses_up_its_number(self, sim):
+        network = Network(sim, RngHub(1), wan_loss=1.0)
+        a = make_host(network, "a", "192.168.1.10")
+        b = make_host(network, "b", "192.168.1.11")
+        cloud = make_host(network, "cloud", "54.1.1.1")
+        received = []
+        b.register_udp_handler(9, received.append)
+        lost = Packet(src=Endpoint(a.ip, 1), dst=Endpoint(cloud.ip, 9),
+                      protocol=Protocol.UDP, payload_len=1)
+        a.send(lost)
+        a.send(Packet(src=Endpoint(a.ip, 1), dst=Endpoint(b.ip, 9),
+                      protocol=Protocol.UDP, payload_len=2))
+        sim.run()
+        assert network.packets_lost == 1
+        assert lost.number == 1
+        assert [p.number for p in received] == [2]
 
     def test_alias_routes_to_same_host(self, sim, network):
         host = make_host(network, "cloud", "54.1.1.1")
@@ -315,7 +363,7 @@ class TestUdpFlow:
 
     def test_zero_payload_rejected(self, sim, network):
         a = make_host(network, "a", "192.168.1.10")
-        flow = ephemeral_udp_flow(a, endpoint("192.168.1.11", 500), port=401)
+        flow = UdpFlow(a, Endpoint(a.ip, 401), endpoint("192.168.1.11", 500))
         with pytest.raises(NetworkError):
             flow.send(0)
 
@@ -330,7 +378,6 @@ class TestCapture:
         sim.run()
         assert len(capture) == 1
         assert capture.from_ip(a.ip)[0].payload_len == 10
-        assert capture.involving(b.ip)
 
     def test_keep_predicate(self, sim, network):
         a = make_host(network, "a", "192.168.1.10")

