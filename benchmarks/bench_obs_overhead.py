@@ -12,18 +12,16 @@ Usage (from the repository root)::
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py --smoke
 
-Writes ``benchmarks/results/BENCH_obs.json``.  The full run enforces
-the < 10 % overhead budget; ``--smoke`` exercises the same path at a
-tiny workload where wall-clock noise dominates, so it only enforces
-stream equality.
+Prints the two timings and exits 1 if the event streams differ or the
+overhead is over budget.  The full run enforces the < 10 % budget;
+``--smoke`` exercises the same path at a tiny workload where wall-clock
+noise dominates, so it only enforces a 50 % ceiling, which still
+catches span collection grown grossly expensive.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import pathlib
-import platform
 import sys
 import time
 from typing import List, Tuple
@@ -32,6 +30,7 @@ from repro.experiments.scenarios import build_scenario
 from repro.experiments.workload import SevenDayWorkload
 
 OVERHEAD_BUDGET = 0.10  # tracing may cost at most 10 % wall time
+SMOKE_OVERHEAD_BUDGET = 0.50  # the smoke workload's noisy ceiling
 
 # The Table II house/echo/loc1 cell counts (paper totals).
 FULL_COUNTS = (91, 69)
@@ -52,7 +51,8 @@ def _run_cell(tracing: bool, seed: int, legit: int,
 
 
 def run_bench(seed: int = 7, repeats: int = 3, smoke: bool = False) -> dict:
-    """Time tracing-off vs tracing-on; returns the JSON payload."""
+    """Time tracing-off vs tracing-on; returns the payload that
+    :func:`render` prints."""
     legit, malicious = SMOKE_COUNTS if smoke else FULL_COUNTS
     repeats = 1 if smoke else repeats
     off_times: List[float] = []
@@ -78,12 +78,9 @@ def run_bench(seed: int = 7, repeats: int = 3, smoke: bool = False) -> dict:
         "baseline_s": baseline,
         "traced_s": traced,
         "overhead_fraction": overhead,
-        "overhead_budget": OVERHEAD_BUDGET,
+        "overhead_budget": SMOKE_OVERHEAD_BUDGET if smoke else OVERHEAD_BUDGET,
         "spans_collected": span_count,
         "events_identical": identical,
-        "command_events": len(off_stream or []),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
     }
 
 
@@ -106,26 +103,20 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--smoke", action="store_true",
-                        help="tiny workload: checks the path, not the numbers")
-    parser.add_argument("--output",
-                        default="benchmarks/results/BENCH_obs.json")
+                        help="tiny workload: checks the path and a loose "
+                             "overhead ceiling")
     args = parser.parse_args(argv)
 
     payload = run_bench(seed=args.seed, repeats=args.repeats, smoke=args.smoke)
     print(render(payload))
 
-    target = pathlib.Path(args.output)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                      encoding="utf-8")
-    print(f"(written to {target})")
-
     if not payload["events_identical"]:
         print("FAIL: tracing changed the guard's event stream", file=sys.stderr)
         return 1
-    if not args.smoke and payload["overhead_fraction"] > OVERHEAD_BUDGET:
+    if payload["overhead_fraction"] > payload["overhead_budget"]:
         print(f"FAIL: tracing overhead {payload['overhead_fraction']:.2%} "
-              f"exceeds the {OVERHEAD_BUDGET:.0%} budget", file=sys.stderr)
+              f"exceeds the {payload['overhead_budget']:.0%} budget",
+              file=sys.stderr)
         return 1
     return 0
 

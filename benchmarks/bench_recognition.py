@@ -1,80 +1,35 @@
 #!/usr/bin/env python
-"""Recognizer robustness benchmark: determinism gates + the arms race.
+"""Recognizer throughput benchmark: windows/sec through ``predict_window``.
 
-Three things, in order:
-
-1. **Determinism gate** — the trainable recognizers are retrained from
-   scratch in two fresh hubs with the same seed; the MLP's full weight
-   blob and both recognizers' predictions over an evaluation set must
-   be bit-identical (``weights_identical``).  The robustness grid is
-   then rendered serially and at ``workers=2``; the two tables must be
-   byte-identical (``tables_identical``).  Both are asserted per run —
-   smoke proves them as hard as full.
-
-2. **Arms race floors** — from the same grid: the worst morphing
-   adversary must cost the signature matcher at least
-   ``DROP_FLOOR_POINTS`` of echo accuracy (the attack is real), and the
-   knn recognizer retrained on that adversary's morphs must land within
-   ``RETRAIN_GAP_CEILING`` points of its clean baseline (the defence is
-   real).  These are the experiment's acceptance criteria, pinned as
-   bench metrics.
-
-3. **Throughput** — windows/sec through ``predict_window`` for the
-   trained knn and mlp recognizers (feature extraction included), with
-   an absolute floor: a learned recognizer that cannot keep up with a
-   home's window rate would be unusable inline.
+Trains the knn and mlp recognizers and times ``predict_window`` on
+synthesized echo windows (feature extraction included), with an
+absolute floor: a learned recognizer that cannot keep up with a home's
+window rate would be unusable inline.  The recognizers' accuracy,
+determinism and arms-race gates are tier-1 tests
+(``tests/test_recognition_learning.py``).
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python benchmarks/bench_recognition.py
     PYTHONPATH=src python benchmarks/bench_recognition.py --smoke
 
-Writes ``benchmarks/results/BENCH_recognition.json``.
+Prints windows/sec per recognizer and exits 1 if either is under
+``THROUGHPUT_FLOOR``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import pathlib
-import platform
 import sys
 import time
 
-from repro.core.recognizers import synth_windows, train_window_recognizer
-from repro.experiments.parallel import derive_seed
-from repro.experiments.recognition_robustness import run_recognition_robustness
-from repro.sim.random import RngHub
-
 import numpy as np
 
-DROP_FLOOR_POINTS = 20.0  # worst morph must cost the signature matcher this
-RETRAIN_GAP_CEILING = 10.0  # retrained knn must land this close to clean
+from repro.core.recognizers import synth_windows, train_window_recognizer
+from repro.experiments.parallel import derive_seed
+from repro.sim.random import RngHub
+
 THROUGHPUT_FLOOR = 200.0  # predict_window calls/sec, knn and mlp
-
-
-def _train_twice(kind: str, seed: int, per_class: int):
-    """The same recognizer trained in two fresh same-seed hubs."""
-    first = train_window_recognizer(kind, "echo", RngHub(seed),
-                                    train_per_class=per_class)
-    second = train_window_recognizer(kind, "echo", RngHub(seed),
-                                     train_per_class=per_class)
-    return first, second
-
-
-def assert_training_deterministic(seed: int, per_class: int) -> None:
-    """Same seed => bit-identical weights and predictions; raises on drift."""
-    mlp_a, mlp_b = _train_twice("mlp", seed, per_class)
-    if mlp_a.weight_bytes() != mlp_b.weight_bytes():
-        raise AssertionError("same-seed MLP trainings produced different weights")
-    knn_a, knn_b = _train_twice("knn", seed, per_class)
-    probe = synth_windows(
-        "echo", np.random.default_rng(derive_seed(seed, "bench.probe")), 10)
-    for sample in probe:
-        pa = knn_a.predict_window(sample.lengths, sample.offsets)
-        pb = knn_b.predict_window(sample.lengths, sample.offsets)
-        if pa is not pb:
-            raise AssertionError("same-seed knn trainings disagree on a window")
 
 
 def measure_throughput(kind: str, seed: int, per_class: int,
@@ -95,113 +50,29 @@ def measure_throughput(kind: str, seed: int, per_class: int,
             return calls / elapsed
 
 
-def run_bench(seed: int = 3, smoke: bool = False,
-              min_seconds: float = 0.2) -> dict:
-    per_class = 12 if smoke else 30
-    assert_training_deterministic(seed, per_class)
-
-    start = time.perf_counter()
-    serial = run_recognition_robustness(seed=seed, smoke=smoke, workers=1)
-    parallel = run_recognition_robustness(seed=seed, smoke=smoke, workers=2)
-    elapsed = time.perf_counter() - start
-    if serial.render() != parallel.render():
-        raise AssertionError(
-            "recognition grid differs between workers=1 and workers=2")
-
-    clean = serial.cell("echo", "signature", "none")
-    adversary, morphed = serial.worst_morph("echo", "signature")
-    drop_points = (clean.accuracy - morphed) * 100.0
-    knn_clean = serial.cell("echo", "knn", "none")
-    knn_retrained = serial.cell("echo", "knn", adversary, adaptive=True)
-    gap_points = abs(knn_clean.accuracy - knn_retrained.accuracy) * 100.0
-
-    return {
-        "bench": "recognition",
-        "seed": seed,
-        "smoke": smoke,
-        "weights_identical": True,  # asserted above, before any timing
-        "tables_identical": True,  # serial vs workers=2, asserted above
-        "cells": len(serial.cells),
-        "worst_adversary": adversary,
-        "signature_clean_accuracy": round(clean.accuracy, 6),
-        "signature_morphed_accuracy": round(morphed, 6),
-        "signature_drop_points": round(drop_points, 3),
-        "drop_floor_points": DROP_FLOOR_POINTS,
-        "knn_clean_accuracy": round(knn_clean.accuracy, 6),
-        "knn_retrained_accuracy": round(knn_retrained.accuracy, 6),
-        "retrain_gap_points": round(gap_points, 3),
-        "retrain_gap_ceiling": RETRAIN_GAP_CEILING,
-        "throughput": {
-            "knn_windows_per_sec": round(
-                measure_throughput("knn", seed, per_class, min_seconds), 1),
-            "mlp_windows_per_sec": round(
-                measure_throughput("mlp", seed, per_class, min_seconds), 1),
-        },
-        "throughput_floor": THROUGHPUT_FLOOR,
-        "wall_elapsed_s": round(elapsed, 3),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-    }
-
-
-def render(payload: dict) -> str:
-    thr = payload["throughput"]
-    return "\n".join([
-        f"recognition robustness bench (seed {payload['seed']}"
-        f"{', smoke' if payload['smoke'] else ''}):",
-        "  determinism: same-seed retrains bit-identical; grid table "
-        "byte-identical serial vs workers=2",
-        f"  arms race ({payload['cells']} cells): signature "
-        f"{payload['signature_clean_accuracy']:.2%} clean -> "
-        f"{payload['signature_morphed_accuracy']:.2%} under "
-        f"{payload['worst_adversary']} "
-        f"({payload['signature_drop_points']:.0f} points, floor "
-        f"{payload['drop_floor_points']:.0f}); knn+retrain within "
-        f"{payload['retrain_gap_points']:.0f} points of clean (ceiling "
-        f"{payload['retrain_gap_ceiling']:.0f})",
-        f"  throughput: knn {thr['knn_windows_per_sec']:.0f} windows/s, "
-        f"mlp {thr['mlp_windows_per_sec']:.0f} windows/s (floor "
-        f"{payload['throughput_floor']:.0f})",
-    ])
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--smoke", action="store_true",
-                        help="echo corner cells only: exercises the path and "
-                             "both determinism gates, numbers not citable")
+                        help="smaller training sets: exercises the path, "
+                             "numbers not citable")
     parser.add_argument("--seconds", type=float, default=0.2,
                         help="minimum wall time per throughput measurement")
-    parser.add_argument("--output",
-                        default="benchmarks/results/BENCH_recognition.json")
     args = parser.parse_args(argv)
 
-    payload = run_bench(seed=args.seed, smoke=args.smoke,
-                        min_seconds=args.seconds)
-    print(render(payload))
+    per_class = 12 if args.smoke else 30
+    rates = {kind: measure_throughput(kind, args.seed, per_class, args.seconds)
+             for kind in ("knn", "mlp")}
+    print(f"recognizer throughput (seed {args.seed}"
+          f"{', smoke' if args.smoke else ''}): "
+          + ", ".join(f"{kind} {rate:.0f} windows/s"
+                      for kind, rate in rates.items())
+          + f" (floor {THROUGHPUT_FLOOR:.0f})")
 
-    target = pathlib.Path(args.output)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                      encoding="utf-8")
-    print(f"(written to {target})")
-
-    failures = []
-    if payload["signature_drop_points"] < DROP_FLOOR_POINTS:
-        failures.append(
-            f"signature drop {payload['signature_drop_points']:.0f} points "
-            f"below the {DROP_FLOOR_POINTS:.0f}-point floor")
-    if payload["retrain_gap_points"] > RETRAIN_GAP_CEILING:
-        failures.append(
-            f"retrain gap {payload['retrain_gap_points']:.0f} points above "
-            f"the {RETRAIN_GAP_CEILING:.0f}-point ceiling")
-    for name, value in payload["throughput"].items():
-        if value < THROUGHPUT_FLOOR:
-            failures.append(f"{name} {value:.0f}/s below the "
-                            f"{THROUGHPUT_FLOOR:.0f}/s floor")
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
+    failures = [kind for kind, rate in rates.items() if rate < THROUGHPUT_FLOOR]
+    for kind in failures:
+        print(f"FAIL: {kind} {rates[kind]:.0f} windows/s below the "
+              f"{THROUGHPUT_FLOOR:.0f}/s floor", file=sys.stderr)
     return 1 if failures else 0
 
 

@@ -21,18 +21,16 @@ Usage (from the repository root)::
     PYTHONPATH=src python benchmarks/bench_rssi_kernel.py
     PYTHONPATH=src python benchmarks/bench_rssi_kernel.py --seconds 0.05
 
-Writes ``benchmarks/results/BENCH_rssi.json``.  Exits 1 if the batched
-grid kernel is less than 5x the scalar reference, or if reading the
-O(1) pending-event count is not cheaper than a queue operation.
+Prints one line per bench and per speedup.  Exits 1 if a speedup falls
+below its :data:`SPEEDUP_FLOORS` entry (the batched grid kernel must
+stay 5x the scalar reference), or if reading the O(1) pending-event
+count is not cheaper than a queue operation.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
-import pathlib
-import platform
 import sys
 import time
 from typing import Callable, Dict, List
@@ -49,7 +47,18 @@ from repro.sim.events import EventQueue
 from repro.sim.process import PeriodicTask
 
 GRID_SAMPLES = 16  # the paper's 4 orientations x 4 measurements
-GRID_MAP_FLOOR = 5.0  # batched grid kernel vs the scalar reference
+
+# speedup name -> the least ratio a run may report.  A batched path
+# must not lose to its scalar twin; sampling a 16-draw batch is close
+# enough to the scalar loop that it gets 20 % slack.
+SPEEDUP_FLOORS = {
+    "grid_map": 5.0,
+    "mean_rssi_cached_vs_reference": 1.0,
+    "mean_rssi_many_vs_reference": 1.0,
+    "sample_batch_vs_scalar": 0.8,
+    "walls_many_vs_scalar": 1.0,
+    "trace_vs_scalar": 1.0,
+}
 
 
 # -- the unmemoized scalar reference --------------------------------------
@@ -158,7 +167,8 @@ def run_bench_rssi(
     seed: int = 7,
     min_seconds: float = 0.2,
 ) -> Dict:
-    """Time every layer of the RSSI substrate; returns the JSON payload."""
+    """Time every layer of the RSSI substrate; returns the payload that
+    :func:`render_bench` prints."""
     testbed = testbed_by_name(testbed_name)
     plan = testbed.plan
     model = PropagationModel(plan, seed=seed)
@@ -315,23 +325,10 @@ def run_bench_rssi(
         "meta": {
             "testbed": testbed_name,
             "grid_points": len(grid),
-            "samples_per_location": GRID_SAMPLES,
             "walls": len(plan.walls),
-            "seed": seed,
-            "min_seconds_per_bench": min_seconds,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
         },
         "benches": benches,
         "speedups": speedups,
-        "units": {
-            "grid_map_*": "locations (16-sample averages) per second",
-            "mean_rssi_* / sample_* / walls_*": "single evaluations per second",
-            "trace_*": "trace samples per second, sim ticks included",
-            "event_push_pop": "queue operations per second",
-            "pending_events_read_10k": "len() reads per second on a 10k heap",
-        },
     }
 
 
@@ -350,7 +347,15 @@ def render_bench(payload: Dict) -> str:
         )
     lines.append("")
     for name, ratio in payload["speedups"].items():
-        lines.append(f"speedup {name:38} {ratio:>7.2f}x")
+        lines.append(f"speedup {name:38} {ratio:>7.2f}x "
+                     f"(floor {SPEEDUP_FLOORS[name]:.1f}x)")
+    lines.extend([
+        "",
+        "units: grid_map_* locations (16-sample averages); mean_rssi_*, "
+        "sample_* and walls_* single evaluations; trace_* samples, sim "
+        "ticks included; event_push_pop queue operations; "
+        "pending_events_read_10k len() reads on a 10k heap",
+    ])
     return "\n".join(lines)
 
 
@@ -361,30 +366,24 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=float, default=0.2,
                         help="minimum wall time per microbenchmark")
-    parser.add_argument("--output",
-                        default="benchmarks/results/BENCH_rssi.json")
     args = parser.parse_args(argv)
 
     payload = run_bench_rssi(testbed_name=args.testbed, seed=args.seed,
                              min_seconds=args.seconds)
     print(render_bench(payload))
 
-    target = pathlib.Path(args.output)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"(written to {target})")
-
-    if payload["speedups"]["grid_map"] < GRID_MAP_FLOOR:
-        print(f"FAIL: grid_map speedup {payload['speedups']['grid_map']}x "
-              f"below the {GRID_MAP_FLOOR}x floor", file=sys.stderr)
-        return 1
+    failures = [
+        f"{name} speedup {ratio}x below the {SPEEDUP_FLOORS[name]}x floor"
+        for name, ratio in payload["speedups"].items()
+        if ratio < SPEEDUP_FLOORS[name]
+    ]
     benches = payload["benches"]
     if (benches["pending_events_read_10k"]["usec_per_op"]
             >= benches["event_push_pop"]["usec_per_op"]):
-        print("FAIL: len() on a 10k queue is not cheaper than a push/pop",
-              file=sys.stderr)
-        return 1
-    return 0
+        failures.append("len() on a 10k queue is not cheaper than a push/pop")
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from repro.analysis.stats import (
     ConfidenceInterval,
     accuracy_interval,
     bootstrap_interval,
-    proportion_difference_interval,
 )
 from repro.analysis.traces import RssiTrace
 
@@ -30,7 +29,6 @@ __all__ = [
     "export_table_cells",
     "export_trace_features",
     "linear_fit",
-    "proportion_difference_interval",
     "render_histogram",
     "render_table",
     "write_csv",

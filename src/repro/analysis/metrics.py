@@ -72,14 +72,6 @@ class ConfusionMatrix:
             return float("nan")
         return self.true_positive / self.actual_positive
 
-    @property
-    def f1(self) -> float:
-        """Harmonic mean of precision and recall."""
-        p, r = self.precision, self.recall
-        if p != p or r != r or (p + r) == 0:  # NaN-safe
-            return float("nan")
-        return 2 * p * r / (p + r)
-
     def merged(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         """Element-wise sum with another matrix."""
         return ConfusionMatrix(

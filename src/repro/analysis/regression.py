@@ -21,10 +21,6 @@ class LinearFit:
     intercept: float
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        """Evaluate the fitted line at ``x``."""
-        return self.slope * x + self.intercept
-
 
 def linear_fit(times: Sequence[float], values: Sequence[float]) -> LinearFit:
     """Fit ``values ~ slope * times + intercept``.

@@ -74,32 +74,3 @@ def accuracy_interval(
         confidence=confidence,
         seed=seed,
     )
-
-
-def proportion_difference_interval(
-    a_flags: Sequence[bool],
-    b_flags: Sequence[bool],
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: int = 0,
-) -> ConfidenceInterval:
-    """Bootstrap interval for P(a) - P(b) (e.g. an ablation's effect).
-
-    Each group is resampled independently; the interval excludes zero
-    when the effect is significant at the chosen level.
-    """
-    a = np.asarray([1.0 if f else 0.0 for f in a_flags])
-    b = np.asarray([1.0 if f else 0.0 for f in b_flags])
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both groups need at least one observation")
-    rng = np.random.default_rng(seed)
-    estimate = float(a.mean() - b.mean())
-    diffs = []
-    for _ in range(resamples):
-        diffs.append(
-            float(a[rng.integers(0, a.size, a.size)].mean()
-                  - b[rng.integers(0, b.size, b.size)].mean())
-        )
-    alpha = (1.0 - confidence) / 2.0
-    low, high = np.quantile(diffs, [alpha, 1.0 - alpha])
-    return ConfidenceInterval(estimate, float(low), float(high), confidence)

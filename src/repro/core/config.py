@@ -14,14 +14,14 @@ class VoiceGuardConfig:
 
     Defaults follow the paper: a spike after ~2.5 s of (non-heartbeat)
     silence opens a new recognition window; classification needs at
-    most seven packets; a held command is dropped if no device proves
-    proximity before ``decision_timeout``.
+    most ``speakers.signatures.PHASE2_MARKER_MAX_INDEX`` (seven) packets,
+    a fixed property of the traffic rather than a setting; a held command
+    is dropped if no device proves proximity before ``decision_timeout``.
     """
 
     # Traffic recognition.
     idle_gap: float = 2.5  # seconds of app-data silence that ends a spike
     classification_timeout: float = 0.6  # give up waiting for more packets
-    classification_max_packets: int = 7
 
     # Window recognizer: "signature" (the paper's matcher, default) or a
     # trainable kind from repro.core.recognizers ("knn" / "mlp"), trained
@@ -61,8 +61,6 @@ class VoiceGuardConfig:
             raise ConfigError(f"idle_gap must be positive, got {self.idle_gap!r}")
         if self.classification_timeout <= 0:
             raise ConfigError("classification_timeout must be positive")
-        if self.classification_max_packets < 2:
-            raise ConfigError("classification needs at least 2 packets")
         # Validation is syntactic only (the recognizer registry lives a
         # layer above config); unknown names fail at scenario build.
         if not self.recognizer or not isinstance(self.recognizer, str):

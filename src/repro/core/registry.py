@@ -109,13 +109,6 @@ class DeviceRegistry:
             raise RegistrationError(f"no registered device named {name!r}")
         del self._entries[name]
 
-    def update_threshold(self, name: str, threshold: float) -> None:
-        """Replace a device's RSSI threshold."""
-        try:
-            self._entries[name].threshold = float(threshold)
-        except KeyError:
-            raise RegistrationError(f"no registered device named {name!r}") from None
-
     def __len__(self) -> int:
         return len(self._entries)
 

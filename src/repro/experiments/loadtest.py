@@ -8,7 +8,8 @@ owner commands arrive at a configurable offered rate in homes with 1,
 2 or 4 Echo Dots, and every cell reports the guard-side throughput
 (resolved commands/sec) against the hold-time tail (p50/p99), plus the
 coordinator's queue/batching counters — the raw data behind the
-commands/sec-vs-latency knee that ``benchmarks/bench_load.py`` charts.
+commands/sec-vs-latency knee that :func:`saturation_knee` locates and
+the rendered table reports.
 
 Three guard configurations bound the space:
 
@@ -63,6 +64,10 @@ BURST_SPACING = 3.0
 # their full timeout while held bytes accumulate against a tiny budget.
 DEGRADED_PUSH_LOSS = 0.75
 DEGRADED_BUDGET = 4_096
+
+# Seconds of hold p99 a coordinated cell may reach and still be before
+# the saturation knee.
+KNEE_P99_BOUND = 10.0
 
 
 def _cell_config(mode: str) -> VoiceGuardConfig:
@@ -217,23 +222,18 @@ def run_loadtest_cell(
     )
 
 
-def saturation_knee(
-    cells: Sequence[LoadCell],
-    speakers: int,
-    p99_bound: float = 10.0,
-    mode: str = "coordinated",
-) -> Optional[LoadCell]:
+def saturation_knee(cells: Sequence[LoadCell], speakers: int) -> Optional[LoadCell]:
     """The highest-throughput cell still under the latency bound.
 
     The knee of the commands/sec-vs-latency curve: among one speaker
-    count's cells (in one mode), the fastest cell whose hold p99 stays
-    at or under ``p99_bound`` and that lost nothing to timeouts or the
-    max-hold failsafe.  ``None`` when every cell is past the knee.
+    count's coordinated cells, the fastest cell whose hold p99 stays at
+    or under :data:`KNEE_P99_BOUND` and that lost nothing to timeouts or
+    the max-hold failsafe.  ``None`` when every cell is past the knee.
     """
     eligible = [
         c for c in cells
-        if c.speakers == speakers and c.mode == mode
-        and c.hold_p99 == c.hold_p99 and c.hold_p99 <= p99_bound
+        if c.speakers == speakers and c.mode == "coordinated"
+        and c.hold_p99 == c.hold_p99 and c.hold_p99 <= KNEE_P99_BOUND
         and c.timeouts == 0 and c.failsafes == 0
     ]
     if not eligible:

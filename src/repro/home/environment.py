@@ -179,13 +179,3 @@ class HomeEnvironment:
     def speaker_floor(self) -> int:
         """The storey the speaker sits on."""
         return self.testbed.plan.floor_of(self.speaker_beacon.position)
-
-    def owner_in_speaker_room(self) -> bool:
-        """Any owner currently inside the speaker's room (ground truth)."""
-        speaker_room = self.testbed.plan.room_of(self.speaker_beacon.position)
-        if speaker_room is None:
-            return False
-        return any(
-            person.is_owner and speaker_room.contains(person.position)
-            for person in self.persons.values()
-        )

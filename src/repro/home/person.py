@@ -15,11 +15,9 @@ import numpy as np
 
 from repro.audio.voiceprint import UtteranceSource, VoicePrint, VoiceUtterance, live_utterance
 from repro.radio.floorplan import DEVICE_CARRY_HEIGHT
-from repro.radio.geometry import Point, distance
+from repro.radio.geometry import Point
 from repro.radio.testbeds import WalkRoute
 from repro.sim.simulator import Simulator
-
-WALKING_SPEED = 1.2  # m/s, used when walking directly to a point
 
 # Device positions as a (3, n) array of x, y and z rows.
 _NO_COORDINATES = np.empty((3, 0))
@@ -126,13 +124,6 @@ class Person:
         self.move_count += 1
         for listener in self._movement_listeners:
             listener()
-
-    def walk_to(self, target: Point, speed: float = WALKING_SPEED) -> float:
-        """Walk in a straight line to ``target``; returns the duration."""
-        here = self.position
-        duration = distance(here, target) / speed
-        self.follow(WalkRoute(f"{self.name}-walk", [here, target], duration=max(duration, 1e-6)))
-        return duration
 
     @property
     def walking(self) -> bool:

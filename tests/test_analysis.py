@@ -39,11 +39,6 @@ class TestConfusionMatrix:
         assert math.isnan(matrix.accuracy)
         assert math.isnan(matrix.precision)
         assert math.isnan(matrix.recall)
-        assert math.isnan(matrix.f1)
-
-    def test_f1_harmonic_mean(self):
-        matrix = ConfusionMatrix(true_positive=8, false_positive=2, false_negative=2)
-        assert matrix.f1 == pytest.approx(0.8)
 
     def test_merge(self):
         a = ConfusionMatrix(true_positive=1, false_positive=2)
@@ -70,10 +65,6 @@ class TestLinearFit:
         fit = linear_fit([0, 1, 2], [4, 4, 4])
         assert fit.slope == pytest.approx(0.0)
         assert fit.intercept == pytest.approx(4.0)
-
-    def test_predict(self):
-        fit = linear_fit([0, 1], [0, 2])
-        assert fit.predict(3.0) == pytest.approx(6.0)
 
     def test_noisy_r_squared_below_one(self, rng):
         xs = list(range(40))

@@ -256,10 +256,14 @@ class TestMultiSpeakerIntegration:
 
 
 class TestSingleFlowByteIdentity:
-    def test_knobs_on_vs_off_identical_event_streams(self):
-        # The PR's core contract: with one command in flight at a time,
-        # slots + batching + budget change nothing — not an event field,
-        # not the sim clock.
+    @pytest.mark.parametrize("testbed, seed", [
+        ("apartment", 17),
+        ("house", 3),  # stairs and floor tracking; more records held at once
+    ])
+    def test_knobs_on_vs_off_identical_event_streams(self, testbed, seed):
+        # The concurrency contract: with one command in flight at a
+        # time, slots + batching + budget change nothing — not an event
+        # field, not the sim clock.
         streams, clocks = [], []
         for config in (
             VoiceGuardConfig(),
@@ -267,7 +271,7 @@ class TestSingleFlowByteIdentity:
                              decision_batching=True,
                              held_byte_budget=65_536),
         ):
-            scenario = build_scenario("apartment", "echo", seed=17,
+            scenario = build_scenario(testbed, "echo", seed=seed,
                                       config=config)
             SevenDayWorkload(scenario).run(4, 3)
             streams.append(scenario.guard.log.event_stream())

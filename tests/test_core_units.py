@@ -28,12 +28,11 @@ class TestConfig:
     def test_defaults_valid(self):
         config = VoiceGuardConfig()
         assert config.idle_gap == 2.5
-        assert config.classification_max_packets == 7
 
     @pytest.mark.parametrize("kwargs", [
         {"idle_gap": 0.0},
         {"classification_timeout": -1.0},
-        {"classification_max_packets": 1},
+        {"retry_base": 2.0, "retry_cap": 1.0},
         {"decision_timeout": 0.0},
         {"decision_timeout": 10.0, "max_hold": 5.0},
     ])
@@ -106,12 +105,6 @@ class TestRegistry:
         assert "phone" not in registry
         with pytest.raises(RegistrationError):
             registry.unregister("phone")
-
-    def test_update_threshold(self):
-        registry = DeviceRegistry()
-        registry.register(_FakeDevice("phone"), -8.0)
-        registry.update_threshold("phone", -6.5)
-        assert registry.get("phone").threshold == -6.5
 
 
 class _FakeDevice:

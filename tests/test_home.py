@@ -41,11 +41,6 @@ class TestPerson:
         assert person.position.x == pytest.approx(4.0)
         assert not person.walking
 
-    def test_walk_to_returns_duration(self, env):
-        person = env.add_person("alice", Point(0, 0, 0))
-        duration = person.walk_to(Point(3, 4, 0), speed=1.0)
-        assert duration == pytest.approx(5.0)
-
     def test_device_position_is_carried(self, env):
         person = env.add_person("alice", Point(1, 1, 0))
         assert person.device_position().z == pytest.approx(1.0)
@@ -187,12 +182,6 @@ class TestEnvironmentAcoustics:
         person = env.add_person("alice", Point(8.5, 1.0, 0))
         utterance = person.speak("hello", 1.0)
         assert not env.play_utterance(utterance, person.device_position())
-
-    def test_owner_in_speaker_room_detection(self, env):
-        person = env.add_person("alice", Point(2, 4, 0))
-        assert env.owner_in_speaker_room()
-        person.teleport(Point(8.5, 1.0, 0))
-        assert not env.owner_in_speaker_room()
 
     def test_invalid_deployment_rejected(self):
         with pytest.raises(RadioError):

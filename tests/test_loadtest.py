@@ -61,6 +61,18 @@ class TestLoadtestGrid:
         assert knee.mode == "coordinated"
         assert knee.timeouts == 0 and knee.failsafes == 0
 
+    @pytest.mark.parametrize("smoke", [True, False], ids=["smoke", "full"])
+    def test_four_speaker_knee_at_least_doubles_single_flow(self, smoke,
+                                                           smoke_result):
+        # Four speakers hear each utterance; batching must turn that into
+        # >= 2x the single flow's resolved commands/sec at the knee.
+        result = smoke_result if smoke else run_loadtest(seed=3)
+        knee1 = saturation_knee(result.cells, 1)
+        knee4 = saturation_knee(result.cells, 4)
+        assert knee1 is not None and knee4 is not None
+        assert knee1.throughput > 0
+        assert knee4.throughput >= 2.0 * knee1.throughput
+
     def test_render_mentions_knee_and_modes(self, smoke_result):
         rendered = smoke_result.render()
         assert "knee:" in rendered

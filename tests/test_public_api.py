@@ -29,9 +29,6 @@ ALLOWLIST: Dict[str, str] = {
                           "(one guard, per-speaker IP keying; paper Section V)",
     "offline_outage": "tests build the home-wide outage plan the golden "
                       "outage trace pins with it",
-    "proportion_difference_interval": "deferred: its three tests check only it; "
-                                      "ROADMAP's test-only API sweep deletes "
-                                      "both or gives it a caller",
 }
 
 

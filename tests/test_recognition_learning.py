@@ -285,6 +285,11 @@ class TestSeededDeterminism:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def smoke_grid():
+    return run_recognition_robustness(seed=3, smoke=True)
+
+
 class TestArmsRaceAcceptance:
     def test_padding_blinds_signature_but_not_retrained_knn(self):
         """The PR's acceptance criteria, asserted at full cell sizes."""
@@ -311,12 +316,21 @@ class TestArmsRaceAcceptance:
                                     seed=3, eval_windows=8)
         assert cell.accuracy == 1.0
 
-    def test_result_render_carries_headline(self):
-        result = run_recognition_robustness(seed=3, smoke=True)
-        rendered = result.render()
+    def test_result_render_carries_headline(self, smoke_grid):
+        rendered = smoke_grid.render()
         assert "signature matcher on echo" in rendered
         assert "knn+retrain on echo" in rendered
         assert "5 cells" in rendered
+
+    def test_smoke_grid_worst_morph_meets_both_floors(self, smoke_grid):
+        # The headline as the grid computes it: the worst morph found by
+        # lookup, not a named cell run on its own.
+        clean = smoke_grid.cell("echo", "signature", "none")
+        adversary, morphed = smoke_grid.worst_morph("echo", "signature")
+        assert (clean.accuracy - morphed) * 100.0 >= 20.0
+        knn_clean = smoke_grid.cell("echo", "knn", "none")
+        retrained = smoke_grid.cell("echo", "knn", adversary, adaptive=True)
+        assert abs(knn_clean.accuracy - retrained.accuracy) * 100.0 <= 10.0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.analysis.stats import (
     ConfidenceInterval,
     accuracy_interval,
     bootstrap_interval,
-    proportion_difference_interval,
 )
 
 
@@ -54,22 +53,6 @@ class TestBootstrap:
         assert interval.estimate == pytest.approx(0.9)
         assert 0.8 < interval.low < 0.9 < interval.high <= 1.0
 
-    def test_difference_interval_detects_effect(self):
-        a = [True] * 95 + [False] * 5
-        b = [True] * 60 + [False] * 40
-        interval = proportion_difference_interval(a, b, seed=3)
-        assert interval.estimate == pytest.approx(0.35)
-        assert interval.low > 0  # significant
-
-    def test_difference_interval_covers_null(self):
-        a = [True] * 50 + [False] * 50
-        b = [True] * 50 + [False] * 50
-        interval = proportion_difference_interval(a, b, seed=4)
-        assert interval.contains(0.0)
-
-    def test_difference_empty_group_rejected(self):
-        with pytest.raises(ValueError):
-            proportion_difference_interval([], [True])
 
 
 class TestCsvExport:
