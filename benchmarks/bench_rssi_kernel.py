@@ -3,10 +3,11 @@
 
 Times every layer of the radio hot path: an unmemoized scalar
 reference, the memoized scalar path, the vectorized batch APIs, the
-wall-crossing kernels, a floor trace, and event-queue dispatch.  The
-reference and the batched grid kernel are asserted equal before either
-is timed, and so are the batched and the per-tick ``instant_rssi``
-trace: a speedup that changed the numbers would be a bug, not a win.
+wall-crossing kernels, a floor trace and its line fit, and event-queue
+dispatch.  The reference and the batched grid kernel are asserted equal
+before either is timed, and so are the batched and the per-tick
+``instant_rssi`` trace, and ``linear_fit`` and the ``np.cov`` fit: a
+speedup that changed the numbers would be a bug, not a win.
 
 The reference is not a frozen copy of the pre-optimization code.  It
 drops the memos (it hashes the shadowing cell on every call), but it
@@ -37,6 +38,8 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
+from repro.analysis.regression import linear_fit
+from repro.analysis.traces import RssiTrace
 from repro.core.threshold import perimeter_route
 from repro.home.devices import TRACE_SAMPLE_COUNT, TRACE_SAMPLE_PERIOD
 from repro.home.environment import HomeEnvironment
@@ -44,7 +47,6 @@ from repro.radio.geometry import Point, distance
 from repro.radio.propagation import PropagationModel
 from repro.radio.testbeds import testbed_by_name
 from repro.sim.events import EventQueue
-from repro.sim.process import PeriodicTask
 
 GRID_SAMPLES = 16  # the paper's 4 orientations x 4 measurements
 
@@ -58,6 +60,7 @@ SPEEDUP_FLOORS = {
     "sample_batch_vs_scalar": 0.8,
     "walls_many_vs_scalar": 1.0,
     "trace_vs_scalar": 1.0,
+    "fit_vs_reference": 2.0,
 }
 
 
@@ -105,18 +108,28 @@ def reference_average_rssi(
 
 
 def scalar_trace(device, beacon, callback) -> None:
-    """A floor trace with every sample from ``instant_rssi`` (the
-    reference for ``MobileDevice.record_trace``'s per-trace pass)."""
+    """A floor trace with every sample from ``instant_rssi``, on a plain
+    ``sim.post`` chain (the reference for ``MobileDevice.record_trace``'s
+    per-trace pass and its recorder)."""
     samples = []
 
-    def take_sample(now: float) -> None:
-        samples.append(device.scanner.instant_rssi(beacon, now))
-        if len(samples) >= TRACE_SAMPLE_COUNT:
-            task.stop()
+    def take_sample() -> None:
+        samples.append(device.scanner.instant_rssi(beacon, device.sim.now))
+        if len(samples) < TRACE_SAMPLE_COUNT:
+            device.sim.post(TRACE_SAMPLE_PERIOD, take_sample)
+        else:
             callback(samples)
 
-    task = PeriodicTask(device.sim, TRACE_SAMPLE_PERIOD, take_sample, first_delay=0.0)
-    task.start()
+    device.sim.post(0.0, take_sample)
+
+
+def reference_fit(times: List[float], values: List[float]) -> tuple:
+    """A trace's (slope, intercept) through ``np.cov`` and ``np.var``
+    (the reference for :func:`repro.analysis.regression.linear_fit`)."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    slope = float(np.cov(t, v, bias=True)[0, 1] / float(np.var(t)))
+    return slope, float(np.mean(v) - slope * np.mean(t))
 
 
 def _walking_trace(testbed_name: str, seed: int, record) -> Callable[[], int]:
@@ -266,6 +279,24 @@ def run_bench_rssi(
     benches["trace_batched"] = _time_ops(_walking_trace(testbed_name, seed, batched),
                                          min_seconds)
 
+    # Classifying a trace: the line fit against np.cov, over the traces
+    # just checked, asserted equal bit for bit first.
+    fitted = [RssiTrace.from_samples(trace) for trace in checks[1].traces]
+    for trace in fitted:
+        fit = linear_fit(trace.times, trace.values)
+        if (fit.slope, fit.intercept) != reference_fit(trace.times, trace.values):
+            raise AssertionError("linear_fit diverged from the np.cov reference")
+
+    def _fits(fit_one) -> Callable[[], int]:
+        def op() -> int:
+            for trace in fitted:
+                fit_one(trace.times, trace.values)
+            return len(fitted)
+        return op
+
+    benches["fit_reference"] = _time_ops(_fits(reference_fit), min_seconds)
+    benches["fit"] = _time_ops(_fits(linear_fit), min_seconds)
+
     # Event queue: dispatch throughput and the O(1) pending count.
     def _dispatch() -> int:
         queue = EventQueue()
@@ -320,6 +351,10 @@ def run_bench_rssi(
             / benches["trace_scalar"]["ops_per_sec"],
             2,
         ),
+        "fit_vs_reference": round(
+            benches["fit"]["ops_per_sec"] / benches["fit_reference"]["ops_per_sec"],
+            2,
+        ),
     }
     return {
         "meta": {
@@ -353,7 +388,7 @@ def render_bench(payload: Dict) -> str:
         "",
         "units: grid_map_* locations (16-sample averages); mean_rssi_*, "
         "sample_* and walls_* single evaluations; trace_* samples, sim "
-        "ticks included; event_push_pop queue operations; "
+        "ticks included; fit* 40-sample line fits; event_push_pop queue operations; "
         "pending_events_read_10k len() reads on a 10k heap",
     ])
     return "\n".join(lines)

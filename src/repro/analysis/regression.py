@@ -19,11 +19,15 @@ class LinearFit:
 
     slope: float
     intercept: float
-    r_squared: float
 
 
 def linear_fit(times: Sequence[float], values: Sequence[float]) -> LinearFit:
     """Fit ``values ~ slope * times + intercept``.
+
+    The slope is ``np.cov(t, v, bias=True)[0, 1] / np.var(t)``, computed
+    with the primitives those two use, so it is bit-for-bit theirs
+    without their argument handling: ``sum() / n`` row means, the
+    centred 2×N matrix, one ``np.dot`` and the product with ``1 / n``.
 
     Raises :class:`ValueError` on fewer than two points or a degenerate
     (constant-time) input.
@@ -32,14 +36,16 @@ def linear_fit(times: Sequence[float], values: Sequence[float]) -> LinearFit:
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape:
         raise ValueError(f"length mismatch: {t.shape} vs {v.shape}")
-    if t.size < 2:
+    n = t.size
+    if n < 2:
         raise ValueError("need at least two samples to fit a line")
-    t_var = float(np.var(t))
+    centred = np.array((t, v))
+    means = centred.sum(axis=1) / n
+    centred -= means[:, None]
+    dt = centred[0]
+    t_var = float((dt * dt).sum() / n)
     if t_var == 0.0:
         raise ValueError("all samples share one timestamp; cannot fit")
-    slope = float(np.cov(t, v, bias=True)[0, 1] / t_var)
-    intercept = float(np.mean(v) - slope * np.mean(t))
-    residuals = v - (slope * t + intercept)
-    total = float(np.sum((v - np.mean(v)) ** 2))
-    r_squared = 1.0 if total == 0 else 1.0 - float(np.sum(residuals**2)) / total
-    return LinearFit(slope=slope, intercept=intercept, r_squared=r_squared)
+    slope = float(np.dot(centred, centred.T)[0, 1] * (1.0 / n) / t_var)
+    intercept = float(means[1] - slope * means[0])
+    return LinearFit(slope=slope, intercept=intercept)

@@ -274,7 +274,7 @@ def simulate_home_full(spec: HomeSpec) -> HomeSummary:
 
     Worlds come from the warm-start scenario pool
     (:mod:`repro.experiments.pool`): one template build per world
-    bucket, then a snapshot restore + rehome per home — byte-identical
+    bucket, then a snapshot restore keyed to each home — byte-identical
     to a from-scratch build (:func:`repro.experiments.pool.build_home_cold`)
     and an order of magnitude faster, which is what makes
     ``--fidelity full`` usable beyond a handful of homes.

@@ -31,18 +31,21 @@ This module amortizes the build with a **snapshot/reset protocol**:
    into the restored graph; it rejects a stored closure or lambda, so
    such a template fails to build with :class:`~repro.errors.SnapshotError`.
 
-3. **Rehome.**  The restored world is re-keyed to the target home:
-   the RNG hub reseeds every stream in place from the home's derived
-   seed (see :meth:`repro.sim.random.RngHub.reseed`), and the fault
-   injector re-arms with the home's plan.  Ids need no reset: packet
+3. **Rehome.**  The restored world is re-keyed to the target home.
+   Its RNG hub and the hub's generators are pickled as references too,
+   and the restore binds them to a new hub at the home's derived seed:
+   each stream is built once, on its first reference, in the state
+   :meth:`repro.sim.random.RngHub.reseed` would give it, and a stream
+   only the hub held is not built at all.  The fault injector re-arms
+   with the home's plan.  Ids need no reset: packet
    numbers count on the world's :class:`~repro.net.link.Network` and
    interaction ids on its
    :class:`~repro.home.environment.HomeEnvironment`, so both travel in
    the snapshot and resume where the template's build left off.
 
-The contract — enforced by tests — is that a pooled-and-rehomed home
-produces **byte identical** guard event streams to a freshly built home
-rehomed the same way (:func:`build_home_cold`).
+The contract — enforced by tests — is that a restored home produces
+**byte identical** guard event streams to a freshly built home after
+:func:`rehome` (:func:`build_home_cold`).
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from repro.experiments.parallel import derive_seed
 from repro.experiments.scenarios import Scenario, build_scenario
 from repro.experiments.synthesis import HomeSpec, fleet_world
 from repro.faults.plan import FaultPlan
+from repro.sim.random import RngHub
 
 # (testbed, deployment, plan_scale, owner_count, device_kind): the
 # fields of a HomeSpec that select *which world gets built*; everything
@@ -150,12 +154,14 @@ def _shared_immutables(scenario: Scenario) -> Tuple[object, ...]:
     return tuple(shared)
 
 
-def rehome(scenario: Scenario, spec: HomeSpec) -> None:
-    """Re-key a just-built or just-restored world to one home.
+def _home_seed(spec: HomeSpec) -> int:
+    """The seed a home's RNG hub is keyed to."""
+    return derive_seed(spec.seed, "fleet.rehome")
 
-    Applied identically on the pooled path (after the template copy)
-    and the cold path (after a fresh build), which is what makes the
-    two byte-identical:
+
+def rehome(scenario: Scenario, spec: HomeSpec) -> None:
+    """Re-key a just-built world to one home (the cold path's side of
+    the byte-identity :meth:`ScenarioPool.acquire` keeps):
 
     * the RNG hub reseeds every stream in place from the home's seed;
     * the environment's (always present, possibly unarmed) fault
@@ -164,7 +170,11 @@ def rehome(scenario: Scenario, spec: HomeSpec) -> None:
     Every counter a world numbers things with is part of the world, so
     nothing else needs resetting.
     """
-    scenario.env.rng.reseed(derive_seed(spec.seed, "fleet.rehome"))
+    scenario.env.rng.reseed(_home_seed(spec))
+    _rearm_faults(scenario, spec)
+
+
+def _rearm_faults(scenario: Scenario, spec: HomeSpec) -> None:
     if scenario.env.faults is not None:
         scenario.env.faults.rearm(home_fault_plan(spec))
 
@@ -198,13 +208,22 @@ class _SnapshotPickler(pickle.Pickler):
     compact attribute storage as constructed ones; on CPython 3.11+ a
     materialized dict would make every attribute access in the restored
     world take the interpreter's slow path.
+
+    The world's RNG hub is written as the reference
+    ``("rng",)`` and each of its generators as ``("rng", name)``:
+    :meth:`ScenarioPool.acquire` binds them to the home's own hub, which
+    builds each stream on its first reference.
     """
 
-    def __init__(self, file: io.BytesIO, shared: Tuple[object, ...]) -> None:
+    def __init__(self, file: io.BytesIO, shared: Tuple[object, ...], hub: RngHub) -> None:
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._shared_index = {id(obj): index for index, obj in enumerate(shared)}
+        self._shared_index: Dict[int, object] = {
+            id(obj): index for index, obj in enumerate(shared)}
+        self._shared_index[id(hub)] = ("rng",)
+        for name, generator in hub._streams.items():
+            self._shared_index[id(generator)] = ("rng", name)
 
-    def persistent_id(self, obj: object) -> Optional[int]:
+    def persistent_id(self, obj: object) -> Optional[object]:
         return self._shared_index.get(id(obj))
 
     def reducer_override(self, obj: object):
@@ -222,7 +241,7 @@ def snapshot(scenario: Scenario, shared: Tuple[object, ...], key: PoolKey) -> by
     """
     buffer = io.BytesIO()
     try:
-        _SnapshotPickler(buffer, shared).dump(scenario)
+        _SnapshotPickler(buffer, shared, scenario.env.rng).dump(scenario)
     except (pickle.PicklingError, AttributeError, TypeError) as exc:
         raise SnapshotError(f"pool template {key!r} cannot be snapshotted: {exc}") from exc
     return buffer.getvalue()
@@ -264,12 +283,20 @@ class ScenarioPool:
         return entry
 
     def acquire(self, spec: HomeSpec) -> Scenario:
-        """A private, rehomed world for ``spec`` (snapshot restore)."""
+        """A private world for ``spec``: the snapshot restored with a
+        hub at the home's seed, and the home's fault plan armed."""
         entry = self.template(pool_key(spec))
+        hub = RngHub(_home_seed(spec))
+
+        def load(pid: object) -> object:
+            if type(pid) is int:
+                return entry.shared[pid]
+            return hub if len(pid) == 1 else hub.stream(pid[1])
+
         unpickler = pickle.Unpickler(io.BytesIO(entry.blob))
-        unpickler.persistent_load = entry.shared.__getitem__
+        unpickler.persistent_load = load
         scenario = unpickler.load()
-        rehome(scenario, spec)
+        _rearm_faults(scenario, spec)
         self.restores += 1
         return scenario
 

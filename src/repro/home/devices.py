@@ -9,6 +9,7 @@ threshold-calibration walk (Section IV-C).
 
 from __future__ import annotations
 
+from heapq import heappush
 from itertools import accumulate, repeat
 from typing import Callable, List, Optional
 
@@ -18,7 +19,6 @@ from repro.faults.plan import FaultInjector
 from repro.home.person import Person
 from repro.radio.bluetooth import BluetoothBeacon, BluetoothScanner, RssiSample
 from repro.radio.propagation import PropagationModel
-from repro.sim.process import PeriodicTask
 from repro.sim.simulator import Simulator
 
 TRACE_SAMPLE_PERIOD = 0.2  # the app records RSSI every 0.2 s (Section V-B2)
@@ -91,41 +91,89 @@ class MobileDevice:
         vectorized pass (:meth:`PropagationModel.mean_rssi_coords`), and
         the one mean of the point the carrier stands at after (or
         throughout) by the scalar :meth:`PropagationModel.mean_rssi`.  A
-        tick then only makes its draws
-        (:meth:`BluetoothScanner.sample_at_mean`) — unless the carrier
-        has moved since (``follow``/``teleport``), the beacon has moved,
-        or the floor plan has changed, in which case that sample is the
+        tick of the :class:`_TraceRecorder` then only makes its draws
+        (:meth:`PropagationModel.noisy_rssi`) — unless the carrier has
+        moved since (``follow``/``teleport``), the beacon has moved, or
+        the floor plan has changed, in which case that sample is the
         scalar :meth:`BluetoothScanner.instant_rssi`.  Either way each
         sample is the one ``instant_rssi`` would give.
         """
         scanner, carrier = self.scanner, self.carrier
         model = scanner.model
-        plan = model.plan
         period = float(period)
-        # The float chain the task's ticks land on: now + 0.0, then + period.
+        # The float chain the ticks land on: now + 0.0, then + period.
         times = list(accumulate(repeat(period, sample_count - 1), initial=self.sim.now + 0.0))
-        tx, moves, version = beacon.position, carrier.move_count, plan.version
         walking, still = carrier.device_path(times)
-        means = model.mean_rssi_coords(tx, walking).tolist() if walking.size else []
+        means = model.mean_rssi_coords(beacon.position, walking).tolist() if walking.size else []
         if len(means) < len(times):
-            means.extend(repeat(model.mean_rssi(tx, still), len(times) - len(means)))
-        samples: List[RssiSample] = []
-
-        def take_sample(now: float) -> None:
-            if carrier.move_count == moves and beacon.position is tx and plan.version == version:
-                samples.append(scanner.sample_at_mean(beacon, means[len(samples)], now))
-            else:
-                samples.append(scanner.instant_rssi(beacon, now))
-            if len(samples) >= sample_count:
-                task.stop()
-                callback(samples)
-
-        task = PeriodicTask(self.sim, period, take_sample, first_delay=0.0)
-        task.start()
+            means.extend(repeat(model.mean_rssi(beacon.position, still),
+                                len(times) - len(means)))
+        recorder = _TraceRecorder(self.sim, scanner, carrier, beacon, means, period, callback)
+        self.sim.post(0.0, recorder.tick)
 
     def instant_rssi(self, beacon: BluetoothBeacon) -> float:
         """Synchronous single measurement (calibration helper)."""
         return self.scanner.instant_rssi(beacon, self.sim.now).rssi
+
+
+class _TraceRecorder:
+    """One floor trace in flight: its precomputed means, what they
+    depend on, and the samples so far.
+
+    :meth:`tick` takes one sample and queues the next tick as a
+    handle-free heap entry, pushed directly as ``Network.send`` and
+    ``DeadlineTimer`` push theirs (see :mod:`repro.sim.events`): it
+    takes its sequence number where ``sim.post`` would, after the
+    sample's draws, so a trace is the events and draws of a
+    ``sim.post`` chain at one frame per sample.
+    """
+
+    __slots__ = ("clock", "queue", "period", "scanner", "carrier", "beacon", "means",
+                 "callback", "samples", "moves", "tx", "plan", "version", "noisy",
+                 "rng", "blocked")
+
+    def __init__(self, sim: Simulator, scanner: BluetoothScanner, carrier: Person,
+                 beacon: BluetoothBeacon, means: List[float], period: float,
+                 callback: Callable[[List[RssiSample]], None]) -> None:
+        self.clock = sim._clock
+        self.queue = sim._queue
+        self.period = period
+        self.scanner = scanner
+        self.carrier = carrier
+        self.beacon = beacon
+        self.means = means
+        self.callback = callback
+        self.samples: List[RssiSample] = []
+        # The means hold while these do.
+        self.moves = carrier.move_count
+        self.tx = beacon.position
+        self.plan = scanner.model.plan
+        self.version = self.plan.version
+        self.noisy = scanner.model.noisy_rssi
+        self.rng = scanner._rng
+        self.blocked = scanner.body_blocked_provider
+
+    def tick(self) -> None:
+        samples = self.samples
+        now = self.clock._now
+        beacon = self.beacon
+        if (self.carrier.move_count == self.moves and beacon.position is self.tx
+                and self.plan.version == self.version):
+            blocked = self.blocked
+            rssi = self.noisy(self.means[len(samples)], self.rng,
+                              blocked() if blocked is not None else False)
+            samples.append(tuple.__new__(RssiSample,
+                                         (rssi, now, beacon.name, self.scanner.name)))
+        else:
+            samples.append(self.scanner.instant_rssi(beacon, now))
+        if len(samples) < len(self.means):
+            queue = self.queue
+            seq = queue._next_seq
+            queue._next_seq = seq + 1
+            heappush(queue._heap, (now + self.period, seq, None, self.tick, ()))
+            queue._live += 1
+        else:
+            self.callback(samples)
 
 
 class Smartphone(MobileDevice):

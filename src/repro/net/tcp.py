@@ -73,7 +73,6 @@ class TcpTuning:
     keepalive_idle: float = 45.0
     keepalive_interval: float = 5.0
     keepalive_probes: int = 3
-    delayed_ack: float = 0.0005
 
 
 # States in which received data reaches ``on_record``.

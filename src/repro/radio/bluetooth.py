@@ -109,15 +109,6 @@ class BluetoothScanner:
         )
         return tuple.__new__(RssiSample, (rssi, time, beacon.name, self.name))
 
-    def sample_at_mean(self, beacon: BluetoothBeacon, mean: float, time: float) -> RssiSample:
-        """:meth:`instant_rssi` for a receiver whose mean RSSI
-        (:meth:`PropagationModel.mean_rssi` to the current position) is
-        already known: the same draws from the same streams, in the same
-        order, and the same sample."""
-        blocked = bool(self.body_blocked_provider()) if self.body_blocked_provider else False
-        rssi = self.model.noisy_rssi(mean, self._rng, blocked)
-        return tuple.__new__(RssiSample, (rssi, time, beacon.name, self.name))
-
     # A scan window catches several advertisement frames; the reported
     # RSSI is their average, which is much steadier than one frame.
     FRAMES_PER_SCAN = 3

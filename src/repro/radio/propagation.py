@@ -248,11 +248,16 @@ class PropagationModel:
         self, mean: float, rng: np.random.Generator, body_blocked: bool = False
     ) -> float:
         """One measurement around a known ``mean``: the noise draw, then
-        (if blocked) the body-occlusion draw, then the sensitivity floor."""
+        (if blocked) the body-occlusion draw, then the sensitivity floor.
+
+        Each draw is ``Generator.normal(loc, scale)`` spelled as numpy
+        computes it, ``loc + scale * standard_normal()`` (the identity
+        :meth:`sample_rssi_batch` relies on), which skips ``normal``'s
+        argument checks."""
         p = self.params
-        rssi = mean + float(rng.normal(0.0, p.sample_noise_sigma))
+        rssi = mean + (0.0 + p.sample_noise_sigma * rng.standard_normal())
         if body_blocked:
-            rssi -= float(abs(rng.normal(p.body_occlusion, p.body_occlusion / 2)))
+            rssi -= abs(p.body_occlusion + (p.body_occlusion / 2) * rng.standard_normal())
         return float(max(rssi, p.rssi_floor))
 
     def sample_rssi_batch(

@@ -15,9 +15,10 @@ resolved by C-level tuple comparison, and two entry shapes coexist:
     a handle-free entry from :meth:`post` for the fire-and-forget
     majority (packet deliveries, scheduled sends), which skips both the
     ``Event`` and the ``EventHandle`` allocation.  The per-packet hot
-    paths (``Network.send`` and ``DeadlineTimer``) push this shape
-    themselves, exactly as :meth:`post` does: take ``_next_seq``, bump
-    it, push a float time, and add one to ``_live``.
+    paths (``Network.send`` and ``DeadlineTimer``) and a floor trace's
+    per-sample tick push this shape themselves, exactly as :meth:`post`
+    does: take ``_next_seq``, bump it, push a float time, and add one
+    to ``_live``.
 
 The sequence field is unique, so comparisons never reach the third
 element and the two shapes can share one heap.

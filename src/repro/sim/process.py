@@ -2,9 +2,7 @@
 
 :class:`DeadlineTimer` is a one-shot timer whose deadline can be bumped
 without heap traffic, used for TCP retransmission and keepalive
-deadlines and speaker heartbeats.  :class:`PeriodicTask` re-schedules
-itself at a fixed interval, used for RSSI sampling during trace
-recording.
+deadlines and speaker heartbeats.
 """
 
 from __future__ import annotations
@@ -114,59 +112,3 @@ class DeadlineTimer:
         self._deadline = None
         self._callback()
 
-
-class PeriodicTask:
-    """Runs ``callback(now)`` every ``period`` seconds until stopped.
-
-    The first invocation happens ``first_delay`` seconds after
-    :meth:`start` (defaulting to one full period).
-
-    Ticks are handle-free :meth:`Simulator.post` entries, which take
-    their sequence number exactly where :meth:`Simulator.schedule`
-    would, so event order is that of a cancellable chain.  Nothing is
-    cancelled: :meth:`stop` only marks the task stopped, and each
-    :meth:`start` opens a new *generation*; a tick of an older
-    generation still in the queue is a no-op, so stopping and
-    restarting, from anywhere, never leaves two live chains.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        period: float,
-        callback: Callable[[float], None],
-        first_delay: Optional[float] = None,
-    ) -> None:
-        if period <= 0:
-            raise SimulationError(f"period must be > 0, got {period!r}")
-        self._sim = sim
-        self._period = float(period)
-        self._callback = callback
-        self._first_delay = period if first_delay is None else float(first_delay)
-        self._generation = 0
-        self._stopped = True
-        self.fire_count = 0
-
-    @property
-    def running(self) -> bool:
-        """Whether the task is firing."""
-        return not self._stopped
-
-    def start(self) -> None:
-        """Begin periodic firing; a no-op if already running."""
-        if self._stopped:
-            self._stopped = False
-            self._generation += 1
-            self._sim.post(self._first_delay, self._tick, self._generation)
-
-    def stop(self) -> None:
-        """Stop firing.  Safe to call from inside the callback."""
-        self._stopped = True
-
-    def _tick(self, generation: int) -> None:
-        if self._stopped or generation != self._generation:
-            return
-        self.fire_count += 1
-        self._callback(self._sim.now)
-        if not self._stopped and generation == self._generation:
-            self._sim.post(self._period, self._tick, generation)

@@ -58,9 +58,10 @@ class RngHub:
         post-reseed state equals its would-be-fresh state — so *which*
         streams happen to exist at reseed time, and how far the world
         build advanced them, is unobservable.  That is the property the
-        scenario pool leans on: after :func:`repro.experiments.pool.rehome`
-        reseeds the hub, a home's randomness depends on its own seed
-        alone, not on the bucket template it was restored from.
+        scenario pool leans on: a home restored with a fresh hub at its
+        seed draws exactly what a cold build reseeded by
+        :func:`repro.experiments.pool.rehome` draws, whatever bucket
+        template it came from.
 
         Existing generator *objects* keep their identity (components hold
         references to them); only their internal state is replaced.

@@ -59,7 +59,6 @@ class TestLinearFit:
         fit = linear_fit([0, 1, 2, 3], [1, 3, 5, 7])
         assert fit.slope == pytest.approx(2.0)
         assert fit.intercept == pytest.approx(1.0)
-        assert fit.r_squared == pytest.approx(1.0)
 
     def test_flat_line(self):
         fit = linear_fit([0, 1, 2], [4, 4, 4])
@@ -70,7 +69,6 @@ class TestLinearFit:
         xs = list(range(40))
         ys = [2 * x + float(rng.normal(0, 3)) for x in xs]
         fit = linear_fit(xs, ys)
-        assert 0.8 < fit.r_squared < 1.0
         assert fit.slope == pytest.approx(2.0, abs=0.3)
 
     def test_too_few_points_rejected(self):

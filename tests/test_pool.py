@@ -136,6 +136,19 @@ class TestPoolIdentity:
             for ours, template in zip(restored, shared):
                 assert ours is template
 
+    def test_restore_builds_referenced_streams_once_at_the_home_seed(self):
+        """A restored hub is keyed to the home from the start: it holds
+        only the streams the world references, each in the state a
+        cold build's rehome leaves it in."""
+        spec = IDENTITY_SPECS["house-watch"]
+        hub = ScenarioPool().acquire(spec).env.rng
+        cold = build_home_cold(spec).env.rng
+        assert hub.seed == cold.seed == derive_seed(spec.seed, "fleet.rehome")
+        assert set(hub._streams) < set(cold._streams)
+        assert any(name.startswith("training.trigger") for name in cold._streams)
+        for name, generator in hub._streams.items():
+            assert generator.bit_generator.state == cold.stream(name).bit_generator.state
+
     def test_restores_are_isolated_from_pool_history(self):
         """Same spec, same stream — no matter what ran on the pool before."""
         spec_a = make_spec(index=0)
@@ -229,8 +242,8 @@ class TestPoolLearnedRecognizers:
 class _TypeRecordingPickler(_SnapshotPickler):
     """The snapshot pickler, recording the type of every object it meets."""
 
-    def __init__(self, shared):
-        super().__init__(io.BytesIO(), shared)
+    def __init__(self, shared, hub):
+        super().__init__(io.BytesIO(), shared, hub)
         self.types = set()
 
     def persistent_id(self, obj):
@@ -260,7 +273,7 @@ class TestSnapshotHazards:
     def test_no_itertools_objects_in_snapshot(self):
         key = pool_key(IDENTITY_SPECS["house-watch"])
         scenario = _build_bucket_scenario(key, None)
-        pickler = _TypeRecordingPickler(_shared_immutables(scenario))
+        pickler = _TypeRecordingPickler(_shared_immutables(scenario), scenario.env.rng)
         pickler.dump(scenario)
         leaked = sorted(t.__qualname__ for t in pickler.types
                         if t.__module__ == "itertools")

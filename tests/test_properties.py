@@ -5,10 +5,11 @@ geometry, corpus construction, and the recognizer's length grammar."""
 from __future__ import annotations
 
 import math
+from itertools import accumulate, repeat
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.metrics import ConfusionMatrix
@@ -107,12 +108,30 @@ class TestRegressionProperties:
         assert fit.slope == pytest.approx(slope, abs=1e-6)
         assert fit.intercept == pytest.approx(intercept, abs=1e-6)
 
-    @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False),
-                    min_size=3, max_size=50))
-    def test_r_squared_bounded(self, values):
-        xs = list(range(len(values)))
-        fit = linear_fit(xs, values)
-        assert fit.r_squared <= 1.0 + 1e-9
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+        st.one_of(st.just(0.2), st.floats(min_value=1e-3, max_value=10.0)),
+        st.integers(min_value=2, max_value=60).flatmap(
+            lambda n: st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+                               min_size=n, max_size=n)),
+    )
+    def test_matches_np_cov_bit_for_bit(self, start, period, values):
+        """The fit on a trace's time chain (ticks ``start + 0.0``, then
+        ``+ period``, re-based to the first as ``RssiTrace.from_samples``
+        does) is exactly the ``np.cov`` / ``np.var`` reference."""
+        ticks = list(accumulate(repeat(period, len(values) - 1), initial=start + 0.0))
+        times = [tick - ticks[0] for tick in ticks]
+        t, v = np.asarray(times), np.asarray(values)
+        t_var = float(np.var(t))
+        if t_var == 0.0:
+            with pytest.raises(ValueError):
+                linear_fit(times, values)
+            return
+        slope = float(np.cov(t, v, bias=True)[0, 1] / t_var)
+        intercept = float(np.mean(v) - slope * np.mean(t))
+        fit = linear_fit(times, values)
+        assert (fit.slope, fit.intercept) == (slope, intercept)
 
 
 class TestTlsProperties:

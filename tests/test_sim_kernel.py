@@ -7,7 +7,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.events import EventQueue
-from repro.sim.process import PeriodicTask
 
 
 class TestSimClock:
@@ -145,39 +144,6 @@ class TestSimulator:
 
     def test_step_returns_false_when_empty(self, sim):
         assert sim.step() is False
-
-
-class TestPeriodicTask:
-    def test_fires_periodically(self, sim):
-        times = []
-        task = PeriodicTask(sim, 1.0, times.append)
-        task.start()
-        sim.run_until(3.5)
-        assert times == [1.0, 2.0, 3.0]
-
-    def test_stop_inside_callback(self, sim):
-        times = []
-
-        def callback(now):
-            times.append(now)
-            if len(times) == 2:
-                task.stop()
-
-        task = PeriodicTask(sim, 1.0, callback)
-        task.start()
-        sim.run_until(10.0)
-        assert times == [1.0, 2.0]
-
-    def test_first_delay_override(self, sim):
-        times = []
-        task = PeriodicTask(sim, 1.0, times.append, first_delay=0.0)
-        task.start()
-        sim.run_until(2.5)
-        assert times == [0.0, 1.0, 2.0]
-
-    def test_zero_period_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            PeriodicTask(sim, 0.0, lambda now: None)
 
 
 class TestRngHub:

@@ -9,8 +9,8 @@ reference exactly — ``position_at`` plus the carry offset, the scalar
 ``mean_rssi``, and a trace whose every sample is ``instant_rssi`` —
 including when the carrier, the beacon or the plan changes mid-trace,
 or another scan on the same device interleaves its draws.  The
-``PeriodicTask`` ticks and the tuple-backed ``Point``/``RssiSample``
-the path builds are pinned here too.
+tuple-backed ``Point``/``RssiSample`` the path builds are pinned here
+too.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.radio.floorplan import DEVICE_CARRY_HEIGHT
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
 from repro.radio.testbeds import WalkRoute, house_testbed
-from repro.sim.process import PeriodicTask
 from repro.sim.simulator import Simulator
 
 HOUSE = house_testbed()
@@ -141,17 +140,18 @@ class TestBatchedMeanRssi:
 # -- whole traces ---------------------------------------------------------
 
 def scalar_trace(device, beacon, callback) -> None:
-    """The reference recorder: every sample is ``instant_rssi``."""
+    """The reference recorder: a plain ``sim.post`` chain whose every
+    sample is ``instant_rssi``."""
     samples = []
 
-    def take_sample(now: float) -> None:
-        samples.append(device.scanner.instant_rssi(beacon, now))
-        if len(samples) >= TRACE_SAMPLE_COUNT:
-            task.stop()
+    def take_sample() -> None:
+        samples.append(device.scanner.instant_rssi(beacon, device.sim.now))
+        if len(samples) < TRACE_SAMPLE_COUNT:
+            device.sim.post(TRACE_SAMPLE_PERIOD, take_sample)
+        else:
             callback(samples)
 
-    task = PeriodicTask(device.sim, TRACE_SAMPLE_PERIOD, take_sample, first_delay=0.0)
-    task.start()
+    device.sim.post(0.0, take_sample)
 
 
 MID_TRACE_EVENTS = {
@@ -209,71 +209,30 @@ class TestBatchedTrace:
         first_after = [s.time for s in traces[0] if s.time > TRACE_START + EVENT_AFTER]
         assert scalar_calls == (first_after if event in INVALIDATING else [])
 
+    def test_trace_is_one_event_per_sample_on_the_tick_chain(self):
+        """The recorder's ticks are the heap's only traffic: one event
+        per sample, at ``start + 0.0`` and then ``+ period`` each, and
+        nothing left queued once the trace is delivered."""
+        env = HomeEnvironment(house_testbed(), seed=31)
+        owner = env.add_person("owner", env.testbed.routes["up"].waypoints[0])
+        phone = env.add_smartphone("phone", owner)
+        env.sim.run_for(TRACE_START)
+        traces = []
+        phone.record_trace(env.speaker_beacon, traces.append)
+        assert env.sim.pending_events == 1
+        fired = env.sim.run_for(12.0)
+        expected = [TRACE_START + 0.0]
+        while len(expected) < TRACE_SAMPLE_COUNT:
+            expected.append(expected[-1] + TRACE_SAMPLE_PERIOD)
+        assert [sample.time for sample in traces[0]] == expected
+        assert fired == TRACE_SAMPLE_COUNT
+        assert env.sim.pending_events == 0 and not env.sim._queue._heap
+
     def test_mid_trace_measurement_interleaves_its_draws(self):
         traces, scans, _, _ = run_trace(lambda d, b, c: d.record_trace(b, c),
                                         "measure_rssi", True)
         assert len(scans) == 1
         assert TRACE_START + EVENT_AFTER < scans[0].time < traces[0][-1].time
-
-
-# -- PeriodicTask ticks --------------------------------------------------
-
-class TestPeriodicTaskGenerations:
-    def test_stop_inside_callback(self):
-        sim = Simulator()
-        fired = []
-
-        def tick(now):
-            fired.append(now)
-            if len(fired) == 3:
-                task.stop()
-
-        task = PeriodicTask(sim, 1.0, tick)
-        task.start()
-        sim.run_until(10.0)
-        assert fired == [1.0, 2.0, 3.0]
-        assert task.fire_count == 3 and not task.running
-        assert sim.pending_events == 0
-
-    def test_stop_then_start_from_outside_leaves_one_chain(self):
-        sim = Simulator()
-        fired = []
-        task = PeriodicTask(sim, 1.0, fired.append)
-        task.start()
-        sim.run_until(2.5)
-        task.stop()
-        task.start()
-        sim.run_until(6.0)
-        # The old chain's tick queued for 3.0 is dead; the new one runs
-        # from the restart.
-        assert fired == [1.0, 2.0, 3.5, 4.5, 5.5]
-        assert task.fire_count == 5
-
-    def test_restart_inside_callback_leaves_one_chain(self):
-        sim = Simulator()
-        fired = []
-
-        def tick(now):
-            fired.append(now)
-            if len(fired) == 2:
-                task.stop()
-                task.start()
-
-        task = PeriodicTask(sim, 1.0, tick)
-        task.start()
-        events = sim.run_until(5.0)
-        assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
-        # No tick of the stopped generation was even queued.
-        assert events == len(fired) and sim.pending_events == 1
-
-    def test_start_while_running_is_a_no_op(self):
-        sim = Simulator()
-        fired = []
-        task = PeriodicTask(sim, 1.0, fired.append, first_delay=0.0)
-        task.start()
-        task.start()
-        sim.run_until(2.0)
-        assert fired == [0.0, 1.0, 2.0]
 
 
 # -- tuple-backed values --------------------------------------------------
