@@ -72,7 +72,7 @@ class Host:
 
     def receive(self, packet: Packet) -> None:
         """Deliver a packet to this host's protocol stacks."""
-        if packet.protocol is Protocol.TCP:
+        if packet.protocol is _TCP:
             if self._tcp_stack is not None:
                 self._tcp_stack.receive(packet)
             return
@@ -134,13 +134,16 @@ class Network:
         self._observers: List[PacketObserver] = []
         self._last_delivery: Dict[tuple, float] = {}
         self.delivered_count = 0
-        # (origin_ip, src, dst) -> routing/latency facts.  Routing only
+        # (origin_ip, src, dst, protocol) -> route.  Routing only
         # changes when the topology does, so everything derivable from
         # the key is computed once instead of per packet.  Endpoints
         # carry precomputed hashes, keeping the lookup cheap; FIFO
         # floors are tracked under small interned ints so the hot path
         # never hashes a (src_ip, dst_ip, protocol) triple.
         self._path_cache: Dict[tuple, tuple] = {}
+        # Bumped on every topology change; a route returned by send()
+        # stays valid while this is unchanged.
+        self.topology_version = 0
         self._fifo_ids: Dict[tuple, int] = {}
         # Jitter draws come from the stream in blocks: ``random(n)``
         # yields the exact doubles ``n`` scalar draws would (pinned by a
@@ -159,7 +162,7 @@ class Network:
             raise NetworkError(f"duplicate host IP {host.ip}")
         self._hosts[host.ip] = host
         host.attached(self)
-        self._path_cache.clear()
+        self._topology_changed()
         return host
 
     def add_alias(self, host: Host, ip: IPv4Address) -> None:
@@ -171,7 +174,7 @@ class Network:
             raise NetworkError("attach the host before adding aliases")
         self._hosts[ip] = host
         host.aliases.add(ip)
-        self._path_cache.clear()
+        self._topology_changed()
 
     def host_for(self, ip: IPv4Address) -> Host:
         """The host owning ``ip``."""
@@ -191,19 +194,23 @@ class Network:
         if tap.ip not in self._hosts:
             raise NetworkError("tap host must be attached to the network first")
         self._taps[covered_ip] = tap
-        self._path_cache.clear()
+        self._topology_changed()
 
     def remove_tap(self, covered_ip: IPv4Address) -> None:
         """Stop diverting an IP's traffic."""
         self._taps.pop(covered_ip, None)
+        self._topology_changed()
+
+    def _topology_changed(self) -> None:
         self._path_cache.clear()
+        self.topology_version += 1
 
     def add_observer(self, observer: PacketObserver) -> None:
         """Observe every delivered packet: ``observer(packet, "lan"|"wan")``."""
         self._observers.append(observer)
 
     # -- delivery -------------------------------------------------------
-    def send(self, origin: Host, packet: Packet) -> None:
+    def send(self, origin: Host, packet: Packet, route: Optional[tuple] = None) -> tuple:
         """Route ``packet`` from ``origin``, honoring tap diversion.
 
         A packet whose source or destination IP is covered by a tap is
@@ -211,6 +218,11 @@ class Network:
         packets a tap re-injects go straight to their true destination.
         A packet's first send stamps its ``number``; a lost packet still
         uses its number up.
+
+        Returns the route the packet took.  A sender whose packets all
+        share one origin, source, destination and protocol (a TCP
+        connection) may pass it back as ``route`` while
+        :attr:`topology_version` is unchanged, skipping the path lookup.
         """
         sim = self.sim
         now = sim._clock._now
@@ -218,24 +230,22 @@ class Network:
         if packet.number is None:
             self._packet_count += 1
             packet.number = self._packet_count
-        key = (origin.ip, packet.src, packet.dst)
-        path_cache = self._path_cache
-        path = path_cache.get(key)
-        if path is None:
-            if len(path_cache) >= 4096:
-                # Ephemeral ports make the key space unbounded on a
-                # fleet-length run; recomputing after a wholesale wipe
-                # is cheaper than tracking per-entry staleness.
-                path_cache.clear()
-            path = self._path_for(origin, packet)
-            path_cache[key] = path
-        receive_tcp, receive, crosses_wan, base, fifo_id, scope = path
-        if packet.protocol is _TCP:
-            receive = receive_tcp
+        if route is None:
+            key = (origin.ip, packet.src, packet.dst, packet.protocol)
+            path_cache = self._path_cache
+            route = path_cache.get(key)
+            if route is None:
+                if len(path_cache) >= 4096:
+                    # Ephemeral ports make the key space unbounded on a
+                    # fleet-length run; recomputing after a wholesale
+                    # wipe is cheaper than tracking per-entry staleness.
+                    path_cache.clear()
+                route = path_cache[key] = self._path_for(origin, packet)
+        receive, crosses_wan, base, fifo_id, scope = route
         if crosses_wan and self.wan_loss > 0.0 and self._loss_rng.random() < self.wan_loss:
             # Lost in transit; TCP's retransmission handles recovery.
             self.packets_lost += 1
-            return
+            return route
         jitter_idx = self._jitter_idx
         if jitter_idx >= len(self._jitter_buf):
             self._jitter_buf = self._rng.random(256).tolist()
@@ -260,13 +270,13 @@ class Network:
         queue._next_seq = seq + 1
         heappush(queue._heap, (arrival, seq, None, self._deliver, (packet, receive, scope)))
         queue._live += 1
+        return route
 
     def _path_for(self, origin: Host, packet: Packet) -> tuple:
-        """Resolve everything about a path that only depends on the
-        (origin, src, dst) key: the receiving callables for TCP and for
-        other packets, whether the WAN loss model applies, the base hop
-        latency, the interned FIFO floor id, and the observer scope
-        label.
+        """Resolve everything about a route that only depends on the
+        (origin, src, dst, protocol) key: the receiving callable,
+        whether the WAN loss model applies, the base hop latency, the
+        interned FIFO floor id, and the observer scope label.
 
         A tap's ``intercept`` receives every packet it diverts.  A host
         otherwise gets its ``receive``, except that TCP segments go
@@ -275,12 +285,13 @@ class Network:
         """
         target = self._route(origin, packet)
         if isinstance(target, TapHost) and packet.dst.ip != target.ip:
-            receive = receive_tcp = target.intercept
+            receive = target.intercept
         else:
-            receive = receive_tcp = target.receive
+            receive = target.receive
             stack = target._tcp_stack
-            if stack is not None and getattr(receive, "__func__", None) is Host.receive:
-                receive_tcp = stack.receive
+            if (packet.protocol is _TCP and stack is not None
+                    and getattr(receive, "__func__", None) is Host.receive):
+                receive = stack.receive
         local = packet.src.ip.is_private and packet.dst.ip.is_private
         base = (
             self.lan_latency
@@ -289,7 +300,7 @@ class Network:
         )
         fifo_triple = (packet.src.ip, packet.dst.ip, packet.protocol)
         fifo_id = self._fifo_ids.setdefault(fifo_triple, len(self._fifo_ids))
-        return (receive_tcp, receive, not local, base, fifo_id, "lan" if local else "wan")
+        return (receive, not local, base, fifo_id, "lan" if local else "wan")
 
     def _prune_delivery_floors(self, now: float) -> None:
         """Drop FIFO floors that simulated time has already passed.

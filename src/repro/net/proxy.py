@@ -32,6 +32,9 @@ from repro.obs.tracer import NULL_SPAN, Observability
 
 _SYN = TcpFlags.SYN.value
 _ACK = TcpFlags.ACK.value
+# Enum members read per record (see repro.net.tcp._ACK_FLAG).
+_TCP = Protocol.TCP
+_ESTABLISHED = TcpState.ESTABLISHED
 
 
 class ForwarderDecision(enum.Enum):
@@ -47,6 +50,8 @@ class ForwarderDecision(enum.Enum):
     HOLD = "hold"
     DROP = "drop"
 
+
+_FORWARD = ForwarderDecision.FORWARD
 
 # Flow ids are allocated per-proxy (see TransparentProxy._next_flow_id)
 # so repeated in-process runs are deterministic; TCP flows and the UDP
@@ -251,7 +256,7 @@ class TransparentProxy(TapHost):
         """Tap entry point: demux to the stack, forwarder, or bridge."""
         for snooper in self._snoopers:
             snooper(packet)
-        if packet.protocol is Protocol.TCP:
+        if packet.protocol is _TCP:
             # One demux lookup: a segment of a terminated connection
             # goes straight to it; only a new SYN needs the stack.
             connection = self.stack._connections.get((packet.dst, packet.src))
@@ -316,18 +321,14 @@ class TransparentProxy(TapHost):
         elif self.record_policy is not None:
             decision = self.record_policy(flow, packet)
         else:
-            decision = ForwarderDecision.FORWARD
-        if decision is ForwarderDecision.FORWARD:
+            decision = _FORWARD
+        if decision is _FORWARD:
             upstream = flow.upstream
-            if upstream is not None and upstream.state is TcpState.ESTABLISHED:
+            if upstream is not None and upstream.state is _ESTABLISHED:
                 # The common case, every idle heartbeat: straight
                 # upstream, no HeldRecord.  send_record copies ``meta``.
-                upstream.send_record(
-                    packet.payload_len,
-                    packet.tls_type,
-                    tls_record_seq=packet.tls_record_seq,
-                    meta=packet.meta,
-                )
+                upstream.send_record(packet.payload_len, packet.tls_type,
+                                     packet.tls_record_seq, packet.meta)
                 flow.records_forwarded += 1
                 self._m_forwarded.inc()
                 return
@@ -375,12 +376,8 @@ class TransparentProxy(TapHost):
         if upstream is None or not upstream.is_established:
             flow.awaiting_upstream.append(record)
             return
-        upstream.send_record(
-            record.payload_len,
-            record.tls_type,
-            tls_record_seq=record.tls_record_seq,
-            meta=record.meta,
-        )
+        upstream.send_record(record.payload_len, record.tls_type, record.tls_record_seq,
+                             record.meta)
         flow.records_forwarded += 1
         self._m_forwarded.inc()
 
@@ -415,14 +412,10 @@ class TransparentProxy(TapHost):
     def _on_server_record(self, flow: ProxiedFlow, conn: TcpConnection,
                           packet: Packet) -> None:
         downstream = flow.downstream
-        if downstream is None or downstream.state is not TcpState.ESTABLISHED:
+        if downstream is None or downstream.state is not _ESTABLISHED:
             return
-        downstream.send_record(
-            packet.payload_len,
-            packet.tls_type,
-            tls_record_seq=packet.tls_record_seq,
-            meta=packet.meta,
-        )
+        downstream.send_record(packet.payload_len, packet.tls_type, packet.tls_record_seq,
+                               packet.meta)
 
     # -- teardown propagation ---------------------------------------------
     def _on_downstream_close(self, flow: ProxiedFlow, conn: TcpConnection,

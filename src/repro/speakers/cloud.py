@@ -25,6 +25,9 @@ from repro.speakers.signatures import HEARTBEAT_LEN
 
 ALERT_RECORD_LEN = 31
 DIRECTIVE_RECORD_LEN = 320
+# Enum members read per record (see repro.net.tcp._ACK_FLAG).
+_APPLICATION_DATA = TlsRecordType.APPLICATION_DATA
+_ESTABLISHED = TcpState.ESTABLISHED
 
 ExecuteCallback = Callable[[int], None]
 
@@ -103,7 +106,7 @@ class AvsCloud(Host):
         if packet.payload_len == HEARTBEAT_LEN and packet.meta.get("heartbeat"):
             self.stats.heartbeats_answered += 1
             self._schedule_send(conn, state, 0.004, HEARTBEAT_LEN,
-                                TlsRecordType.APPLICATION_DATA, {"heartbeat_ack": True})
+                                _APPLICATION_DATA, {"heartbeat_ack": True})
             return
         if packet.meta.get("command_end"):
             interaction_id = int(packet.meta["interaction_id"])
@@ -123,7 +126,7 @@ class AvsCloud(Host):
         # Quick directive acknowledgement (the reply the paper observes
         # ~40 ms after the command packets reach the cloud).
         self._schedule_send(conn, state, self.DIRECTIVE_DELAY, DIRECTIVE_RECORD_LEN,
-                            TlsRecordType.APPLICATION_DATA,
+                            _APPLICATION_DATA,
                             {"directive": True, "interaction_id": interaction_id})
         # Response audio after transcription + TTS.
         delay = float(self._rng.uniform(*self.PROCESSING_DELAY))
@@ -137,17 +140,16 @@ class AvsCloud(Host):
             for index, length in enumerate(burst):
                 record_meta = dict(meta) if index == 0 else {}
                 self._schedule_send(conn, state, index * 0.01, length,
-                                    TlsRecordType.APPLICATION_DATA, record_meta)
+                                    _APPLICATION_DATA, record_meta)
 
         conn.sim.post(delay, send_response)
 
     # -- send helpers ------------------------------------------------------
     def _send(self, conn: TcpConnection, state: _SessionState, length: int,
               tls_type: TlsRecordType, meta: Optional[dict] = None) -> None:
-        if conn.state is not TcpState.ESTABLISHED:
+        if conn.state is not _ESTABLISHED:
             return
-        conn.send_record(length, tls_type, tls_record_seq=state.tls.next_send_seq(),
-                         meta=meta or {})
+        conn.send_record(length, tls_type, state.tls.next_send_seq(), meta)
 
     def _schedule_send(self, conn: TcpConnection, state: _SessionState, delay: float,
                        length: int, tls_type: TlsRecordType,
@@ -212,8 +214,7 @@ class GoogleCloud(Host):
         def send(length: int, meta: dict) -> None:
             if state.dead or not conn.is_established:
                 return
-            conn.send_record(length, TlsRecordType.APPLICATION_DATA,
-                             tls_record_seq=state.tls.next_send_seq(), meta=meta)
+            conn.send_record(length, _APPLICATION_DATA, state.tls.next_send_seq(), meta)
 
         conn.sim.post(self.DIRECTIVE_DELAY, send, DIRECTIVE_RECORD_LEN,
                       {"directive": True, "interaction_id": interaction_id})
@@ -243,7 +244,7 @@ class GoogleCloud(Host):
             def do_send() -> None:
                 self.send(Packet(
                     src=server, dst=client, protocol=Protocol.UDP,
-                    payload_len=length, tls_type=TlsRecordType.APPLICATION_DATA,
+                    payload_len=length, tls_type=_APPLICATION_DATA,
                     meta=meta,
                 ))
             self.network.sim.post(delay, do_send)

@@ -27,12 +27,17 @@ from repro.errors import ConnectionClosedError
 from repro.home.environment import HomeEnvironment
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.dns import DnsClient
+from repro.net.packet import TlsRecordType
 from repro.net.tcp import TcpConnection, TcpState, TcpTuning
 from repro.net.tls import TlsSession
 from repro.sim.process import DeadlineTimer
 from repro.speakers import signatures as sig
 from repro.speakers.base import InteractionRecord, SmartSpeaker
 from repro.speakers.interaction import EchoTrafficModel
+
+# Enum members read per record (see repro.net.tcp._ACK_FLAG).
+_APPLICATION_DATA = TlsRecordType.APPLICATION_DATA
+_ESTABLISHED = TcpState.ESTABLISHED
 
 
 class EchoDot(SmartSpeaker):
@@ -173,7 +178,7 @@ class EchoDot(SmartSpeaker):
         # ``connected`` and ``schedule_in`` spelled out: this fires
         # every 30 s for a week.
         conn = self._conn
-        if conn is not None and conn.state is TcpState.ESTABLISHED and self._tls is not None:
+        if conn is not None and conn.state is _ESTABLISHED and self._tls is not None:
             self._send_record(conn, self._tls, sig.HEARTBEAT_LEN, {"heartbeat": True})
             self._heartbeat_timer.schedule_at(self.sim._clock._now + sig.HEARTBEAT_PERIOD)
 
@@ -230,9 +235,9 @@ class EchoDot(SmartSpeaker):
 
     # -- low-level send ------------------------------------------------------------
     def _send_record(self, conn: TcpConnection, tls: TlsSession, length: int, meta: dict) -> None:
-        if conn.state is not TcpState.ESTABLISHED:
+        if conn.state is not _ESTABLISHED:
             return
         try:
-            conn.send_record(length, tls_record_seq=tls.next_send_seq(), meta=meta)
+            conn.send_record(length, _APPLICATION_DATA, tls.next_send_seq(), meta)
         except ConnectionClosedError:
             pass

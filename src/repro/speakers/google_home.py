@@ -14,7 +14,6 @@ Differences from the Echo Dot that matter to the guard (Section IV-B):
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Optional
 
 import numpy as np
@@ -32,7 +31,9 @@ from repro.speakers import signatures as sig
 from repro.speakers.base import InteractionRecord, SmartSpeaker
 from repro.speakers.interaction import GoogleTrafficModel, RecordSpec
 
-_udp_ports = itertools.count(52000)
+# Enum members read per record (see repro.net.tcp._ACK_FLAG).
+_APPLICATION_DATA = TlsRecordType.APPLICATION_DATA
+_QUIC_FIRST_PORT = 52000
 
 
 class GoogleHomeMini(SmartSpeaker):
@@ -56,6 +57,9 @@ class GoogleHomeMini(SmartSpeaker):
         self.traffic = traffic_model or GoogleTrafficModel(rng)
         self.sessions_opened = 0
         self.quic_sessions = 0
+        # QUIC source ports, per speaker: a world's ports do not depend
+        # on what else ran in the process.
+        self._next_udp_port = _QUIC_FIRST_PORT
 
     def boot(self) -> None:
         """The Mini does nothing on the wire until it is invoked."""
@@ -112,7 +116,7 @@ class GoogleHomeMini(SmartSpeaker):
         if not conn.is_established:
             return
         try:
-            conn.send_record(length, tls_record_seq=tls.next_send_seq(), meta=meta)
+            conn.send_record(length, _APPLICATION_DATA, tls.next_send_seq(), meta)
         except ConnectionClosedError:
             pass
 
@@ -126,7 +130,8 @@ class GoogleHomeMini(SmartSpeaker):
                   script: List[RecordSpec]) -> None:
         self.sessions_opened += 1
         self.quic_sessions += 1
-        port = next(_udp_ports)
+        port = self._next_udp_port
+        self._next_udp_port += 1
 
         def on_datagram(flow: UdpFlow, packet) -> None:
             if packet.meta.get("response"):
@@ -139,4 +144,4 @@ class GoogleHomeMini(SmartSpeaker):
             if index == last:
                 meta = {"command_end": True, "interaction_id": record.interaction_id}
             self.sim.post(spec.offset, flow.send, spec.length,
-                          TlsRecordType.APPLICATION_DATA, meta)
+                          _APPLICATION_DATA, meta)

@@ -284,6 +284,21 @@ class TestNetwork:
         assert lost.number == 1
         assert [p.number for p in received] == [2]
 
+    def test_protocols_on_one_endpoint_pair_keep_separate_fifo_floors(self, sim):
+        # Without jitter both packets land at now + latency; a UDP datagram
+        # floored behind the TCP segment on the same endpoints would land
+        # 1 us later.
+        network = Network(sim, RngHub(1), jitter=0.0)
+        a = make_host(network, "a", "192.168.1.2")
+        make_host(network, "cloud", "52.0.0.1")
+        arrivals = {}
+        network.add_observer(lambda p, scope: arrivals.__setitem__(p.protocol, sim.now))
+        src, dst = endpoint("192.168.1.2", 52000), endpoint("52.0.0.1", 443)
+        a.send(Packet(src, dst, Protocol.TCP, 0, TcpFlags.ACK))
+        a.send(Packet(src, dst, Protocol.UDP, 10))
+        sim.run()
+        assert arrivals[Protocol.UDP] == arrivals[Protocol.TCP]
+
     def test_alias_routes_to_same_host(self, sim, network):
         host = make_host(network, "cloud", "54.1.1.1")
         network.add_alias(host, IPv4Address("54.1.1.2"))

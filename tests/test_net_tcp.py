@@ -346,6 +346,66 @@ class TestPureAckPaths:
         assert {scope for _, scope in seen} == {"wan"}
 
 
+class _RecordingTap(TapHost):
+    """Records every packet it intercepts, then bridges it."""
+
+    def __init__(self, name, ip):
+        super().__init__(name, ip)
+        self.seen = []
+
+    def intercept(self, packet):
+        self.seen.append(packet.payload_len)
+        self.bridge(packet)
+
+
+class TestRouteLifetime:
+    """A connection holds its route until the topology changes."""
+
+    def test_route_follows_tap_install_and_removal(self, world):
+        sim, network, client, server = world
+        tap = _RecordingTap("tap", IPv4Address("192.168.1.50"))
+        network.attach(tap)
+        conn, srv = connect(sim, client, server)
+        received = []
+        srv.on_record = lambda c, p: received.append(p.payload_len)
+        conn.send_record(11, tls_record_seq=0)
+        sim.run_for(1.0)
+        assert tap.seen == []
+        network.install_tap(client.host.ip, tap)
+        conn.send_record(22, tls_record_seq=1)
+        sim.run_for(1.0)
+        assert 22 in tap.seen
+        network.remove_tap(client.host.ip)
+        seen_before = len(tap.seen)
+        conn.send_record(33, tls_record_seq=2)
+        sim.run_for(1.0)
+        assert len(tap.seen) == seen_before
+        assert received == [11, 22, 33]
+
+    @pytest.mark.parametrize("change", ["attach", "add_alias"])
+    def test_topology_change_re_resolves_the_route(self, world, monkeypatch, change):
+        sim, network, client, server = world
+        conn, _ = connect(sim, client, server)
+        resolved = []
+        path_for = network._path_for
+
+        def spy(origin, packet):
+            resolved.append((origin.name, packet.payload_len))
+            return path_for(origin, packet)
+
+        monkeypatch.setattr(network, "_path_for", spy)
+        conn.send_record(10, tls_record_seq=0)
+        sim.run_for(1.0)
+        assert ("client", 10) not in resolved  # the held route, no lookup
+        if change == "attach":
+            network.attach(Host("other", IPv4Address("192.168.1.77")))
+        else:
+            network.add_alias(server.host, IPv4Address("54.1.1.2"))
+        conn.send_record(20, tls_record_seq=1)
+        sim.run_for(1.0)
+        assert ("client", 20) in resolved
+
+
 def _black_holed(world):
     """An established pair whose client-side segments vanish from now on,
     so ACKs reach the client only when a test hands them over."""

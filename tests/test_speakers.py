@@ -199,3 +199,29 @@ class TestGoogleHomeLifecycle:
     def test_dns_precedes_every_session(self, scenario):
         # The Mini resolves www.google.com for each on-demand session.
         assert scenario.speaker.dns.queries_sent >= scenario.speaker.sessions_opened
+
+
+def _quic_source_ports(seed):
+    """UDP source ports of two QUIC commands in a fresh house/google world."""
+    scenario = build_scenario("house", "google", seed=seed, owner_count=1,
+                              with_floor_tracking=False, calibrate=False)
+    env, speaker = scenario.env, scenario.speaker
+    speaker.traffic.QUIC_PROBABILITY = 1.0
+    ports = []
+    scenario.network.add_observer(
+        lambda p, scope: ports.append(p.src.port)
+        if p.src.ip == speaker.ip and p.dst.port == 443 else None)
+    owner = scenario.owners[0]
+    owner.teleport(env.testbed.device_point(5).offset(dz=-1.0))
+    for _ in range(2):
+        command = scenario.corpus.sample(env.rng.stream("g"))
+        duration = full_utterance_duration(command, env.rng.stream("g"))
+        env.play_utterance(owner.speak(command.text, duration), owner.device_position())
+        env.sim.run_for(duration + 20.0)
+    return sorted(set(ports))
+
+
+def test_quic_source_ports_belong_to_the_world():
+    first = _quic_source_ports(5)
+    assert first == [52000, 52001]
+    assert _quic_source_ports(5) == first
