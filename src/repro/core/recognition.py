@@ -46,6 +46,17 @@ class SpeakerProfile(enum.Enum):
     GOOGLE = "google"
 
 
+# Members the per-record paths use, read once: on Python 3.11 reading a
+# member off its enum class costs about 0.13 us, a global about 0.01.
+_ECHO = SpeakerProfile.ECHO
+_UDP = Protocol.UDP
+_FORWARD = ForwarderDecision.FORWARD
+_HOLD = ForwarderDecision.HOLD
+_DROP = ForwarderDecision.DROP
+# Window classifications whose records are not held.
+_BENIGN = (TrafficClass.RESPONSE, TrafficClass.UNKNOWN)
+
+
 @dataclass
 class Window:
     """One spike window: consecutive records without an idle gap."""
@@ -206,7 +217,7 @@ class TrafficRecognition:
 
     # -- DNS snooping ------------------------------------------------------------
     def observe_snoop(self, packet: Packet) -> None:
-        """Inspect tapped packets for DNS answers (Figure 2's snooping)."""
+        """Inspect tapped datagrams for DNS answers (Figure 2's snooping)."""
         domain = packet.meta.get("dns_response")
         if domain is None:
             return
@@ -227,27 +238,27 @@ class TrafficRecognition:
         """Classify one client record; returns the forwarding decision."""
         speaker = self._speakers.get(flow.client.ip)
         if speaker is None:
-            return ForwarderDecision.FORWARD
+            return _FORWARD
         fs = self._flows.get(flow.flow_id)
         if fs is None:
             fs = _FlowState(flow=flow)
             self._flows[flow.flow_id] = fs
-        now = self.sim.now
+        now = self.sim._clock._now
 
-        if speaker.profile is SpeakerProfile.ECHO:
+        if speaker.profile is _ECHO:
             self._track_signature(speaker, fs, packet, now)
             relevant = speaker.avs_ip is not None and flow.server.ip == speaker.avs_ip
         else:
             relevant = flow.server.ip in speaker.google_ips
         if not relevant:
-            return ForwarderDecision.FORWARD
+            return _FORWARD
 
         self._expire_stale_window(fs, now)
         heartbeat = packet.payload_len == sig.HEARTBEAT_LEN
 
         if fs.window is None:
             if heartbeat:
-                return ForwarderDecision.FORWARD
+                return _FORWARD
             self._open_window(speaker, fs, packet, now)
             return self._window_action(fs.window)
 
@@ -321,17 +332,17 @@ class TrafficRecognition:
 
     def _window_action(self, window: Window) -> ForwarderDecision:
         if window.resolved:
-            if window.discarded and window.flow.protocol is Protocol.UDP:
+            if window.discarded and window.flow.protocol is _UDP:
                 # QUIC retransmits past a one-shot drop; keep dropping
                 # the blocked flow's datagrams.
-                return ForwarderDecision.DROP
-            return ForwarderDecision.FORWARD
-        if window.classification in (TrafficClass.RESPONSE, TrafficClass.UNKNOWN):
+                return _DROP
+            return _FORWARD
+        if window.classification in _BENIGN:
             # Classified benign: the handler released held records in the
             # classification callback; current packet flows through.
-            return ForwarderDecision.FORWARD
+            return _FORWARD
         # Pending, or a command awaiting its verdict: park everything.
-        return ForwarderDecision.HOLD
+        return _HOLD
 
     def _try_classify(self, speaker: _SpeakerState, window: Window) -> None:
         recognizer = self.window_recognizers.get(speaker.profile)

@@ -12,6 +12,7 @@ lets it impersonate either side transparently.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappush
 from typing import Callable, Dict, List, Optional
 
@@ -133,16 +134,16 @@ class Network:
         self._taps: Dict[IPv4Address, TapHost] = {}
         self._observers: List[PacketObserver] = []
         self._last_delivery: Dict[tuple, float] = {}
-        self.delivered_count = 0
         # (origin_ip, src, dst, protocol) -> route.  Routing only
-        # changes when the topology does, so everything derivable from
-        # the key is computed once instead of per packet.  Endpoints
-        # carry precomputed hashes, keeping the lookup cheap; FIFO
-        # floors are tracked under small interned ints so the hot path
-        # never hashes a (src_ip, dst_ip, protocol) triple.
+        # changes when the topology or the observers do, so everything
+        # derivable from the key is computed once instead of per
+        # packet.  Endpoints carry precomputed hashes, keeping the
+        # lookup cheap; FIFO floors are tracked under small interned
+        # ints so the hot path never hashes a (src_ip, dst_ip,
+        # protocol) triple.
         self._path_cache: Dict[tuple, tuple] = {}
-        # Bumped on every topology change; a route returned by send()
-        # stays valid while this is unchanged.
+        # Bumped on every topology change and every add_observer; a
+        # route returned by send() stays valid while this is unchanged.
         self.topology_version = 0
         self._fifo_ids: Dict[tuple, int] = {}
         # Jitter draws come from the stream in blocks: ``random(n)``
@@ -206,8 +207,14 @@ class Network:
         self.topology_version += 1
 
     def add_observer(self, observer: PacketObserver) -> None:
-        """Observe every delivered packet: ``observer(packet, "lan"|"wan")``."""
+        """Observe every packet sent from now on, as it is delivered:
+        ``observer(packet, "lan"|"wan")``.
+
+        Observers are part of a route, so this re-resolves every route;
+        a packet already in flight keeps the receiver it was sent to.
+        """
         self._observers.append(observer)
+        self._topology_changed()
 
     # -- delivery -------------------------------------------------------
     def send(self, origin: Host, packet: Packet, route: Optional[tuple] = None) -> tuple:
@@ -241,7 +248,7 @@ class Network:
                     # wipe is cheaper than tracking per-entry staleness.
                     path_cache.clear()
                 route = path_cache[key] = self._path_for(origin, packet)
-        receive, crosses_wan, base, fifo_id, scope = route
+        receive, crosses_wan, base, fifo_id = route
         if crosses_wan and self.wan_loss > 0.0 and self._loss_rng.random() < self.wan_loss:
             # Lost in transit; TCP's retransmission handles recovery.
             self.packets_lost += 1
@@ -263,25 +270,28 @@ class Network:
         if len(last_delivery) >= self._prune_at:
             self._prune_delivery_floors(now)
         # Arrival is never before `now`, so the delivery goes on the heap
-        # directly as a handle-free entry (see repro.sim.events), with
-        # no Simulator.post_at validation or EventQueue.post frame.
+        # directly as a handle-free entry (see repro.sim.events) that
+        # calls the route's receiver, with no Simulator.post_at
+        # validation, EventQueue.post or delivery frame in between.
         queue = sim._queue
         seq = queue._next_seq
         queue._next_seq = seq + 1
-        heappush(queue._heap, (arrival, seq, None, self._deliver, (packet, receive, scope)))
+        heappush(queue._heap, (arrival, seq, None, receive, (packet,)))
         queue._live += 1
         return route
 
     def _path_for(self, origin: Host, packet: Packet) -> tuple:
         """Resolve everything about a route that only depends on the
-        (origin, src, dst, protocol) key: the receiving callable,
-        whether the WAN loss model applies, the base hop latency, the
-        interned FIFO floor id, and the observer scope label.
+        (origin, src, dst, protocol) key and the observers: the
+        receiving callable, whether the WAN loss model applies, the base
+        hop latency, and the interned FIFO floor id.
 
         A tap's ``intercept`` receives every packet it diverts.  A host
         otherwise gets its ``receive``, except that TCP segments go
         straight to the host's stack when ``receive`` is the stock
-        :meth:`Host.receive`, which would only forward them there.
+        :meth:`Host.receive`, which would only forward them there.  On
+        an observed network the receiver is wrapped once, here, in
+        :meth:`_deliver` with the route's scope label.
         """
         target = self._route(origin, packet)
         if isinstance(target, TapHost) and packet.dst.ip != target.ip:
@@ -300,7 +310,9 @@ class Network:
         )
         fifo_triple = (packet.src.ip, packet.dst.ip, packet.protocol)
         fifo_id = self._fifo_ids.setdefault(fifo_triple, len(self._fifo_ids))
-        return (receive, not local, base, fifo_id, "lan" if local else "wan")
+        if self._observers:
+            receive = partial(self._deliver, receive, "lan" if local else "wan")
+        return (receive, not local, base, fifo_id)
 
     def _prune_delivery_floors(self, now: float) -> None:
         """Drop FIFO floors that simulated time has already passed.
@@ -323,9 +335,8 @@ class Network:
                 return tap
         return self.host_for(packet.dst.ip)
 
-    def _deliver(self, packet: Packet, receive: Callable[[Packet], None], scope: str) -> None:
-        self.delivered_count += 1
-        if self._observers:
-            for observer in self._observers:
-                observer(packet, scope)
+    def _deliver(self, receive: Callable[[Packet], None], scope: str, packet: Packet) -> None:
+        """An observed route's receiver: the observers, then ``receive``."""
+        for observer in self._observers:
+            observer(packet, scope)
         receive(packet)

@@ -174,8 +174,8 @@ class TransparentProxy(TapHost):
         Host identity of the guard laptop on the LAN.
     proxied_ports:
         TCP destination ports to terminate (443 for both speakers).
-        Traffic to other ports (e.g. DNS/53 UDP) is bridged untouched
-        but still reported to ``snoop`` observers.
+        TCP to other ports is bridged untouched; datagrams (e.g. DNS/53
+        UDP) are reported to snoopers, then forwarded or bridged.
     """
 
     def __init__(
@@ -224,7 +224,8 @@ class TransparentProxy(TapHost):
         network.install_tap(covered_ip, self)
 
     def add_snooper(self, snooper: SnoopObserver) -> None:
-        """Observe every tapped packet (the guard snoops DNS this way)."""
+        """Observe every tapped datagram (the guard snoops DNS answers
+        this way); TCP segments are not shown."""
         self._snoopers.append(snooper)
 
     def install_record_shim(self, shim: RecordShim) -> None:
@@ -254,8 +255,6 @@ class TransparentProxy(TapHost):
     # -- tap entry point --------------------------------------------------
     def intercept(self, packet: Packet) -> None:
         """Tap entry point: demux to the stack, forwarder, or bridge."""
-        for snooper in self._snoopers:
-            snooper(packet)
         if packet.protocol is _TCP:
             # One demux lookup: a segment of a terminated connection
             # goes straight to it; only a new SYN needs the stack.
@@ -273,6 +272,8 @@ class TransparentProxy(TapHost):
                 return
             self.bridge(packet)
             return
+        for snooper in self._snoopers:
+            snooper(packet)
         if self.udp_forwarder is not None and self.udp_forwarder.claims(packet):
             self.udp_forwarder.handle(packet)
             return

@@ -63,7 +63,7 @@ class UdpFlow:
         return packet
 
     def _receive(self, packet: Packet) -> None:
-        if packet.src != self.remote and packet.dst != self.local:
+        if packet.src != self.remote or packet.dst != self.local:
             return
         self.datagrams_received += 1
         if self.on_datagram:

@@ -10,7 +10,9 @@ handful of fixed-seed workloads and reduces each to one SHA-256:
 * ``sevenday_packets`` — a short seven-day home (4 + 3 episodes) reduced
   packet by packet, as a ``Network`` observer sees every delivery, plus
   its metrics snapshot: pins the idle heartbeat round trip itself, not
-  only the guard stream it feeds;
+  only the guard stream it feeds.  Its packets take the observed route
+  (``Network._deliver``); the unobserved delivery path is pinned by the
+  other guard digests and by tests/test_net_proxy.py's frame test;
 * ``loadtest.<mode>`` — one smoke-sized 4-speaker loadtest cell per
   guard mode;
 * ``fleet_full`` — a 2-home full-fidelity fleet table;
@@ -33,15 +35,17 @@ holds the expected values; regenerate it (only after a change that is
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import pathlib
-from typing import Callable, Dict
+from typing import Callable, Dict, Iterator
 
 from repro.core.floor import TraceClassifier
 from repro.experiments import fleet, loadtest, pool, scenarios, synthesis
 from repro.experiments import workload as workload_module
 from repro.home.devices import MobileDevice
+from repro.net.link import PacketObserver
 from repro.net.packet import Packet
 
 DIGESTS_PATH = pathlib.Path(__file__).parent / "goldens" / "digests.json"
@@ -66,6 +70,24 @@ def guard_digest(scenario, extra: bytes = b"") -> str:
     digest.update(repr(scenario.sim.now).encode())
     digest.update(extra)
     return digest.hexdigest()
+
+
+@contextlib.contextmanager
+def observed_networks(observer: PacketObserver) -> Iterator[None]:
+    """Attach ``observer`` to every ``Network`` a scenario builds
+    inside the block, before any host or packet exists."""
+    real_network = scenarios.Network
+
+    def observed_network(*args, **kwargs):
+        network = real_network(*args, **kwargs)
+        network.add_observer(observer)
+        return network
+
+    scenarios.Network = observed_network
+    try:
+        yield
+    finally:
+        scenarios.Network = real_network
 
 
 def _guard_home(seed: int, counts, episode_gap=None) -> str:
@@ -104,19 +126,9 @@ def sevenday_packets() -> str:
     def observe(packet: Packet, _scope: str) -> None:
         digest.update(repr(_packet_fields(packet)).encode())
 
-    real_network = scenarios.Network
-
-    def observed_network(*args, **kwargs):
-        network = real_network(*args, **kwargs)
-        network.add_observer(observe)
-        return network
-
-    scenarios.Network = observed_network
-    try:
+    with observed_networks(observe):
         scenario = scenarios.build_scenario(
             "house", "echo", deployment=0, owner_count=2, seed=606)
-    finally:
-        scenarios.Network = real_network
     driver = workload_module.SevenDayWorkload(
         scenario, episode_gap=workload_module.SEVEN_DAY_GAP)
     driver.run(*PACKET_HOME_COUNTS)

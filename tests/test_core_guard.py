@@ -9,7 +9,10 @@ from repro.audio.speech import full_utterance_duration
 from repro.core.config import VoiceGuardConfig
 from repro.core.decision import Verdict
 from repro.core.events import TrafficClass
+from repro.core.recognition import TrafficRecognition
 from repro.experiments.scenarios import build_scenario
+from repro.net.packet import Protocol
+from repro.speakers import signatures as sig
 from repro.speakers.base import InteractionOutcome
 
 
@@ -94,6 +97,29 @@ class TestGuardFacade:
         events = scenario.guard.events
         events.clear()
         assert len(scenario.guard.log.events) > 0
+
+    def test_dns_snoop_sees_datagrams_only_and_learns_the_avs_ip(self, monkeypatch):
+        snooped, learned = [], []
+        real_snoop = TrafficRecognition.observe_snoop
+
+        def observe_snoop(recognition, packet):
+            snooped.append(packet.protocol)
+            real_snoop(recognition, packet)
+            if packet.meta.get("dns_response") == sig.AVS_DOMAIN:
+                state = recognition._speakers[packet.dst.ip]
+                learned.append((state.avs_ip, state.avs_ip_source))
+
+        monkeypatch.setattr(TrafficRecognition, "observe_snoop", observe_snoop)
+        scenario = build_scenario(
+            "house", "echo", deployment=0, seed=104,
+            owner_count=1, calibrate=False, with_floor_tracking=False,
+        )
+        # Boot: DNS over UDP, then the AVS connection through the tap
+        # (whose connect signature later re-confirms the same IP).
+        assert scenario.guard.proxy.flows
+        assert set(snooped) == {Protocol.UDP}
+        avs_ip = scenario.dns_server.record_for(sig.AVS_DOMAIN).current()
+        assert learned == [(avs_ip, "dns")]
 
 
 class TestLateRegistration:

@@ -83,6 +83,17 @@ class TestWindowMachinery:
         assert recognition.observe(flow, record(33)) is ForwarderDecision.FORWARD
         assert classified[-1][1] is TrafficClass.RESPONSE
 
+    def test_unknown_window_forwards_until_it_ends(self, world):
+        # A spike that times out unclassifiable settles UNKNOWN; later
+        # records of the same window flow through even if nothing has
+        # released the held ones yet.
+        sim, recognition, classified = world
+        flow = make_flow()
+        assert recognition.observe(flow, record(999)) is ForwarderDecision.HOLD
+        sim.run_for(VoiceGuardConfig().classification_timeout + 0.01)
+        assert classified[-1][1] is TrafficClass.UNKNOWN
+        assert recognition.observe(flow, record(999)) is ForwarderDecision.FORWARD
+
     def test_heartbeats_do_not_open_windows(self, world):
         sim, recognition, classified = world
         flow = make_flow()

@@ -376,6 +376,19 @@ class TestUdpFlow:
         assert flow_a.datagrams_sent == 1
         assert flow_b.datagrams_received == 1
 
+    def test_datagram_from_a_third_host_is_ignored(self, sim, network):
+        a = make_host(network, "a", "192.168.1.10")
+        b = make_host(network, "b", "192.168.1.11")
+        c = make_host(network, "c", "192.168.1.12")
+        got = []
+        flow_b = UdpFlow(b, Endpoint(b.ip, 500), Endpoint(a.ip, 400),
+                         lambda flow, p: got.append(p.payload_len))
+        UdpFlow(c, Endpoint(c.ip, 400), Endpoint(b.ip, 500)).send(77)
+        UdpFlow(a, Endpoint(a.ip, 400), Endpoint(b.ip, 500)).send(123)
+        sim.run()
+        assert got == [123]
+        assert flow_b.datagrams_received == 1
+
     def test_zero_payload_rejected(self, sim, network):
         a = make_host(network, "a", "192.168.1.10")
         flow = UdpFlow(a, Endpoint(a.ip, 401), endpoint("192.168.1.11", 500))

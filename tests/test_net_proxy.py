@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
 
+import repro
 from repro.errors import NetworkError
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.link import Host, Network
 from repro.net.packet import Packet, Protocol
 from repro.net.proxy import ForwarderDecision, TransparentProxy, UdpForwarder
-from repro.net.tcp import TcpStack
+from repro.net.tcp import TcpConnection, TcpStack
 from repro.net.tls import TlsSession, TlsViolation
 from repro.net.udp import UdpFlow
 from repro.sim.random import RngHub
+from repro.sim.simulator import Simulator
 
 
 class TestTlsSession:
@@ -169,16 +174,23 @@ class TestTransparentProxy:
         assert downstream == [42]
 
     def test_snoopers_see_tapped_packets(self, proxied_world):
+        # Datagrams only: the TCP segments of a spliced record are not
+        # shown to snoopers.
         sim, network, speaker, server, proxy, received = proxied_world
         seen = []
-        proxy.add_snooper(lambda p: seen.append(p.protocol))
-        speaker.host.send(Packet(
-            src=Endpoint(speaker.host.ip, 5353),
-            dst=Endpoint(IPv4Address("54.1.1.1"), 53),
-            protocol=Protocol.UDP, payload_len=40,
+        proxy.add_snooper(lambda p: seen.append((p.protocol, p.meta.get("dns_response"))))
+        conn = speaker.connect(Endpoint(IPv4Address("54.1.1.1"), 443))
+        sim.run_for(1.0)
+        conn.send_record(100, tls_record_seq=0)
+        server.host.send(Packet(
+            src=Endpoint(IPv4Address("54.1.1.1"), 53),
+            dst=Endpoint(speaker.host.ip, 5353),
+            protocol=Protocol.UDP, payload_len=90,
+            meta={"dns_response": "example.com", "dns_answers": []},
         ))
         sim.run_for(1.0)
-        assert Protocol.UDP in seen
+        assert [p.payload_len for p in received] == [100]
+        assert seen == [(Protocol.UDP, "example.com")]
 
     def test_drop_decision_discards_record(self, proxied_world):
         sim, network, speaker, server, proxy, received = proxied_world
@@ -318,3 +330,62 @@ class TestUdpForwarder:
         proxy.network.host_for(IPv4Address("142.250.65.68")).send(server_packet)
         sim.run_for(1.0)
         assert got == [77]
+
+
+_REPRO_DIR = os.path.dirname(repro.__file__)
+
+
+def _frames_into_handle(sim, duration):
+    """Run ``sim`` for ``duration``; for every segment that reaches
+    ``TcpConnection.handle``, return ``(payload_len, frames)``: the repro
+    frames from ``Simulator.run_until`` down to ``handle``.
+
+    Taken with ``sys.setprofile``.  Frames are named from a fixed table
+    of code objects (``co_qualname`` needs Python 3.11), others by their
+    function name.
+    """
+    names = {fn.__code__: label for label, fn in (
+        ("Simulator.run_until", Simulator.run_until),
+        ("TcpStack.receive", TcpStack.receive),
+        ("TransparentProxy.intercept", TransparentProxy.intercept),
+        ("TcpConnection.handle", TcpConnection.handle),
+    )}
+    handle = TcpConnection.handle.__code__
+    run_until = Simulator.run_until.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event != "call" or frame.f_code is not handle:
+            return
+        packet = frame.f_locals["packet"]
+        frames = []
+        while frame is not None:
+            code = frame.f_code
+            if code.co_filename.startswith(_REPRO_DIR):
+                frames.append(names.get(code, code.co_name))
+            if code is run_until:
+                break
+            frame = frame.f_back
+        calls.append((packet.payload_len, frames[::-1]))
+
+    sys.setprofile(profile)
+    try:
+        sim.run_for(duration)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestDeliveryPath:
+    def test_unobserved_segment_is_one_call_from_the_heap(self, proxied_world):
+        # One record: data and its ACK on each leg.  The speaker's data
+        # and the cloud's ACK are diverted to the tap; the proxy's ACK
+        # and its upstream copy reach a host stack.
+        sim, network, speaker, server, proxy, received = proxied_world
+        conn = speaker.connect(Endpoint(IPv4Address("54.1.1.1"), 443))
+        sim.run_for(1.0)
+        conn.send_record(100, tls_record_seq=0)
+        tap = ["Simulator.run_until", "TransparentProxy.intercept", "TcpConnection.handle"]
+        host = ["Simulator.run_until", "TcpStack.receive", "TcpConnection.handle"]
+        assert _frames_into_handle(sim, 1.0) == [(100, tap), (0, host), (100, host), (0, tap)]
+        assert [p.payload_len for p in received] == [100]

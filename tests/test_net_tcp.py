@@ -338,11 +338,10 @@ class TestPureAckPaths:
         sim.run_for(1.0)
         seen = []
         network.add_observer(lambda p, scope: seen.append((p.number, scope)))
-        before = network.delivered_count
         for size in (10, 20, 30):
             conn.send_record(size, tls_record_seq=0)
         sim.run_for(1.0)
-        assert len(seen) == network.delivered_count - before == 6
+        assert len(seen) == 6
         assert {scope for _, scope in seen} == {"wan"}
 
 
