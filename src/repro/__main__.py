@@ -21,7 +21,18 @@ from __future__ import annotations
 
 import argparse
 import functools
+import pathlib
 import sys
+from typing import Optional
+
+from repro.errors import ReproError
+
+
+def _write_output(path: Optional[str], text: str) -> None:
+    """Also write ``text`` to ``--output``'s path, when one was given."""
+    if path:
+        pathlib.Path(path).write_text(text, encoding="utf-8")
+        print(f"(written to {path})")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -36,11 +47,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         from repro.analysis.reporting import render_task_timings
 
         print(render_task_timings(report.timings), file=sys.stderr)
-    if args.output:
-        import pathlib
-
-        pathlib.Path(args.output).write_text(report.render(), encoding="utf-8")
-        print(f"(written to {args.output})")
+    _write_output(args.output, report.render())
     return 0
 
 
@@ -122,12 +129,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     result = run_fleet(config, workers=args.workers, progress=args.progress)
     print(result.render())
     print(result.render_throughput(), file=sys.stderr)
-    if args.output:
-        import pathlib
-
-        pathlib.Path(args.output).write_text(result.render() + "\n",
-                                             encoding="utf-8")
-        print(f"(written to {args.output})")
+    _write_output(args.output, result.render() + "\n")
     return 0
 
 
@@ -143,12 +145,7 @@ def _cmd_fleet_validate(args: argparse.Namespace) -> int:
     )
     print(result.render())
     print(result.render_throughput(), file=sys.stderr)
-    if args.output:
-        import pathlib
-
-        pathlib.Path(args.output).write_text(result.render() + "\n",
-                                             encoding="utf-8")
-        print(f"(written to {args.output})")
+    _write_output(args.output, result.render() + "\n")
     if args.strict and not result.all_passed:
         print("FAIL: a testbed's fast-vs-full statistics exceeded the "
               "1% critical values", file=sys.stderr)
@@ -189,11 +186,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     result = run_resilience(seed=args.seed, scale=args.scale, testbeds=testbeds,
                             workers=args.workers, use_cache=not args.no_cache)
     print(result.render())
-    if args.output:
-        import pathlib
-
-        pathlib.Path(args.output).write_text(result.render() + "\n", encoding="utf-8")
-        print(f"(written to {args.output})")
+    _write_output(args.output, result.render() + "\n")
     return 0
 
 
@@ -208,12 +201,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         use_cache=not args.no_cache,
     )
     print(result.render())
-    if args.output:
-        import pathlib
-
-        pathlib.Path(args.output).write_text(result.render() + "\n",
-                                             encoding="utf-8")
-        print(f"(written to {args.output})")
+    _write_output(args.output, result.render() + "\n")
     return 0
 
 
@@ -227,12 +215,7 @@ def _cmd_recognition_robustness(args: argparse.Namespace) -> int:
         use_cache=not args.no_cache,
     )
     print(result.render())
-    if args.output:
-        import pathlib
-
-        pathlib.Path(args.output).write_text(result.render() + "\n",
-                                             encoding="utf-8")
-        print(f"(written to {args.output})")
+    _write_output(args.output, result.render() + "\n")
     return 0
 
 
@@ -255,7 +238,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     import runpy
-    import pathlib
 
     quickstart = pathlib.Path(__file__).resolve().parents[2] / "examples" / "quickstart.py"
     if quickstart.exists():
@@ -281,12 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=3)
-    # Parallel-engine knobs, shared by the fan-out commands.
-    parallel = argparse.ArgumentParser(add_help=False)
-    parallel.add_argument(
+    # Parallel-engine knobs, shared by the fan-out commands; fleet
+    # chunks are never cached, so the fleet commands take --workers only.
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for independent runs (0 = one per CPU; "
              "1 = serial, identical to the historical behaviour)")
+    parallel = argparse.ArgumentParser(add_help=False, parents=[workers])
     parallel.add_argument(
         "--no-cache", action="store_true",
         help="recompute instead of reusing cached results "
@@ -315,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.set_defaults(func=_cmd_campaign)
 
     fleet = sub.add_parser(
-        "fleet", parents=[common, parallel],
+        "fleet", parents=[common, workers],
         help="stream a synthesized fleet of homes through the engine; "
              "constant memory at any size, table identical at any "
              "worker count / chunking / shard order")
@@ -339,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.set_defaults(func=_cmd_fleet)
 
     fleet_validate = sub.add_parser(
-        "fleet-validate", parents=[common, parallel],
+        "fleet-validate", parents=[common, workers],
         help="cross-validate the reduced-order (fast) home model against "
              "packet-level (full) simulation on one matched population: "
              "KS on latency sketches, χ² on outcome counts, per testbed")
@@ -431,10 +415,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A library error (:class:`~repro.errors.ReproError`) is a usage
+    error: one ``error: ...`` line on stderr and exit 2, like argparse's.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

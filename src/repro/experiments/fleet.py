@@ -238,22 +238,11 @@ def _scenario_pool():
 
 
 def _summarize_full(scenario, spec: HomeSpec) -> HomeSummary:
-    """Run a built home through its workload and fold the summary."""
-    from repro.analysis.metrics import summarize_resilience
-    from repro.experiments.runner import score_interactions
-    from repro.experiments.workload import SevenDayWorkload
+    """Run a built home as one seven-day cell and fold the summary."""
+    from repro.experiments.runner import run_cell
 
-    workload = SevenDayWorkload(scenario)
-    workload.run(spec.legit_commands, spec.attacks)
-    records = scenario.speaker.settle_all()
-    matrix = score_interactions(records)
-    events = scenario.guard.command_events()
-    resilience = summarize_resilience(events, scenario.guard.log.resilience_counts())
-    latencies = [
-        event.decision_latency
-        for event in events
-        if getattr(event, "decision_latency", None) is not None
-    ]
+    cell = run_cell(scenario, spec.legit_commands, spec.attacks)
+    matrix, resilience = cell.matrix, cell.resilience
     return HomeSummary(
         testbed=spec.testbed,
         attacked=spec.attacks > 0,
@@ -264,7 +253,7 @@ def _summarize_full(scenario, spec: HomeSpec) -> HomeSummary:
         decisions=resilience.decisions,
         timeouts=resilience.timeouts,
         retries=resilience.retries,
-        latencies_us=np.rint(np.asarray(latencies, dtype=np.float64) * 1e6
+        latencies_us=np.rint(np.asarray(cell.decision_latencies, dtype=np.float64) * 1e6
                              ).astype(np.int64),
     )
 

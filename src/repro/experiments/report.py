@@ -15,9 +15,24 @@ per-section wall-clock annotations differ).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.experiments.ablation import (
+    run_defense_matrix,
+    run_firewall_comparison,
+    run_floor_ablation,
+    run_signature_ablation,
+)
+from repro.experiments.fig3 import run_fig3
+from repro.experiments.fig4 import run_fig4
+from repro.experiments.fig6 import corpus_report, run_fig6
+from repro.experiments.fig7 import run_fig7
+from repro.experiments.fig10 import run_fig10
+from repro.experiments.hold_endurance import run_hold_endurance
 from repro.experiments.parallel import ExperimentEngine, ExperimentTask, TaskTiming
+from repro.experiments.rssi_maps import run_rssi_map
+from repro.experiments.rssi_tables import run_rssi_table
+from repro.experiments.table1 import run_table1
 
 
 @dataclass
@@ -48,137 +63,66 @@ class ReproductionReport:
         raise KeyError(name)
 
 
-# ---------------------------------------------------------------------------
-# Section producers — module-level so the pool can pickle them by name.
-# Each returns the section's rendered text.
-# ---------------------------------------------------------------------------
+class SectionSpec(NamedTuple):
+    """One report section: ``run(**kwargs)`` for each kwargs in
+    ``calls``, each result rendered by its ``method`` (``None``: ``run``
+    returns the text itself), joined by ``sep``."""
 
-def _section_corpus() -> str:
-    from repro.experiments.fig6 import corpus_report
-
-    return corpus_report()
-
-
-def _section_table1(seed: int) -> str:
-    from repro.experiments.table1 import run_table1
-
-    return run_table1(seed=seed).render()
+    name: str
+    run: Callable[..., object]
+    calls: Tuple[Dict[str, object], ...]
+    method: Optional[str] = "render"
+    sep: str = "\n"
 
 
-def _section_rssi_table(testbed: str, seed: int, scale: float) -> str:
-    from repro.experiments.rssi_tables import run_rssi_table
-
-    return run_rssi_table(testbed, seed=seed, scale=scale).render_with_paper()
-
-
-def _section_fig3(seed: int) -> str:
-    from repro.experiments.fig3 import run_fig3
-
-    return run_fig3(seed=seed).render()
-
-
-def _section_fig4(seed: int) -> str:
-    from repro.experiments.fig4 import run_fig4
-
-    return run_fig4(seed=seed).render()
-
-
-def _section_fig6(seed: int, scale: float) -> str:
-    from repro.experiments.fig6 import run_fig6
-
-    return run_fig6("echo", invocations=max(20, int(100 * scale)),
-                    seed=seed).render()
-
-
-def _section_fig7(seed: int, scale: float) -> str:
-    from repro.experiments.fig7 import run_fig7
-
-    return "\n".join(
-        run_fig7(kind, invocations=max(30, int(100 * scale)), seed=seed).render()
-        for kind in ("echo", "google"))
-
-
-def _section_rssi_maps(seed: int) -> str:
-    from repro.experiments.rssi_maps import run_rssi_map
-
-    return "\n\n".join(
-        run_rssi_map(tb, dep, seed=seed).render()
-        for tb in ("house", "apartment", "office") for dep in (0, 1))
-
-
-def _section_fig10(seed: int, scale: float) -> str:
-    from repro.experiments.fig10 import run_fig10
-
-    return run_fig10("echo", seed=seed,
-                     test_reps=max(5, int(15 * scale))).render()
-
-
-def _section_defense_matrix(seed: int, trials: int) -> str:
-    from repro.experiments.ablation import run_defense_matrix
-
-    return run_defense_matrix(seed=seed, trials_per_attack=trials,
-                              legit_trials=trials).render()
-
-
-def _section_floor_ablation(seed: int, scale: float) -> str:
-    from repro.experiments.ablation import run_floor_ablation
-
-    return run_floor_ablation(seed=seed, legit=max(15, int(50 * scale)),
-                              malicious=max(10, int(40 * scale))).render()
-
-
-def _section_signature_ablation(seed: int, scale: float) -> str:
-    from repro.experiments.ablation import run_signature_ablation
-
-    return run_signature_ablation(seed=seed,
-                                  commands=max(8, int(25 * scale))).render()
-
-
-def _section_firewall_comparison(seed: int, scale: float) -> str:
-    from repro.experiments.ablation import run_firewall_comparison
-
-    return run_firewall_comparison(seed=seed,
-                                   commands=max(10, int(25 * scale))).render()
-
-
-def _section_hold_endurance(seed: int) -> str:
-    from repro.experiments.hold_endurance import run_hold_endurance
-
-    return run_hold_endurance(holds=(2.0, 10.0, 30.0), seed=seed).render()
-
-
-SectionSpec = Tuple[str, Callable[..., str], Dict[str, object]]
+def render_section(run: Callable[..., object], calls: Tuple[Dict[str, object], ...],
+                   method: Optional[str] = "render", sep: str = "\n") -> str:
+    """A section's text (see :class:`SectionSpec`); module-level so the
+    pool can pickle it by name."""
+    results = [run(**kwargs) for kwargs in calls]
+    return sep.join(result if method is None else getattr(result, method)()
+                    for result in results)
 
 
 def report_section_specs(scale: float, seed: int) -> List[SectionSpec]:
-    """Every report section as (name, producer, kwargs), in print order."""
+    """Every report section, in print order."""
     trials = max(3, int(8 * scale))
-    specs: List[SectionSpec] = [
-        ("corpus statistics (§V-A2)", _section_corpus, {}),
-        ("Table I (traffic recognition)", _section_table1, dict(seed=seed)),
+    return [
+        SectionSpec("corpus statistics (§V-A2)", corpus_report, ({},), None),
+        SectionSpec("Table I (traffic recognition)", run_table1, (dict(seed=seed),)),
+        *(SectionSpec(f"{table} ({testbed})", run_rssi_table,
+                      (dict(testbed=testbed, seed=seed, scale=scale),),
+                      "render_with_paper")
+          for testbed, table in (("house", "Table II"), ("apartment", "Table III"),
+                                 ("office", "Table IV"))),
+        SectionSpec("Figure 3 (interaction spikes)", run_fig3, (dict(seed=seed),)),
+        SectionSpec("Figure 4 (traffic handler cases)", run_fig4, (dict(seed=seed),)),
+        SectionSpec("Figure 6 (delay cases)", run_fig6,
+                    (dict(speaker_kind="echo", invocations=max(20, int(100 * scale)),
+                          seed=seed),)),
+        SectionSpec("Figure 7 (query latency)", run_fig7,
+                    tuple(dict(speaker_kind=kind, invocations=max(30, int(100 * scale)),
+                               seed=seed) for kind in ("echo", "google"))),
+        SectionSpec("Figures 8-9 (RSSI maps)", run_rssi_map,
+                    tuple(dict(testbed_name=testbed, deployment=deployment, seed=seed)
+                          for testbed in ("house", "apartment", "office")
+                          for deployment in (0, 1)),
+                    sep="\n\n"),
+        SectionSpec("Figure 10 (floor traces)", run_fig10,
+                    (dict(speaker_kind="echo", seed=seed,
+                          test_reps=max(5, int(15 * scale))),)),
+        SectionSpec("ablation: defense matrix", run_defense_matrix,
+                    (dict(seed=seed, trials_per_attack=trials, legit_trials=trials),)),
+        SectionSpec("ablation: floor tracking", run_floor_ablation,
+                    (dict(seed=seed, legit=max(15, int(50 * scale)),
+                          malicious=max(10, int(40 * scale))),)),
+        SectionSpec("ablation: AVS signatures", run_signature_ablation,
+                    (dict(seed=seed, commands=max(8, int(25 * scale))),)),
+        SectionSpec("ablation: firewall comparison", run_firewall_comparison,
+                    (dict(seed=seed, commands=max(10, int(25 * scale))),)),
+        SectionSpec("ablation: hold endurance", run_hold_endurance,
+                    (dict(holds=(2.0, 10.0, 30.0), seed=seed),)),
     ]
-    for testbed, table in (("house", "Table II"), ("apartment", "Table III"),
-                           ("office", "Table IV")):
-        specs.append((f"{table} ({testbed})", _section_rssi_table,
-                      dict(testbed=testbed, seed=seed, scale=scale)))
-    specs.extend([
-        ("Figure 3 (interaction spikes)", _section_fig3, dict(seed=seed)),
-        ("Figure 4 (traffic handler cases)", _section_fig4, dict(seed=seed)),
-        ("Figure 6 (delay cases)", _section_fig6, dict(seed=seed, scale=scale)),
-        ("Figure 7 (query latency)", _section_fig7, dict(seed=seed, scale=scale)),
-        ("Figures 8-9 (RSSI maps)", _section_rssi_maps, dict(seed=seed)),
-        ("Figure 10 (floor traces)", _section_fig10, dict(seed=seed, scale=scale)),
-        ("ablation: defense matrix", _section_defense_matrix,
-         dict(seed=seed, trials=trials)),
-        ("ablation: floor tracking", _section_floor_ablation,
-         dict(seed=seed, scale=scale)),
-        ("ablation: AVS signatures", _section_signature_ablation,
-         dict(seed=seed, scale=scale)),
-        ("ablation: firewall comparison", _section_firewall_comparison,
-         dict(seed=seed, scale=scale)),
-        ("ablation: hold endurance", _section_hold_endurance, dict(seed=seed)),
-    ])
-    return specs
 
 
 def generate_report(
@@ -198,15 +142,15 @@ def generate_report(
     "running"/"finished" lines (the CLI sends them to stderr).
     """
     specs = report_section_specs(scale, seed)
-    tasks = [ExperimentTask(fn=fn, kwargs=kwargs, label=name)
-             for name, fn, kwargs in specs]
+    tasks = [ExperimentTask(fn=render_section, args=tuple(spec[1:]), label=spec.name)
+             for spec in specs]
     engine = ExperimentEngine(workers=workers, use_cache=use_cache,
                               progress=progress)
     texts = engine.run(tasks)
 
     elapsed_by_label = {timing.label: timing.elapsed for timing in engine.timings}
     report = ReproductionReport(timings=list(engine.timings))
-    for (name, _, _), text in zip(specs, texts):
+    for spec, text in zip(specs, texts):
         report.sections.append(
-            ReportSection(name, text, elapsed_by_label.get(name, 0.0)))
+            ReportSection(spec.name, text, elapsed_by_label.get(spec.name, 0.0)))
     return report

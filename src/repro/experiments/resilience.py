@@ -22,14 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import ResilienceSummary, summarize_resilience
+from repro.analysis.metrics import ConfusionMatrix, ResilienceSummary
 from repro.analysis.reporting import fmt_percent, render_table
 from repro.core.config import VoiceGuardConfig
 from repro.errors import WorkloadError
 from repro.experiments.parallel import ExperimentEngine, ExperimentTask, derive_seed
-from repro.experiments.runner import score_interactions
-from repro.experiments.scenarios import build_scenario
-from repro.experiments.workload import SevenDayWorkload
+from repro.experiments.runner import run_rssi_experiment
 from repro.faults.plan import FaultPlan, OfflineWindow
 
 TESTBEDS = ("house", "apartment", "office")
@@ -95,21 +93,19 @@ class ResilienceCell:
     testbed: str
     push_loss: float
     policy: str
-    blocked_attack_rate: float
-    false_block_rate: float
-    attacks_total: int
-    legit_total: int
+    matrix: ConfusionMatrix
     summary: ResilienceSummary
     faults_injected: int
 
     def row(self) -> List[object]:
-        s = self.summary
+        m, s = self.matrix, self.summary
         return [
             self.testbed,
             f"{self.push_loss:.0%}",
             self.policy,
-            fmt_percent(self.blocked_attack_rate),
-            fmt_percent(self.false_block_rate),
+            fmt_percent(m.recall),
+            fmt_percent(m.false_positive / m.actual_negative
+                        if m.actual_negative else float("nan")),
             fmt_percent(s.availability),
             f"{s.latency_p50:.2f}s" if s.latency_p50 == s.latency_p50 else "—",
             f"{s.latency_p95:.2f}s" if s.latency_p95 == s.latency_p95 else "—",
@@ -144,38 +140,12 @@ def run_resilience_cell(
     plan = build_fault_plan(
         testbed, push_loss, seed=derive_seed(seed, "faults", testbed, push_loss)
     )
-    scenario = build_scenario(
-        testbed,
-        speaker_kind,
-        deployment=0,
-        seed=seed,
-        owner_count=1 if testbed == "office" else 2,
-        config=config,
-        fault_plan=plan,
+    cell = run_rssi_experiment(
+        testbed, speaker_kind, 0, seed=seed, legit_count=legit_count,
+        malicious_count=malicious_count, config=config, fault_plan=plan,
     )
-    workload = SevenDayWorkload(scenario)
-    workload.run(legit_count, malicious_count)
-    records = scenario.speaker.settle_all()
-    matrix = score_interactions(records)
-    guard = scenario.guard
-    summary = summarize_resilience(
-        guard.command_events(), guard.log.resilience_counts()
-    )
-    faults = scenario.env.faults
-    return ResilienceCell(
-        testbed=testbed,
-        push_loss=push_loss,
-        policy=policy,
-        blocked_attack_rate=matrix.recall,
-        false_block_rate=(
-            matrix.false_positive / matrix.actual_negative
-            if matrix.actual_negative else float("nan")
-        ),
-        attacks_total=matrix.actual_positive,
-        legit_total=matrix.actual_negative,
-        summary=summary,
-        faults_injected=faults.total_injected if faults is not None else 0,
-    )
+    return ResilienceCell(testbed, push_loss, policy, cell.matrix,
+                          cell.resilience, cell.faults_injected)
 
 
 @dataclass

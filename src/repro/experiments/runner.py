@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analysis.metrics import ConfusionMatrix
+from repro.analysis.metrics import ConfusionMatrix, ResilienceSummary, summarize_resilience
 from repro.analysis.reporting import fmt_percent
-from repro.experiments.scenarios import build_scenario
-from repro.experiments.workload import SevenDayWorkload, WorkloadResult
+from repro.experiments.scenarios import Scenario, build_scenario
+from repro.experiments.workload import SevenDayWorkload
+from repro.faults.plan import FaultPlan
 from repro.speakers.base import InteractionOutcome, InteractionRecord
 
 
@@ -26,10 +27,9 @@ class RssiExperimentResult:
     scenario_name: str
     matrix: ConfusionMatrix
     records: List[InteractionRecord] = field(default_factory=list)
-    workload: Optional[WorkloadResult] = None
-    # Plain-dict metrics snapshot (repro.obs); picklable, so it
-    # survives the parallel engine's process-pool boundary.
-    metrics: Optional[dict] = None
+    resilience: ResilienceSummary = field(default_factory=ResilienceSummary)
+    decision_latencies: List[float] = field(default_factory=list)
+    faults_injected: int = 0
 
     @property
     def legit_correct(self) -> int:
@@ -92,6 +92,30 @@ def score_interactions(records: List[InteractionRecord]) -> ConfusionMatrix:
     return matrix
 
 
+def run_cell(scenario: Scenario, legit_count: int,
+             malicious_count: int) -> RssiExperimentResult:
+    """Run the seven-day workload (§V-B3) on a built home, settle every
+    interaction and score it: the one Tables II-IV cell."""
+    SevenDayWorkload(scenario).run(legit_count, malicious_count)
+    # Score only workload-issued commands (boot-time noise has no
+    # interaction records, but guard training commands would).
+    records = scenario.speaker.settle_all()
+    guard = scenario.guard
+    events = guard.command_events()
+    faults = scenario.env.faults
+    return RssiExperimentResult(
+        scenario_name=scenario.name,
+        matrix=score_interactions(records),
+        records=records,
+        resilience=summarize_resilience(events, guard.log.resilience_counts()),
+        decision_latencies=[
+            event.decision_latency for event in events
+            if getattr(event, "decision_latency", None) is not None
+        ],
+        faults_injected=faults.total_injected if faults is not None else 0,
+    )
+
+
 def run_rssi_experiment(
     testbed_name: str,
     speaker_kind: str,
@@ -102,9 +126,9 @@ def run_rssi_experiment(
     owner_count: Optional[int] = None,
     config=None,
     with_floor_tracking: Optional[bool] = None,
-    tracing: bool = False,
+    fault_plan: Optional[FaultPlan] = None,
 ) -> RssiExperimentResult:
-    """Run one Tables II-IV cell end to end.
+    """Build one Tables II-IV home and run it as a :func:`run_cell`.
 
     ``owner_count`` defaults to the paper's setup: two phone-carrying
     owners in the smart-home testbeds, one watch wearer in the office.
@@ -119,18 +143,6 @@ def run_rssi_experiment(
         owner_count=owner_count,
         config=config,
         with_floor_tracking=with_floor_tracking,
-        tracing=tracing,
+        fault_plan=fault_plan,
     )
-    workload = SevenDayWorkload(scenario)
-    workload_result = workload.run(legit_count, malicious_count)
-    records = scenario.speaker.settle_all()
-    # Score only workload-issued commands (boot-time noise has no
-    # interaction records, but guard training commands would).
-    matrix = score_interactions(records)
-    return RssiExperimentResult(
-        scenario_name=scenario.name,
-        matrix=matrix,
-        records=records,
-        workload=workload_result,
-        metrics=scenario.env.obs.metrics.snapshot(),
-    )
+    return run_cell(scenario, legit_count, malicious_count)

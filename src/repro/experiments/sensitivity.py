@@ -15,7 +15,7 @@ from typing import List, Sequence
 from repro.analysis.reporting import render_table
 from repro.core.config import VoiceGuardConfig
 from repro.experiments.parallel import ExperimentEngine, ExperimentTask
-from repro.experiments.runner import RssiExperimentResult, run_rssi_experiment
+from repro.experiments.runner import run_rssi_experiment
 
 
 @dataclass
@@ -49,15 +49,6 @@ class SensitivityResult:
         )
 
 
-def _cell(config: VoiceGuardConfig, seed: int, scale: int,
-          deployment: int = 0) -> RssiExperimentResult:
-    return run_rssi_experiment(
-        "apartment", "echo", deployment, seed=seed,
-        legit_count=scale, malicious_count=max(5, int(scale * 0.7)),
-        config=config,
-    )
-
-
 def run_sensitivity(
     rssi_margins: Sequence[float] = (0.0, 2.0, 6.0),
     decision_timeouts: Sequence[float] = (1.0, 5.0),
@@ -75,31 +66,26 @@ def run_sensitivity(
     phone can answer (precision collapse).  Every sweep point is an
     independent run and fans out over the experiment engine.
     """
-    tasks = []
-    labels = []
-    for margin in rssi_margins:
-        tasks.append(ExperimentTask(
-            fn=_cell,
-            args=(VoiceGuardConfig(rssi_margin=margin), seed, scale),
-            kwargs=dict(deployment=1),
-            label=f"sensitivity/rssi_margin={margin:g}",
-        ))
-        labels.append(("rssi_margin", margin))
-    for timeout in decision_timeouts:
-        config = VoiceGuardConfig(decision_timeout=timeout,
-                                  max_hold=max(25.0, timeout))
-        tasks.append(ExperimentTask(
-            fn=_cell,
-            args=(config, seed + 1, scale),
-            label=f"sensitivity/decision_timeout={timeout:g}",
-        ))
-        labels.append(("decision_timeout", timeout))
-
+    # (parameter, value, config, seed, deployment) per sweep point.
+    points = [("rssi_margin", margin, VoiceGuardConfig(rssi_margin=margin), seed, 1)
+              for margin in rssi_margins]
+    points += [("decision_timeout", timeout,
+                VoiceGuardConfig(decision_timeout=timeout, max_hold=max(25.0, timeout)),
+                seed + 1, 0)
+               for timeout in decision_timeouts]
+    tasks = [
+        ExperimentTask(
+            fn=run_rssi_experiment,
+            args=("apartment", "echo", deployment),
+            kwargs=dict(seed=point_seed, legit_count=scale,
+                        malicious_count=max(5, int(scale * 0.7)), config=config),
+            label=f"sensitivity/{parameter}={value:g}",
+        )
+        for parameter, value, config, point_seed, deployment in points
+    ]
     engine = ExperimentEngine(workers=workers, use_cache=use_cache)
-    result = SensitivityResult()
-    for (parameter, value), cell in zip(labels, engine.run(tasks)):
-        result.points.append(SweepPoint(
-            parameter, value,
-            cell.matrix.accuracy, cell.matrix.precision, cell.matrix.recall,
-        ))
-    return result
+    return SensitivityResult([
+        SweepPoint(parameter, value,
+                   cell.matrix.accuracy, cell.matrix.precision, cell.matrix.recall)
+        for (parameter, value, *_), cell in zip(points, engine.run(tasks))
+    ])

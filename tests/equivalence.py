@@ -21,13 +21,19 @@ handful of fixed-seed workloads and reduces each to one SHA-256:
 * ``floor_traces`` — every RSSI sample of every floor trace a
   compressed house home records (its classifier-training walks and the
   live stair traces, some of which a post-stair teleport interrupts),
-  then the training-trace features of one house pool template build.
+  then the training-trace features of one house pool template build;
+* ``report`` — every section name and text of ``generate_report`` at
+  scale 0.3 (the per-section wall-clock ``elapsed`` left out);
+* ``tables.<experiment>`` — the rendered table of one small run of
+  each remaining grid experiment: resilience, loadtest and
+  recognition-robustness smoke grids, a two-home campaign, the
+  hold-endurance sweep and a three-point sensitivity sweep.
 
 Guard runs digest the guard's command-event stream plus the final sim
 clock; loadtest cells add the cell row and its metrics snapshot, and
-the fleet digests its rendered table.  ``tests/goldens/digests.json``
-holds the expected values; regenerate it (only after a change that is
-*meant* to move simulated behaviour) with::
+the fleet and the grid experiments digest their rendered tables.
+``tests/goldens/digests.json`` holds the expected values; regenerate it
+(only after a change that is *meant* to move simulated behaviour) with::
 
     PYTHONPATH=src python -m tests.equivalence --write
 """
@@ -42,7 +48,10 @@ import pathlib
 from typing import Callable, Dict, Iterator
 
 from repro.core.floor import TraceClassifier
-from repro.experiments import fleet, loadtest, pool, scenarios, synthesis
+from repro.experiments import (
+    campaign, fleet, hold_endurance, loadtest, pool, recognition_robustness,
+    report, resilience, scenarios, sensitivity, synthesis,
+)
 from repro.experiments import workload as workload_module
 from repro.home.devices import MobileDevice
 from repro.net.link import PacketObserver
@@ -212,6 +221,29 @@ def floor_traces() -> str:
     return digest.hexdigest()
 
 
+def report_sections() -> str:
+    digest = hashlib.sha256()
+    for section in report.generate_report(scale=0.3, seed=3).sections:
+        digest.update(repr((section.name, section.text)).encode())
+    return digest.hexdigest()
+
+
+def _table(run: Callable[[], object]) -> Callable[[], str]:
+    return lambda: hashlib.sha256(run().render().encode()).hexdigest()
+
+
+TABLES: Dict[str, Callable[[], object]] = {
+    "resilience": lambda: resilience.run_resilience(scale=0.1, testbeds=("office",)),
+    "loadtest": lambda: loadtest.run_loadtest(smoke=True),
+    "recognition_robustness": lambda: recognition_robustness.run_recognition_robustness(
+        smoke=True),
+    "campaign": lambda: campaign.run_campaign(homes=2),
+    "hold_endurance": lambda: hold_endurance.run_hold_endurance(),
+    "sensitivity": lambda: sensitivity.run_sensitivity(
+        rssi_margins=(0.0, 6.0), decision_timeouts=(1.0,), scale=10),
+}
+
+
 RUNS: Dict[str, Callable[[], str]] = {
     "compressed": compressed,
     "sevenday": sevenday,
@@ -220,6 +252,8 @@ RUNS: Dict[str, Callable[[], str]] = {
     "fleet_full": fleet_full,
     "fleet_fast": fleet_fast,
     "floor_traces": floor_traces,
+    "report": report_sections,
+    **{f"tables.{name}": _table(run) for name, run in TABLES.items()},
 }
 
 

@@ -141,8 +141,9 @@ class TestCli:
         from repro.experiments import report as report_module
 
         monkeypatch.setattr(report_module, "report_section_specs",
-                            lambda scale, seed: [("alpha", _section_alpha, {}),
-                                                 ("beta", _section_beta, {})])
+                            lambda scale, seed: [
+                                report_module.SectionSpec("alpha", _section_alpha, ({},), None),
+                                report_module.SectionSpec("beta", _section_beta, ({},), None)])
         made = []
         real = report_module.generate_report
 
@@ -194,6 +195,13 @@ class TestCli:
         assert main(["endurance", "--seed", "29"]) == 0
         assert "Hold endurance" in capsys.readouterr().out
 
+    def test_library_error_is_one_line_and_exit_2(self, capsys):
+        from repro.__main__ import main
+        assert main(["fleet", "--homes", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: fleet needs at least one home, got 0\n"
+        assert captured.out == ""
+
     def test_unknown_command_rejected(self):
         from repro.__main__ import main
         with pytest.raises(SystemExit):
@@ -208,6 +216,8 @@ class TestCli:
         ["bench-sim"], ["bench-rssi"], ["profile", "--legacy"], ["profile"],
         ["fleet", "--dispatch", "per-task"], ["fleet", "--full-build", "cold"],
         ["fleet-validate", "--full-build", "cold"],
+        # fleet chunks are never cached, so the fleet commands take no --no-cache
+        ["fleet", "--no-cache"], ["fleet-validate", "--no-cache"],
     ])
     def test_retired_kernel_bench_options_rejected(self, argv):
         from repro.__main__ import main
