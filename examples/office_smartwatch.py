@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import Counter
 
 from repro import build_scenario
-from repro.attacks.synthesis import SynthesisAttack
-from repro.audio.speech import full_utterance_duration
+from repro.attacks.base import ClonedVoiceAttack
+from repro.audio.voiceprint import UtteranceSource
 
 
 def main() -> None:
@@ -30,25 +30,23 @@ def main() -> None:
           f"{scenario.calibrations[watch.name].threshold:.1f}")
 
     rng = env.rng.stream("demo")
-    desk = env.testbed.device_point(13).offset(dz=-1.0)     # open office
-    meeting = env.testbed.device_point(48).offset(dz=-1.0)  # behind walls
+    desk = env.testbed.standing_point(13)     # open office
+    meeting = env.testbed.standing_point(48)  # behind walls
 
     # --- legit commands from the desk (transport mix emerges) ----------
     for _ in range(6):
         worker.teleport(desk)
         env.sim.run_for(1.0)
-        command = scenario.corpus.sample(rng)
-        duration = full_utterance_duration(command, rng)
-        env.play_utterance(worker.speak(command.text, duration), worker.device_position())
+        duration = scenario.speak_command(rng)
         env.sim.run_for(duration + 18.0)
 
     # --- attacks while the worker is in the meeting room ----------------
-    attacker = SynthesisAttack(env, env.rng.stream("attacker"), victim=worker.voiceprint)
+    attacker = ClonedVoiceAttack(env, env.rng.stream("attacker"), worker.voiceprint,
+                                 UtteranceSource.SYNTHESIS)
     for _ in range(6):
         worker.teleport(meeting)
         env.sim.run_for(2.0)
-        command = scenario.corpus.sample(rng)
-        duration = full_utterance_duration(command, rng)
+        command, duration = scenario.draw_command(rng)
         attacker.launch(command.text, duration, env.testbed.device_point(13))
         env.sim.run_for(duration + 18.0)
 

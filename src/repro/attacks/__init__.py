@@ -2,10 +2,13 @@
 
 Each attacker produces :class:`~repro.audio.voiceprint.VoiceUtterance`
 objects and plays them into the environment from some position.  The
-attacks differ in how they defeat *audio-domain* defenses — replayed
-recordings and cloned voices pass voice-match, inaudible and laser
-injections bypass the microphone's human-audibility assumption, remote
-playback needs no physical presence — but none of them can put the
+gallery is two attackers.  :class:`ReplayAttack` replays recordings of
+the owner from its library.  :class:`ClonedVoiceAttack` speaks arbitrary
+commands in a cloned voice; its
+:class:`~repro.audio.voiceprint.UtteranceSource` says how the clone
+reaches the microphone — a loudspeaker (synthesis), an ultrasonic
+carrier (inaudible), a laser, or a compromised playback device (remote
+playback).  Both pass voice-match, and none of them can put the
 owner's phone next to the speaker, which is the invariant VoiceGuard
 checks.
 
@@ -14,8 +17,7 @@ on-path *traffic shaper* that attacks the guard's recognizer (not its
 decision module) by reshaping the flow shape it fingerprints.
 """
 
-from repro.attacks.base import Attack, AttackResult
-from repro.attacks.inaudible import InaudibleAttack, LaserAttack
+from repro.attacks.base import Attack, AttackResult, ClonedVoiceAttack
 from repro.attacks.morphing import (
     MORPHERS,
     DummyBurstMorpher,
@@ -26,23 +28,18 @@ from repro.attacks.morphing import (
     TrafficMorpher,
     create_morpher,
 )
-from repro.attacks.remote import CompromisedPlaybackAttack
 from repro.attacks.replay import ReplayAttack
-from repro.attacks.synthesis import SynthesisAttack
 
 __all__ = [
     "Attack",
     "AttackResult",
-    "CompromisedPlaybackAttack",
+    "ClonedVoiceAttack",
     "DummyBurstMorpher",
-    "InaudibleAttack",
-    "LaserAttack",
     "MORPHERS",
     "MorphingAdversary",
     "PadToFixedMorpher",
     "RandomPadMorpher",
     "ReplayAttack",
-    "SynthesisAttack",
     "TimingJitterMorpher",
     "TrafficMorpher",
     "create_morpher",

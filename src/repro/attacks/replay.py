@@ -21,8 +21,6 @@ from repro.home.environment import HomeEnvironment
 class ReplayAttack(Attack):
     """Replays captured owner utterances."""
 
-    name = "replay"
-
     def __init__(
         self,
         env: HomeEnvironment,

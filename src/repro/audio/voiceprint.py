@@ -127,8 +127,10 @@ def synthesized_as(
     text: str,
     duration: float,
     rng: np.random.Generator,
+    source: UtteranceSource = UtteranceSource.SYNTHESIS,
 ) -> VoiceUtterance:
-    """A TTS-cloned utterance impersonating ``victim`` saying ``text``."""
+    """A TTS-cloned utterance impersonating ``victim`` saying ``text``,
+    labelled with the ``source`` that carried it to the microphone."""
     artifact = victim.vector + rng.normal(0.0, _SYNTHESIS_ARTIFACT, size=victim.vector.shape)
     artifact = artifact / np.linalg.norm(artifact)
     return VoiceUtterance(
@@ -136,6 +138,6 @@ def synthesized_as(
         word_count=len(text.split()),
         duration=duration,
         embedding=artifact,
-        source=UtteranceSource.SYNTHESIS,
+        source=source,
         speaker_label=victim.speaker_name,
     )

@@ -20,12 +20,10 @@ from typing import Dict, List
 import numpy as np
 
 from repro.analysis.reporting import render_table
-from repro.attacks.inaudible import InaudibleAttack, LaserAttack
-from repro.attacks.remote import CompromisedPlaybackAttack
+from repro.attacks.base import Attack, ClonedVoiceAttack
 from repro.attacks.replay import ReplayAttack
-from repro.attacks.synthesis import SynthesisAttack
-from repro.audio.speech import full_utterance_duration
 from repro.audio.verification import VoiceMatchVerifier
+from repro.audio.voiceprint import UtteranceSource, VoicePrint, live_utterance
 from repro.baselines.firewall import FirewallTap
 from repro.core.decision import DecisionContext, RssiDecisionMethod
 from repro.core.registry import DeviceRegistry
@@ -33,6 +31,7 @@ from repro.experiments.parallel import ExperimentEngine, ExperimentTask
 from repro.experiments.runner import run_rssi_experiment
 from repro.experiments.scenarios import Scenario, build_scenario
 from repro.net.addresses import IPv4Address
+from repro.speakers.base import InteractionRecord
 
 ATTACK_KINDS = ("replay", "synthesis", "inaudible", "laser", "remote_playback", "live_guest")
 
@@ -81,17 +80,21 @@ class DefenseMatrixResult:
         )
 
 
-def _make_attacks(scenario: Scenario, rng: np.random.Generator) -> Dict[str, object]:
+def _make_attacks(scenario: Scenario, rng: np.random.Generator) -> Dict[str, Attack]:
+    """The attacker for every kind but the live guest, who just talks."""
     env = scenario.env
     victim = scenario.owners[0].voiceprint
-    tv_position = env.speaker_beacon.position.offset(dx=1.5, dy=0.8)
-    return {
-        "replay": ReplayAttack(env, rng, victim),
-        "synthesis": SynthesisAttack(env, rng, victim),
-        "inaudible": InaudibleAttack(env, rng, victim),
-        "laser": LaserAttack(env, rng, victim),
-        "remote_playback": CompromisedPlaybackAttack(env, rng, victim, tv_position),
-    }
+    return {kind: ReplayAttack(env, rng, victim) if kind == "replay"
+            else ClonedVoiceAttack(env, rng, victim, UtteranceSource(kind))
+            for kind in ATTACK_KINDS if kind != "live_guest"}
+
+
+def _executed_since(scenario: Scenario, before: set) -> List[InteractionRecord]:
+    """The speaker's interactions not in ``before`` (a snapshot of its
+    interaction ids) that executed, oldest first."""
+    interactions = scenario.speaker.interactions
+    return [interactions[i] for i in interactions
+            if i not in before and interactions[i].executed_at is not None]
 
 
 def _run_defense_arm(
@@ -116,21 +119,23 @@ def _run_defense_arm(
         scenario.speaker.enable_voice_match(verifier)
     attacks = _make_attacks(scenario, rng)
     attack_spot = env.testbed.device_point(3).offset(dz=0.2)
-    away_spot = env.testbed.device_point(30).offset(dz=-1.0)
-    near_spot = env.testbed.device_point(5).offset(dz=-1.0)
+    away_spot = env.testbed.standing_point(30)
+    near_spot = env.testbed.standing_point(5)
 
-    # Attacks: owner away from the speaker room.
-    for kind in ATTACK_KINDS:
-        for _ in range(trials_per_attack):
-            owner.teleport(away_spot)
-            env.sim.run_for(2.0)
-            command = scenario.corpus.sample(rng)
-            duration = full_utterance_duration(command, rng)
-            before = set(scenario.speaker.interactions)
+    # Attacks with the owner away from the speaker room, then
+    # legitimate commands with the owner near the speaker.
+    trials = [(kind, away_spot) for kind in ATTACK_KINDS for _ in range(trials_per_attack)]
+    trials += [("live_owner", near_spot)] * legit_trials
+    for kind, spot in trials:
+        owner.teleport(spot)
+        env.sim.run_for(2.0)
+        before = set(scenario.speaker.interactions)
+        if kind == "live_owner":
+            duration = scenario.speak_command(rng)
+        else:
+            command, duration = scenario.draw_command(rng)
             if kind == "live_guest":
-                guest_voice = env.rng.stream("guest.voice")
-                from repro.audio.voiceprint import UtteranceSource, VoicePrint, live_utterance
-                guest = VoicePrint.create("guest", guest_voice)
+                guest = VoicePrint.create("guest", env.rng.stream("guest.voice"))
                 utterance = live_utterance(
                     command.text, duration, guest, rng,
                     source=UtteranceSource.LIVE_GUEST,
@@ -138,26 +143,8 @@ def _run_defense_arm(
                 env.play_utterance(utterance, attack_spot)
             else:
                 attacks[kind].launch(command.text, duration, attack_spot)
-            env.sim.run_for(duration + 16.0)
-            new = [scenario.speaker.interactions[i]
-                   for i in scenario.speaker.interactions if i not in before]
-            executed = any(r.executed_at is not None for r in new)
-            result.record(defense, kind, blocked=not executed)
-
-    # Legitimate commands: owner near the speaker.
-    for _ in range(legit_trials):
-        owner.teleport(near_spot)
-        env.sim.run_for(2.0)
-        command = scenario.corpus.sample(rng)
-        duration = full_utterance_duration(command, rng)
-        before = set(scenario.speaker.interactions)
-        utterance = owner.speak(command.text, duration)
-        env.play_utterance(utterance, owner.device_position())
         env.sim.run_for(duration + 16.0)
-        new = [scenario.speaker.interactions[i]
-               for i in scenario.speaker.interactions if i not in before]
-        executed = any(r.executed_at is not None for r in new)
-        result.record(defense, "live_owner", blocked=not executed)
+        result.record(defense, kind, blocked=not _executed_since(scenario, before))
     return result
 
 
@@ -264,8 +251,7 @@ def _run_signature_arm(use_signature: bool, seed: int, commands: int) -> Dict[st
         if state.avs_ip_source == "signature":
             state.avs_ip = None
     env = scenario.env
-    owner = scenario.owners[0]
-    owner.teleport(env.testbed.device_point(5).offset(dz=-1.0))
+    scenario.owners[0].teleport(env.testbed.standing_point(5))
     rng = env.rng.stream("sig.ablation")
     reconnects = 0
     for index in range(commands):
@@ -275,10 +261,7 @@ def _run_signature_arm(use_signature: bool, seed: int, commands: int) -> Dict[st
             scenario.speaker._conn.abort("cloud-restart")
             reconnects += 1
             env.sim.run_for(8.0)
-        command = scenario.corpus.sample(rng)
-        duration = full_utterance_duration(command, rng)
-        utterance = owner.speak(command.text, duration)
-        env.play_utterance(utterance, owner.device_position())
+        duration = scenario.speak_command(rng)
         env.sim.run_for(duration + 16.0)
     checked = len([e for e in scenario.guard.log.commands() if e.verdict is not None])
     return {"checked": checked, "reconnects": reconnects}
@@ -423,8 +406,8 @@ def _run_mixed_workload(scenario: Scenario, commands: int, rng_name: str) -> tup
     (legit executed, mean legit reply delay, legit total)."""
     env = scenario.env
     owner = scenario.owners[0]
-    near = env.testbed.device_point(5).offset(dz=-1.0)
-    away = env.testbed.device_point(30).offset(dz=-1.0)
+    near = env.testbed.standing_point(5)
+    away = env.testbed.standing_point(30)
     rng = env.rng.stream(rng_name)
     attack = ReplayAttack(env, env.rng.stream(rng_name + ".attacker"),
                           victim=owner.voiceprint)
@@ -432,12 +415,11 @@ def _run_mixed_workload(scenario: Scenario, commands: int, rng_name: str) -> tup
     executed = 0
     legit_total = 0
     for index in range(commands):
-        command = scenario.corpus.sample(rng)
-        duration = full_utterance_duration(command, rng)
         if index % 5 == 4:
             # Attack episode: owner steps out, a replay plays nearby.
             owner.teleport(away)
             env.sim.run_for(2.0)
+            command, duration = scenario.draw_command(rng)
             attack.launch(command.text, duration, env.testbed.device_point(3))
             env.sim.run_for(duration + 8.0)
             continue
@@ -445,15 +427,11 @@ def _run_mixed_workload(scenario: Scenario, commands: int, rng_name: str) -> tup
         env.sim.run_for(2.0)
         legit_total += 1
         before = set(scenario.speaker.interactions)
+        duration = scenario.speak_command(rng)
         speech_end = env.sim.now + duration
-        utterance = owner.speak(command.text, duration)
-        env.play_utterance(utterance, owner.device_position())
         env.sim.run_for(duration + 20.0)
-        new = [scenario.speaker.interactions[i]
-               for i in scenario.speaker.interactions if i not in before]
-        for record in new:
-            if record.executed_at is not None:
-                executed += 1
-                delays.append(max(record.executed_at - speech_end, 0.0))
+        for record in _executed_since(scenario, before):
+            executed += 1
+            delays.append(max(record.executed_at - speech_end, 0.0))
     mean_delay = float(np.mean(delays)) if delays else float("nan")
     return executed, mean_delay, legit_total

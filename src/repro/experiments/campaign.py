@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.analysis.reporting import render_table
-from repro.attacks.remote import CompromisedPlaybackAttack
+from repro.attacks.base import ClonedVoiceAttack
 from repro.audio.speech import SPEECH_WORDS_PER_SECOND
+from repro.audio.voiceprint import UtteranceSource
+from repro.errors import WorkloadError
 from repro.experiments.parallel import ExperimentEngine, ExperimentTask
 from repro.experiments.scenarios import build_scenario
 
@@ -85,20 +87,18 @@ def _run_home(seed: int, protected: bool, owner_home: bool) -> HomeOutcome:
     if owner_home:
         # Home but in another room — the realistic campaign victim is
         # not staring at the speaker.
-        owner.teleport(env.testbed.device_point(33).offset(dz=-1.0))
+        owner.teleport(env.testbed.standing_point(33))
     else:
-        owner.teleport(env.testbed.device_point(75).offset(dz=-1.0))  # upstairs/out
+        owner.teleport(env.testbed.standing_point(75))  # upstairs/out
     env.sim.run_for(2.0)
 
-    tv = CompromisedPlaybackAttack(
-        env, env.rng.stream("campaign"),
-        victim=owner.voiceprint,
-        device_position=env.speaker_beacon.position.offset(dx=1.8, dy=0.5),
-    )
+    tv = ClonedVoiceAttack(env, env.rng.stream("campaign"), owner.voiceprint,
+                           UtteranceSource.REMOTE_PLAYBACK)
+    tv_position = env.speaker_beacon.position.offset(dx=1.8, dy=0.5)
     played = 0
     for payload in CAMPAIGN_PAYLOADS:
         duration = len(payload.split()) / SPEECH_WORDS_PER_SECOND + 0.8
-        result = tv.launch_from_device(payload, duration)
+        result = tv.launch(payload, duration, tv_position)
         if result.heard_by_speaker:
             played += 1
         env.sim.run_for(duration + 18.0)
@@ -127,6 +127,8 @@ def run_campaign(
     behaviour), so ``workers`` fans the fleet out over a process pool
     without changing any outcome.
     """
+    if homes < 1:
+        raise WorkloadError(f"campaign needs at least one home, got {homes!r}")
     tasks = []
     for index in range(homes):
         owner_home = index % 2 == 0

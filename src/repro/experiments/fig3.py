@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.analysis.reporting import render_table
-from repro.audio.speech import full_utterance_duration
 from repro.baselines.naive_spike import NaiveSpikeDetector
 from repro.core.events import TrafficClass
 from repro.experiments.scenarios import build_scenario
@@ -99,8 +98,7 @@ def run_fig3(seed: int = 5) -> Fig3Result:
     env = scenario.env
     speaker = scenario.speaker
     speaker.traffic.forced_response_segments = [8, 9, 8]
-    owner = scenario.owners[0]
-    owner.teleport(env.testbed.device_point(5).offset(dz=-1.0))
+    scenario.owners[0].teleport(env.testbed.standing_point(5))
 
     capture = PacketCapture()
 
@@ -115,10 +113,7 @@ def run_fig3(seed: int = 5) -> Fig3Result:
     start_time = env.sim.now
     windows_before = len(scenario.guard.log.events)
 
-    command = scenario.corpus.sample(env.rng.stream("fig3"))
-    duration = full_utterance_duration(command, env.rng.stream("fig3"))
-    utterance = owner.speak(command.text, duration)
-    env.play_utterance(utterance, owner.device_position())
+    duration = scenario.speak_command(env.rng.stream("fig3"))
     env.sim.run_for(duration + 35.0)
 
     # Each client record is observed twice (speaker->guard and

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.audio.speech import full_utterance_duration
-from repro.audio.voiceprint import replay_of
 from repro.core.decision import Verdict
 from repro.experiments.scenarios import Scenario, build_scenario
 
@@ -64,17 +62,6 @@ class Fig4Result:
         return "\n".join(lines)
 
 
-def _issue_command(scenario: Scenario, rng_name: str) -> tuple:
-    env = scenario.env
-    owner = scenario.owners[0]
-    rng = env.rng.stream(rng_name)
-    command = scenario.corpus.sample(rng)
-    duration = full_utterance_duration(command, rng)
-    utterance = owner.speak(command.text, duration)
-    env.play_utterance(utterance, owner.device_position())
-    return utterance, duration
-
-
 def _watch_directive(scenario: Scenario, sink: List[float]) -> None:
     """Record when the cloud's directive record reaches the speaker."""
     speaker = scenario.speaker
@@ -101,10 +88,10 @@ def run_fig4(seed: int = 9) -> Fig4Result:
         with_guard=False, with_floor_tracking=False, calibrate=False,
     )
     env = scenario.env
-    scenario.owners[0].teleport(env.testbed.device_point(5).offset(dz=-1.0))
+    scenario.owners[0].teleport(env.testbed.standing_point(5))
     directives: List[float] = []
     _watch_directive(scenario, directives)
-    utterance, duration = _issue_command(scenario, "fig4.case1")
+    duration = scenario.speak_command(env.rng.stream("fig4.case1"))
     command_done = env.sim.now + duration + 0.2
     env.sim.run_for(duration + 12.0)
     record = list(scenario.speaker.interactions.values())[-1]
@@ -124,10 +111,10 @@ def run_fig4(seed: int = 9) -> Fig4Result:
         "house", "echo", seed=seed + 1, owner_count=1, with_floor_tracking=False,
     )
     env = scenario.env
-    scenario.owners[0].teleport(env.testbed.device_point(5).offset(dz=-1.0))
+    scenario.owners[0].teleport(env.testbed.standing_point(5))
     directives = []
     _watch_directive(scenario, directives)
-    utterance, duration = _issue_command(scenario, "fig4.case2")
+    duration = scenario.speak_command(env.rng.stream("fig4.case2"))
     command_done = env.sim.now + duration + 0.2
     env.sim.run_for(duration + 14.0)
     record = list(scenario.speaker.interactions.values())[-1]
@@ -150,13 +137,9 @@ def run_fig4(seed: int = 9) -> Fig4Result:
     )
     env = scenario.env
     # Owner far away (kitchen); a replay attack plays in the living room.
-    scenario.owners[0].teleport(env.testbed.device_point(30).offset(dz=-1.0))
-    rng = env.rng.stream("fig4.case3")
-    command = scenario.corpus.sample(rng)
-    duration = full_utterance_duration(command, rng)
-    live = scenario.owners[0].speak(command.text, duration)
-    attack = replay_of(live, rng)
-    env.play_utterance(attack, env.testbed.device_point(3))
+    scenario.owners[0].teleport(env.testbed.standing_point(30))
+    duration = scenario.speak_command(env.rng.stream("fig4.case3"),
+                                      replay_at=env.testbed.device_point(3))
     command_done = env.sim.now + duration + 0.2
     env.sim.run_for(duration + 20.0)
     record = list(scenario.speaker.interactions.values())[-1]

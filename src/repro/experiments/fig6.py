@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.analysis.reporting import render_table
 from repro.audio.commands import alexa_corpus, corpus_statistics, google_corpus
-from repro.audio.speech import full_utterance_duration
 from repro.core.decision import Verdict
 from repro.experiments.scenarios import build_scenario
 
@@ -61,17 +60,13 @@ def run_fig6(speaker_kind: str = "echo", invocations: int = 120, seed: int = 6) 
         owner_count=1, with_floor_tracking=False,
     )
     env = scenario.env
-    owner = scenario.owners[0]
-    owner.teleport(env.testbed.device_point(5).offset(dz=-1.0))
+    scenario.owners[0].teleport(env.testbed.standing_point(5))
     rng = env.rng.stream("fig6.workload")
 
     timeline = []  # (speech_end, window holder)
     for _ in range(invocations):
-        command = scenario.corpus.sample(rng)
-        duration = full_utterance_duration(command, rng)
-        utterance = owner.speak(command.text, duration)
         start = env.sim.now
-        env.play_utterance(utterance, owner.device_position())
+        duration = scenario.speak_command(rng)
         timeline.append((start, start + duration))
         env.sim.run_for(duration + 14.0 + float(rng.uniform(0.0, 3.0)))
     env.sim.run_for(15.0)

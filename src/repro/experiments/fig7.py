@@ -15,7 +15,6 @@ from typing import List
 import numpy as np
 
 from repro.analysis.reporting import render_histogram
-from repro.audio.speech import full_utterance_duration
 from repro.core.decision import Verdict
 from repro.experiments.scenarios import build_scenario
 
@@ -67,14 +66,10 @@ def run_fig7(speaker_kind: str = "echo", invocations: int = 100, seed: int = 4) 
         owner_count=1, with_floor_tracking=False,
     )
     env = scenario.env
-    owner = scenario.owners[0]
-    owner.teleport(env.testbed.device_point(5).offset(dz=-1.0))
+    scenario.owners[0].teleport(env.testbed.standing_point(5))
     rng = env.rng.stream("fig7.workload")
     for _ in range(invocations):
-        command = scenario.corpus.sample(rng)
-        duration = full_utterance_duration(command, rng)
-        utterance = owner.speak(command.text, duration)
-        env.play_utterance(utterance, owner.device_position())
+        duration = scenario.speak_command(rng)
         env.sim.run_for(duration + 15.0 + float(rng.uniform(0.0, 3.0)))
     env.sim.run_for(20.0)
 

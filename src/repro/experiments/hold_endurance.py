@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.analysis.reporting import render_table
-from repro.audio.speech import full_utterance_duration
 from repro.experiments.parallel import ExperimentEngine, ExperimentTask
 from repro.experiments.scenarios import build_scenario
 from repro.net.proxy import ForwarderDecision
@@ -74,8 +73,7 @@ def _run_trial(hold_seconds: float, use_proxy_hold: bool, seed: int) -> HoldTria
     )
     env = scenario.env
     guard = scenario.guard
-    owner = scenario.owners[0]
-    owner.teleport(env.testbed.device_point(5).offset(dz=-1.0))
+    scenario.owners[0].teleport(env.testbed.standing_point(5))
 
     # Replace the guard's policy with a manual one: hold (or drop)
     # everything on the AVS flow for ``hold_seconds``, then release.
@@ -96,10 +94,7 @@ def _run_trial(hold_seconds: float, use_proxy_hold: bool, seed: int) -> HoldTria
 
     guard.proxy.record_policy = policy
 
-    rng = env.rng.stream("hold-endurance")
-    command = scenario.corpus.sample(rng)
-    duration = full_utterance_duration(command, rng)
-    env.play_utterance(owner.speak(command.text, duration), owner.device_position())
+    duration = scenario.speak_command(env.rng.stream("hold-endurance"))
     env.sim.run_for(hold_seconds)
     holding["active"] = False
     for flow in touched_flows:

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.reporting import render_table
-from repro.audio.speech import full_utterance_duration
 from repro.core.config import VoiceGuardConfig
 from repro.errors import WorkloadError
 from repro.experiments.parallel import ExperimentEngine, ExperimentTask, derive_seed
@@ -156,6 +155,8 @@ def run_loadtest_cell(
         raise WorkloadError(f"unknown rate level {rate!r}")
     if speakers < 1:
         raise WorkloadError(f"need at least one speaker, got {speakers!r}")
+    if utterances < 1:
+        raise WorkloadError(f"loadtest needs at least one utterance per cell, got {utterances!r}")
     idle_mean = RATE_LEVELS[rate]
     config = _cell_config(mode)
     plan = None
@@ -173,16 +174,12 @@ def run_loadtest_cell(
 
     env = scenario.env
     rng = env.rng.stream("loadtest.arrivals")
-    owner = scenario.owners[0]
     start = env.sim.now
     issued = 0
     while issued < utterances:
         burst = min(int(rng.integers(1, burst_max + 1)), utterances - issued)
         for _ in range(burst):
-            command = scenario.corpus.sample(rng)
-            duration = full_utterance_duration(command, rng)
-            utterance = owner.speak(command.text, duration)
-            env.play_utterance(utterance, owner.device_position())
+            duration = scenario.speak_command(rng)
             issued += 1
             env.sim.run_for(duration + BURST_SPACING)
         env.sim.run_for(float(rng.exponential(idle_mean)))

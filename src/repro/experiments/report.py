@@ -32,6 +32,7 @@ from repro.experiments.hold_endurance import run_hold_endurance
 from repro.experiments.parallel import ExperimentEngine, ExperimentTask, TaskTiming
 from repro.experiments.rssi_maps import run_rssi_map
 from repro.experiments.rssi_tables import run_rssi_table
+from repro.experiments.runner import check_scale
 from repro.experiments.table1 import run_table1
 
 
@@ -141,6 +142,7 @@ def generate_report(
     ``progress``, when given, receives the engine's per-section
     "running"/"finished" lines (the CLI sends them to stderr).
     """
+    check_scale(scale)
     specs = report_section_specs(scale, seed)
     tasks = [ExperimentTask(fn=render_section, args=tuple(spec[1:]), label=spec.name)
              for spec in specs]

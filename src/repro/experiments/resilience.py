@@ -27,7 +27,7 @@ from repro.analysis.reporting import fmt_percent, render_table
 from repro.core.config import VoiceGuardConfig
 from repro.errors import WorkloadError
 from repro.experiments.parallel import ExperimentEngine, ExperimentTask, derive_seed
-from repro.experiments.runner import run_rssi_experiment
+from repro.experiments.runner import check_scale, run_rssi_experiment
 from repro.faults.plan import FaultPlan, OfflineWindow
 
 TESTBEDS = ("house", "apartment", "office")
@@ -189,6 +189,7 @@ def run_resilience(
     arguments, so the sweep caches and parallelizes like every other
     artifact.
     """
+    check_scale(scale)
     legit_count = max(6, int(round(90 * scale)))
     malicious_count = max(5, int(round(65 * scale)))
     tasks = []

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.reporting import fmt_percent, render_table
 from repro.core.config import VoiceGuardConfig
 from repro.experiments.parallel import ExperimentEngine, ExperimentTask
-from repro.experiments.runner import RssiExperimentResult, run_rssi_experiment
+from repro.experiments.runner import RssiExperimentResult, check_scale, run_rssi_experiment
 
 # Paper-reported cell values for reference printing: per testbed, per
 # (speaker, location): (legit correct/total, malicious correct/total).
@@ -130,6 +130,7 @@ def run_rssi_table(
     process pool with identical results (each cell's seed is fixed by
     its arguments, not by execution order).
     """
+    check_scale(scale)
     tasks = []
     for speaker in ("echo", "google"):
         for deployment in (0, 1):

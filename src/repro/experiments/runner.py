@@ -14,10 +14,18 @@ from typing import Dict, List, Optional
 
 from repro.analysis.metrics import ConfusionMatrix, ResilienceSummary, summarize_resilience
 from repro.analysis.reporting import fmt_percent
+from repro.errors import WorkloadError
 from repro.experiments.scenarios import Scenario, build_scenario
 from repro.experiments.workload import SevenDayWorkload
 from repro.faults.plan import FaultPlan
 from repro.speakers.base import InteractionOutcome, InteractionRecord
+
+
+def check_scale(scale: float) -> None:
+    """Reject a workload ``scale`` that is not a finite positive number;
+    the command counts it shrinks would otherwise clamp silently."""
+    if not 0.0 < scale < float("inf"):
+        raise WorkloadError(f"scale must be a finite number above 0, got {scale!r}")
 
 
 @dataclass

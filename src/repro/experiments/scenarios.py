@@ -12,9 +12,13 @@ training.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.audio.commands import CommandCorpus, alexa_corpus, google_corpus
+import numpy as np
+
+from repro.audio.commands import CommandCorpus, VoiceCommand, alexa_corpus, google_corpus
+from repro.audio.speech import full_utterance_duration
+from repro.audio.voiceprint import replay_of
 from repro.core.config import VoiceGuardConfig
 from repro.core.floor import TraceClassifier, TraceFeatures
 from repro.core.guard import VoiceGuard
@@ -28,6 +32,7 @@ from repro.home.person import Person
 from repro.net.addresses import IPv4Address, endpoint
 from repro.net.dns import DnsRecord, DnsServer
 from repro.net.link import Network
+from repro.radio.geometry import Point
 from repro.radio.testbeds import Testbed, testbed_by_name
 from repro.speakers import signatures as sig
 from repro.speakers.base import SmartSpeaker
@@ -83,6 +88,26 @@ class Scenario:
     def settle(self) -> None:
         """Give boot traffic time to finish."""
         self.env.sim.run_for(SETTLE_TIME)
+
+    def draw_command(self, rng: np.random.Generator) -> Tuple[VoiceCommand, float]:
+        """A command from the corpus and how long saying it takes; the
+        command is drawn first, then its pace, both from ``rng``."""
+        command = self.corpus.sample(rng)
+        return command, full_utterance_duration(command, rng)
+
+    def speak_command(self, rng: np.random.Generator,
+                      replay_at: Optional[Point] = None) -> float:
+        """The first owner says a drawn command, played at their device
+        or, given ``replay_at``, replayed there (noise drawn from
+        ``rng``); returns its duration."""
+        owner = self.owners[0]
+        command, duration = self.draw_command(rng)
+        utterance = owner.speak(command.text, duration)
+        if replay_at is None:
+            self.env.play_utterance(utterance, owner.device_position())
+        else:
+            self.env.play_utterance(replay_of(utterance, rng), replay_at)
+        return duration
 
 
 def build_scenario(

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.analysis.metrics import ConfusionMatrix
-from repro.audio.speech import full_utterance_duration
 from repro.core.events import CommandEvent, TrafficClass
 from repro.experiments.scenarios import build_scenario
 from repro.speakers.base import InteractionRecord
@@ -72,18 +71,14 @@ def run_table1(
         with_floor_tracking=False,
     )
     env = scenario.env
-    owner = scenario.owners[0]
     # The owner stays near the speaker so every command is released and
     # generates its response spikes (recognition is what is under test).
-    owner.teleport(env.testbed.device_point(5).offset(dz=-1.0))
+    scenario.owners[0].teleport(env.testbed.standing_point(5))
     workload_start = env.sim.now
     rng = env.rng.stream("table1.workload")
 
     for _ in range(invocations):
-        command = scenario.corpus.sample(rng)
-        duration = full_utterance_duration(command, rng)
-        utterance = owner.speak(command.text, duration)
-        env.play_utterance(utterance, owner.device_position())
+        duration = scenario.speak_command(rng)
         env.sim.run_for(duration + 16.0 + float(rng.uniform(0.0, 4.0)))
     env.sim.run_for(30.0)
 

@@ -15,9 +15,7 @@ import pathlib
 from dataclasses import dataclass
 
 from repro.analysis.reporting import render_metrics_snapshot
-from repro.audio.speech import full_utterance_duration
-from repro.audio.voiceprint import replay_of
-from repro.experiments.scenarios import Scenario, build_scenario
+from repro.experiments.scenarios import build_scenario
 from repro.obs.export import (
     WINDOW_SPAN,
     phase_breakdown,
@@ -55,20 +53,6 @@ class TraceReport:
         return write_spans_jsonl(self.tracer, path)
 
 
-def _speak(scenario: Scenario, rng, source=None) -> float:
-    """Issue one owner command (or a replay of it from ``source``)."""
-    env = scenario.env
-    owner = scenario.owners[0]
-    command = scenario.corpus.sample(rng)
-    duration = full_utterance_duration(command, rng)
-    utterance = owner.speak(command.text, duration)
-    if source is None:
-        env.play_utterance(utterance, owner.device_position())
-    else:
-        env.play_utterance(replay_of(utterance, rng), source)
-    return duration
-
-
 def run_trace(
     testbed_name: str = "house",
     speaker_kind: str = "echo",
@@ -95,7 +79,7 @@ def run_trace(
     speaker_room = env.testbed.speaker_room(deployment)
     owner.teleport(speaker_room.center(height=0.0))
     for _ in range(legit):
-        duration = _speak(scenario, rng)
+        duration = scenario.speak_command(rng)
         env.sim.run_for(duration + SETTLE_AFTER_COMMAND)
 
     # Owner in the farthest room; the replay plays beside the speaker
@@ -109,7 +93,7 @@ def run_trace(
         owner.teleport(far_room.center(height=0.0))
         attack_source = speaker_room.center(height=1.0)
         for _ in range(attacks):
-            duration = _speak(scenario, rng, source=attack_source)
+            duration = scenario.speak_command(rng, replay_at=attack_source)
             env.sim.run_for(duration + SETTLE_AFTER_ATTACK)
 
     return TraceReport(

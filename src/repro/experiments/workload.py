@@ -15,33 +15,19 @@ between them, so the default inter-episode gap is about a minute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 from repro.attacks.replay import ReplayAttack
-from repro.audio.speech import full_utterance_duration
 from repro.errors import WorkloadError
 from repro.experiments.scenarios import Scenario
 from repro.home.person import Person
-from repro.radio.geometry import Point
-
-
-@dataclass
-class EpisodePlan:
-    """One scheduled command episode."""
-
-    index: int
-    malicious: bool
-    command_text: str
-    issuer: str  # owner name or "attacker"
-    owner_points: List[int]  # measurement point per owner during episode
 
 
 @dataclass
 class WorkloadResult:
-    """Everything a run produced, for scoring."""
+    """How many episodes were heard, as owner commands or attacks, and
+    how many the speaker did not hear."""
 
-    episodes: List[EpisodePlan] = field(default_factory=list)
     legit_issued: int = 0
     malicious_issued: int = 0
     skipped_unheard: int = 0
@@ -99,10 +85,6 @@ class SevenDayWorkload:
         return room in ("stairwell", "landing")
 
     # -- movement helpers ------------------------------------------------------
-    def _point(self, number: int) -> Point:
-        # Measurement points are at device height; people stand on floors.
-        return self.scenario.env.testbed.device_point(number).offset(dz=-1.0)
-
     def _floor_of_point(self, number: int) -> int:
         return self.scenario.env.testbed.plan.floor_of(
             self.scenario.env.testbed.device_point(number)
@@ -123,10 +105,10 @@ class SevenDayWorkload:
             owner.follow(route)
             # Linger at the stair exit until the 8-second floor trace
             # completes, then continue to the destination.
-            end_point = self._point(number)
+            end_point = env.testbed.standing_point(number)
             env.sim.post(self.POST_STAIR_PAUSE, owner.teleport, end_point)
             return self.POST_STAIR_PAUSE + 2.0
-        owner.teleport(self._point(number))
+        owner.teleport(env.testbed.standing_point(number))
         return 1.0
 
     # -- episode execution ------------------------------------------------------
@@ -144,24 +126,22 @@ class SevenDayWorkload:
         flags = [False] * legit_count + [True] * malicious_count
         self.rng.shuffle(flags)
 
-        for index, malicious in enumerate(flags):
+        for malicious in flags:
             env.sim.run_for(float(self.rng.uniform(*self.episode_gap)))
-            command = scenario.corpus.sample(self.rng)
-            duration = full_utterance_duration(command, self.rng)
+            command, duration = scenario.draw_command(self.rng)
             if malicious:
                 points = self._place_owners_away()
                 settle = max(points.values()) if points else 1.0
                 env.sim.run_for(settle)
                 attack_spot = int(self.rng.choice(self._legit_points))
                 launch = self.attack.launch(
-                    command.text, duration, self._point(attack_spot).offset(dz=1.2)
+                    command.text, duration,
+                    env.testbed.standing_point(attack_spot).offset(dz=1.2),
                 )
                 if launch.heard_by_speaker:
                     result.malicious_issued += 1
                 else:
                     result.skipped_unheard += 1
-                issuer = "attacker"
-                owner_points = list(points.keys())
             else:
                 speaker_owner = scenario.owners[int(self.rng.integers(0, len(scenario.owners)))]
                 spot = int(self.rng.choice(self._legit_points))
@@ -177,15 +157,6 @@ class SevenDayWorkload:
                     result.legit_issued += 1
                 else:
                     result.skipped_unheard += 1
-                issuer = speaker_owner.name
-                owner_points = [spot]
-            result.episodes.append(EpisodePlan(
-                index=index,
-                malicious=malicious,
-                command_text=command.text,
-                issuer=issuer,
-                owner_points=owner_points,
-            ))
             # Let the interaction finish (decision + response playback).
             env.sim.run_for(duration + 18.0)
 

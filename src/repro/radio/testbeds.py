@@ -168,6 +168,11 @@ class Testbed:
         """A measurement point at device carry height."""
         return self.plan.point(number).point
 
+    def standing_point(self, number: int) -> Point:
+        """Where a person stands to carry a device at measurement point
+        ``number``: the point lowered to the floor."""
+        return self.device_point(number).offset(dz=-1.0)
+
 
 def _grid_points(room: Room, nx: int, ny: int) -> List[Point]:
     return room.grid(nx, ny, height=DEVICE_CARRY_HEIGHT)

@@ -27,7 +27,10 @@ handful of fixed-seed workloads and reduces each to one SHA-256:
 * ``tables.<experiment>`` — the rendered table of one small run of
   each remaining grid experiment: resilience, loadtest and
   recognition-robustness smoke grids, a two-home campaign, the
-  hold-endurance sweep and a three-point sensitivity sweep.
+  hold-endurance sweep, a three-point sensitivity sweep, the default
+  ``repro trace`` report and a short Google Home Figure 6 run (the
+  ``report`` digest covers neither: it runs no trace, and its Figure 6
+  section is Echo only).
 
 Guard runs digest the guard's command-event stream plus the final sim
 clock; loadtest cells add the cell row and its metrics snapshot, and
@@ -49,8 +52,8 @@ from typing import Callable, Dict, Iterator
 
 from repro.core.floor import TraceClassifier
 from repro.experiments import (
-    campaign, fleet, hold_endurance, loadtest, pool, recognition_robustness,
-    report, resilience, scenarios, sensitivity, synthesis,
+    campaign, fig6, fleet, hold_endurance, loadtest, pool, recognition_robustness,
+    report, resilience, scenarios, sensitivity, synthesis, trace,
 )
 from repro.experiments import workload as workload_module
 from repro.home.devices import MobileDevice
@@ -241,6 +244,8 @@ TABLES: Dict[str, Callable[[], object]] = {
     "hold_endurance": lambda: hold_endurance.run_hold_endurance(),
     "sensitivity": lambda: sensitivity.run_sensitivity(
         rssi_margins=(0.0, 6.0), decision_timeouts=(1.0,), scale=10),
+    "trace": lambda: trace.run_trace(),
+    "fig6_google": lambda: fig6.run_fig6("google", invocations=30, seed=3),
 }
 
 

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks.inaudible import InaudibleAttack, LaserAttack
-from repro.attacks.remote import CompromisedPlaybackAttack
+from repro.attacks.base import ClonedVoiceAttack
 from repro.attacks.replay import ReplayAttack
-from repro.attacks.synthesis import SynthesisAttack
 from repro.audio.voiceprint import UtteranceSource, VoicePrint, live_utterance
 from repro.baselines.firewall import FirewallTap
 from repro.baselines.naive_spike import NaiveSpikeDetector
@@ -51,7 +49,7 @@ class TestReplayAttack:
         attack = ReplayAttack(env, rng, victim)
         result = attack.launch("hello", 1.5, Point(3, 4, 1))
         assert result.heard_by_speaker
-        assert attack.results == [result]
+        assert result.utterance.source is UtteranceSource.REPLAY
 
     def test_launch_far_away_not_heard(self, env, victim, rng):
         attack = ReplayAttack(env, rng, victim)
@@ -60,27 +58,32 @@ class TestReplayAttack:
 
 
 class TestOtherAttacks:
+    """The cloned-voice attacker under each of its four sources."""
+
     def test_synthesis_arbitrary_text(self, env, victim, rng):
-        attack = SynthesisAttack(env, rng, victim)
+        attack = ClonedVoiceAttack(env, rng, victim, UtteranceSource.SYNTHESIS)
         utterance = attack.craft("wire all my money away", 3.0)
         assert utterance.source is UtteranceSource.SYNTHESIS
         assert utterance.text == "wire all my money away"
+        assert utterance.speaker_label == victim.speaker_name
 
     def test_inaudible_source_marked(self, env, victim, rng):
-        attack = InaudibleAttack(env, rng, victim)
+        attack = ClonedVoiceAttack(env, rng, victim, UtteranceSource.INAUDIBLE)
         assert attack.craft("hi", 1.0).source is UtteranceSource.INAUDIBLE
 
     def test_laser_targets_speaker_directly(self, env, victim, rng):
-        attack = LaserAttack(env, rng, victim)
+        attack = ClonedVoiceAttack(env, rng, victim, UtteranceSource.LASER)
         result = attack.launch("hi", 1.0, env.speaker_beacon.position)
         assert result.heard_by_speaker  # lands on the device itself
+        assert result.utterance.source is UtteranceSource.LASER
 
     def test_remote_playback_from_fixed_device(self, env, victim, rng):
         tv_spot = env.speaker_beacon.position.offset(dx=1.0)
-        attack = CompromisedPlaybackAttack(env, rng, victim, tv_spot)
-        result = attack.launch_from_device("hi", 1.0)
+        attack = ClonedVoiceAttack(env, rng, victim, UtteranceSource.REMOTE_PLAYBACK)
+        result = attack.launch("hi", 1.0, tv_spot)
         assert result.heard_by_speaker
         assert result.utterance.source is UtteranceSource.REMOTE_PLAYBACK
+
 
 class TestNaiveSpikeDetector:
     def test_everything_is_a_command(self):
@@ -163,8 +166,6 @@ class TestAttackBase:
         from repro.attacks.base import Attack
 
         class CannedAttack(Attack):
-            name = "canned"
-
             def craft(self, text, duration):
                 return live_utterance(text, duration, victim, self.rng)
 
@@ -174,8 +175,4 @@ class TestAttackBase:
         assert result.launched_at == start
         assert result.heard_by_speaker
         assert result.utterance.text == "hello"
-        assert attack.results == [result]
-        # Each launch appends; nothing is shared across instances.
-        attack.launch("again", 1.0, Point(3, 4, 1))
-        assert len(attack.results) == 2
-        assert CannedAttack(env, rng).results == []
+        assert not attack.launch("hello", 1.5, Point(9, 1, 1)).heard_by_speaker

@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks.inaudible import InaudibleAttack, LaserAttack
-from repro.attacks.remote import CompromisedPlaybackAttack
+from repro.attacks.base import ClonedVoiceAttack
 from repro.attacks.replay import ReplayAttack
-from repro.attacks.synthesis import SynthesisAttack
-from repro.audio.speech import full_utterance_duration
+from repro.audio.voiceprint import UtteranceSource
 from repro.core.decision import Verdict
 from repro.core.events import TrafficClass
 from repro.experiments.scenarios import build_scenario
@@ -27,40 +25,45 @@ def echo_scenario():
     )
 
 
-def issue_legit(scenario, rng_name="itest"):
-    env = scenario.env
-    owner = scenario.owners[0]
-    owner.teleport(env.testbed.device_point(5).offset(dz=-1.0))
-    rng = env.rng.stream(rng_name)
-    command = scenario.corpus.sample(rng)
-    duration = full_utterance_duration(command, rng)
-    before = set(scenario.speaker.interactions)
-    utterance = owner.speak(command.text, duration)
-    env.play_utterance(utterance, owner.device_position())
-    env.sim.run_for(duration + 18.0)
+def only_new_interaction(scenario, before):
+    """The one interaction the speaker opened since ``before``, settled."""
     new = [scenario.speaker.interactions[i]
            for i in scenario.speaker.interactions if i not in before]
     assert len(new) == 1
     new[0].settle()
     return new[0]
+
+
+def issue_legit(scenario, rng_name="itest"):
+    env = scenario.env
+    scenario.owners[0].teleport(env.testbed.standing_point(5))
+    before = set(scenario.speaker.interactions)
+    duration = scenario.speak_command(env.rng.stream(rng_name))
+    env.sim.run_for(duration + 18.0)
+    return only_new_interaction(scenario, before)
+
+
+def launch_while_away(scenario, attack, text, duration, position, wait):
+    """With the owner in the kitchen, ``attack`` says ``text`` at
+    ``position``; returns the interaction it opened after ``wait`` s."""
+    env = scenario.env
+    scenario.owners[0].teleport(env.testbed.standing_point(30))  # kitchen
+    env.sim.run_for(2.0)
+    before = set(scenario.speaker.interactions)
+    attack.launch(text, duration, position)
+    env.sim.run_for(wait)
+    return only_new_interaction(scenario, before)
 
 
 def issue_attack(scenario, attack, rng_name="iatk"):
-    env = scenario.env
-    owner = scenario.owners[0]
-    owner.teleport(env.testbed.device_point(30).offset(dz=-1.0))  # kitchen
-    env.sim.run_for(2.0)
-    rng = env.rng.stream(rng_name)
-    command = scenario.corpus.sample(rng)
-    duration = full_utterance_duration(command, rng)
-    before = set(scenario.speaker.interactions)
-    attack.launch(command.text, duration, env.testbed.device_point(3))
-    env.sim.run_for(duration + 18.0)
-    new = [scenario.speaker.interactions[i]
-           for i in scenario.speaker.interactions if i not in before]
-    assert len(new) == 1
-    new[0].settle()
-    return new[0]
+    command, duration = scenario.draw_command(scenario.env.rng.stream(rng_name))
+    return launch_while_away(scenario, attack, command.text, duration,
+                             scenario.env.testbed.device_point(3), duration + 18.0)
+
+
+def cloned_voice(scenario, rng_name, source):
+    return ClonedVoiceAttack(scenario.env, scenario.env.rng.stream(rng_name),
+                             scenario.owners[0].voiceprint, source)
 
 
 class TestEchoEndToEnd:
@@ -84,59 +87,33 @@ class TestEchoEndToEnd:
         assert record.outcome is InteractionOutcome.EXECUTED
 
     def test_synthesis_attack_blocked(self, echo_scenario):
-        scenario = echo_scenario
-        attack = SynthesisAttack(
-            scenario.env, scenario.env.rng.stream("synth"),
-            victim=scenario.owners[0].voiceprint,
-        )
-        record = issue_attack(scenario, attack)
+        attack = cloned_voice(echo_scenario, "synth", UtteranceSource.SYNTHESIS)
+        record = issue_attack(echo_scenario, attack)
+        assert record.source is UtteranceSource.SYNTHESIS
         assert record.outcome is InteractionOutcome.BLOCKED
 
     def test_inaudible_attack_blocked(self, echo_scenario):
-        scenario = echo_scenario
-        attack = InaudibleAttack(
-            scenario.env, scenario.env.rng.stream("ultra"),
-            victim=scenario.owners[0].voiceprint,
-        )
-        record = issue_attack(scenario, attack)
+        attack = cloned_voice(echo_scenario, "ultra", UtteranceSource.INAUDIBLE)
+        record = issue_attack(echo_scenario, attack)
+        assert record.source is UtteranceSource.INAUDIBLE
         assert record.outcome is InteractionOutcome.BLOCKED
 
     def test_laser_attack_blocked(self, echo_scenario):
         scenario = echo_scenario
-        attack = LaserAttack(
-            scenario.env, scenario.env.rng.stream("laser"),
-            victim=scenario.owners[0].voiceprint,
-        )
-        env = scenario.env
-        scenario.owners[0].teleport(env.testbed.device_point(30).offset(dz=-1.0))
-        env.sim.run_for(2.0)
-        before = set(scenario.speaker.interactions)
-        attack.launch("unlock the door please now", 3.0, env.speaker_beacon.position)
-        env.sim.run_for(20.0)
-        new = [scenario.speaker.interactions[i]
-               for i in scenario.speaker.interactions if i not in before]
-        assert new
-        new[0].settle()
-        assert new[0].outcome is InteractionOutcome.BLOCKED
+        attack = cloned_voice(scenario, "laser", UtteranceSource.LASER)
+        record = launch_while_away(scenario, attack, "unlock the door please now", 3.0,
+                                   scenario.env.speaker_beacon.position, 20.0)
+        assert record.source is UtteranceSource.LASER
+        assert record.outcome is InteractionOutcome.BLOCKED
 
     def test_remote_playback_blocked(self, echo_scenario):
         scenario = echo_scenario
-        env = scenario.env
-        tv = CompromisedPlaybackAttack(
-            env, env.rng.stream("tv"),
-            victim=scenario.owners[0].voiceprint,
-            device_position=env.speaker_beacon.position.offset(dx=1.5),
-        )
-        scenario.owners[0].teleport(env.testbed.device_point(30).offset(dz=-1.0))
-        env.sim.run_for(2.0)
-        before = set(scenario.speaker.interactions)
-        tv.launch_from_device("order ten pizzas right now", 3.5)
-        env.sim.run_for(22.0)
-        new = [scenario.speaker.interactions[i]
-               for i in scenario.speaker.interactions if i not in before]
-        assert new
-        new[0].settle()
-        assert new[0].outcome is InteractionOutcome.BLOCKED
+        tv = cloned_voice(scenario, "tv", UtteranceSource.REMOTE_PLAYBACK)
+        tv_position = scenario.env.speaker_beacon.position.offset(dx=1.5)
+        record = launch_while_away(scenario, tv, "order ten pizzas right now", 3.5,
+                                   tv_position, 22.0)
+        assert record.source is UtteranceSource.REMOTE_PLAYBACK
+        assert record.outcome is InteractionOutcome.BLOCKED
 
     def test_guard_event_log_consistency(self, echo_scenario):
         log = echo_scenario.guard.log
@@ -192,24 +169,19 @@ class TestGoogleEndToEnd:
             victim=scenario.owners[0].voiceprint,
         )
         env = scenario.env
-        away = env.testbed.device_point(45).offset(dz=-1.0)
+        away = env.testbed.standing_point(45)
         spot = env.testbed.device_point(5)
         transports = set()
         for index in range(6):
             scenario.owners[0].teleport(away)
             env.sim.run_for(2.0)
-            rng = env.rng.stream(f"gatk{index}")
-            command = scenario.corpus.sample(rng)
-            duration = full_utterance_duration(command, rng)
+            command, duration = scenario.draw_command(env.rng.stream(f"gatk{index}"))
             before = set(scenario.speaker.interactions)
             attack.launch(command.text, duration, spot)
             env.sim.run_for(duration + 18.0)
-            new = [scenario.speaker.interactions[i]
-                   for i in scenario.speaker.interactions if i not in before]
-            assert new
-            new[0].settle()
-            assert new[0].outcome is InteractionOutcome.BLOCKED
-            transports.add(new[0].meta.get("transport"))
+            record = only_new_interaction(scenario, before)
+            assert record.outcome is InteractionOutcome.BLOCKED
+            transports.add(record.meta.get("transport"))
         assert transports == {"tcp", "quic"}
 
 
@@ -223,14 +195,9 @@ class TestMultiSpeakerProtection:
         env = scenario.env
         from repro.experiments.scenarios import add_second_speaker
         google = add_second_speaker(scenario, "google")
-        owner = scenario.owners[0]
-        owner.teleport(env.testbed.device_point(5).offset(dz=-1.0))
-        rng = env.rng.stream("multi")
+        scenario.owners[0].teleport(env.testbed.standing_point(5))
         # Both speakers hear the same command (they share the room).
-        command = scenario.corpus.sample(rng)
-        duration = full_utterance_duration(command, rng)
-        utterance = owner.speak(command.text, duration)
-        env.play_utterance(utterance, owner.device_position())
+        duration = scenario.speak_command(env.rng.stream("multi"))
         env.sim.run_for(duration + 20.0)
         echo_records = scenario.speaker.settle_all()
         google_records = google.settle_all()

@@ -102,3 +102,7 @@ class TestCellValidation:
     def test_zero_speakers_rejected(self):
         with pytest.raises(WorkloadError):
             run_loadtest_cell(0, "high")
+
+    def test_zero_utterances_rejected(self):
+        with pytest.raises(WorkloadError):
+            run_loadtest_cell(1, "high", utterances=0)

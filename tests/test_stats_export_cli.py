@@ -202,6 +202,23 @@ class TestCli:
         assert captured.err == "error: fleet needs at least one home, got 0\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["loadtest", "--smoke", "--utterances", "0"],
+         "loadtest needs at least one utterance per cell, got 0"),
+        (["campaign", "--homes", "0"], "campaign needs at least one home, got 0"),
+        (["table", "table2", "--scale", "-1"],
+         "scale must be a finite number above 0, got -1.0"),
+        (["report", "--scale", "0"], "scale must be a finite number above 0, got 0.0"),
+        (["resilience", "--scale", "nan"], "scale must be a finite number above 0, got nan"),
+    ])
+    def test_empty_workload_is_one_line_and_exit_2(self, argv, message, capsys):
+        # Before anything runs: no table of empty cells, no nan% rows.
+        from repro.__main__ import main
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_unknown_command_rejected(self):
         from repro.__main__ import main
         with pytest.raises(SystemExit):
