@@ -33,8 +33,10 @@ Two fidelities share the same population and reducers:
     *real* propagation surface (walls, slabs, shadowing — the paper's
     leak cluster included) at the occupant's measurement point and
     applies the guard's threshold decision plus a retry/push-loss
-    latency model.  ~10-100 microseconds per home; this is what makes
-    million-home sweeps possible.
+    latency model, once per block of homes (:func:`simulate_block`).
+    About 75 microseconds per home at the benchmark's reference host
+    speed (13k homes/s serial), most of it the home's synthesis and
+    seeded draws; this is what makes million-home sweeps possible.
 ``full``
     The packet-level scenario simulation (speaker boot, TCP, BLE
     scans, the works) per home — seconds per home, for validating the
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +59,7 @@ from repro.experiments.parallel import (
     derive_seed,
 )
 from repro.experiments.synthesis import (
+    FleetWorld,
     HomeSpec,
     PopulationModel,
     fleet_world,
@@ -87,6 +90,11 @@ _BACKOFF_BY_RETRIES = np.cumsum(
 
 SKETCH_ALPHA = 0.01  # 1% relative error on reported percentiles
 
+# Fast homes per kernel call: enough that the array work after the
+# draws is paid once for many homes, few enough that a chunk's working
+# set stays flat whatever its size.
+BLOCK_HOMES = 64
+
 
 # ---------------------------------------------------------------------------
 # Per-home outcomes
@@ -113,115 +121,216 @@ class HomeSummary:
 
 
 def _latency_model(
-    rng: np.random.Generator,
-    n: int,
-    device_kind: str,
-    push_loss: float,
+    scan: np.ndarray,
+    rtt: np.ndarray,
+    fails: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized decision latency/timeout draws for ``n`` decisions.
+    """Decision latency, timeout and retry count for each decision.
 
-    Returns ``(latency_seconds, timeout_mask, retry_counts)``.  Each
-    decision scans, then pushes up to :data:`PUSH_ATTEMPTS` times; a
-    failed attempt costs one round-trip plus exponential backoff.  A
-    decision whose every attempt fails is a timeout (the guard falls
-    through to its fail-open policy).
+    Returns ``(latency_seconds, timeout_mask, retry_counts)`` from each
+    decision's scan window, push round-trip and ``(decisions,
+    PUSH_ATTEMPTS)`` attempt failures.  Each decision scans, then
+    pushes up to :data:`PUSH_ATTEMPTS` times; a failed attempt costs one
+    round-trip plus exponential backoff.  A decision whose every attempt
+    fails is a timeout (the guard falls through to its fail-open
+    policy).
     """
-    lo, hi = SCAN_WINDOW[device_kind]
-    scan = rng.uniform(lo, hi, size=n)
-    rtt = PUSH_RTT_BASE + rng.exponential(PUSH_RTT_TAIL, size=n)
-    if push_loss <= 0.0:
-        # Loss-free homes (most of the fleet): first push always lands.
-        return (scan + rtt, np.zeros(n, dtype=bool),
-                np.zeros(n, dtype=np.int64))
-    fails = rng.random((n, PUSH_ATTEMPTS)) < push_loss
     # Retries = failed attempts before the first success (0..ATTEMPTS-1).
     first_ok = np.argmin(fails, axis=1)  # index of first False
     timeout = fails.all(axis=1)
     retries = np.where(timeout, PUSH_ATTEMPTS - 1, first_ok)
     latency = scan + (retries + 1) * rtt + _BACKOFF_BY_RETRIES[retries]
-    return latency, timeout, retries.astype(np.int64)
+    return latency, timeout, retries
 
 
-def simulate_home(spec: HomeSpec) -> HomeSummary:
-    """The reduced-order home model (``fast`` fidelity).
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Where each segment of a flat concatenation begins."""
+    return np.cumsum(sizes) - sizes
+
+
+def _segments(sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(segment, position)`` of every element of a flat concatenation
+    of segments with these sizes."""
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    return segment, np.arange(segment.size) - np.repeat(_starts(sizes), sizes)
+
+
+@dataclass
+class HomeBlock:
+    """The outcomes of a block of fast homes, one array entry per home.
+
+    ``counts`` holds every :data:`COUNT_KEYS` counter but the latency
+    total; ``latencies_us`` lists the resolved-decision latencies home
+    by home, and ``latency_home`` names each one's home.
+    """
+
+    testbeds: List[str]
+    counts: Dict[str, np.ndarray]
+    latencies_us: np.ndarray
+    latency_home: np.ndarray
+
+
+def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
+    """The reduced-order home model (``fast`` fidelity), for a block of
+    homes.
 
     Every RSSI figure comes from the real propagation substrate
     (:func:`~repro.experiments.synthesis.fleet_world` caches the
-    per-bucket surfaces); this function adds the home's occupancy,
-    noise, and decision policy on top.  The draw order is fixed and
-    documented — it defines the population.
+    per-bucket surfaces); this function adds each home's occupancy,
+    noise, and decision policy on top.  Each home draws from its own
+    generator in a fixed, documented order, which defines the
+    population; everything after the draws runs once for the block on
+    flat arrays, each home one segment of them.
     """
-    world = fleet_world(spec.testbed, spec.deployment, spec.plan_scale)
-    rng = np.random.default_rng(derive_seed(spec.seed, "home.run"))
-    threshold = world.threshold_base - spec.threshold_margin
-    sigma = world.model.params.sample_noise_sigma
-    if spec.device_kind == "smartwatch":
-        sigma += WATCH_EXTRA_NOISE
-    occlusion = world.model.params.body_occlusion
+    slots: Dict[int, int] = {}  # id(world) -> its place in ``worlds``
+    worlds: List[FleetWorld] = []
+    ints, floats = [], []
+    legit_picks, away_picks, uniforms, normals, scans, tails, attempts = (
+        [] for _ in range(7))
+    for spec in specs:
+        world = fleet_world(spec.testbed, spec.deployment, spec.plan_scale)
+        slot = slots.setdefault(id(world), len(worlds))
+        if slot == len(worlds):
+            worlds.append(world)
+        rng = np.random.default_rng(derive_seed(spec.seed, "home.run"))
+        n_legit = spec.legit_commands
+        n_attack = spec.attacks
+        owners = spec.owner_count
+        extra = owners - 1
+        n = n_legit + n_attack
+        # The home's draws, in order: legit-point picks (the speaker's,
+        # then each extra owner's), away-point picks (extra owners', then
+        # every owner's per attack), uniforms (body block, then extra
+        # owners away), standard normals (legit noise, body loss, extra
+        # owners' noise, attack noise), then per decision a scan window,
+        # a push round-trip tail and, on a lossy network, a uniform per
+        # push attempt.
+        legit_picks.append(rng.integers(0, world.legit_means.size,
+                                        size=(1 + extra) * n_legit))
+        away_picks.append(rng.integers(0, world.away_means.size,
+                                       size=extra * n_legit + owners * n_attack))
+        uniforms.append(rng.random((1 + extra) * n_legit))
+        normals.append(rng.standard_normal(
+            (2 + extra) * n_legit + owners * n_attack))
+        lo, hi = SCAN_WINDOW[spec.device_kind]
+        scans.append(rng.uniform(lo, hi, size=n))
+        tails.append(rng.exponential(PUSH_RTT_TAIL, size=n))
+        if spec.push_loss > 0.0:
+            attempts.append(rng.random((n, PUSH_ATTEMPTS)))
+        sigma = world.model.params.sample_noise_sigma
+        if spec.device_kind == "smartwatch":
+            sigma += WATCH_EXTRA_NOISE
+        ints.append((slot, n_legit, n_attack, extra))
+        floats.append((sigma, world.model.params.body_occlusion,
+                       world.threshold_base - spec.threshold_margin,
+                       spec.away_fraction, spec.body_block_fraction, spec.push_loss))
 
-    n_legit = spec.legit_commands
-    n_attack = spec.attacks
-    extra = spec.owner_count - 1
-    owners = max(spec.owner_count, 1)
-    summary = HomeSummary(testbed=spec.testbed, attacked=n_attack > 0,
-                          legit=n_legit, attacks=n_attack)
-
-    # All randomness for the episode block is drawn in four fixed-order
-    # vectors (legit-point picks, away-point picks, uniforms, standard
-    # normals) and sliced — part of the population definition, and the
-    # reason per-home cost stays in the tens of microseconds.
-    legit_idx = rng.integers(0, world.legit_means.size,
-                             size=(1 + extra) * n_legit)
-    away_idx = rng.integers(0, world.away_means.size,
-                            size=extra * n_legit + owners * n_attack)
-    uniforms = rng.random((1 + extra) * n_legit)
-    normals = rng.standard_normal((2 + extra) * n_legit + owners * n_attack)
+    slot, n_legit, n_attack, extra = np.array(ints, dtype=np.int64).T
+    owners = 1 + extra
+    sigma, occlusion, threshold, away_fraction, body_block, push_loss = (
+        np.array(floats, dtype=np.float64).T)
+    # Every world's mean surfaces, end to end; a home's picks index its
+    # own world's stretch of them.
+    legit_table = np.concatenate([world.legit_means for world in worlds])
+    away_table = np.concatenate([world.away_means for world in worlds])
+    legit_base = _starts(np.array([world.legit_means.size for world in worlds]))[slot]
+    away_base = _starts(np.array([world.away_means.size for world in worlds]))[slot]
+    picks = np.concatenate(legit_picks)
+    away_picks = np.concatenate(away_picks)
+    uniforms = np.concatenate(uniforms)
+    normals = np.concatenate(normals)
+    # Legit picks and uniforms have the same per-home sizes.
+    pick_start = _starts((1 + extra) * n_legit)
+    away_start = _starts(extra * n_legit + owners * n_attack)
+    normal_start = _starts((2 + extra) * n_legit + owners * n_attack)
 
     # -- legitimate episodes: the speaking owner is at a legit point --
-    samples = world.legit_means[legit_idx[:n_legit]] + sigma * normals[:n_legit]
-    blocked_mask = uniforms[:n_legit] < spec.body_block_fraction
-    body_loss = np.abs(occlusion + (occlusion / 2)
-                       * normals[n_legit:2 * n_legit])
+    home, j = _segments(n_legit)
+    at = pick_start[home] + j
+    noise = normal_start[home] + j
+    samples = legit_table[legit_base[home] + picks[at]] + sigma[home] * normals[noise]
+    blocked_mask = uniforms[at] < body_block[home]
+    body_loss = np.abs(occlusion[home]
+                       + (occlusion / 2)[home] * normals[noise + n_legit[home]])
     samples -= blocked_mask * body_loss
-    allow = samples >= threshold
-    cursor = 2 * n_legit
+    allow = samples >= threshold[home]
     # Extra owners wander; any device above threshold also grants.
-    if extra > 0:
-        away = uniforms[n_legit:].reshape(extra, n_legit) < spec.away_fraction
-        opts = away_idx[:extra * n_legit].reshape(extra, n_legit)
-        ipts = legit_idx[n_legit:].reshape(extra, n_legit)
-        other = np.where(away, world.away_means[opts], world.legit_means[ipts])
-        other += sigma * normals[cursor:cursor + extra * n_legit].reshape(
-            extra, n_legit)
-        allow |= (other >= threshold).any(axis=0)
-        cursor += extra * n_legit
+    home, k = _segments(extra * n_legit)
+    at = pick_start[home] + n_legit[home] + k
+    away = uniforms[at] < away_fraction[home]
+    other = np.where(away, away_table[away_base[home] + away_picks[away_start[home] + k]],
+                     legit_table[legit_base[home] + picks[at]])
+    other += sigma[home] * normals[normal_start[home] + 2 * n_legit[home] + k]
+    command = _starts(n_legit)[home] + k % n_legit[home]
+    allow[command[other >= threshold[home]]] = True
 
     # -- attack episodes: the campaign fires while every owner is away --
-    apts = away_idx[extra * n_legit:].reshape(owners, n_attack)
-    asamples = world.away_means[apts] + sigma * normals[cursor:].reshape(
-        owners, n_attack)
-    attack_exposed = (asamples >= threshold).any(axis=0)
+    home, k = _segments(owners * n_attack)
+    asamples = (away_table[away_base[home] + away_picks[
+        away_start[home] + extra[home] * n_legit[home] + k]]
+        + sigma[home] * normals[normal_start[home] + (2 + extra[home]) * n_legit[home] + k])
+    attack = _starts(n_attack)[home] + k % n_attack[home]
+    attack_exposed = np.zeros(int(n_attack.sum()), dtype=bool)
+    attack_exposed[attack[asamples >= threshold[home]]] = True
 
     # -- decision pipeline: scans, pushes, retries, timeouts --
-    n = n_legit + n_attack
+    home, k = _segments(n_legit + n_attack)
+    # Loss-free homes (most of the fleet) drew no attempt uniforms:
+    # their first push always lands.
+    fails = np.zeros((home.size, PUSH_ATTEMPTS), dtype=bool)
+    if attempts:
+        lossy = push_loss[home] > 0.0
+        fails[lossy] = np.concatenate(attempts) < push_loss[home[lossy], None]
     latency, timeout, retries = _latency_model(
-        rng, n, spec.device_kind, spec.push_loss)
-    legit_timeout = timeout[:n_legit]
-    attack_timeout = timeout[n_legit:]
+        np.concatenate(scans), PUSH_RTT_BASE + np.concatenate(tails), fails)
+    legit = k < n_legit[home]
+    homes = len(specs)
+
+    def per_home(owner: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        return np.bincount(owner[mask], minlength=homes)
 
     # Legit: a resolved below-threshold reading is a false block; a
     # timeout falls open (executes), costing availability, not a block.
-    summary.false_blocks = int((~legit_timeout & ~allow).sum())
+    false_block = ~timeout[legit] & ~allow
     # Attack: blocked only when resolved with every device below the
     # threshold; a leak-zone reading or a timeout lets it execute.
-    summary.attacks_blocked = int((~attack_timeout & ~attack_exposed).sum())
+    attack_blocked = ~timeout[~legit] & ~attack_exposed
+    resolved = ~timeout
+    return HomeBlock(
+        testbeds=[spec.testbed for spec in specs],
+        counts={
+            "homes": np.ones(homes, dtype=np.int64),
+            "homes_attacked": (n_attack > 0).astype(np.int64),
+            "legit_commands": n_legit,
+            "false_blocks": per_home(home[legit], false_block),
+            "attacks": n_attack,
+            "attacks_blocked": per_home(home[~legit], attack_blocked),
+            "decisions": n_legit + n_attack,
+            "timeouts": per_home(home, timeout),
+            "retries": np.bincount(home, weights=retries, minlength=homes).astype(np.int64),
+        },
+        latencies_us=np.rint(latency[resolved] * 1e6).astype(np.int64),
+        latency_home=home[resolved],
+    )
 
-    summary.decisions = n
-    summary.timeouts = int(timeout.sum())
-    summary.retries = int(retries.sum())
-    resolved = latency[~timeout]
-    summary.latencies_us = np.rint(resolved * 1e6).astype(np.int64)
-    return summary
+
+def simulate_home(spec: HomeSpec) -> HomeSummary:
+    """One home of the reduced-order model: a one-home
+    :func:`simulate_block`."""
+    block = simulate_block([spec])
+    counts = {key: int(values[0]) for key, values in block.counts.items()}
+    return HomeSummary(
+        testbed=spec.testbed,
+        attacked=spec.attacks > 0,
+        legit=counts["legit_commands"],
+        false_blocks=counts["false_blocks"],
+        attacks=counts["attacks"],
+        attacks_blocked=counts["attacks_blocked"],
+        decisions=counts["decisions"],
+        timeouts=counts["timeouts"],
+        retries=counts["retries"],
+        latencies_us=block.latencies_us,
+    )
 
 
 _SCENARIO_POOL = None
@@ -349,6 +458,17 @@ class FleetAccumulator:
         counts["latency_total_us"] += int(summary.latencies_us.sum())
         _sketch_add_array(self.sketches[summary.testbed], summary.latencies_us)
 
+    def add_block(self, block: HomeBlock) -> None:
+        testbeds = np.array(block.testbeds)
+        for name in dict.fromkeys(block.testbeds):
+            homes = testbeds == name
+            counts = self._bucket(name)
+            for key, values in block.counts.items():
+                counts[key] += int(values[homes].sum())
+            latencies_us = block.latencies_us[homes[block.latency_home]]
+            counts["latency_total_us"] += int(latencies_us.sum())
+            _sketch_add_array(self.sketches[name], latencies_us)
+
     # -- cross-chunk folding --------------------------------------------
     def to_payload(self) -> dict:
         """Plain picklable form (the chunk's pool return value)."""
@@ -437,14 +557,21 @@ def run_fleet_chunk(config: FleetConfig, shard: int, lo: int, hi: int) -> dict:
     matter how many homes the chunk covers.
     """
     accumulator = FleetAccumulator()
-    # simulate_home_full is looked up per call so that a wrapper
-    # installed on the module (e.g. a benchmark audit) sees every home.
-    simulate = simulate_home if config.fidelity == "fast" else simulate_home_full
     start_index = config.shard_start(shard)
-    for offset in range(lo, hi):
-        spec = config.population.home(config.seed, shard, offset,
-                                      start_index + offset)
-        accumulator.add_home(simulate(spec))
+
+    def home(offset: int) -> HomeSpec:
+        return config.population.home(config.seed, shard, offset, start_index + offset)
+
+    if config.fidelity == "fast":
+        for block_lo in range(lo, hi, BLOCK_HOMES):
+            block_hi = min(block_lo + BLOCK_HOMES, hi)
+            accumulator.add_block(simulate_block(
+                [home(offset) for offset in range(block_lo, block_hi)]))
+    else:
+        # simulate_home_full is looked up per home so that a wrapper
+        # installed on the module (e.g. a benchmark audit) sees every home.
+        for offset in range(lo, hi):
+            accumulator.add_home(simulate_home_full(home(offset)))
     return accumulator.to_payload()
 
 

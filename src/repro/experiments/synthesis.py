@@ -30,6 +30,7 @@ chunking — the property the fleet determinism tests pin down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -111,13 +112,26 @@ class PopulationModel:
     def __post_init__(self) -> None:
         if not self.testbed_mix:
             raise WorkloadError("testbed mix must name at least one testbed")
+        for name, weight in self.testbed_mix:
+            if not (math.isfinite(weight) and weight >= 0):
+                raise WorkloadError(
+                    f"testbed mix weight for {name!r} must be finite and >= 0, got {weight!r}")
         total = sum(weight for _, weight in self.testbed_mix)
         if total <= 0:
             raise WorkloadError("testbed mix weights must sum to a positive value")
+        if not self.plan_scales:
+            raise WorkloadError("plan scales must name at least one scale")
+        for scale in self.plan_scales:
+            if not (math.isfinite(scale) and scale > 0):
+                raise WorkloadError(f"plan scale must be finite and > 0, got {scale!r}")
         if not 0.0 <= self.attack_prevalence <= 1.0:
             raise WorkloadError(
                 f"attack prevalence must be in [0, 1], got {self.attack_prevalence!r}"
             )
+        for knob in ("legit_commands_mean", "attacks_mean"):
+            mean = getattr(self, knob)
+            if not (math.isfinite(mean) and mean >= 0):
+                raise WorkloadError(f"{knob} must be finite and >= 0, got {mean!r}")
         for name, _ in self.testbed_mix:
             testbed_by_name(name)  # raises on unknown names, at config time
         object.__setattr__(self, "_mix_cumulative", _cumulative(self.testbed_mix))

@@ -130,9 +130,7 @@ class SevenDayWorkload:
             env.sim.run_for(float(self.rng.uniform(*self.episode_gap)))
             command, duration = scenario.draw_command(self.rng)
             if malicious:
-                points = self._place_owners_away()
-                settle = max(points.values()) if points else 1.0
-                env.sim.run_for(settle)
+                env.sim.run_for(self._place_owners_away())
                 attack_spot = int(self.rng.choice(self._legit_points))
                 launch = self.attack.launch(
                     command.text, duration,
@@ -163,11 +161,11 @@ class SevenDayWorkload:
         env.sim.run_for(settle_after)
         return result
 
-    def _place_owners_away(self) -> dict:
-        """Move every owner out of the speaker's room; returns settle
-        times keyed by point number."""
-        settle_times = {}
+    def _place_owners_away(self) -> float:
+        """Move every owner out of the speaker's room; returns the
+        settling time the slowest of them needs."""
+        settle = 1.0
         for owner in self.scenario.owners:
             away = int(self.rng.choice(self._away_points))
-            settle_times[away] = self._move_owner(owner, away)
-        return settle_times
+            settle = max(settle, self._move_owner(owner, away))
+        return settle

@@ -18,6 +18,10 @@ handful of fixed-seed workloads and reduces each to one SHA-256:
 * ``fleet_full`` — a 2-home full-fidelity fleet table;
 * ``fleet_fast`` — a 512-home reduced-order fleet table in 128-home
   chunks (its RSSI surfaces come from the propagation model);
+* ``fleet_fast_homes`` — every home of a 1024-home fast-fidelity shard
+  one by one (each ``simulate_home`` row and its latencies), then the
+  shard's chunk payloads run as one chunk and in 37-home chunks: pins
+  each home, where ``fleet_fast`` sees only per-testbed totals;
 * ``floor_traces`` — every RSSI sample of every floor trace a
   compressed house home records (its classifier-training walks and the
   live stair traces, some of which a post-stair teleport interrupts),
@@ -71,6 +75,8 @@ LOADTEST_UTTERANCES = 8
 FLEET_HOMES = 2
 FAST_FLEET_HOMES = 512
 FAST_FLEET_CHUNK = 128
+FAST_SHARD_HOMES = 1024
+FAST_SHARD_CHUNK = 37
 FLOOR_TRACE_POOL_KEY = ("house", 0, 1.0, 1, "smartphone")
 
 
@@ -186,6 +192,23 @@ def fleet_fast() -> str:
                         fidelity="fast", seed=505)
 
 
+def fleet_fast_homes() -> str:
+    config = fleet.FleetConfig(homes=FAST_SHARD_HOMES, shards=1, seed=707)
+    digest = hashlib.sha256()
+    for offset in range(FAST_SHARD_HOMES):
+        home = fleet.simulate_home(config.population.home(config.seed, 0, offset, offset))
+        digest.update(repr((home.testbed, home.legit, home.false_blocks, home.attacks,
+                            home.attacks_blocked, home.decisions, home.timeouts,
+                            home.retries, home.latencies_us.tolist())).encode())
+    bounds = [(0, FAST_SHARD_HOMES)] + [
+        (lo, min(lo + FAST_SHARD_CHUNK, FAST_SHARD_HOMES))
+        for lo in range(0, FAST_SHARD_HOMES, FAST_SHARD_CHUNK)]
+    for lo, hi in bounds:
+        payload = fleet.run_fleet_chunk(config, 0, lo, hi)
+        digest.update(json.dumps(payload, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 def floor_traces() -> str:
     """SHA-256 over every floor-trace sample of a compressed house home,
     then the training features one house pool template build fits.
@@ -256,6 +279,7 @@ RUNS: Dict[str, Callable[[], str]] = {
     **{f"loadtest.{mode}": _loadtest_cell(mode) for mode in loadtest.MODES},
     "fleet_full": fleet_full,
     "fleet_fast": fleet_fast,
+    "fleet_fast_homes": fleet_fast_homes,
     "floor_traces": floor_traces,
     "report": report_sections,
     **{f"tables.{name}": _table(run) for name, run in TABLES.items()},

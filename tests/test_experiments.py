@@ -148,6 +148,31 @@ class TestWorkload:
         assert result.skipped_unheard == 0
         assert result.legit_issued + result.malicious_issued + result.skipped_unheard == 10
 
+    def test_owners_sharing_an_away_point_wait_for_the_stair_walk(self):
+        # Both owners draw the same away point; the one on the other
+        # floor walks the stairs, so the attack must wait for that walk,
+        # not for the other owner's one-second step.
+        scenario = build_scenario(
+            "house", "echo", deployment=0, seed=3, owner_count=2,
+            calibrate=False, with_floor_tracking=False,
+        )
+        workload = SevenDayWorkload(scenario)
+        testbed = scenario.env.testbed
+        spot = workload._away_points[0]
+        floor = workload._floor_of_point(spot)
+        elsewhere = next(n for n in workload._away_points
+                         if workload._floor_of_point(n) != floor)
+        walker, stayer = scenario.owners
+        walker.teleport(testbed.standing_point(elsewhere))
+        stayer.teleport(testbed.standing_point(spot))
+
+        class SameSpot:
+            def choice(self, points):
+                return spot
+
+        workload.rng = SameSpot()
+        assert workload._place_owners_away() == workload.POST_STAIR_PAUSE + 2.0
+
     def test_away_points_exclude_stairs(self):
         scenario = build_scenario(
             "house", "echo", deployment=0, seed=91, owner_count=1,

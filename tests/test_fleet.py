@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.experiments.fleet import (
+    BLOCK_HOMES,
     FleetAccumulator,
     FleetConfig,
     run_fleet,
@@ -93,6 +94,26 @@ class TestSynthesis:
             PopulationModel(testbed_mix=(("atlantis", 1.0),))
         with pytest.raises(WorkloadError):
             PopulationModel(attack_prevalence=1.5)
+
+    @pytest.mark.parametrize("knobs", [
+        pytest.param(dict(testbed_mix=(("house", 1.0), ("office", -0.5))),
+                     id="negative-mix-weight"),
+        pytest.param(dict(testbed_mix=(("house", float("nan")),)), id="nan-mix-weight"),
+        pytest.param(dict(plan_scales=()), id="no-plan-scales"),
+        pytest.param(dict(plan_scales=(1.0, 0.0)), id="zero-scale"),
+        pytest.param(dict(plan_scales=(-1.0,)), id="negative-scale"),
+        pytest.param(dict(plan_scales=(float("inf"),)), id="inf-scale"),
+        pytest.param(dict(plan_scales=(float("nan"),)), id="nan-scale"),
+        pytest.param(dict(legit_commands_mean=-1.0), id="negative-legit-mean"),
+        pytest.param(dict(legit_commands_mean=float("nan")), id="nan-legit-mean"),
+        pytest.param(dict(attacks_mean=-0.5), id="negative-attacks-mean"),
+        pytest.param(dict(attacks_mean=float("nan")), id="nan-attacks-mean"),
+    ])
+    def test_bad_knob_rejected_at_construction(self, knobs):
+        # Each of these used to be accepted, and then either dealt the
+        # population silently or failed in numpy once per home.
+        with pytest.raises(WorkloadError):
+            PopulationModel(**knobs)
 
 
 class TestScaleTestbed:
@@ -189,16 +210,20 @@ class TestFleetAccumulator:
         assert {name: s.to_dict() for name, s in forward.sketches.items()} == \
                {name: s.to_dict() for name, s in backward.sketches.items()}
 
-    def test_chunk_split_does_not_change_state(self, small_fleet):
-        # One 64-home chunk vs the same homes in four 16-home chunks.
-        whole = FleetAccumulator()
-        whole.merge_payload(run_fleet_chunk(small_fleet, 0, 0, 60))
+    @pytest.mark.parametrize(
+        "chunk", [1, BLOCK_HOMES - 1, BLOCK_HOMES, BLOCK_HOMES + 1, 2 * BLOCK_HOMES + 3],
+        ids=["one", "block-1", "block", "block+1", "all"])
+    def test_chunk_split_does_not_change_state(self, chunk):
+        # Every home of a shard folded one by one vs the same homes in
+        # chunks of ``chunk``, which cut the kernel's blocks elsewhere.
+        config = FleetConfig(homes=2 * BLOCK_HOMES + 3, shards=1, seed=11)
+        per_home = FleetAccumulator()
+        for offset in range(config.homes):
+            per_home.add_home(simulate_home(config.population.home(11, 0, offset, offset)))
         split = FleetAccumulator()
-        for lo in range(0, 60, 15):
-            split.merge_payload(run_fleet_chunk(small_fleet, 0, lo, lo + 15))
-        assert whole.totals() == split.totals()
-        assert {name: s.to_dict() for name, s in whole.sketches.items()} == \
-               {name: s.to_dict() for name, s in split.sketches.items()}
+        for lo in range(0, config.homes, chunk):
+            split.merge_payload(run_fleet_chunk(config, 0, lo, min(lo + chunk, config.homes)))
+        assert split.to_payload() == per_home.to_payload()
 
     def test_merge_snapshots_fold_is_associative(self):
         # Fleet payloads carry no metrics snapshot; the per-run guard
