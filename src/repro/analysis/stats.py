@@ -13,6 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.sim.random import generator
+
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
@@ -52,7 +54,7 @@ def bootstrap_interval(
     values = np.asarray(outcomes, dtype=float)
     if values.size == 0:
         raise ValueError("cannot bootstrap an empty sample")
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     estimate = float(statistic(values))
     if values.size == 1:
         return ConfidenceInterval(estimate, estimate, estimate, confidence)

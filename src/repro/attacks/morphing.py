@@ -43,6 +43,7 @@ from repro.core.registry import PluginRegistry
 from repro.errors import ConfigError
 from repro.net.packet import Packet
 from repro.net.proxy import ForwarderDecision, ProxiedFlow, TransparentProxy
+from repro.sim.random import generator, pick, uniform
 
 # A window of observed records as (offset_seconds, payload_len) pairs,
 # offsets non-decreasing from the window's first record.
@@ -154,7 +155,7 @@ class TimingJitterMorpher(TrafficMorpher):
         previous: Optional[float] = None
         for offset, length in records:
             if previous is not None and offset > previous:
-                shift += float(rng.uniform(0.0, self.max_jitter))
+                shift += uniform(rng, 0.0, self.max_jitter)
             previous = offset
             morphed.append((offset + shift, length))
         return morphed
@@ -190,8 +191,7 @@ class DummyBurstMorpher(TrafficMorpher):
         if float(rng.random()) >= self.probability:
             return length, []
         count = int(rng.integers(1, self.burst + 1))
-        extras = [int(self.POOL[int(rng.integers(0, len(self.POOL)))])
-                  for _ in range(count)]
+        extras = [pick(rng, self.POOL) for _ in range(count)]
         return length, extras
 
 
@@ -246,7 +246,7 @@ class MorphingAdversary:
     fed through the chain as pure observations (their decisions are
     discarded — nothing real is held or dropped for them).
 
-    The adversary owns its generator (``np.random.default_rng(seed)``);
+    The adversary owns its generator (``generator(seed)``);
     it never touches the guard's named streams, so installing one
     leaves every guard-side draw byte-identical.
     """
@@ -258,7 +258,7 @@ class MorphingAdversary:
                 f"morpher {morpher.name!r} is offline-only and cannot "
                 "run as a live shim")
         self.morpher = morpher
-        self.rng = np.random.default_rng(seed)
+        self.rng = generator(seed)
         self.speaker_ips: Optional[Set] = (
             set(speaker_ips) if speaker_ips is not None else None)
         self.records_shaped = 0

@@ -27,6 +27,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.sim.random import generator, pick
 
 ALEXA_CORPUS_SIZE = 320
 GOOGLE_CORPUS_SIZE = 443
@@ -102,7 +103,7 @@ class CommandCorpus:
 
     def sample(self, rng: np.random.Generator) -> VoiceCommand:
         """Draw a uniformly random command."""
-        return self.commands[int(rng.integers(0, len(self.commands)))]
+        return pick(rng, self.commands)
 
     def mean_word_count(self) -> float:
         """Average words per command."""
@@ -132,16 +133,16 @@ def _exact_counts(pmf: Dict[int, float], total: int) -> List[Tuple[int, int]]:
 def _phrase_with_exact_words(words: int, rng: np.random.Generator) -> str:
     """Compose a plausible command with exactly ``words`` words."""
     parts: List[str] = []
-    parts.extend(str(_VERBS[int(rng.integers(0, len(_VERBS)))]).split())
-    parts.extend(str(_OBJECTS[int(rng.integers(0, len(_OBJECTS)))]).split())
+    parts.extend(pick(rng, _VERBS).split())
+    parts.extend(pick(rng, _OBJECTS).split())
     while len(parts) < words:
         pool = _TAILS if words - len(parts) > 1 else _FILLERS
-        parts.extend(str(pool[int(rng.integers(0, len(pool)))]).split())
+        parts.extend(pick(rng, pool).split())
     return " ".join(parts[:words])
 
 
 def _build_corpus(assistant: str, pmf: Dict[int, float], size: int, seed: int) -> CommandCorpus:
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     commands: List[VoiceCommand] = []
     for words, count in _exact_counts(pmf, size):
         for _ in range(count):

@@ -19,22 +19,22 @@ from repro.audio.commands import VoiceCommand
 SPEECH_WORDS_PER_SECOND = 2.0
 WAKE_WORD_DURATION = 0.55  # "Alexa" / "Hey Google" (amortized), seconds
 POST_WAKE_PAUSE = 0.25  # brief gap between wake word and command body
+# Relative standard deviation of the per-utterance pace: humans do not
+# speak at a metronomic 2 words/s.
+PACE_JITTER = 0.12
 
 
 def speaking_duration(
     command: VoiceCommand,
     rng: Optional[np.random.Generator] = None,
-    pace_jitter: float = 0.12,
 ) -> float:
-    """Seconds needed to speak ``command`` after the wake word.
-
-    ``pace_jitter`` is the relative standard deviation of the per-
-    utterance pace; humans do not speak at a metronomic 2 words/s.
-    """
+    """Seconds needed to speak ``command`` after the wake word; ``rng``
+    jitters the pace, clipped to 0.6-1.6 times the nominal one."""
     base = command.word_count / SPEECH_WORDS_PER_SECOND
     if rng is None:
         return base
-    factor = float(np.clip(rng.normal(1.0, pace_jitter), 0.6, 1.6))
+    # ``rng.normal(1.0, PACE_JITTER)``, spelled as numpy computes it.
+    factor = min(max(1.0 + PACE_JITTER * rng.standard_normal(), 0.6), 1.6)
     return base * factor
 
 

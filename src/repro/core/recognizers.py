@@ -41,7 +41,7 @@ import numpy as np
 from repro.core.events import TrafficClass
 from repro.core.registry import PluginRegistry
 from repro.errors import WorkloadError
-from repro.sim.random import RngHub
+from repro.sim.random import RngHub, uniform
 
 # ---------------------------------------------------------------------------
 # Feature extraction
@@ -234,7 +234,7 @@ def _noise_window(rng: np.random.Generator) -> WindowSample:
     for _ in range(count):
         lengths.append(int(rng.integers(60, 220)))
         offsets.append(offset)
-        offset += float(rng.uniform(0.3, 0.9))
+        offset += uniform(rng, 0.3, 0.9)
     return WindowSample(lengths=tuple(lengths), offsets=tuple(offsets),
                         label="noise")
 

@@ -19,6 +19,7 @@ from repro.analysis.reporting import render_table
 from repro.audio.commands import alexa_corpus, corpus_statistics, google_corpus
 from repro.core.decision import Verdict
 from repro.experiments.scenarios import build_scenario
+from repro.sim.random import uniform
 
 PAPER_HIDDEN_FRACTION = 0.80
 
@@ -68,7 +69,7 @@ def run_fig6(speaker_kind: str = "echo", invocations: int = 120, seed: int = 6) 
         start = env.sim.now
         duration = scenario.speak_command(rng)
         timeline.append((start, start + duration))
-        env.sim.run_for(duration + 14.0 + float(rng.uniform(0.0, 3.0)))
+        env.sim.run_for(duration + 14.0 + uniform(rng, 0.0, 3.0))
     env.sim.run_for(15.0)
 
     result = Fig6Result(speaker_kind=speaker_kind)

@@ -17,6 +17,7 @@ import numpy as np
 from repro.analysis.reporting import render_histogram
 from repro.core.decision import Verdict
 from repro.experiments.scenarios import build_scenario
+from repro.sim.random import uniform
 
 PAPER_ECHO_MEAN = 1.622
 PAPER_GOOGLE_MEAN = 1.892
@@ -70,7 +71,7 @@ def run_fig7(speaker_kind: str = "echo", invocations: int = 100, seed: int = 4) 
     rng = env.rng.stream("fig7.workload")
     for _ in range(invocations):
         duration = scenario.speak_command(rng)
-        env.sim.run_for(duration + 15.0 + float(rng.uniform(0.0, 3.0)))
+        env.sim.run_for(duration + 15.0 + uniform(rng, 0.0, 3.0))
     env.sim.run_for(20.0)
 
     delays = [

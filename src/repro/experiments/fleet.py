@@ -66,6 +66,7 @@ from repro.experiments.synthesis import (
     warm_worlds,
 )
 from repro.obs.metrics import QuantileSketch
+from repro.sim.random import generator
 
 FIDELITIES = ("fast", "full")
 
@@ -192,7 +193,7 @@ def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
         slot = slots.setdefault(id(world), len(worlds))
         if slot == len(worlds):
             worlds.append(world)
-        rng = np.random.default_rng(derive_seed(spec.seed, "home.run"))
+        rng = generator(derive_seed(spec.seed, "home.run"))
         n_legit = spec.legit_commands
         n_attack = spec.attacks
         owners = spec.owner_count
@@ -213,7 +214,7 @@ def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
         normals.append(rng.standard_normal(
             (2 + extra) * n_legit + owners * n_attack))
         lo, hi = SCAN_WINDOW[spec.device_kind]
-        scans.append(rng.uniform(lo, hi, size=n))
+        scans.append(lo + (hi - lo) * rng.random(n))  # uniform(lo, hi, n)
         tails.append(rng.exponential(PUSH_RTT_TAIL, size=n))
         if spec.push_loss > 0.0:
             attempts.append(rng.random((n, PUSH_ATTEMPTS)))

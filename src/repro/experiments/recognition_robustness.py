@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.reporting import fmt_percent, render_table
 from repro.core.recognition import TrafficClass
 from repro.core.recognizers import (
@@ -46,7 +44,7 @@ from repro.core.recognizers import (
 )
 from repro.errors import WorkloadError
 from repro.experiments.parallel import ExperimentEngine, ExperimentTask, derive_seed
-from repro.sim.random import RngHub
+from repro.sim.random import RngHub, generator
 
 SPEAKERS = ("echo", "google")
 RECOGNIZER_KINDS = ("signature", "knn", "mlp")
@@ -120,14 +118,14 @@ def run_recognition_cell(
 
     # Evaluation: one pre-morph window set per speaker, morphed by the
     # column's adversary with an adversary-owned generator.
-    eval_rng = np.random.default_rng(
+    eval_rng = generator(
         derive_seed(seed, "recognition.eval", speaker_kind))
     samples = synth_windows(speaker_kind, eval_rng, eval_windows)
     if speaker_kind == "google":
         # Recall-only (see module docstring).
         samples = [s for s in samples if s.is_command]
     if adversary != "none":
-        morph_rng = np.random.default_rng(
+        morph_rng = generator(
             derive_seed(seed, "recognition.morph", speaker_kind, adversary))
         morpher = create_morpher(adversary)
         samples = [morph_sample(s, morpher, morph_rng) for s in samples]

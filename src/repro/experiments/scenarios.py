@@ -34,6 +34,7 @@ from repro.net.dns import DnsRecord, DnsServer
 from repro.net.link import Network
 from repro.radio.geometry import Point
 from repro.radio.testbeds import Testbed, testbed_by_name
+from repro.sim.random import uniform
 from repro.speakers import signatures as sig
 from repro.speakers.base import SmartSpeaker
 from repro.speakers.cloud import AvsCloud, GoogleCloud, MiscCloud
@@ -501,7 +502,7 @@ def collect_route_features(
         person.follow(route)
         # The live sensor polls every 0.25 s, so live traces start up
         # to a poll period after region entry; train the same way.
-        trigger_offset = base_offset + float(jitter_rng.uniform(0.0, 0.3))
+        trigger_offset = base_offset + uniform(jitter_rng, 0.0, 0.3)
         tail = route.duration - trigger_offset + 9.5
         env.sim.run_for(trigger_offset)
         device.record_trace(env.speaker_beacon, on_trace)

@@ -42,6 +42,7 @@ from repro.radio.floorplan import FLOOR_HEIGHT, Door, FloorPlan, Room, SlabZone
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
 from repro.radio.testbeds import Testbed, WalkRoute, testbed_by_name
+from repro.sim.random import generator, pick
 
 # Share of each base testbed in the synthesized population.
 DEFAULT_TESTBED_MIX: Tuple[Tuple[str, float], ...] = (
@@ -141,57 +142,57 @@ class PopulationModel:
 
         The draw order below is part of the population's definition:
         reordering it would re-deal every home in every fleet.  Draws
-        come in fixed-size blocks (one uniform vector, one integer
-        vector, then the variable-size tail) so synthesis stays cheap
-        at millions of homes; unused entries are drawn anyway to keep
-        every home's stream aligned.
+        come in a fixed-size head (one uniform vector, then three
+        integers: deployment, plan-scale slot, extra owners) and a
+        variable-size tail, so synthesis stays cheap at millions of
+        homes; unused entries are drawn anyway to keep every home's
+        stream aligned.
         """
         seed = derive_seed(base_seed, "fleet.home", shard, offset)
-        rng = np.random.default_rng(seed)
+        rng = generator(seed)
         # u: [mix pick, watch pick, away, body-block, attacked, loss tier]
         u = rng.random(6)
-        # iv: [deployment, plan-scale slot, extra owners]
-        iv = rng.integers(0, (2, len(self.plan_scales), 3))
+        # Deployment, floor-plan jitter and extra owners: three scalar
+        # draws, the same values and generator state as
+        # ``rng.integers(0, (2, len(plan_scales), 3))``.
+        deployment = int(rng.integers(0, 2))
+        plan_scale = float(pick(rng, self.plan_scales))
+        extra_owners = int(rng.integers(0, 3))
 
         # 1. Base testbed, by mix weight.
-        pick = u[0]
         testbed = self._mix_cumulative[-1][0]
         for name, cumulative in self._mix_cumulative:
-            if pick < cumulative:
+            if u[0] < cumulative:
                 testbed = name
                 break
 
-        # 2. Deployment and floor-plan jitter.
-        deployment = int(iv[0])
-        plan_scale = float(self.plan_scales[int(iv[1])])
-
-        # 3. Device mix: the office population wears watches (the
+        # 2. Device mix: the office population wears watches (the
         #    paper's setup); homes carry phones, with a watch minority.
         if testbed == "office":
             owner_count = 1
             device_kind = "smartwatch"
         else:
-            owner_count = 1 + int(iv[2])
+            owner_count = 1 + extra_owners
             device_kind = "smartwatch" if u[1] < 0.15 else "smartphone"
 
-        # 4. Occupancy schedule.
+        # 3. Occupancy schedule.
         away_fraction = 0.25 + 0.55 * float(u[2])
         body_block_fraction = 0.2 + 0.4 * float(u[3])
         legit_commands = max(1, int(rng.poisson(self.legit_commands_mean)))
 
-        # 5. Attack prevalence.
+        # 4. Attack prevalence.
         attacks = 0
         if u[4] < self.attack_prevalence:
             attacks = max(1, int(rng.poisson(self.attacks_mean)))
 
-        # 6. Operational diversity.
+        # 5. Operational diversity.
         tier_pick = u[5]
         push_loss = _LOSS_CUMULATIVE[-1][0]
         for tier, cumulative in _LOSS_CUMULATIVE:
             if tier_pick < cumulative:
                 push_loss = tier
                 break
-        threshold_margin = float(rng.normal(0.0, 0.5))
+        threshold_margin = 0.0 + 0.5 * rng.standard_normal()  # normal(0.0, 0.5)
 
         return HomeSpec(
             index=index,

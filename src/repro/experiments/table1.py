@@ -16,6 +16,7 @@ from typing import List
 from repro.analysis.metrics import ConfusionMatrix
 from repro.core.events import CommandEvent, TrafficClass
 from repro.experiments.scenarios import build_scenario
+from repro.sim.random import uniform
 from repro.speakers.base import InteractionRecord
 
 PAPER_INVOCATIONS = 134
@@ -79,7 +80,7 @@ def run_table1(
 
     for _ in range(invocations):
         duration = scenario.speak_command(rng)
-        env.sim.run_for(duration + 16.0 + float(rng.uniform(0.0, 4.0)))
+        env.sim.run_for(duration + 16.0 + uniform(rng, 0.0, 4.0))
     env.sim.run_for(30.0)
 
     records = scenario.speaker.settle_all()

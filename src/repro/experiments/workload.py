@@ -15,12 +15,14 @@ between them, so the default inter-episode gap is about a minute.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.attacks.replay import ReplayAttack
 from repro.errors import WorkloadError
 from repro.experiments.scenarios import Scenario
 from repro.home.person import Person
+from repro.sim.random import pick, uniform
 
 
 @dataclass
@@ -57,9 +59,14 @@ class SevenDayWorkload:
         over the paper's real seven days.  The gap draw consumes exactly
         one RNG sample either way, so only the idle *lengths* change —
         which lets a run measure idle-time cost without touching
-        detection behaviour."""
+        detection behaviour.  A gap is a finite ``(low, high)`` with
+        ``0 <= low <= high``."""
         self.scenario = scenario
         self.episode_gap = self.EPISODE_GAP if episode_gap is None else episode_gap
+        low, high = self.episode_gap
+        if not (math.isfinite(low) and math.isfinite(high) and 0.0 <= low <= high):
+            raise WorkloadError(
+                f"episode_gap must be finite with 0 <= low <= high, got {episode_gap!r}")
         self.rng = scenario.env.rng.stream(f"{seed_name}.schedule")
         self.attack = ReplayAttack(
             scenario.env,
@@ -76,6 +83,7 @@ class SevenDayWorkload:
         ]
         if not self._legit_points or not self._away_points:
             raise WorkloadError("testbed lacks legitimate or away points")
+        self._any_points = self._legit_points + self._away_points
 
     def _in_stair_zone(self, number: int) -> bool:
         """People pause on stairs, they don't loiter there; keeping
@@ -127,11 +135,11 @@ class SevenDayWorkload:
         self.rng.shuffle(flags)
 
         for malicious in flags:
-            env.sim.run_for(float(self.rng.uniform(*self.episode_gap)))
+            env.sim.run_for(uniform(self.rng, *self.episode_gap))
             command, duration = scenario.draw_command(self.rng)
             if malicious:
                 env.sim.run_for(self._place_owners_away())
-                attack_spot = int(self.rng.choice(self._legit_points))
+                attack_spot = pick(self.rng, self._legit_points)
                 launch = self.attack.launch(
                     command.text, duration,
                     env.testbed.standing_point(attack_spot).offset(dz=1.2),
@@ -141,13 +149,13 @@ class SevenDayWorkload:
                 else:
                     result.skipped_unheard += 1
             else:
-                speaker_owner = scenario.owners[int(self.rng.integers(0, len(scenario.owners)))]
-                spot = int(self.rng.choice(self._legit_points))
+                speaker_owner = pick(self.rng, scenario.owners)
+                spot = pick(self.rng, self._legit_points)
                 settle = self._move_owner(speaker_owner, spot)
                 # Other owners wander anywhere.
                 for other in scenario.owners:
                     if other is not speaker_owner:
-                        anywhere = int(self.rng.choice(self._legit_points + self._away_points))
+                        anywhere = pick(self.rng, self._any_points)
                         settle = max(settle, self._move_owner(other, anywhere))
                 env.sim.run_for(settle)
                 utterance = speaker_owner.speak(command.text, duration)
@@ -166,6 +174,6 @@ class SevenDayWorkload:
         settling time the slowest of them needs."""
         settle = 1.0
         for owner in self.scenario.owners:
-            away = int(self.rng.choice(self._away_points))
+            away = pick(self.rng, self._away_points)
             settle = max(settle, self._move_owner(owner, away))
         return settle

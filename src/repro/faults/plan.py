@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.sim.random import generator
 from repro.sim.simulator import Simulator
 
 ANY_DEVICE = "*"
@@ -211,13 +212,12 @@ class FaultInjector:
         self.events.append(FaultEvent(channel=channel, time=self.sim.now, target=target))
 
     def _stream(self, channel: str) -> np.random.Generator:
-        generator = self._streams.get(channel)
-        if generator is None:
+        stream = self._streams.get(channel)
+        if stream is None:
             seed = self.plan.seed if self.plan is not None else 0
             digest = hashlib.sha256(f"{seed}/faults/{channel}".encode("utf-8")).digest()
-            generator = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-            self._streams[channel] = generator
-        return generator
+            stream = self._streams[channel] = generator(int.from_bytes(digest[:8], "little"))
+        return stream
 
 
 def offline_outage(start: float, end: float) -> OfflineWindow:

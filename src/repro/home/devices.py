@@ -19,6 +19,7 @@ from repro.faults.plan import FaultInjector
 from repro.home.person import Person
 from repro.radio.bluetooth import BluetoothBeacon, BluetoothScanner, RssiSample
 from repro.radio.propagation import PropagationModel
+from repro.sim.random import uniform
 from repro.sim.simulator import Simulator
 
 TRACE_SAMPLE_PERIOD = 0.2  # the app records RSSI every 0.2 s (Section V-B2)
@@ -58,7 +59,7 @@ class MobileDevice:
     # -- guard interactions -------------------------------------------------
     def app_wake_delay(self) -> float:
         """Background app activation latency after a push arrives."""
-        return float(self._app_wake_rng.uniform(0.08, 0.30))
+        return uniform(self._app_wake_rng, 0.08, 0.30)
 
     def measure_rssi(
         self,

@@ -6,14 +6,42 @@ workload arrival times, ...) pulls from its own named stream derived
 from a single experiment seed.  This keeps experiments reproducible and
 — just as important — keeps subsystems statistically independent: adding
 a draw to one component does not perturb any other component's sequence.
+
+Scalar draws go through :func:`uniform`, :func:`pick` and
+:func:`generator`.  Each spells one numpy call the way numpy computes
+it, so it yields the same value and leaves the generator in the same
+state, without the per-call argument handling that dominates a scalar
+draw's cost.  ``tests/test_sim_random.py`` pins each identity.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Dict, Sequence, TypeVar
 
 import numpy as np
+
+_T = TypeVar("_T")
+
+
+def uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """``rng.uniform(low, high)``: numpy computes ``low + (high - low) *
+    next_double``.  Unlike numpy it does not check its bounds; callers
+    pass finite ``low <= high``."""
+    return low + (high - low) * rng.random()
+
+
+def pick(rng: np.random.Generator, seq: Sequence[_T]) -> _T:
+    """``rng.choice(seq)`` for a non-empty sequence: numpy draws the
+    index as ``integers(0, len(seq))``.  Returns the element itself,
+    not a numpy scalar."""
+    return seq[rng.integers(0, len(seq))]
+
+
+def generator(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for an integer seed (or None):
+    ``default_rng`` builds exactly this."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 class RngHub:
@@ -43,11 +71,10 @@ class RngHub:
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use."""
-        generator = self._streams.get(name)
-        if generator is None:
-            generator = np.random.default_rng(self._derive_seed(name))
-            self._streams[name] = generator
-        return generator
+        stream = self._streams.get(name)
+        if stream is None:
+            stream = self._streams[name] = generator(self._derive_seed(name))
+        return stream
 
     def reseed(self, seed: int) -> None:
         """Re-key the hub in place: every already-created stream jumps to
@@ -67,9 +94,9 @@ class RngHub:
         references to them); only their internal state is replaced.
         """
         self._seed = int(seed)
-        for name, generator in self._streams.items():
-            fresh = np.random.default_rng(self._derive_seed(name))
-            generator.bit_generator.state = fresh.bit_generator.state
+        for name, stream in self._streams.items():
+            fresh = generator(self._derive_seed(name))
+            stream.bit_generator.state = fresh.bit_generator.state
 
     def fork(self, name: str) -> "RngHub":
         """A child hub whose streams are independent of this hub's.

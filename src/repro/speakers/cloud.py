@@ -21,6 +21,7 @@ from repro.net.link import Host
 from repro.net.packet import Packet, Protocol, TlsRecordType
 from repro.net.tcp import TcpConnection, TcpStack, TcpState
 from repro.net.tls import TlsSession, TlsViolation
+from repro.sim.random import uniform
 from repro.speakers.signatures import HEARTBEAT_LEN
 
 ALERT_RECORD_LEN = 31
@@ -129,7 +130,7 @@ class AvsCloud(Host):
                             _APPLICATION_DATA,
                             {"directive": True, "interaction_id": interaction_id})
         # Response audio after transcription + TTS.
-        delay = float(self._rng.uniform(*self.PROCESSING_DELAY))
+        delay = uniform(self._rng, *self.PROCESSING_DELAY)
         meta = {"response_segments": segments, "interaction_id": interaction_id}
         burst = [int(self._rng.integers(700, 1400))
                  for _ in range(3 + 2 * max(len(segments), 1))]
@@ -218,7 +219,7 @@ class GoogleCloud(Host):
 
         conn.sim.post(self.DIRECTIVE_DELAY, send, DIRECTIVE_RECORD_LEN,
                       {"directive": True, "interaction_id": interaction_id})
-        delay = float(self._rng.uniform(*self.PROCESSING_DELAY))
+        delay = uniform(self._rng, *self.PROCESSING_DELAY)
         meta = {"response": True, "interaction_id": interaction_id}
 
         def send_response() -> None:
@@ -251,7 +252,7 @@ class GoogleCloud(Host):
 
         reply(DIRECTIVE_RECORD_LEN, {"directive": True, "interaction_id": interaction_id},
               self.DIRECTIVE_DELAY)
-        delay = float(self._rng.uniform(*self.PROCESSING_DELAY))
+        delay = uniform(self._rng, *self.PROCESSING_DELAY)
         for index in range(4):
             length = int(self._rng.integers(700, 1400))
             meta = {"response": True, "interaction_id": interaction_id} if index == 0 else {}

@@ -31,6 +31,7 @@ from repro.net.packet import TlsRecordType
 from repro.net.tcp import TcpConnection, TcpState, TcpTuning
 from repro.net.tls import TlsSession
 from repro.sim.process import DeadlineTimer
+from repro.sim.random import uniform
 from repro.speakers import signatures as sig
 from repro.speakers.base import InteractionRecord, SmartSpeaker
 from repro.speakers.interaction import EchoTrafficModel
@@ -98,8 +99,8 @@ class EchoDot(SmartSpeaker):
         offset = 0.0
         for length in signature:
             self.sim.post(offset, self._send_record, conn, tls, length, {})
-            offset += float(self._rng.uniform(*self.SIGNATURE_GAP))
-        self.sim.post(offset + float(self._rng.uniform(2.0, 5.0)), conn.close)
+            offset += uniform(self._rng, *self.SIGNATURE_GAP)
+        self.sim.post(offset + uniform(self._rng, 2.0, 5.0), conn.close)
 
     def _connect_avs(self, ips: List[IPv4Address]) -> None:
         if not ips:
@@ -124,7 +125,7 @@ class EchoDot(SmartSpeaker):
         offset = 0.0
         for length in self.connect_signature:
             self.sim.post(offset, self._send_record, conn, tls, length, {})
-            offset += float(self._rng.uniform(*self.SIGNATURE_GAP))
+            offset += uniform(self._rng, *self.SIGNATURE_GAP)
         self._schedule_heartbeat()
         # Flush interactions that arrived while disconnected.
         pending, self._pending = self._pending, []
@@ -141,7 +142,7 @@ class EchoDot(SmartSpeaker):
             return
         self._reconnect_scheduled = True
         self.reconnect_count += 1
-        delay = float(self._rng.uniform(*self.RECONNECT_DELAY))
+        delay = uniform(self._rng, *self.RECONNECT_DELAY)
         if self._rng.random() < self.DNS_REQUERY_PROBABILITY:
             self.sim.post(delay, self._requery_avs)
         else:
@@ -198,16 +199,15 @@ class EchoDot(SmartSpeaker):
         # the end of the command (spike 2).
         self.sim.post(base + speech_after_activation, self._mark_upload_busy)
         last_index = len(script.records) - 1
-        for index, spec in enumerate(script.records):
-            meta = dict(spec.meta)
+        for index, (offset, length) in enumerate(script.records):
+            meta = {}
             if index == last_index:
-                meta.update({
+                meta = {
                     "command_end": True,
                     "interaction_id": record.interaction_id,
                     "response_segments": segments,
-                })
-            self.sim.post(base + spec.offset, self._send_record, conn, tls,
-                              spec.length, meta)
+                }
+            self.sim.post(base + offset, self._send_record, conn, tls, length, meta)
 
     def _on_avs_record(self, conn: TcpConnection, packet) -> None:
         meta = packet.meta

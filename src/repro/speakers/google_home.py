@@ -27,6 +27,7 @@ from repro.net.packet import TlsRecordType
 from repro.net.tcp import TcpConnection
 from repro.net.tls import TlsSession
 from repro.net.udp import UdpFlow
+from repro.sim.random import uniform
 from repro.speakers import signatures as sig
 from repro.speakers.base import InteractionRecord, SmartSpeaker
 from repro.speakers.interaction import GoogleTrafficModel, RecordSpec
@@ -102,7 +103,7 @@ class GoogleHomeMini(SmartSpeaker):
                 if index == last:
                     meta = {"command_end": True, "interaction_id": record.interaction_id}
                 self.sim.post(spec.offset, self._send_tcp, c, tls, spec.length, meta)
-            idle = script[last].offset + float(self._rng.uniform(*self.IDLE_CLOSE))
+            idle = script[last].offset + uniform(self._rng, *self.IDLE_CLOSE)
             self.sim.post(idle, self._close_if_open, c)
 
         def on_record(c: TcpConnection, packet) -> None:

@@ -13,21 +13,21 @@ evade the recognizer (the 2-in-134 misses of Table I).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
+from repro.errors import ConfigError
+from repro.sim.random import pick, uniform
 from repro.speakers import signatures as sig
 
 
-@dataclass(frozen=True)
-class RecordSpec:
+class RecordSpec(NamedTuple):
     """One application-data record to send: time offset + length."""
 
     offset: float  # seconds after the interaction's traffic starts
     length: int
-    meta: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,9 @@ class EchoTrafficModel:
         anomalous_rate: float = 0.015,
         marker_rate: float = 0.95,
     ) -> None:
-        if not 0.0 <= anomalous_rate <= 1.0:
-            raise ValueError(f"anomalous_rate must be in [0, 1], got {anomalous_rate!r}")
+        for name, rate in (("anomalous_rate", anomalous_rate), ("marker_rate", marker_rate)):
+            if not 0.0 <= rate <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {rate!r}")
         self._rng = rng
         self.anomalous_rate = anomalous_rate
         self.marker_rate = marker_rate
@@ -90,21 +91,21 @@ class EchoTrafficModel:
         # the phase-1 signature (or fail to, for anomalous spikes).
         for length in self._activation_lengths(variant):
             records.append(RecordSpec(offset, length))
-            offset += float(rng.uniform(*self.ACTIVATION_GAP))
+            offset += uniform(rng, *self.ACTIVATION_GAP)
 
         # Small streaming packets while the user speaks.
         while offset < speech_duration:
             length = int(rng.integers(*sig.SMALL_RECORD_RANGE))
             records.append(RecordSpec(offset, length))
-            offset += float(rng.uniform(*self.SMALL_PACKET_GAP))
+            offset += uniform(rng, *self.SMALL_PACKET_GAP)
 
         # Audio-upload spike (spike 2) right after speech ends.
-        offset = speech_duration + float(rng.uniform(0.03, 0.10))
+        offset = speech_duration + uniform(rng, 0.03, 0.10)
         upload_count = max(4, int(round(speech_duration * self.AUDIO_RATE)))
         for _ in range(upload_count):
             length = int(rng.integers(*sig.AUDIO_RECORD_RANGE))
             records.append(RecordSpec(offset, length))
-            offset += float(rng.uniform(0.006, 0.015))
+            offset += uniform(rng, 0.006, 0.015)
 
         return CommandPhaseScript(records=records, variant=variant)
 
@@ -120,11 +121,11 @@ class EchoTrafficModel:
         rng = self._rng
         first = self._first_packet_length()
         if variant == "fixed":
-            pattern = sig.PHASE1_FIXED_PATTERNS[int(rng.integers(0, len(sig.PHASE1_FIXED_PATTERNS)))]
+            pattern = pick(rng, sig.PHASE1_FIXED_PATTERNS)
             return [first, *pattern]
-        filler = [int(rng.choice(sig.PHASE1_FILLER_POOL)) for _ in range(4)]
+        filler = [pick(rng, sig.PHASE1_FILLER_POOL) for _ in range(4)]
         if variant == "marker":
-            marker = int(rng.choice(sig.PHASE1_MARKERS))
+            marker = pick(rng, sig.PHASE1_MARKERS)
             position = int(rng.integers(1, 5))
             lengths = [first, *filler]
             lengths[position] = marker
@@ -133,7 +134,7 @@ class EchoTrafficModel:
         # fixed pattern (filler pool choices could collide).
         lengths = [first, *filler]
         while tuple(lengths[1:5]) in sig.PHASE1_FIXED_PATTERNS:
-            lengths[1 + int(rng.integers(0, 4))] = int(rng.choice(sig.PHASE1_FILLER_POOL))
+            lengths[1 + int(rng.integers(0, 4))] = pick(rng, sig.PHASE1_FILLER_POOL)
         return lengths
 
     def _first_packet_length(self) -> int:
@@ -172,14 +173,14 @@ class EchoTrafficModel:
         # the pair always completes within the first seven packets.
         prefix_len = int(rng.integers(0, 5)) if rng.random() < 0.9 else 5
         for _ in range(prefix_len):
-            records.append(RecordSpec(offset, int(rng.choice(sig.PHASE2_PREFIX_POOL))))
-            offset += float(rng.uniform(*self.ACTIVATION_GAP))
+            records.append(RecordSpec(offset, pick(rng, sig.PHASE2_PREFIX_POOL)))
+            offset += uniform(rng, *self.ACTIVATION_GAP)
         for length in sig.PHASE2_MARKER_PAIR:
             records.append(RecordSpec(offset, length))
-            offset += float(rng.uniform(*self.ACTIVATION_GAP))
+            offset += uniform(rng, *self.ACTIVATION_GAP)
         for _ in range(int(rng.integers(6, 18))):
             records.append(RecordSpec(offset, int(rng.integers(*sig.PHASE2_BODY_RANGE))))
-            offset += float(rng.uniform(*self.ACTIVATION_GAP))
+            offset += uniform(rng, *self.ACTIVATION_GAP)
         return records
 
 
@@ -206,12 +207,12 @@ class GoogleTrafficModel:
         """Record schedule for one command upload."""
         rng = self._rng
         records: List[RecordSpec] = [RecordSpec(0.0, int(rng.integers(380, 520)))]
-        offset = float(rng.uniform(0.01, 0.03))
+        offset = uniform(rng, 0.01, 0.03)
         while offset < speech_duration:
             records.append(RecordSpec(offset, int(rng.integers(900, 1400))))
-            offset += float(rng.uniform(0.10, 0.25))
+            offset += uniform(rng, 0.10, 0.25)
         # Final burst when speech ends.
         for _ in range(max(3, int(speech_duration * 1.5))):
             records.append(RecordSpec(offset, int(rng.integers(900, 1400))))
-            offset += float(rng.uniform(0.006, 0.015))
+            offset += uniform(rng, 0.006, 0.015)
         return records

@@ -6,6 +6,25 @@ handful of fixed-seed workloads and reduces each to one SHA-256:
 
 * ``compressed`` — a house/echo home, 10 owner commands and 7 replay
   attacks with the compressed (~1 min) idle gaps;
+* ``compressed_lossy`` — the ``compressed`` home on a WAN that drops
+  3 % of its packets, reduced packet by packet like
+  ``sevenday_packets``: pins the retransmit path, which no loss-free
+  run reaches;
+* ``google_packets`` — the ``compressed`` workload in a Google Home
+  house, reduced packet by packet: pins the Mini's upload scripts, its
+  idle close and the Google cloud's TCP and QUIC replies;
+* ``traffic_scripts`` — the record schedules the Echo and Google
+  traffic models draw on their own, anomalous spikes included, whose
+  rare re-draws no home reaches;
+* ``corpora`` — every command text of the Alexa and Google corpora
+  (the guard digests see only their word counts);
+* ``fig6_stream`` — the guard stream of a short Echo Figure 6 run,
+  whose table does not see the idle jitter between commands;
+* ``live_morph`` — a short compressed home with a live dummy-burst
+  morphing shim at the guard's tap;
+* ``recognition_windows`` — every window a recognition-robustness cell
+  draws and morphs, per speaker and adversary;
+* ``bootstrap`` — seeded bootstrap confidence intervals;
 * ``sevenday`` — the same kind of home, 30 + 23 episodes ~1 h apart;
 * ``sevenday_packets`` — a short seven-day home (4 + 3 episodes) reduced
   packet by packet, as a ``Network`` observer sees every delivery, plus
@@ -54,6 +73,9 @@ import json
 import pathlib
 from typing import Callable, Dict, Iterator
 
+from repro.analysis import stats
+from repro.attacks.morphing import MORPHERS, MorphingAdversary, create_morpher
+from repro.audio.commands import alexa_corpus, google_corpus
 from repro.core.floor import TraceClassifier
 from repro.experiments import (
     campaign, fig6, fleet, hold_endurance, loadtest, pool, recognition_robustness,
@@ -63,10 +85,15 @@ from repro.experiments import workload as workload_module
 from repro.home.devices import MobileDevice
 from repro.net.link import PacketObserver
 from repro.net.packet import Packet
+from repro.sim.random import RngHub
+from repro.speakers.interaction import EchoTrafficModel, GoogleTrafficModel
 
 DIGESTS_PATH = pathlib.Path(__file__).parent / "goldens" / "digests.json"
 
 COMPRESSED_COUNTS = (10, 7)
+LOSSY_WAN_LOSS = 0.03
+SCRIPT_DRAWS = 3000
+MORPH_HOME_COUNTS = (4, 2)
 SEVEN_DAY_COUNTS = (30, 23)
 PACKET_HOME_COUNTS = (4, 3)
 LOADTEST_SPEAKERS = 4
@@ -155,22 +182,145 @@ def sevenday_packets() -> str:
     return digest.hexdigest()
 
 
+def _packet_home(speaker_kind: str, seed: int, counts, wan_loss: float = 0.0) -> str:
+    """SHA-256 over every packet a house home delivers while it runs
+    ``counts`` compressed episodes (``wan_loss`` set once it is built),
+    then its guard stream, final clock and lost-packet count."""
+    digest = hashlib.sha256()
+
+    def observe(packet: Packet, _scope: str) -> None:
+        digest.update(repr(_packet_fields(packet)).encode())
+
+    with observed_networks(observe):
+        scenario = scenarios.build_scenario(
+            "house", speaker_kind, deployment=0, owner_count=2, seed=seed)
+    scenario.network.wan_loss = wan_loss
+    workload_module.SevenDayWorkload(scenario).run(*counts)
+    scenario.speaker.settle_all()
+    return guard_digest(scenario, repr(scenario.network.packets_lost).encode()
+                        + digest.digest())
+
+
+def compressed_lossy() -> str:
+    return _packet_home("echo", 101, COMPRESSED_COUNTS, wan_loss=LOSSY_WAN_LOSS)
+
+
+def google_packets() -> str:
+    return _packet_home("google", 101, COMPRESSED_COUNTS)
+
+
+def traffic_scripts() -> str:
+    """SHA-256 over record schedules drawn straight from the traffic
+    models: Echo command phases of every variant, Echo response spikes
+    and Google command uploads, then anomalous-only command phases (six
+    of which re-draw a filler that matched a fixed pattern)."""
+
+    def schedule(records) -> list:
+        return [(record.offset, record.length) for record in records]
+
+    hub = RngHub(808)
+    echo = EchoTrafficModel(hub.stream("echo"), anomalous_rate=0.5, marker_rate=0.5)
+    google = GoogleTrafficModel(hub.stream("google"))
+    digest = hashlib.sha256()
+    for index in range(SCRIPT_DRAWS):
+        speech = 1.0 + (index % 7) * 0.5
+        phase = echo.command_phase(speech)
+        digest.update(repr((phase.variant, schedule(phase.records),
+                            schedule(echo.response_spike()),
+                            schedule(google.command_upload(speech)))).encode())
+    anomalous = EchoTrafficModel(hub.stream("echo.anomalous"), anomalous_rate=1.0)
+    for _ in range(SCRIPT_DRAWS):
+        digest.update(repr(schedule(anomalous.command_phase(1.0).records)).encode())
+    return digest.hexdigest()
+
+
+def corpora() -> str:
+    """SHA-256 over every command text of both synthesized corpora."""
+    texts = [command.text for corpus in (alexa_corpus(), google_corpus())
+             for command in corpus.commands]
+    return hashlib.sha256(repr(texts).encode()).hexdigest()
+
+
+@contextlib.contextmanager
+def captured_scenarios(module) -> Iterator[list]:
+    """Collect every scenario ``module.build_scenario`` builds inside
+    the block."""
+    built = []
+    real_build = module.build_scenario
+
+    def capture(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    module.build_scenario = capture
+    try:
+        yield built
+    finally:
+        module.build_scenario = real_build
+
+
+def live_morph() -> str:
+    """The guard stream of a compressed home whose tap runs a live
+    dummy-burst morphing shim."""
+    scenario = scenarios.build_scenario(
+        "house", "echo", deployment=0, owner_count=2, seed=101)
+    MorphingAdversary(create_morpher("dummy-burst"), seed=909).install(scenario.guard.proxy)
+    workload_module.SevenDayWorkload(scenario).run(*MORPH_HOME_COUNTS)
+    scenario.speaker.settle_all()
+    return guard_digest(scenario)
+
+
+def recognition_windows() -> str:
+    """SHA-256 over every window a signature-recognizer cell draws and
+    morphs, for each speaker and adversary, then each cell's row: the
+    robustness table keeps only rounded accuracies."""
+    digest = hashlib.sha256()
+    real_synth = recognition_robustness.synth_windows
+    real_morph = recognition_robustness.morph_sample
+
+    def record(samples):
+        for sample in samples:
+            digest.update(repr((sample.lengths, sample.offsets, sample.label)).encode())
+        return samples
+
+    recognition_robustness.synth_windows = lambda *a, **k: record(real_synth(*a, **k))
+    recognition_robustness.morph_sample = lambda *a, **k: record([real_morph(*a, **k)])[0]
+    try:
+        for speaker in ("echo", "google"):
+            for adversary in ("none", *MORPHERS.names()):
+                cell = recognition_robustness.run_recognition_cell(
+                    speaker, "signature", adversary, seed=909, train_windows=5, eval_windows=10)
+                digest.update(repr(cell.row()).encode())
+    finally:
+        recognition_robustness.synth_windows = real_synth
+        recognition_robustness.morph_sample = real_morph
+    return digest.hexdigest()
+
+
+def bootstrap() -> str:
+    """Seeded bootstrap intervals, which the exported tables print, of
+    a 0/1 sample and of a continuous one."""
+    binary = [1, 0, 1, 1, 0, 1, 1, 1, 0, 1] * 3
+    delays = [0.8 + 0.37 * (index % 7) + 0.011 * index for index in range(30)]
+    return hashlib.sha256(repr([
+        stats.bootstrap_interval(outcomes, seed=seed)
+        for outcomes in (binary, delays) for seed in range(3)]).encode()).hexdigest()
+
+
+def fig6_stream() -> str:
+    """The guard stream of a short Echo Figure 6 run: its table keeps
+    only per-command delays, not when each command was spoken."""
+    with captured_scenarios(fig6) as built:
+        fig6.run_fig6("echo", invocations=30, seed=3)
+    return guard_digest(built[0])
+
+
 def _loadtest_cell(mode: str) -> Callable[[], str]:
     def run() -> str:
-        built = []
-        real_build = loadtest.build_scenario
-
-        def capture(*args, **kwargs):
-            built.append(real_build(*args, **kwargs))
-            return built[-1]
-
-        loadtest.build_scenario = capture
-        try:
+        with captured_scenarios(loadtest) as built:
             cell = loadtest.run_loadtest_cell(
                 LOADTEST_SPEAKERS, LOADTEST_RATE, mode, seed=303,
                 utterances=LOADTEST_UTTERANCES)
-        finally:
-            loadtest.build_scenario = real_build
         extra = repr((cell.row(), cell.duration)).encode()
         extra += json.dumps(cell.metrics, sort_keys=True).encode()
         return guard_digest(built[0], extra)
@@ -274,6 +424,14 @@ TABLES: Dict[str, Callable[[], object]] = {
 
 RUNS: Dict[str, Callable[[], str]] = {
     "compressed": compressed,
+    "compressed_lossy": compressed_lossy,
+    "google_packets": google_packets,
+    "traffic_scripts": traffic_scripts,
+    "corpora": corpora,
+    "fig6_stream": fig6_stream,
+    "live_morph": live_morph,
+    "recognition_windows": recognition_windows,
+    "bootstrap": bootstrap,
     "sevenday": sevenday,
     "sevenday_packets": sevenday_packets,
     **{f"loadtest.{mode}": _loadtest_cell(mode) for mode in loadtest.MODES},

@@ -148,6 +148,18 @@ class TestWorkload:
         assert result.skipped_unheard == 0
         assert result.legit_issued + result.malicious_issued + result.skipped_unheard == 10
 
+    @pytest.mark.parametrize("gap", [
+        (10.0, 5.0), (float("nan"), 1.0), (1.0, float("inf")), (-5.0, -1.0), (-1.0, 5.0),
+    ])
+    def test_invalid_episode_gap_rejected(self, gap):
+        from repro.errors import WorkloadError
+        scenario = build_scenario(
+            "apartment", "echo", deployment=0, seed=89, owner_count=1,
+            calibrate=False, with_floor_tracking=False,
+        )
+        with pytest.raises(WorkloadError, match="episode_gap"):
+            SevenDayWorkload(scenario, episode_gap=gap)
+
     def test_owners_sharing_an_away_point_wait_for_the_stair_walk(self):
         # Both owners draw the same away point; the one on the other
         # floor walks the stairs, so the attack must wait for that walk,
@@ -167,8 +179,9 @@ class TestWorkload:
         stayer.teleport(testbed.standing_point(spot))
 
         class SameSpot:
-            def choice(self, points):
-                return spot
+            # What ``pick`` draws: the index of ``spot`` in every list.
+            def integers(self, low, high):
+                return workload._away_points.index(spot)
 
         workload.rng = SameSpot()
         assert workload._place_owners_away() == workload.POST_STAIR_PAUSE + 2.0

@@ -1,5 +1,5 @@
 """Every public module-level function and class in ``src/repro`` has a
-caller outside the test suite.
+caller outside the test suite, and every scalar draw has one spelling.
 
 A public name that only tests call is API nothing runs.  It gets a
 production caller, or it goes, or it sits on :data:`ALLOWLIST` with the
@@ -9,6 +9,11 @@ are distinctive enough for that to be precise.  It skips the name's own
 definition, and package ``__init__`` files, which only re-export names.
 Methods are out of scope: their names (``run``, ``render``...) are too
 common for a word search to tell callers apart.
+
+Scalar ``uniform``/``choice`` draws and seeded generators go through
+:mod:`repro.sim.random`'s helpers, which spell each numpy call at its
+generator cost; :func:`test_scalar_draws_use_the_random_helpers` keeps
+the slow spellings from coming back.
 """
 
 from __future__ import annotations
@@ -90,3 +95,50 @@ def test_allowlist_is_current():
         if name not in definitions or is_referenced(name, *definitions[name], index)
     )
     assert not stale, f"stale allowlist entries: {stale}"
+
+
+# Each call spelled through a helper in repro.sim.random, with the
+# positional index of its ``size`` argument (a sized call is a vector
+# draw and stays as numpy spells it).
+SLOW_DRAWS = {"uniform": 2, "choice": 1}
+RANDOM_HELPERS = PACKAGE / "sim" / "random.py"
+
+
+def slow_draws(tree: ast.AST) -> List[Tuple[int, str]]:
+    """(line, call) of each ``default_rng(...)`` call and each unsized
+    ``.uniform(...)``/``.choice(...)`` call in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "default_rng":
+            found.append((node.lineno, "default_rng(...)"))
+        elif isinstance(func, ast.Attribute) and name in SLOW_DRAWS:
+            sized = (len(node.args) > SLOW_DRAWS[name]
+                     or any(kw.arg == "size" for kw in node.keywords))
+            if not sized:
+                found.append((node.lineno, f".{name}(...) without size"))
+    return sorted(found)
+
+
+def test_slow_draw_check_finds_each_spelling():
+    tree = ast.parse("np.random.default_rng(1)\ndefault_rng(2)\nrng.uniform(0, 1)\n"
+                     "rng.choice(seq)\nrng.uniform(0, 1, size=3)\nrng.uniform(0, 1, 3)\n"
+                     "rng.choice(seq, 2)\nrng.random()\n")
+    assert slow_draws(tree) == [
+        (1, "default_rng(...)"), (2, "default_rng(...)"),
+        (3, ".uniform(...) without size"), (4, ".choice(...) without size"),
+    ]
+
+
+def test_scalar_draws_use_the_random_helpers():
+    sites = [
+        f"{path.relative_to(ROOT)}:{line} {call}"
+        for path in sorted(PACKAGE.rglob("*.py")) if path != RANDOM_HELPERS
+        for line, call in slow_draws(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not sites, (
+        "spell these through repro.sim.random's uniform/pick/generator: "
+        + ", ".join(sites))

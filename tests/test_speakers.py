@@ -12,6 +12,7 @@ import pytest
 from repro.audio.speech import full_utterance_duration
 from repro.core.recognition import classify_echo_lengths
 from repro.core.events import TrafficClass
+from repro.errors import ConfigError
 from repro.experiments.scenarios import build_scenario
 from repro.speakers import signatures as sig
 from repro.speakers.base import InteractionOutcome
@@ -110,8 +111,16 @@ class TestEchoTrafficModel:
         assert [seg.words for seg in plan] == [8, 9, 8]
 
     def test_invalid_anomalous_rate_rejected(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             EchoTrafficModel(rng, anomalous_rate=1.5)
+
+    @pytest.mark.parametrize("rates", [
+        {"marker_rate": 1.5}, {"marker_rate": -0.2}, {"marker_rate": float("nan")},
+        {"anomalous_rate": -0.1}, {"anomalous_rate": float("nan")},
+    ])
+    def test_rates_outside_unit_interval_rejected(self, rng, rates):
+        with pytest.raises(ConfigError, match=next(iter(rates))):
+            EchoTrafficModel(rng, **rates)
 
 
 class TestGoogleTrafficModel:
