@@ -147,10 +147,6 @@ class RssiDecisionMethod(DecisionMethod):
         self.retry_rng = retry_rng
         self.on_event = on_event
         self.proximity_cache = ProximityCache(ttl=proximity_cache_ttl)
-        self.queries_issued = 0
-        self.retries_sent = 0
-        self.degraded_grants = 0
-        self.offline_seen = 0
         self.events: List[ResilienceEvent] = []
         obs = obs or Observability()
         self.tracer = obs.tracer
@@ -173,7 +169,6 @@ class RssiDecisionMethod(DecisionMethod):
             self._m_verdicts[Verdict.MALICIOUS].inc()
             callback(DecisionResult(verdict=Verdict.MALICIOUS))
             return
-        self.queries_issued += 1
         self._m_queries.inc()
         state = _QueryState(expected=len(entries))
         state.span = self.tracer.begin(
@@ -230,7 +225,6 @@ class RssiDecisionMethod(DecisionMethod):
             if self.proximity_cache.enabled:
                 proof = self.proximity_cache.fresh_proof(self.sim.now, cache_eligible)
                 if proof is not None:
-                    self.degraded_grants += 1
                     self._m_degraded.inc()
                     self._record(state, ResilienceEventType.DEGRADED_GRANT,
                                  context, device=proof)
@@ -285,7 +279,6 @@ class RssiDecisionMethod(DecisionMethod):
             if name in state.answered or name in state.offline:
                 return
             state.offline.add(name)
-            self.offline_seen += 1
             self._m_offline.inc()
             self._record(state, ResilienceEventType.DEVICE_OFFLINE, context,
                          device=name, attempt=state.attempts.get(name, 0))
@@ -317,7 +310,6 @@ class RssiDecisionMethod(DecisionMethod):
             state.attempts[name] = attempt
             if attempt > 1:
                 state.retries += 1
-                self.retries_sent += 1
                 self._m_retries.inc()
             previous = state.push_spans.get(name)
             if previous is not None and not previous.finished:
@@ -487,9 +479,6 @@ class DecisionCoordinator(DecisionMethod):
         self.batching = batching
         timeout = getattr(method, "timeout", 5.0)
         self.batch_window = batch_window if batch_window is not None else timeout / 2.0
-        self.batched_settlements = 0
-        self.queued_total = 0
-        self.expired_in_queue = 0
         self._seq = 0
         self._inflight: Dict[int, _InflightQuery] = {}
         self._waiting: List[Tuple[float, int, _PendingDecision]] = []
@@ -531,7 +520,6 @@ class DecisionCoordinator(DecisionMethod):
                 (context.deadline, self._seq,
                  _PendingDecision(context, callback, self.sim.now)),
             )
-            self.queued_total += 1
             self._m_queued.inc()
             self._g_queue.set(float(len(self._waiting)))
             context.span.event("decision.queued", depth=len(self._waiting))
@@ -561,7 +549,6 @@ class DecisionCoordinator(DecisionMethod):
             self._g_inflight.set(float(len(self._inflight)))
             callback(result)
             for rider in entry.subscribers:
-                self.batched_settlements += 1
                 self._m_batched.inc()
                 rider.callback(replace(result, batched=True))
             self._drain()
@@ -578,7 +565,6 @@ class DecisionCoordinator(DecisionMethod):
             if deadline <= self.sim.now:
                 # The handler's failsafe already resolved this window;
                 # don't burn a slot proving what nobody is waiting for.
-                self.expired_in_queue += 1
                 self._m_expired.inc()
                 pending.callback(DecisionResult(verdict=Verdict.TIMEOUT))
                 continue
@@ -591,9 +577,7 @@ class DecisionModule:
 
     def __init__(self, method: DecisionMethod) -> None:
         self.method = method
-        self.decisions_made = 0
 
     def decide(self, context: DecisionContext, callback: DecisionCallback) -> None:
         """Delegate to the active method."""
-        self.decisions_made += 1
         self.method.decide(context, callback)

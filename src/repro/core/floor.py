@@ -168,7 +168,6 @@ class FloorLevelTracker:
         self._floors: Dict[str, int] = {}
         self._recording: Dict[str, bool] = {}
         self.trace_events: List[TraceEvent] = []
-        self.traces_dropped = 0
         obs = obs or Observability()
         self.tracer = obs.tracer
         metrics = obs.metrics.scope("floor")
@@ -205,7 +204,6 @@ class FloorLevelTracker:
             if self.faults is not None and self.faults.trace_dropped(name):
                 # The app missed its wake window (Doze, BLE radio busy):
                 # this device's floor estimate silently goes stale.
-                self.traces_dropped += 1
                 self._m_dropped.inc()
                 continue
             self._recording[name] = True

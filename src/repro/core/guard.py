@@ -50,11 +50,8 @@ class VoiceGuard:
         # once, and memory must stay bounded.  The default (0 bytes =
         # unlimited) never refuses a hold, keeping single-command runs
         # byte-identical to the pre-concurrency pipeline.
-        self.hold_budget = HoldBudget(
-            limit_bytes=self.config.held_byte_budget,
-            fail_open=self.config.overflow_releases,
-            obs=self.obs,
-        )
+        self.hold_budget = HoldBudget(limit_bytes=self.config.held_byte_budget,
+                                      obs=self.obs)
         self.proxy = TransparentProxy("voiceguard", guard_ip, obs=self.obs,
                                       hold_budget=self.hold_budget)
         network.attach(self.proxy)
@@ -98,7 +95,6 @@ class VoiceGuard:
             sim=env.sim,
             config=self.config,
             proxy=self.proxy,
-            udp_forwarder=None,
             decision=self.decision,
             obs=self.obs,
         )
@@ -123,7 +119,6 @@ class VoiceGuard:
         if profile is SpeakerProfile.GOOGLE:
             if self.udp_forwarder is None:
                 self.udp_forwarder = UdpForwarder(self.proxy, speaker.ip)
-                self.handler.udp_forwarder = self.udp_forwarder
             else:
                 self.udp_forwarder.add_covered(speaker.ip)
 
@@ -199,15 +194,16 @@ class VoiceGuard:
         downstream reporting never divides by zero.
         """
         commands = self.log.commands()
-        released = float(self.handler.commands_released)
-        blocked = float(self.handler.commands_blocked)
+        metrics = self.obs.metrics
+        released = float(metrics.counter("proxy.commands_released").value)
+        blocked = float(metrics.counter("proxy.commands_blocked").value)
         total = float(len(commands))
         return {
             "windows": float(len(self.log)),
             "commands": total,
             "released": released,
             "blocked": blocked,
-            "benign_released": float(self.handler.benign_windows_released),
+            "benign_released": float(metrics.counter("proxy.benign_released").value),
             "release_rate": released / total if total else 0.0,
             "block_rate": blocked / total if total else 0.0,
         }

@@ -19,8 +19,7 @@ from repro.core.config import VoiceGuardConfig
 from repro.core.decision import DecisionContext, DecisionModule, DecisionResult, Verdict
 from repro.core.events import TrafficClass
 from repro.core.recognition import Window
-from repro.net.packet import Protocol
-from repro.net.proxy import ForwarderDecision, ProxiedFlow, TransparentProxy, UdpForwarder
+from repro.net.proxy import ForwarderDecision, ProxiedFlow, TransparentProxy
 from repro.obs.tracer import Observability
 from repro.sim.simulator import Simulator
 
@@ -33,19 +32,13 @@ class TrafficHandler:
         sim: Simulator,
         config: VoiceGuardConfig,
         proxy: TransparentProxy,
-        udp_forwarder: Optional[UdpForwarder],
         decision: DecisionModule,
         obs: Optional[Observability] = None,
     ) -> None:
         self.sim = sim
         self.config = config
         self.proxy = proxy
-        self.udp_forwarder = udp_forwarder
         self.decision = decision
-        self.commands_released = 0
-        self.commands_blocked = 0
-        self.benign_windows_released = 0
-        self.overflow_resolutions = 0
         # Command windows whose records are parked, keyed by flow id in
         # arrival order: the overflow policy sheds the oldest pending
         # window on the flow whose hold the budget refused.
@@ -66,9 +59,8 @@ class TrafficHandler:
             self._query_decision(window)
         else:
             # Response or unknown spike: let it through immediately.
-            self.benign_windows_released += 1
             self._m_benign.inc()
-            self._release(window)
+            self._resolve(window, release=True)
 
     # -- decision plumbing -----------------------------------------------------
     def _query_decision(self, window: Window) -> None:
@@ -89,33 +81,18 @@ class TrafficHandler:
                 window.event.verdict_at = self.sim.now
                 window.event.rssi_reports = list(result.reports)
             window.span.set(verdict=result.verdict.value)
-            if result.verdict is Verdict.LEGITIMATE:
-                self.commands_released += 1
-                self._m_released.inc()
-                self._release(window)
-            elif result.verdict is Verdict.MALICIOUS:
-                self.commands_blocked += 1
-                self._m_blocked.inc()
-                self._discard(window)
-            else:  # TIMEOUT
-                if self.config.fail_open:
-                    self.commands_released += 1
-                    self._m_released.inc()
-                    self._release(window)
-                else:
-                    self.commands_blocked += 1
-                    self._m_blocked.inc()
-                    self._discard(window)
+            if result.verdict is Verdict.TIMEOUT:
+                self._settle(window, self.config.fail_open)
+            else:
+                self._settle(window, result.verdict is Verdict.LEGITIMATE)
 
         def failsafe() -> None:
-            # Never hold a flow past max_hold, whatever went wrong.
+            # Never hold a flow past max_hold, whatever went wrong.  Not
+            # a verdict: counted apart from released/blocked.
             if not window.resolved:
                 self._m_failsafe.inc()
                 window.span.event("handler.max_hold_failsafe")
-                if self.config.fail_open:
-                    self._release(window)
-                else:
-                    self._discard(window)
+                self._resolve(window, self.config.fail_open)
 
         self.sim.post(self.config.max_hold, failsafe)
         self.decision.decide(context, on_result)
@@ -137,18 +114,10 @@ class TrafficHandler:
         if not windows:
             return verdict
         window = windows[0]
-        self.overflow_resolutions += 1
         self._m_overflow.inc()
         window.span.event("handler.hold_overflow",
                           policy="fail_open" if fail_open else "fail_closed")
-        if fail_open:
-            self.commands_released += 1
-            self._m_released.inc()
-            self._release(window)
-        else:
-            self.commands_blocked += 1
-            self._m_blocked.inc()
-            self._discard(window)
+        self._settle(window, fail_open)
         return verdict
 
     # -- actuation ------------------------------------------------------------
@@ -163,40 +132,29 @@ class TrafficHandler:
         if not windows:
             del self._pending_windows[window.flow.flow_id]
 
-    def _release(self, window: Window) -> None:
-        self._unregister(window)
-        count = self._release_flow(window.flow)
-        window.released = True
-        self._finish_spans(window, "released", count)
-        if window.event is not None:
-            window.event.released_at = self.sim.now
-            window.event.held_records += count
+    def _settle(self, window: Window, release: bool) -> None:
+        """Count a command window as released or blocked, then resolve it."""
+        (self._m_released if release else self._m_blocked).inc()
+        self._resolve(window, release)
 
-    def _discard(self, window: Window) -> None:
+    def _resolve(self, window: Window, release: bool) -> None:
+        """Release or discard the window's held records and close it out."""
         self._unregister(window)
-        count = self._discard_flow(window.flow)
-        window.discarded = True
-        self._finish_spans(window, "discarded", count)
-        if window.event is not None:
-            window.event.discarded_at = self.sim.now
-            window.event.held_records += count
-
-    def _finish_spans(self, window: Window, outcome: str, held: int) -> None:
-        self._m_held_records.inc(held)
+        if release:
+            count = self.proxy.release_held(window.flow)
+            window.released = True
+            outcome = "released"
+        else:
+            count = self.proxy.discard_held(window.flow)
+            window.discarded = True
+            outcome = "discarded"
+        self._m_held_records.inc(count)
         self._m_hold.record(self.sim.now - window.opened_at)
-        window.hold_span.finish(records=held, outcome=outcome)
+        window.hold_span.finish(records=count, outcome=outcome)
         window.span.finish(outcome=outcome)
-
-    def _release_flow(self, flow: ProxiedFlow) -> int:
-        if flow.protocol is Protocol.UDP:
-            if self.udp_forwarder is None:
-                return 0
-            return self.udp_forwarder.release_held(flow)
-        return self.proxy.release_held(flow)
-
-    def _discard_flow(self, flow: ProxiedFlow) -> int:
-        if flow.protocol is Protocol.UDP:
-            if self.udp_forwarder is None:
-                return 0
-            return self.udp_forwarder.discard_held(flow)
-        return self.proxy.discard_held(flow)
+        if window.event is not None:
+            if release:
+                window.event.released_at = self.sim.now
+            else:
+                window.event.discarded_at = self.sim.now
+            window.event.held_records += count

@@ -179,7 +179,6 @@ class TrafficRecognition:
         # Window ids are per-recognizer (not module-global) so repeated
         # runs in one process number their windows identically.
         self._last_window_id = 0  # not itertools.count: pool snapshots pickle it
-        self.windows_opened = 0
         # Ablation knob: with signature tracking off, the guard only
         # learns AVS IPs from DNS and loses the server after silent
         # reconnects (the failure mode Section IV-B describes).
@@ -322,7 +321,6 @@ class TrafficRecognition:
         window.hold_span = self.tracer.begin("proxy.hold", parent=window.span)
         fs.window = window
         fs.last_data_time = now
-        self.windows_opened += 1
         self._m_windows.inc()
         window.lengths.append(packet.payload_len)
         window.offsets.append(now)

@@ -53,8 +53,6 @@ class ProximityCache:
         self.ttl = ttl
         # device -> (report time, proved proximity at that time)
         self._entries: Dict[str, Tuple[float, bool]] = {}
-        self.hits = 0
-        self.misses = 0
 
     @property
     def enabled(self) -> bool:
@@ -87,10 +85,6 @@ class ProximityCache:
                 continue
             if time > best_time:
                 best_name, best_time = name, time
-        if best_name is None:
-            self.misses += 1
-        else:
-            self.hits += 1
         return best_name
 
     def entry(self, device_name: str) -> Optional[Tuple[float, bool]]:

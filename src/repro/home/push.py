@@ -67,10 +67,6 @@ class PushService:
         self.sim = sim
         self._rng = rng
         self.faults = faults
-        self.pushes_sent = 0
-        self.pushes_lost = 0
-        self.pushes_undeliverable = 0
-        self.reports_dropped = 0
         # Pre-bound instruments: hot-path recording is one attribute add.
         metrics = (obs or Observability()).metrics.scope("push")
         self._m_sent = metrics.counter("sent")
@@ -99,8 +95,8 @@ class PushService:
 
         Timeline: push delivery -> app wake -> BLE scan -> report.
         Returns whether the push actually entered the delivery pipeline;
-        ``pushes_sent`` counts only pushes whose delivery event was
-        scheduled, so injected pre-delivery losses never inflate it.
+        the ``push.sent`` counter counts only pushes whose delivery event
+        was scheduled, so injected pre-delivery losses never inflate it.
         An offline device surfaces as ``on_undeliverable(device)`` at
         delivery time — the messaging cloud's NACK back to the sender.
         """
@@ -108,7 +104,6 @@ class PushService:
         faults = self.faults
         if faults is not None and faults.push_dropped(device.name):
             # Lost inside the messaging cloud: the sender learns nothing.
-            self.pushes_lost += 1
             self._m_lost.inc()
             return False
         delay = self.delivery_delay()
@@ -117,7 +112,6 @@ class PushService:
 
         def on_sample(sample: RssiSample) -> None:
             if faults is not None and faults.report_dropped(device.name):
-                self.reports_dropped += 1
                 self._m_reports_dropped.inc()
                 return
 
@@ -137,7 +131,6 @@ class PushService:
 
         def on_delivered() -> None:
             if faults is not None and faults.device_offline(device.name):
-                self.pushes_undeliverable += 1
                 self._m_undeliverable.inc()
                 if on_undeliverable is not None:
                     on_undeliverable(device)
@@ -145,7 +138,6 @@ class PushService:
             device.measure_rssi(beacon, on_sample)
 
         self.sim.post(delay, on_delivered)
-        self.pushes_sent += 1
         self._m_sent.inc()
         self._m_delivery.record(delay)
         return True

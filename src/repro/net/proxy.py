@@ -12,8 +12,12 @@ timeouts, then either *release* them upstream (legitimate command) or
 record sequence, so the cloud closes the session the next time the
 speaker sends a record — exactly the paper's Figure 4 case III.
 
-Google Home Mini may use QUIC over UDP; the :class:`UdpForwarder` holds
-and forwards datagrams with the same policy interface.
+Google Home Mini may use QUIC over UDP.  Its datagrams go through the
+same hold queue: the proxy owns every flow's queue, whatever the
+transport, and the :class:`UdpForwarder` only claims the speaker's QUIC
+datagrams and keys their flows.  The transport shows only where a
+record leaves the guard (:meth:`TransparentProxy._send_upstream`) and in
+the TCP fast path for an established upstream.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import NetworkError
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.link import Network, TapHost
 from repro.net.packet import Packet, Protocol, TcpFlags
@@ -52,9 +55,10 @@ class ForwarderDecision(enum.Enum):
 
 
 _FORWARD = ForwarderDecision.FORWARD
+_HOLD = ForwarderDecision.HOLD
 
-# Flow ids are allocated per-proxy (see TransparentProxy._next_flow_id)
-# so repeated in-process runs are deterministic; TCP flows and the UDP
+# Flow ids are allocated per-proxy (see TransparentProxy._open_flow) so
+# repeated in-process runs are deterministic; TCP flows and the UDP
 # forwarder's flows share the owning proxy's counter, keeping ids unique
 # within one guard (the recognizer keys its per-flow state on them).
 
@@ -71,13 +75,11 @@ class HoldBudget:
     budget at all.
     """
 
-    def __init__(self, limit_bytes: int = 0, fail_open: bool = False,
+    def __init__(self, limit_bytes: int = 0,
                  obs: Optional[Observability] = None) -> None:
         self.limit_bytes = limit_bytes
-        self.fail_open = fail_open
         self.held_bytes = 0
         self.held_records = 0
-        self.overflows = 0
         metrics = (obs or Observability()).metrics.scope("proxy")
         self._g_bytes = metrics.gauge("held_bytes")
         self._g_records = metrics.gauge("held_records")
@@ -90,7 +92,6 @@ class HoldBudget:
         an inclusive bound on bytes held, not a high-water trigger.
         """
         if self.limit_bytes and self.held_bytes + nbytes > self.limit_bytes:
-            self.overflows += 1
             self._m_overflows.inc()
             return False
         self.held_bytes += nbytes
@@ -161,7 +162,8 @@ RecordShim = Callable[[ProxiedFlow, Packet, RecordPolicy], ForwarderDecision]
 FlowObserver = Callable[[ProxiedFlow], None]
 SnoopObserver = Callable[[Packet], None]
 # Budget-overflow hook: resolves the flow's pending window by policy and
-# returns what to do with the record that could not be held.
+# returns what to do with the record that could not be held.  A proxy
+# with no hook drops that record.
 OverflowPolicy = Callable[[ProxiedFlow], ForwarderDecision]
 
 
@@ -212,9 +214,19 @@ class TransparentProxy(TapHost):
         for port in self.proxied_ports:
             self.stack.listen(port, self._accept_downstream, transparent=True, tuning=self._tuning)
 
-    def _next_flow_id(self) -> int:
+    def _open_flow(self, protocol: Protocol, client: Endpoint,
+                   server: Endpoint) -> ProxiedFlow:
+        """Number a new flow, record it and begin its span."""
         self._last_flow_id += 1
-        return self._last_flow_id
+        flow = ProxiedFlow(flow_id=self._last_flow_id, protocol=protocol,
+                           client=client, server=server)
+        self.flows.append(flow)
+        self._m_flows.inc()
+        flow.span = self.tracer.begin(
+            "proxy.flow", flow_id=flow.flow_id, protocol=protocol.value,
+            client=str(client), server=str(server),
+        )
+        return flow
 
     # -- installation ---------------------------------------------------
     def install(self, network: Network, covered_ip: IPv4Address) -> None:
@@ -281,20 +293,9 @@ class TransparentProxy(TapHost):
 
     # -- downstream (speaker-side) ---------------------------------------
     def _accept_downstream(self, downstream: TcpConnection) -> None:
-        flow = ProxiedFlow(
-            flow_id=self._next_flow_id(),
-            protocol=Protocol.TCP,
-            client=downstream.remote,
-            server=downstream.local,
-        )
+        flow = self._open_flow(_TCP, downstream.remote, downstream.local)
         flow.downstream = downstream
         self._flows_by_downstream[downstream.four_tuple] = flow
-        self.flows.append(flow)
-        self._m_flows.inc()
-        flow.span = self.tracer.begin(
-            "proxy.flow", flow_id=flow.flow_id, protocol=flow.protocol.value,
-            client=str(flow.client), server=str(flow.server),
-        )
         # ``functools.partial`` over bound methods rather than lambdas:
         # these callbacks live on connections that outlast this call, and
         # the pickled world snapshots of repro.experiments.pool must
@@ -333,52 +334,61 @@ class TransparentProxy(TapHost):
                 flow.records_forwarded += 1
                 self._m_forwarded.inc()
                 return
-        elif decision is ForwarderDecision.DROP:
+        self._admit(flow, packet, decision)
+
+    # -- the hold queue (both transports) ----------------------------------
+    def _admit(self, flow: ProxiedFlow, packet: Packet,
+               decision: ForwarderDecision) -> None:
+        """Drop one client record or datagram, park it under the hold
+        budget, shed it through the overflow hook, or send it on.
+
+        When the budget refuses a hold, the hook first resolves the
+        flow's pending window (so its bytes come back to the pool), then
+        names the unheld record's fate: forwarded past the guard
+        (fail-open) or dropped (fail-closed).  With no hook it is dropped.
+        """
+        if decision is _HOLD:
+            if self.hold_budget.try_charge(packet.payload_len):
+                flow.held.append(self._record(packet))
+                self._m_held.inc()
+                return
+            overflow = self.on_hold_overflow
+            decision = overflow(flow) if overflow is not None else ForwarderDecision.DROP
+        if decision is _FORWARD:
+            self._send_upstream(flow, self._record(packet))
+        else:
             flow.records_discarded += 1
             self._m_discarded.inc()
-            return
-        record = HeldRecord(
+
+    def _record(self, packet: Packet) -> HeldRecord:
+        return HeldRecord(
             payload_len=packet.payload_len,
             tls_type=packet.tls_type,
             tls_record_seq=packet.tls_record_seq,
             meta=dict(packet.meta),
             held_at=self.network.sim.now,
         )
-        if decision is ForwarderDecision.HOLD:
-            if not self.hold_budget.try_charge(record.payload_len):
-                self._overflow_record(flow, record)
-                return
-            flow.held.append(record)
-            self._m_held.inc()
-            return
-        self._send_upstream(flow, record)
-
-    def _overflow_record(self, flow: ProxiedFlow, record: HeldRecord) -> None:
-        """The budget refused a hold: shed load per the overflow policy.
-
-        The policy hook first resolves the flow's pending window (so its
-        bytes come back to the pool), then tells us what the unheld
-        record's fate is: forwarded past the guard (fail-open) or dropped
-        (fail-closed).
-        """
-        if self.on_hold_overflow is not None:
-            verdict = self.on_hold_overflow(flow)
-        else:
-            verdict = (ForwarderDecision.FORWARD if self.hold_budget.fail_open
-                       else ForwarderDecision.DROP)
-        if verdict is ForwarderDecision.FORWARD:
-            self._send_upstream(flow, record)
-        else:
-            flow.records_discarded += 1
-            self._m_discarded.inc()
 
     def _send_upstream(self, flow: ProxiedFlow, record: HeldRecord) -> None:
-        upstream = flow.upstream
-        if upstream is None or not upstream.is_established:
-            flow.awaiting_upstream.append(record)
-            return
-        upstream.send_record(record.payload_len, record.tls_type, record.tls_record_seq,
-                             record.meta)
+        """Send one record on: over the spoofed upstream connection
+        (queued until it is established) or as a datagram."""
+        if flow.protocol is _TCP:
+            upstream = flow.upstream
+            if upstream is None or not upstream.is_established:
+                flow.awaiting_upstream.append(record)
+                return
+            upstream.send_record(record.payload_len, record.tls_type,
+                                 record.tls_record_seq, record.meta)
+        else:
+            self.send(Packet(
+                src=flow.client,
+                dst=flow.server,
+                protocol=Protocol.UDP,
+                payload_len=record.payload_len,
+                tls_type=record.tls_type,
+                tls_record_seq=record.tls_record_seq,
+                meta=dict(record.meta),
+            ))
         flow.records_forwarded += 1
         self._m_forwarded.inc()
 
@@ -388,7 +398,6 @@ class TransparentProxy(TapHost):
         for record in pending:
             self._send_upstream(flow, record)
 
-    # -- hold-queue control (called by the Traffic Handler) ---------------
     def release_held(self, flow: ProxiedFlow) -> int:
         """Forward all held records upstream in order; returns the count."""
         held, flow.held = flow.held, []
@@ -400,8 +409,9 @@ class TransparentProxy(TapHost):
     def discard_held(self, flow: ProxiedFlow) -> int:
         """Drop all held records; returns the count.
 
-        Subsequent client records continue to be forwarded; the cloud
-        will observe the TLS record-sequence gap and close the session.
+        Subsequent client records continue to be forwarded; on TCP the
+        cloud will observe the TLS record-sequence gap and close the
+        session.
         """
         held, flow.held = flow.held, []
         self.hold_budget.credit(held)
@@ -458,10 +468,11 @@ class TransparentProxy(TapHost):
 
 
 class UdpForwarder:
-    """Hold/forward policy for the speaker's UDP (QUIC) datagrams.
+    """Claims the speaker's UDP (QUIC) datagrams for the proxy.
 
-    Client→server datagrams pass through the record policy; server→client
-    datagrams are always forwarded immediately.
+    Client→server datagrams pass through the record policy into the
+    proxy's hold queue; server→client datagrams are always forwarded
+    immediately.
     """
 
     def __init__(self, proxy: TransparentProxy, covered_ip: IPv4Address, ports: Tuple[int, ...] = (443,)) -> None:
@@ -493,85 +504,9 @@ class UdpForwarder:
     def _handle_client(self, packet: Packet) -> None:
         key = (packet.src, packet.dst)
         flow = self._flows.get(key)
-        if flow is None:
-            flow = ProxiedFlow(
-                flow_id=self.proxy._next_flow_id(),
-                protocol=Protocol.UDP,
-                client=packet.src,
-                server=packet.dst,
-            )
-            self._flows[key] = flow
-            self.proxy.flows.append(flow)
-            self.proxy._m_flows.inc()
-            flow.span = self.proxy.tracer.begin(
-                "proxy.flow", flow_id=flow.flow_id, protocol=flow.protocol.value,
-                client=str(flow.client), server=str(flow.server),
-            )
-            if self.proxy.on_flow_opened:
-                self.proxy.on_flow_opened(flow)
-        decision = self.proxy._policy_decision(flow, packet)
-        if decision is ForwarderDecision.DROP:
-            flow.records_discarded += 1
-            self.proxy._m_discarded.inc()
-            return
-        record = HeldRecord(
-            payload_len=packet.payload_len,
-            tls_type=packet.tls_type,
-            tls_record_seq=packet.tls_record_seq,
-            meta=dict(packet.meta),
-            held_at=self.proxy.network.sim.now,
-        )
-        if decision is ForwarderDecision.HOLD:
-            if not self.proxy.hold_budget.try_charge(record.payload_len):
-                self._overflow_datagram(flow, record)
-                return
-            flow.held.append(record)
-            self.proxy._m_held.inc()
-        else:
-            self._forward(flow, record)
-
-    def _overflow_datagram(self, flow: ProxiedFlow, record: HeldRecord) -> None:
-        """Budget refused the hold: shed per the proxy's overflow policy."""
         proxy = self.proxy
-        if proxy.on_hold_overflow is not None:
-            verdict = proxy.on_hold_overflow(flow)
-        else:
-            verdict = (ForwarderDecision.FORWARD if proxy.hold_budget.fail_open
-                       else ForwarderDecision.DROP)
-        if verdict is ForwarderDecision.FORWARD:
-            self._forward(flow, record)
-        else:
-            flow.records_discarded += 1
-            proxy._m_discarded.inc()
-
-    def _forward(self, flow: ProxiedFlow, record: HeldRecord) -> None:
-        datagram = Packet(
-            src=flow.client,
-            dst=flow.server,
-            protocol=Protocol.UDP,
-            payload_len=record.payload_len,
-            tls_type=record.tls_type,
-            tls_record_seq=record.tls_record_seq,
-            meta=dict(record.meta),
-        )
-        self.proxy.send(datagram)
-        flow.records_forwarded += 1
-        self.proxy._m_forwarded.inc()
-
-    def release_held(self, flow: ProxiedFlow) -> int:
-        """Forward all held datagrams in order."""
-        if flow.protocol is not Protocol.UDP:
-            raise NetworkError("release_held on a non-UDP flow; use the proxy")
-        held, flow.held = flow.held, []
-        self.proxy.hold_budget.credit(held)
-        for record in held:
-            self._forward(flow, record)
-        return len(held)
-
-    def discard_held(self, flow: ProxiedFlow) -> int:
-        """Drop all held datagrams."""
-        held, flow.held = flow.held, []
-        self.proxy.hold_budget.credit(held)
-        flow.records_discarded += len(held)
-        self.proxy._m_discarded.inc(len(held))
-        return len(held)
+        if flow is None:
+            flow = self._flows[key] = proxy._open_flow(Protocol.UDP, packet.src, packet.dst)
+            if proxy.on_flow_opened:
+                proxy.on_flow_opened(flow)
+        proxy._admit(flow, packet, proxy._policy_decision(flow, packet))

@@ -13,6 +13,10 @@ handful of fixed-seed workloads and reduces each to one SHA-256:
 * ``google_packets`` — the ``compressed`` workload in a Google Home
   house, reduced packet by packet: pins the Mini's upload scripts, its
   idle close and the Google cloud's TCP and QUIC replies;
+* ``google_budget`` — the ``google_packets`` home under a 16 KiB hold
+  budget, once fail-open and once fail-closed, with its counters: pins
+  the overflow shed on QUIC datagrams as well as on TCP records (the
+  loadtest cells overflow TCP only);
 * ``traffic_scripts`` — the record schedules the Echo and Google
   traffic models draw on their own, anomalous spikes included, whose
   rare re-draws no home reaches;
@@ -76,6 +80,7 @@ from typing import Callable, Dict, Iterator
 from repro.analysis import stats
 from repro.attacks.morphing import MORPHERS, MorphingAdversary, create_morpher
 from repro.audio.commands import alexa_corpus, google_corpus
+from repro.core.config import VoiceGuardConfig
 from repro.core.floor import TraceClassifier
 from repro.experiments import (
     campaign, fig6, fleet, hold_endurance, loadtest, pool, recognition_robustness,
@@ -84,13 +89,14 @@ from repro.experiments import (
 from repro.experiments import workload as workload_module
 from repro.home.devices import MobileDevice
 from repro.net.link import PacketObserver
-from repro.net.packet import Packet
+from repro.net.packet import Packet, Protocol
 from repro.sim.random import RngHub
 from repro.speakers.interaction import EchoTrafficModel, GoogleTrafficModel
 
 DIGESTS_PATH = pathlib.Path(__file__).parent / "goldens" / "digests.json"
 
 COMPRESSED_COUNTS = (10, 7)
+GOOGLE_HOLD_BUDGET = 16_384
 LOSSY_WAN_LOSS = 0.03
 SCRIPT_DRAWS = 3000
 MORPH_HOME_COUNTS = (4, 2)
@@ -182,10 +188,11 @@ def sevenday_packets() -> str:
     return digest.hexdigest()
 
 
-def _packet_home(speaker_kind: str, seed: int, counts, wan_loss: float = 0.0) -> str:
-    """SHA-256 over every packet a house home delivers while it runs
-    ``counts`` compressed episodes (``wan_loss`` set once it is built),
-    then its guard stream, final clock and lost-packet count."""
+def _run_packet_home(speaker_kind: str, seed: int, counts, wan_loss: float = 0.0,
+                     config=None, before_run=None):
+    """Run a house home for ``counts`` compressed episodes (``wan_loss``
+    set and ``before_run(scenario)`` called once it is built); return
+    the scenario and the SHA-256 over every packet it delivered."""
     digest = hashlib.sha256()
 
     def observe(packet: Packet, _scope: str) -> None:
@@ -193,12 +200,22 @@ def _packet_home(speaker_kind: str, seed: int, counts, wan_loss: float = 0.0) ->
 
     with observed_networks(observe):
         scenario = scenarios.build_scenario(
-            "house", speaker_kind, deployment=0, owner_count=2, seed=seed)
+            "house", speaker_kind, deployment=0, owner_count=2, seed=seed,
+            config=config)
     scenario.network.wan_loss = wan_loss
+    if before_run is not None:
+        before_run(scenario)
     workload_module.SevenDayWorkload(scenario).run(*counts)
     scenario.speaker.settle_all()
-    return guard_digest(scenario, repr(scenario.network.packets_lost).encode()
-                        + digest.digest())
+    return scenario, digest.digest()
+
+
+def _packet_home(speaker_kind: str, seed: int, counts, wan_loss: float = 0.0) -> str:
+    """SHA-256 over every packet a house home delivers while it runs
+    ``counts`` compressed episodes, then its guard stream, final clock
+    and lost-packet count."""
+    scenario, packets = _run_packet_home(speaker_kind, seed, counts, wan_loss)
+    return guard_digest(scenario, repr(scenario.network.packets_lost).encode() + packets)
 
 
 def compressed_lossy() -> str:
@@ -207,6 +224,36 @@ def compressed_lossy() -> str:
 
 def google_packets() -> str:
     return _packet_home("google", 101, COMPRESSED_COUNTS)
+
+
+def google_budget() -> str:
+    """The ``google_packets`` home under a hold budget small enough to
+    refuse holds, once per overflow policy: every packet, the guard
+    stream and the sorted counters.  Asserts that some refused hold is
+    on a QUIC (UDP) flow, so the digest keeps covering that path."""
+    digest = hashlib.sha256()
+    for fail_open in (True, False):
+        refused = []
+
+        def record_refusals(scenario) -> None:
+            proxy = scenario.guard.proxy
+            shed = proxy.on_hold_overflow
+
+            def on_hold_overflow(flow):
+                refused.append(flow.protocol)
+                return shed(flow)
+
+            proxy.on_hold_overflow = on_hold_overflow
+
+        config = VoiceGuardConfig(held_byte_budget=GOOGLE_HOLD_BUDGET,
+                                  overflow_fail_open=fail_open)
+        scenario, packets = _run_packet_home(
+            "google", 101, COMPRESSED_COUNTS, config=config, before_run=record_refusals)
+        assert Protocol.UDP in refused, f"no refused hold on a UDP flow: {refused}"
+        counters = scenario.env.obs.metrics.snapshot()["counters"]
+        digest.update(guard_digest(
+            scenario, packets + json.dumps(counters, sort_keys=True).encode()).encode())
+    return digest.hexdigest()
 
 
 def traffic_scripts() -> str:
@@ -426,6 +473,7 @@ RUNS: Dict[str, Callable[[], str]] = {
     "compressed": compressed,
     "compressed_lossy": compressed_lossy,
     "google_packets": google_packets,
+    "google_budget": google_budget,
     "traffic_scripts": traffic_scripts,
     "corpora": corpora,
     "fig6_stream": fig6_stream,

@@ -25,7 +25,12 @@ from repro.experiments.scenarios import add_echo_speaker, build_scenario
 from repro.experiments.workload import SevenDayWorkload
 from repro.faults.plan import FaultPlan
 from repro.net.proxy import HoldBudget
+from repro.obs.tracer import Observability
 from repro.sim.simulator import Simulator
+
+
+def counter(obs: Observability, name: str) -> int:
+    return obs.metrics.snapshot()["counters"][name]
 
 
 class _Record:
@@ -35,18 +40,20 @@ class _Record:
 
 class TestHoldBudget:
     def test_charge_landing_exactly_on_the_limit_fits(self):
-        budget = HoldBudget(limit_bytes=100)
+        obs = Observability()
+        budget = HoldBudget(limit_bytes=100, obs=obs)
         assert budget.try_charge(60)
         assert budget.try_charge(40)  # 100/100: inclusive bound
         assert budget.held_bytes == 100
-        assert budget.overflows == 0
+        assert counter(obs, "proxy.hold_overflows") == 0
 
     def test_one_byte_over_the_limit_refuses(self):
-        budget = HoldBudget(limit_bytes=100)
+        obs = Observability()
+        budget = HoldBudget(limit_bytes=100, obs=obs)
         assert budget.try_charge(100)
         assert not budget.try_charge(1)
         assert budget.held_bytes == 100
-        assert budget.overflows == 1
+        assert counter(obs, "proxy.hold_overflows") == 1
 
     def test_credit_frees_the_budget(self):
         budget = HoldBudget(limit_bytes=100)
@@ -58,10 +65,11 @@ class TestHoldBudget:
         assert budget.try_charge(100)
 
     def test_zero_limit_never_refuses(self):
-        budget = HoldBudget(limit_bytes=0)
+        obs = Observability()
+        budget = HoldBudget(limit_bytes=0, obs=obs)
         assert budget.try_charge(10**9)
         assert budget.try_charge(10**9)
-        assert budget.overflows == 0
+        assert counter(obs, "proxy.hold_overflows") == 0
 
 
 class _StubMethod(DecisionMethod):
@@ -91,7 +99,8 @@ class TestDecisionCoordinator:
     def test_one_report_settles_three_commands_across_two_speakers(self):
         sim = Simulator()
         method = _StubMethod()
-        coordinator = DecisionCoordinator(method, sim=sim, batching=True)
+        obs = Observability()
+        coordinator = DecisionCoordinator(method, sim=sim, batching=True, obs=obs)
         results = []
         for window_id, ip in ((1, "10.0.0.1"), (2, "10.0.0.2"), (3, "10.0.0.2")):
             coordinator.decide(
@@ -106,23 +115,25 @@ class TestDecisionCoordinator:
         assert not primary.batched
         assert all(r.batched and r.verdict is Verdict.LEGITIMATE
                    for r in riders)
-        assert coordinator.batched_settlements == 2
+        assert counter(obs, "decision.batched_settlements") == 2
 
     def test_stale_inflight_query_is_not_joined(self):
         sim = Simulator()
         method = _StubMethod()
+        obs = Observability()
         coordinator = DecisionCoordinator(method, sim=sim, batching=True,
-                                          batch_window=2.0)
+                                          batch_window=2.0, obs=obs)
         coordinator.decide(_context(1, "10.0.0.1", sim), lambda r: None)
         sim.run_for(3.0)  # older than the batch window
         coordinator.decide(_context(2, "10.0.0.2", sim), lambda r: None)
         assert len(method.pending) == 2
-        assert coordinator.batched_settlements == 0
+        assert counter(obs, "decision.batched_settlements") == 0
 
     def test_slot_limit_queues_and_drains_earliest_deadline_first(self):
         sim = Simulator()
         method = _StubMethod()
-        coordinator = DecisionCoordinator(method, sim=sim, max_inflight=1)
+        obs = Observability()
+        coordinator = DecisionCoordinator(method, sim=sim, max_inflight=1, obs=obs)
         order = []
         coordinator.decide(_context(1, "a", sim, deadline=100.0),
                            lambda r: order.append(1))
@@ -137,13 +148,14 @@ class TestDecisionCoordinator:
         method.fire()
         method.fire()
         assert order == [1, 3, 2]
-        assert coordinator.queued_total == 2
+        assert counter(obs, "decision.queued") == 2
         assert coordinator.queue_depth == 0
 
     def test_expired_queued_command_resolves_timeout_without_a_slot(self):
         sim = Simulator()
         method = _StubMethod()
-        coordinator = DecisionCoordinator(method, sim=sim, max_inflight=1)
+        obs = Observability()
+        coordinator = DecisionCoordinator(method, sim=sim, max_inflight=1, obs=obs)
         results = []
         coordinator.decide(_context(1, "a", sim, deadline=100.0),
                            lambda r: results.append(r))
@@ -153,18 +165,19 @@ class TestDecisionCoordinator:
         method.fire()
         assert len(results) == 2
         assert results[1].verdict is Verdict.TIMEOUT
-        assert coordinator.expired_in_queue == 1
+        assert counter(obs, "decision.expired_in_queue") == 1
         assert not method.pending  # the expired command never dispatched
 
     def test_default_knobs_pass_straight_through(self):
         sim = Simulator()
         method = _StubMethod()
-        coordinator = DecisionCoordinator(method, sim=sim)
+        obs = Observability()
+        coordinator = DecisionCoordinator(method, sim=sim, obs=obs)
         for window_id in range(5):
             coordinator.decide(_context(window_id, "a", sim), lambda r: None)
         assert len(method.pending) == 5  # nothing queued, nothing batched
-        assert coordinator.queued_total == 0
-        assert coordinator.batched_settlements == 0
+        assert counter(obs, "decision.queued") == 0
+        assert counter(obs, "decision.batched_settlements") == 0
 
 
 class TestConfigValidation:
@@ -208,21 +221,21 @@ class TestOverflowUnderFaults:
             with_floor_tracking=False,
         )
         _speak_once(scenario)
-        handler = scenario.guard.handler
-        assert handler.overflow_resolutions > 0
+        obs = scenario.env.obs
+        assert counter(obs, "proxy.overflow_resolutions") > 0
         event = scenario.guard.command_events()[-1]
         # Overflow resolution follows the max-hold failsafe convention:
         # the window resolves without a verdict.
         assert event.verdict is None
         if fail_open:
-            assert handler.commands_released == 1
-            assert handler.commands_blocked == 0
+            assert counter(obs, "proxy.commands_released") == 1
+            assert counter(obs, "proxy.commands_blocked") == 0
             assert event.released_at is not None
         else:
-            assert handler.commands_released == 0
-            assert handler.commands_blocked == 1
+            assert counter(obs, "proxy.commands_released") == 0
+            assert counter(obs, "proxy.commands_blocked") == 1
             assert event.discarded_at is not None
-        snapshot = scenario.env.obs.metrics.snapshot()
+        snapshot = obs.metrics.snapshot()
         assert snapshot["counters"]["proxy.hold_overflows"] > 0
         # Shedding the window credits its held bytes back.
         assert snapshot["gauges"]["proxy.held_bytes"]["value"] == 0.0
@@ -243,8 +256,8 @@ class TestMultiSpeakerIntegration:
         assert len({e.speaker_ip for e in events}) == 3
         assert all(e.verdict is Verdict.LEGITIMATE for e in events)
         # One phone report settled all three speakers' copies.
-        assert scenario.guard.rssi_method.queries_issued == 1
-        assert scenario.guard.coordinator.batched_settlements == 2
+        assert counter(scenario.env.obs, "decision.queries") == 1
+        assert counter(scenario.env.obs, "decision.batched_settlements") == 2
 
     def test_second_echo_requires_echo_scenario(self):
         from repro.errors import WorkloadError

@@ -14,6 +14,7 @@ from repro.core.recognition import Window
 from repro.net.addresses import IPv4Address, endpoint
 from repro.net.packet import Protocol
 from repro.net.proxy import ProxiedFlow
+from repro.obs.tracer import Observability
 
 _ids = itertools.count(1)
 
@@ -64,55 +65,60 @@ def make_window(protocol=Protocol.TCP) -> Window:
     return window
 
 
+def counters(obs: Observability) -> dict:
+    return obs.metrics.snapshot()["counters"]
+
+
 @pytest.fixture
 def handler_world(sim):
     proxy = _StubProxy()
     decision = _StubDecision()
+    obs = Observability()
     handler = TrafficHandler(
         sim=sim, config=VoiceGuardConfig(),
-        proxy=proxy, udp_forwarder=None, decision=decision,
+        proxy=proxy, decision=decision, obs=obs,
     )
-    return sim, handler, proxy, decision
+    return sim, handler, proxy, decision, obs
 
 
 class TestHandlerResolution:
     def test_benign_windows_release_immediately(self, handler_world):
-        sim, handler, proxy, decision = handler_world
+        sim, handler, proxy, decision, obs = handler_world
         window = make_window()
         handler.on_window_classified(window, TrafficClass.RESPONSE)
         assert window.released
         assert proxy.released == [window.flow]
-        assert handler.benign_windows_released == 1
+        assert counters(obs)["proxy.benign_released"] == 1
         assert not decision.pending
 
     def test_unknown_windows_release_immediately(self, handler_world):
-        sim, handler, proxy, decision = handler_world
+        sim, handler, proxy, decision, obs = handler_world
         window = make_window()
         handler.on_window_classified(window, TrafficClass.UNKNOWN)
         assert window.released
 
     def test_legitimate_verdict_releases(self, handler_world):
-        sim, handler, proxy, decision = handler_world
+        sim, handler, proxy, decision, obs = handler_world
         window = make_window()
         handler.on_window_classified(window, TrafficClass.COMMAND)
         assert decision.pending and not window.resolved
         decision.resolve(Verdict.LEGITIMATE)
         assert window.released and not window.discarded
-        assert handler.commands_released == 1
+        assert counters(obs)["proxy.commands_released"] == 1
         assert window.event.verdict is Verdict.LEGITIMATE
         assert window.event.held_records == 3
 
     def test_malicious_verdict_discards(self, handler_world):
-        sim, handler, proxy, decision = handler_world
+        sim, handler, proxy, decision, obs = handler_world
         window = make_window()
         handler.on_window_classified(window, TrafficClass.COMMAND)
         decision.resolve(Verdict.MALICIOUS)
         assert window.discarded and not window.released
-        assert handler.commands_blocked == 1
+        assert counters(obs)["proxy.commands_blocked"] == 1
         assert proxy.discarded == [window.flow]
 
     def test_timeout_fail_closed_discards(self, handler_world):
-        sim, handler, proxy, decision = handler_world
+        sim, handler, proxy, decision, obs = handler_world
         window = make_window()
         handler.on_window_classified(window, TrafficClass.COMMAND)
         decision.resolve(Verdict.TIMEOUT)
@@ -123,7 +129,7 @@ class TestHandlerResolution:
         decision = _StubDecision()
         handler = TrafficHandler(
             sim=sim, config=VoiceGuardConfig(fail_open=True),
-            proxy=proxy, udp_forwarder=None, decision=decision,
+            proxy=proxy, decision=decision,
         )
         window = make_window()
         handler.on_window_classified(window, TrafficClass.COMMAND)
@@ -131,39 +137,34 @@ class TestHandlerResolution:
         assert window.released
 
     def test_max_hold_failsafe_fires(self, handler_world):
-        sim, handler, proxy, decision = handler_world
+        sim, handler, proxy, decision, obs = handler_world
         window = make_window()
         handler.on_window_classified(window, TrafficClass.COMMAND)
         sim.run_for(handler.config.max_hold + 1.0)
         assert window.discarded  # fail-closed default
+        # A failsafe resolution is neither a release nor a block.
+        assert counters(obs)["proxy.failsafe_resolutions"] == 1
+        assert counters(obs)["proxy.commands_released"] == 0
+        assert counters(obs)["proxy.commands_blocked"] == 0
 
     def test_late_verdict_after_failsafe_is_ignored(self, handler_world):
-        sim, handler, proxy, decision = handler_world
+        sim, handler, proxy, decision, obs = handler_world
         window = make_window()
         handler.on_window_classified(window, TrafficClass.COMMAND)
         sim.run_for(handler.config.max_hold + 1.0)
         decision.resolve(Verdict.LEGITIMATE)
         assert window.discarded and not window.released
         assert len(proxy.released) == 0
+        assert counters(obs)["proxy.failsafe_resolutions"] == 1
+        assert counters(obs)["proxy.commands_released"] == 0
+        assert counters(obs)["proxy.commands_blocked"] == 0
 
-    def test_udp_window_uses_forwarder(self, sim):
-        proxy = _StubProxy()
-        forwarder = _StubProxy()
-        decision = _StubDecision()
-        handler = TrafficHandler(
-            sim=sim, config=VoiceGuardConfig(),
-            proxy=proxy, udp_forwarder=forwarder, decision=decision,
-        )
-        window = make_window(protocol=Protocol.UDP)
-        handler.on_window_classified(window, TrafficClass.COMMAND)
-        decision.resolve(Verdict.MALICIOUS)
-        assert forwarder.discarded == [window.flow]
-        assert proxy.discarded == []
-
-    def test_udp_window_without_forwarder_is_noop_count(self, handler_world):
-        sim, handler, proxy, decision = handler_world
+    def test_udp_window_uses_forwarder(self, handler_world):
+        # A UDP (QUIC) window's verdict goes to the proxy like any other.
+        sim, handler, proxy, decision, obs = handler_world
         window = make_window(protocol=Protocol.UDP)
         handler.on_window_classified(window, TrafficClass.COMMAND)
         decision.resolve(Verdict.MALICIOUS)
         assert window.discarded
-        assert window.event.held_records == 0
+        assert proxy.discarded == [window.flow]
+        assert window.event.held_records == 3

@@ -13,6 +13,7 @@ from repro.core.recognition import SpeakerProfile, TrafficRecognition
 from repro.net.addresses import IPv4Address, endpoint
 from repro.net.packet import Packet, Protocol
 from repro.net.proxy import ForwarderDecision, ProxiedFlow
+from repro.obs.tracer import Observability
 from repro.speakers import signatures as sig
 
 SPEAKER_IP = IPv4Address("192.168.1.200")
@@ -39,9 +40,18 @@ def record(length: int, server=AVS) -> Packet:
 
 
 @pytest.fixture
-def world(sim):
+def obs():
+    return Observability()
+
+
+def windows_opened(obs: Observability) -> int:
+    return obs.metrics.snapshot()["counters"]["recognition.windows_opened"]
+
+
+@pytest.fixture
+def world(sim, obs):
     log = GuardLog()
-    recognition = TrafficRecognition(sim, VoiceGuardConfig(), log)
+    recognition = TrafficRecognition(sim, VoiceGuardConfig(), log, obs=obs)
     recognition.add_speaker(SPEAKER_IP, SpeakerProfile.ECHO)
     classified = []
     recognition.on_classified = lambda window, cls: classified.append((window, cls))
@@ -94,11 +104,11 @@ class TestWindowMachinery:
         assert classified[-1][1] is TrafficClass.UNKNOWN
         assert recognition.observe(flow, record(999)) is ForwarderDecision.FORWARD
 
-    def test_heartbeats_do_not_open_windows(self, world):
+    def test_heartbeats_do_not_open_windows(self, world, obs):
         sim, recognition, classified = world
         flow = make_flow()
         assert recognition.observe(flow, record(41)) is ForwarderDecision.FORWARD
-        assert recognition.windows_opened == 0
+        assert windows_opened(obs) == 0
 
     def test_heartbeat_inside_window_is_held_for_ordering(self, world):
         sim, recognition, classified = world
@@ -106,21 +116,21 @@ class TestWindowMachinery:
         recognition.observe(flow, record(277))
         assert recognition.observe(flow, record(41)) is ForwarderDecision.HOLD
 
-    def test_idle_gap_opens_new_window(self, world):
+    def test_idle_gap_opens_new_window(self, world, obs):
         sim, recognition, classified = world
         flow = make_flow()
         recognition.observe(flow, record(138))  # command, window 1
         sim.run_for(10.0)  # exceed the idle gap
         recognition.observe(flow, record(55))
-        assert recognition.windows_opened == 2
+        assert windows_opened(obs) == 2
 
-    def test_packets_within_gap_share_window(self, world):
+    def test_packets_within_gap_share_window(self, world, obs):
         sim, recognition, classified = world
         flow = make_flow()
         recognition.observe(flow, record(138))
         sim.run_for(1.0)
         recognition.observe(flow, record(1400))
-        assert recognition.windows_opened == 1
+        assert windows_opened(obs) == 1
 
     def test_pending_window_times_out_to_unknown(self, world):
         sim, recognition, classified = world

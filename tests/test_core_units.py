@@ -172,14 +172,22 @@ class TestDecisionMethod:
         assert result.verdict is Verdict.MALICIOUS
         assert "phone" in result.floor_vetoed
 
-    def test_decision_module_counts(self, world):
-        env, person, phone, registry, method = world
-        module = DecisionModule(method)
-        module.decide(
-            DecisionContext(window_id=1, speaker_ip="x", requested_at=0.0),
-            lambda r: None,
-        )
-        assert module.decisions_made == 1
+    def test_decision_module_counts(self):
+        # The module keeps no count of its own: it hands every query to
+        # the active method, whose registry counters do the counting.
+        calls = []
+
+        class _Recording:
+            def decide(self, context, callback):
+                calls.append((context, callback))
+
+        def callback(result):
+            pass
+
+        module = DecisionModule(_Recording())
+        context = DecisionContext(window_id=1, speaker_ip="x", requested_at=0.0)
+        module.decide(context, callback)
+        assert calls == [(context, callback)]
 
 
 class TestTraceClassifier:

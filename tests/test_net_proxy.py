@@ -12,7 +12,7 @@ from repro.errors import NetworkError
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.link import Host, Network
 from repro.net.packet import Packet, Protocol
-from repro.net.proxy import ForwarderDecision, TransparentProxy, UdpForwarder
+from repro.net.proxy import ForwarderDecision, HoldBudget, TransparentProxy, UdpForwarder
 from repro.net.tcp import TcpConnection, TcpStack
 from repro.net.tls import TlsSession, TlsViolation
 from repro.net.udp import UdpFlow
@@ -294,7 +294,7 @@ class TestUdpForwarder:
         flow.send(600)
         sim.run_for(1.0)
         assert received == []
-        forwarder.release_held(proxy.flows[0])
+        proxy.release_held(proxy.flows[0])
         sim.run_for(1.0)
         assert received == [500, 600]
 
@@ -303,7 +303,7 @@ class TestUdpForwarder:
         proxy.record_policy = lambda f, p: ForwarderDecision.HOLD
         flow.send(500)
         sim.run_for(1.0)
-        count = forwarder.discard_held(proxy.flows[0])
+        count = proxy.discard_held(proxy.flows[0])
         assert count == 1
         sim.run_for(1.0)
         assert received == []
@@ -315,6 +315,30 @@ class TestUdpForwarder:
         sim.run_for(1.0)
         assert received == []
         assert proxy.flows[0].records_discarded == 1
+
+    def test_refused_hold_forwarded_when_overflow_forwards(self, udp_world):
+        sim, proxy, forwarder, flow, received = udp_world
+        proxy.hold_budget = HoldBudget(limit_bytes=100)
+        proxy.record_policy = lambda f, p: ForwarderDecision.HOLD
+        shed = []
+        proxy.on_hold_overflow = lambda f: shed.append(f) or ForwarderDecision.FORWARD
+        flow.send(500)
+        sim.run_for(1.0)
+        assert shed == [proxy.flows[0]]
+        assert received == [500]
+        assert proxy.flows[0].records_forwarded == 1
+        assert proxy.hold_budget.held_bytes == 0
+
+    def test_refused_hold_dropped_when_overflow_drops(self, udp_world):
+        sim, proxy, forwarder, flow, received = udp_world
+        proxy.hold_budget = HoldBudget(limit_bytes=100)
+        proxy.record_policy = lambda f, p: ForwarderDecision.HOLD
+        proxy.on_hold_overflow = lambda f: ForwarderDecision.DROP
+        flow.send(500)
+        sim.run_for(1.0)
+        assert received == []
+        assert proxy.flows[0].records_discarded == 1
+        assert proxy.flows[0].held == []
 
     def test_server_replies_bridged_to_speaker(self, udp_world):
         sim, proxy, forwarder, flow, received = udp_world

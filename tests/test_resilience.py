@@ -3,7 +3,7 @@
 Covers the injector determinism contract, the ISSUE's decision-path
 edge cases (all devices offline, retry succeeding on the final attempt,
 degraded-cache expiry racing a late report, fail-open vs fail-closed at
-100 % push loss), the ``pushes_sent`` accounting fix, and the
+100 % push loss), the ``push.sent`` accounting fix, and the
 resilience experiment's same-seed reproducibility and retry dominance.
 """
 
@@ -50,9 +50,13 @@ def make_world(fault_plan=None, **method_kwargs):
     registry.register(phone1, threshold=-8.0)
     registry.register(phone2, threshold=-8.0)
     method = RssiDecisionMethod(
-        env.sim, env.push, registry, env.speaker_beacon, **method_kwargs
+        env.sim, env.push, registry, env.speaker_beacon, obs=env.obs, **method_kwargs
     )
     return env, (alice, bob), (phone1, phone2), registry, method
+
+
+def counter(env, name):
+    return env.obs.metrics.snapshot()["counters"][name]
 
 
 def decide(env, method, horizon=8.0):
@@ -144,8 +148,8 @@ class TestPushAccounting:
         env, _, _, _, method = make_world(fault_plan=BENIGN_PLAN)
         env.faults.push_dropped = lambda name: True  # script: lose everything
         result = decide(env, method)
-        assert env.push.pushes_sent == 0
-        assert env.push.pushes_lost == 2
+        assert counter(env, "push.sent") == 0
+        assert counter(env, "push.lost") == 2
         assert result.verdict is Verdict.TIMEOUT
         assert not result.reports
 
@@ -153,8 +157,8 @@ class TestPushAccounting:
         env, _, _, _, method = make_world()
         assert env.faults is None  # no plan -> no injector at all
         result = decide(env, method)
-        assert env.push.pushes_sent == 2
-        assert env.push.pushes_lost == 0
+        assert counter(env, "push.sent") == 2
+        assert counter(env, "push.lost") == 0
         assert result.verdict is Verdict.LEGITIMATE
 
 
@@ -242,7 +246,7 @@ class TestDecisionResilience:
         assert second.verdict is Verdict.LEGITIMATE
         assert second.degraded
         assert second.satisfied_by == "phone1"
-        assert method.degraded_grants == 1
+        assert counter(env, "decision.degraded_grants") == 1
 
         # Query 3, after the TTL expires: the entry is stale, the grant
         # is refused, and the verdict falls back to TIMEOUT.
@@ -274,7 +278,7 @@ class TestDecisionResilience:
         result = decide(env, method)
         assert result.retries == 0
         assert not method.events
-        assert env.push.pushes_sent == 2  # exactly one push per device
+        assert counter(env, "push.sent") == 2  # exactly one push per device
 
 
 class TestFailPolicyUnderTotalLoss:
@@ -291,17 +295,15 @@ class TestFailPolicyUnderTotalLoss:
         open_scenario = self._run(fail_open=True)
         closed_scenario = self._run(fail_open=False)
         for scenario in (open_scenario, closed_scenario):
-            assert scenario.env.push.pushes_sent == 0
-            assert scenario.env.push.pushes_lost > 0
+            assert counter(scenario.env, "push.sent") == 0
+            assert counter(scenario.env, "push.lost") > 0
             commands = scenario.guard.command_events()
             assert commands
             assert all(c.verdict is Verdict.TIMEOUT for c in commands)
-        open_handler = open_scenario.guard.handler
-        closed_handler = closed_scenario.guard.handler
-        assert open_handler.commands_blocked == 0
-        assert open_handler.commands_released > 0
-        assert closed_handler.commands_released == 0
-        assert closed_handler.commands_blocked > 0
+        assert counter(open_scenario.env, "proxy.commands_blocked") == 0
+        assert counter(open_scenario.env, "proxy.commands_released") > 0
+        assert counter(closed_scenario.env, "proxy.commands_released") == 0
+        assert counter(closed_scenario.env, "proxy.commands_blocked") > 0
 
 
 # -- proximity cache / metrics ----------------------------------------------
