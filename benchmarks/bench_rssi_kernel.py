@@ -45,7 +45,7 @@ from repro.home.devices import TRACE_SAMPLE_COUNT, TRACE_SAMPLE_PERIOD
 from repro.home.environment import HomeEnvironment
 from repro.radio.geometry import Point, distance
 from repro.radio.propagation import PropagationModel
-from repro.radio.testbeds import testbed_by_name
+from repro.radio import testbeds
 from repro.sim.events import EventQueue
 
 GRID_SAMPLES = 16  # the paper's 4 orientations x 4 measurements
@@ -137,7 +137,7 @@ def _walking_trace(testbed_name: str, seed: int, record) -> Callable[[], int]:
     perimeter where there is none) and record a 40-sample trace that
     starts 1.0-1.3 s into it, so no two traces share a position.
     Returns the op; it counts samples."""
-    env = HomeEnvironment(testbed_by_name(testbed_name), seed=seed)
+    env = HomeEnvironment(testbeds.testbed_by_name(testbed_name), seed=seed)
     route = env.testbed.routes.get("up") or perimeter_route(env.testbed.speaker_room(0))
     owner = env.add_person("owner", route.waypoints[0])
     phone = env.add_smartphone("phone", owner)
@@ -182,7 +182,7 @@ def run_bench_rssi(
 ) -> Dict:
     """Time every layer of the RSSI substrate; returns the payload that
     :func:`render_bench` prints."""
-    testbed = testbed_by_name(testbed_name)
+    testbed = testbeds.testbed_by_name(testbed_name)
     plan = testbed.plan
     model = PropagationModel(plan, seed=seed)
     tx = testbed.speaker_point(0)

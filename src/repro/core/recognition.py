@@ -271,6 +271,20 @@ class TrafficRecognition:
             self._try_classify(speaker, window)
         return self._window_action(window)
 
+    def forwards_heartbeats(self, flow: ProxiedFlow) -> bool:
+        """Whether :meth:`observe` forwards a heartbeat record on
+        ``flow`` and changes nothing doing so: the flow's state exists,
+        no window is open on it, and an Echo flow is done with signature
+        tracking."""
+        speaker = self._speakers.get(flow.client.ip)
+        if speaker is None:
+            return True
+        fs = self._flows.get(flow.flow_id)
+        if fs is None or fs.window is not None:
+            return False
+        return (speaker.profile is not _ECHO or fs.signature_matched
+                or not self.use_signature_tracking)
+
     # -- lifecycle ------------------------------------------------------------
     def on_flow_closed(self, flow: ProxiedFlow) -> None:
         """Forget a closed flow's tracking state.

@@ -25,6 +25,8 @@ from repro.sim.simulator import Simulator
 PacketObserver = Callable[[Packet, str], None]
 
 _TCP = Protocol.TCP
+# Jitter draws are taken from the stream this many at a time.
+_JITTER_BLOCK = 256
 
 
 class Host:
@@ -255,7 +257,7 @@ class Network:
             return route
         jitter_idx = self._jitter_idx
         if jitter_idx >= len(self._jitter_buf):
-            self._jitter_buf = self._rng.random(256).tolist()
+            self._jitter_buf = self._rng.random(_JITTER_BLOCK).tolist()
             jitter_idx = 0
         self._jitter_idx = jitter_idx + 1
         latency = base * (1.0 + self.jitter * self._jitter_buf[jitter_idx])
@@ -279,6 +281,18 @@ class Network:
         heappush(queue._heap, (arrival, seq, None, receive, (packet,)))
         queue._live += 1
         return route
+
+    def _take_jitter(self, count: int) -> list:
+        """The next ``count`` jitter draws, as ``count`` sends would take
+        them: the buffer's rest, then refills block by block, the last
+        block left as the buffer.  For a caller that sends packets in
+        closed form (see repro.speakers.idle)."""
+        draws = self._jitter_buf[self._jitter_idx:]
+        while len(draws) < count:
+            self._jitter_buf = self._rng.random(_JITTER_BLOCK).tolist()
+            draws += self._jitter_buf
+        self._jitter_idx = len(self._jitter_buf) - (len(draws) - count)
+        return draws
 
     def _path_for(self, origin: Host, packet: Packet) -> tuple:
         """Resolve everything about a route that only depends on the

@@ -264,6 +264,24 @@ class TransparentProxy(TapHost):
         return shim(flow, packet,
                     partial(self._run_policy_chain, depth - 1))
 
+    def forwards_idle(self, flow: ProxiedFlow) -> bool:
+        """Whether a heartbeat record on ``flow`` would go straight
+        upstream, changing nothing but the forward counters: no shim,
+        nothing held or awaiting the upstream, and a record policy (if
+        any) whose owner's ``forwards_heartbeats(flow)`` says so."""
+        if self._record_shims or flow.held or flow.awaiting_upstream or flow.closed:
+            return False
+        policy = self.record_policy
+        if policy is None:
+            return True
+        forwards = getattr(getattr(policy, "__self__", None), "forwards_heartbeats", None)
+        return forwards is not None and forwards(flow)
+
+    def _count_forwarded(self, flow: ProxiedFlow, records: int) -> None:
+        """Count ``records`` records forwarded on ``flow``'s fast path."""
+        flow.records_forwarded += records
+        self._m_forwarded.inc(records)
+
     # -- tap entry point --------------------------------------------------
     def intercept(self, packet: Packet) -> None:
         """Tap entry point: demux to the stack, forwarder, or bridge."""

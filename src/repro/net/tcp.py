@@ -318,6 +318,38 @@ class TcpConnection:
                 self._transmit(self._make_packet(_ACK_FLAG))
                 self._finish("fin")
 
+    # -- idle periods in closed form (see repro.speakers.idle) -----------
+    def _idle_ready(self) -> bool:
+        """Whether nothing is in flight: established on a current route,
+        nothing unacknowledged or out of order, the RTO disarmed with no
+        wakeup queued, and the keepalive armed with one queued."""
+        rto, keepalive = self._rto_timer, self._keepalive_timer
+        return (
+            self.state is _ESTABLISHED
+            and not self._unacked
+            and not self._out_of_order
+            and self._route_version == self.stack.host.network.topology_version
+            and rto is not None and rto._deadline is None and rto._next_fire is None
+            and keepalive is not None and keepalive._deadline is not None
+            and keepalive._next_fire is not None
+        )
+
+    def _advance_idle(self, nbytes: int, last_rx: float, keepalive_at: float) -> None:
+        """Apply idle exchanges that sent and received ``nbytes`` each
+        way, each record acknowledged, the last segment in at
+        ``last_rx``, and the keepalive wakeup re-armed at
+        ``keepalive_at``."""
+        self.snd_next += nbytes
+        self.bytes_sent += nbytes
+        self.rcv_next += nbytes
+        self.bytes_received += nbytes
+        self._last_rx_time = last_rx
+        self._probes_sent = 0
+        self._head_retries = 0
+        self._recovering = False
+        timer = self._keepalive_timer
+        timer._deadline = timer._next_fire = keepalive_at
+
     # -- internals ------------------------------------------------------
     def _make_packet(self, flags: TcpFlags) -> Packet:
         """A bare control segment (no payload) at the current seq/ack."""

@@ -56,11 +56,23 @@ class TlsSession:
         """In-sequence records accepted so far."""
         return self._recv_expected
 
+    @property
+    def records_sent(self) -> int:
+        """Record sequence numbers allocated so far."""
+        return self._send_seq
+
     def next_send_seq(self) -> int:
         """Allocate the sequence number for the next outgoing record."""
         seq = self._send_seq
         self._send_seq += 1
         return seq
+
+    def skip(self, sent: int, received: int) -> None:
+        """Account ``sent`` records sent and ``received`` accepted in
+        sequence, as that many :meth:`next_send_seq` and in-sequence
+        :meth:`accept_record` calls would."""
+        self._send_seq += sent
+        self._recv_expected += received
 
     def accept_record(self, record_seq: Optional[int], now: float) -> Optional[TlsViolation]:
         """Validate an incoming application-data record.

@@ -203,6 +203,22 @@ class EventQueue:
             return (head[0], event.callback, event.args)
         return None
 
+    def _reseat(self, stale: list, fresh: list, next_seq: int) -> None:
+        """Take the live handle-free entries ``stale`` off the heap, push
+        ``fresh`` ones and number on from ``next_seq``: for a caller
+        that advanced the world past events it never queued (see
+        repro.speakers.idle), re-queueing what would be pending under
+        the keys it would have had."""
+        heap = self._heap
+        gone = {id(entry) for entry in stale}
+        # In place, as in _compact.
+        heap[:] = [entry for entry in heap if id(entry) not in gone]
+        heapq.heapify(heap)
+        for entry in fresh:
+            heapq.heappush(heap, entry)
+        self._live += len(fresh) - len(stale)
+        self._next_seq = next_seq
+
     # -- cancellation bookkeeping --------------------------------------
     def _note_cancelled(self, event: Event) -> None:
         """Keep the live count exact when a queued event is cancelled.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from heapq import heappop
+from math import inf
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
@@ -33,6 +34,12 @@ class Simulator:
         self._clock = SimClock(start)
         self._queue = EventQueue()
         self._running = False
+        # The deadline of the run_until call now running, which a
+        # callback that advances several periods in one step (see
+        # repro.speakers.idle) must not pass: the caller acts between
+        # calls.  -inf under an event budget; once a call returns it
+        # equals the clock, so step() and run() never see it ahead.
+        self._until = -inf
 
     @property
     def now(self) -> float:
@@ -123,6 +130,7 @@ class Simulator:
         # callbacks cancel events.
         heap = queue._heap
         budget = -1 if max_events is None else max(max_events, 0)
+        self._until = time if max_events is None else -inf
         fired = 0
         while fired != budget and heap:
             head = heap[0]

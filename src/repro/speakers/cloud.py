@@ -61,6 +61,7 @@ class AvsCloud(Host):
 
     PROCESSING_DELAY = (2.8, 4.5)  # command end -> response audio
     DIRECTIVE_DELAY = 0.025  # quick server acknowledgement (Figure 4)
+    HEARTBEAT_REPLY_DELAY = 0.004
 
     def __init__(self, name: str, ip: IPv4Address, rng: np.random.Generator) -> None:
         super().__init__(name, ip)
@@ -106,13 +107,29 @@ class AvsCloud(Host):
             return
         if packet.payload_len == HEARTBEAT_LEN and packet.meta.get("heartbeat"):
             self.stats.heartbeats_answered += 1
-            self._schedule_send(conn, state, 0.004, HEARTBEAT_LEN,
+            self._schedule_send(conn, state, self.HEARTBEAT_REPLY_DELAY, HEARTBEAT_LEN,
                                 _APPLICATION_DATA, {"heartbeat_ack": True})
             return
         if packet.meta.get("command_end"):
             interaction_id = int(packet.meta["interaction_id"])
             segments: List[int] = list(packet.meta.get("response_segments", []))
             self._execute(conn, state, interaction_id, segments)
+
+    def _idle_session(self, conn: TcpConnection,
+                      record_seq: int) -> Optional[_SessionState]:
+        """``conn``'s session if it would accept a heartbeat carrying
+        TLS record seq ``record_seq`` in sequence and answer it."""
+        state = self._sessions.get(conn.four_tuple)
+        if state is None or state.dead or state.tls.records_received != record_seq:
+            return None
+        return state
+
+    def _answer_idle(self, state: _SessionState, heartbeats: int) -> None:
+        """Account ``heartbeats`` heartbeats accepted and answered on
+        ``state``'s session."""
+        self.stats.records_received += heartbeats
+        self.stats.heartbeats_answered += heartbeats
+        state.tls.skip(sent=heartbeats, received=heartbeats)
 
     def _execute(
         self,

@@ -32,6 +32,7 @@ from repro.net.tcp import TcpConnection, TcpState, TcpTuning
 from repro.net.tls import TlsSession
 from repro.sim.process import DeadlineTimer
 from repro.sim.random import uniform
+from repro.speakers import idle
 from repro.speakers import signatures as sig
 from repro.speakers.base import InteractionRecord, SmartSpeaker
 from repro.speakers.interaction import EchoTrafficModel
@@ -180,8 +181,14 @@ class EchoDot(SmartSpeaker):
         # every 30 s for a week.
         conn = self._conn
         if conn is not None and conn.state is _ESTABLISHED and self._tls is not None:
+            sim = self.sim
+            now = sim._clock._now
+            # A quiet stretch of two periods or more goes in one step.
+            if (sim._until - now >= 2.0 * sig.HEARTBEAT_PERIOD
+                    and idle.advance_idle_periods(self)):
+                return
             self._send_record(conn, self._tls, sig.HEARTBEAT_LEN, {"heartbeat": True})
-            self._heartbeat_timer.schedule_at(self.sim._clock._now + sig.HEARTBEAT_PERIOD)
+            self._heartbeat_timer.schedule_at(now + sig.HEARTBEAT_PERIOD)
 
     # -- interactions ------------------------------------------------------------
     def _start_interaction(self, record: InteractionRecord, utterance: VoiceUtterance) -> None:

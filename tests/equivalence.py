@@ -36,6 +36,14 @@ handful of fixed-seed workloads and reduces each to one SHA-256:
   only the guard stream it feeds.  Its packets take the observed route
   (``Network._deliver``); the unobserved delivery path is pinned by the
   other guard digests and by tests/test_net_proxy.py's frame test;
+* ``sevenday_state`` — another short seven-day home (4 + 3 episodes),
+  unobserved, reduced to its end state: every TCP connection's seq/ack,
+  byte counts, last-receive time and timer deadlines, the TLS record
+  seqs, the network's packet count, jitter buffer and FIFO floors,
+  every RNG stream's state, the pending heap keys and the metrics
+  snapshot.  ``sevenday`` sees only the guard stream and
+  ``sevenday_packets`` takes the observed route, so neither pins what
+  the idle heartbeat periods leave behind on the production route;
 * ``loadtest.<mode>`` — one smoke-sized 4-speaker loadtest cell per
   guard mode;
 * ``fleet_full`` — a 2-home full-fidelity fleet table;
@@ -102,6 +110,7 @@ SCRIPT_DRAWS = 3000
 MORPH_HOME_COUNTS = (4, 2)
 SEVEN_DAY_COUNTS = (30, 23)
 PACKET_HOME_COUNTS = (4, 3)
+STATE_HOME_SEED = 616
 LOADTEST_SPEAKERS = 4
 LOADTEST_RATE = "high"
 LOADTEST_UTTERANCES = 8
@@ -186,6 +195,57 @@ def sevenday_packets() -> str:
     scenario.speaker.settle_all()
     digest.update(json.dumps(scenario.env.obs.metrics.snapshot(), sort_keys=True).encode())
     return digest.hexdigest()
+
+
+def _timer_state(timer) -> tuple:
+    return (None, None) if timer is None else (timer._deadline, timer._next_fire)
+
+
+def world_state(scenario) -> tuple:
+    """A scenario's simulated end state, as plain values: what a
+    speed-only change to the idle path must leave exactly as it was."""
+    network = scenario.network
+    queue = scenario.sim._queue
+    connections = []
+    hosts = []
+    for host in network._hosts.values():
+        if host not in hosts:
+            hosts.append(host)
+    for host in hosts:
+        stack = host._tcp_stack
+        for conn in ([] if stack is None else stack._connections.values()):
+            connections.append((
+                host.name, str(conn.local), str(conn.remote), conn.state.value,
+                conn.snd_next, conn.rcv_next, conn.bytes_sent, conn.bytes_received,
+                conn.retransmissions, conn._last_rx_time, conn._probes_sent,
+                len(conn._unacked), _timer_state(conn._rto_timer),
+                _timer_state(conn._keepalive_timer)))
+    speaker, cloud = scenario.speaker, scenario.avs_cloud
+    tls = [None if speaker._tls is None else speaker._tls._send_seq]
+    tls += [(str(key), state.tls._send_seq, state.tls._recv_expected, state.dead)
+            for key, state in cloud._sessions.items()]
+    streams = [(name, repr(stream.bit_generator.state))
+               for name, stream in sorted(scenario.env.rng._streams.items())]
+    live = sorted((entry[0], entry[1]) for entry in queue._heap
+                  if entry[2] is None or not entry[2].cancelled)
+    return (
+        scenario.sim.now, connections, tls, _timer_state(speaker._heartbeat_timer),
+        network._packet_count, network._jitter_idx, network._jitter_buf,
+        sorted(network._last_delivery.items()), streams, live, queue._next_seq,
+        queue._live, json.dumps(scenario.env.obs.metrics.snapshot(), sort_keys=True),
+    )
+
+
+def sevenday_state() -> str:
+    """SHA-256 of a short unobserved seven-day home's end state (see
+    :func:`world_state`)."""
+    scenario = scenarios.build_scenario(
+        "house", "echo", deployment=0, owner_count=2, seed=STATE_HOME_SEED)
+    driver = workload_module.SevenDayWorkload(
+        scenario, episode_gap=workload_module.SEVEN_DAY_GAP)
+    driver.run(*PACKET_HOME_COUNTS)
+    scenario.speaker.settle_all()
+    return hashlib.sha256(repr(world_state(scenario)).encode()).hexdigest()
 
 
 def _run_packet_home(speaker_kind: str, seed: int, counts, wan_loss: float = 0.0,
@@ -482,6 +542,7 @@ RUNS: Dict[str, Callable[[], str]] = {
     "bootstrap": bootstrap,
     "sevenday": sevenday,
     "sevenday_packets": sevenday_packets,
+    "sevenday_state": sevenday_state,
     **{f"loadtest.{mode}": _loadtest_cell(mode) for mode in loadtest.MODES},
     "fleet_full": fleet_full,
     "fleet_fast": fleet_fast,
