@@ -13,7 +13,8 @@ class ReproError(Exception):
 
 
 class SimulationError(ReproError):
-    """The discrete-event kernel was used incorrectly (e.g. time reversal)."""
+    """The discrete-event kernel was used incorrectly (e.g. time reversal,
+    or a seed numpy's ``SeedSequence`` would not take)."""
 
 
 class NetworkError(ReproError):

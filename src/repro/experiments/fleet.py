@@ -34,9 +34,11 @@ Two fidelities share the same population and reducers:
     leak cluster included) at the occupant's measurement point and
     applies the guard's threshold decision plus a retry/push-loss
     latency model, once per block of homes (:func:`simulate_block`).
-    About 75 microseconds per home at the benchmark's reference host
-    speed (13k homes/s serial), most of it the home's synthesis and
-    seeded draws; this is what makes million-home sweeps possible.
+    About 50 microseconds per home at the benchmark's reference host
+    speed (19k homes/s serial): about half the home's synthesis and
+    model draws, a sixth seeding its two generators (in batches, see
+    :func:`repro.sim.random.generators`); this is what makes
+    million-home sweeps possible.
 ``full``
     The packet-level scenario simulation (speaker boot, TCP, BLE
     scans, the works) per home — seconds per home, for validating the
@@ -66,7 +68,7 @@ from repro.experiments.synthesis import (
     warm_worlds,
 )
 from repro.obs.metrics import QuantileSketch
-from repro.sim.random import generator
+from repro.sim.random import generators
 
 FIDELITIES = ("fast", "full")
 
@@ -95,6 +97,10 @@ SKETCH_ALPHA = 0.01  # 1% relative error on reported percentiles
 # draws is paid once for many homes, few enough that a chunk's working
 # set stays flat whatever its size.
 BLOCK_HOMES = 64
+# Fast homes synthesized per seeding batch: a batch costs about the
+# same for any size up to about a thousand seeds.  A multiple of
+# BLOCK_HOMES, so blocks do not straddle batches.
+SEED_BATCH = 16 * BLOCK_HOMES
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +194,12 @@ def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
     ints, floats = [], []
     legit_picks, away_picks, uniforms, normals, scans, tails, attempts = (
         [] for _ in range(7))
-    for spec in specs:
+    rngs = generators([derive_seed(spec.seed, "home.run") for spec in specs])
+    for spec, rng in zip(specs, rngs):
         world = fleet_world(spec.testbed, spec.deployment, spec.plan_scale)
         slot = slots.setdefault(id(world), len(worlds))
         if slot == len(worlds):
             worlds.append(world)
-        rng = generator(derive_seed(spec.seed, "home.run"))
         n_legit = spec.legit_commands
         n_attack = spec.attacks
         owners = spec.owner_count
@@ -558,21 +564,20 @@ def run_fleet_chunk(config: FleetConfig, shard: int, lo: int, hi: int) -> dict:
     matter how many homes the chunk covers.
     """
     accumulator = FleetAccumulator()
+    population = config.population
     start_index = config.shard_start(shard)
-
-    def home(offset: int) -> HomeSpec:
-        return config.population.home(config.seed, shard, offset, start_index + offset)
-
     if config.fidelity == "fast":
-        for block_lo in range(lo, hi, BLOCK_HOMES):
-            block_hi = min(block_lo + BLOCK_HOMES, hi)
-            accumulator.add_block(simulate_block(
-                [home(offset) for offset in range(block_lo, block_hi)]))
+        for batch_lo in range(lo, hi, SEED_BATCH):
+            specs = population.homes(config.seed, shard, batch_lo,
+                                     min(batch_lo + SEED_BATCH, hi), start_index)
+            for block in range(0, len(specs), BLOCK_HOMES):
+                accumulator.add_block(simulate_block(specs[block:block + BLOCK_HOMES]))
     else:
         # simulate_home_full is looked up per home so that a wrapper
         # installed on the module (e.g. a benchmark audit) sees every home.
         for offset in range(lo, hi):
-            accumulator.add_home(simulate_home_full(home(offset)))
+            accumulator.add_home(simulate_home_full(
+                population.home(config.seed, shard, offset, start_index + offset)))
     return accumulator.to_payload()
 
 

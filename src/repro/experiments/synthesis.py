@@ -42,7 +42,7 @@ from repro.radio.floorplan import FLOOR_HEIGHT, Door, FloorPlan, Room, SlabZone
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
 from repro.radio.testbeds import Testbed, WalkRoute, testbed_by_name
-from repro.sim.random import generator, pick
+from repro.sim.random import generator, generators, pick
 
 # Share of each base testbed in the synthesized population.
 DEFAULT_TESTBED_MIX: Tuple[Tuple[str, float], ...] = (
@@ -138,7 +138,23 @@ class PopulationModel:
         object.__setattr__(self, "_mix_cumulative", _cumulative(self.testbed_mix))
 
     def home(self, base_seed: int, shard: int, offset: int, index: int) -> HomeSpec:
-        """Synthesize home ``offset`` of ``shard`` (global ``index``).
+        """Synthesize home ``offset`` of ``shard`` (global ``index``)."""
+        seed = derive_seed(base_seed, "fleet.home", shard, offset)
+        return self._spec(shard, index, seed, generator(seed))
+
+    def homes(self, base_seed: int, shard: int, lo: int, hi: int,
+              shard_start: int) -> List[HomeSpec]:
+        """Homes ``lo..hi`` of ``shard``, home ``offset`` at global index
+        ``shard_start + offset``: each equal to :meth:`home`'s, their
+        generators seeded as one batch."""
+        seeds = [derive_seed(base_seed, "fleet.home", shard, offset)
+                 for offset in range(lo, hi)]
+        rngs = generators(seeds)
+        return [self._spec(shard, shard_start + lo + i, seed, rngs[i])
+                for i, seed in enumerate(seeds)]
+
+    def _spec(self, shard: int, index: int, seed: int, rng: np.random.Generator) -> HomeSpec:
+        """The home with seed ``seed``, drawn from ``rng`` (seeded with it).
 
         The draw order below is part of the population's definition:
         reordering it would re-deal every home in every fleet.  Draws
@@ -148,8 +164,6 @@ class PopulationModel:
         homes; unused entries are drawn anyway to keep every home's
         stream aligned.
         """
-        seed = derive_seed(base_seed, "fleet.home", shard, offset)
-        rng = generator(seed)
         # u: [mix pick, watch pick, away, body-block, attacked, loss tier]
         u = rng.random(6)
         # Deployment, floor-plan jitter and extra owners: three scalar

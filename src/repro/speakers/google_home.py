@@ -14,6 +14,7 @@ Differences from the Echo Dot that matter to the guard (Section IV-B):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -77,41 +78,45 @@ class GoogleHomeMini(SmartSpeaker):
             self.uploading_until, self.sim.now + self.ACTIVATION_LAG + speech + 0.6
         )
 
-        def on_resolved(ips: List[IPv4Address]) -> None:
-            if not ips:
-                return
-            server = Endpoint(ips[0], 443)
-            if transport == "quic":
-                self._run_quic(record, server, script)
-            else:
-                self._run_tcp(record, server, script)
+        # ``functools.partial`` over bound methods rather than closures,
+        # so a world pickles for the scenario pool after a command too.
+        self.sim.post(self.ACTIVATION_LAG * 0.5, self.dns.resolve, sig.GOOGLE_DOMAIN,
+                      partial(self._on_resolved, record, transport, script))
 
-        self.sim.post(self.ACTIVATION_LAG * 0.5,
-                      lambda: self.dns.resolve(sig.GOOGLE_DOMAIN, on_resolved))
+    def _on_resolved(self, record: InteractionRecord, transport: str,
+                     script: List[RecordSpec], ips: List[IPv4Address]) -> None:
+        if not ips:
+            return
+        server = Endpoint(ips[0], 443)
+        if transport == "quic":
+            self._run_quic(record, server, script)
+        else:
+            self._run_tcp(record, server, script)
+
+    def _on_cloud_packet(self, _channel, packet) -> None:
+        """A record or datagram from the cloud: a response marks its
+        interaction responded."""
+        if packet.meta.get("response"):
+            self.mark_responded(int(packet.meta["interaction_id"]))
 
     # -- TCP session ---------------------------------------------------------------
     def _run_tcp(self, record: InteractionRecord, server: Endpoint,
                  script: List[RecordSpec]) -> None:
         self.sessions_opened += 1
         conn = self.tcp_stack.connect(server)
-        tls = TlsSession()
+        conn.on_established = partial(self._on_established, record, TlsSession(), script)
+        conn.on_record = self._on_cloud_packet
 
-        def on_established(c: TcpConnection) -> None:
-            last = len(script) - 1
-            for index, spec in enumerate(script):
-                meta = {}
-                if index == last:
-                    meta = {"command_end": True, "interaction_id": record.interaction_id}
-                self.sim.post(spec.offset, self._send_tcp, c, tls, spec.length, meta)
-            idle = script[last].offset + uniform(self._rng, *self.IDLE_CLOSE)
-            self.sim.post(idle, self._close_if_open, c)
-
-        def on_record(c: TcpConnection, packet) -> None:
-            if packet.meta.get("response"):
-                self.mark_responded(int(packet.meta["interaction_id"]))
-
-        conn.on_established = on_established
-        conn.on_record = on_record
+    def _on_established(self, record: InteractionRecord, tls: TlsSession,
+                        script: List[RecordSpec], conn: TcpConnection) -> None:
+        last = len(script) - 1
+        for index, spec in enumerate(script):
+            meta = {}
+            if index == last:
+                meta = {"command_end": True, "interaction_id": record.interaction_id}
+            self.sim.post(spec.offset, self._send_tcp, conn, tls, spec.length, meta)
+        idle = script[last].offset + uniform(self._rng, *self.IDLE_CLOSE)
+        self.sim.post(idle, self._close_if_open, conn)
 
     def _send_tcp(self, conn: TcpConnection, tls: TlsSession, length: int, meta: dict) -> None:
         if not conn.is_established:
@@ -134,11 +139,7 @@ class GoogleHomeMini(SmartSpeaker):
         port = self._next_udp_port
         self._next_udp_port += 1
 
-        def on_datagram(flow: UdpFlow, packet) -> None:
-            if packet.meta.get("response"):
-                self.mark_responded(int(packet.meta["interaction_id"]))
-
-        flow = UdpFlow(self, Endpoint(self.ip, port), server, on_datagram)
+        flow = UdpFlow(self, Endpoint(self.ip, port), server, self._on_cloud_packet)
         last = len(script) - 1
         for index, spec in enumerate(script):
             meta = {}

@@ -13,6 +13,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.experiments.fleet import (
     BLOCK_HOMES,
+    SEED_BATCH,
     FleetAccumulator,
     FleetConfig,
     run_fleet,
@@ -80,6 +81,12 @@ class TestSynthesis:
             if spec.testbed == "office":
                 assert spec.owner_count == 1
                 assert spec.device_kind == "smartwatch"
+
+    def test_homes_batch_is_home_by_home(self):
+        pop = PopulationModel()
+        batch = pop.homes(3, 2, 5, 5 + BLOCK_HOMES + 6, 100)
+        assert batch == [pop.home(3, 2, offset, 100 + offset)
+                         for offset in range(5, 5 + BLOCK_HOMES + 6)]
 
     def test_attack_prevalence_knob(self):
         quiet = PopulationModel(attack_prevalence=0.0)
@@ -224,6 +231,37 @@ class TestFleetAccumulator:
         for lo in range(0, config.homes, chunk):
             split.merge_payload(run_fleet_chunk(config, 0, lo, min(lo + chunk, config.homes)))
         assert split.to_payload() == per_home.to_payload()
+
+    def test_chunk_across_a_seed_batch(self):
+        # One chunk whose homes span two seeding batches, the second
+        # ending mid-block, vs the same homes one chunk per home.
+        homes = SEED_BATCH + BLOCK_HOMES + 3
+        config = FleetConfig(homes=homes, shards=1, seed=11)
+        whole = run_fleet_chunk(config, 0, 0, homes)
+        single = FleetAccumulator()
+        for offset in range(homes):
+            single.merge_payload(run_fleet_chunk(config, 0, offset, offset + 1))
+        assert whole == single.to_payload()
+
+    def test_fast_chunk_seeds_no_generator_per_home(self, monkeypatch):
+        # Guard for the seeding batches: a chunk at the CLI's default
+        # size builds no SeedSequence per home, through numpy's
+        # constructors or repro.sim.random.generator.
+        config = FleetConfig(homes=256, shards=1, seed=11, chunk_size=256)
+        warm_worlds(config.population)
+        seeded = []
+
+        def counting(real):
+            def seed(*args, **kwargs):
+                seeded.append(args)
+                return real(*args, **kwargs)
+            return seed
+
+        for name in ("SeedSequence", "default_rng"):
+            monkeypatch.setattr(np.random, name, counting(getattr(np.random, name)))
+        payload = run_fleet_chunk(config, 0, 0, 256)
+        assert payload["per_testbed"]
+        assert seeded == []
 
     def test_merge_snapshots_fold_is_associative(self):
         # Fleet payloads carry no metrics snapshot; the per-run guard

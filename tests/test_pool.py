@@ -42,7 +42,7 @@ from repro.experiments.pool import (
     snapshot,
     template_seed,
 )
-from repro.experiments.scenarios import build_scenario
+from repro.experiments.scenarios import add_second_speaker, build_scenario
 from repro.experiments.synthesis import HomeSpec, PopulationModel
 from repro.experiments.workload import SevenDayWorkload
 from repro.net.capture import PacketCapture
@@ -278,6 +278,20 @@ class TestSnapshotHazards:
         leaked = sorted(t.__qualname__ for t in pickler.types
                         if t.__module__ == "itertools")
         assert leaked == []
+
+    def test_google_home_pickles_after_a_quic_command(self):
+        # The Mini's session callbacks are partials over bound methods,
+        # so a world at rest pickles after its Google speaker has run
+        # QUIC (and TCP) commands, not only before its first one.
+        scenario = build_scenario("house", "echo", deployment=0, seed=1,
+                                  owner_count=1, with_floor_tracking=False)
+        google = add_second_speaker(scenario, "google")
+        SevenDayWorkload(scenario).run(2, 2)
+        assert google.quic_sessions >= 1
+        assert google.sessions_opened > google.quic_sessions
+        buffer = io.BytesIO()
+        _SnapshotPickler(buffer, (), scenario.env.rng).dump(scenario)
+        assert buffer.getvalue()
 
 
 class TestRngHubReseed:
