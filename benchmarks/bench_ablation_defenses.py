@@ -88,19 +88,3 @@ def test_media_campaign(benchmark, publish):
     publish("ablation_media_campaign", result.render())
     assert result.executed_fraction(protected=False) >= 0.9
     assert result.executed_fraction(protected=True) == 0.0
-
-
-def test_sensitivity_sweep(benchmark, publish):
-    """Deployment knobs: the RSSI margin trades recall for precision;
-    an aggressive decision timeout fails closed on everyone."""
-    from repro.experiments.sensitivity import run_sensitivity
-
-    result = benchmark.pedantic(
-        lambda: run_sensitivity(seed=37, scale=30), rounds=1, iterations=1,
-    )
-    publish("ablation_sensitivity", result.render())
-    margins = result.series("rssi_margin")
-    assert margins[0].recall >= margins[-1].recall  # margin erodes recall
-    timeouts = result.series("decision_timeout")
-    assert timeouts[0].precision < timeouts[-1].precision
-    assert all(p.recall == 1.0 for p in timeouts)  # fail-closed never misses

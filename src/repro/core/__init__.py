@@ -34,22 +34,11 @@ from repro.core.events import CommandEvent, GuardLog, TrafficClass
 from repro.core.floor import FloorLevelTracker, TraceClassifier
 from repro.core.guard import VoiceGuard
 from repro.core.handler import TrafficHandler
-from repro.core.methods import (
-    AllOfMethod,
-    AllowListMethod,
-    AnyOfMethod,
-    QuietHoursMethod,
-    QuietWindow,
-)
 from repro.core.recognition import SpeakerProfile, TrafficRecognition, Window
 from repro.core.registry import DeviceRegistry, RegisteredDevice
-from repro.core.signature_learning import LearnedSignature, SignatureLearner
 from repro.core.threshold import ThresholdCalibrator, perimeter_route
 
 __all__ = [
-    "AllOfMethod",
-    "AllowListMethod",
-    "AnyOfMethod",
     "CommandEvent",
     "DecisionContext",
     "DecisionMethod",
@@ -58,11 +47,7 @@ __all__ = [
     "DeviceRegistry",
     "FloorLevelTracker",
     "GuardLog",
-    "LearnedSignature",
-    "QuietHoursMethod",
-    "QuietWindow",
     "RegisteredDevice",
-    "SignatureLearner",
     "RssiDecisionMethod",
     "SpeakerProfile",
     "ThresholdCalibrator",

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.errors import ConfigError
@@ -12,16 +13,13 @@ from repro.errors import ConfigError
 class VoiceGuardConfig:
     """Tunable parameters of the guard.
 
-    Defaults follow the paper: a spike after ~2.5 s of (non-heartbeat)
-    silence opens a new recognition window; classification needs at
-    most ``speakers.signatures.PHASE2_MARKER_MAX_INDEX`` (seven) packets,
-    a fixed property of the traffic rather than a setting; a held command
-    is dropped if no device proves proximity before ``decision_timeout``.
+    Defaults follow the paper: a held command is dropped if no device
+    proves proximity before ``decision_timeout``.  What the traffic
+    fixes is not a setting: the idle gap that opens a recognition
+    window, the classification timeout and the seven-packet
+    classification bound are constants of :mod:`repro.core.recognition`
+    and :mod:`repro.speakers.signatures`.  Every float must be finite.
     """
-
-    # Traffic recognition.
-    idle_gap: float = 2.5  # seconds of app-data silence that ends a spike
-    classification_timeout: float = 0.6  # give up waiting for more packets
 
     # Window recognizer: "signature" (the paper's matcher, default) or a
     # trainable kind from repro.core.recognizers ("knn" / "mlp"), trained
@@ -35,7 +33,6 @@ class VoiceGuardConfig:
     # Decision.
     decision_timeout: float = 5.0  # no reply from any device -> timeout verdict
     fail_open: bool = False  # on timeout: True = release, False = drop
-    rssi_margin: float = 0.0  # extra slack subtracted from thresholds
 
     # Decision resilience (all off by default: one push per device and a
     # flat timeout, the paper's original behaviour).
@@ -57,10 +54,12 @@ class VoiceGuardConfig:
     overflow_fail_open: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        if self.idle_gap <= 0:
-            raise ConfigError(f"idle_gap must be positive, got {self.idle_gap!r}")
-        if self.classification_timeout <= 0:
-            raise ConfigError("classification_timeout must be positive")
+        # A NaN slips past every ordered comparison below, and a NaN or
+        # infinite delay would reach the event heap as a timestamp.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{spec.name} must be finite, got {value!r}")
         # Validation is syntactic only (the recognizer registry lives a
         # layer above config); unknown names fail at scenario build.
         if not self.recognizer or not isinstance(self.recognizer, str):

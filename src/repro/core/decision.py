@@ -124,7 +124,6 @@ class RssiDecisionMethod(DecisionMethod):
         registry: DeviceRegistry,
         beacon: BluetoothBeacon,
         timeout: float = 5.0,
-        rssi_margin: float = 0.0,
         floor_check: Optional[FloorCheck] = None,
         push_retries: int = 0,
         retry_base: float = 1.5,
@@ -139,7 +138,6 @@ class RssiDecisionMethod(DecisionMethod):
         self.registry = registry
         self.beacon = beacon
         self.timeout = timeout
-        self.rssi_margin = rssi_margin
         self.floor_check = floor_check
         self.push_retries = push_retries
         self.retry_base = retry_base
@@ -252,7 +250,7 @@ class RssiDecisionMethod(DecisionMethod):
                 # are the freshest proximity evidence the guard has.
                 self.proximity_cache.update(
                     name, report.reported_at,
-                    report.sample.rssi >= entry.threshold - self.rssi_margin,
+                    report.sample.rssi >= entry.threshold,
                 )
             if state.done or name in state.answered:
                 return
@@ -364,7 +362,7 @@ class RssiDecisionMethod(DecisionMethod):
         return best_name
 
     def _satisfies(self, entry: RegisteredDevice, report: RssiReport, state: "_QueryState") -> bool:
-        if report.sample.rssi < entry.threshold - self.rssi_margin:
+        if report.sample.rssi < entry.threshold:
             return False
         if self.floor_check is not None and not self.floor_check(entry.name):
             # Above threshold but on the wrong floor: the leak case the

@@ -60,8 +60,7 @@ class VoiceGuard:
         self.registry = DeviceRegistry()
         self.floor_tracker: Optional[FloorLevelTracker] = None
 
-        self.recognition = TrafficRecognition(env.sim, self.config, self.log,
-                                              obs=self.obs)
+        self.recognition = TrafficRecognition(env.sim, self.log, obs=self.obs)
         # The retry jitter draws from its own named stream: enabling
         # retries never perturbs any other component's randomness.
         self.rssi_method = RssiDecisionMethod(
@@ -70,7 +69,6 @@ class VoiceGuard:
             registry=self.registry,
             beacon=env.speaker_beacon,
             timeout=self.config.decision_timeout,
-            rssi_margin=self.config.rssi_margin,
             floor_check=self._floor_ok,
             push_retries=self.config.push_retries,
             retry_base=self.config.retry_base,

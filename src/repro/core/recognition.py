@@ -26,7 +26,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
-from repro.core.config import VoiceGuardConfig
 from repro.core.events import CommandEvent, GuardLog, TrafficClass
 from repro.net.addresses import IPv4Address
 from repro.net.packet import Packet, Protocol
@@ -37,6 +36,14 @@ from repro.speakers import signatures as sig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.recognizers import WindowRecognizer
+
+
+# Seconds of (non-heartbeat) app-data silence that end a spike: the
+# next record opens a new recognition window.
+IDLE_GAP = 2.5
+# Seconds of silence after which a window still short of
+# PHASE2_MARKER_MAX_INDEX packets is classified from what it has.
+CLASSIFICATION_TIMEOUT = 0.6
 
 
 class SpeakerProfile(enum.Enum):
@@ -154,12 +161,10 @@ class TrafficRecognition:
     def __init__(
         self,
         sim: Simulator,
-        config: VoiceGuardConfig,
         log: GuardLog,
         obs: Optional[Observability] = None,
     ) -> None:
         self.sim = sim
-        self.config = config
         self.log = log
         obs = obs or Observability()
         self.tracer = obs.tracer
@@ -183,10 +188,6 @@ class TrafficRecognition:
         # learns AVS IPs from DNS and loses the server after silent
         # reconnects (the failure mode Section IV-B describes).
         self.use_signature_tracking = True
-        # Optional adaptive learner (paper Section VII's future work):
-        # when set, its adopted signature replaces the static constant,
-        # surviving firmware changes to the connect sequence.
-        self.signature_learner = None  # type: Optional["SignatureLearner"]
         # Pluggable per-profile window recognizers (see
         # repro.core.recognizers).  Empty by default: the built-in
         # signature matcher below runs byte-identically to before the
@@ -245,7 +246,7 @@ class TrafficRecognition:
         now = self.sim._clock._now
 
         if speaker.profile is _ECHO:
-            self._track_signature(speaker, fs, packet, now)
+            self._track_signature(speaker, fs, packet)
             relevant = speaker.avs_ip is not None and flow.server.ip == speaker.avs_ip
         else:
             relevant = flow.server.ip in speaker.google_ips
@@ -399,7 +400,7 @@ class TrafficRecognition:
             if fs.window is not window or not window.pending:
                 return
             idle = self.sim.now - window.last_packet_time
-            remaining = self.config.classification_timeout - idle
+            remaining = CLASSIFICATION_TIMEOUT - idle
             if remaining <= 1e-6:
                 self._classify(window, self._finalize_window(window))
             else:
@@ -407,13 +408,13 @@ class TrafficRecognition:
                 # would otherwise freeze simulated time in place.
                 self.sim.post(max(remaining, 0.001), check)
 
-        self.sim.post(self.config.classification_timeout, check)
+        self.sim.post(CLASSIFICATION_TIMEOUT, check)
 
     def _expire_stale_window(self, fs: _FlowState, now: float) -> None:
         window = fs.window
         if window is None:
             return
-        if now - window.last_packet_time > self.config.idle_gap:
+        if now - window.last_packet_time > IDLE_GAP:
             if window.pending:
                 # Spike ended without enough packets and the timer has
                 # not fired yet; settle it before opening a new window.
@@ -422,38 +423,20 @@ class TrafficRecognition:
 
     # -- AVS signature tracking ------------------------------------------------------------
     def _track_signature(
-        self, speaker: _SpeakerState, fs: _FlowState, packet: Packet, now: float
+        self, speaker: _SpeakerState, fs: _FlowState, packet: Packet
     ) -> None:
-        if not self.use_signature_tracking:
+        if (not self.use_signature_tracking or fs.signature_matched
+                or fs.signature_failed):
             return
-        if fs.signature_matched:
-            return
-        signature = self._active_signature()
-        if len(fs.prefix) < len(signature):
-            fs.prefix.append(packet.payload_len)
-        # Feed the adaptive learner from flows whose server identity is
-        # independently confirmed by DNS (never from signature matches —
-        # that would let the learner confirm itself).
-        if (
-            self.signature_learner is not None
-            and speaker.avs_ip_source == "dns"
-            and speaker.avs_ip is not None
-            and fs.flow.server.ip == speaker.avs_ip
-        ):
-            self.signature_learner.observe_confirmed_flow(fs.flow, packet, now)
-        if fs.signature_failed:
-            return
-        index = len(fs.prefix) - 1
-        if fs.prefix[index] != signature[index]:
+        # Neither matched nor failed: the prefix is still shorter than
+        # the signature.
+        signature = sig.AVS_CONNECT_SIGNATURE
+        prefix = fs.prefix
+        prefix.append(packet.payload_len)
+        index = len(prefix) - 1
+        if prefix[index] != signature[index]:
             fs.signature_failed = True
-            return
-        if len(fs.prefix) == len(signature):
+        elif len(prefix) == len(signature):
             fs.signature_matched = True
             speaker.avs_ip = fs.flow.server.ip
             speaker.avs_ip_source = "signature"
-
-    def _active_signature(self):
-        learner = self.signature_learner
-        if learner is not None and learner.active is not None:
-            return learner.active.lengths
-        return sig.AVS_CONNECT_SIGNATURE

@@ -25,7 +25,7 @@ provides that escalation without heavy ML dependencies:
 
 Online semantics: a learned recognizer decides only when the spike
 ends (every record of a pending window stays held until the
-``classification_timeout`` fires), unlike the signature matcher's
+``CLASSIFICATION_TIMEOUT`` fires), unlike the signature matcher's
 seven-packet incremental decision.  That is the latency price of
 length-agnostic recognition, and it is paid only when a learned
 recognizer is installed — the default signature path is untouched.

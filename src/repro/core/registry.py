@@ -20,9 +20,9 @@ class PluginRegistry:
     """Name → factory registry for pluggable strategies.
 
     The paper stresses the guard has "an open and extensible framework"
-    (Section VII); this is the generic surface behind it.  Decision
-    methods (:mod:`repro.core.methods`), window recognizers
-    (:mod:`repro.core.recognizers`) and traffic morphers
+    (Section VII); this is the generic surface behind it, beside the
+    :class:`~repro.core.decision.DecisionMethod` base.  Window
+    recognizers (:mod:`repro.core.recognizers`) and traffic morphers
     (:mod:`repro.attacks.morphing`) each keep a module-level instance,
     so experiments select implementations by name (CLI flags, config
     fields) without importing them directly.

@@ -16,6 +16,7 @@ from typing import List, Optional
 from repro.analysis.reporting import render_table
 from repro.baselines.naive_spike import NaiveSpikeDetector
 from repro.core.events import TrafficClass
+from repro.core.recognition import IDLE_GAP
 from repro.experiments.scenarios import build_scenario
 from repro.net.capture import PacketCapture
 from repro.net.packet import Packet
@@ -75,12 +76,13 @@ class Fig3Result:
         return table + summary
 
 
-def group_spikes(events: List[tuple], idle_gap: float = 2.5) -> List[Spike]:
-    """Group (time, length) points into post-idle spikes."""
+def group_spikes(events: List[tuple]) -> List[Spike]:
+    """Group (time, length) points into spikes: a silence longer than
+    ``IDLE_GAP`` starts the next one."""
     spikes: List[Spike] = []
     current: Optional[Spike] = None
     for time, length in events:
-        if current is None or time - current.end > idle_gap:
+        if current is None or time - current.end > IDLE_GAP:
             current = Spike(start=time, end=time, lengths=[length])
             spikes.append(current)
         else:

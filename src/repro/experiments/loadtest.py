@@ -55,7 +55,7 @@ MODES = ("coordinated", "strict", "degraded")
 
 # Intra-burst spacing beyond the utterance itself: enough post-command
 # silence that the recognizer closes one window before the next spike
-# (idle_gap plus classification slack), so bursts stress the decision
+# (IDLE_GAP plus classification slack), so bursts stress the decision
 # layer, not the spike detector.
 BURST_SPACING = 3.0
 

@@ -62,10 +62,9 @@ handful of fixed-seed workloads and reduces each to one SHA-256:
 * ``tables.<experiment>`` — the rendered table of one small run of
   each remaining grid experiment: resilience, loadtest and
   recognition-robustness smoke grids, a two-home campaign, the
-  hold-endurance sweep, a three-point sensitivity sweep, the default
-  ``repro trace`` report and a short Google Home Figure 6 run (the
-  ``report`` digest covers neither: it runs no trace, and its Figure 6
-  section is Echo only).
+  hold-endurance sweep, the default ``repro trace`` report and a
+  short Google Home Figure 6 run (the ``report`` digest covers
+  neither: it runs no trace, and its Figure 6 section is Echo only).
 
 Guard runs digest the guard's command-event stream plus the final sim
 clock; loadtest cells add the cell row and its metrics snapshot, and
@@ -92,7 +91,7 @@ from repro.core.config import VoiceGuardConfig
 from repro.core.floor import TraceClassifier
 from repro.experiments import (
     campaign, fig6, fleet, hold_endurance, loadtest, pool, recognition_robustness,
-    report, resilience, scenarios, sensitivity, synthesis, trace,
+    report, resilience, scenarios, synthesis, trace,
 )
 from repro.experiments import workload as workload_module
 from repro.home.devices import MobileDevice
@@ -522,8 +521,6 @@ TABLES: Dict[str, Callable[[], object]] = {
         smoke=True),
     "campaign": lambda: campaign.run_campaign(homes=2),
     "hold_endurance": lambda: hold_endurance.run_hold_endurance(),
-    "sensitivity": lambda: sensitivity.run_sensitivity(
-        rssi_margins=(0.0, 6.0), decision_timeouts=(1.0,), scale=10),
     "trace": lambda: trace.run_trace(),
     "fig6_google": lambda: fig6.run_fig6("google", invocations=30, seed=3),
 }

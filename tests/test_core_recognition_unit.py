@@ -7,9 +7,10 @@ import itertools
 
 import pytest
 
-from repro.core.config import VoiceGuardConfig
 from repro.core.events import GuardLog, TrafficClass
-from repro.core.recognition import SpeakerProfile, TrafficRecognition
+from repro.core.recognition import (
+    CLASSIFICATION_TIMEOUT, SpeakerProfile, TrafficRecognition,
+)
 from repro.net.addresses import IPv4Address, endpoint
 from repro.net.packet import Packet, Protocol
 from repro.net.proxy import ForwarderDecision, ProxiedFlow
@@ -51,7 +52,7 @@ def windows_opened(obs: Observability) -> int:
 @pytest.fixture
 def world(sim, obs):
     log = GuardLog()
-    recognition = TrafficRecognition(sim, VoiceGuardConfig(), log, obs=obs)
+    recognition = TrafficRecognition(sim, log, obs=obs)
     recognition.add_speaker(SPEAKER_IP, SpeakerProfile.ECHO)
     classified = []
     recognition.on_classified = lambda window, cls: classified.append((window, cls))
@@ -100,7 +101,7 @@ class TestWindowMachinery:
         sim, recognition, classified = world
         flow = make_flow()
         assert recognition.observe(flow, record(999)) is ForwarderDecision.HOLD
-        sim.run_for(VoiceGuardConfig().classification_timeout + 0.01)
+        sim.run_for(CLASSIFICATION_TIMEOUT + 0.01)
         assert classified[-1][1] is TrafficClass.UNKNOWN
         assert recognition.observe(flow, record(999)) is ForwarderDecision.FORWARD
 
@@ -213,29 +214,6 @@ class TestSignatureTracking:
             recognition.observe(flow, record(length, OTHER))
         assert state.avs_ip is None
 
-    def test_learned_signature_takes_precedence(self, world):
-        sim, recognition, classified = world
-        from repro.core.signature_learning import SignatureLearner
-        learner = SignatureLearner(prefix_length=4, confirmations=1)
-        recognition.signature_learner = learner
-        state = recognition.speaker_state(SPEAKER_IP)
-        # The learner adopts a custom 4-length prefix from one
-        # DNS-confirmed AVS flow...
-        confirmed = make_flow(server=AVS)
-        for length in (9, 8, 7, 6):
-            recognition.observe(confirmed, record(length, AVS))
-        assert learner.active is not None
-        assert learner.active.lengths == (9, 8, 7, 6)
-        # ... and a later, DNS-less connection to a brand-new IP is
-        # re-identified through the learned signature.
-        state.avs_ip = None
-        state.avs_ip_source = None
-        silent = make_flow(server=OTHER)
-        for length in (9, 8, 7, 6):
-            recognition.observe(silent, record(length, OTHER))
-        assert state.avs_ip == OTHER.ip
-        assert state.avs_ip_source == "signature"
-
     def test_dns_snoop_sets_avs_ip(self, world):
         sim, recognition, classified = world
         state = recognition.speaker_state(SPEAKER_IP)
@@ -270,7 +248,7 @@ class TestGoogleProfile:
     @pytest.fixture
     def google_world(self, sim):
         log = GuardLog()
-        recognition = TrafficRecognition(sim, VoiceGuardConfig(), log)
+        recognition = TrafficRecognition(sim, log)
         recognition.add_speaker(SPEAKER_IP, SpeakerProfile.GOOGLE)
         classified = []
         recognition.on_classified = lambda w, c: classified.append((w, c))

@@ -27,11 +27,9 @@ from repro.radio.testbeds import apartment_testbed, house_testbed
 class TestConfig:
     def test_defaults_valid(self):
         config = VoiceGuardConfig()
-        assert config.idle_gap == 2.5
+        assert config.decision_timeout == 5.0
 
     @pytest.mark.parametrize("kwargs", [
-        {"idle_gap": 0.0},
-        {"classification_timeout": -1.0},
         {"retry_base": 2.0, "retry_cap": 1.0},
         {"decision_timeout": 0.0},
         {"decision_timeout": 10.0, "max_hold": 5.0},
@@ -39,6 +37,15 @@ class TestConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             VoiceGuardConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", [
+        "decision_timeout", "retry_base", "retry_cap",
+        "proximity_cache_ttl", "max_hold",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            VoiceGuardConfig(**{name: value})
 
 
 class TestEchoClassifier:

@@ -36,11 +36,6 @@ class TestExamples:
         assert "threshold = min" in out
         assert "[55, 56, 59, 60, 61, 62]" in out
 
-    def test_extensible_guard(self, capsys):
-        out = run_example("extensible_guard.py", capsys)
-        assert "verdict malicious" in out  # quiet hours blocked the owner
-        assert "re-learned after" in out
-
     def test_multi_user_home(self, capsys):
         out = run_example("multi_user_home.py", capsys)
         assert "verdict legitimate" in out

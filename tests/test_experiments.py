@@ -215,7 +215,7 @@ class TestPaperConstants:
 class TestFigureHelpers:
     def test_group_spikes_by_idle_gap(self):
         events = [(0.0, 10), (0.5, 20), (5.0, 30), (5.1, 40)]
-        spikes = group_spikes(events, idle_gap=2.5)
+        spikes = group_spikes(events)
         assert len(spikes) == 2
         assert spikes[0].lengths == [10, 20]
         assert spikes[1].lengths == [30, 40]

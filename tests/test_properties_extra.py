@@ -1,5 +1,5 @@
 """A second round of property-based tests: propagation physics,
-decision combinators, bootstrap statistics, and corpus phrases."""
+bootstrap statistics, and corpus phrases."""
 
 from __future__ import annotations
 
@@ -9,59 +9,10 @@ from hypothesis import strategies as st
 
 from repro.analysis.stats import bootstrap_interval
 from repro.audio.commands import _phrase_with_exact_words
-from repro.core.decision import DecisionContext, DecisionResult, Verdict
 from repro.core.floor import TraceClassifier, TraceFeatures
-from repro.core.methods import AllOfMethod, AnyOfMethod
 from repro.radio.floorplan import FloorPlan, Room
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
-
-
-class _Stub:
-    def __init__(self, verdict):
-        self.verdict = verdict
-
-    def decide(self, context, callback):
-        callback(DecisionResult(verdict=self.verdict))
-
-
-def _run(method):
-    out = []
-    method.decide(DecisionContext(1, "x", 0.0), out.append)
-    return out[0].verdict
-
-
-VERDICTS = st.sampled_from([Verdict.LEGITIMATE, Verdict.MALICIOUS, Verdict.TIMEOUT])
-
-
-class TestCombinatorProperties:
-    @given(st.lists(VERDICTS, min_size=1, max_size=6))
-    def test_all_of_matches_boolean_semantics(self, verdicts):
-        got = _run(AllOfMethod([_Stub(v) for v in verdicts]))
-        if Verdict.MALICIOUS in verdicts:
-            assert got is Verdict.MALICIOUS
-        elif Verdict.TIMEOUT in verdicts:
-            assert got is Verdict.TIMEOUT
-        else:
-            assert got is Verdict.LEGITIMATE
-
-    @given(st.lists(VERDICTS, min_size=1, max_size=6))
-    def test_any_of_matches_boolean_semantics(self, verdicts):
-        got = _run(AnyOfMethod([_Stub(v) for v in verdicts]))
-        if Verdict.LEGITIMATE in verdicts:
-            assert got is Verdict.LEGITIMATE
-        elif Verdict.TIMEOUT in verdicts:
-            assert got is Verdict.TIMEOUT
-        else:
-            assert got is Verdict.MALICIOUS
-
-    @given(st.lists(VERDICTS, min_size=1, max_size=6))
-    def test_exactly_one_callback(self, verdicts):
-        calls = []
-        AllOfMethod([_Stub(v) for v in verdicts]).decide(
-            DecisionContext(1, "x", 0.0), calls.append,
-        )
-        assert len(calls) == 1
 
 
 def _open_model() -> PropagationModel:

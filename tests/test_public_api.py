@@ -1,5 +1,15 @@
-"""Every public module-level function and class in ``src/repro`` has a
-caller outside the test suite, and every scalar draw has one spelling.
+"""Every ``src/repro`` module is imported from an entry point, every
+public module-level function and class has a caller outside the test
+suite, and every scalar draw has one spelling.
+
+A module that no entry point reaches is code only tests run.  The walk
+starts at ``repro.__main__`` and the ``e2ebench/`` scripts and follows
+their imports, at any depth of the file: ``import a.b`` reaches module
+``a.b``, ``from a import b`` reaches ``a.b`` when that is a module and
+module ``a`` otherwise.  Package ``__init__`` bodies are not followed,
+so a re-export is not a caller.  A module it misses gets an entry-point
+caller, or it goes, or it sits on :data:`REACH_ALLOWLIST` with the
+reason it stays.
 
 A public name that only tests call is API nothing runs.  It gets a
 production caller, or it goes, or it sits on :data:`ALLOWLIST` with the
@@ -22,11 +32,24 @@ import ast
 import functools
 import pathlib
 import re
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "repro"
+SRC = ROOT / "src"
+PACKAGE = SRC / "repro"
 SEARCHED = ("src", "benchmarks", "examples", "e2ebench")
+ENTRY_POINTS = [PACKAGE / "__main__.py"] + [
+    path for path in sorted((ROOT / "e2ebench").glob("*.py"))
+    if not path.name.startswith("test_")
+]
+
+# module -> why it stays although no entry point imports it.
+REACH_ALLOWLIST: Dict[str, str] = {
+    "repro.analysis.export": "its CSVs, written by the benchmarks/ paper-artifact "
+                             "scripts, are the only committed record of the Table "
+                             "II-IV accuracy confidence intervals until a claim "
+                             "ledger carries them",
+}
 
 # name -> why it stays although only tests call it.
 ALLOWLIST: Dict[str, str] = {
@@ -35,6 +58,75 @@ ALLOWLIST: Dict[str, str] = {
     "offline_outage": "tests build the home-wide outage plan the golden "
                       "outage trace pins with it",
 }
+
+
+def module_files(src: pathlib.Path, package: str) -> Dict[str, pathlib.Path]:
+    """Dotted name -> file of each module under ``src/package``, package
+    ``__init__`` files left out."""
+    return {
+        ".".join(path.relative_to(src).with_suffix("").parts): path
+        for path in sorted((src / package).rglob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def imported_modules(path: pathlib.Path, modules: Dict[str, pathlib.Path]) -> Set[str]:
+    """The names in ``modules`` that ``path`` imports anywhere in its body."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names & modules.keys()
+
+
+def unreached(src: pathlib.Path, package: str,
+              entry_points: Sequence[pathlib.Path]) -> List[str]:
+    """Modules under ``src/package`` that no import chain from
+    ``entry_points`` reaches."""
+    modules = module_files(src, package)
+    reached = {name for name, path in modules.items() if path in entry_points}
+    frontier = list(entry_points)
+    while frontier:
+        found = imported_modules(frontier.pop(), modules) - reached
+        reached |= found
+        frontier.extend(modules[name] for name in found)
+    return sorted(modules.keys() - reached)
+
+
+def test_every_module_is_reached_from_an_entry_point():
+    missing = [name for name in unreached(SRC, "repro", ENTRY_POINTS)
+               if name not in REACH_ALLOWLIST]
+    assert not missing, (
+        "modules no entry point imports (import them from an entry point, "
+        "delete them, or add them to REACH_ALLOWLIST with a reason): "
+        + ", ".join(missing))
+
+
+def test_reach_allowlist_is_current():
+    """An allowlisted module that is gone, or that an entry point now
+    reaches, leaves the list."""
+    left = unreached(SRC, "repro", ENTRY_POINTS)
+    stale = sorted(name for name in REACH_ALLOWLIST if name not in left)
+    assert not stale, f"stale REACH_ALLOWLIST entries: {stale}"
+
+
+def test_walk_flags_a_planted_module(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    files = {
+        # The package re-exports the planted module: not a caller.
+        "__init__.py": "from pkg.planted import helper\n",
+        "__main__.py": "from pkg import used\n",
+        "used.py": "def run():\n    import pkg.deep\n",
+        "deep.py": "from pkg import helper\n",
+        "planted.py": "def helper():\n    pass\n",
+    }
+    for name, text in files.items():
+        (package / name).write_text(text, encoding="utf-8")
+    assert unreached(tmp_path, "pkg", [package / "__main__.py"]) == ["pkg.planted"]
 
 
 def public_definitions() -> List[Tuple[str, pathlib.Path, int, int]]:

@@ -223,14 +223,9 @@ class TestPluginRegistry:
             registry.create("b")
 
     def test_builtin_registries_are_populated(self):
-        from repro.core.methods import DECISION_METHODS
-
         assert RECOGNIZERS.names() == ["knn", "mlp", "signature"]
         assert MORPHERS.names() == ["dummy-burst", "jitter", "pad-fixed",
                                     "pad-random"]
-        assert "rssi" in DECISION_METHODS
-        assert {"allow-list", "quiet-hours", "all-of",
-                "any-of"} <= set(DECISION_METHODS.names())
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.config import VoiceGuardConfig
 from repro.core.events import GuardLog
 from repro.core.recognition import SpeakerProfile, TrafficRecognition
 from repro.net.addresses import IPv4Address, endpoint
@@ -298,7 +297,7 @@ class TestCounterLifecycle:
     def test_window_ids_are_per_instance(self):
         def fresh_recognition():
             sim = Simulator()
-            recognition = TrafficRecognition(sim, VoiceGuardConfig(), GuardLog())
+            recognition = TrafficRecognition(sim, GuardLog())
             recognition.add_speaker(IPv4Address("192.168.1.200"), SpeakerProfile.ECHO)
             state = recognition.speaker_state(IPv4Address("192.168.1.200"))
             state.avs_ip = IPv4Address("54.1.1.1")
@@ -327,7 +326,7 @@ class TestCounterLifecycle:
 
     def test_closed_flows_are_pruned(self):
         sim = Simulator()
-        recognition = TrafficRecognition(sim, VoiceGuardConfig(), GuardLog())
+        recognition = TrafficRecognition(sim, GuardLog())
         recognition.add_speaker(IPv4Address("192.168.1.200"), SpeakerProfile.ECHO)
         state = recognition.speaker_state(IPv4Address("192.168.1.200"))
         state.avs_ip = IPv4Address("54.1.1.1")
