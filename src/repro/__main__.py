@@ -36,6 +36,7 @@ def _write_output(path: Optional[str], text: str) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import render_task_timings
     from repro.experiments.report import generate_report
 
     report = generate_report(scale=args.scale, seed=args.seed,
@@ -43,10 +44,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                              workers=args.workers,
                              use_cache=not args.no_cache)
     print(report.render())
-    if args.workers != 1:
-        from repro.analysis.reporting import render_task_timings
-
-        print(render_task_timings(report.timings), file=sys.stderr)
+    print(render_task_timings(report.timings), file=sys.stderr)
     _write_output(args.output, report.render())
     return 0
 

@@ -102,9 +102,6 @@ class VoiceGuard:
         self.proxy.on_hold_overflow = self.handler.on_hold_overflow
         self.proxy.add_snooper(self.recognition.observe_snoop)
         self.recognition.on_classified = self.handler.on_window_classified
-        # Closed flows release their recognizer state so week-long
-        # campaigns don't accumulate one _FlowState per connection.
-        self.proxy.on_flow_closed = self.recognition.on_flow_closed
 
         self._protected: Dict[IPv4Address, SpeakerProfile] = {}
 

@@ -102,6 +102,9 @@ class Window:
 
 @dataclass
 class _FlowState:
+    """A flow's recognition state, kept in ``ProxiedFlow.policy_state``
+    so it ends when the proxy finishes the flow."""
+
     flow: ProxiedFlow
     prefix: List[int] = field(default_factory=list)
     window: Optional[Window] = None
@@ -180,7 +183,6 @@ class TrafficRecognition:
         self._m_classify_latency = metrics.histogram("classify_latency")
         self.on_classified: Optional[ClassifiedCallback] = None
         self._speakers: Dict[IPv4Address, _SpeakerState] = {}
-        self._flows: Dict[int, _FlowState] = {}
         # Window ids are per-recognizer (not module-global) so repeated
         # runs in one process number their windows identically.
         self._last_window_id = 0  # not itertools.count: pool snapshots pickle it
@@ -239,10 +241,9 @@ class TrafficRecognition:
         speaker = self._speakers.get(flow.client.ip)
         if speaker is None:
             return _FORWARD
-        fs = self._flows.get(flow.flow_id)
+        fs = flow.policy_state
         if fs is None:
-            fs = _FlowState(flow=flow)
-            self._flows[flow.flow_id] = fs
+            fs = flow.policy_state = _FlowState(flow=flow)
         now = self.sim._clock._now
 
         if speaker.profile is _ECHO:
@@ -280,27 +281,11 @@ class TrafficRecognition:
         speaker = self._speakers.get(flow.client.ip)
         if speaker is None:
             return True
-        fs = self._flows.get(flow.flow_id)
+        fs = flow.policy_state
         if fs is None or fs.window is not None:
             return False
         return (speaker.profile is not _ECHO or fs.signature_matched
                 or not self.use_signature_tracking)
-
-    # -- lifecycle ------------------------------------------------------------
-    def on_flow_closed(self, flow: ProxiedFlow) -> None:
-        """Forget a closed flow's tracking state.
-
-        Long campaign runs open thousands of short-lived connections;
-        without pruning, ``_flows`` grows one entry per flow for the
-        life of the guard.  A still-pending window is unaffected: the
-        scheduled classification check holds its own reference and
-        settles it normally.
-        """
-        self._flows.pop(flow.flow_id, None)
-
-    def tracked_flow_count(self) -> int:
-        """Number of flows currently holding recognizer state."""
-        return len(self._flows)
 
     # -- window mechanics ------------------------------------------------------------
     def _next_window_id(self) -> int:

@@ -40,7 +40,6 @@ from repro.experiments.table1 import run_table1
 class ReportSection:
     name: str
     text: str
-    elapsed: float
 
 
 @dataclass
@@ -49,10 +48,12 @@ class ReproductionReport:
     timings: List[TaskTiming] = field(default_factory=list)
 
     def render(self) -> str:
-        """Render as paper-style text."""
+        """Render as paper-style text: the same for the same scale and
+        seed, whatever the worker count or cache (wall times are in
+        ``timings``)."""
         parts = ["VoiceGuard reproduction report", "=" * 31, ""]
         for section in self.sections:
-            parts.append(f"--- {section.name} ({section.elapsed:.1f}s) ---")
+            parts.append(f"--- {section.name} ---")
             parts.append(section.text)
             parts.append("")
         return "\n".join(parts)
@@ -150,9 +151,6 @@ def generate_report(
                               progress=progress)
     texts = engine.run(tasks)
 
-    elapsed_by_label = {timing.label: timing.elapsed for timing in engine.timings}
-    report = ReproductionReport(timings=list(engine.timings))
-    for spec, text in zip(specs, texts):
-        report.sections.append(
-            ReportSection(spec.name, text, elapsed_by_label.get(spec.name, 0.0)))
-    return report
+    return ReproductionReport(
+        sections=[ReportSection(spec.name, text) for spec, text in zip(specs, texts)],
+        timings=list(engine.timings))

@@ -15,9 +15,10 @@ speaker sends a record — exactly the paper's Figure 4 case III.
 Google Home Mini may use QUIC over UDP.  Its datagrams go through the
 same hold queue: the proxy owns every flow's queue, whatever the
 transport, and the :class:`UdpForwarder` only claims the speaker's QUIC
-datagrams and keys their flows.  The transport shows only where a
-record leaves the guard (:meth:`TransparentProxy._send_upstream`) and in
-the TCP fast path for an established upstream.
+datagrams and closes their flows once they fall silent.  The transport
+shows only where a record leaves the guard
+(:meth:`TransparentProxy._send_upstream`) and in the TCP fast path for
+an established upstream.
 """
 
 from __future__ import annotations
@@ -30,14 +31,24 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.link import Network, TapHost
 from repro.net.packet import Packet, Protocol, TcpFlags
-from repro.net.tcp import TcpConnection, TcpStack, TcpState, TcpTuning
+from repro.net.tcp import TcpConnection, TcpStack, TcpState
 from repro.obs.tracer import NULL_SPAN, Observability
 
 _SYN = TcpFlags.SYN.value
 _ACK = TcpFlags.ACK.value
 # Enum members read per record (see repro.net.tcp._ACK_FLAG).
 _TCP = Protocol.TCP
+_UDP = Protocol.UDP
 _ESTABLISHED = TcpState.ESTABLISHED
+
+# The port both speakers' cloud sessions use, over TCP (TLS) and UDP
+# (QUIC).  TCP to other ports is bridged untouched; datagrams (e.g.
+# DNS/53 UDP) are reported to snoopers, then forwarded or bridged.
+PROXIED_PORT = 443
+# Seconds without a datagram in either direction after which a QUIC
+# flow ends, silently, as QUIC's idle timeout closes a connection
+# (RFC 9000 section 10.1).
+QUIC_IDLE_TIMEOUT = 30.0
 
 
 class ForwarderDecision(enum.Enum):
@@ -57,10 +68,8 @@ class ForwarderDecision(enum.Enum):
 _FORWARD = ForwarderDecision.FORWARD
 _HOLD = ForwarderDecision.HOLD
 
-# Flow ids are allocated per-proxy (see TransparentProxy._open_flow) so
-# repeated in-process runs are deterministic; TCP flows and the UDP
-# forwarder's flows share the owning proxy's counter, keeping ids unique
-# within one guard (the recognizer keys its per-flow state on them).
+# Flow ids are allocated per-proxy (see TransparentProxy._open_flow), one
+# counter for both transports, so repeated in-process runs match.
 
 
 class HoldBudget:
@@ -126,7 +135,8 @@ class ProxiedFlow:
     """One spliced client<->server conversation.
 
     ``client`` is the speaker-side endpoint, ``server`` the cloud-side
-    endpoint the speaker believed it was talking to.
+    endpoint the speaker believed it was talking to.  ``policy_state``
+    is the record policy's; finishing the flow resets it to None.
     """
 
     flow_id: int
@@ -142,11 +152,8 @@ class ProxiedFlow:
     closed: bool = False
     close_reason: Optional[str] = None
     span: object = NULL_SPAN
-
-    @property
-    def holding(self) -> bool:
-        """Whether records are currently parked."""
-        return bool(self.held)
+    policy_state: object = None
+    last_datagram_at: float = 0.0  # UDP: the last one either way
 
 
 # Signature of the per-record policy: (flow, packet) -> decision.
@@ -159,39 +166,33 @@ RecordPolicy = Callable[[ProxiedFlow, Packet], ForwarderDecision]
 # (repro.attacks.morphing) use this to distort what the recognizer
 # sees without touching the actual TCP/TLS byte stream.
 RecordShim = Callable[[ProxiedFlow, Packet, RecordPolicy], ForwarderDecision]
-FlowObserver = Callable[[ProxiedFlow], None]
 SnoopObserver = Callable[[Packet], None]
 # Budget-overflow hook: resolves the flow's pending window by policy and
 # returns what to do with the record that could not be held.  A proxy
 # with no hook drops that record.
 OverflowPolicy = Callable[[ProxiedFlow], ForwarderDecision]
+# ``TransparentProxy.open_flows`` key: (protocol, client, server).  The
+# protocol keeps a QUIC port from ever naming a TCP flow.
+FlowKey = Tuple[Protocol, Endpoint, Endpoint]
 
 
 class TransparentProxy(TapHost):
     """The guard laptop's inline packet plane.
 
-    Parameters
-    ----------
-    name, ip:
-        Host identity of the guard laptop on the LAN.
-    proxied_ports:
-        TCP destination ports to terminate (443 for both speakers).
-        TCP to other ports is bridged untouched; datagrams (e.g. DNS/53
-        UDP) are reported to snoopers, then forwarded or bridged.
+    ``name`` and ``ip`` are the guard laptop's host identity on the LAN.
+    It terminates TCP to :data:`PROXIED_PORT` and keeps every flow it
+    has not finished, of either transport, in ``open_flows``.
     """
 
     def __init__(
         self,
         name: str,
         ip: IPv4Address,
-        proxied_ports: Tuple[int, ...] = (443,),
-        tuning: Optional[TcpTuning] = None,
         obs: Optional[Observability] = None,
         hold_budget: Optional[HoldBudget] = None,
     ) -> None:
         super().__init__(name, ip)
         self.stack = TcpStack(self)
-        self._tuning = tuning or TcpTuning()
         obs = obs or Observability()
         self.tracer = obs.tracer
         metrics = obs.metrics.scope("proxy")
@@ -199,28 +200,23 @@ class TransparentProxy(TapHost):
         self._m_forwarded = metrics.counter("records_forwarded")
         self._m_held = metrics.counter("records_held")
         self._m_discarded = metrics.counter("records_discarded")
-        self.proxied_ports = tuple(proxied_ports)
         self.hold_budget = hold_budget or HoldBudget(obs=obs)
         self.on_hold_overflow: Optional[OverflowPolicy] = None
         self.record_policy: Optional[RecordPolicy] = None
         self._record_shims: List[RecordShim] = []
-        self.on_flow_opened: Optional[FlowObserver] = None
-        self.on_flow_closed: Optional[FlowObserver] = None
         self._snoopers: List[SnoopObserver] = []
-        self._flows_by_downstream: Dict[Tuple[Endpoint, Endpoint], ProxiedFlow] = {}
-        self.flows: List[ProxiedFlow] = []
+        self.open_flows: Dict[FlowKey, ProxiedFlow] = {}
         self.udp_forwarder: Optional["UdpForwarder"] = None
         self._last_flow_id = 0
-        for port in self.proxied_ports:
-            self.stack.listen(port, self._accept_downstream, transparent=True, tuning=self._tuning)
+        self.stack.listen(PROXIED_PORT, self._accept_downstream, transparent=True)
 
     def _open_flow(self, protocol: Protocol, client: Endpoint,
                    server: Endpoint) -> ProxiedFlow:
-        """Number a new flow, record it and begin its span."""
+        """Number a new flow, enter it in ``open_flows`` and begin its span."""
         self._last_flow_id += 1
         flow = ProxiedFlow(flow_id=self._last_flow_id, protocol=protocol,
                            client=client, server=server)
-        self.flows.append(flow)
+        self.open_flows[(protocol, client, server)] = flow
         self._m_flows.inc()
         flow.span = self.tracer.begin(
             "proxy.flow", flow_id=flow.flow_id, protocol=protocol.value,
@@ -296,7 +292,7 @@ class TransparentProxy(TapHost):
             if (
                 flag_bits & _SYN
                 and not flag_bits & _ACK
-                and packet.dst.port in self.proxied_ports
+                and packet.dst.port == PROXIED_PORT
             ):
                 self.stack.receive(packet)
                 return
@@ -313,7 +309,6 @@ class TransparentProxy(TapHost):
     def _accept_downstream(self, downstream: TcpConnection) -> None:
         flow = self._open_flow(_TCP, downstream.remote, downstream.local)
         flow.downstream = downstream
-        self._flows_by_downstream[downstream.four_tuple] = flow
         # ``functools.partial`` over bound methods rather than lambdas:
         # these callbacks live on connections that outlast this call, and
         # the pickled world snapshots of repro.experiments.pool must
@@ -324,15 +319,11 @@ class TransparentProxy(TapHost):
         downstream.on_established = partial(self._open_upstream, flow)
 
     def _open_upstream(self, flow: ProxiedFlow, _conn: Optional[TcpConnection] = None) -> None:
-        upstream = self.stack.connect(
-            flow.server, local_ip=flow.client.ip, tuning=self._tuning
-        )
+        upstream = self.stack.connect(flow.server, local_ip=flow.client.ip)
         flow.upstream = upstream
         upstream.on_record = partial(self._on_server_record, flow)
         upstream.on_close = partial(self._on_upstream_close, flow)
         upstream.on_established = partial(self._flush_awaiting, flow)
-        if self.on_flow_opened:
-            self.on_flow_opened(flow)
 
     def _on_client_record(self, flow: ProxiedFlow, conn: TcpConnection,
                           packet: Packet) -> None:
@@ -398,6 +389,7 @@ class TransparentProxy(TapHost):
             upstream.send_record(record.payload_len, record.tls_type,
                                  record.tls_record_seq, record.meta)
         else:
+            flow.last_datagram_at = self.network.sim.now
             self.send(Packet(
                 src=flow.client,
                 dst=flow.server,
@@ -449,9 +441,6 @@ class TransparentProxy(TapHost):
     # -- teardown propagation ---------------------------------------------
     def _on_downstream_close(self, flow: ProxiedFlow, conn: TcpConnection,
                              reason: str) -> None:
-        self._flows_by_downstream.pop(
-            flow.downstream.four_tuple if flow.downstream else None, None
-        )
         if flow.upstream is not None and flow.upstream.is_established:
             if reason == "rst":
                 flow.upstream.abort("peer-rst")
@@ -469,20 +458,18 @@ class TransparentProxy(TapHost):
         self._finish_flow(flow, reason)
 
     def _finish_flow(self, flow: ProxiedFlow, reason: str) -> None:
+        """Close ``flow`` for good: it leaves ``open_flows`` and drops
+        its policy state.  A record that still reaches the policy on a
+        closed flow (a TCP downstream in FIN_WAIT) starts fresh state,
+        which goes with the flow object."""
         if flow.closed:
             return
         flow.closed = True
         flow.close_reason = reason
+        flow.policy_state = None
+        del self.open_flows[(flow.protocol, flow.client, flow.server)]
         flow.span.finish(reason=reason, forwarded=flow.records_forwarded,
                          discarded=flow.records_discarded)
-        if self.on_flow_closed:
-            self.on_flow_closed(flow)
-
-    # -- stats --------------------------------------------------------------
-    @property
-    def open_flow_count(self) -> int:
-        """Flows not yet closed."""
-        return sum(1 for flow in self.flows if not flow.closed)
 
 
 class UdpForwarder:
@@ -490,14 +477,14 @@ class UdpForwarder:
 
     Client→server datagrams pass through the record policy into the
     proxy's hold queue; server→client datagrams are always forwarded
-    immediately.
+    immediately.  A flow with no datagram either way (a released one
+    included) for :data:`QUIC_IDLE_TIMEOUT` seconds and nothing held
+    finishes with reason ``"idle"``; the close sends and counts nothing.
     """
 
-    def __init__(self, proxy: TransparentProxy, covered_ip: IPv4Address, ports: Tuple[int, ...] = (443,)) -> None:
+    def __init__(self, proxy: TransparentProxy, covered_ip: IPv4Address) -> None:
         self.proxy = proxy
         self.covered_ips = {covered_ip}
-        self.ports = tuple(ports)
-        self._flows: Dict[Tuple[Endpoint, Endpoint], ProxiedFlow] = {}
         proxy.udp_forwarder = self
 
     def add_covered(self, ip: IPv4Address) -> None:
@@ -506,25 +493,38 @@ class UdpForwarder:
 
     def claims(self, packet: Packet) -> bool:
         """Whether this datagram belongs to the forwarder."""
-        if packet.protocol is not Protocol.UDP:
+        if packet.protocol is not _UDP:
             return False
-        if packet.src.ip in self.covered_ips and packet.dst.port in self.ports:
+        if packet.src.ip in self.covered_ips and packet.dst.port == PROXIED_PORT:
             return True
-        return packet.dst.ip in self.covered_ips and packet.src.port in self.ports
+        return packet.dst.ip in self.covered_ips and packet.src.port == PROXIED_PORT
 
     def handle(self, packet: Packet) -> None:
         """Process one claimed datagram."""
-        if packet.src.ip in self.covered_ips:
-            self._handle_client(packet)
-        else:
-            self.proxy.bridge(packet)
-
-    def _handle_client(self, packet: Packet) -> None:
-        key = (packet.src, packet.dst)
-        flow = self._flows.get(key)
         proxy = self.proxy
-        if flow is None:
-            flow = self._flows[key] = proxy._open_flow(Protocol.UDP, packet.src, packet.dst)
-            if proxy.on_flow_opened:
-                proxy.on_flow_opened(flow)
-        proxy._admit(flow, packet, proxy._policy_decision(flow, packet))
+        sim = proxy.network.sim
+        if packet.src.ip in self.covered_ips:
+            flow = proxy.open_flows.get((_UDP, packet.src, packet.dst))
+            if flow is None:
+                flow = proxy._open_flow(_UDP, packet.src, packet.dst)
+                sim.post(QUIC_IDLE_TIMEOUT, self._close_if_idle, flow)
+            flow.last_datagram_at = sim.now
+            proxy._admit(flow, packet, proxy._policy_decision(flow, packet))
+            return
+        flow = proxy.open_flows.get((_UDP, packet.dst, packet.src))
+        if flow is not None:
+            flow.last_datagram_at = sim.now
+        proxy.bridge(packet)
+
+    def _close_if_idle(self, flow: ProxiedFlow) -> None:
+        """Finish ``flow`` once it has been silent for the timeout with
+        nothing held; otherwise check again when it next could close."""
+        sim = self.proxy.network.sim
+        remaining = QUIC_IDLE_TIMEOUT - (sim.now - flow.last_datagram_at)
+        if remaining > 1e-6:
+            sim.post(remaining, self._close_if_idle, flow)
+        elif flow.held:
+            # Held records keep a silent flow open: look again later.
+            sim.post(QUIC_IDLE_TIMEOUT, self._close_if_idle, flow)
+        else:
+            self.proxy._finish_flow(flow, "idle")

@@ -172,7 +172,7 @@ def _quiet_legs(echo: "EchoDot") -> Optional[tuple]:
     if not isinstance(proxy, TransparentProxy) or network.wan_loss > 0.0:
         return None
     down = proxy.stack._connections.get((conn.remote, conn.local))
-    flow = None if down is None else proxy._flows_by_downstream.get(down.four_tuple)
+    flow = None if down is None else proxy.open_flows.get((_TCP, down.remote, down.local))
     if flow is None or flow.upstream is None or not proxy.forwards_idle(flow):
         return None
     up = flow.upstream

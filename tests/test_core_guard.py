@@ -116,7 +116,7 @@ class TestGuardFacade:
         )
         # Boot: DNS over UDP, then the AVS connection through the tap
         # (whose connect signature later re-confirms the same IP).
-        assert scenario.guard.proxy.flows
+        assert scenario.guard.proxy.open_flows
         assert set(snooped) == {Protocol.UDP}
         avs_ip = scenario.dns_server.record_for(sig.AVS_DOMAIN).current()
         assert learned == [(avs_ip, "dns")]
@@ -209,6 +209,6 @@ class TestGoogleWindows:
         assert record.meta["transport"] == "quic"
         assert record.outcome is InteractionOutcome.BLOCKED
         assert scenario.google_cloud.stats.commands_executed == 0
-        blocked_flow = [f for f in scenario.guard.proxy.flows
+        blocked_flow = [f for f in scenario.guard.proxy.open_flows.values()
                         if f.records_discarded > 0]
         assert blocked_flow

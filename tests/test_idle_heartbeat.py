@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.experiments import pool, scenarios
 from repro.experiments import workload as workload_module
-from repro.net.packet import TlsRecordType
+from repro.net.packet import Protocol, TlsRecordType
 from repro.net.proxy import HeldRecord
 from repro.speakers import idle
 from repro.speakers.signatures import HEARTBEAT_PERIOD
@@ -238,8 +238,7 @@ def _passthrough(flow, packet, policy):
 def _flow(scenario):
     proxy = scenario.guard.proxy
     conn = scenario.speaker._conn
-    down = proxy.stack._connections[(conn.remote, conn.local)]
-    return proxy._flows_by_downstream[down.four_tuple]
+    return proxy.open_flows[(Protocol.TCP, conn.local, conn.remote)]
 
 
 def test_lossy_wan_declines(world):
@@ -265,11 +264,12 @@ def test_open_window_declines(world):
     guard = {}
 
     def window_open(echo) -> bool:
-        flows = guard["recognition"]._flows.values()
-        return any(state.window is not None for state in flows)
+        flows = guard["proxy"].open_flows.values()
+        return any(flow.policy_state is not None and flow.policy_state.window is not None
+                   for flow in flows)
 
     def drive(scenario) -> None:
-        guard["recognition"] = scenario.guard.recognition
+        guard["proxy"] = scenario.guard.proxy
         scenario.speak_command(scenario.env.rng.stream("test.idle"))
         scenario.sim.run_for(3000.0)
 
@@ -289,24 +289,30 @@ def test_deadline_inside_the_next_period_declines(world, offset):
 
 # -- bounded state -----------------------------------------------------------
 STATE_BOUND = 48
+# A Google home's sessions are on demand: between commands no flow stays
+# open, so its peaks are those of a single command.
+GOOGLE_FLOW_BOUND = 4
 
 
-def peak_state(days: float) -> dict:
-    """The largest heap, FIFO-floor map, recognizer flow table and open
-    proxy flow count a seven-day Echo home reaches between ``run_until``
-    calls while its workload spans ``days`` simulated days."""
-    scenario = scenarios.build_scenario("house", "echo", deployment=0, owner_count=2,
-                                        seed=11)
-    sim, guard = scenario.sim, scenario.guard
+def peak_state(days: float, speaker: str = "echo", seed: int = 11) -> dict:
+    """The largest heap, FIFO-floor map, open proxy flow count and count
+    of open flows carrying recognizer state that a seven-day house home
+    reaches between ``run_until`` calls while its workload spans
+    ``days`` simulated days."""
+    scenario = scenarios.build_scenario("house", speaker, deployment=0, owner_count=2,
+                                        seed=seed)
+    sim, proxy = scenario.sim, scenario.guard.proxy
     peak = {"heap": 0, "floors": 0, "recognizer_flows": 0, "open_flows": 0}
     run_until = sim.run_until
 
     def sampled(time, max_events=None):
         fired = run_until(time, max_events)
+        flows = proxy.open_flows.values()
         for name, value in (("heap", len(sim._queue._heap)),
                             ("floors", len(scenario.network._last_delivery)),
-                            ("recognizer_flows", guard.recognition.tracked_flow_count()),
-                            ("open_flows", guard.proxy.open_flow_count)):
+                            ("recognizer_flows",
+                             sum(flow.policy_state is not None for flow in flows)),
+                            ("open_flows", len(flows))):
             peak[name] = max(peak[name], value)
         return fired
 
@@ -324,3 +330,13 @@ def test_echo_state_stays_bounded_over_a_week():
     assert week["days"] > 1.8 * half["days"]
     for name in ("heap", "floors", "recognizer_flows", "open_flows"):
         assert half[name] <= STATE_BOUND and week[name] <= STATE_BOUND, (name, half, week)
+
+
+def test_google_flows_end_over_a_week():
+    """Every QUIC and TCP session of an on-demand Google home ends, and
+    its recognizer state with it, however many days the home runs."""
+    half, week = (peak_state(days, "google", seed=101) for days in (3.5, 7.0))
+    assert week["days"] > 1.8 * half["days"]
+    for name in ("recognizer_flows", "open_flows"):
+        assert half[name] <= GOOGLE_FLOW_BOUND and week[name] <= GOOGLE_FLOW_BOUND, (
+            name, half, week)

@@ -12,10 +12,17 @@ from repro.errors import NetworkError
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.link import Host, Network
 from repro.net.packet import Packet, Protocol
-from repro.net.proxy import ForwarderDecision, HoldBudget, TransparentProxy, UdpForwarder
+from repro.net.proxy import (
+    QUIC_IDLE_TIMEOUT,
+    ForwarderDecision,
+    HoldBudget,
+    TransparentProxy,
+    UdpForwarder,
+)
 from repro.net.tcp import TcpConnection, TcpStack
 from repro.net.tls import TlsSession, TlsViolation
 from repro.net.udp import UdpFlow
+from repro.obs.tracer import Observability
 from repro.sim.random import RngHub
 from repro.sim.simulator import Simulator
 
@@ -51,6 +58,16 @@ class TestTlsSession:
             session.accept_record(None, now=0.0)
 
 
+def only_flow(proxy):
+    """The proxy's one open flow."""
+    (flow,) = proxy.open_flows.values()
+    return flow
+
+
+def flow_spans(proxy):
+    return [span for span in proxy.tracer.spans if span.name == "proxy.flow"]
+
+
 @pytest.fixture
 def proxied_world(sim):
     """speaker <-> proxy <-> server, proxy terminating TCP."""
@@ -61,7 +78,8 @@ def proxied_world(sim):
     network.attach(server)
     speaker_stack = TcpStack(speaker)
     server_stack = TcpStack(server)
-    proxy = TransparentProxy("guard", IPv4Address("192.168.1.50"))
+    proxy = TransparentProxy("guard", IPv4Address("192.168.1.50"),
+                             obs=Observability(sim, tracing=True))
     proxy.install(network, speaker.ip)
     server_received = []
 
@@ -78,7 +96,7 @@ class TestTransparentProxy:
         conn = speaker.connect(Endpoint(IPv4Address("54.1.1.1"), 443))
         sim.run_for(1.0)
         assert conn.is_established
-        assert proxy.open_flow_count == 1
+        assert len(proxy.open_flows) == 1
         conn.send_record(100, tls_record_seq=0)
         sim.run_for(1.0)
         assert [p.payload_len for p in received] == [100]
@@ -87,7 +105,7 @@ class TestTransparentProxy:
         sim, network, speaker, server, proxy, received = proxied_world
         speaker.connect(Endpoint(IPv4Address("54.1.1.1"), 443))
         sim.run_for(1.0)
-        flow = proxy.flows[0]
+        flow = only_flow(proxy)
         assert flow.client.ip == IPv4Address("192.168.1.200")
         assert flow.server == Endpoint(IPv4Address("54.1.1.1"), 443)
 
@@ -104,7 +122,7 @@ class TestTransparentProxy:
             conn.send_record(size, tls_record_seq=index)
         sim.run_for(1.0)
         assert received == []  # parked
-        flow = proxy.flows[0]
+        flow = only_flow(proxy)
         assert len(flow.held) == 3
         proxy.release_held(flow)
         sim.run_for(1.0)
@@ -118,7 +136,7 @@ class TestTransparentProxy:
         conn.send_record(100, tls_record_seq=0)
         sim.run_for(40.0)  # dozens of seconds, as the paper requires
         assert conn.is_established
-        proxy.release_held(proxy.flows[0])
+        proxy.release_held(only_flow(proxy))
         sim.run_for(1.0)
         assert [p.payload_len for p in received] == [100]
 
@@ -149,13 +167,17 @@ class TestTransparentProxy:
         conn.send_record(100, tls_record_seq=0)
         conn.send_record(200, tls_record_seq=1)
         sim.run_for(1.0)
-        proxy.discard_held(proxy.flows[0])
+        proxy.discard_held(only_flow(proxy))
         hold["active"] = False
         conn.send_record(300, tls_record_seq=2)  # out of TLS sequence now
         sim.run_for(2.0)
         assert violations and violations[0].received_seq == 2
         sim.run_for(3.0)
         assert not conn.is_established  # close propagated to the speaker
+        # The finished flow left the map; its span ended with the close.
+        assert proxy.open_flows == {}
+        (span,) = flow_spans(proxy)
+        assert span.finished and span.attrs["discarded"] == 2
 
     def test_server_records_reach_speaker(self, proxied_world):
         sim, network, speaker, server, proxy, received = proxied_world
@@ -200,7 +222,7 @@ class TestTransparentProxy:
         conn.send_record(100, tls_record_seq=0)
         sim.run_for(1.0)
         assert received == []
-        assert proxy.flows[0].records_discarded == 1
+        assert only_flow(proxy).records_discarded == 1
 
 
 class TestForwardPath:
@@ -220,7 +242,7 @@ class TestForwardPath:
         # The records reach the proxy over the LAN long before the
         # spoofed upstream handshake crosses the WAN and back.
         sim.run_for(0.01)
-        flow = proxy.flows[0]
+        flow = only_flow(proxy)
         assert not flow.upstream.is_established
         assert [r.payload_len for r in flow.awaiting_upstream] == list(sizes)
         assert received == []
@@ -272,7 +294,8 @@ class TestUdpForwarder:
         server = Host("server", IPv4Address("142.250.65.68"))
         network.attach(speaker)
         network.attach(server)
-        proxy = TransparentProxy("guard", IPv4Address("192.168.1.50"))
+        proxy = TransparentProxy("guard", IPv4Address("192.168.1.50"),
+                                 obs=Observability(sim, tracing=True))
         proxy.install(network, speaker.ip)
         forwarder = UdpForwarder(proxy, speaker.ip)
         received = []
@@ -294,7 +317,7 @@ class TestUdpForwarder:
         flow.send(600)
         sim.run_for(1.0)
         assert received == []
-        proxy.release_held(proxy.flows[0])
+        proxy.release_held(only_flow(proxy))
         sim.run_for(1.0)
         assert received == [500, 600]
 
@@ -303,7 +326,7 @@ class TestUdpForwarder:
         proxy.record_policy = lambda f, p: ForwarderDecision.HOLD
         flow.send(500)
         sim.run_for(1.0)
-        count = proxy.discard_held(proxy.flows[0])
+        count = proxy.discard_held(only_flow(proxy))
         assert count == 1
         sim.run_for(1.0)
         assert received == []
@@ -314,7 +337,7 @@ class TestUdpForwarder:
         flow.send(500)
         sim.run_for(1.0)
         assert received == []
-        assert proxy.flows[0].records_discarded == 1
+        assert only_flow(proxy).records_discarded == 1
 
     def test_refused_hold_forwarded_when_overflow_forwards(self, udp_world):
         sim, proxy, forwarder, flow, received = udp_world
@@ -324,9 +347,9 @@ class TestUdpForwarder:
         proxy.on_hold_overflow = lambda f: shed.append(f) or ForwarderDecision.FORWARD
         flow.send(500)
         sim.run_for(1.0)
-        assert shed == [proxy.flows[0]]
+        assert shed == [only_flow(proxy)]
         assert received == [500]
-        assert proxy.flows[0].records_forwarded == 1
+        assert only_flow(proxy).records_forwarded == 1
         assert proxy.hold_budget.held_bytes == 0
 
     def test_refused_hold_dropped_when_overflow_drops(self, udp_world):
@@ -337,8 +360,57 @@ class TestUdpForwarder:
         flow.send(500)
         sim.run_for(1.0)
         assert received == []
-        assert proxy.flows[0].records_discarded == 1
-        assert proxy.flows[0].held == []
+        assert only_flow(proxy).records_discarded == 1
+        assert only_flow(proxy).held == []
+
+    def test_quiet_flow_closes_after_idle_timeout(self, udp_world):
+        sim, proxy, forwarder, flow, received = udp_world
+        flow.send(500)
+        sim.run_for(QUIC_IDLE_TIMEOUT - 1.0)
+        proxied = only_flow(proxy)
+        flow.send(600)  # a datagram restarts the idle period
+        sim.run_for(QUIC_IDLE_TIMEOUT - 1.0)
+        assert not proxied.closed
+        sim.run_for(2.0)
+        assert proxied.closed and proxied.close_reason == "idle"
+        assert proxy.open_flows == {}
+        (span,) = flow_spans(proxy)
+        assert span.attrs["reason"] == "idle" and span.attrs["forwarded"] == 2
+        assert span.end == pytest.approx(proxied.last_datagram_at + QUIC_IDLE_TIMEOUT)
+        assert received == [500, 600]
+        # A later datagram on the same ports opens a new flow.
+        flow.send(700)
+        sim.run_for(1.0)
+        assert only_flow(proxy).flow_id > proxied.flow_id
+        assert received == [500, 600, 700]
+
+    def test_server_datagrams_keep_the_flow_open(self, udp_world):
+        sim, proxy, forwarder, flow, received = udp_world
+        flow.send(500)
+        reply = Packet(src=Endpoint(IPv4Address("142.250.65.68"), 443),
+                       dst=flow.local, protocol=Protocol.UDP, payload_len=77)
+        server = proxy.network.host_for(reply.src.ip)
+        for _ in range(3):
+            sim.run_for(QUIC_IDLE_TIMEOUT - 1.0)
+            server.send(reply)
+        sim.run_for(QUIC_IDLE_TIMEOUT - 1.0)
+        assert not only_flow(proxy).closed
+
+    def test_flow_holding_datagrams_does_not_close(self, udp_world):
+        sim, proxy, forwarder, flow, received = udp_world
+        proxy.record_policy = lambda f, p: ForwarderDecision.HOLD
+        flow.send(500)
+        sim.run_for(3 * QUIC_IDLE_TIMEOUT)
+        proxied = only_flow(proxy)
+        assert [record.payload_len for record in proxied.held] == [500]
+        assert not flow_spans(proxy)[0].finished
+        # The release is the flow's last datagram: the timeout runs from it.
+        proxy.release_held(proxied)
+        sim.run_for(QUIC_IDLE_TIMEOUT - 1.0)
+        assert not proxied.closed
+        sim.run_for(2.0)
+        assert proxied.closed and flow_spans(proxy)[0].attrs["reason"] == "idle"
+        assert received == [500]
 
     def test_server_replies_bridged_to_speaker(self, udp_world):
         sim, proxy, forwarder, flow, received = udp_world

@@ -38,11 +38,11 @@ class TestHoldEndurance:
 class TestReportContainer:
     def test_render_and_lookup(self):
         report = ReproductionReport(sections=[
-            ReportSection("alpha", "body-a", 0.1),
-            ReportSection("beta", "body-b", 0.2),
+            ReportSection("alpha", "body-a"),
+            ReportSection("beta", "body-b"),
         ])
         text = report.render()
-        assert "alpha" in text and "body-b" in text
+        assert "--- alpha ---" in text and "body-b" in text
         assert report.section("beta").text == "body-b"
         with pytest.raises(KeyError):
             report.section("gamma")

@@ -10,8 +10,6 @@ testbeds and several seeds.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,7 @@ from repro.core.recognition import SpeakerProfile, TrafficRecognition
 from repro.net.addresses import IPv4Address, endpoint
 from repro.net.link import Host, Network
 from repro.net.packet import Packet, Protocol
-from repro.net.proxy import ProxiedFlow
+from repro.net.proxy import ProxiedFlow, TransparentProxy
 from repro.radio.propagation import PropagationModel
 from repro.radio.testbeds import testbed_by_name as build_testbed
 from repro.sim.events import EventQueue
@@ -325,33 +323,37 @@ class TestCounterLifecycle:
         assert first_window_id(*fresh_recognition()) == 1
 
     def test_closed_flows_are_pruned(self):
+        # Recognizer state lives on the flow, and the proxy drops both
+        # when it finishes the flow.
         sim = Simulator()
         recognition = TrafficRecognition(sim, GuardLog())
         recognition.add_speaker(IPv4Address("192.168.1.200"), SpeakerProfile.ECHO)
         state = recognition.speaker_state(IPv4Address("192.168.1.200"))
         state.avs_ip = IPv4Address("54.1.1.1")
         state.avs_ip_source = "dns"
-        ids = itertools.count(1)
+        proxy = TransparentProxy("guard", IPv4Address("192.168.1.50"))
         flows = []
-        for _ in range(20):
-            flow = ProxiedFlow(
-                flow_id=next(ids),
-                protocol=Protocol.TCP,
-                client=endpoint("192.168.1.200", 50000),
-                server=endpoint("54.1.1.1", 443),
-            )
+        for port in range(50000, 50020):
+            flow = proxy._open_flow(Protocol.TCP, endpoint("192.168.1.200", port),
+                                    endpoint("54.1.1.1", 443))
             packet = Packet(
                 src=flow.client, dst=flow.server,
                 protocol=Protocol.TCP, payload_len=55,
             )
             recognition.observe(flow, packet)
             flows.append(flow)
-        assert recognition.tracked_flow_count() == 20
+
+        def tracked():
+            return sum(flow.policy_state is not None
+                       for flow in proxy.open_flows.values())
+
+        assert tracked() == len(proxy.open_flows) == 20
         for flow in flows[:15]:
-            recognition.on_flow_closed(flow)
-        assert recognition.tracked_flow_count() == 5
-        recognition.on_flow_closed(flows[0])  # idempotent for unknown flows
-        assert recognition.tracked_flow_count() == 5
+            proxy._finish_flow(flow, "fin")
+        assert tracked() == len(proxy.open_flows) == 5
+        assert all(flow.policy_state is None for flow in flows[:15])
+        proxy._finish_flow(flows[0], "fin")  # idempotent for a closed flow
+        assert tracked() == len(proxy.open_flows) == 5
 
 
 # -- the figure-8/9 pipeline stays deterministic ------------------------------

@@ -156,7 +156,11 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == made[0].render() + "\n"
         assert "alpha text" in out and "beta text" in out
+        assert "--- alpha ---" in out  # no wall time in the report
         assert "running alpha..." in err and "running beta..." in err
+        # The per-section timings go to stderr at every worker count.
+        from repro.analysis.reporting import render_task_timings
+        assert render_task_timings(made[0].timings) in err
 
     def test_keep_days_without_prune_rejected(self, capsys):
         from repro.__main__ import main
