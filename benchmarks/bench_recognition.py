@@ -3,8 +3,10 @@
 
 Trains the knn and mlp recognizers and times ``predict_window`` on
 synthesized echo windows (feature extraction included), with an
-absolute floor: a learned recognizer that cannot keep up with a home's
-window rate would be unusable inline.  The recognizers' accuracy,
+absolute floor.  The timed gate is on offline ``predict_window``, the
+one path the learned recognizers run (``repro
+recognition-robustness``); the guard runs only the signature matcher.
+The recognizers' accuracy,
 determinism and arms-race gates are tier-1 tests
 (``tests/test_recognition_learning.py``).
 

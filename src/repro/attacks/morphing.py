@@ -35,11 +35,11 @@ one cannot perturb the guard's own randomness.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Type
 
 import numpy as np
 
-from repro.core.registry import PluginRegistry
+from repro.core.registry import lookup
 from repro.errors import ConfigError
 from repro.net.packet import Packet
 from repro.net.proxy import ForwarderDecision, ProxiedFlow, TransparentProxy
@@ -196,22 +196,22 @@ class DummyBurstMorpher(TrafficMorpher):
 
 
 # ---------------------------------------------------------------------------
-# Morpher registry
+# Morpher names
 # ---------------------------------------------------------------------------
 
 # Name → class, the same shape as repro.core.recognizers.RECOGNIZERS;
-# experiments, configs (``recognizer_train_morph``) and the CLI select
-# morphers by these names.
-MORPHERS = PluginRegistry("traffic morpher")
-MORPHERS.register("pad-fixed", PadToFixedMorpher)
-MORPHERS.register("pad-random", RandomPadMorpher)
-MORPHERS.register("jitter", TimingJitterMorpher)
-MORPHERS.register("dummy-burst", DummyBurstMorpher)
+# experiments and the CLI select morphers by these names.
+MORPHERS: Dict[str, Type[TrafficMorpher]] = {
+    "pad-fixed": PadToFixedMorpher,
+    "pad-random": RandomPadMorpher,
+    "jitter": TimingJitterMorpher,
+    "dummy-burst": DummyBurstMorpher,
+}
 
 
 def create_morpher(name: str) -> TrafficMorpher:
-    """Instantiate a registered morpher with its default knobs."""
-    return MORPHERS.create(name)
+    """Instantiate a named morpher with its default knobs."""
+    return lookup(MORPHERS, "traffic morpher", name)()
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,11 @@ class VoiceGuardConfig:
     fixes is not a setting: the idle gap that opens a recognition
     window, the classification timeout and the seven-packet
     classification bound are constants of :mod:`repro.core.recognition`
-    and :mod:`repro.speakers.signatures`.  Every float must be finite.
+    and :mod:`repro.speakers.signatures`.  Nor is the recognizer: the
+    guard runs the paper's signature matcher, and the learned ones in
+    :mod:`repro.core.recognizers` are measured offline.  Every float
+    must be finite.
     """
-
-    # Window recognizer: "signature" (the paper's matcher, default) or a
-    # trainable kind from repro.core.recognizers ("knn" / "mlp"), trained
-    # per speaker during the scenario build.  ``recognizer_train_morph``
-    # names a repro.attacks.morphing adversary whose reshaping is applied
-    # to the training windows (adversarial retraining); None trains clean.
-    recognizer: str = "signature"
-    recognizer_train_windows: int = 30  # training windows per class
-    recognizer_train_morph: Optional[str] = None
 
     # Decision.
     decision_timeout: float = 5.0  # no reply from any device -> timeout verdict
@@ -60,18 +54,6 @@ class VoiceGuardConfig:
             value = getattr(self, spec.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{spec.name} must be finite, got {value!r}")
-        # Validation is syntactic only (the recognizer registry lives a
-        # layer above config); unknown names fail at scenario build.
-        if not self.recognizer or not isinstance(self.recognizer, str):
-            raise ConfigError(
-                f"recognizer must be a non-empty name, got {self.recognizer!r}")
-        if self.recognizer_train_windows < 1:
-            raise ConfigError(
-                "recognizer_train_windows must be positive, got "
-                f"{self.recognizer_train_windows!r}")
-        if self.recognizer_train_morph is not None and self.recognizer == "signature":
-            raise ConfigError(
-                "recognizer_train_morph requires a trainable recognizer")
         if self.decision_timeout <= 0:
             raise ConfigError("decision_timeout must be positive")
         if self.push_retries < 0:

@@ -117,15 +117,6 @@ class VoiceGuard:
             else:
                 self.udp_forwarder.add_covered(speaker.ip)
 
-    def set_window_recognizer(self, profile: SpeakerProfile,
-                              recognizer) -> None:
-        """Install a pluggable window recognizer for one profile.
-
-        See :mod:`repro.core.recognizers`; the scenario builder calls
-        this when ``config.recognizer`` selects a trainable kind.
-        """
-        self.recognition.set_window_recognizer(profile, recognizer)
-
     def register_device(
         self,
         device: MobileDevice,

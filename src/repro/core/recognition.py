@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.events import CommandEvent, GuardLog, TrafficClass
 from repro.net.addresses import IPv4Address
@@ -33,10 +33,6 @@ from repro.net.proxy import ForwarderDecision, ProxiedFlow
 from repro.obs.tracer import NULL_SPAN, Observability
 from repro.sim.simulator import Simulator
 from repro.speakers import signatures as sig
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.recognizers import WindowRecognizer
-
 
 # Seconds of (non-heartbeat) app-data silence that end a spike: the
 # next record opens a new recognition window.
@@ -74,10 +70,6 @@ class Window:
     opened_at: float
     last_packet_time: float
     lengths: List[int] = field(default_factory=list)
-    # Arrival time of each record in ``lengths`` (sim seconds).  Fed to
-    # pluggable window recognizers; never serialized into events or
-    # golden fixtures, so recording them changes no baseline.
-    offsets: List[float] = field(default_factory=list)
     classification: Optional[TrafficClass] = None
     classified_at: Optional[float] = None
     released: bool = False
@@ -190,13 +182,6 @@ class TrafficRecognition:
         # learns AVS IPs from DNS and loses the server after silent
         # reconnects (the failure mode Section IV-B describes).
         self.use_signature_tracking = True
-        # Pluggable per-profile window recognizers (see
-        # repro.core.recognizers).  Empty by default: the built-in
-        # signature matcher below runs byte-identically to before the
-        # registry existed.  A learned recognizer abstains while the
-        # spike is filling, so its windows settle through the existing
-        # classification-timeout / idle-gap machinery via finalize().
-        self.window_recognizers: Dict[SpeakerProfile, "WindowRecognizer"] = {}
 
     # -- setup ---------------------------------------------------------------
     def add_speaker(self, ip: IPv4Address, profile: SpeakerProfile) -> None:
@@ -206,16 +191,6 @@ class TrafficRecognition:
     def speaker_state(self, ip: IPv4Address) -> Optional[_SpeakerState]:
         """Internal state for a speaker IP (None if unknown)."""
         return self._speakers.get(ip)
-
-    def set_window_recognizer(self, profile: SpeakerProfile,
-                              recognizer: "WindowRecognizer") -> None:
-        """Install a pluggable recognizer for one speaker profile.
-
-        Replaces the built-in signature matcher for every protected
-        speaker with that profile; pass-through wiring otherwise stays
-        identical (window lifecycle, holds, events).
-        """
-        self.window_recognizers[profile] = recognizer
 
     # -- DNS snooping ------------------------------------------------------------
     def observe_snoop(self, packet: Packet) -> None:
@@ -269,7 +244,6 @@ class TrafficRecognition:
             fs.last_data_time = now
         if window.pending and not heartbeat:
             window.lengths.append(packet.payload_len)
-            window.offsets.append(now)
             self._try_classify(speaker, window)
         return self._window_action(window)
 
@@ -323,7 +297,6 @@ class TrafficRecognition:
         fs.last_data_time = now
         self._m_windows.inc()
         window.lengths.append(packet.payload_len)
-        window.offsets.append(now)
         self._try_classify(speaker, window)
         if window.pending:
             self._schedule_pending_check(fs, window)
@@ -343,24 +316,12 @@ class TrafficRecognition:
         return _HOLD
 
     def _try_classify(self, speaker: _SpeakerState, window: Window) -> None:
-        recognizer = self.window_recognizers.get(speaker.profile)
-        if recognizer is not None:
-            decided = recognizer.observe(window.lengths, window.offsets)
-        elif speaker.profile is SpeakerProfile.GOOGLE:
-            decided = TrafficClass.COMMAND
-        else:
+        if speaker.profile is _ECHO:
             decided = classify_echo_lengths(window.lengths)
+        else:
+            decided = TrafficClass.COMMAND
         if decided is not None and window.pending:
             self._classify(window, decided)
-
-    def _finalize_window(self, window: Window) -> TrafficClass:
-        """Decide a window whose spike ended before an early decision."""
-        speaker = self._speakers.get(window.speaker_ip)
-        if speaker is not None:
-            recognizer = self.window_recognizers.get(speaker.profile)
-            if recognizer is not None:
-                return recognizer.finalize(window.lengths, window.offsets)
-        return finalize_echo_lengths(window.lengths)
 
     def _classify(self, window: Window, classification: TrafficClass) -> None:
         window.classification = classification
@@ -387,7 +348,7 @@ class TrafficRecognition:
             idle = self.sim.now - window.last_packet_time
             remaining = CLASSIFICATION_TIMEOUT - idle
             if remaining <= 1e-6:
-                self._classify(window, self._finalize_window(window))
+                self._classify(window, finalize_echo_lengths(window.lengths))
             else:
                 # Never reschedule closer than 1 ms: tiny float residues
                 # would otherwise freeze simulated time in place.
@@ -403,7 +364,7 @@ class TrafficRecognition:
             if window.pending:
                 # Spike ended without enough packets and the timer has
                 # not fired yet; settle it before opening a new window.
-                self._classify(window, self._finalize_window(window))
+                self._classify(window, finalize_echo_lengths(window.lengths))
             fs.window = None
 
     # -- AVS signature tracking ------------------------------------------------------------

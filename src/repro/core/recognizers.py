@@ -17,29 +17,28 @@ provides that escalation without heavy ML dependencies:
   recognizers with deterministic training (k-NN with stable tie-breaks;
   a tiny full-batch-gradient-descent MLP whose init draws from a named
   :class:`~repro.sim.random.RngHub` stream).
-* :class:`SignatureRecognizer` — the built-in matcher wrapped in the
-  same pluggable interface, so experiments sweep all three by name via
-  the :data:`RECOGNIZERS` registry.
+* :class:`SignatureRecognizer` — the built-in matcher behind the same
+  interface, so experiments sweep all three by name through the
+  :data:`RECOGNIZERS` table.
 * :func:`train_window_recognizer` — per-speaker training from corpus
   traces, drawing only from dedicated ``recognition.train.*`` streams.
 
-Online semantics: a learned recognizer decides only when the spike
-ends (every record of a pending window stays held until the
-``CLASSIFICATION_TIMEOUT`` fires), unlike the signature matcher's
-seven-packet incremental decision.  That is the latency price of
-length-agnostic recognition, and it is paid only when a learned
-recognizer is installed — the default signature path is untouched.
+Every recognizer here is offline: :meth:`WindowRecognizer.predict_window`
+classifies a whole captured window, and ``repro recognition-robustness``
+is its only caller.  The live guard runs the signature matcher of
+:mod:`repro.core.recognition` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.core.events import TrafficClass
-from repro.core.registry import PluginRegistry
+from repro.core.recognition import finalize_echo_lengths
+from repro.core.registry import lookup
 from repro.errors import WorkloadError
 from repro.sim.random import RngHub, uniform
 
@@ -261,16 +260,7 @@ def morph_sample(sample: WindowSample, morpher,
 # ---------------------------------------------------------------------------
 
 class WindowRecognizer:
-    """Pluggable per-speaker window classifier.
-
-    The online contract mirrors the built-in matcher's two call sites
-    in :class:`~repro.core.recognition.TrafficRecognition`:
-
-    * :meth:`observe` runs after every record of a pending window and
-      may decide early (return a class) or abstain (return ``None``);
-    * :meth:`finalize` runs when the spike has ended (classification
-      timeout or idle-gap expiry) and must decide.
-    """
+    """Per-speaker classifier of whole spike windows."""
 
     name = "recognizer"
     trainable = False
@@ -285,45 +275,28 @@ class WindowRecognizer:
         """Train from labelled windows (no-op for untrainable kinds)."""
         return self
 
-    def observe(self, lengths: Sequence[int],
-                offsets: Sequence[float]) -> Optional[TrafficClass]:
-        """Incremental decision while the window is still filling."""
-        return None
-
-    def finalize(self, lengths: Sequence[int],
-                 offsets: Sequence[float]) -> TrafficClass:
-        """Mandatory decision once the spike has ended."""
-        raise NotImplementedError
-
     def predict_window(self, lengths: Sequence[int],
                        offsets: Sequence[float]) -> TrafficClass:
-        """Offline replay of the online contract over a whole window."""
-        for end in range(1, len(lengths) + 1):
-            decided = self.observe(lengths[:end], offsets[:end])
-            if decided is not None:
-                return decided
-        return self.finalize(lengths, offsets)
+        """Classify one whole window (``offsets`` as for
+        :func:`extract_features`)."""
+        raise NotImplementedError
 
 
 class SignatureRecognizer(WindowRecognizer):
-    """The paper's hand-built matcher behind the pluggable interface."""
+    """The paper's hand-built matcher, applied to a whole window.
+
+    The live matcher decides at the first record that settles the
+    window.  :func:`finalize_echo_lengths` scans the whole window in the
+    same stream order and stops at the same signal, so it returns that
+    decision.
+    """
 
     name = "signature"
 
-    def observe(self, lengths: Sequence[int],
-                offsets: Sequence[float]) -> Optional[TrafficClass]:
+    def predict_window(self, lengths: Sequence[int],
+                       offsets: Sequence[float]) -> TrafficClass:
         if self.speaker_kind == "google":
             return TrafficClass.COMMAND
-        from repro.core.recognition import classify_echo_lengths
-
-        return classify_echo_lengths(list(lengths))
-
-    def finalize(self, lengths: Sequence[int],
-                 offsets: Sequence[float]) -> TrafficClass:
-        if self.speaker_kind == "google":
-            return TrafficClass.COMMAND
-        from repro.core.recognition import finalize_echo_lengths
-
         return finalize_echo_lengths(list(lengths))
 
 
@@ -378,18 +351,11 @@ class LearnedRecognizer(WindowRecognizer):
     def _predict_is_command(self, features: np.ndarray) -> bool:
         raise NotImplementedError
 
-    def finalize(self, lengths: Sequence[int],
-                 offsets: Sequence[float]) -> TrafficClass:
-        features = extract_features(lengths, offsets)
-        if self._predict_is_command(features):
-            return TrafficClass.COMMAND
-        return self._negative_class()
-
     def predict_window(self, lengths: Sequence[int],
                        offsets: Sequence[float]) -> TrafficClass:
-        # Learned recognizers never decide early; skip the per-record
-        # abstention loop when replaying windows offline.
-        return self.finalize(lengths, offsets)
+        if self._predict_is_command(extract_features(lengths, offsets)):
+            return TrafficClass.COMMAND
+        return self._negative_class()
 
 
 class KnnRecognizer(LearnedRecognizer):
@@ -504,13 +470,14 @@ class MlpRecognizer(LearnedRecognizer):
 
 
 # ---------------------------------------------------------------------------
-# Registry + training
+# Name table + training
 # ---------------------------------------------------------------------------
 
-RECOGNIZERS = PluginRegistry("window recognizer")
-RECOGNIZERS.register("signature", SignatureRecognizer)
-RECOGNIZERS.register("knn", KnnRecognizer)
-RECOGNIZERS.register("mlp", MlpRecognizer)
+RECOGNIZERS: Dict[str, Type[WindowRecognizer]] = {
+    "signature": SignatureRecognizer,
+    "knn": KnnRecognizer,
+    "mlp": MlpRecognizer,
+}
 
 
 def train_window_recognizer(
@@ -532,8 +499,7 @@ def train_window_recognizer(
     if train_per_class < 1:
         raise WorkloadError(
             f"train_per_class must be positive, got {train_per_class!r}")
-    recognizer = RECOGNIZERS.create(kind, speaker_kind)
-    assert isinstance(recognizer, WindowRecognizer)
+    recognizer = lookup(RECOGNIZERS, "window recognizer", kind)(speaker_kind)
     if recognizer.trainable:
         samples = synth_windows(speaker_kind,
                                 hub.stream("recognition.train.data"),

@@ -10,57 +10,24 @@ cannot add his own device.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Dict, List, Mapping, TypeVar
 
 from repro.errors import RegistrationError
 from repro.home.devices import MobileDevice
 
+T = TypeVar("T")
 
-class PluginRegistry:
-    """Name → factory registry for pluggable strategies.
 
-    The paper stresses the guard has "an open and extensible framework"
-    (Section VII); this is the generic surface behind it, beside the
-    :class:`~repro.core.decision.DecisionMethod` base.  Window
-    recognizers (:mod:`repro.core.recognizers`) and traffic morphers
-    (:mod:`repro.attacks.morphing`) each keep a module-level instance,
-    so experiments select implementations by name (CLI flags, config
-    fields) without importing them directly.
-    """
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self._factories: Dict[str, Callable[..., object]] = {}
-
-    def register(self, name: str, factory: Callable[..., object],
-                 replace: bool = False) -> Callable[..., object]:
-        """Add ``factory`` under ``name``; refuse silent redefinition."""
-        if not replace and name in self._factories:
-            raise RegistrationError(
-                f"{self.kind} {name!r} is already registered")
-        self._factories[name] = factory
-        return factory
-
-    def create(self, name: str, *args: object, **kwargs: object) -> object:
-        """Instantiate the factory registered under ``name``."""
-        try:
-            factory = self._factories[name]
-        except KeyError:
-            raise RegistrationError(
-                f"no {self.kind} named {name!r}; "
-                f"known: {', '.join(self.names()) or '(none)'}"
-            ) from None
-        return factory(*args, **kwargs)
-
-    def names(self) -> List[str]:
-        """Registered names, sorted."""
-        return sorted(self._factories)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._factories
-
-    def __len__(self) -> int:
-        return len(self._factories)
+def lookup(table: Mapping[str, T], kind: str, name: str) -> T:
+    """``table[name]``, or a :class:`RegistrationError` naming every
+    known entry: how the window-recognizer and traffic-morpher name →
+    class tables are read."""
+    try:
+        return table[name]
+    except KeyError:
+        raise RegistrationError(
+            f"no {kind} named {name!r}; known: {', '.join(sorted(table))}"
+        ) from None
 
 
 @dataclass

@@ -110,7 +110,7 @@ def home_fault_plan(spec: HomeSpec) -> Optional[FaultPlan]:
     )
 
 
-def _build_bucket_scenario(key: PoolKey, config: Optional[VoiceGuardConfig]) -> Scenario:
+def _build_bucket_scenario(key: PoolKey) -> Scenario:
     """One wired world for ``key``, built from the bucket seed.
 
     The scaled testbed comes from the fleet world cache — one geometry
@@ -126,7 +126,7 @@ def _build_bucket_scenario(key: PoolKey, config: Optional[VoiceGuardConfig]) -> 
         seed=template_seed(key),
         owner_count=owner_count,
         device_kind=device_kind,
-        config=config if config is not None else fleet_guard_config(),
+        config=fleet_guard_config(),
         fault_plan=None,
         testbed=world.testbed,
         with_fault_injector=True,
@@ -265,8 +265,7 @@ class ScenarioPool:
     mutated.
     """
 
-    def __init__(self, config: Optional[VoiceGuardConfig] = None) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self._templates: Dict[PoolKey, _Template] = {}
         self.template_builds = 0
         self.restores = 0
@@ -275,7 +274,7 @@ class ScenarioPool:
         """The bucket's template, building it on first use."""
         entry = self._templates.get(key)
         if entry is None:
-            scenario = _build_bucket_scenario(key, self.config)
+            scenario = _build_bucket_scenario(key)
             shared = _shared_immutables(scenario)
             entry = _Template(blob=snapshot(scenario, shared, key), shared=shared)
             self._templates[key] = entry
@@ -305,8 +304,7 @@ class ScenarioPool:
         self._templates.clear()
 
 
-def build_home_cold(spec: HomeSpec,
-                    config: Optional[VoiceGuardConfig] = None) -> Scenario:
+def build_home_cold(spec: HomeSpec) -> Scenario:
     """Build ``spec``'s world from scratch, without the pool.
 
     Same bucket seed, same rehome — so the result is byte-identical to
@@ -314,7 +312,7 @@ def build_home_cold(spec: HomeSpec,
     re-simulated per call instead of restored from a pickle.  This is
     the equality oracle's reference side.
     """
-    scenario = _build_bucket_scenario(pool_key(spec), config)
+    scenario = _build_bucket_scenario(pool_key(spec))
     rehome(scenario, spec)
     return scenario
 

@@ -7,7 +7,7 @@ never touches a payload byte yet erases exactly those keys.  This
 experiment measures that arms race as a matcher × adversary × speaker
 accuracy grid:
 
-* every registered recognizer (``signature`` plus the trainable ``knn``
+* every named recognizer (``signature`` plus the trainable ``knn``
   and ``mlp`` from :mod:`repro.core.recognizers`) against every morphing
   adversary, both speakers;
 * *adaptive* rows: the trainable recognizers retrained on traces morphed
@@ -36,8 +36,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import fmt_percent, render_table
+from repro.attacks.morphing import MORPHERS, create_morpher
 from repro.core.recognition import TrafficClass
 from repro.core.recognizers import (
+    RECOGNIZERS,
     morph_sample,
     synth_windows,
     train_window_recognizer,
@@ -47,9 +49,9 @@ from repro.experiments.parallel import ExperimentEngine, ExperimentTask, derive_
 from repro.sim.random import RngHub, generator
 
 SPEAKERS = ("echo", "google")
-RECOGNIZER_KINDS = ("signature", "knn", "mlp")
+RECOGNIZER_KINDS = tuple(RECOGNIZERS)
 #: "none" is the clean baseline column; the rest are morphing adversaries.
-ADVERSARIES = ("none", "pad-fixed", "pad-random", "jitter", "dummy-burst")
+ADVERSARIES = ("none", *MORPHERS)
 #: Recognizers that can retrain on morphed traces (adaptive rows).
 ADAPTIVE_KINDS = ("knn", "mlp")
 
@@ -62,7 +64,7 @@ class RecognitionCell:
     """One (speaker, recognizer, adversary) accuracy measurement."""
 
     speaker: str
-    recognizer: str  # registry kind; adaptive rows get a "+retrain" label
+    recognizer: str  # RECOGNIZERS name; adaptive rows get a "+retrain" label
     adversary: str
     adaptive: bool
     windows: int
@@ -105,7 +107,6 @@ def run_recognition_cell(
     """
     if adaptive and adversary == "none":
         raise WorkloadError("adaptive cells need a morphing adversary")
-    from repro.attacks.morphing import create_morpher
 
     # Training: its own hub, keyed by speaker only, so every recognizer
     # kind (and every adversary column) trains from identical draws.

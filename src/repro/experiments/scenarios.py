@@ -180,13 +180,6 @@ def build_scenario(
         scenario.guard = guard
         profile = SpeakerProfile.ECHO if speaker_kind == "echo" else SpeakerProfile.GOOGLE
         guard.protect(scenario.speaker, profile)
-        # A trainable recognizer (config.recognizer != "signature") is
-        # trained here, before any owner/boot traffic, from dedicated
-        # ``recognition.train.*`` streams — with the default signature
-        # matcher this branch never runs and the build is byte-identical
-        # to a pre-recognizer guard.
-        if guard.config.recognizer != "signature":
-            _install_trained_recognizer(scenario, profile)
 
     # -- owners and devices ------------------------------------------------
     speaker_room = testbed.speaker_room(deployment)
@@ -230,30 +223,6 @@ def build_scenario(
         scenario.guard.enable_floor_tracking(sensor, classifier)
 
     return scenario
-
-
-def _install_trained_recognizer(scenario: Scenario, profile: SpeakerProfile) -> None:
-    """Train and install the configured window recognizer.
-
-    Imports are lazy so the default signature path never loads
-    numpy-heavy training code or the attacks layer.
-    """
-    from repro.core.recognizers import train_window_recognizer
-
-    config = scenario.guard.config
-    morpher = None
-    if config.recognizer_train_morph is not None:
-        from repro.attacks.morphing import create_morpher
-
-        morpher = create_morpher(config.recognizer_train_morph)
-    recognizer = train_window_recognizer(
-        config.recognizer,
-        scenario.speaker_kind,
-        scenario.env.rng,
-        train_per_class=config.recognizer_train_windows,
-        morpher=morpher,
-    )
-    scenario.guard.set_window_recognizer(profile, recognizer)
 
 
 # ---------------------------------------------------------------------------

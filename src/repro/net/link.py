@@ -66,6 +66,10 @@ class Host:
         """Register a per-port UDP handler."""
         self._udp_handlers[port] = handler
 
+    def unregister_udp_handler(self, port: int) -> None:
+        """Free ``port``: its datagrams are dropped from now on."""
+        del self._udp_handlers[port]
+
     # -- traffic --------------------------------------------------------
     def send(self, packet: Packet) -> None:
         """Inject a packet into the network with this host as origin."""

@@ -32,6 +32,7 @@ from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.link import Network, TapHost
 from repro.net.packet import Packet, Protocol, TcpFlags
 from repro.net.tcp import TcpConnection, TcpStack, TcpState
+from repro.net.udp import QUIC_IDLE_TIMEOUT
 from repro.obs.tracer import NULL_SPAN, Observability
 
 _SYN = TcpFlags.SYN.value
@@ -45,10 +46,6 @@ _ESTABLISHED = TcpState.ESTABLISHED
 # (QUIC).  TCP to other ports is bridged untouched; datagrams (e.g.
 # DNS/53 UDP) are reported to snoopers, then forwarded or bridged.
 PROXIED_PORT = 443
-# Seconds without a datagram in either direction after which a QUIC
-# flow ends, silently, as QUIC's idle timeout closes a connection
-# (RFC 9000 section 10.1).
-QUIC_IDLE_TIMEOUT = 30.0
 
 
 class ForwarderDecision(enum.Enum):

@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.audio.voiceprint import VoiceUtterance
-from repro.errors import ConnectionClosedError
+from repro.errors import ConnectionClosedError, NetworkError
 from repro.home.environment import HomeEnvironment
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.dns import DnsClient
@@ -35,7 +35,9 @@ from repro.speakers.interaction import GoogleTrafficModel, RecordSpec
 
 # Enum members read per record (see repro.net.tcp._ACK_FLAG).
 _APPLICATION_DATA = TlsRecordType.APPLICATION_DATA
+# QUIC source ports, taken in turn and wrapped like TCP's ephemerals.
 _QUIC_FIRST_PORT = 52000
+_QUIC_LAST_PORT = 65535
 
 
 class GoogleHomeMini(SmartSpeaker):
@@ -59,8 +61,8 @@ class GoogleHomeMini(SmartSpeaker):
         self.traffic = traffic_model or GoogleTrafficModel(rng)
         self.sessions_opened = 0
         self.quic_sessions = 0
-        # QUIC source ports, per speaker: a world's ports do not depend
-        # on what else ran in the process.
+        # The next QUIC source port to try, per speaker: a world's ports
+        # do not depend on what else ran in the process.
         self._next_udp_port = _QUIC_FIRST_PORT
 
     def boot(self) -> None:
@@ -136,10 +138,10 @@ class GoogleHomeMini(SmartSpeaker):
                   script: List[RecordSpec]) -> None:
         self.sessions_opened += 1
         self.quic_sessions += 1
-        port = self._next_udp_port
-        self._next_udp_port += 1
-
-        flow = UdpFlow(self, Endpoint(self.ip, port), server, self._on_cloud_packet)
+        flow = UdpFlow(self, Endpoint(self.ip, self._free_udp_port()), server,
+                       self._on_cloud_packet)
+        # The session ends, and frees its port, after the idle timeout.
+        flow.close_when_idle()
         last = len(script) - 1
         for index, spec in enumerate(script):
             meta = {}
@@ -147,3 +149,12 @@ class GoogleHomeMini(SmartSpeaker):
                 meta = {"command_end": True, "interaction_id": record.interaction_id}
             self.sim.post(spec.offset, flow.send, spec.length,
                           _APPLICATION_DATA, meta)
+
+    def _free_udp_port(self) -> int:
+        """The next QUIC source port no open session holds."""
+        for _ in range(_QUIC_LAST_PORT - _QUIC_FIRST_PORT + 1):
+            port = self._next_udp_port
+            self._next_udp_port = port + 1 if port < _QUIC_LAST_PORT else _QUIC_FIRST_PORT
+            if port not in self._udp_handlers:
+                return port
+        raise NetworkError(f"no free QUIC port on {self.name}")

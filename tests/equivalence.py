@@ -393,7 +393,7 @@ def recognition_windows() -> str:
     recognition_robustness.morph_sample = lambda *a, **k: record([real_morph(*a, **k)])[0]
     try:
         for speaker in ("echo", "google"):
-            for adversary in ("none", *MORPHERS.names()):
+            for adversary in ("none", *sorted(MORPHERS)):
                 cell = recognition_robustness.run_recognition_cell(
                     speaker, "signature", adversary, seed=909, train_windows=5, eval_windows=10)
                 digest.update(repr(cell.row()).encode())

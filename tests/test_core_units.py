@@ -3,6 +3,8 @@ floor classifier, threshold calibration, recognition classifier."""
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,17 @@ class TestConfig:
     def test_defaults_valid(self):
         config = VoiceGuardConfig()
         assert config.decision_timeout == 5.0
+
+    def test_knob_set_is_pinned(self):
+        """Every guard knob is one a caller sets; a new one is a review
+        decision, not a side effect."""
+        assert [spec.name for spec in fields(VoiceGuardConfig)] == [
+            "decision_timeout", "fail_open",
+            "push_retries", "retry_base", "retry_cap", "proximity_cache_ttl",
+            "max_hold",
+            "max_concurrent_queries", "decision_batching", "held_byte_budget",
+            "overflow_fail_open",
+        ]
 
     @pytest.mark.parametrize("kwargs", [
         {"retry_base": 2.0, "retry_cap": 1.0},

@@ -295,14 +295,15 @@ GOOGLE_FLOW_BOUND = 4
 
 
 def peak_state(days: float, speaker: str = "echo", seed: int = 11) -> dict:
-    """The largest heap, FIFO-floor map, open proxy flow count and count
-    of open flows carrying recognizer state that a seven-day house home
-    reaches between ``run_until`` calls while its workload spans
-    ``days`` simulated days."""
+    """The largest heap, FIFO-floor map, open proxy flow count, count
+    of open flows carrying recognizer state and count of the speaker's
+    UDP ports that a seven-day house home reaches between ``run_until``
+    calls while its workload spans ``days`` simulated days."""
     scenario = scenarios.build_scenario("house", speaker, deployment=0, owner_count=2,
                                         seed=seed)
     sim, proxy = scenario.sim, scenario.guard.proxy
-    peak = {"heap": 0, "floors": 0, "recognizer_flows": 0, "open_flows": 0}
+    peak = {"heap": 0, "floors": 0, "recognizer_flows": 0, "open_flows": 0,
+            "speaker_udp_ports": 0}
     run_until = sim.run_until
 
     def sampled(time, max_events=None):
@@ -312,7 +313,8 @@ def peak_state(days: float, speaker: str = "echo", seed: int = 11) -> dict:
                             ("floors", len(scenario.network._last_delivery)),
                             ("recognizer_flows",
                              sum(flow.policy_state is not None for flow in flows)),
-                            ("open_flows", len(flows))):
+                            ("open_flows", len(flows)),
+                            ("speaker_udp_ports", len(scenario.speaker._udp_handlers))):
             peak[name] = max(peak[name], value)
         return fired
 
@@ -332,11 +334,25 @@ def test_echo_state_stays_bounded_over_a_week():
         assert half[name] <= STATE_BOUND and week[name] <= STATE_BOUND, (name, half, week)
 
 
-def test_google_flows_end_over_a_week():
+@pytest.fixture(scope="module")
+def google_peaks():
+    return tuple(peak_state(days, "google", seed=101) for days in (3.5, 7.0))
+
+
+def test_google_flows_end_over_a_week(google_peaks):
     """Every QUIC and TCP session of an on-demand Google home ends, and
     its recognizer state with it, however many days the home runs."""
-    half, week = (peak_state(days, "google", seed=101) for days in (3.5, 7.0))
+    half, week = google_peaks
     assert week["days"] > 1.8 * half["days"]
     for name in ("recognizer_flows", "open_flows"):
         assert half[name] <= GOOGLE_FLOW_BOUND and week[name] <= GOOGLE_FLOW_BOUND, (
             name, half, week)
+
+
+def test_google_speaker_frees_quic_ports_over_a_week(google_peaks):
+    """The speaker's own side of each QUIC session ends too: its port
+    is freed after the idle timeout, so the speaker holds its DNS port
+    and the ports of the sessions still open, however many days run."""
+    half, week = google_peaks
+    for peak in (half, week):
+        assert peak["speaker_udp_ports"] <= GOOGLE_FLOW_BOUND, (half, week)

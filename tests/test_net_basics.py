@@ -13,7 +13,7 @@ from repro.net.capture import PacketCapture
 from repro.net.dns import DnsClient, DnsServer
 from repro.net.link import Host, Network, TapHost
 from repro.net.packet import Packet, Protocol, TcpFlags, TlsRecordType
-from repro.net.udp import UdpFlow
+from repro.net.udp import QUIC_IDLE_TIMEOUT, UdpFlow
 from repro.sim.random import RngHub
 
 
@@ -388,6 +388,19 @@ class TestUdpFlow:
         sim.run()
         assert got == [123]
         assert flow_b.datagrams_received == 1
+
+    def test_idle_close_frees_the_port(self, sim, network):
+        a = make_host(network, "a", "192.168.1.10")
+        b = make_host(network, "b", "192.168.1.11")
+        flow = UdpFlow(a, Endpoint(a.ip, 400), Endpoint(b.ip, 500))
+        flow.close_when_idle()
+        sim.run_for(6.0)
+        flow.send(50)  # activity restarts the idle clock
+        sim.run_for(QUIC_IDLE_TIMEOUT - 0.5)
+        assert 400 in a._udp_handlers
+        sim.run_for(1.0)
+        assert 400 not in a._udp_handlers
+        UdpFlow(a, Endpoint(a.ip, 400), Endpoint(b.ip, 500))  # port reusable
 
     def test_zero_payload_rejected(self, sim, network):
         a = make_host(network, "a", "192.168.1.10")

@@ -15,7 +15,6 @@ import math
 
 import pytest
 
-from repro.core.config import VoiceGuardConfig
 from repro.errors import ConfigError, SnapshotError
 from repro.experiments.fleet import (
     FleetAccumulator,
@@ -214,31 +213,6 @@ class TestPoolIdentity:
         assert template_seed(pool_key(a)) != template_seed(pool_key(c))
 
 
-def _only_recognizer(scenario):
-    """The single trained recognizer installed on the scenario's guard."""
-    recognizers = scenario.guard.recognition.window_recognizers
-    assert len(recognizers) == 1
-    return next(iter(recognizers.values()))
-
-
-class TestPoolLearnedRecognizers:
-    """Warm-start identity extends to guards with trained recognizers."""
-
-    def test_pooled_mlp_weights_and_stream_match_cold_build(self):
-        config = VoiceGuardConfig(recognizer="mlp")
-        spec = make_spec(index=0)
-        pooled_scenario = ScenarioPool(config=config).acquire(spec)
-        pooled_weights = _only_recognizer(pooled_scenario).weight_bytes()
-        pooled_stream = run_home(pooled_scenario, spec)
-        cold_scenario = build_home_cold(spec, config=config)
-        # Bit-identical weights AND a byte-identical guard event stream:
-        # training draws only from its dedicated streams, so the rehome
-        # reseed leaves pooled and cold guards indistinguishable.
-        assert _only_recognizer(cold_scenario).weight_bytes() == pooled_weights
-        assert run_home(cold_scenario, spec) == pooled_stream
-
-
-
 class _TypeRecordingPickler(_SnapshotPickler):
     """The snapshot pickler, recording the type of every object it meets."""
 
@@ -264,7 +238,7 @@ class TestSnapshotHazards:
 
     def test_planted_closure_is_detected(self):
         key = pool_key(make_spec())
-        scenario = _build_bucket_scenario(key, None)
+        scenario = _build_bucket_scenario(key)
         captured = object()
         scenario.guard._planted_callback = lambda: captured
         with pytest.raises(SnapshotError, match="apartment"):
@@ -272,7 +246,7 @@ class TestSnapshotHazards:
 
     def test_no_itertools_objects_in_snapshot(self):
         key = pool_key(IDENTITY_SPECS["house-watch"])
-        scenario = _build_bucket_scenario(key, None)
+        scenario = _build_bucket_scenario(key)
         pickler = _TypeRecordingPickler(_shared_immutables(scenario), scenario.env.rng)
         pickler.dump(scenario)
         leaked = sorted(t.__qualname__ for t in pickler.types

@@ -15,7 +15,7 @@ Four layers of pinning:
   baseline.
 * **Live wiring** — the proxy record-shim chain is provably transparent
   when empty or identity, and a padding adversary at the tap blinds the
-  signature guard but not a knn-configured one.
+  guard's signature matcher.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.core.recognizers import (
     synth_windows,
     train_window_recognizer,
 )
-from repro.core.registry import PluginRegistry, RegistrationError
+from repro.core.registry import RegistrationError
 from repro.errors import ConfigError, WorkloadError
 from repro.experiments.recognition_robustness import (
     run_recognition_cell,
@@ -125,7 +125,7 @@ class TestFeatureProperties:
 
 
 class TestMorpherProperties:
-    @pytest.mark.parametrize("name", sorted(MORPHERS.names()))
+    @pytest.mark.parametrize("name", sorted(MORPHERS))
     @given(window=windows(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_count_and_clock_monotonicity(self, name, window, seed):
@@ -201,31 +201,27 @@ class TestMorpherProperties:
 
 
 class TestPluginRegistry:
-    def test_register_create_names(self):
-        registry = PluginRegistry("widget")
-        registry.register("a", dict)
-        assert "a" in registry
-        assert registry.names() == ["a"]
-        assert registry.create("a") == {}
-
-    def test_duplicate_rejected_unless_replace(self):
-        registry = PluginRegistry("widget")
-        registry.register("a", dict)
-        with pytest.raises(RegistrationError):
-            registry.register("a", list)
-        registry.register("a", list, replace=True)
-        assert registry.create("a") == []
+    """The recognizer and morpher name → class tables."""
 
     def test_unknown_name_lists_known(self):
-        registry = PluginRegistry("widget")
-        registry.register("a", dict)
-        with pytest.raises(RegistrationError, match="a"):
-            registry.create("b")
+        with pytest.raises(RegistrationError,
+                           match="no window recognizer named 'svm'; "
+                                 "known: knn, mlp, signature"):
+            train_window_recognizer("svm", "echo", RngHub(1))
+        with pytest.raises(RegistrationError,
+                           match="no traffic morpher named 'nope'; known: "
+                                 "dummy-burst, jitter, pad-fixed, pad-random"):
+            create_morpher("nope")
 
     def test_builtin_registries_are_populated(self):
-        assert RECOGNIZERS.names() == ["knn", "mlp", "signature"]
-        assert MORPHERS.names() == ["dummy-burst", "jitter", "pad-fixed",
-                                    "pad-random"]
+        assert list(RECOGNIZERS) == ["signature", "knn", "mlp"]
+        assert list(MORPHERS) == ["pad-fixed", "pad-random", "jitter",
+                                  "dummy-burst"]
+        for name, cls in MORPHERS.items():
+            assert create_morpher(name).name == name
+            assert type(create_morpher(name)) is cls
+        for name, cls in RECOGNIZERS.items():
+            assert cls("echo").name == name
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +329,10 @@ class TestArmsRaceAcceptance:
 # ---------------------------------------------------------------------------
 
 
-def _run_one_command(config=None, adversary=None, seed=11):
+def _run_one_command(adversary=None, seed=11):
     scenario = build_scenario(
         "house", "echo", seed=seed, owner_count=1,
-        with_floor_tracking=False, anomalous_rate=0.0, config=config)
+        with_floor_tracking=False, anomalous_rate=0.0)
     if adversary is not None:
         adversary.install(scenario.guard.proxy)
     env = scenario.env
@@ -381,36 +377,22 @@ class TestLiveMorphingShim:
         assert TrafficClass.COMMAND not in classes
         assert TrafficClass.UNKNOWN in classes
 
-    def test_knn_guard_still_sees_the_command_under_padding(self):
-        scenario = _run_one_command(
-            config=VoiceGuardConfig(recognizer="knn"),
-            adversary=MorphingAdversary(PadToFixedMorpher(), seed=7))
-        classes = [event.classification for event in scenario.guard.log.events]
-        assert TrafficClass.COMMAND in classes
-
     def test_offline_morpher_rejected_as_live_shim(self):
         with pytest.raises(ConfigError):
             MorphingAdversary(TimingJitterMorpher(), seed=1)
 
-    def test_config_rejects_morph_training_for_signature(self):
-        with pytest.raises(ConfigError):
-            VoiceGuardConfig(recognizer="signature",
-                             recognizer_train_morph="pad-fixed")
-        with pytest.raises(ConfigError):
-            VoiceGuardConfig(recognizer="")
-
     def test_unknown_recognizer_fails_at_scenario_build(self):
-        with pytest.raises(RegistrationError):
-            build_scenario("apartment", "echo", seed=1,
-                           config=VoiceGuardConfig(recognizer="svm"))
-
-    def test_morph_trained_guard_builds(self):
-        scenario = _run_one_command(
-            config=VoiceGuardConfig(recognizer="mlp",
-                                    recognizer_train_morph="pad-fixed"),
-            adversary=MorphingAdversary(PadToFixedMorpher(), seed=7))
-        classes = [event.classification for event in scenario.guard.log.events]
-        assert TrafficClass.COMMAND in classes
+        """The live guard runs the signature matcher and takes no
+        recognizer name, so naming one is refused before a scenario
+        exists; the offline cell, which does take a name, refuses an
+        unknown one before it trains or simulates anything."""
+        with pytest.raises(TypeError):
+            VoiceGuardConfig(recognizer="svm")
+        with pytest.raises(TypeError):
+            build_scenario("apartment", "echo", seed=1, recognizer="svm")
+        with pytest.raises(RegistrationError,
+                           match="no window recognizer named 'svm'"):
+            run_recognition_cell("echo", "svm", "none", seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +475,12 @@ class TestSignatureAlphabet:
 class TestRecognizerEdges:
     def test_unknown_speaker_kind_rejected(self):
         with pytest.raises(WorkloadError):
-            RECOGNIZERS.create("knn", "homepod")
+            RECOGNIZERS["knn"]("homepod")
         with pytest.raises(WorkloadError):
             synth_windows("homepod", np.random.default_rng(0), 2)
 
     def test_unfitted_learned_recognizer_refuses_to_predict(self):
-        recognizer = RECOGNIZERS.create("knn", "echo")
+        recognizer = RECOGNIZERS["knn"]("echo")
         assert not recognizer.fitted
         with pytest.raises(WorkloadError):
             recognizer.predict_window([100, 200], [0.0, 0.1])
@@ -527,12 +509,32 @@ class TestRecognizerEdges:
                                     train_per_class=0)
 
     def test_signature_recognizer_matches_builtin_matcher(self):
-        from repro.core.recognition import finalize_echo_lengths
+        """A whole-window prediction is what the live matcher decides
+        record by record: the first prefix it settles on, or the
+        finalized class when the spike ends undecided."""
+        from repro.core.recognition import (
+            classify_echo_lengths,
+            finalize_echo_lengths,
+        )
 
-        recognizer = RECOGNIZERS.create("signature", "echo")
-        for sample in synth_windows("echo", np.random.default_rng(3), 6):
-            assert (recognizer.predict_window(sample.lengths, sample.offsets)
-                    is not None)
-        # Finalize defers to the builtin on short undecided windows.
-        assert (recognizer.finalize([100, 200], [0.0, 0.1])
-                is finalize_echo_lengths([100, 200]))
+        def live(lengths):
+            for end in range(1, len(lengths) + 1):
+                decided = classify_echo_lengths(lengths[:end])
+                if decided is not None:
+                    return decided
+            return finalize_echo_lengths(lengths)
+
+        echo = RECOGNIZERS["signature"]("echo")
+        google = RECOGNIZERS["signature"]("google")
+        rng = np.random.default_rng(3)
+        samples = synth_windows("echo", rng, 20)
+        samples += [morph_sample(sample, create_morpher(name), rng)
+                    for sample in samples[:10] for name in sorted(MORPHERS)]
+        samples.append(WindowSample(lengths=(100, 200), offsets=(0.0, 0.1),
+                                    label="noise"))
+        for sample in samples:
+            lengths = list(sample.lengths)
+            assert (echo.predict_window(lengths, sample.offsets)
+                    is live(lengths))
+            assert (google.predict_window(lengths, sample.offsets)
+                    is TrafficClass.COMMAND)

@@ -210,15 +210,21 @@ class TestGoogleHomeLifecycle:
         assert scenario.speaker.dns.queries_sent >= scenario.speaker.sessions_opened
 
 
-def _quic_source_ports(seed):
-    """UDP source ports of two QUIC commands in a fresh house/google world."""
+def _quic_sessions(seed, next_port=None, occupied=()):
+    """UDP source ports (in first-use order) and settled interactions of
+    two QUIC commands in a fresh house/google world, the speaker's port
+    counter set to ``next_port`` and the ``occupied`` ports held."""
     scenario = build_scenario("house", "google", seed=seed, owner_count=1,
                               with_floor_tracking=False, calibrate=False)
     env, speaker = scenario.env, scenario.speaker
     speaker.traffic.QUIC_PROBABILITY = 1.0
-    ports = []
+    if next_port is not None:
+        speaker._next_udp_port = next_port
+    for port in occupied:
+        speaker.register_udp_handler(port, lambda packet: None)
+    ports = {}
     scenario.network.add_observer(
-        lambda p, scope: ports.append(p.src.port)
+        lambda p, scope: ports.setdefault(p.src.port)
         if p.src.ip == speaker.ip and p.dst.port == 443 else None)
     owner = scenario.owners[0]
     owner.teleport(env.testbed.device_point(5).offset(dz=-1.0))
@@ -227,10 +233,18 @@ def _quic_source_ports(seed):
         duration = full_utterance_duration(command, env.rng.stream("g"))
         env.play_utterance(owner.speak(command.text, duration), owner.device_position())
         env.sim.run_for(duration + 20.0)
-    return sorted(set(ports))
+    return list(ports), speaker.settle_all()
 
 
 def test_quic_source_ports_belong_to_the_world():
-    first = _quic_source_ports(5)
+    first, _ = _quic_sessions(5)
     assert first == [52000, 52001]
-    assert _quic_source_ports(5) == first
+    assert _quic_sessions(5)[0] == first
+
+
+def test_quic_port_counter_wraps_past_held_ports():
+    """At the top of the range the counter wraps to the bottom, and
+    skips a port something still holds, like TCP's ephemeral ports."""
+    ports, records = _quic_sessions(5, next_port=65535, occupied=(52000,))
+    assert ports == [65535, 52001]
+    assert [r.outcome for r in records] == [InteractionOutcome.EXECUTED] * 2
