@@ -8,7 +8,6 @@ Commands
 ``campaign``    — the multi-home media campaign experiment
 ``fleet``       — stream a synthesized fleet of 10k-1M homes (fleet tables)
 ``fleet-validate`` — cross-validate fast vs full fleet fidelity (KS + χ²)
-``cache``       — experiment-cache stats; ``--prune`` reclaims disk
 ``endurance``   — the hold-endurance sweep
 ``resilience``  — fault rate x retry policy sweep (availability under faults)
 ``loadtest``    — bursty multi-speaker load: throughput vs hold-time tail
@@ -28,11 +27,15 @@ from typing import Optional
 from repro.errors import ReproError
 
 
-def _write_output(path: Optional[str], text: str) -> None:
-    """Also write ``text`` to ``--output``'s path, when one was given."""
+def _print_result(text: str, path: Optional[str]) -> None:
+    """Print ``text`` and write the same bytes to ``--output``'s path,
+    when one was given (the notice goes to stderr, so stdout stays the
+    result alone)."""
+    text += "\n"
+    sys.stdout.write(text)
     if path:
         pathlib.Path(path).write_text(text, encoding="utf-8")
-        print(f"(written to {path})")
+        print(f"(written to {path})", file=sys.stderr)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -41,11 +44,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     report = generate_report(scale=args.scale, seed=args.seed,
                              progress=functools.partial(print, file=sys.stderr),
-                             workers=args.workers,
-                             use_cache=not args.no_cache)
-    print(report.render())
+                             workers=args.workers)
+    _print_result(report.render(), args.output)
     print(render_task_timings(report.timings), file=sys.stderr)
-    _write_output(args.output, report.render())
     return 0
 
 
@@ -59,7 +60,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     testbed = {"table2": "house", "table3": "apartment", "table4": "office"}[args.which]
     result = run_rssi_table(testbed, seed=args.seed, scale=args.scale,
-                            workers=args.workers, use_cache=not args.no_cache)
+                            workers=args.workers)
     print(result.render_with_paper())
     return 0
 
@@ -106,8 +107,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.experiments.campaign import run_campaign
 
     print(run_campaign(homes=args.homes, seed=args.seed,
-                       workers=args.workers,
-                       use_cache=not args.no_cache).render())
+                       workers=args.workers).render())
     return 0
 
 
@@ -125,9 +125,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         population=population,
     )
     result = run_fleet(config, workers=args.workers, progress=args.progress)
-    print(result.render())
+    _print_result(result.render(), args.output)
     print(result.render_throughput(), file=sys.stderr)
-    _write_output(args.output, result.render() + "\n")
     return 0
 
 
@@ -141,9 +140,8 @@ def _cmd_fleet_validate(args: argparse.Namespace) -> int:
         workers=args.workers,
         progress=args.progress,
     )
-    print(result.render())
+    _print_result(result.render(), args.output)
     print(result.render_throughput(), file=sys.stderr)
-    _write_output(args.output, result.render() + "\n")
     if args.strict and not result.all_passed:
         print("FAIL: a testbed's fast-vs-full statistics exceeded the "
               "1% critical values", file=sys.stderr)
@@ -151,29 +149,10 @@ def _cmd_fleet_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.experiments.parallel import cache_stats, prune_cache
-
-    if args.keep_days is not None and not args.prune:
-        args.parser.error("--keep-days only applies with --prune")
-    if args.prune:
-        report = prune_cache(cache_dir=args.cache_dir,
-                             keep_days=args.keep_days)
-        print(f"cache {report['path']}: removed {report['removed']} entries, "
-              f"reclaimed {report['bytes_reclaimed']:,} bytes "
-              f"({report['kept']} kept)")
-        return 0
-    stats = cache_stats(cache_dir=args.cache_dir)
-    print(f"cache {stats['path']}: {stats['entries']} entries, "
-          f"{stats['bytes']:,} bytes")
-    return 0
-
-
 def _cmd_endurance(args: argparse.Namespace) -> int:
     from repro.experiments.hold_endurance import run_hold_endurance
 
-    print(run_hold_endurance(seed=args.seed, workers=args.workers,
-                             use_cache=not args.no_cache).render())
+    print(run_hold_endurance(seed=args.seed, workers=args.workers).render())
     return 0
 
 
@@ -182,9 +161,8 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
 
     testbeds = TESTBEDS if args.testbed == "all" else (args.testbed,)
     result = run_resilience(seed=args.seed, scale=args.scale, testbeds=testbeds,
-                            workers=args.workers, use_cache=not args.no_cache)
-    print(result.render())
-    _write_output(args.output, result.render() + "\n")
+                            workers=args.workers)
+    _print_result(result.render(), args.output)
     return 0
 
 
@@ -196,10 +174,8 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         smoke=args.smoke,
         utterances=args.utterances,
         workers=args.workers,
-        use_cache=not args.no_cache,
     )
-    print(result.render())
-    _write_output(args.output, result.render() + "\n")
+    _print_result(result.render(), args.output)
     return 0
 
 
@@ -210,10 +186,8 @@ def _cmd_recognition_robustness(args: argparse.Namespace) -> int:
         seed=args.seed,
         smoke=args.smoke,
         workers=args.workers,
-        use_cache=not args.no_cache,
     )
-    print(result.render())
-    _write_output(args.output, result.render() + "\n")
+    _print_result(result.render(), args.output)
     return 0
 
 
@@ -245,14 +219,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 1
 
 
-def _days(text: str) -> float:
-    """A ``--keep-days`` value: a non-negative number of days."""
-    value = float(text)
-    if not value >= 0.0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be >= 0 days, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse parser for ``python -m repro``."""
     parser = argparse.ArgumentParser(
@@ -261,27 +227,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=3)
-    # Parallel-engine knobs, shared by the fan-out commands; fleet
-    # chunks are never cached, so the fleet commands take --workers only.
     workers = argparse.ArgumentParser(add_help=False)
     workers.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for independent runs (0 = one per CPU; "
              "1 = serial, identical to the historical behaviour)")
-    parallel = argparse.ArgumentParser(add_help=False, parents=[workers])
-    parallel.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute instead of reusing cached results "
-             "($REPRO_CACHE_DIR or ~/.cache/repro/experiments)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    report = sub.add_parser("report", parents=[common, parallel],
+    report = sub.add_parser("report", parents=[common, workers],
                             help="regenerate everything")
     report.add_argument("--scale", type=float, default=0.3)
     report.add_argument("--output", default=None)
     report.set_defaults(func=_cmd_report)
 
-    table = sub.add_parser("table", parents=[common, parallel],
+    table = sub.add_parser("table", parents=[common, workers],
                            help="regenerate one paper table")
     table.add_argument("which", choices=["table1", "table2", "table3", "table4"])
     table.add_argument("--scale", type=float, default=1.0)
@@ -291,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("which", choices=["3", "4", "6", "7", "8", "9", "10"])
     fig.set_defaults(func=_cmd_fig)
 
-    campaign = sub.add_parser("campaign", parents=[common, parallel],
+    campaign = sub.add_parser("campaign", parents=[common, workers],
                               help="multi-home media campaign")
     campaign.add_argument("--homes", type=int, default=6)
     campaign.set_defaults(func=_cmd_campaign)
@@ -338,24 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="also write the validation report here")
     fleet_validate.set_defaults(func=_cmd_fleet_validate)
 
-    cache = sub.add_parser(
-        "cache",
-        help="experiment result-cache stats; --prune reclaims disk")
-    cache.add_argument("--prune", action="store_true",
-                       help="delete cache entries (all, or older than "
-                            "--keep-days) and report bytes reclaimed")
-    cache.add_argument("--keep-days", type=_days, default=None,
-                       help="with --prune: keep entries younger than this")
-    cache.add_argument("--cache-dir", default=None,
-                       help="cache location (default $REPRO_CACHE_DIR or "
-                            "~/.cache/repro/experiments)")
-    cache.set_defaults(func=_cmd_cache, parser=cache)
-
-    endurance = sub.add_parser("endurance", parents=[common, parallel],
+    endurance = sub.add_parser("endurance", parents=[common, workers],
                                help="hold-endurance sweep")
     endurance.set_defaults(func=_cmd_endurance)
 
-    resilience = sub.add_parser("resilience", parents=[common, parallel],
+    resilience = sub.add_parser("resilience", parents=[common, workers],
                                 help="fault-injection sweep: availability & "
                                      "accuracy under push/scan/report faults")
     resilience.add_argument("--scale", type=float, default=0.25)
@@ -366,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     resilience.set_defaults(func=_cmd_resilience)
 
     loadtest = sub.add_parser(
-        "loadtest", parents=[common, parallel],
+        "loadtest", parents=[common, workers],
         help="bursty multi-speaker load test: resolved commands/sec vs "
              "hold-time p99 across 1-4 concurrent speakers, plus the "
              "strict (slot-starved) and degraded (fault-driven overload) "
@@ -381,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.set_defaults(func=_cmd_loadtest)
 
     recognition = sub.add_parser(
-        "recognition-robustness", parents=[common, parallel],
+        "recognition-robustness", parents=[common, workers],
         help="matcher x traffic-morphing adversary accuracy grid: the "
              "signature matcher and the trainable knn/mlp recognizers "
              "against padding/jitter/dummy-burst adversaries, plus "

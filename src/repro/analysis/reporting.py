@@ -45,13 +45,12 @@ def render_task_timings(timings: Sequence[object],
     """Render the engine's task timing records as a table.
 
     ``timings`` is a sequence of :class:`repro.experiments.parallel.TaskTiming`
-    (anything with ``label``, ``elapsed`` and ``source`` works).
+    (anything with ``label`` and ``elapsed`` works).
     """
-    rows = [[t.label, f"{t.elapsed:.2f}s", t.source] for t in timings]
-    executed = [t.elapsed for t in timings if getattr(t, "source", "run") == "run"]
-    summary = (f"{len(rows)} tasks, {len(rows) - len(executed)} cached, "
-               f"{sum(executed):.2f}s total task time")
-    table = render_table(title, ["task", "elapsed", "source"], rows)
+    rows = [[t.label, f"{t.elapsed:.2f}s"] for t in timings]
+    summary = (f"{len(rows)} tasks, "
+               f"{sum(t.elapsed for t in timings):.2f}s total task time")
+    table = render_table(title, ["task", "elapsed"], rows)
     return f"{table}\n{summary}"
 
 

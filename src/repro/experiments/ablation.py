@@ -153,7 +153,6 @@ def run_defense_matrix(
     trials_per_attack: int = 8,
     legit_trials: int = 8,
     workers: int = 1,
-    use_cache: bool = False,
 ) -> DefenseMatrixResult:
     """VoiceGuard vs voice-match vs no defense, full attack gallery.
 
@@ -168,7 +167,7 @@ def run_defense_matrix(
         )
         for defense in ("none", "voice_match", "voiceguard")
     ]
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
+    engine = ExperimentEngine(workers=workers)
     result = DefenseMatrixResult()
     for arm in engine.run(tasks):
         result.absorb(arm)
@@ -204,7 +203,6 @@ def run_floor_ablation(
     legit: int = 50,
     malicious: int = 40,
     workers: int = 1,
-    use_cache: bool = False,
 ) -> FloorAblationResult:
     common = dict(seed=seed, legit_count=legit, malicious_count=malicious)
     tasks = [
@@ -214,7 +212,7 @@ def run_floor_ablation(
                        kwargs=dict(common, with_floor_tracking=False),
                        label="floor/tracking-off"),
     ]
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
+    engine = ExperimentEngine(workers=workers)
     with_tracking, without = engine.run(tasks)
     return FloorAblationResult(with_tracking=with_tracking, without_tracking=without)
 
@@ -271,7 +269,6 @@ def run_signature_ablation(
     seed: int = 21,
     commands: int = 25,
     workers: int = 1,
-    use_cache: bool = False,
 ) -> SignatureAblationResult:
     """Measure guarded-command coverage with and without signatures.
 
@@ -286,7 +283,7 @@ def run_signature_ablation(
                        label=f"signature/{'on' if use_signature else 'off'}")
         for use_signature in (True, False)
     ]
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
+    engine = ExperimentEngine(workers=workers)
     with_sig, without_sig = engine.run(tasks)
     return SignatureAblationResult(
         reconnects=with_sig["reconnects"],
@@ -370,7 +367,6 @@ def run_firewall_comparison(
     seed: int = 23,
     commands: int = 20,
     workers: int = 1,
-    use_cache: bool = False,
 ) -> FirewallComparisonResult:
     """Mixed-workload UX under the proxy vs under a firewall.
 
@@ -386,7 +382,7 @@ def run_firewall_comparison(
         ExperimentTask(fn=_run_firewall_arm, args=(seed + 1, commands),
                        label="firewall-comparison/firewall"),
     ]
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
+    engine = ExperimentEngine(workers=workers)
     proxy_stats, firewall_stats = engine.run(tasks)
 
     return FirewallComparisonResult(

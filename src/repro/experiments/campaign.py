@@ -118,7 +118,6 @@ def run_campaign(
     homes: int = 6,
     seed: int = 200,
     workers: int = 1,
-    use_cache: bool = False,
 ) -> CampaignResult:
     """Run the campaign against ``homes`` protected and ``homes``
     unprotected households.
@@ -140,5 +139,5 @@ def run_campaign(
                 label=f"campaign/home{index}/"
                       f"{'guarded' if protected else 'unprotected'}",
             ))
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
+    engine = ExperimentEngine(workers=workers)
     return CampaignResult(homes=engine.run(tasks))

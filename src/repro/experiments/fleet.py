@@ -716,14 +716,13 @@ def run_fleet(
 
     Chunk payloads fold as futures complete, with at most
     ``4 * workers`` tasks in flight, so memory stays bounded at any
-    fleet size.  Chunks are never cached: a million per-chunk entries
-    would cost more to read back than to recompute.
+    fleet size.
 
     ``progress=True`` attaches a :class:`FleetProgressMeter` (counted
     homes done / homes-per-sec / ETA on stderr).
     """
     meter = FleetProgressMeter(config.homes) if progress else None
-    engine = ExperimentEngine(workers=workers, use_cache=False)
+    engine = ExperimentEngine(workers=workers)
     start = time.perf_counter()
     if config.fidelity == "fast":
         # Build every world bucket before the pool forks: children

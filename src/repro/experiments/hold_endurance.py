@@ -120,7 +120,6 @@ def run_hold_endurance(
     holds: tuple = (2.0, 10.0, 30.0, 60.0),
     seed: int = 29,
     workers: int = 1,
-    use_cache: bool = False,
 ) -> HoldEnduranceResult:
     """Sweep hold durations for the proxy and a silent-drop actuator.
 
@@ -137,5 +136,5 @@ def run_hold_endurance(
                 kwargs=dict(use_proxy_hold=use_proxy_hold, seed=arm_seed),
                 label=f"hold/{actuator}/{hold_seconds:g}s",
             ))
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
+    engine = ExperimentEngine(workers=workers)
     return HoldEnduranceResult(trials=engine.run(tasks))

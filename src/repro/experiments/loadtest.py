@@ -277,7 +277,6 @@ def run_loadtest(
     rates: Sequence[str] = ("low", "med", "high"),
     utterances: Optional[int] = None,
     workers: int = 1,
-    use_cache: bool = False,
 ) -> LoadtestResult:
     """Run the grid through the parallel engine.
 
@@ -312,6 +311,6 @@ def run_loadtest(
     add(stress_speakers, stress_rate, "strict")
     add(stress_speakers, stress_rate, "degraded")
 
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
+    engine = ExperimentEngine(workers=workers)
     cells = engine.run(tasks)
     return LoadtestResult(cells=list(cells), seed=seed)

@@ -227,7 +227,6 @@ def run_recognition_robustness(
     train_windows: Optional[int] = None,
     eval_windows: Optional[int] = None,
     workers: int = 1,
-    use_cache: bool = False,
 ) -> RecognitionRobustnessResult:
     """Run the grid through the parallel engine.
 
@@ -270,6 +269,6 @@ def run_recognition_robustness(
             for kind in adaptive_kinds:
                 add(speaker, kind, adversary, adaptive=True)
 
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
+    engine = ExperimentEngine(workers=workers)
     cells = engine.run(tasks)
     return RecognitionRobustnessResult(cells=list(cells), seed=seed)

@@ -49,7 +49,7 @@ class ReproductionReport:
 
     def render(self) -> str:
         """Render as paper-style text: the same for the same scale and
-        seed, whatever the worker count or cache (wall times are in
+        seed, whatever the worker count (wall times are in
         ``timings``)."""
         parts = ["VoiceGuard reproduction report", "=" * 31, ""]
         for section in self.sections:
@@ -132,7 +132,6 @@ def generate_report(
     seed: int = 3,
     progress: Optional[Callable[[str], None]] = None,
     workers: int = 1,
-    use_cache: bool = False,
 ) -> ReproductionReport:
     """Regenerate every paper table and figure.
 
@@ -147,8 +146,7 @@ def generate_report(
     specs = report_section_specs(scale, seed)
     tasks = [ExperimentTask(fn=render_section, args=tuple(spec[1:]), label=spec.name)
              for spec in specs]
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache,
-                              progress=progress)
+    engine = ExperimentEngine(workers=workers, progress=progress)
     texts = engine.run(tasks)
 
     return ReproductionReport(

@@ -180,14 +180,12 @@ def run_resilience(
     fault_rates: Sequence[float] = FAULT_RATES,
     policies: Sequence[str] = tuple(POLICIES),
     workers: int = 1,
-    use_cache: bool = False,
 ) -> ResilienceResult:
     """Run the full sweep through the parallel engine.
 
     ``scale`` shrinks the paper-sized command counts per cell, exactly
     as the table experiments do.  Cells are pure functions of their
-    arguments, so the sweep caches and parallelizes like every other
-    artifact.
+    arguments, so the sweep parallelizes like every other artifact.
     """
     check_scale(scale)
     legit_count = max(6, int(round(90 * scale)))
@@ -208,6 +206,6 @@ def run_resilience(
                     ),
                     label=f"resilience/{testbed}/loss{int(round(rate * 100))}/{policy}",
                 ))
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
+    engine = ExperimentEngine(workers=workers)
     cells = engine.run(tasks)
     return ResilienceResult(cells=list(cells), seed=seed)

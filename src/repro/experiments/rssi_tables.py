@@ -120,7 +120,6 @@ def run_rssi_table(
     config: Optional[VoiceGuardConfig] = None,
     scale: float = 1.0,
     workers: int = 1,
-    use_cache: bool = False,
 ) -> RssiTableResult:
     """Run all four cells of one table.
 
@@ -146,6 +145,6 @@ def run_rssi_table(
                 ),
                 label=f"rssi/{testbed}/{speaker}/loc{deployment + 1}",
             ))
-    engine = ExperimentEngine(workers=workers, use_cache=use_cache)
+    engine = ExperimentEngine(workers=workers)
     cells = engine.run(tasks)
     return RssiTableResult(testbed=testbed, cells=cells)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.parallel import CACHE_DIR_ENV
 from repro.sim.random import RngHub
 from repro.sim.simulator import Simulator
 
@@ -21,14 +20,6 @@ def pytest_addoption(parser):
         help="regenerate the committed golden-trace fixtures "
              "(tests/goldens/) instead of asserting against them",
     )
-
-
-@pytest.fixture(autouse=True)
-def private_result_cache(tmp_path, monkeypatch):
-    """Point the experiment result cache at a per-test directory, so a
-    test that runs with the cache on neither writes to nor reads from
-    the user's ``~/.cache/repro/experiments``."""
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "repro-cache"))
 
 
 @pytest.fixture

@@ -372,15 +372,6 @@ class TestFleetCli:
         assert "homes/sec" in captured.err
         assert "Fleet simulation" in out_path.read_text(encoding="utf-8")
 
-    def test_cache_command(self, capsys, tmp_path, monkeypatch):
-        from repro.__main__ import main
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        assert main(["cache"]) == 0
-        assert "0 entries" in capsys.readouterr().out
-        assert main(["cache", "--prune"]) == 0
-        assert "removed 0" in capsys.readouterr().out
-
 
 class TestFullFidelity:
     @pytest.mark.slow

@@ -1,5 +1,5 @@
 """Tests for the parallel experiment engine: determinism across worker
-counts, the on-disk result cache, crash surfacing, seed derivation, and
+counts, re-execution on every run, crash surfacing, seed derivation, and
 the NaN-free table rendering that rides along with it."""
 
 from __future__ import annotations
@@ -13,10 +13,8 @@ from repro.analysis.metrics import ConfusionMatrix
 from repro.analysis.reporting import fmt_percent, render_task_timings
 from repro.errors import ExperimentError
 from repro.experiments.parallel import (
-    CACHE_DIR_ENV,
     ExperimentEngine,
     ExperimentTask,
-    code_version,
     derive_seed,
 )
 from repro.experiments.runner import RssiExperimentResult
@@ -29,7 +27,7 @@ def _square(value, offset=0):
 
 
 def _touch_and_square(value, marker_dir):
-    """Leaves a marker file per execution so cache hits are observable."""
+    """Leaves a marker file per execution so re-runs are observable."""
     count = len(os.listdir(marker_dir))
     with open(os.path.join(marker_dir, f"exec-{count}"), "w"):
         pass
@@ -109,9 +107,10 @@ class TestEngineBasics:
         engine.run([ExperimentTask(fn=_square, args=(2,), label="one"),
                     ExperimentTask(fn=_square, args=(3,), label="two")])
         assert [t.label for t in engine.timings] == ["one", "two"]
-        assert all(not t.cache_hit for t in engine.timings)
+        assert all(t.elapsed >= 0.0 for t in engine.timings)
         text = render_task_timings(engine.timings)
         assert "one" in text and "2 tasks" in text
+        assert "source" not in text and "cached" not in text
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ExperimentError):
@@ -124,72 +123,15 @@ class TestEngineBasics:
     def test_default_label_is_function_name(self):
         assert ExperimentTask(fn=_square).label == "_square"
 
-
-class TestCache:
-    def test_cache_hit_skips_execution(self, tmp_path):
-        markers = tmp_path / "markers"
-        markers.mkdir()
-        cache = tmp_path / "cache"
-        task = ExperimentTask(fn=_touch_and_square, args=(4, str(markers)))
-        first = ExperimentEngine(workers=1, use_cache=True, cache_dir=cache)
-        assert first.run([task]) == [16]
-        assert len(list(markers.iterdir())) == 1
-        second = ExperimentEngine(workers=1, use_cache=True, cache_dir=cache)
-        assert second.run([task]) == [16]
-        assert len(list(markers.iterdir())) == 1  # not re-executed
-        assert second.cache_hits == 1
-        assert second.timings[0].cache_hit
-
-    def test_cache_disabled_reexecutes(self, tmp_path):
-        markers = tmp_path / "markers"
-        markers.mkdir()
-        task = ExperimentTask(fn=_touch_and_square, args=(4, str(markers)))
+    def test_second_run_reexecutes(self, tmp_path):
+        task = ExperimentTask(fn=_touch_and_square, args=(4, str(tmp_path)))
         for _ in range(2):
-            engine = ExperimentEngine(workers=1, use_cache=False,
-                                      cache_dir=tmp_path / "cache")
-            engine.run([task])
-        assert len(list(markers.iterdir())) == 2
+            assert ExperimentEngine(workers=1).run([task]) == [16]
+        assert len(list(tmp_path.iterdir())) == 2
 
-    def test_key_depends_on_arguments(self):
-        a = ExperimentTask(fn=_square, args=(1,))
-        b = ExperimentTask(fn=_square, args=(2,))
-        c = ExperimentTask(fn=_square, args=(1,), kwargs={"offset": 5})
-        assert a.cache_key() == ExperimentTask(fn=_square, args=(1,)).cache_key()
-        assert len({a.cache_key(), b.cache_key(), c.cache_key()}) == 3
-
-    def test_key_folds_in_code_version(self):
-        task = ExperimentTask(fn=_square, args=(1,))
-        key = task.cache_key()
-        import repro.experiments.parallel as parallel_module
-        original = parallel_module._code_version_cache
-        try:
-            parallel_module._code_version_cache = "different-code"
-            assert task.cache_key() != key
-        finally:
-            parallel_module._code_version_cache = original
-
-    def test_corrupt_entry_recomputed(self, tmp_path):
-        cache = tmp_path / "cache"
-        task = ExperimentTask(fn=_square, args=(6,))
-        engine = ExperimentEngine(workers=1, use_cache=True, cache_dir=cache)
-        assert engine.run([task]) == [36]
-        (entry,) = list(cache.iterdir())
-        entry.write_bytes(b"not a pickle")
-        again = ExperimentEngine(workers=1, use_cache=True, cache_dir=cache)
-        assert again.run([task]) == [36]
-
-    def test_unpicklable_result_skips_the_cache(self, tmp_path):
-        # A result the cache cannot pickle still returns, and leaves no
-        # entry or spill file behind.
-        cache = tmp_path / "cache"
-        engine = ExperimentEngine(workers=1, use_cache=True, cache_dir=cache)
-        [result] = engine.run([ExperimentTask(fn=_lock)])
+    def test_serial_run_returns_unpicklable_result(self):
+        [result] = ExperimentEngine(workers=1).run([ExperimentTask(fn=_lock)])
         assert isinstance(result, type(threading.Lock()))
-        assert not cache.exists() or not list(cache.iterdir())
-
-    def test_code_version_is_stable(self):
-        assert code_version() == code_version()
-        assert len(code_version()) == 16
 
 
 class TestCrashSurfacing:
@@ -227,18 +169,6 @@ class TestRssiTableParallel:
         for a, b in zip(serial.cells, parallel.cells):
             assert a.matrix == b.matrix
             assert a.scenario_name == b.scenario_name
-
-    def test_cached_rerun_matches(self, serial, tmp_path, monkeypatch):
-        from repro.experiments.rssi_tables import run_rssi_table
-
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        cold = run_rssi_table("apartment", seed=7, scale=self.SCALE,
-                              use_cache=True)
-        assert len(list(tmp_path.glob("*.pkl"))) == 4  # one entry per cell
-        warm = run_rssi_table("apartment", seed=7, scale=self.SCALE,
-                              use_cache=True)
-        assert cold.render() == serial.render()
-        assert warm.render() == serial.render()
 
 
 class TestCampaignParallel:
@@ -310,7 +240,7 @@ class TestRunFold:
                 for i in range(n))
 
     def test_serial_fold(self):
-        engine = ExperimentEngine(workers=1, use_cache=False)
+        engine = ExperimentEngine(workers=1)
         total, count = engine.run_fold(self._tasks(10),
                                        lambda acc, v, task: acc + v,
                                        initial=0)
@@ -318,8 +248,8 @@ class TestRunFold:
         assert count == 10
 
     def test_pool_fold_matches_serial(self):
-        serial = ExperimentEngine(workers=1, use_cache=False)
-        pooled = ExperimentEngine(workers=3, use_cache=False)
+        serial = ExperimentEngine(workers=1)
+        pooled = ExperimentEngine(workers=3)
         fold = lambda acc, v, task: acc + v  # noqa: E731 - commutative
         expected, _ = serial.run_fold(self._tasks(20), fold, initial=0)
         actual, count = pooled.run_fold(self._tasks(20), fold, initial=0)
@@ -329,7 +259,7 @@ class TestRunFold:
     def test_pool_fold_bounded_window(self):
         # The stream is pulled lazily: never more than 4 * workers tasks
         # ahead of the folds.
-        engine = ExperimentEngine(workers=2, use_cache=False)
+        engine = ExperimentEngine(workers=2)
         pulled = []
 
         def stream():
@@ -347,7 +277,7 @@ class TestRunFold:
         assert count == folded == 30
 
     def test_fold_receives_task(self):
-        engine = ExperimentEngine(workers=1, use_cache=False)
+        engine = ExperimentEngine(workers=1)
         labels, _ = engine.run_fold(
             self._tasks(3),
             lambda acc, v, task: acc + [task.label],
@@ -355,58 +285,9 @@ class TestRunFold:
         assert labels == ["t0", "t1", "t2"]
 
     def test_empty_iterable(self):
-        engine = ExperimentEngine(workers=1, use_cache=False)
+        engine = ExperimentEngine(workers=1)
         acc, count = engine.run_fold(iter(()), lambda a, v, t: a, initial=7)
         assert (acc, count) == (7, 0)
-
-
-class TestCacheTools:
-    def test_stats_and_prune(self, tmp_path):
-        from repro.experiments.parallel import cache_stats, prune_cache
-
-        cache = tmp_path / "cache"
-        engine = ExperimentEngine(workers=1, use_cache=True, cache_dir=cache)
-        engine.run([ExperimentTask(fn=_square, args=(i,)) for i in range(3)])
-
-        stats = cache_stats(cache_dir=cache)
-        assert stats["entries"] == 3
-        assert stats["bytes"] > 0
-
-        report = prune_cache(cache_dir=cache)
-        assert report["removed"] == 3
-        assert report["bytes_reclaimed"] == stats["bytes"]
-        assert cache_stats(cache_dir=cache)["entries"] == 0
-
-    def test_prune_keep_days_keeps_fresh_entries(self, tmp_path):
-        from repro.experiments.parallel import cache_stats, prune_cache
-
-        cache = tmp_path / "cache"
-        engine = ExperimentEngine(workers=1, use_cache=True, cache_dir=cache)
-        engine.run([ExperimentTask(fn=_square, args=(1,))])
-        report = prune_cache(cache_dir=cache, keep_days=1.0)
-        assert report["removed"] == 0
-        assert report["kept"] == 1
-        assert cache_stats(cache_dir=cache)["entries"] == 1
-
-    def test_prune_keep_days_drops_stale_entries(self, tmp_path):
-        from repro.experiments.parallel import prune_cache
-
-        cache = tmp_path / "cache"
-        engine = ExperimentEngine(workers=1, use_cache=True, cache_dir=cache)
-        engine.run([ExperimentTask(fn=_square, args=(1,))])
-        stale = 10 * 86400
-        for entry in cache.glob("*.pkl"):
-            info = entry.stat()
-            os.utime(entry, (info.st_atime - stale, info.st_mtime - stale))
-        report = prune_cache(cache_dir=cache, keep_days=1.0)
-        assert report["removed"] == 1
-
-    def test_stats_on_missing_dir(self, tmp_path):
-        from repro.experiments.parallel import cache_stats, prune_cache
-
-        missing = tmp_path / "nope"
-        assert cache_stats(cache_dir=missing)["entries"] == 0
-        assert prune_cache(cache_dir=missing)["removed"] == 0
 
 
 class TestPoolReleasesFutures:
@@ -414,7 +295,7 @@ class TestPoolReleasesFutures:
         # 60 tasks through 2 workers with a window of 8: if the pool
         # path held every future/result, this would accumulate 60
         # payloads; the fold sees them exactly once each instead.
-        engine = ExperimentEngine(workers=2, use_cache=False)
+        engine = ExperimentEngine(workers=2)
         seen = []
         _, count = engine.run_fold(
             (ExperimentTask(fn=_triple, args=(i,)) for i in range(60)),

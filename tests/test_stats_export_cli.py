@@ -134,7 +134,8 @@ def _section_beta():
 
 
 class TestCli:
-    def test_report_stdout_is_the_report_alone(self, monkeypatch, capsys):
+    def test_report_stdout_is_the_report_alone(self, monkeypatch, capsys,
+                                                tmp_path):
         # Engine progress lines are chatter: stderr, like every other
         # subcommand's, never mixed into the report on stdout.
         from repro.__main__ import main
@@ -152,36 +153,17 @@ class TestCli:
             return made[-1]
 
         monkeypatch.setattr(report_module, "generate_report", capture)
-        assert main(["report", "--no-cache"]) == 0
+        path = tmp_path / "report.txt"
+        assert main(["report", "--output", str(path)]) == 0
         out, err = capsys.readouterr()
         assert out == made[0].render() + "\n"
+        assert path.read_text(encoding="utf-8") == out
         assert "alpha text" in out and "beta text" in out
         assert "--- alpha ---" in out  # no wall time in the report
         assert "running alpha..." in err and "running beta..." in err
         # The per-section timings go to stderr at every worker count.
         from repro.analysis.reporting import render_task_timings
         assert render_task_timings(made[0].timings) in err
-
-    def test_keep_days_without_prune_rejected(self, capsys):
-        from repro.__main__ import main
-        with pytest.raises(SystemExit) as excinfo:
-            main(["cache", "--keep-days", "3"])
-        assert excinfo.value.code == 2
-        assert "--prune" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("days", ["-1", "nan"])
-    def test_bad_keep_days_rejected_before_pruning(self, days, tmp_path,
-                                                   monkeypatch):
-        from repro.__main__ import main
-        from repro.experiments.parallel import (
-            CACHE_DIR_ENV, ExperimentEngine, ExperimentTask,
-        )
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        ExperimentEngine(use_cache=True).run([ExperimentTask(fn=_section_alpha)])
-        with pytest.raises(SystemExit) as excinfo:
-            main(["cache", "--prune", "--keep-days", days])
-        assert excinfo.value.code == 2
-        assert len(list(tmp_path.glob("*.pkl"))) == 1  # the fresh entry stays
 
     def test_fig3_runs(self, capsys):
         from repro.__main__ import main
@@ -237,8 +219,10 @@ class TestCli:
         ["bench-sim"], ["bench-rssi"], ["profile", "--legacy"], ["profile"],
         ["fleet", "--dispatch", "per-task"], ["fleet", "--full-build", "cold"],
         ["fleet-validate", "--full-build", "cold"],
-        # fleet chunks are never cached, so the fleet commands take no --no-cache
+        # No result cache: no command takes --no-cache, and `cache` is gone
         ["fleet", "--no-cache"], ["fleet-validate", "--no-cache"],
+        ["cache"], ["cache", "--prune"], ["report", "--no-cache"],
+        ["table", "table2", "--no-cache"],
     ])
     def test_retired_kernel_bench_options_rejected(self, argv):
         from repro.__main__ import main
