@@ -12,7 +12,7 @@ from repro.experiments.fig10 import run_fig10
 
 def test_fig10_floor_traces(benchmark, publish, results_dir):
     result = benchmark.pedantic(
-        lambda: run_fig10("echo", deployment=0, seed=10), rounds=1, iterations=1,
+        lambda: run_fig10(seed=10), rounds=1, iterations=1,
     )
     publish("fig10_floor_traces", result.render())
     from repro.analysis.export import export_trace_features

@@ -25,6 +25,11 @@ import sys
 from typing import Optional
 
 from repro.errors import ReproError
+from repro.experiments.campaign import run_campaign
+from repro.experiments.hold_endurance import run_hold_endurance
+from repro.experiments.loadtest import run_loadtest
+from repro.experiments.recognition_robustness import run_recognition_robustness
+from repro.experiments.resilience import run_resilience
 
 
 def _print_result(text: str, path: Optional[str]) -> None:
@@ -103,11 +108,15 @@ def _cmd_fig(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.experiments.campaign import run_campaign
-
-    print(run_campaign(homes=args.homes, seed=args.seed,
-                       workers=args.workers).render())
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """A sweep subcommand: call the runner its subparser names with
+    every parsed flag but ``--output`` as a keyword, and print the
+    table."""
+    flags = dict(vars(args))
+    runner = flags.pop("runner")
+    output = flags.pop("output", None)
+    del flags["command"], flags["func"]
+    _print_result(runner(**flags).render(), output)
     return 0
 
 
@@ -149,48 +158,6 @@ def _cmd_fleet_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_endurance(args: argparse.Namespace) -> int:
-    from repro.experiments.hold_endurance import run_hold_endurance
-
-    print(run_hold_endurance(seed=args.seed, workers=args.workers).render())
-    return 0
-
-
-def _cmd_resilience(args: argparse.Namespace) -> int:
-    from repro.experiments.resilience import TESTBEDS, run_resilience
-
-    testbeds = TESTBEDS if args.testbed == "all" else (args.testbed,)
-    result = run_resilience(seed=args.seed, scale=args.scale, testbeds=testbeds,
-                            workers=args.workers)
-    _print_result(result.render(), args.output)
-    return 0
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from repro.experiments.loadtest import run_loadtest
-
-    result = run_loadtest(
-        seed=args.seed,
-        smoke=args.smoke,
-        utterances=args.utterances,
-        workers=args.workers,
-    )
-    _print_result(result.render(), args.output)
-    return 0
-
-
-def _cmd_recognition_robustness(args: argparse.Namespace) -> int:
-    from repro.experiments.recognition_robustness import run_recognition_robustness
-
-    result = run_recognition_robustness(
-        seed=args.seed,
-        smoke=args.smoke,
-        workers=args.workers,
-    )
-    _print_result(result.render(), args.output)
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.experiments.trace import run_trace
 
@@ -204,7 +171,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(report.render())
     if args.jsonl:
         path = report.write_jsonl(args.jsonl)
-        print(f"(spans written to {path})")
+        print(f"(spans written to {path})", file=sys.stderr)
     return 0
 
 
@@ -253,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = sub.add_parser("campaign", parents=[common, workers],
                               help="multi-home media campaign")
     campaign.add_argument("--homes", type=int, default=6)
-    campaign.set_defaults(func=_cmd_campaign)
+    campaign.set_defaults(func=_cmd_sweep, runner=run_campaign)
 
     fleet = sub.add_parser(
         "fleet", parents=[common, workers],
@@ -299,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     endurance = sub.add_parser("endurance", parents=[common, workers],
                                help="hold-endurance sweep")
-    endurance.set_defaults(func=_cmd_endurance)
+    endurance.set_defaults(func=_cmd_sweep, runner=run_hold_endurance)
 
     resilience = sub.add_parser("resilience", parents=[common, workers],
                                 help="fault-injection sweep: availability & "
@@ -309,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=["all", "house", "apartment", "office"],
                             default="all")
     resilience.add_argument("--output", default=None)
-    resilience.set_defaults(func=_cmd_resilience)
+    resilience.set_defaults(func=_cmd_sweep, runner=run_resilience)
 
     loadtest = sub.add_parser(
         "loadtest", parents=[common, workers],
@@ -324,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "under --smoke)")
     loadtest.add_argument("--output", default=None,
                           help="also write the rendered table here")
-    loadtest.set_defaults(func=_cmd_loadtest)
+    loadtest.set_defaults(func=_cmd_sweep, runner=run_loadtest)
 
     recognition = sub.add_parser(
         "recognition-robustness", parents=[common, workers],
@@ -337,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "recognition-smoke job)")
     recognition.add_argument("--output", default=None,
                              help="also write the rendered table here")
-    recognition.set_defaults(func=_cmd_recognition_robustness)
+    recognition.set_defaults(func=_cmd_sweep, runner=run_recognition_robustness)
 
     trace = sub.add_parser("trace", parents=[common],
                            help="trace one scenario: per-command waterfall and "
@@ -353,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also dump the span forest as JSONL here")
     trace.set_defaults(func=_cmd_trace)
 
-    demo = sub.add_parser("demo", parents=[common], help="run the quickstart demo")
+    demo = sub.add_parser("demo", help="run the quickstart demo")
     demo.set_defaults(func=_cmd_demo)
     return parser
 

@@ -27,7 +27,6 @@ from repro.audio.voiceprint import UtteranceSource, VoicePrint, live_utterance
 from repro.baselines.firewall import FirewallTap
 from repro.core.decision import DecisionContext, RssiDecisionMethod
 from repro.core.registry import DeviceRegistry
-from repro.experiments.parallel import ExperimentEngine, ExperimentTask
 from repro.experiments.runner import run_rssi_experiment
 from repro.experiments.scenarios import Scenario, build_scenario
 from repro.net.addresses import IPv4Address
@@ -48,14 +47,6 @@ class DefenseMatrixResult:
         cell[1] += 1
         if blocked:
             cell[0] += 1
-
-    def absorb(self, other: "DefenseMatrixResult") -> None:
-        """Fold another (disjoint or overlapping) matrix's counts in."""
-        for defense, sources in other.counts.items():
-            for source, (blocked, total) in sources.items():
-                cell = self.counts.setdefault(defense, {}).setdefault(source, [0, 0])
-                cell[0] += blocked
-                cell[1] += total
 
     def block_rate(self, defense: str, source: str) -> float:
         blocked, total = self.counts.get(defense, {}).get(source, (0, 0))
@@ -98,13 +89,14 @@ def _executed_since(scenario: Scenario, before: set) -> List[InteractionRecord]:
 
 
 def _run_defense_arm(
+    result: DefenseMatrixResult,
     defense: str,
     seed: int,
     trials_per_attack: int,
     legit_trials: int,
-) -> DefenseMatrixResult:
-    """One defense's arm of the matrix: its own scenario and rng."""
-    result = DefenseMatrixResult()
+) -> None:
+    """One defense's arm of the matrix, recorded into ``result``: its
+    own scenario and rng."""
     scenario = build_scenario(
         "house", "echo", deployment=0, seed=seed,
         owner_count=1, with_floor_tracking=False,
@@ -145,32 +137,20 @@ def _run_defense_arm(
                 attacks[kind].launch(command.text, duration, attack_spot)
         env.sim.run_for(duration + 16.0)
         result.record(defense, kind, blocked=not _executed_since(scenario, before))
-    return result
 
 
 def run_defense_matrix(
     seed: int = 17,
     trials_per_attack: int = 8,
     legit_trials: int = 8,
-    workers: int = 1,
 ) -> DefenseMatrixResult:
     """VoiceGuard vs voice-match vs no defense, full attack gallery.
 
-    The three defense arms are independent scenarios and fan out over
-    the experiment engine; their counts merge into one matrix.
+    Each defense arm is its own scenario; their counts share one matrix.
     """
-    tasks = [
-        ExperimentTask(
-            fn=_run_defense_arm,
-            args=(defense, seed, trials_per_attack, legit_trials),
-            label=f"defense/{defense}",
-        )
-        for defense in ("none", "voice_match", "voiceguard")
-    ]
-    engine = ExperimentEngine(workers=workers)
     result = DefenseMatrixResult()
-    for arm in engine.run(tasks):
-        result.absorb(arm)
+    for defense in ("none", "voice_match", "voiceguard"):
+        _run_defense_arm(result, defense, seed, trials_per_attack, legit_trials)
     return result
 
 
@@ -202,19 +182,13 @@ def run_floor_ablation(
     seed: int = 19,
     legit: int = 50,
     malicious: int = 40,
-    workers: int = 1,
 ) -> FloorAblationResult:
     common = dict(seed=seed, legit_count=legit, malicious_count=malicious)
-    tasks = [
-        ExperimentTask(fn=run_rssi_experiment, args=("house", "echo", 0),
-                       kwargs=dict(common), label="floor/tracking-on"),
-        ExperimentTask(fn=run_rssi_experiment, args=("house", "echo", 0),
-                       kwargs=dict(common, with_floor_tracking=False),
-                       label="floor/tracking-off"),
-    ]
-    engine = ExperimentEngine(workers=workers)
-    with_tracking, without = engine.run(tasks)
-    return FloorAblationResult(with_tracking=with_tracking, without_tracking=without)
+    return FloorAblationResult(
+        with_tracking=run_rssi_experiment("house", "echo", 0, **common),
+        without_tracking=run_rssi_experiment("house", "echo", 0, **common,
+                                             with_floor_tracking=False),
+    )
 
 
 @dataclass
@@ -268,23 +242,16 @@ def _run_signature_arm(use_signature: bool, seed: int, commands: int) -> Dict[st
 def run_signature_ablation(
     seed: int = 21,
     commands: int = 25,
-    workers: int = 1,
 ) -> SignatureAblationResult:
     """Measure guarded-command coverage with and without signatures.
 
     Between commands the AVS session is aborted so the Echo reconnects,
     half the time without a DNS query; DNS-only tracking then loses the
     AVS flow and commands pass unchecked.  The two arms are independent
-    scenarios and fan out over the experiment engine (reconnects are
-    reported from the signature arm, as before).
+    scenarios (reconnects are reported from the signature arm).
     """
-    tasks = [
-        ExperimentTask(fn=_run_signature_arm, args=(use_signature, seed, commands),
-                       label=f"signature/{'on' if use_signature else 'off'}")
-        for use_signature in (True, False)
-    ]
-    engine = ExperimentEngine(workers=workers)
-    with_sig, without_sig = engine.run(tasks)
+    with_sig = _run_signature_arm(True, seed, commands)
+    without_sig = _run_signature_arm(False, seed, commands)
     return SignatureAblationResult(
         reconnects=with_sig["reconnects"],
         silent_reconnects_tracked=with_sig["checked"],
@@ -366,7 +333,6 @@ def _run_firewall_arm(seed: int, commands: int) -> tuple:
 def run_firewall_comparison(
     seed: int = 23,
     commands: int = 20,
-    workers: int = 1,
 ) -> FirewallComparisonResult:
     """Mixed-workload UX under the proxy vs under a firewall.
 
@@ -376,15 +342,8 @@ def run_firewall_comparison(
     usable, while the firewall's block window and connection breakage
     make the user repeat themselves (the paper's Section I contrast).
     """
-    tasks = [
-        ExperimentTask(fn=_run_proxy_arm, args=(seed, commands),
-                       label="firewall-comparison/proxy"),
-        ExperimentTask(fn=_run_firewall_arm, args=(seed + 1, commands),
-                       label="firewall-comparison/firewall"),
-    ]
-    engine = ExperimentEngine(workers=workers)
-    proxy_stats, firewall_stats = engine.run(tasks)
-
+    proxy_stats = _run_proxy_arm(seed, commands)
+    firewall_stats = _run_firewall_arm(seed + 1, commands)
     return FirewallComparisonResult(
         proxy_executed=proxy_stats[0],
         proxy_total=proxy_stats[2],

@@ -88,15 +88,11 @@ class Fig10Result:
         return table + "\n\n" + confusion
 
 
-def run_fig10(
-    speaker_kind: str = "echo",
-    deployment: int = 0,
-    seed: int = 10,
-    test_reps: int = 15,
-) -> Fig10Result:
-    """Collect training + held-out traces and evaluate the classifier."""
+def run_fig10(seed: int = 10, test_reps: int = 15) -> Fig10Result:
+    """Collect training + held-out traces in the house (Echo, first
+    location) and evaluate the classifier."""
     scenario = build_scenario(
-        "house", speaker_kind, deployment=deployment, seed=seed,
+        "house", "echo", deployment=0, seed=seed,
         owner_count=1, with_floor_tracking=False,
     )
     device = scenario.devices[0]

@@ -43,7 +43,6 @@ from repro.faults.plan import FaultPlan
 from repro.obs.metrics import histogram_quantile
 
 TESTBED = "apartment"
-SPEAKER_COUNTS = (1, 2, 4)
 
 # Offered-load levels: mean idle seconds between command bursts.  The
 # realized offered rate is reported per cell (speech time and window
@@ -53,11 +52,18 @@ RATE_LEVELS: Dict[str, float] = {"low": 16.0, "med": 8.0, "high": 2.0}
 # Guard configurations, see module docstring.
 MODES = ("coordinated", "strict", "degraded")
 
+# (speaker counts, rate levels, utterances per cell): the full grid,
+# and the corners the CI load-smoke job runs.
+GRID = ((1, 2, 4), ("low", "med", "high"), 16)
+SMOKE_GRID = ((1, 4), ("high",), 6)
+
 # Intra-burst spacing beyond the utterance itself: enough post-command
 # silence that the recognizer closes one window before the next spike
 # (IDLE_GAP plus classification slack), so bursts stress the decision
 # layer, not the spike detector.
 BURST_SPACING = 3.0
+# Commands per burst are uniform on 1..BURST_MAX.
+BURST_MAX = 3
 
 # The degraded mode's fault plan: most pushes lost, so queries burn
 # their full timeout while held bytes accumulate against a tiny budget.
@@ -147,8 +153,6 @@ def run_loadtest_cell(
     mode: str = "coordinated",
     seed: int = 0,
     utterances: int = 16,
-    burst_max: int = 3,
-    testbed: str = TESTBED,
 ) -> LoadCell:
     """Run one load cell: bursty commands through a multi-speaker home."""
     if rate not in RATE_LEVELS:
@@ -166,7 +170,7 @@ def run_loadtest_cell(
             push_loss=DEGRADED_PUSH_LOSS,
         )
     scenario = build_scenario(
-        testbed, "echo", seed=seed, config=config, fault_plan=plan,
+        TESTBED, "echo", seed=seed, config=config, fault_plan=plan,
     )
     for _ in range(speakers - 1):
         add_echo_speaker(scenario)
@@ -177,7 +181,7 @@ def run_loadtest_cell(
     start = env.sim.now
     issued = 0
     while issued < utterances:
-        burst = min(int(rng.integers(1, burst_max + 1)), utterances - issued)
+        burst = min(int(rng.integers(1, BURST_MAX + 1)), utterances - issued)
         for _ in range(burst):
             duration = scenario.speak_command(rng)
             issued += 1
@@ -273,8 +277,6 @@ class LoadtestResult:
 def run_loadtest(
     seed: int = 0,
     smoke: bool = False,
-    speaker_counts: Sequence[int] = SPEAKER_COUNTS,
-    rates: Sequence[str] = ("low", "med", "high"),
     utterances: Optional[int] = None,
     workers: int = 1,
 ) -> LoadtestResult:
@@ -283,13 +285,12 @@ def run_loadtest(
     The full grid sweeps every speaker count across every offered-load
     level in the coordinated configuration, then adds the strict and
     degraded stress cells at the largest speaker count's highest rate.
-    ``smoke`` shrinks the grid to the corners CI exercises.
+    ``smoke`` runs :data:`SMOKE_GRID` instead of :data:`GRID`;
+    ``utterances`` overrides the grid's commands per cell.
     """
-    if smoke:
-        speaker_counts = (1, 4)
-        rates = ("high",)
-        utterances = 6 if utterances is None else utterances
-    per_cell = 16 if utterances is None else utterances
+    speaker_counts, rates, per_cell = SMOKE_GRID if smoke else GRID
+    if utterances is not None:
+        per_cell = utterances
     tasks = []
 
     def add(speakers: int, rate: str, mode: str) -> None:

@@ -1,8 +1,8 @@
 """Process-pool experiment engine.
 
 Every paper artifact fans out over *independent* scenario runs: the
-four cells of an RSSI table, the homes of a campaign, the arms of an
-ablation, the sections of the full report.  Each run is a pure
+four cells of an RSSI table, the homes of a campaign, the cells of a
+sweep, the sections of the full report.  Each run is a pure
 function of its arguments (testbed, speaker, deployment, seed, counts,
 config), so they can execute in worker processes without changing any
 result.  This module provides that executor:

@@ -33,7 +33,7 @@ rendered table is byte-identical at any ``--workers`` count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.analysis.reporting import fmt_percent, render_table
 from repro.attacks.morphing import MORPHERS, create_morpher
@@ -57,6 +57,14 @@ ADAPTIVE_KINDS = ("knn", "mlp")
 
 TRAIN_WINDOWS = 30  # training windows per class (full grid)
 EVAL_WINDOWS = 40  # evaluation windows per class (full grid)
+
+# (speakers, recognizers, adversaries, adaptive kinds, training and
+# evaluation windows per class): the full grid, and the echo corners
+# the CI recognition-smoke job runs.
+GRID = (SPEAKERS, RECOGNIZER_KINDS, ADVERSARIES, ADAPTIVE_KINDS,
+        TRAIN_WINDOWS, EVAL_WINDOWS)
+SMOKE_GRID = (("echo",), ("signature", "knn"), ("none", "pad-fixed"), ("knn",),
+              12, 16)
 
 
 @dataclass
@@ -220,30 +228,17 @@ class RecognitionRobustnessResult:
 def run_recognition_robustness(
     seed: int = 0,
     smoke: bool = False,
-    speakers: Sequence[str] = SPEAKERS,
-    recognizers: Sequence[str] = RECOGNIZER_KINDS,
-    adversaries: Sequence[str] = ADVERSARIES,
-    adaptive_kinds: Sequence[str] = ADAPTIVE_KINDS,
-    train_windows: Optional[int] = None,
-    eval_windows: Optional[int] = None,
     workers: int = 1,
 ) -> RecognitionRobustnessResult:
     """Run the grid through the parallel engine.
 
-    The full grid is every recognizer × every adversary × both speakers
-    plus the adaptive (retrain-on-morph) rows — 46 cells.  ``smoke``
-    shrinks it to the echo corners CI exercises (5 cells).
+    The full grid (:data:`GRID`) is every recognizer × every adversary
+    × both speakers plus the adaptive (retrain-on-morph) rows — 46
+    cells.  ``smoke`` runs :data:`SMOKE_GRID`, the echo corners CI
+    exercises (5 cells).
     """
-    if smoke:
-        speakers = ("echo",)
-        recognizers = ("signature", "knn")
-        adversaries = ("none", "pad-fixed")
-        adaptive_kinds = ("knn",)
-        train_windows = 12 if train_windows is None else train_windows
-        eval_windows = 16 if eval_windows is None else eval_windows
-    per_class_train = TRAIN_WINDOWS if train_windows is None else train_windows
-    per_class_eval = EVAL_WINDOWS if eval_windows is None else eval_windows
-
+    (speakers, recognizers, adversaries, adaptive_kinds,
+     per_class_train, per_class_eval) = SMOKE_GRID if smoke else GRID
     tasks = []
 
     def add(speaker: str, kind: str, adversary: str, adaptive: bool) -> None:

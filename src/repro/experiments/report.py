@@ -111,8 +111,7 @@ def report_section_specs(scale: float, seed: int) -> List[SectionSpec]:
                           for deployment in (0, 1)),
                     sep="\n\n"),
         SectionSpec("Figure 10 (floor traces)", run_fig10,
-                    (dict(speaker_kind="echo", seed=seed,
-                          test_reps=max(5, int(15 * scale))),)),
+                    (dict(seed=seed, test_reps=max(5, int(15 * scale))),)),
         SectionSpec("ablation: defense matrix", run_defense_matrix,
                     (dict(seed=seed, trials_per_attack=trials, legit_trials=trials),)),
         SectionSpec("ablation: floor tracking", run_floor_ablation,

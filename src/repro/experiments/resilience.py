@@ -20,7 +20,7 @@ at the same seed, run after run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.metrics import ConfusionMatrix, ResilienceSummary
 from repro.analysis.reporting import fmt_percent, render_table
@@ -176,36 +176,37 @@ class ResilienceResult:
 def run_resilience(
     seed: int = 0,
     scale: float = 0.25,
-    testbeds: Sequence[str] = TESTBEDS,
-    fault_rates: Sequence[float] = FAULT_RATES,
-    policies: Sequence[str] = tuple(POLICIES),
+    testbed: str = "all",
     workers: int = 1,
 ) -> ResilienceResult:
     """Run the full sweep through the parallel engine.
 
-    ``scale`` shrinks the paper-sized command counts per cell, exactly
-    as the table experiments do.  Cells are pure functions of their
-    arguments, so the sweep parallelizes like every other artifact.
+    ``testbed`` is one of :data:`TESTBEDS`, or ``"all"`` for each in
+    turn.  ``scale`` shrinks the paper-sized command counts per cell,
+    exactly as the table experiments do.  Cells are pure functions of
+    their arguments, so the sweep parallelizes like every other
+    artifact.
     """
     check_scale(scale)
+    if testbed != "all" and testbed not in TESTBEDS:
+        raise WorkloadError(f"unknown testbed {testbed!r}")
     legit_count = max(6, int(round(90 * scale)))
     malicious_count = max(5, int(round(65 * scale)))
-    tasks = []
-    for testbed in testbeds:
-        if testbed not in TESTBEDS:
-            raise WorkloadError(f"unknown testbed {testbed!r}")
-        for rate in fault_rates:
-            for policy in policies:
-                tasks.append(ExperimentTask(
-                    fn=run_resilience_cell,
-                    args=(testbed, float(rate), policy),
-                    kwargs=dict(
-                        seed=derive_seed(seed, "resilience", testbed),
-                        legit_count=legit_count,
-                        malicious_count=malicious_count,
-                    ),
-                    label=f"resilience/{testbed}/loss{int(round(rate * 100))}/{policy}",
-                ))
+    tasks = [
+        ExperimentTask(
+            fn=run_resilience_cell,
+            args=(name, rate, policy),
+            kwargs=dict(
+                seed=derive_seed(seed, "resilience", name),
+                legit_count=legit_count,
+                malicious_count=malicious_count,
+            ),
+            label=f"resilience/{name}/loss{int(round(rate * 100))}/{policy}",
+        )
+        for name in (TESTBEDS if testbed == "all" else (testbed,))
+        for rate in FAULT_RATES
+        for policy in POLICIES
+    ]
     engine = ExperimentEngine(workers=workers)
     cells = engine.run(tasks)
     return ResilienceResult(cells=list(cells), seed=seed)

@@ -8,10 +8,9 @@ commands and replayed attacks (see :mod:`repro.experiments.workload`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.reporting import fmt_percent, render_table
-from repro.core.config import VoiceGuardConfig
 from repro.experiments.parallel import ExperimentEngine, ExperimentTask
 from repro.experiments.runner import RssiExperimentResult, check_scale, run_rssi_experiment
 
@@ -117,7 +116,6 @@ class RssiTableResult:
 def run_rssi_table(
     testbed: str,
     seed: int = 0,
-    config: Optional[VoiceGuardConfig] = None,
     scale: float = 1.0,
     workers: int = 1,
 ) -> RssiTableResult:
@@ -141,7 +139,6 @@ def run_rssi_table(
                     seed=seed + deployment + (10 if speaker == "google" else 0),
                     legit_count=max(5, int(round(legit * scale))),
                     malicious_count=max(5, int(round(malicious * scale))),
-                    config=config,
                 ),
                 label=f"rssi/{testbed}/{speaker}/loc{deployment + 1}",
             ))

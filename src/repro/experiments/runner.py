@@ -131,24 +131,21 @@ def run_rssi_experiment(
     seed: int = 0,
     legit_count: int = 90,
     malicious_count: int = 65,
-    owner_count: Optional[int] = None,
     config=None,
     with_floor_tracking: Optional[bool] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> RssiExperimentResult:
     """Build one Tables II-IV home and run it as a :func:`run_cell`.
 
-    ``owner_count`` defaults to the paper's setup: two phone-carrying
-    owners in the smart-home testbeds, one watch wearer in the office.
+    The home has the paper's owners: two phone carriers in the
+    smart-home testbeds, one watch wearer in the office.
     """
-    if owner_count is None:
-        owner_count = 1 if testbed_name == "office" else 2
     scenario = build_scenario(
         testbed_name,
         speaker_kind,
         deployment=deployment,
         seed=seed,
-        owner_count=owner_count,
+        owner_count=1 if testbed_name == "office" else 2,
         config=config,
         with_floor_tracking=with_floor_tracking,
         fault_plan=fault_plan,

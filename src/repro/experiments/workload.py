@@ -120,12 +120,7 @@ class SevenDayWorkload:
         return 1.0
 
     # -- episode execution ------------------------------------------------------
-    def run(
-        self,
-        legit_count: int,
-        malicious_count: int,
-        settle_after: float = 40.0,
-    ) -> WorkloadResult:
+    def run(self, legit_count: int, malicious_count: int) -> WorkloadResult:
         """Interleave ``legit_count`` owner commands and
         ``malicious_count`` replay attacks; advances the simulator."""
         scenario = self.scenario
@@ -166,7 +161,7 @@ class SevenDayWorkload:
             # Let the interaction finish (decision + response playback).
             env.sim.run_for(duration + 18.0)
 
-        env.sim.run_for(settle_after)
+        env.sim.run_for(40.0)  # the last interaction settles
         return result
 
     def _place_owners_away(self) -> float:

@@ -515,7 +515,7 @@ def _table(run: Callable[[], object]) -> Callable[[], str]:
 
 
 TABLES: Dict[str, Callable[[], object]] = {
-    "resilience": lambda: resilience.run_resilience(scale=0.1, testbeds=("office",)),
+    "resilience": lambda: resilience.run_resilience(scale=0.1, testbed="office"),
     "loadtest": lambda: loadtest.run_loadtest(smoke=True),
     "recognition_robustness": lambda: recognition_robustness.run_recognition_robustness(
         smoke=True),

@@ -30,9 +30,13 @@ from __future__ import annotations
 
 import ast
 import functools
+import importlib
+import inspect
 import pathlib
 import re
 from typing import Dict, List, Sequence, Set, Tuple
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -234,3 +238,40 @@ def test_scalar_draws_use_the_random_helpers():
     assert not sites, (
         "spell these through repro.sim.random's uniform/pick/generator: "
         + ", ".join(sites))
+
+
+# "module:qualname" -> parameter names of each experiment entry point
+# whose every parameter has a caller that sets it.  The sweep runners'
+# names are also the CLI flags the one sweep handler passes them.
+RUNNER_PARAMETERS: Dict[str, List[str]] = {
+    "repro.experiments.rssi_tables:run_rssi_table": ["testbed", "seed", "scale", "workers"],
+    "repro.experiments.runner:run_rssi_experiment": [
+        "testbed_name", "speaker_kind", "deployment", "seed", "legit_count",
+        "malicious_count", "config", "with_floor_tracking", "fault_plan"],
+    "repro.experiments.workload:SevenDayWorkload.run": [
+        "self", "legit_count", "malicious_count"],
+    "repro.experiments.table1:run_table1": ["seed"],
+    "repro.experiments.fig10:run_fig10": ["seed", "test_reps"],
+    "repro.experiments.resilience:run_resilience": ["seed", "scale", "testbed", "workers"],
+    "repro.experiments.loadtest:run_loadtest": ["seed", "smoke", "utterances", "workers"],
+    "repro.experiments.loadtest:run_loadtest_cell": [
+        "speakers", "rate", "mode", "seed", "utterances"],
+    "repro.experiments.recognition_robustness:run_recognition_robustness": [
+        "seed", "smoke", "workers"],
+    "repro.experiments.campaign:run_campaign": ["homes", "seed", "workers"],
+    "repro.experiments.hold_endurance:run_hold_endurance": ["holds", "seed", "workers"],
+    "repro.experiments.ablation:run_defense_matrix": [
+        "seed", "trials_per_attack", "legit_trials"],
+    "repro.experiments.ablation:run_floor_ablation": ["seed", "legit", "malicious"],
+    "repro.experiments.ablation:run_signature_ablation": ["seed", "commands"],
+    "repro.experiments.ablation:run_firewall_comparison": ["seed", "commands"],
+}
+
+
+@pytest.mark.parametrize("target", sorted(RUNNER_PARAMETERS))
+def test_runner_parameters_are_pinned(target):
+    module, qualname = target.split(":")
+    runner = importlib.import_module(module)
+    for part in qualname.split("."):
+        runner = getattr(runner, part)
+    assert list(inspect.signature(runner).parameters) == RUNNER_PARAMETERS[target]

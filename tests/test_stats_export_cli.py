@@ -223,12 +223,64 @@ class TestCli:
         ["fleet", "--no-cache"], ["fleet-validate", "--no-cache"],
         ["cache"], ["cache", "--prune"], ["report", "--no-cache"],
         ["table", "table2", "--no-cache"],
+        # The demo is the quickstart's fixed-seed scenario: no --seed.
+        ["demo", "--seed", "5"],
     ])
     def test_retired_kernel_bench_options_rejected(self, argv):
         from repro.__main__ import main
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+
+    def test_trace_jsonl_notice_is_stderr(self, capsys, tmp_path):
+        # stdout is the waterfall alone, as without --jsonl; the notice
+        # naming the span file goes to stderr like --output's.
+        from repro.__main__ import main
+        argv = ["trace", "house", "--commands", "1", "--attacks", "0"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        path = tmp_path / "spans.jsonl"
+        assert main([*argv, "--jsonl", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain
+        assert captured.err == f"(spans written to {path})\n"
+        assert path.read_text(encoding="utf-8").count("\n") > 0
+
+
+# Every subcommand's option strings, --help aside.  The sweep
+# subcommands share one handler that passes each parsed flag to its
+# runner, so an option appears here only with a runner keyword to take it.
+CLI_OPTIONS = {
+    "report": ["--seed", "--workers", "--scale", "--output"],
+    "table": ["--seed", "--workers", "--scale"],
+    "fig": ["--seed"],
+    "campaign": ["--seed", "--workers", "--homes"],
+    "fleet": ["--seed", "--workers", "--homes", "--shards", "--chunk-size",
+              "--fidelity", "--attack-prevalence", "--progress", "--output"],
+    "fleet-validate": ["--seed", "--workers", "--homes", "--shards", "--progress",
+                       "--strict", "--output"],
+    "endurance": ["--seed", "--workers"],
+    "resilience": ["--seed", "--workers", "--scale", "--testbed", "--output"],
+    "loadtest": ["--seed", "--workers", "--smoke", "--utterances", "--output"],
+    "recognition-robustness": ["--seed", "--workers", "--smoke", "--output"],
+    "trace": ["--seed", "--speaker", "--commands", "--attacks", "--jsonl"],
+    "demo": [],
+}
+
+
+def test_cli_option_set_is_pinned():
+    import argparse
+
+    from repro.__main__ import build_parser
+    (sub,) = [action for action in build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    options = {name: [option for action in parser._actions
+                      for option in action.option_strings
+                      if option not in ("-h", "--help")]
+               for name, parser in sub.choices.items()}
+    assert options == CLI_OPTIONS
+    assert sum(map(len, options.values())) == 48
 
 
 def _subcommands():
