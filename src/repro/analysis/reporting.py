@@ -40,8 +40,7 @@ def fmt_percent(value: float, decimals: int = 2) -> str:
     return f"{value:.{decimals}%}"
 
 
-def render_task_timings(timings: Sequence[object],
-                        title: str = "Experiment task timings") -> str:
+def render_task_timings(timings: Sequence[object]) -> str:
     """Render the engine's task timing records as a table.
 
     ``timings`` is a sequence of :class:`repro.experiments.parallel.TaskTiming`
@@ -50,17 +49,17 @@ def render_task_timings(timings: Sequence[object],
     rows = [[t.label, f"{t.elapsed:.2f}s"] for t in timings]
     summary = (f"{len(rows)} tasks, "
                f"{sum(t.elapsed for t in timings):.2f}s total task time")
-    table = render_table(title, ["task", "elapsed"], rows)
+    table = render_table("Experiment task timings", ["task", "elapsed"], rows)
     return f"{table}\n{summary}"
 
 
-def render_metrics_snapshot(snapshot: dict,
-                            title: str = "Guard metrics") -> str:
+def render_metrics_snapshot(snapshot: dict) -> str:
     """Render a :meth:`repro.obs.metrics.MetricsRegistry.snapshot` dict.
 
     Counters and gauges share one table; histograms get a second table
     with count/mean/min/max (empty histograms render as dashes).
     """
+    title = "Guard metrics"
     rows = []
     for name, value in sorted(snapshot.get("counters", {}).items()):
         rows.append([name, "counter", value])

@@ -9,11 +9,13 @@ outcomes of each cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.sim.random import generator
+
+BOOTSTRAP_RESAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -40,12 +42,11 @@ class ConfidenceInterval:
 
 def bootstrap_interval(
     outcomes: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = np.mean,
     confidence: float = 0.95,
-    resamples: int = 2000,
     seed: int = 0,
 ) -> ConfidenceInterval:
-    """Percentile-bootstrap interval of ``statistic`` over ``outcomes``.
+    """Percentile-bootstrap interval of the mean of ``outcomes``, over
+    :data:`BOOTSTRAP_RESAMPLES` resamples.
 
     ``outcomes`` is typically a 0/1 vector (command correct / not).
     """
@@ -55,11 +56,11 @@ def bootstrap_interval(
     if values.size == 0:
         raise ValueError("cannot bootstrap an empty sample")
     rng = generator(seed)
-    estimate = float(statistic(values))
+    estimate = float(np.mean(values))
     if values.size == 1:
         return ConfidenceInterval(estimate, estimate, estimate, confidence)
-    indices = rng.integers(0, values.size, size=(resamples, values.size))
-    stats = np.asarray([statistic(values[row]) for row in indices])
+    indices = rng.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))
+    stats = np.asarray([np.mean(values[row]) for row in indices])
     alpha = (1.0 - confidence) / 2.0
     low, high = np.quantile(stats, [alpha, 1.0 - alpha])
     return ConfidenceInterval(estimate, float(low), float(high), confidence)

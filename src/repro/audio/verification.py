@@ -24,6 +24,7 @@ from repro.audio.voiceprint import VoicePrint, VoiceUtterance
 # carrying the owner's voiceprint — live, replayed, or synthesized —
 # is accepted, reproducing the vulnerability the paper exploits.
 DEFAULT_ACCEPT_THRESHOLD = 0.78
+ENROLL_SAMPLES = 5  # live samples taken at setup
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,11 @@ class VoiceMatchVerifier:
         self,
         voiceprint: VoicePrint,
         rng: np.random.Generator,
-        sample_count: int = 5,
     ) -> None:
-        """Enroll a speaker from ``sample_count`` live samples."""
+        """Enroll a speaker from :data:`ENROLL_SAMPLES` live samples."""
         self.enroll_from_samples(
             voiceprint.speaker_name,
-            [voiceprint.observe(rng) for _ in range(sample_count)],
+            [voiceprint.observe(rng) for _ in range(ENROLL_SAMPLES)],
         )
 
     def enroll_from_samples(self, speaker_name: str, samples: Sequence[np.ndarray]) -> None:

@@ -24,7 +24,6 @@ speaker(s) and the home router (paper Figure 2).  It is assembled from:
 from repro.core.config import VoiceGuardConfig
 from repro.core.decision import (
     DecisionContext,
-    DecisionMethod,
     DecisionModule,
     DecisionResult,
     RssiDecisionMethod,
@@ -41,7 +40,6 @@ from repro.core.threshold import ThresholdCalibrator, perimeter_route
 __all__ = [
     "CommandEvent",
     "DecisionContext",
-    "DecisionMethod",
     "DecisionModule",
     "DecisionResult",
     "DeviceRegistry",

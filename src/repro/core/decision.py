@@ -1,11 +1,12 @@
-"""The Decision Module: a pluggable legitimacy-check framework.
+"""The Decision Module: the legitimacy check of a held command.
 
 The paper's Decision Module "is designed to have a flexible framework
 that can utilize various methods to check the legitimacy of a voice
 command" (Section IV-C); its current method is Bluetooth-RSSI
-proximity.  :class:`DecisionMethod` is the plug-in interface;
-:class:`RssiDecisionMethod` implements the paper's method including the
-multi-user OR-rule and the floor-level veto.
+proximity, which :class:`RssiDecisionMethod` implements, including the
+multi-user OR-rule and the floor-level veto.  A command no device
+vouches for within :data:`DECISION_TIMEOUT` gets a TIMEOUT verdict, and
+the guard drops it (fail-closed).
 
 Resilience: the paper's chain (push -> app wake -> BLE scan -> report)
 can drop at every hop, so the method optionally layers three recoveries
@@ -13,8 +14,9 @@ on top of the single-shot protocol — all disabled by default, leaving
 the original one-push-per-device, flat-timeout behaviour untouched:
 
 * **Retry with backoff** (``push_retries`` > 0): a device that stays
-  silent is re-pushed on an exponential backoff schedule (``retry_base``
-  doubling up to ``retry_cap``, jittered when an RNG is wired in).
+  silent is re-pushed on an exponential backoff schedule
+  (:data:`RETRY_BASE` doubling up to :data:`RETRY_CAP`, jittered when an
+  RNG is wired in).
 * **Offline re-query**: when the messaging cloud NACKs a push (device
   unreachable), the next-best still-silent device is re-queried
   immediately instead of waiting out its backoff timer; once every
@@ -51,6 +53,14 @@ from repro.home.push import PushService, RssiReport
 from repro.obs.tracer import NULL_SPAN, Observability
 from repro.radio.bluetooth import BluetoothBeacon
 from repro.sim.simulator import Simulator
+
+DECISION_TIMEOUT = 5.0  # no reply from any device -> TIMEOUT verdict
+RETRY_BASE = 1.2  # first re-push backoff; doubles per attempt...
+RETRY_CAP = 4.0  # ...but never exceeds this
+# A command joins an in-flight query only while that query is younger
+# than this, so a rider never inherits a verdict built mostly from
+# another command's timeout budget.
+BATCH_WINDOW = DECISION_TIMEOUT / 2.0
 
 
 class Verdict(enum.Enum):
@@ -97,24 +107,16 @@ DecisionCallback = Callable[[DecisionResult], None]
 FloorCheck = Callable[[str], bool]  # device name -> on speaker's floor?
 
 
-class DecisionMethod:
-    """Interface for legitimacy-check methods."""
-
-    def decide(self, context: DecisionContext, callback: DecisionCallback) -> None:
-        """Asynchronously decide; ``callback(result)`` exactly once."""
-        raise NotImplementedError
-
-
-class RssiDecisionMethod(DecisionMethod):
+class RssiDecisionMethod:
     """The paper's Bluetooth-RSSI proximity method (Figure 5).
 
     On a query, push an RSSI-measurement request to every registered
     device simultaneously; the command is legitimate as soon as one
     device reports RSSI above its threshold *and* passes the floor
     check.  If every device has answered below threshold the command is
-    malicious; if nothing answers before the timeout, the verdict is
-    TIMEOUT (policy decides what that means).  See the module docstring
-    for the optional retry/offline/degraded recoveries.
+    malicious; if nothing answers within :data:`DECISION_TIMEOUT`, the
+    verdict is TIMEOUT.  See the module docstring for the optional
+    retry/offline/degraded recoveries.
     """
 
     def __init__(
@@ -123,11 +125,8 @@ class RssiDecisionMethod(DecisionMethod):
         push: PushService,
         registry: DeviceRegistry,
         beacon: BluetoothBeacon,
-        timeout: float = 5.0,
         floor_check: Optional[FloorCheck] = None,
         push_retries: int = 0,
-        retry_base: float = 1.5,
-        retry_cap: float = 6.0,
         proximity_cache_ttl: float = 0.0,
         retry_rng: Optional[np.random.Generator] = None,
         on_event: Optional[ResilienceRecorder] = None,
@@ -137,15 +136,11 @@ class RssiDecisionMethod(DecisionMethod):
         self.push = push
         self.registry = registry
         self.beacon = beacon
-        self.timeout = timeout
         self.floor_check = floor_check
         self.push_retries = push_retries
-        self.retry_base = retry_base
-        self.retry_cap = retry_cap
         self.retry_rng = retry_rng
         self.on_event = on_event
         self.proximity_cache = ProximityCache(ttl=proximity_cache_ttl)
-        self.events: List[ResilienceEvent] = []
         obs = obs or Observability()
         self.tracer = obs.tracer
         metrics = obs.metrics.scope("decision")
@@ -319,7 +314,7 @@ class RssiDecisionMethod(DecisionMethod):
             if old is not None:
                 old.cancel()
             if attempt < max_attempts:
-                delay = min(self.retry_cap, self.retry_base * (2 ** (attempt - 1)))
+                delay = min(RETRY_CAP, RETRY_BASE * (2 ** (attempt - 1)))
                 if self.retry_rng is not None:
                     # Decorrelate retry bursts across devices; the draw
                     # comes from a dedicated stream so enabling retries
@@ -329,7 +324,7 @@ class RssiDecisionMethod(DecisionMethod):
             self.push.request_rssi(entry.device, self.beacon, on_report,
                                    on_undeliverable=on_undeliverable)
 
-        state.deadline = self.sim.schedule(self.timeout, resolve_without_proof, True)
+        state.deadline = self.sim.schedule(DECISION_TIMEOUT, resolve_without_proof, True)
         state.names = {entry.name for entry in entries}
         for entry in entries:
             send(entry)
@@ -387,7 +382,6 @@ class RssiDecisionMethod(DecisionMethod):
             attempt=attempt,
         )
         state.span.event(type_.value, device=device, attempt=attempt)
-        self.events.append(event)
         if self.on_event is not None:
             self.on_event(event)
 
@@ -436,7 +430,7 @@ class _InflightQuery:
         self.started_at = started_at
 
 
-class DecisionCoordinator(DecisionMethod):
+class DecisionCoordinator:
     """Admission control and batching in front of a decision method.
 
     With N speakers' commands pending concurrently, the naive pipeline
@@ -449,9 +443,8 @@ class DecisionCoordinator(DecisionMethod):
     * **Batching** (``batching=True``): a command arriving while a
       query is already in flight subscribes to that query instead of
       launching its own; one phone report then settles every pending
-      command at once.  Only queries younger than ``batch_window`` are
-      joined, so a subscriber never inherits a verdict built mostly
-      from another command's timeout budget.
+      command at once.  Only queries younger than :data:`BATCH_WINDOW`
+      are joined.
     * **Prioritized scheduling** (``max_inflight`` > 0): excess queries
       wait in an earliest-deadline-first queue — the flow closest to
       its max-hold failsafe is queried next — and dispatch as slots
@@ -464,19 +457,16 @@ class DecisionCoordinator(DecisionMethod):
 
     def __init__(
         self,
-        method: DecisionMethod,
+        method: RssiDecisionMethod,
         sim: Simulator,
         max_inflight: int = 0,
         batching: bool = False,
-        batch_window: Optional[float] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         self.method = method
         self.sim = sim
         self.max_inflight = max_inflight
         self.batching = batching
-        timeout = getattr(method, "timeout", 5.0)
-        self.batch_window = batch_window if batch_window is not None else timeout / 2.0
         self._seq = 0
         self._inflight: Dict[int, _InflightQuery] = {}
         self._waiting: List[Tuple[float, int, _PendingDecision]] = []
@@ -527,7 +517,7 @@ class DecisionCoordinator(DecisionMethod):
     def _joinable_query(self) -> Optional[_InflightQuery]:
         """The oldest in-flight query still fresh enough to join."""
         best: Optional[Tuple[int, _InflightQuery]] = None
-        horizon = self.sim.now - self.batch_window
+        horizon = self.sim.now - BATCH_WINDOW
         for seq, entry in self._inflight.items():
             if entry.started_at < horizon:
                 continue
@@ -573,7 +563,7 @@ class DecisionCoordinator(DecisionMethod):
 class DecisionModule:
     """Holds the active method; the extensibility point of Section VII."""
 
-    def __init__(self, method: DecisionMethod) -> None:
+    def __init__(self, method: DecisionCoordinator) -> None:
         self.method = method
 
     def decide(self, context: DecisionContext, callback: DecisionCallback) -> None:

@@ -68,11 +68,8 @@ class VoiceGuard:
             push=env.push,
             registry=self.registry,
             beacon=env.speaker_beacon,
-            timeout=self.config.decision_timeout,
             floor_check=self._floor_ok,
             push_retries=self.config.push_retries,
-            retry_base=self.config.retry_base,
-            retry_cap=self.config.retry_cap,
             proximity_cache_ttl=self.config.proximity_cache_ttl,
             retry_rng=env.rng.stream("decision.retry"),
             on_event=self.log.record_resilience,
@@ -91,7 +88,6 @@ class VoiceGuard:
         self.decision = DecisionModule(self.coordinator)
         self.handler = TrafficHandler(
             sim=env.sim,
-            config=self.config,
             proxy=self.proxy,
             decision=self.decision,
             obs=self.obs,
@@ -128,8 +124,8 @@ class VoiceGuard:
 
         ``initial_floor`` seeds the floor tracker for devices enrolled
         *after* :meth:`enable_floor_tracking`; without it such a device
-        would be assumed to start on the speaker's floor, unlike devices
-        enrolled before tracking was enabled.
+        is assumed to start on the speaker's floor, as every device
+        enrolled before tracking was enabled is.
         """
         self.registry.register(device, threshold, approved_by_owner=approved_by_owner)
         if self.floor_tracker is not None:
@@ -139,9 +135,11 @@ class VoiceGuard:
         self,
         sensor: MotionSensor,
         classifier: TraceClassifier,
-        initial_floors: Optional[Dict[str, int]] = None,
     ) -> FloorLevelTracker:
-        """Attach the stair motion sensor and trace classifier."""
+        """Attach the stair motion sensor and trace classifier.
+
+        Devices enrolled so far are assumed to start on the speaker's
+        floor."""
         tracker = FloorLevelTracker(
             sim=self.env.sim,
             beacon=self.env.speaker_beacon,
@@ -152,8 +150,7 @@ class VoiceGuard:
             obs=self.obs,
         )
         for entry in self.registry.entries():
-            floor = (initial_floors or {}).get(entry.name)
-            tracker.track(entry.device, initial_floor=floor)
+            tracker.track(entry.device)
         sensor.on_motion = tracker.on_motion
         self.floor_tracker = tracker
         return tracker

@@ -9,19 +9,24 @@ mis-suspected spike to a few packets' worth of time.
 Discarded records leave the speaker's next forwarded record out of TLS
 sequence, so the cloud closes the session — the command can never
 execute, the paper's Figure 4 case III.
+
+The guard fails closed: a TIMEOUT verdict, the max-hold failsafe and
+the hold-budget overflow shed all discard the window's records.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.config import VoiceGuardConfig
 from repro.core.decision import DecisionContext, DecisionModule, DecisionResult, Verdict
 from repro.core.events import TrafficClass
 from repro.core.recognition import Window
-from repro.net.proxy import ForwarderDecision, ProxiedFlow, TransparentProxy
+from repro.net.proxy import ProxiedFlow, TransparentProxy
 from repro.obs.tracer import Observability
 from repro.sim.simulator import Simulator
+
+# Safety bound: never hold a flow longer than this, whatever happens.
+MAX_HOLD = 25.0
 
 
 class TrafficHandler:
@@ -30,13 +35,11 @@ class TrafficHandler:
     def __init__(
         self,
         sim: Simulator,
-        config: VoiceGuardConfig,
         proxy: TransparentProxy,
         decision: DecisionModule,
         obs: Optional[Observability] = None,
     ) -> None:
         self.sim = sim
-        self.config = config
         self.proxy = proxy
         self.decision = decision
         # Command windows whose records are parked, keyed by flow id in
@@ -69,7 +72,7 @@ class TrafficHandler:
             speaker_ip=str(window.speaker_ip),
             requested_at=self.sim.now,
             span=window.span,
-            deadline=self.sim.now + self.config.max_hold,
+            deadline=self.sim.now + MAX_HOLD,
         )
         self._pending_windows.setdefault(window.flow.flow_id, []).append(window)
 
@@ -81,44 +84,35 @@ class TrafficHandler:
                 window.event.verdict_at = self.sim.now
                 window.event.rssi_reports = list(result.reports)
             window.span.set(verdict=result.verdict.value)
-            if result.verdict is Verdict.TIMEOUT:
-                self._settle(window, self.config.fail_open)
-            else:
-                self._settle(window, result.verdict is Verdict.LEGITIMATE)
+            self._settle(window, result.verdict is Verdict.LEGITIMATE)
 
         def failsafe() -> None:
-            # Never hold a flow past max_hold, whatever went wrong.  Not
+            # Never hold a flow past MAX_HOLD, whatever went wrong.  Not
             # a verdict: counted apart from released/blocked.
             if not window.resolved:
                 self._m_failsafe.inc()
                 window.span.event("handler.max_hold_failsafe")
-                self._resolve(window, self.config.fail_open)
+                self._resolve(window, False)
 
-        self.sim.post(self.config.max_hold, failsafe)
+        self.sim.post(MAX_HOLD, failsafe)
         self.decision.decide(context, on_result)
 
     # -- backpressure ---------------------------------------------------------
-    def on_hold_overflow(self, flow: ProxiedFlow) -> ForwarderDecision:
+    def on_hold_overflow(self, flow: ProxiedFlow) -> None:
         """The hold budget refused a record on ``flow``: shed load.
 
-        Resolves the oldest pending command window on the flow by the
-        configured overflow policy — fail-open releases it unchecked,
-        fail-closed discards it — freeing its held bytes, and returns
-        the fate of the record that could not be held.  The window's
-        decision query keeps running; its eventual verdict finds the
-        window already resolved and is ignored.
+        Discards the oldest pending command window on the flow, freeing
+        its held bytes; the proxy drops the record it could not hold.
+        The window's decision query keeps running; its eventual verdict
+        finds the window already resolved and is ignored.
         """
-        fail_open = self.config.overflow_releases
-        verdict = ForwarderDecision.FORWARD if fail_open else ForwarderDecision.DROP
         windows = self._pending_windows.get(flow.flow_id)
         if not windows:
-            return verdict
+            return
         window = windows[0]
         self._m_overflow.inc()
-        window.span.event("handler.hold_overflow",
-                          policy="fail_open" if fail_open else "fail_closed")
-        self._settle(window, fail_open)
-        return verdict
+        window.span.event("handler.hold_overflow")
+        self._settle(window, False)
 
     # -- actuation ------------------------------------------------------------
     def _unregister(self, window: Window) -> None:

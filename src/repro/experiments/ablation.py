@@ -311,9 +311,7 @@ def _run_firewall_arm(seed: int, commands: int) -> tuple:
     registry = DeviceRegistry()
     threshold = scenario.calibrations[scenario.devices[0].name].threshold
     registry.register(scenario.devices[0], threshold)
-    method = RssiDecisionMethod(
-        env.sim, env.push, registry, env.speaker_beacon, timeout=5.0,
-    )
+    method = RssiDecisionMethod(env.sim, env.push, registry, env.speaker_beacon)
 
     def decide(callback) -> None:
         context = DecisionContext(window_id=0, speaker_ip="", requested_at=env.sim.now)

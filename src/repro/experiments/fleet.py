@@ -54,6 +54,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.reporting import fmt_percent, render_table
+from repro.core.decision import RETRY_BASE, RETRY_CAP
 from repro.errors import WorkloadError
 from repro.experiments.parallel import (
     ExperimentEngine,
@@ -73,10 +74,8 @@ from repro.sim.random import generators
 FIDELITIES = ("fast", "full")
 
 # Retry policy the fleet guard runs (the resilience sweep's winner):
-# up to two re-pushes with exponential backoff.
+# up to two re-pushes on the guard's own backoff schedule.
 PUSH_ATTEMPTS = 3
-RETRY_BASE = 1.2
-RETRY_CAP = 4.0
 
 # Latency model (seconds): BLE scan window by device kind, then one
 # push round-trip per attempt.

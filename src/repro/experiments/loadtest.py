@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.reporting import render_table
 from repro.core.config import VoiceGuardConfig
+from repro.core.handler import MAX_HOLD
 from repro.errors import WorkloadError
 from repro.experiments.parallel import ExperimentEngine, ExperimentTask, derive_seed
 from repro.experiments.scenarios import add_echo_speaker, build_scenario
@@ -187,9 +188,9 @@ def run_loadtest_cell(
             issued += 1
             env.sim.run_for(duration + BURST_SPACING)
         env.sim.run_for(float(rng.exponential(idle_mean)))
-    # Drain: every pending hold resolves within max_hold, plus slack
+    # Drain: every pending hold resolves within MAX_HOLD, plus slack
     # for response playback.
-    env.sim.run_for(config.max_hold + 15.0)
+    env.sim.run_for(MAX_HOLD + 15.0)
     elapsed = env.sim.now - start
 
     events = scenario.guard.command_events()

@@ -92,11 +92,10 @@ def template_seed(key: PoolKey) -> int:
 
 def fleet_guard_config() -> VoiceGuardConfig:
     """The retry policy the fleet's full-fidelity guard runs (matching
-    the reduced-order model's constants; see repro.experiments.fleet)."""
-    from repro.experiments.fleet import PUSH_ATTEMPTS, RETRY_BASE, RETRY_CAP
+    the reduced-order model's attempt count; see repro.experiments.fleet)."""
+    from repro.experiments.fleet import PUSH_ATTEMPTS
 
-    return VoiceGuardConfig(push_retries=PUSH_ATTEMPTS - 1,
-                            retry_base=RETRY_BASE, retry_cap=RETRY_CAP)
+    return VoiceGuardConfig(push_retries=PUSH_ATTEMPTS - 1)
 
 
 def home_fault_plan(spec: HomeSpec) -> Optional[FaultPlan]:

@@ -128,12 +128,7 @@ def run_resilience_cell(
     if policy not in POLICIES:
         raise WorkloadError(f"unknown retry policy {policy!r}")
     push_retries, cache_ttl = POLICIES[policy]
-    config = VoiceGuardConfig(
-        push_retries=push_retries,
-        retry_base=1.2,
-        retry_cap=4.0,
-        proximity_cache_ttl=cache_ttl,
-    )
+    config = VoiceGuardConfig(push_retries=push_retries, proximity_cache_ttl=cache_ttl)
     # The plan seed deliberately excludes the policy: every policy in a
     # column faces the same fault realization, so the comparison is
     # apples-to-apples.

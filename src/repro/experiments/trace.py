@@ -15,6 +15,7 @@ import pathlib
 from dataclasses import dataclass
 
 from repro.analysis.reporting import render_metrics_snapshot
+from repro.errors import WorkloadError
 from repro.experiments.scenarios import build_scenario
 from repro.obs.export import (
     WINDOW_SPAN,
@@ -59,13 +60,16 @@ def run_trace(
     seed: int = 3,
     legit: int = 2,
     attacks: int = 1,
-    deployment: int = 0,
 ) -> TraceReport:
-    """Run the fixed trace workload with span collection enabled."""
+    """Run the fixed trace workload with span collection enabled: the
+    speaker at the testbed's first deployment, ``legit`` owner commands,
+    then ``attacks`` replays."""
+    if legit < 0 or attacks < 0:
+        raise WorkloadError(
+            f"command counts must be >= 0, got legit={legit!r}, attacks={attacks!r}")
     scenario = build_scenario(
         testbed_name,
         speaker_kind,
-        deployment=deployment,
         seed=seed,
         owner_count=1,
         with_floor_tracking=False,
@@ -76,7 +80,7 @@ def run_trace(
     rng = env.rng.stream("trace.workload")
 
     # Owner beside the speaker: these commands should release.
-    speaker_room = env.testbed.speaker_room(deployment)
+    speaker_room = env.testbed.speaker_room(env.deployment)
     owner.teleport(speaker_room.center(height=0.0))
     for _ in range(legit):
         duration = scenario.speak_command(rng)

@@ -51,7 +51,6 @@ class SevenDayWorkload:
     def __init__(
         self,
         scenario: Scenario,
-        seed_name: str = "workload",
         episode_gap: tuple = None,
     ) -> None:
         """``episode_gap`` overrides the compressed idle window between
@@ -67,10 +66,10 @@ class SevenDayWorkload:
         if not (math.isfinite(low) and math.isfinite(high) and 0.0 <= low <= high):
             raise WorkloadError(
                 f"episode_gap must be finite with 0 <= low <= high, got {episode_gap!r}")
-        self.rng = scenario.env.rng.stream(f"{seed_name}.schedule")
+        self.rng = scenario.env.rng.stream("workload.schedule")
         self.attack = ReplayAttack(
             scenario.env,
-            scenario.env.rng.stream(f"{seed_name}.attacker"),
+            scenario.env.rng.stream("workload.attacker"),
             victim=scenario.owners[0].voiceprint,
         )
         testbed = scenario.env.testbed

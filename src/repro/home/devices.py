@@ -78,10 +78,9 @@ class MobileDevice:
         self,
         beacon: BluetoothBeacon,
         callback: Callable[[List[RssiSample]], None],
-        sample_count: int = TRACE_SAMPLE_COUNT,
-        period: float = TRACE_SAMPLE_PERIOD,
     ) -> None:
-        """Record ``sample_count`` RSSI samples, ``period`` apart.
+        """Record :data:`TRACE_SAMPLE_COUNT` RSSI samples,
+        :data:`TRACE_SAMPLE_PERIOD` apart.
 
         Used for floor-level traces: the Decision Module starts a trace
         whenever the stair motion sensor fires.
@@ -101,15 +100,15 @@ class MobileDevice:
         """
         scanner, carrier = self.scanner, self.carrier
         model = scanner.model
-        period = float(period)
-        # The float chain the ticks land on: now + 0.0, then + period.
-        times = list(accumulate(repeat(period, sample_count - 1), initial=self.sim.now + 0.0))
+        # The float chain the ticks land on: now + 0.0, then + the period.
+        times = list(accumulate(repeat(TRACE_SAMPLE_PERIOD, TRACE_SAMPLE_COUNT - 1),
+                                initial=self.sim.now + 0.0))
         walking, still = carrier.device_path(times)
         means = model.mean_rssi_coords(beacon.position, walking).tolist() if walking.size else []
         if len(means) < len(times):
             means.extend(repeat(model.mean_rssi(beacon.position, still),
                                 len(times) - len(means)))
-        recorder = _TraceRecorder(self.sim, scanner, carrier, beacon, means, period, callback)
+        recorder = _TraceRecorder(self.sim, scanner, carrier, beacon, means, callback)
         self.sim.post(0.0, recorder.tick)
 
     def instant_rssi(self, beacon: BluetoothBeacon) -> float:
@@ -129,16 +128,15 @@ class _TraceRecorder:
     ``sim.post`` chain at one frame per sample.
     """
 
-    __slots__ = ("clock", "queue", "period", "scanner", "carrier", "beacon", "means",
+    __slots__ = ("clock", "queue", "scanner", "carrier", "beacon", "means",
                  "callback", "samples", "moves", "tx", "plan", "version", "noisy",
                  "rng", "blocked")
 
     def __init__(self, sim: Simulator, scanner: BluetoothScanner, carrier: Person,
-                 beacon: BluetoothBeacon, means: List[float], period: float,
+                 beacon: BluetoothBeacon, means: List[float],
                  callback: Callable[[List[RssiSample]], None]) -> None:
         self.clock = sim._clock
         self.queue = sim._queue
-        self.period = period
         self.scanner = scanner
         self.carrier = carrier
         self.beacon = beacon
@@ -171,7 +169,7 @@ class _TraceRecorder:
             queue = self.queue
             seq = queue._next_seq
             queue._next_seq = seq + 1
-            heappush(queue._heap, (now + self.period, seq, None, self.tick, ()))
+            heappush(queue._heap, (now + TRACE_SAMPLE_PERIOD, seq, None, self.tick, ()))
             queue._live += 1
         else:
             self.callback(samples)

@@ -26,7 +26,7 @@ from repro.home.push import PushService
 from repro.obs.tracer import Observability
 from repro.radio.bluetooth import BluetoothBeacon
 from repro.radio.geometry import Point, distance
-from repro.radio.propagation import PropagationModel, PropagationParams
+from repro.radio.propagation import PropagationModel
 from repro.radio.testbeds import Testbed
 from repro.sim.random import RngHub
 from repro.sim.simulator import Simulator
@@ -45,7 +45,6 @@ class HomeEnvironment:
         testbed: Testbed,
         deployment: int = 0,
         seed: int = 0,
-        params: Optional[PropagationParams] = None,
         fault_plan: Optional[FaultPlan] = None,
         tracing: bool = False,
         with_fault_injector: bool = False,
@@ -73,7 +72,7 @@ class HomeEnvironment:
             if (fault_plan is not None or with_fault_injector) else None
         )
         self.model = PropagationModel(
-            testbed.plan, params, seed=self.rng.stream("radio.seed").integers(0, 2**31)
+            testbed.plan, seed=self.rng.stream("radio.seed").integers(0, 2**31)
         )
         self.speaker_beacon = BluetoothBeacon(
             f"{testbed.name}-speaker", testbed.speaker_point(deployment)

@@ -25,6 +25,9 @@ from repro.sim.simulator import Simulator
 PacketObserver = Callable[[Packet, str], None]
 
 _TCP = Protocol.TCP
+# Per-hop base latency (seconds) inside the home and across the WAN.
+LAN_LATENCY = 0.0004
+WAN_LATENCY = 0.018
 # Jitter draws are taken from the stream this many at a time.
 _JITTER_BLOCK = 256
 
@@ -112,25 +115,22 @@ class TapHost(Host):
 class Network:
     """The simulated LAN + WAN fabric.
 
-    Latency model: a constant per-hop latency (LAN or WAN) plus a small
-    uniform jitter.  Packets between two private addresses stay on the
-    LAN; anything crossing to a public address pays the WAN latency.
+    Latency model: a constant per-hop latency (:data:`LAN_LATENCY` or
+    :data:`WAN_LATENCY`) plus a small uniform jitter.  Packets between
+    two private addresses stay on the LAN; anything crossing to a public
+    address pays the WAN latency.
     """
 
     def __init__(
         self,
         sim: Simulator,
         rng: RngHub,
-        lan_latency: float = 0.0004,
-        wan_latency: float = 0.018,
         jitter: float = 0.15,
         wan_loss: float = 0.0,
     ) -> None:
         self.sim = sim
         self._rng = rng.stream("net.jitter")
         self._loss_rng = rng.stream("net.loss")
-        self.lan_latency = lan_latency
-        self.wan_latency = wan_latency
         self.jitter = jitter
         self.wan_loss = wan_loss  # per-packet drop probability on the WAN
         self.packets_lost = 0
@@ -322,9 +322,9 @@ class Network:
                 receive = stack.receive
         local = packet.src.ip.is_private and packet.dst.ip.is_private
         base = (
-            self.lan_latency
+            LAN_LATENCY
             if (origin.ip.is_private and target.ip.is_private)
-            else self.wan_latency
+            else WAN_LATENCY
         )
         fifo_triple = (packet.src.ip, packet.dst.ip, packet.protocol)
         fifo_id = self._fifo_ids.setdefault(fifo_triple, len(self._fifo_ids))

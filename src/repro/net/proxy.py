@@ -75,7 +75,7 @@ class HoldBudget:
     With N speakers' commands in flight concurrently the guard parks
     records for all of them at once; the budget bounds that memory.  A
     charge that would exceed ``limit_bytes`` is refused, which triggers
-    the proxy's overflow policy (see ``TransparentProxy.on_hold_overflow``).
+    the proxy's overflow hook (see ``TransparentProxy.on_hold_overflow``).
     ``limit_bytes=0`` means unlimited: every charge succeeds and only
     the gauges move, so the default is byte-identical to having no
     budget at all.
@@ -164,10 +164,9 @@ RecordPolicy = Callable[[ProxiedFlow, Packet], ForwarderDecision]
 # sees without touching the actual TCP/TLS byte stream.
 RecordShim = Callable[[ProxiedFlow, Packet, RecordPolicy], ForwarderDecision]
 SnoopObserver = Callable[[Packet], None]
-# Budget-overflow hook: resolves the flow's pending window by policy and
-# returns what to do with the record that could not be held.  A proxy
-# with no hook drops that record.
-OverflowPolicy = Callable[[ProxiedFlow], ForwarderDecision]
+# Budget-overflow hook: sheds the flow's pending window.  The proxy
+# drops the record that could not be held, hook or no hook.
+OverflowPolicy = Callable[[ProxiedFlow], None]
 # ``TransparentProxy.open_flows`` key: (protocol, client, server).  The
 # protocol keeps a QUIC port from ever naming a TCP flow.
 FlowKey = Tuple[Protocol, Endpoint, Endpoint]
@@ -346,12 +345,11 @@ class TransparentProxy(TapHost):
     def _admit(self, flow: ProxiedFlow, packet: Packet,
                decision: ForwarderDecision) -> None:
         """Drop one client record or datagram, park it under the hold
-        budget, shed it through the overflow hook, or send it on.
+        budget, or send it on.
 
-        When the budget refuses a hold, the hook first resolves the
-        flow's pending window (so its bytes come back to the pool), then
-        names the unheld record's fate: forwarded past the guard
-        (fail-open) or dropped (fail-closed).  With no hook it is dropped.
+        When the budget refuses a hold, the overflow hook first sheds
+        the flow's pending window (so its bytes come back to the pool),
+        and the record that could not be held is dropped.
         """
         if decision is _HOLD:
             if self.hold_budget.try_charge(packet.payload_len):
@@ -359,12 +357,13 @@ class TransparentProxy(TapHost):
                 self._m_held.inc()
                 return
             overflow = self.on_hold_overflow
-            decision = overflow(flow) if overflow is not None else ForwarderDecision.DROP
-        if decision is _FORWARD:
+            if overflow is not None:
+                overflow(flow)
+        elif decision is _FORWARD:
             self._send_upstream(flow, self._record(packet))
-        else:
-            flow.records_discarded += 1
-            self._m_discarded.inc()
+            return
+        flow.records_discarded += 1
+        self._m_discarded.inc()
 
     def _record(self, packet: Packet) -> HeldRecord:
         return HeldRecord(

@@ -129,8 +129,7 @@ def _first(spans: Sequence[Span], name: str) -> Optional[Span]:
     return None
 
 
-def render_phase_table(rows: Sequence[PhaseBreakdown],
-                       title: str = "Per-command phase breakdown (from spans)") -> str:
+def render_phase_table(rows: Sequence[PhaseBreakdown]) -> str:
     """The Figure 4 phase table: one row per recognized window."""
     table_rows = []
     for row in rows:
@@ -145,7 +144,7 @@ def render_phase_table(rows: Sequence[PhaseBreakdown],
             row.outcome,
         ])
     return render_table(
-        title,
+        "Per-command phase breakdown (from spans)",
         ["window", "class", "recognition", "hold", "decision", "push rtt",
          "verdict", "outcome"],
         table_rows,

@@ -60,6 +60,10 @@ from repro.radio.geometry import Point, coordinates, distance, distances
 _MEAN_CACHE_MAX = 1 << 16
 _SHADOW_CACHE_MAX = 1 << 16
 
+# Share of an averaged measurement's readings taken with the body
+# between phone and speaker (one of the paper's four orientations).
+BODY_BLOCKED_FRACTION = 0.25
+
 
 @dataclass(frozen=True)
 class PropagationParams:
@@ -303,7 +307,6 @@ class PropagationModel:
         rx: Point,
         rng: np.random.Generator,
         samples: int = 16,
-        body_blocked_fraction: float = 0.25,
     ) -> float:
         """Average of ``samples`` measurements (scalar reference).
 
@@ -315,7 +318,7 @@ class PropagationModel:
             raise ValueError(f"samples must be >= 1, got {samples!r}")
         readings = []
         for index in range(samples):
-            blocked = (index / samples) < body_blocked_fraction
+            blocked = (index / samples) < BODY_BLOCKED_FRACTION
             readings.append(self.sample_rssi(tx, rx, rng, body_blocked=blocked))
         return float(np.mean(readings))
 
@@ -325,13 +328,12 @@ class PropagationModel:
         rx: Point,
         rng: np.random.Generator,
         samples: int = 16,
-        body_blocked_fraction: float = 0.25,
     ) -> float:
         """Batched :meth:`average_rssi`: same value, one noise draw."""
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples!r}")
         blocked = [
-            (index / samples) < body_blocked_fraction for index in range(samples)
+            (index / samples) < BODY_BLOCKED_FRACTION for index in range(samples)
         ]
         readings = self.sample_rssi_batch(tx, rx, rng, blocked)
         return float(np.mean(readings))
@@ -342,7 +344,6 @@ class PropagationModel:
         points: Sequence[Point],
         rng: np.random.Generator,
         samples: int = 16,
-        body_blocked_fraction: float = 0.25,
     ) -> np.ndarray:
         """Measurement-averaged RSSI for a whole grid in one shot.
 
@@ -362,7 +363,7 @@ class PropagationModel:
         p = self.params
         means = self.mean_rssi_many(tx, points)
         flags = np.array(
-            [(index / samples) < body_blocked_fraction for index in range(samples)],
+            [(index / samples) < BODY_BLOCKED_FRACTION for index in range(samples)],
             dtype=bool,
         )
         occluded = int(flags.sum())

@@ -143,7 +143,7 @@ class EchoTrafficModel:
         return int(self._rng.integers(*sig.PHASE1_FIRST_RANGE))
 
     # -- phase 2 ------------------------------------------------------------
-    def response_plan(self, max_segments: int = 3) -> List[ResponseSegment]:
+    def response_plan(self) -> List[ResponseSegment]:
         """How many spoken segments the cloud's reply will contain.
 
         The distribution is skewed toward single-segment answers; the
@@ -153,16 +153,13 @@ class EchoTrafficModel:
         if self.forced_response_segments is not None:
             return [ResponseSegment(words=w) for w in self.forced_response_segments]
         roll = float(self._rng.random())
-        if roll < 0.90 or max_segments == 1:
+        if roll < 0.90:
             count = 1
-        elif roll < 0.98 or max_segments == 2:
+        elif roll < 0.98:
             count = 2
         else:
             count = 3
-        return [
-            ResponseSegment(words=int(self._rng.integers(6, 14)))
-            for _ in range(min(count, max_segments))
-        ]
+        return [ResponseSegment(words=int(self._rng.integers(6, 14))) for _ in range(count)]
 
     def response_spike(self) -> List[RecordSpec]:
         """The upload spike the Echo emits after speaking one segment."""

@@ -14,9 +14,8 @@ handful of fixed-seed workloads and reduces each to one SHA-256:
   house, reduced packet by packet: pins the Mini's upload scripts, its
   idle close and the Google cloud's TCP and QUIC replies;
 * ``google_budget`` — the ``google_packets`` home under a 16 KiB hold
-  budget, once fail-open and once fail-closed, with its counters: pins
-  the overflow shed on QUIC datagrams as well as on TCP records (the
-  loadtest cells overflow TCP only);
+  budget, with its counters: pins the overflow shed on QUIC datagrams
+  as well as on TCP records (the loadtest cells overflow TCP only);
 * ``traffic_scripts`` — the record schedules the Echo and Google
   traffic models draw on their own, anomalous spikes included, whose
   rare re-draws no home reaches;
@@ -287,32 +286,27 @@ def google_packets() -> str:
 
 def google_budget() -> str:
     """The ``google_packets`` home under a hold budget small enough to
-    refuse holds, once per overflow policy: every packet, the guard
-    stream and the sorted counters.  Asserts that some refused hold is
-    on a QUIC (UDP) flow, so the digest keeps covering that path."""
-    digest = hashlib.sha256()
-    for fail_open in (True, False):
-        refused = []
+    refuse holds: every packet, the guard stream and the sorted
+    counters.  Asserts that some refused hold is on a QUIC (UDP) flow,
+    so the digest keeps covering that path."""
+    refused = []
 
-        def record_refusals(scenario) -> None:
-            proxy = scenario.guard.proxy
-            shed = proxy.on_hold_overflow
+    def record_refusals(scenario) -> None:
+        proxy = scenario.guard.proxy
+        shed = proxy.on_hold_overflow
 
-            def on_hold_overflow(flow):
-                refused.append(flow.protocol)
-                return shed(flow)
+        def on_hold_overflow(flow):
+            refused.append(flow.protocol)
+            shed(flow)
 
-            proxy.on_hold_overflow = on_hold_overflow
+        proxy.on_hold_overflow = on_hold_overflow
 
-        config = VoiceGuardConfig(held_byte_budget=GOOGLE_HOLD_BUDGET,
-                                  overflow_fail_open=fail_open)
-        scenario, packets = _run_packet_home(
-            "google", 101, COMPRESSED_COUNTS, config=config, before_run=record_refusals)
-        assert Protocol.UDP in refused, f"no refused hold on a UDP flow: {refused}"
-        counters = scenario.env.obs.metrics.snapshot()["counters"]
-        digest.update(guard_digest(
-            scenario, packets + json.dumps(counters, sort_keys=True).encode()).encode())
-    return digest.hexdigest()
+    config = VoiceGuardConfig(held_byte_budget=GOOGLE_HOLD_BUDGET)
+    scenario, packets = _run_packet_home(
+        "google", 101, COMPRESSED_COUNTS, config=config, before_run=record_refusals)
+    assert Protocol.UDP in refused, f"no refused hold on a UDP flow: {refused}"
+    counters = scenario.env.obs.metrics.snapshot()["counters"]
+    return guard_digest(scenario, packets + json.dumps(counters, sort_keys=True).encode())
 
 
 def traffic_scripts() -> str:

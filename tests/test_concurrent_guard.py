@@ -1,10 +1,10 @@
 """Concurrent multi-speaker guard: hold budget, decision coordinator,
-overflow policies, and the single-flow byte-identity contract.
+the overflow shed, and the single-flow byte-identity contract.
 
 The concurrency machinery (query slots, batching, the global held-byte
 budget) must be provably inert while one command is in flight, and
-must shed load by the configured fail-open/fail-closed policy when the
-budget overflows under fault-driven overload.
+must shed load by discarding the oldest held window when the budget
+overflows under fault-driven overload.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import pytest
 from repro.audio.speech import full_utterance_duration
 from repro.core.config import VoiceGuardConfig
 from repro.core.decision import (
+    BATCH_WINDOW,
     DecisionContext,
     DecisionCoordinator,
-    DecisionMethod,
     DecisionResult,
     Verdict,
 )
@@ -72,10 +72,8 @@ class TestHoldBudget:
         assert counter(obs, "proxy.hold_overflows") == 0
 
 
-class _StubMethod(DecisionMethod):
+class _StubMethod:
     """Holds every callback until the test fires it by hand."""
-
-    timeout = 5.0
 
     def __init__(self) -> None:
         self.pending = []
@@ -121,10 +119,9 @@ class TestDecisionCoordinator:
         sim = Simulator()
         method = _StubMethod()
         obs = Observability()
-        coordinator = DecisionCoordinator(method, sim=sim, batching=True,
-                                          batch_window=2.0, obs=obs)
+        coordinator = DecisionCoordinator(method, sim=sim, batching=True, obs=obs)
         coordinator.decide(_context(1, "10.0.0.1", sim), lambda r: None)
-        sim.run_for(3.0)  # older than the batch window
+        sim.run_for(BATCH_WINDOW + 0.5)  # older than the batch window
         coordinator.decide(_context(2, "10.0.0.2", sim), lambda r: None)
         assert len(method.pending) == 2
         assert counter(obs, "decision.batched_settlements") == 0
@@ -187,14 +184,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             VoiceGuardConfig(held_byte_budget=-1)
 
-    def test_overflow_policy_follows_fail_open_unless_overridden(self):
-        assert not VoiceGuardConfig().overflow_releases
-        assert VoiceGuardConfig(fail_open=True).overflow_releases
-        assert VoiceGuardConfig(overflow_fail_open=True).overflow_releases
-        assert not VoiceGuardConfig(
-            fail_open=True, overflow_fail_open=False
-        ).overflow_releases
-
 
 def _speak_once(scenario, rng_name="overload"):
     env = scenario.env
@@ -208,13 +197,11 @@ def _speak_once(scenario, rng_name="overload"):
 
 
 class TestOverflowUnderFaults:
-    @pytest.mark.parametrize("fail_open", [True, False])
-    def test_budget_overflow_under_total_push_loss(self, fail_open):
+    def test_budget_overflow_under_total_push_loss(self):
         # 100% push loss: the decision can never resolve, so held bytes
         # accumulate against a budget smaller than one command's records
-        # and the overflow policy must shed the window.
-        config = VoiceGuardConfig(held_byte_budget=600,
-                                  overflow_fail_open=fail_open)
+        # and the overflow shed must discard the window.
+        config = VoiceGuardConfig(held_byte_budget=600)
         scenario = build_scenario(
             "apartment", "echo", seed=21, config=config,
             fault_plan=FaultPlan(seed=9, push_loss=1.0),
@@ -227,14 +214,9 @@ class TestOverflowUnderFaults:
         # Overflow resolution follows the max-hold failsafe convention:
         # the window resolves without a verdict.
         assert event.verdict is None
-        if fail_open:
-            assert counter(obs, "proxy.commands_released") == 1
-            assert counter(obs, "proxy.commands_blocked") == 0
-            assert event.released_at is not None
-        else:
-            assert counter(obs, "proxy.commands_released") == 0
-            assert counter(obs, "proxy.commands_blocked") == 1
-            assert event.discarded_at is not None
+        assert counter(obs, "proxy.commands_released") == 0
+        assert counter(obs, "proxy.commands_blocked") == 1
+        assert event.discarded_at is not None
         snapshot = obs.metrics.snapshot()
         assert snapshot["counters"]["proxy.hold_overflows"] > 0
         # Shedding the window credits its held bytes back.

@@ -6,9 +6,9 @@ from __future__ import annotations
 import pytest
 
 from repro.audio.speech import full_utterance_duration
-from repro.core.config import VoiceGuardConfig
 from repro.core.decision import Verdict
 from repro.core.events import TrafficClass
+from repro.core.handler import MAX_HOLD
 from repro.core.recognition import TrafficRecognition
 from repro.experiments.scenarios import build_scenario
 from repro.net.packet import Protocol
@@ -154,11 +154,10 @@ class TestLateRegistration:
 class TestMaxHoldFailsafe:
     def test_failsafe_resolves_stuck_window(self):
         # A decision method that never answers: the max-hold failsafe
-        # must still resolve the window (fail-closed by default).
-        config = VoiceGuardConfig(decision_timeout=6.0, max_hold=8.0)
+        # must still resolve the window (fail-closed).
         scenario = build_scenario(
             "house", "echo", deployment=0, seed=105,
-            owner_count=1, with_floor_tracking=False, config=config,
+            owner_count=1, with_floor_tracking=False,
         )
 
         class BlackHoleMethod:
@@ -167,7 +166,7 @@ class TestMaxHoldFailsafe:
 
         scenario.guard.decision.method = BlackHoleMethod()
         speak(scenario, "failsafe", near=True)
-        scenario.env.sim.run_for(15.0)
+        scenario.env.sim.run_for(MAX_HOLD + 5.0)
         event = scenario.guard.log.commands()[-1]
         assert event.discarded_at is not None  # fail-closed
         record = list(scenario.speaker.interactions.values())[-1]

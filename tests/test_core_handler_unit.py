@@ -6,10 +6,9 @@ import itertools
 
 import pytest
 
-from repro.core.config import VoiceGuardConfig
 from repro.core.decision import DecisionResult, Verdict
 from repro.core.events import CommandEvent, TrafficClass
-from repro.core.handler import TrafficHandler
+from repro.core.handler import MAX_HOLD, TrafficHandler
 from repro.core.recognition import Window
 from repro.net.addresses import IPv4Address, endpoint
 from repro.net.packet import Protocol
@@ -74,10 +73,7 @@ def handler_world(sim):
     proxy = _StubProxy()
     decision = _StubDecision()
     obs = Observability()
-    handler = TrafficHandler(
-        sim=sim, config=VoiceGuardConfig(),
-        proxy=proxy, decision=decision, obs=obs,
-    )
+    handler = TrafficHandler(sim=sim, proxy=proxy, decision=decision, obs=obs)
     return sim, handler, proxy, decision, obs
 
 
@@ -124,24 +120,12 @@ class TestHandlerResolution:
         decision.resolve(Verdict.TIMEOUT)
         assert window.discarded
 
-    def test_timeout_fail_open_releases(self, sim):
-        proxy = _StubProxy()
-        decision = _StubDecision()
-        handler = TrafficHandler(
-            sim=sim, config=VoiceGuardConfig(fail_open=True),
-            proxy=proxy, decision=decision,
-        )
-        window = make_window()
-        handler.on_window_classified(window, TrafficClass.COMMAND)
-        decision.resolve(Verdict.TIMEOUT)
-        assert window.released
-
     def test_max_hold_failsafe_fires(self, handler_world):
         sim, handler, proxy, decision, obs = handler_world
         window = make_window()
         handler.on_window_classified(window, TrafficClass.COMMAND)
-        sim.run_for(handler.config.max_hold + 1.0)
-        assert window.discarded  # fail-closed default
+        sim.run_for(MAX_HOLD + 1.0)
+        assert window.discarded  # fail-closed
         # A failsafe resolution is neither a release nor a block.
         assert counters(obs)["proxy.failsafe_resolutions"] == 1
         assert counters(obs)["proxy.commands_released"] == 0
@@ -151,7 +135,7 @@ class TestHandlerResolution:
         sim, handler, proxy, decision, obs = handler_world
         window = make_window()
         handler.on_window_classified(window, TrafficClass.COMMAND)
-        sim.run_for(handler.config.max_hold + 1.0)
+        sim.run_for(MAX_HOLD + 1.0)
         decision.resolve(Verdict.LEGITIMATE)
         assert window.discarded and not window.released
         assert len(proxy.released) == 0

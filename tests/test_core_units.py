@@ -29,32 +29,27 @@ from repro.radio.testbeds import apartment_testbed, house_testbed
 class TestConfig:
     def test_defaults_valid(self):
         config = VoiceGuardConfig()
-        assert config.decision_timeout == 5.0
+        assert config.push_retries == 0
+        assert config.proximity_cache_ttl == 0.0
 
     def test_knob_set_is_pinned(self):
         """Every guard knob is one a caller sets; a new one is a review
         decision, not a side effect."""
         assert [spec.name for spec in fields(VoiceGuardConfig)] == [
-            "decision_timeout", "fail_open",
-            "push_retries", "retry_base", "retry_cap", "proximity_cache_ttl",
-            "max_hold",
+            "push_retries", "proximity_cache_ttl",
             "max_concurrent_queries", "decision_batching", "held_byte_budget",
-            "overflow_fail_open",
         ]
 
     @pytest.mark.parametrize("kwargs", [
-        {"retry_base": 2.0, "retry_cap": 1.0},
-        {"decision_timeout": 0.0},
-        {"decision_timeout": 10.0, "max_hold": 5.0},
+        {"push_retries": -1},
+        {"proximity_cache_ttl": -0.5},
+        {"held_byte_budget": float("inf")},  # a float in an int field
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             VoiceGuardConfig(**kwargs)
 
-    @pytest.mark.parametrize("name", [
-        "decision_timeout", "retry_base", "retry_cap",
-        "proximity_cache_ttl", "max_hold",
-    ])
+    @pytest.mark.parametrize("name", ["proximity_cache_ttl"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_floats_rejected(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
@@ -140,9 +135,7 @@ class TestDecisionMethod:
         phone = env.add_smartphone("phone", person)
         registry = DeviceRegistry()
         registry.register(phone, threshold=-8.0)
-        method = RssiDecisionMethod(
-            env.sim, env.push, registry, env.speaker_beacon, timeout=5.0,
-        )
+        method = RssiDecisionMethod(env.sim, env.push, registry, env.speaker_beacon)
         return env, person, phone, registry, method
 
     def _decide(self, env, method):

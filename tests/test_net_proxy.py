@@ -339,26 +339,15 @@ class TestUdpForwarder:
         assert received == []
         assert only_flow(proxy).records_discarded == 1
 
-    def test_refused_hold_forwarded_when_overflow_forwards(self, udp_world):
-        sim, proxy, forwarder, flow, received = udp_world
-        proxy.hold_budget = HoldBudget(limit_bytes=100)
-        proxy.record_policy = lambda f, p: ForwarderDecision.HOLD
-        shed = []
-        proxy.on_hold_overflow = lambda f: shed.append(f) or ForwarderDecision.FORWARD
-        flow.send(500)
-        sim.run_for(1.0)
-        assert shed == [only_flow(proxy)]
-        assert received == [500]
-        assert only_flow(proxy).records_forwarded == 1
-        assert proxy.hold_budget.held_bytes == 0
-
     def test_refused_hold_dropped_when_overflow_drops(self, udp_world):
         sim, proxy, forwarder, flow, received = udp_world
         proxy.hold_budget = HoldBudget(limit_bytes=100)
         proxy.record_policy = lambda f, p: ForwarderDecision.HOLD
-        proxy.on_hold_overflow = lambda f: ForwarderDecision.DROP
+        shed = []
+        proxy.on_hold_overflow = shed.append
         flow.send(500)
         sim.run_for(1.0)
+        assert shed == [only_flow(proxy)]  # the hook sheds, then the proxy drops
         assert received == []
         assert only_flow(proxy).records_discarded == 1
         assert only_flow(proxy).held == []

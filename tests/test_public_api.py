@@ -240,10 +240,41 @@ def test_scalar_draws_use_the_random_helpers():
         + ", ".join(sites))
 
 
-# "module:qualname" -> parameter names of each experiment entry point
-# whose every parameter has a caller that sets it.  The sweep runners'
-# names are also the CLI flags the one sweep handler passes them.
+# "module:qualname" -> parameter names of each experiment entry point,
+# guard component and substrate signature whose every parameter has a
+# caller that sets it (a class pins its constructor; the guard's config
+# fields are its constructor's).  The sweep runners' names are also the
+# CLI flags the one sweep handler passes them.
 RUNNER_PARAMETERS: Dict[str, List[str]] = {
+    "repro.core.config:VoiceGuardConfig": [
+        "push_retries", "proximity_cache_ttl", "max_concurrent_queries",
+        "decision_batching", "held_byte_budget"],
+    "repro.core.decision:RssiDecisionMethod": [
+        "sim", "push", "registry", "beacon", "floor_check", "push_retries",
+        "proximity_cache_ttl", "retry_rng", "on_event", "obs"],
+    "repro.core.decision:DecisionCoordinator": [
+        "method", "sim", "max_inflight", "batching", "obs"],
+    "repro.core.handler:TrafficHandler": ["sim", "proxy", "decision", "obs"],
+    "repro.core.guard:VoiceGuard.enable_floor_tracking": ["self", "sensor", "classifier"],
+    "repro.net.link:Network": ["sim", "rng", "jitter", "wan_loss"],
+    "repro.home.environment:HomeEnvironment": [
+        "testbed", "deployment", "seed", "fault_plan", "tracing", "with_fault_injector"],
+    "repro.home.devices:MobileDevice.record_trace": ["self", "beacon", "callback"],
+    "repro.speakers.interaction:EchoTrafficModel.response_plan": ["self"],
+    "repro.audio.verification:VoiceMatchVerifier.enroll": ["self", "voiceprint", "rng"],
+    "repro.radio.propagation:PropagationModel.average_rssi": [
+        "self", "tx", "rx", "rng", "samples"],
+    "repro.radio.propagation:PropagationModel.average_rssi_batch": [
+        "self", "tx", "rx", "rng", "samples"],
+    "repro.radio.propagation:PropagationModel.average_rssi_grid": [
+        "self", "tx", "points", "rng", "samples"],
+    "repro.analysis.stats:bootstrap_interval": ["outcomes", "confidence", "seed"],
+    "repro.analysis.reporting:render_task_timings": ["timings"],
+    "repro.analysis.reporting:render_metrics_snapshot": ["snapshot"],
+    "repro.obs.export:render_phase_table": ["rows"],
+    "repro.experiments.workload:SevenDayWorkload": ["scenario", "episode_gap"],
+    "repro.experiments.trace:run_trace": [
+        "testbed_name", "speaker_kind", "seed", "legit", "attacks"],
     "repro.experiments.rssi_tables:run_rssi_table": ["testbed", "seed", "scale", "workers"],
     "repro.experiments.runner:run_rssi_experiment": [
         "testbed_name", "speaker_kind", "deployment", "seed", "legit_count",

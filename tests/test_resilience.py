@@ -1,8 +1,8 @@
 """Fault injection and the resilient decision path.
 
-Covers the injector determinism contract, the ISSUE's decision-path
-edge cases (all devices offline, retry succeeding on the final attempt,
-degraded-cache expiry racing a late report, fail-open vs fail-closed at
+Covers the injector determinism contract, the decision-path edge cases
+(all devices offline, retry succeeding on the final attempt,
+degraded-cache expiry racing a late report, every command blocked at
 100 % push loss), the ``push.sent`` accounting fix, and the
 resilience experiment's same-seed reproducibility and retry dominance.
 """
@@ -14,7 +14,6 @@ import math
 import pytest
 
 from repro.analysis.metrics import percentile, summarize_resilience
-from repro.core.config import VoiceGuardConfig
 from repro.core.decision import DecisionContext, RssiDecisionMethod, Verdict
 from repro.core.registry import DeviceRegistry
 from repro.core.resilience import ProximityCache, ResilienceEventType
@@ -166,7 +165,8 @@ class TestPushAccounting:
 class TestDecisionResilience:
     def test_all_devices_offline_resolves_early(self):
         plan = FaultPlan(offline_windows=(offline_outage(0.0, 1e9),))
-        env, _, _, _, method = make_world(fault_plan=plan, timeout=5.0)
+        trail = []
+        env, _, _, _, method = make_world(fault_plan=plan, on_event=trail.append)
         resolved_at = []
         results = []
 
@@ -185,17 +185,17 @@ class TestDecisionResilience:
         assert result.offline_devices == ["phone1", "phone2"]
         assert not result.reports
         # Resolved on the last NACK, not by burning the full timeout.
-        kinds = [e.type for e in method.events]
+        kinds = [e.type for e in trail]
         assert kinds.count(ResilienceEventType.DEVICE_OFFLINE) == 2
         assert ResilienceEventType.DECISION_TIMEOUT not in kinds
         assert resolved_at[0] < 5.0  # NACKs land within push delivery time
 
     def test_retry_succeeds_on_final_attempt(self):
+        trail = []
         env, _, _, _, method = make_world(
-            fault_plan=BENIGN_PLAN,
-            timeout=12.0, push_retries=2, retry_base=0.5, retry_cap=2.0,
+            fault_plan=BENIGN_PLAN, push_retries=1, on_event=trail.append,
         )
-        drops = {"phone1": 2, "phone2": 2}  # lose the first two attempts each
+        drops = {"phone1": 1, "phone2": 1}  # lose the first attempt each
 
         def scripted_drop(name):
             if drops[name] > 0:
@@ -204,38 +204,40 @@ class TestDecisionResilience:
             return False
 
         env.faults.push_dropped = scripted_drop
-        result = decide(env, method, horizon=15.0)
+        result = decide(env, method)
         assert result.verdict is Verdict.LEGITIMATE
         assert result.satisfied_by == "phone1"
-        assert result.retries >= 2  # phone1 needed both extra attempts
+        assert result.retries >= 1  # phone1 needed its extra attempt
         retry_attempts = [
-            e.attempt for e in method.events
+            e.attempt for e in trail
             if e.type is ResilienceEventType.PUSH_RETRY and e.device_name == "phone1"
         ]
-        assert retry_attempts == [2, 3]
+        assert retry_attempts == [2]
 
     def test_offline_requery_next_best_device(self):
         plan = FaultPlan(offline_windows=(OfflineWindow("phone2", 0.0, 1e9),))
+        trail = []
         env, _, _, _, method = make_world(fault_plan=plan, push_retries=1,
-                                          retry_base=3.0, retry_cap=6.0)
+                                          on_event=trail.append)
         result = decide(env, method)
         assert result.verdict is Verdict.LEGITIMATE
         assert result.offline_devices == ["phone2"]
-        kinds = [e.type for e in method.events]
+        kinds = [e.type for e in trail]
         assert ResilienceEventType.DEVICE_OFFLINE in kinds
-        requeried = [e.device_name for e in method.events
+        requeried = [e.device_name for e in trail
                      if e.type is ResilienceEventType.OFFLINE_REQUERY]
         assert requeried in ([], ["phone1"]) or "phone1" in requeried
 
     def test_degraded_cache_expiry_races_late_report(self):
+        trail = []
         env, _, _, _, method = make_world(
-            fault_plan=BENIGN_PLAN,
-            timeout=0.2,  # shorter than any possible push+scan round trip
-            proximity_cache_ttl=60.0,
+            fault_plan=BENIGN_PLAN, proximity_cache_ttl=60.0, on_event=trail.append,
         )
-        # Query 1: the report can only arrive *after* the deadline — a
-        # TIMEOUT verdict whose late report then refreshes the cache.
-        first = decide(env, method)
+        # Query 1: every push is delayed past the 5 s decision timeout,
+        # so the report can only arrive *after* the deadline — a TIMEOUT
+        # verdict whose late report then refreshes the cache.
+        env.faults.push_extra_delay = lambda name: 6.0
+        first = decide(env, method, horizon=10.0)
         assert first.verdict is Verdict.TIMEOUT
         assert method.proximity_cache.entry("phone1") is not None
 
@@ -254,7 +256,7 @@ class TestDecisionResilience:
         third = decide(env, method)
         assert third.verdict is Verdict.TIMEOUT
         assert not third.degraded
-        kinds = [e.type for e in method.events]
+        kinds = [e.type for e in trail]
         assert ResilienceEventType.DEGRADED_GRANT in kinds
         assert ResilienceEventType.DEGRADED_MISS in kinds
 
@@ -262,7 +264,7 @@ class TestDecisionResilience:
         # A device that answered below threshold must not vouch from the
         # cache, however fresh its positive entry is.
         env, people, _, _, method = make_world(
-            fault_plan=BENIGN_PLAN, timeout=6.0, proximity_cache_ttl=600.0,
+            fault_plan=BENIGN_PLAN, proximity_cache_ttl=600.0,
         )
         method.proximity_cache.update("phone1", env.sim.now, True)
         method.proximity_cache.update("phone2", env.sim.now, True)
@@ -273,37 +275,29 @@ class TestDecisionResilience:
         assert len(result.reports) == 2
 
     def test_default_config_keeps_single_shot_protocol(self):
-        env, _, _, _, method = make_world()
+        trail = []
+        env, _, _, _, method = make_world(on_event=trail.append)
         assert method.push_retries == 0
         result = decide(env, method)
         assert result.retries == 0
-        assert not method.events
+        assert not trail
         assert counter(env, "push.sent") == 2  # exactly one push per device
 
 
 class TestFailPolicyUnderTotalLoss:
-    def _run(self, fail_open):
-        config = VoiceGuardConfig(fail_open=fail_open)
+    def test_total_push_loss_blocks_every_command(self):
         plan = FaultPlan(seed=5, push_loss=1.0)
         scenario = build_scenario("apartment", "echo", deployment=0, seed=11,
-                                  owner_count=2, config=config, fault_plan=plan)
+                                  owner_count=2, fault_plan=plan)
         SevenDayWorkload(scenario).run(3, 2)
         scenario.speaker.settle_all()
-        return scenario
-
-    def test_fail_open_releases_fail_closed_blocks(self):
-        open_scenario = self._run(fail_open=True)
-        closed_scenario = self._run(fail_open=False)
-        for scenario in (open_scenario, closed_scenario):
-            assert counter(scenario.env, "push.sent") == 0
-            assert counter(scenario.env, "push.lost") > 0
-            commands = scenario.guard.command_events()
-            assert commands
-            assert all(c.verdict is Verdict.TIMEOUT for c in commands)
-        assert counter(open_scenario.env, "proxy.commands_blocked") == 0
-        assert counter(open_scenario.env, "proxy.commands_released") > 0
-        assert counter(closed_scenario.env, "proxy.commands_released") == 0
-        assert counter(closed_scenario.env, "proxy.commands_blocked") > 0
+        assert counter(scenario.env, "push.sent") == 0
+        assert counter(scenario.env, "push.lost") > 0
+        commands = scenario.guard.command_events()
+        assert commands
+        assert all(c.verdict is Verdict.TIMEOUT for c in commands)
+        assert counter(scenario.env, "proxy.commands_released") == 0
+        assert counter(scenario.env, "proxy.commands_blocked") > 0
 
 
 # -- proximity cache / metrics ----------------------------------------------

@@ -196,6 +196,10 @@ class TestCli:
          "scale must be a finite number above 0, got -1.0"),
         (["report", "--scale", "0"], "scale must be a finite number above 0, got 0.0"),
         (["resilience", "--scale", "nan"], "scale must be a finite number above 0, got nan"),
+        (["trace", "house", "--commands", "-1"],
+         "command counts must be >= 0, got legit=-1, attacks=1"),
+        (["trace", "house", "--attacks", "-1"],
+         "command counts must be >= 0, got legit=2, attacks=-1"),
     ])
     def test_empty_workload_is_one_line_and_exit_2(self, argv, message, capsys):
         # Before anything runs: no table of empty cells, no nan% rows.
