@@ -34,11 +34,12 @@ Two fidelities share the same population and reducers:
     leak cluster included) at the occupant's measurement point and
     applies the guard's threshold decision plus a retry/push-loss
     latency model, once per block of homes (:func:`simulate_block`).
-    About 50 microseconds per home at the benchmark's reference host
-    speed (19k homes/s serial): about half the home's synthesis and
-    model draws, a sixth seeding its two generators (in batches, see
-    :func:`repro.sim.random.generators`); this is what makes
-    million-home sweeps possible.
+    About 40 microseconds per home at the benchmark's reference host
+    speed (25k homes/s serial), a third of it synthesis.  Each home
+    seeds two generators (in batches, see
+    :func:`repro.sim.random.generators`) and draws its integers from
+    raw words (:func:`repro.sim.random.raw_integers`); this is what
+    makes million-home sweeps possible.
 ``full``
     The packet-level scenario simulation (speaker boot, TCP, BLE
     scans, the works) per home — seconds per home, for validating the
@@ -69,7 +70,7 @@ from repro.experiments.synthesis import (
     warm_worlds,
 )
 from repro.obs.metrics import QuantileSketch
-from repro.sim.random import generators
+from repro.sim.random import generator, generators, raw_integers
 
 FIDELITIES = ("fast", "full")
 
@@ -138,8 +139,8 @@ def _latency_model(
     PUSH_ATTEMPTS)`` attempt failures.  Each decision scans, then
     pushes up to :data:`PUSH_ATTEMPTS` times; a failed attempt costs one
     round-trip plus exponential backoff.  A decision whose every attempt
-    fails is a timeout (the guard falls through to its fail-open
-    policy).
+    fails is a timeout.  The guard blocks a timed-out command; this
+    model still counts it as executed (ROADMAP item 1).
     """
     # Retries = failed attempts before the first success (0..ATTEMPTS-1).
     first_ok = np.argmin(fails, axis=1)  # index of first False
@@ -176,6 +177,49 @@ class HomeBlock:
     latency_home: np.ndarray
 
 
+# A loss-free home's push-attempt uniforms: none.
+_NO_ATTEMPTS = np.empty((0, PUSH_ATTEMPTS))
+
+
+def _home_draws(spec: HomeSpec, world: FleetWorld, rng: np.random.Generator,
+                exact: bool = False):
+    """One fast home's draws from its generator, in the order that
+    defines the population: legit-point picks (the speaker's, then each
+    extra owner's), away-point picks (extra owners', then every owner's
+    per attack), uniforms (body block, then extra owners away),
+    standard normals (legit noise, body loss, extra owners' noise,
+    attack noise), then per decision a scan window, a push round-trip
+    tail and, on a lossy network, a uniform per push attempt.
+
+    Returns ``(head, normals, scans, tails, attempts)``.  The head is
+    the raw words the picks and uniforms come from (the picks' words,
+    then one a uniform), which :func:`simulate_block` decodes for its
+    whole block at once; with ``exact`` it is ``(legit picks, away
+    picks, uniforms)`` from numpy's own calls instead, for a home whose
+    words numpy would have drawn differently.
+    """
+    extra = spec.owner_count - 1
+    n = spec.legit_commands + spec.attacks
+    n_picks = (1 + extra) * spec.legit_commands
+    n_away = extra * spec.legit_commands + spec.owner_count * spec.attacks
+    if exact:
+        head = (rng.integers(0, world.legit_means.size, size=n_picks),
+                rng.integers(0, world.away_means.size, size=n_away),
+                rng.random(n_picks))
+    else:
+        # A pick takes a 32-bit half-word, none among a single point.
+        halves = (n_picks * (world.legit_means.size > 1)
+                  + n_away * (world.away_means.size > 1))
+        head = rng.bit_generator.random_raw((halves + 1) // 2 + n_picks)
+    normals = rng.standard_normal((2 + extra) * spec.legit_commands
+                                  + spec.owner_count * spec.attacks)
+    lo, hi = SCAN_WINDOW[spec.device_kind]
+    scans = lo + (hi - lo) * rng.random(n)  # uniform(lo, hi, n)
+    tails = rng.exponential(PUSH_RTT_TAIL, size=n)
+    attempts = rng.random((n, PUSH_ATTEMPTS)) if spec.push_loss > 0.0 else _NO_ATTEMPTS
+    return head, normals, scans, tails, attempts
+
+
 def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
     """The reduced-order home model (``fast`` fidelity), for a block of
     homes.
@@ -184,49 +228,24 @@ def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
     (:func:`~repro.experiments.synthesis.fleet_world` caches the
     per-bucket surfaces); this function adds each home's occupancy,
     noise, and decision policy on top.  Each home draws from its own
-    generator in a fixed, documented order, which defines the
-    population; everything after the draws runs once for the block on
-    flat arrays, each home one segment of them.
+    generator in a fixed, documented order (:func:`_home_draws`), which
+    defines the population; everything after the draws runs once for
+    the block on flat arrays, each home one segment of them.
     """
     slots: Dict[int, int] = {}  # id(world) -> its place in ``worlds``
     worlds: List[FleetWorld] = []
-    ints, floats = [], []
-    legit_picks, away_picks, uniforms, normals, scans, tails, attempts = (
-        [] for _ in range(7))
-    rngs = generators([derive_seed(spec.seed, "home.run") for spec in specs])
-    for spec, rng in zip(specs, rngs):
+    ints, floats, draws = [], [], []
+    seeds = [derive_seed(spec.seed, "home.run") for spec in specs]
+    for spec, rng in zip(specs, generators(seeds)):
         world = fleet_world(spec.testbed, spec.deployment, spec.plan_scale)
         slot = slots.setdefault(id(world), len(worlds))
         if slot == len(worlds):
             worlds.append(world)
-        n_legit = spec.legit_commands
-        n_attack = spec.attacks
-        owners = spec.owner_count
-        extra = owners - 1
-        n = n_legit + n_attack
-        # The home's draws, in order: legit-point picks (the speaker's,
-        # then each extra owner's), away-point picks (extra owners', then
-        # every owner's per attack), uniforms (body block, then extra
-        # owners away), standard normals (legit noise, body loss, extra
-        # owners' noise, attack noise), then per decision a scan window,
-        # a push round-trip tail and, on a lossy network, a uniform per
-        # push attempt.
-        legit_picks.append(rng.integers(0, world.legit_means.size,
-                                        size=(1 + extra) * n_legit))
-        away_picks.append(rng.integers(0, world.away_means.size,
-                                       size=extra * n_legit + owners * n_attack))
-        uniforms.append(rng.random((1 + extra) * n_legit))
-        normals.append(rng.standard_normal(
-            (2 + extra) * n_legit + owners * n_attack))
-        lo, hi = SCAN_WINDOW[spec.device_kind]
-        scans.append(lo + (hi - lo) * rng.random(n))  # uniform(lo, hi, n)
-        tails.append(rng.exponential(PUSH_RTT_TAIL, size=n))
-        if spec.push_loss > 0.0:
-            attempts.append(rng.random((n, PUSH_ATTEMPTS)))
+        draws.append(_home_draws(spec, world, rng))
         sigma = world.model.params.sample_noise_sigma
         if spec.device_kind == "smartwatch":
             sigma += WATCH_EXTRA_NOISE
-        ints.append((slot, n_legit, n_attack, extra))
+        ints.append((slot, spec.legit_commands, spec.attacks, spec.owner_count - 1))
         floats.append((sigma, world.model.params.body_occlusion,
                        world.threshold_base - spec.threshold_margin,
                        spec.away_fraction, spec.body_block_fraction, spec.push_loss))
@@ -239,16 +258,44 @@ def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
     # own world's stretch of them.
     legit_table = np.concatenate([world.legit_means for world in worlds])
     away_table = np.concatenate([world.away_means for world in worlds])
-    legit_base = _starts(np.array([world.legit_means.size for world in worlds]))[slot]
-    away_base = _starts(np.array([world.away_means.size for world in worlds]))[slot]
-    picks = np.concatenate(legit_picks)
-    away_picks = np.concatenate(away_picks)
-    uniforms = np.concatenate(uniforms)
-    normals = np.concatenate(normals)
+    world_legit = np.array([world.legit_means.size for world in worlds])
+    world_away = np.array([world.away_means.size for world in worlds])
+    legit_base = _starts(world_legit)[slot]
+    away_base = _starts(world_away)[slot]
     # Legit picks and uniforms have the same per-home sizes.
-    pick_start = _starts((1 + extra) * n_legit)
-    away_start = _starts(extra * n_legit + owners * n_attack)
+    n_picks = (1 + extra) * n_legit
+    n_away = extra * n_legit + owners * n_attack
+    pick_start = _starts(n_picks)
+    away_start = _starts(n_away)
     normal_start = _starts((2 + extra) * n_legit + owners * n_attack)
+
+    # -- the heads: each home's pick words, then its uniform words --
+    legit_points, away_points = world_legit[slot], world_away[slot]
+    halves = n_picks * (legit_points > 1) + n_away * (away_points > 1)
+    pick_words = (halves + 1) // 2
+    home, j = _segments(pick_words + n_picks)
+    words = np.concatenate([head for head, *_ in draws])
+    is_pick = j < pick_words[home]
+    # Per home: its legit picks, its away picks, and a bound-2 pick if it
+    # would leave half a word over.
+    counts = np.column_stack([n_picks, n_away, halves % 2])
+    bounds = np.column_stack([legit_points, away_points, np.full_like(slot, 2)])
+    values, retried = raw_integers(words[is_pick], np.repeat(bounds.ravel(), counts.ravel()))
+    kind = np.repeat(np.tile(np.arange(3), len(specs)), counts.ravel())
+    picks = values[kind == 0]
+    away_picks = values[kind == 1]
+    uniforms = (words[~is_pick] >> np.uint64(11)) * 2.0**-53  # next_double
+    # Where numpy would have drawn another half-word (at most about one
+    # pick in 10**8), the home is drawn again with numpy's own calls.
+    retried = np.repeat(np.arange(len(specs)), counts.sum(axis=1))[retried]
+    for h in sorted(set(retried.tolist())):
+        draws[h] = _home_draws(specs[h], worlds[slot[h]], generator(seeds[h]), exact=True)
+        legit, away, uniform = draws[h][0]
+        picks[pick_start[h]:pick_start[h] + legit.size] = legit
+        away_picks[away_start[h]:away_start[h] + away.size] = away
+        uniforms[pick_start[h]:pick_start[h] + uniform.size] = uniform
+    _, *rest = zip(*draws)
+    normals, scans, tails, attempts = (np.concatenate(arrays) for arrays in rest)
 
     # -- legitimate episodes: the speaking owner is at a legit point --
     home, j = _segments(n_legit)
@@ -284,11 +331,9 @@ def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
     # Loss-free homes (most of the fleet) drew no attempt uniforms:
     # their first push always lands.
     fails = np.zeros((home.size, PUSH_ATTEMPTS), dtype=bool)
-    if attempts:
-        lossy = push_loss[home] > 0.0
-        fails[lossy] = np.concatenate(attempts) < push_loss[home[lossy], None]
-    latency, timeout, retries = _latency_model(
-        np.concatenate(scans), PUSH_RTT_BASE + np.concatenate(tails), fails)
+    lossy = push_loss[home] > 0.0
+    fails[lossy] = attempts < push_loss[home[lossy], None]
+    latency, timeout, retries = _latency_model(scans, PUSH_RTT_BASE + tails, fails)
     legit = k < n_legit[home]
     homes = len(specs)
 

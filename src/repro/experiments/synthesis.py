@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from repro.radio.floorplan import FLOOR_HEIGHT, Door, FloorPlan, Room, SlabZone
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
 from repro.radio.testbeds import Testbed, WalkRoute, testbed_by_name
-from repro.sim.random import generator, generators, pick
+from repro.sim.random import generator, generators, raw_integers
 
 # Share of each base testbed in the synthesized population.
 DEFAULT_TESTBED_MIX: Tuple[Tuple[str, float], ...] = (
@@ -136,11 +136,17 @@ class PopulationModel:
         for name, _ in self.testbed_mix:
             testbed_by_name(name)  # raises on unknown names, at config time
         object.__setattr__(self, "_mix_cumulative", _cumulative(self.testbed_mix))
+        # The head's integers: deployment, plan-scale slot, extra owners,
+        # and a bound-2 pad where they would leave half a word over.
+        slots = len(self.plan_scales)
+        object.__setattr__(self, "_head_bounds", (2, slots, 3, 2) if slots > 1 else (2, 1, 3))
 
     def home(self, base_seed: int, shard: int, offset: int, index: int) -> HomeSpec:
-        """Synthesize home ``offset`` of ``shard`` (global ``index``)."""
+        """Synthesize home ``offset`` of ``shard`` (global ``index``), with
+        numpy's own calls: for one home they cost less than decoding its
+        raw words."""
         seed = derive_seed(base_seed, "fleet.home", shard, offset)
-        return self._spec(shard, index, seed, generator(seed))
+        return self._spec(shard, index, seed, *self._draws(generator(seed), exact=True))
 
     def homes(self, base_seed: int, shard: int, lo: int, hi: int,
               shard_start: int) -> List[HomeSpec]:
@@ -149,30 +155,64 @@ class PopulationModel:
         generators seeded as one batch."""
         seeds = [derive_seed(base_seed, "fleet.home", shard, offset)
                  for offset in range(lo, hi)]
-        rngs = generators(seeds)
-        return [self._spec(shard, shard_start + lo + i, seed, rngs[i])
-                for i, seed in enumerate(seeds)]
+        return self._specs(shard, shard_start + lo, seeds, generators(seeds))
 
-    def _spec(self, shard: int, index: int, seed: int, rng: np.random.Generator) -> HomeSpec:
-        """The home with seed ``seed``, drawn from ``rng`` (seeded with it).
+    def _draws(self, rng: np.random.Generator, exact: bool = False):
+        """A home's draws from its generator, ``(head, u, legit_commands,
+        attacks, threshold_margin)``.
 
         The draw order below is part of the population's definition:
         reordering it would re-deal every home in every fleet.  Draws
-        come in a fixed-size head (one uniform vector, then three
-        integers: deployment, plan-scale slot, extra owners) and a
-        variable-size tail, so synthesis stays cheap at millions of
-        homes; unused entries are drawn anyway to keep every home's
-        stream aligned.
+        come in a fixed-size head (six uniforms, then three integers:
+        deployment, plan-scale slot, extra owners) and a variable-size
+        tail, so synthesis stays cheap at millions of homes; unused
+        entries are drawn anyway to keep every home's stream aligned.
+
+        The head is one ``random_raw`` call: the uniforms' words, then
+        the words of the integers, which :meth:`_specs` decodes for its
+        whole batch (a one-slot plan-scale draw takes no half-word, so
+        one word holds the other two).  With ``exact``, numpy's own
+        calls draw the head instead: for a single home, and for a home
+        whose words numpy would have drawn differently.
         """
         # u: [mix pick, watch pick, away, body-block, attacked, loss tier]
-        u = rng.random(6)
-        # Deployment, floor-plan jitter and extra owners: three scalar
-        # draws, the same values and generator state as
-        # ``rng.integers(0, (2, len(plan_scales), 3))``.
-        deployment = int(rng.integers(0, 2))
-        plan_scale = float(pick(rng, self.plan_scales))
-        extra_owners = int(rng.integers(0, 3))
+        if exact:
+            u = rng.random(6).tolist()
+            head = [int(rng.integers(0, bound)) for bound in self._head_bounds[:3]]
+        else:
+            words = rng.bit_generator.random_raw(6 + len(self._head_bounds) // 2).tolist()
+            u = [(word >> 11) * 2.0**-53 for word in words[:6]]  # next_double
+            head = words[6:]
+        legit_commands = max(1, int(rng.poisson(self.legit_commands_mean)))
+        attacks = 0
+        if u[4] < self.attack_prevalence:
+            attacks = max(1, int(rng.poisson(self.attacks_mean)))
+        threshold_margin = 0.0 + 0.5 * rng.standard_normal()  # normal(0.0, 0.5)
+        return head, u, legit_commands, attacks, threshold_margin
 
+    def _specs(self, shard: int, first_index: int, seeds: List[int],
+               rngs: Sequence[np.random.Generator]) -> List[HomeSpec]:
+        """The homes with these seeds, home ``i`` drawn from ``rngs[i]``
+        (seeded with ``seeds[i]``) and at global index ``first_index + i``."""
+        draws = [self._draws(rng) for rng in rngs]
+        bounds = self._head_bounds
+        values, retried = raw_integers(
+            np.array([head for head, *_ in draws], dtype=np.uint64).ravel(),
+            np.tile(bounds, len(draws)))
+        heads = values.reshape(len(draws), len(bounds)).tolist()
+        # Where numpy would have drawn another half-word (at most about
+        # one home in 10**9), the home is drawn again with numpy's calls.
+        for i in np.flatnonzero(retried.reshape(len(draws), -1).any(axis=1)).tolist():
+            draws[i] = self._draws(generator(seeds[i]), exact=True)
+            heads[i] = draws[i][0]
+        return [self._spec(shard, first_index + i, seed, head, *draw[1:])
+                for i, (seed, head, draw) in enumerate(zip(seeds, heads, draws))]
+
+    def _spec(self, shard: int, index: int, seed: int, head: List[int], u: List[float],
+              legit_commands: int, attacks: int, threshold_margin: float) -> HomeSpec:
+        """The home with seed ``seed``, from its :meth:`_draws` and their
+        decoded head."""
+        deployment, slot, extra_owners = head[:3]
         # 1. Base testbed, by mix weight.
         testbed = self._mix_cumulative[-1][0]
         for name, cumulative in self._mix_cumulative:
@@ -190,23 +230,16 @@ class PopulationModel:
             device_kind = "smartwatch" if u[1] < 0.15 else "smartphone"
 
         # 3. Occupancy schedule.
-        away_fraction = 0.25 + 0.55 * float(u[2])
-        body_block_fraction = 0.2 + 0.4 * float(u[3])
-        legit_commands = max(1, int(rng.poisson(self.legit_commands_mean)))
+        away_fraction = 0.25 + 0.55 * u[2]
+        body_block_fraction = 0.2 + 0.4 * u[3]
 
-        # 4. Attack prevalence.
-        attacks = 0
-        if u[4] < self.attack_prevalence:
-            attacks = max(1, int(rng.poisson(self.attacks_mean)))
-
-        # 5. Operational diversity.
+        # 4. Operational diversity.
         tier_pick = u[5]
         push_loss = _LOSS_CUMULATIVE[-1][0]
         for tier, cumulative in _LOSS_CUMULATIVE:
             if tier_pick < cumulative:
                 push_loss = tier
                 break
-        threshold_margin = 0.0 + 0.5 * rng.standard_normal()  # normal(0.0, 0.5)
 
         return HomeSpec(
             index=index,
@@ -214,7 +247,7 @@ class PopulationModel:
             seed=seed,
             testbed=testbed,
             deployment=deployment,
-            plan_scale=plan_scale,
+            plan_scale=float(self.plan_scales[slot]),
             owner_count=owner_count,
             device_kind=device_kind,
             legit_commands=legit_commands,

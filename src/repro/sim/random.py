@@ -11,7 +11,11 @@ Scalar draws go through :func:`uniform`, :func:`pick` and
 :func:`generator`.  Each spells one numpy call the way numpy computes
 it, so it yields the same value and leaves the generator in the same
 state, without the per-call argument handling that dominates a scalar
-draw's cost.  :func:`generators` seeds many generators at once the way
+draw's cost.  :func:`raw_integers` spells ``integers(0, n)`` draws
+from raw 64-bit words (``bit_generator.random_raw``), the way numpy
+computes them, for many draws and many generators in one array
+computation; ``(word >> 11) * 2**-53`` is the word's ``random()``.
+:func:`generators` seeds many generators at once the way
 ``default_rng`` seeds each.  ``tests/test_sim_random.py`` pins each
 identity.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import operator
-from typing import Dict, Sequence, TypeVar
+from typing import Dict, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -42,6 +46,50 @@ def pick(rng: np.random.Generator, seq: Sequence[_T]) -> _T:
     index as ``integers(0, len(seq))``.  Returns the element itself,
     not a numpy scalar."""
     return seq[rng.integers(0, len(seq))]
+
+
+_HALF = np.uint64(32)
+_LOW = np.uint64(0xFFFFFFFF)
+_TWO_32 = np.uint64(2**32)
+
+
+def raw_integers(words: np.ndarray, bounds) -> Tuple[np.ndarray, np.ndarray]:
+    """``[rng.integers(0, n) for n in bounds]`` from ``words =
+    rng.bit_generator.random_raw(k)``, as ``(values, retried)``.
+
+    numpy draws a bound ``1 <= n <= 2**32`` from one 32-bit half-word
+    ``x`` as ``(x * n) >> 32`` (Lemire's multiply-shift).  PCG64 serves
+    a word's low half, then keeps its high half for the next 32-bit
+    draw, in the same ``integers`` call or a later one; ``random``,
+    ``standard_normal`` and ``exponential`` never read that half.  A
+    bound of 1 takes no half.  Halves are split with arithmetic, so
+    the byte order does not matter.
+
+    numpy rejects a half, and draws another, when ``(x * n) &
+    0xFFFFFFFF < (2**32 - n) % n``: ``retried[i]`` marks such a draw
+    (at most ``n / 2**32`` likely).  From there on the values are not
+    numpy's, and the generator would have drawn more words.
+
+    Several generators' draws go in one call, their words and bounds in
+    turn, when each uses all the halves of its words: one that would
+    leave a half over ends with a bound of 2, which numpy never rejects.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if bounds.size and not (bounds.min() >= 1 and bounds.max() <= 2**32):
+        raise SimulationError("an integers bound must be in [1, 2**32]")
+    bounds = bounds.astype(np.uint64)
+    halves = np.empty(2 * words.size, dtype=np.uint64)
+    halves[0::2] = words & _LOW
+    halves[1::2] = words >> _HALF
+    drawn = bounds > 1
+    count = int(np.count_nonzero(drawn))
+    if count > halves.size:
+        raise SimulationError(f"{count} half-words drawn from {words.size} words")
+    x = np.zeros(bounds.size, dtype=np.uint64)
+    x[drawn] = halves[:count]
+    scaled = x * bounds
+    return ((scaled >> _HALF).astype(np.int64),
+            (scaled & _LOW) < (_TWO_32 - bounds) % bounds)
 
 
 def generator(seed) -> np.random.Generator:

@@ -1,16 +1,19 @@
 """Fleet simulation tests: sharded synthesis determinism, floor-plan
 jitter geometry, byte-identical fleet tables across worker counts /
 chunk sizes / shard orders, reducer associativity,
-and the constant-memory guarantee of the streaming fold."""
+the constant-memory guarantee of the streaming fold, and the raw-word
+draws of synthesis and the fast kernel against numpy's own calls."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
+from repro.experiments import fleet, synthesis
 from repro.experiments.fleet import (
     BLOCK_HOMES,
     SEED_BATCH,
@@ -18,10 +21,15 @@ from repro.experiments.fleet import (
     FleetConfig,
     run_fleet,
     run_fleet_chunk,
+    simulate_block,
     simulate_home,
 )
+from repro.experiments.parallel import derive_seed
 from repro.experiments.synthesis import (
     DEFAULT_PLAN_SCALES,
+    PUSH_LOSS_TIERS,
+    PUSH_LOSS_WEIGHTS,
+    HomeSpec,
     PopulationModel,
     fleet_world,
     scale_testbed,
@@ -41,6 +49,64 @@ def small_fleet():
 # ---------------------------------------------------------------------------
 # Home synthesis
 # ---------------------------------------------------------------------------
+
+def by_weight(pairs, draw):
+    """The value whose cumulative normalized weight first exceeds ``draw``."""
+    pairs = list(pairs)
+    total = float(sum(weight for _, weight in pairs))
+    running = 0.0
+    for value, weight in pairs:
+        running += weight / total
+        if draw < running:
+            return value
+    return pairs[-1][0]
+
+
+def numpy_home(pop: PopulationModel, base_seed: int, shard: int, offset: int) -> HomeSpec:
+    """``pop.home(base_seed, shard, offset, offset)`` drawn with numpy's
+    own calls: the reference for synthesis's raw-word head."""
+    seed = derive_seed(base_seed, "fleet.home", shard, offset)
+    rng = np.random.default_rng(seed)
+    u = rng.random(6)
+    deployment = int(rng.integers(0, 2))
+    plan_scale = float(pop.plan_scales[rng.integers(0, len(pop.plan_scales))])
+    extra_owners = int(rng.integers(0, 3))
+    testbed = by_weight(pop.testbed_mix, u[0])
+    office = testbed == "office"
+    legit_commands = max(1, int(rng.poisson(pop.legit_commands_mean)))
+    attacks = (max(1, int(rng.poisson(pop.attacks_mean)))
+               if u[4] < pop.attack_prevalence else 0)
+    return HomeSpec(
+        index=offset, shard=shard, seed=seed, testbed=testbed, deployment=deployment,
+        plan_scale=plan_scale, owner_count=1 if office else 1 + extra_owners,
+        device_kind="smartwatch" if office or u[1] < 0.15 else "smartphone",
+        legit_commands=legit_commands, attacks=attacks,
+        away_fraction=0.25 + 0.55 * float(u[2]),
+        body_block_fraction=0.2 + 0.4 * float(u[3]),
+        push_loss=by_weight(zip(PUSH_LOSS_TIERS, PUSH_LOSS_WEIGHTS), u[5]),
+        threshold_margin=float(rng.normal(0.0, 0.5)))
+
+
+def always_retried(monkeypatch, module):
+    """Make ``module``'s raw-word integers report a numpy retry on every
+    draw, and zeros for values, so every home takes the exact path and
+    keeps nothing of the raw one; returns the seeds that path built
+    generators for."""
+    real_integers, real_generator = module.raw_integers, module.generator
+    seeded = []
+
+    def raw_integers(words, bounds):
+        values, retried = real_integers(words, bounds)
+        return np.zeros_like(values), np.ones_like(retried)
+
+    def generator(seed):
+        seeded.append(seed)
+        return real_generator(seed)
+
+    monkeypatch.setattr(module, "raw_integers", raw_integers)
+    monkeypatch.setattr(module, "generator", generator)
+    return seeded
+
 
 class TestSynthesis:
     def test_spec_depends_only_on_shard_and_offset(self):
@@ -87,6 +153,20 @@ class TestSynthesis:
         batch = pop.homes(3, 2, 5, 5 + BLOCK_HOMES + 6, 100)
         assert batch == [pop.home(3, 2, offset, 100 + offset)
                          for offset in range(5, 5 + BLOCK_HOMES + 6)]
+
+    @pytest.mark.parametrize("scales", [(1.0,), DEFAULT_PLAN_SCALES], ids=["one-slot", "default"])
+    def test_homes_are_the_numpy_calls(self, scales):
+        # One slot is the fleet-full population: its slot draw takes no
+        # half-word, so the head is 7 words, not 8.
+        pop = PopulationModel(plan_scales=scales)
+        assert pop.homes(3, 1, 0, 300, 0) == [numpy_home(pop, 3, 1, o) for o in range(300)]
+
+    def test_forced_rejection_redraws_the_same_homes(self, monkeypatch):
+        pop = PopulationModel()
+        normal = pop.homes(3, 0, 0, 200, 0)
+        seeded = always_retried(monkeypatch, synthesis)
+        assert pop.homes(3, 0, 0, 200, 0) == normal
+        assert seeded == [spec.seed for spec in normal]
 
     def test_attack_prevalence_knob(self):
         quiet = PopulationModel(attack_prevalence=0.0)
@@ -194,6 +274,28 @@ class TestSimulateHome:
             assert summary.timeouts + summary.latencies_us.size == \
                 summary.decisions
             assert all(value > 0 for value in summary.latencies_us.tolist())
+
+    @pytest.mark.parametrize("points", [None, "legit", "away"],
+                             ids=["as-built", "one-legit-point", "one-away-point"])
+    def test_forced_rejection_block_is_the_normal_block(self, monkeypatch, points):
+        # Every home drawn again with numpy's own calls, on worlds as
+        # built and on worlds cut to one point, whose picks take no
+        # half-word.
+        specs = PopulationModel().homes(5, 0, 0, BLOCK_HOMES, 0)
+        if points:
+            field = f"{points}_means"
+            monkeypatch.setattr(fleet, "fleet_world", lambda *bucket: dataclasses.replace(
+                fleet_world(*bucket), **{field: getattr(fleet_world(*bucket), field)[:1]}))
+        normal = simulate_block(specs)
+        seeded = always_retried(monkeypatch, fleet)
+        forced = simulate_block(specs)
+        assert len(seeded) == len(specs)
+        assert forced.testbeds == normal.testbeds
+        assert forced.counts.keys() == normal.counts.keys()
+        for key, values in normal.counts.items():
+            assert np.array_equal(forced.counts[key], values), key
+        assert np.array_equal(forced.latencies_us, normal.latencies_us)
+        assert np.array_equal(forced.latency_home, normal.latency_home)
 
 
 # ---------------------------------------------------------------------------

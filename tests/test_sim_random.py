@@ -8,6 +8,10 @@ of the digests failing without a reason.  Draws are interleaved with
 scalar ``integers`` calls: PCG64 buffers the spare 32-bit half of a
 64-bit output, and a spelling that skipped or consumed that half would
 diverge only after such a call.
+
+:func:`~repro.sim.random.raw_integers` is checked against sized and
+scalar ``integers`` calls; where numpy rejects a half-word and draws
+again is read off numpy's own generator state, not recomputed.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.random import generator, generators, pick, uniform
+from repro.sim.random import generator, generators, pick, raw_integers, uniform
 
 SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
 # Upper bounds of the interleaved ``integers`` draws: 1 draws nothing,
@@ -192,3 +196,97 @@ def test_batch_words_seed_pcg64_only(size):
     assert not isinstance(seed_seq, np.random.SeedSequence)
     with pytest.raises(SimulationError):
         seed_seq.generate_state(8)
+
+
+# Bounds of the raw-word integers: 1 takes no half-word, 2**31 + 1 and
+# 3 * 2**30 + 1 reject about half and a quarter of all half-words.
+RAW_BOUNDS = st.one_of(
+    st.sampled_from([1, 2, 3, 7, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1]),
+    st.integers(min_value=1, max_value=2**32 - 1))
+
+
+def words_for(bounds) -> int:
+    """The raw words ``raw_integers`` reads for ``bounds``."""
+    return (sum(1 for bound in bounds if bound > 1) + 1) // 2
+
+
+def numpy_retries(seed: int, bounds):
+    """Each ``integers(0, n)`` numpy draws for ``bounds`` in turn from
+    ``default_rng(seed)``, and whether it took more than one half-word,
+    read off the generator's state (words served, spare half kept)."""
+    rng, probe = np.random.default_rng(seed), np.random.default_rng(seed)
+    words = halves = 0
+    values, retried = [], []
+    for bound in bounds:
+        values.append(int(rng.integers(0, bound)))
+        state = rng.bit_generator.state
+        while probe.bit_generator.state["state"] != state["state"]:
+            probe.bit_generator.random_raw()
+            words += 1
+        used = 2 * words - state["has_uint32"] - halves
+        halves += used
+        assert used >= 1 if bound > 1 else used == 0
+        retried.append(used > 1)
+    return values, retried
+
+
+def first(flags) -> int:
+    return next((i for i, flag in enumerate(flags) if flag), len(flags))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, st.lists(st.tuples(RAW_BOUNDS, st.sampled_from([0, 1, 2, 5, 8, 13])),
+                       min_size=1, max_size=4))
+def test_raw_integers_are_generator_integers(seed, calls):
+    # Consecutive sized calls share PCG64's buffered half-word.
+    bounds = [bound for bound, size in calls for _ in range(size)]
+    ours, numpys = twins(seed)
+    values, retried = raw_integers(ours.bit_generator.random_raw(words_for(bounds)), bounds)
+    expected = [int(value) for bound, size in calls
+                for value in numpys.integers(0, bound, size)]
+    scalars, numpy_retried = numpy_retries(seed, bounds)
+    assert scalars == expected
+    at = first(numpy_retried)
+    assert first(retried.tolist()) == at
+    assert values.tolist()[:at] == expected[:at]
+    assert values.dtype == np.int64
+    if at == len(bounds):
+        assert ours.standard_normal() == numpys.standard_normal()
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.integers(min_value=1, max_value=12))
+def test_raw_head_is_the_synthesis_draws(seed, slots):
+    # PopulationModel's head: six uniforms, then deployment, plan-scale
+    # slot and extra owners, one bound-2 pad when they leave half a word
+    # over; a one-slot draw takes no half-word, so the head is 7 words.
+    bounds = (2, slots, 3) + ((2,) if slots > 1 else ())
+    ours, numpys = twins(seed)
+    words = ours.bit_generator.random_raw(6 + words_for(bounds))
+    assert words.size == (7 if slots == 1 else 8)
+    assert ((words[:6] >> np.uint64(11)) * 2.0**-53).tolist() == numpys.random(6).tolist()
+    values, retried = raw_integers(words[6:], bounds)
+    expected = [numpys.integers(0, 2), numpys.integers(0, slots), numpys.integers(0, 3)]
+    # Twelve raw 32-bit draws stand in for random(6): six words, no half kept.
+    numpy_retried = numpy_retries(seed, [2**32] * 12 + [2, slots, 3])[1][12:]
+    assert retried[:3].tolist() == numpy_retried and not retried[3:].any()
+    if not any(numpy_retried):
+        assert values[:3].tolist() == expected
+        assert ours.standard_normal() == numpys.standard_normal()
+        assert ours.poisson(5.0) == numpys.poisson(5.0)
+
+
+def test_raw_integers_at_the_bounds():
+    words = np.array([0xFFFFFFFF_00000000, 0x00000002_FFFFFFFF], dtype=np.uint64)
+    values, retried = raw_integers(words, [2**32, 1, 2**32, 2**32 - 1, 2**31 + 1])
+    assert values.tolist() == [0, 0, 2**32 - 1, 2**32 - 2, 1]
+    assert retried.tolist() == [False, False, False, False, True]
+    values, retried = raw_integers(words[:0], [])
+    assert values.size == retried.size == 0
+
+
+@pytest.mark.parametrize("bounds", [[0], [2**32 + 1], [-1, 3], [3] * 5],
+                         ids=["zero", "2**32+1", "negative", "too-few-words"])
+def test_raw_integers_reject_what_numpy_would_not_draw(bounds):
+    with pytest.raises(SimulationError):
+        raw_integers(np.zeros(2, dtype=np.uint64), bounds)
