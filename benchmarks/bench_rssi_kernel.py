@@ -44,6 +44,7 @@ from repro.core.threshold import perimeter_route
 from repro.home.devices import TRACE_SAMPLE_COUNT, TRACE_SAMPLE_PERIOD
 from repro.home.environment import HomeEnvironment
 from repro.radio.geometry import Point, distance
+from repro.radio import propagation as prop
 from repro.radio.propagation import PropagationModel
 from repro.radio import testbeds
 from repro.sim.events import EventQueue
@@ -68,11 +69,10 @@ SPEEDUP_FLOORS = {
 def reference_mean_rssi(model: PropagationModel, tx: Point, rx: Point) -> float:
     """``mean_rssi`` with every memo off: per-call SHA-256, and the
     production per-pair wall and slab counts (see the module note)."""
-    p = model.params
-    d = max(distance(tx, rx), p.reference_distance)
-    path_loss = p.path_loss_per_decade * np.log10(d / p.reference_distance)
+    d = max(distance(tx, rx), prop.REFERENCE_DISTANCE)
+    path_loss = prop.PATH_LOSS_PER_DECADE * np.log10(d / prop.REFERENCE_DISTANCE)
     walls = model.plan.walls_crossed_scalar(tx, rx)
-    slab_loss = model.plan.slab_penalties(tx, rx, p.floor_penalty)
+    slab_loss = model.plan.slab_penalties(tx, rx, prop.FLOOR_PENALTY)
     key = (
         f"{model._seed}|{round(tx.x * 4)},{round(tx.y * 4)},{round(tx.z * 4)}"
         f"|{round(rx.x * 4)},{round(rx.y * 4)},{round(rx.z * 4)}"
@@ -80,9 +80,9 @@ def reference_mean_rssi(model: PropagationModel, tx: Point, rx: Point) -> float:
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     unit = int.from_bytes(digest[:8], "little") / float(2**64)
     unit2 = int.from_bytes(digest[8:16], "little") / float(2**64)
-    shadow = (unit + unit2 - 1.0) * p.shadowing_sigma * 2.0
-    rssi = p.reference_rssi - path_loss - p.wall_penalty * walls - slab_loss + shadow
-    return float(max(rssi, p.rssi_floor))
+    shadow = (unit + unit2 - 1.0) * prop.SHADOWING_SIGMA * 2.0
+    rssi = prop.REFERENCE_RSSI - path_loss - prop.WALL_PENALTY * walls - slab_loss + shadow
+    return float(max(rssi, prop.RSSI_FLOOR))
 
 
 def reference_average_rssi(
@@ -95,15 +95,14 @@ def reference_average_rssi(
 ) -> float:
     """``average_rssi`` on the unmemoized reference: full mean recompute
     per sample."""
-    p = model.params
     readings = []
     for index in range(samples):
         blocked = (index / samples) < body_blocked_fraction
         rssi = reference_mean_rssi(model, tx, rx)
-        rssi += float(rng.normal(0.0, p.sample_noise_sigma))
+        rssi += float(rng.normal(0.0, prop.SAMPLE_NOISE_SIGMA))
         if blocked:
-            rssi -= float(abs(rng.normal(p.body_occlusion, p.body_occlusion / 2)))
-        readings.append(float(max(rssi, p.rssi_floor)))
+            rssi -= float(abs(rng.normal(prop.BODY_OCCLUSION, prop.BODY_OCCLUSION / 2)))
+        readings.append(float(max(rssi, prop.RSSI_FLOOR)))
     return float(np.mean(readings))
 
 

@@ -131,8 +131,8 @@ class ResilienceSummary:
     """How the decision pipeline held up across one run's command queries.
 
     *Availability* is the fraction of command decisions that resolved
-    with live or degraded evidence — anything but a bare TIMEOUT verdict
-    falling through to the fail-open/fail-closed policy.
+    with live or degraded evidence — anything but a bare TIMEOUT verdict,
+    on which the guard fails closed and blocks the command.
     """
 
     decisions: int = 0

@@ -21,7 +21,6 @@ from repro.attacks.base import Attack, AttackResult, ClonedVoiceAttack
 from repro.attacks.morphing import (
     MORPHERS,
     DummyBurstMorpher,
-    MorphingAdversary,
     PadToFixedMorpher,
     RandomPadMorpher,
     TimingJitterMorpher,
@@ -36,7 +35,6 @@ __all__ = [
     "ClonedVoiceAttack",
     "DummyBurstMorpher",
     "MORPHERS",
-    "MorphingAdversary",
     "PadToFixedMorpher",
     "RandomPadMorpher",
     "ReplayAttack",

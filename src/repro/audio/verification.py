@@ -23,7 +23,7 @@ from repro.audio.voiceprint import VoicePrint, VoiceUtterance
 # Calibrated so that a different human is rejected but anything
 # carrying the owner's voiceprint — live, replayed, or synthesized —
 # is accepted, reproducing the vulnerability the paper exploits.
-DEFAULT_ACCEPT_THRESHOLD = 0.78
+ACCEPT_THRESHOLD = 0.78
 ENROLL_SAMPLES = 5  # live samples taken at setup
 
 
@@ -46,10 +46,7 @@ class VoiceMatchVerifier:
     — live, replayed, or cloned — is accepted.
     """
 
-    def __init__(self, accept_threshold: float = DEFAULT_ACCEPT_THRESHOLD) -> None:
-        if not 0.0 < accept_threshold < 1.0:
-            raise ValueError(f"accept threshold must be in (0, 1), got {accept_threshold!r}")
-        self.accept_threshold = accept_threshold
+    def __init__(self) -> None:
         self._centroid: Optional[np.ndarray] = None
         self._speaker_name: Optional[str] = None
 
@@ -94,6 +91,6 @@ class VoiceMatchVerifier:
         assert self._speaker_name is not None
         return VerificationResult(
             score=score,
-            accepted=score >= self.accept_threshold,
+            accepted=score >= ACCEPT_THRESHOLD,
             enrolled_speaker=self._speaker_name,
         )

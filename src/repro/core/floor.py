@@ -54,10 +54,10 @@ class TraceClassifier:
     separates Up/Down from the confusable Routes 2 and 3.
     """
 
-    def __init__(self, slope_gate: float = 1.0) -> None:
-        if slope_gate <= 0:
-            raise ConfigError(f"slope gate must be positive, got {slope_gate!r}")
-        self.slope_gate = slope_gate
+    #: |slope| below which a trace is an in-room movement.
+    SLOPE_GATE = 1.0
+
+    def __init__(self) -> None:
         self._centroids: Dict[str, Tuple[float, float]] = {}
         self._scale: Tuple[float, float] = (1.0, 1.0)
         self.flat_label = "route1"
@@ -83,7 +83,7 @@ class TraceClassifier:
             slope_mean = float(np.mean([f.slope for f in features]))
             intercept_mean = float(np.mean([f.intercept for f in features]))
             self._centroids[label] = (slope_mean, intercept_mean)
-            if abs(slope_mean) < self.slope_gate:
+            if abs(slope_mean) < self.SLOPE_GATE:
                 # Flat classes (Route 1, possibly multi-room and thus
                 # multi-modal) never reach centroid matching — the gate
                 # removes them — so they must not inflate the scale.
@@ -99,7 +99,7 @@ class TraceClassifier:
 
     def classify(self, features: TraceFeatures) -> str:
         """Label a trace.  Untrained classifiers only apply the gate."""
-        if abs(features.slope) < self.slope_gate:
+        if abs(features.slope) < self.SLOPE_GATE:
             return self.flat_label
         if not self._centroids:
             # Gate-only fallback: steep slope means a stair traversal.
@@ -124,9 +124,9 @@ class TraceClassifier:
         return best_label
 
     def _slope_band(self, slope: float) -> int:
-        if slope <= -self.slope_gate:
+        if slope <= -self.SLOPE_GATE:
             return -1
-        if slope >= self.slope_gate:
+        if slope >= self.SLOPE_GATE:
             return 1
         return 0
 

@@ -363,16 +363,15 @@ class KnnRecognizer(LearnedRecognizer):
 
     Fully deterministic: Euclidean distances in float64, neighbours
     ordered by ``(distance, training index)`` so ties break identically
-    everywhere, odd ``k`` so the vote itself cannot tie.
+    everywhere, odd :attr:`K` so the vote itself cannot tie.
     """
 
     name = "knn"
 
-    def __init__(self, speaker_kind: str, k: int = 5) -> None:
+    K = 5
+
+    def __init__(self, speaker_kind: str) -> None:
         super().__init__(speaker_kind)
-        if k < 1 or k % 2 == 0:
-            raise WorkloadError(f"k must be odd and positive, got {k!r}")
-        self.k = k
         self._train: Optional[np.ndarray] = None
         self._labels: Optional[np.ndarray] = None
 
@@ -389,7 +388,7 @@ class KnnRecognizer(LearnedRecognizer):
         deltas = self._train - self._standardize(features)
         distances = np.sqrt(np.sum(deltas * deltas, axis=1))
         order = np.lexsort((np.arange(len(distances)), distances))
-        k = min(self.k, len(distances))
+        k = min(self.K, len(distances))
         votes = int(self._labels[order[:k]].sum())
         return 2 * votes > k
 
@@ -405,16 +404,12 @@ class MlpRecognizer(LearnedRecognizer):
 
     name = "mlp"
 
-    def __init__(self, speaker_kind: str, hidden: int = 16,
-                 epochs: int = 300, learning_rate: float = 0.2) -> None:
+    HIDDEN = 16
+    EPOCHS = 300
+    LEARNING_RATE = 0.2
+
+    def __init__(self, speaker_kind: str) -> None:
         super().__init__(speaker_kind)
-        if hidden < 1:
-            raise WorkloadError(f"hidden size must be positive, got {hidden!r}")
-        if epochs < 1:
-            raise WorkloadError(f"epochs must be positive, got {epochs!r}")
-        self.hidden = hidden
-        self.epochs = epochs
-        self.learning_rate = learning_rate
         self.w1: Optional[np.ndarray] = None
         self.b1: Optional[np.ndarray] = None
         self.w2: Optional[np.ndarray] = None
@@ -427,12 +422,12 @@ class MlpRecognizer(LearnedRecognizer):
         y = labels.astype(np.float64)
         n, dim = x.shape
         init_scale = 1.0 / np.sqrt(dim)
-        w1 = init_rng.standard_normal((dim, self.hidden)) * init_scale
-        b1 = np.zeros(self.hidden, dtype=np.float64)
-        w2 = init_rng.standard_normal(self.hidden) / np.sqrt(self.hidden)
+        w1 = init_rng.standard_normal((dim, self.HIDDEN)) * init_scale
+        b1 = np.zeros(self.HIDDEN, dtype=np.float64)
+        w2 = init_rng.standard_normal(self.HIDDEN) / np.sqrt(self.HIDDEN)
         b2 = 0.0
-        lr = self.learning_rate
-        for _ in range(self.epochs):
+        lr = self.LEARNING_RATE
+        for _ in range(self.EPOCHS):
             hidden = np.tanh(x @ w1 + b1)
             logits = hidden @ w2 + b2
             prob = 1.0 / (1.0 + np.exp(-logits))

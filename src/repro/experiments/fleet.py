@@ -70,6 +70,7 @@ from repro.experiments.synthesis import (
     warm_worlds,
 )
 from repro.obs.metrics import QuantileSketch
+from repro.radio.propagation import BODY_OCCLUSION, SAMPLE_NOISE_SIGMA
 from repro.sim.random import generator, generators, raw_integers
 
 FIDELITIES = ("fast", "full")
@@ -242,17 +243,16 @@ def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
         if slot == len(worlds):
             worlds.append(world)
         draws.append(_home_draws(spec, world, rng))
-        sigma = world.model.params.sample_noise_sigma
+        sigma = SAMPLE_NOISE_SIGMA
         if spec.device_kind == "smartwatch":
             sigma += WATCH_EXTRA_NOISE
         ints.append((slot, spec.legit_commands, spec.attacks, spec.owner_count - 1))
-        floats.append((sigma, world.model.params.body_occlusion,
-                       world.threshold_base - spec.threshold_margin,
+        floats.append((sigma, world.threshold_base - spec.threshold_margin,
                        spec.away_fraction, spec.body_block_fraction, spec.push_loss))
 
     slot, n_legit, n_attack, extra = np.array(ints, dtype=np.int64).T
     owners = 1 + extra
-    sigma, occlusion, threshold, away_fraction, body_block, push_loss = (
+    sigma, threshold, away_fraction, body_block, push_loss = (
         np.array(floats, dtype=np.float64).T)
     # Every world's mean surfaces, end to end; a home's picks index its
     # own world's stretch of them.
@@ -303,8 +303,8 @@ def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
     noise = normal_start[home] + j
     samples = legit_table[legit_base[home] + picks[at]] + sigma[home] * normals[noise]
     blocked_mask = uniforms[at] < body_block[home]
-    body_loss = np.abs(occlusion[home]
-                       + (occlusion / 2)[home] * normals[noise + n_legit[home]])
+    body_loss = np.abs(BODY_OCCLUSION
+                       + (BODY_OCCLUSION / 2) * normals[noise + n_legit[home]])
     samples -= blocked_mask * body_loss
     allow = samples >= threshold[home]
     # Extra owners wander; any device above threshold also grants.
@@ -442,38 +442,6 @@ COUNT_KEYS = (
 )
 
 
-def _sketch_add_array(sketch: QuantileSketch, values_us: np.ndarray) -> None:
-    """Bulk-add integer-microsecond latencies to a sketch.
-
-    Bucket indices are computed vectorized; because *every* fleet path
-    (serial or pooled, any chunking) lands values through this one
-    helper, the resulting sketch is identical across all of them.
-    """
-    if values_us.size == 0:
-        return
-    v = np.asarray(values_us, dtype=np.float64)
-    sketch.count += int(v.size)
-    mn = float(v.min())
-    mx = float(v.max())
-    if mn < sketch.min:
-        sketch.min = mn
-    if mx > sketch.max:
-        sketch.max = mx
-    zero = v <= QuantileSketch.MIN_TRACKED
-    zeros = int(zero.sum())
-    if zeros:
-        sketch.zero_count += zeros
-        v = v[~zero]
-    if v.size:
-        indices = np.ceil(np.log(v) / sketch._log_gamma).astype(np.int64)
-        base = int(indices.min())
-        histogram = np.bincount(indices - base)
-        buckets = sketch.buckets
-        for offset in np.flatnonzero(histogram):
-            index = base + int(offset)
-            buckets[index] = buckets.get(index, 0) + int(histogram[offset])
-
-
 class FleetAccumulator:
     """Constant-memory fold target for a streaming fleet run.
 
@@ -507,7 +475,7 @@ class FleetAccumulator:
         counts["timeouts"] += summary.timeouts
         counts["retries"] += summary.retries
         counts["latency_total_us"] += int(summary.latencies_us.sum())
-        _sketch_add_array(self.sketches[summary.testbed], summary.latencies_us)
+        self.sketches[summary.testbed].add(summary.latencies_us)
 
     def add_block(self, block: HomeBlock) -> None:
         testbeds = np.array(block.testbeds)
@@ -518,7 +486,7 @@ class FleetAccumulator:
                 counts[key] += int(values[homes].sum())
             latencies_us = block.latencies_us[homes[block.latency_home]]
             counts["latency_total_us"] += int(latencies_us.sum())
-            _sketch_add_array(self.sketches[name], latencies_us)
+            self.sketches[name].add(latencies_us)
 
     # -- cross-chunk folding --------------------------------------------
     def to_payload(self) -> dict:

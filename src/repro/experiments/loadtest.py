@@ -22,7 +22,7 @@ Three guard configurations bound the space:
 * ``degraded`` — coordinated, but with the fault injector dropping
   most pushes and a deliberately tiny held-byte budget: decisions burn
   their timeout, holds pile up, and the budget's overflow policy
-  (fail-open or fail-closed) starts shedding load.
+  starts shedding load (it discards the flow's oldest pending window).
 
 Cells are pure functions of their arguments and fan out over the
 parallel engine, so the rendered table is identical at any worker

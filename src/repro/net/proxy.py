@@ -155,14 +155,6 @@ class ProxiedFlow:
 
 # Signature of the per-record policy: (flow, packet) -> decision.
 RecordPolicy = Callable[[ProxiedFlow, Packet], ForwarderDecision]
-# A record shim interposes between the tap and the record policy: it
-# receives the observed packet plus the next stage of the chain and
-# returns the decision for the *real* record.  Shims may invoke the
-# next stage extra times with phantom packets (observations only — no
-# record is forwarded or held for them); traffic-morphing adversaries
-# (repro.attacks.morphing) use this to distort what the recognizer
-# sees without touching the actual TCP/TLS byte stream.
-RecordShim = Callable[[ProxiedFlow, Packet, RecordPolicy], ForwarderDecision]
 SnoopObserver = Callable[[Packet], None]
 # Budget-overflow hook: sheds the flow's pending window.  The proxy
 # drops the record that could not be held, hook or no hook.
@@ -199,7 +191,6 @@ class TransparentProxy(TapHost):
         self.hold_budget = hold_budget or HoldBudget(obs=obs)
         self.on_hold_overflow: Optional[OverflowPolicy] = None
         self.record_policy: Optional[RecordPolicy] = None
-        self._record_shims: List[RecordShim] = []
         self._snoopers: List[SnoopObserver] = []
         self.open_flows: Dict[FlowKey, ProxiedFlow] = {}
         self.udp_forwarder: Optional["UdpForwarder"] = None
@@ -232,36 +223,12 @@ class TransparentProxy(TapHost):
         this way); TCP segments are not shown."""
         self._snoopers.append(snooper)
 
-    def install_record_shim(self, shim: RecordShim) -> None:
-        """Interpose ``shim`` between the tap and the record policy.
-
-        Shims stack: the most recently installed one runs first and
-        receives the rest of the chain (ending at ``record_policy``) as
-        its continuation.  With no shims installed this path is exactly
-        the old direct policy call, byte for byte.
-        """
-        self._record_shims.append(shim)
-
-    def _policy_decision(self, flow: ProxiedFlow, packet: Packet) -> ForwarderDecision:
-        """Run the shim chain, then the record policy."""
-        return self._run_policy_chain(len(self._record_shims), flow, packet)
-
-    def _run_policy_chain(self, depth: int, flow: ProxiedFlow,
-                          packet: Packet) -> ForwarderDecision:
-        if depth == 0:
-            if self.record_policy is None:
-                return ForwarderDecision.FORWARD
-            return self.record_policy(flow, packet)
-        shim = self._record_shims[depth - 1]
-        return shim(flow, packet,
-                    partial(self._run_policy_chain, depth - 1))
-
     def forwards_idle(self, flow: ProxiedFlow) -> bool:
         """Whether a heartbeat record on ``flow`` would go straight
-        upstream, changing nothing but the forward counters: no shim,
-        nothing held or awaiting the upstream, and a record policy (if
-        any) whose owner's ``forwards_heartbeats(flow)`` says so."""
-        if self._record_shims or flow.held or flow.awaiting_upstream or flow.closed:
+        upstream, changing nothing but the forward counters: nothing
+        held or awaiting the upstream, and a record policy (if any) whose
+        owner's ``forwards_heartbeats(flow)`` says so."""
+        if flow.held or flow.awaiting_upstream or flow.closed:
             return False
         policy = self.record_policy
         if policy is None:
@@ -323,12 +290,8 @@ class TransparentProxy(TapHost):
 
     def _on_client_record(self, flow: ProxiedFlow, conn: TcpConnection,
                           packet: Packet) -> None:
-        if self._record_shims:
-            decision = self._policy_decision(flow, packet)
-        elif self.record_policy is not None:
-            decision = self.record_policy(flow, packet)
-        else:
-            decision = _FORWARD
+        policy = self.record_policy
+        decision = _FORWARD if policy is None else policy(flow, packet)
         if decision is _FORWARD:
             upstream = flow.upstream
             if upstream is not None and upstream.state is _ESTABLISHED:
@@ -505,7 +468,9 @@ class UdpForwarder:
                 flow = proxy._open_flow(_UDP, packet.src, packet.dst)
                 sim.post(QUIC_IDLE_TIMEOUT, self._close_if_idle, flow)
             flow.last_datagram_at = sim.now
-            proxy._admit(flow, packet, proxy._policy_decision(flow, packet))
+            policy = proxy.record_policy
+            proxy._admit(flow, packet,
+                         _FORWARD if policy is None else policy(flow, packet))
             return
         flow = proxy.open_flows.get((_UDP, packet.dst, packet.src))
         if flow is not None:

@@ -67,16 +67,14 @@ class TcpState(enum.Enum):
     CLOSE_WAIT = "close_wait"
 
 
-@dataclass
-class TcpTuning:
-    """Timer knobs; defaults approximate consumer-device stacks."""
-
-    rto: float = 1.0
-    max_retries: int = 5
-    keepalive_idle: float = 45.0
-    keepalive_interval: float = 5.0
-    keepalive_probes: int = 3
-
+# Timer constants, approximating consumer-device stacks: the
+# retransmission timeout and how many retries of one segment abort the
+# connection, and the keepalive's idle time, probe interval and probes.
+RTO = 1.0
+MAX_RETRIES = 5
+KEEPALIVE_IDLE = 45.0
+KEEPALIVE_INTERVAL = 5.0
+KEEPALIVE_PROBES = 3
 
 _ESTABLISHED = TcpState.ESTABLISHED  # see _ACK_FLAG
 # States in which received data reaches ``on_record``.
@@ -98,17 +96,10 @@ class TcpConnection:
         ``"local"``.
     """
 
-    def __init__(
-        self,
-        stack: "TcpStack",
-        local: Endpoint,
-        remote: Endpoint,
-        tuning: Optional[TcpTuning] = None,
-    ) -> None:
+    def __init__(self, stack: "TcpStack", local: Endpoint, remote: Endpoint) -> None:
         self.stack = stack
         self.local = local
         self.remote = remote
-        self.tuning = tuning or TcpTuning()
         self.state = TcpState.CLOSED
         self.on_established: Optional[Callable[[TcpConnection], None]] = None
         self.on_record: Optional[Callable[[TcpConnection, Packet], None]] = None
@@ -207,7 +198,7 @@ class TcpConnection:
         if timer is None:
             self._arm_rto()
         elif timer._deadline is None:
-            timer.schedule_at(self._sim._clock._now + self.tuning.rto)
+            timer.schedule_at(self._sim._clock._now + RTO)
         return packet
 
     def close(self) -> None:
@@ -240,7 +231,7 @@ class TcpConnection:
         # the callback now only runs when the link is genuinely idle.
         timer = self._keepalive_timer
         if timer is not None and timer._deadline is not None:
-            deadline = now + self.tuning.keepalive_idle
+            deadline = now + KEEPALIVE_IDLE
             next_fire = timer._next_fire
             if next_fire is not None and next_fire <= deadline:
                 # DeadlineTimer.schedule_at's no-heap-traffic case,
@@ -436,7 +427,7 @@ class TcpConnection:
         if timer is None:
             timer = self._rto_timer = DeadlineTimer(self.sim, self._on_rto)
         if restart or timer._deadline is None:
-            timer.schedule_at(self._sim._clock._now + self.tuning.rto)
+            timer.schedule_at(self._sim._clock._now + RTO)
 
     def _cancel_rto(self) -> None:
         if self._rto_timer is not None:
@@ -458,7 +449,7 @@ class TcpConnection:
             return
         original = self._unacked[0][1]
         self._head_retries += 1
-        if self._head_retries > self.tuning.max_retries:
+        if self._head_retries > MAX_RETRIES:
             self.abort("timeout")
             return
         self.retransmissions += 1
@@ -469,7 +460,7 @@ class TcpConnection:
         self._transmit(retransmit)
 
     def _arm_keepalive(self) -> None:
-        self._schedule_keepalive(self.tuning.keepalive_idle)
+        self._schedule_keepalive(KEEPALIVE_IDLE)
 
     def _schedule_keepalive(self, delay: float) -> None:
         timer = self._keepalive_timer
@@ -481,18 +472,18 @@ class TcpConnection:
         if self.state is not TcpState.ESTABLISHED:
             return
         idle = self.sim.now - self._last_rx_time
-        remaining = self.tuning.keepalive_idle - idle
+        remaining = KEEPALIVE_IDLE - idle
         if remaining > 1e-6:
             # Traffic arrived since; re-arm for the remainder (floored
             # so float residue cannot freeze simulated time).
             self._schedule_keepalive(max(remaining, 0.05))
             return
-        if self._probes_sent >= self.tuning.keepalive_probes:
+        if self._probes_sent >= KEEPALIVE_PROBES:
             self.abort("timeout")
             return
         self._probes_sent += 1
         self._transmit(self._make_packet(_KEEPALIVE_ACK))
-        self._schedule_keepalive(self.tuning.keepalive_interval)
+        self._schedule_keepalive(KEEPALIVE_INTERVAL)
 
     def _finish(self, reason: str) -> None:
         if self.state is TcpState.CLOSED:
@@ -513,7 +504,6 @@ class _Listener:
     port: int
     accept: Callable[[TcpConnection], None]
     transparent: bool = False
-    tuning: Optional[TcpTuning] = None
 
 
 class TcpStack:
@@ -532,28 +522,18 @@ class TcpStack:
         self._ephemeral = _EPHEMERAL_FIRST - 1
 
     # -- API ------------------------------------------------------------
-    def listen(
-        self,
-        port: int,
-        accept: Callable[[TcpConnection], None],
-        transparent: bool = False,
-        tuning: Optional[TcpTuning] = None,
-    ) -> None:
+    def listen(self, port: int, accept: Callable[[TcpConnection], None],
+               transparent: bool = False) -> None:
         """Accept connections on ``port`` (optionally transparently)."""
         if port in self._listeners:
             raise NetworkError(f"port {port} already listening on {self.host.name}")
-        self._listeners[port] = _Listener(port, accept, transparent, tuning)
+        self._listeners[port] = _Listener(port, accept, transparent)
 
-    def connect(
-        self,
-        remote: Endpoint,
-        local_ip=None,
-        tuning: Optional[TcpTuning] = None,
-    ) -> TcpConnection:
+    def connect(self, remote: Endpoint, local_ip=None) -> TcpConnection:
         """Open a client connection; ``local_ip`` may spoof another host."""
         ip = local_ip if local_ip is not None else self.host.ip
         local = self._free_local(ip, remote)
-        connection = TcpConnection(self, local, remote, tuning)
+        connection = TcpConnection(self, local, remote)
         self._connections[connection.four_tuple] = connection
         connection.open_active()
         return connection
@@ -589,7 +569,7 @@ class TcpStack:
         local_ips = {self.host.ip} | self.host.aliases
         if not listener.transparent and packet.dst.ip not in local_ips:
             return
-        connection = TcpConnection(self, packet.dst, packet.src, listener.tuning)
+        connection = TcpConnection(self, packet.dst, packet.src)
         connection.state = TcpState.SYN_RCVD
         self._connections[connection.four_tuple] = connection
         listener.accept(connection)

@@ -18,6 +18,8 @@ import math
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigError
 
 # Default latency buckets (seconds): spans the guard's decision window.
@@ -269,21 +271,39 @@ class QuantileSketch:
         self.min = float("inf")
         self.max = float("-inf")
 
-    def add(self, value: float, n: int = 1) -> None:
-        """Record ``n`` observations of ``value`` (hot path)."""
-        value = float(value)
-        if value < 0.0:
-            raise ConfigError(f"sketch tracks non-negative values, got {value!r}")
-        self.count += n
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        if value <= self.MIN_TRACKED:
-            self.zero_count += n
+    def add(self, values: Sequence[float]) -> None:
+        """Record every value in ``values``, an array on the fleet's hot
+        path.
+
+        Bucket indices are computed vectorized, so a stream lands in the
+        same buckets however it is split into calls: every fleet path
+        (serial or pooled, any chunking) ends with the same sketch.
+        """
+        v = np.asarray(values, dtype=np.float64)
+        if v.size == 0:
             return
-        index = math.ceil(math.log(value) / self._log_gamma)
-        self.buckets[index] = self.buckets.get(index, 0) + n
+        mn = float(v.min())
+        mx = float(v.max())
+        if mn < 0.0:
+            raise ConfigError(f"sketch tracks non-negative values, got {mn!r}")
+        self.count += int(v.size)
+        if mn < self.min:
+            self.min = mn
+        if mx > self.max:
+            self.max = mx
+        zero = v <= self.MIN_TRACKED
+        zeros = int(zero.sum())
+        if zeros:
+            self.zero_count += zeros
+            v = v[~zero]
+        if v.size:
+            indices = np.ceil(np.log(v) / self._log_gamma).astype(np.int64)
+            base = int(indices.min())
+            histogram = np.bincount(indices - base)
+            buckets = self.buckets
+            for offset in np.flatnonzero(histogram):
+                index = base + int(offset)
+                buckets[index] = buckets.get(index, 0) + int(histogram[offset])
 
     def merge(self, other: "QuantileSketch") -> None:
         """Fold another sketch in (exact: integer counts add)."""

@@ -21,7 +21,7 @@ provides the physics behind that scalar:
 from repro.radio.bluetooth import BluetoothBeacon, BluetoothScanner, RssiSample
 from repro.radio.floorplan import Door, FloorPlan, MeasurementPoint, Room, Wall
 from repro.radio.geometry import Point, distance, segment_crosses_wall
-from repro.radio.propagation import PropagationModel, PropagationParams
+from repro.radio.propagation import PropagationModel
 from repro.radio.testbeds import (
     Testbed,
     apartment_testbed,
@@ -38,7 +38,6 @@ __all__ = [
     "MeasurementPoint",
     "Point",
     "PropagationModel",
-    "PropagationParams",
     "Room",
     "RssiSample",
     "Testbed",

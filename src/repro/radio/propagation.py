@@ -32,7 +32,7 @@ scalar reference:
   ``mean_rssi_many`` wraps it for a measurement grid (behind the
   endpoint memo), and a floor trace feeds it its walking positions
   (see :meth:`repro.home.devices.MobileDevice.record_trace`);
-* ``sample_rssi_batch`` / ``average_rssi_batch`` draw all per-sample
+* ``sample_rssi_batch`` / ``average_rssi_grid`` draw all per-sample
   noise as one ``Generator.standard_normal(size)`` array, consuming the
   bitstream in exactly the order of the scalar loop.
 
@@ -46,8 +46,7 @@ table.  ``math.sqrt``/``np.sqrt`` are IEEE-exact and interchangeable.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -64,33 +63,23 @@ _SHADOW_CACHE_MAX = 1 << 16
 # between phone and speaker (one of the paper's four orientations).
 BODY_BLOCKED_FRACTION = 0.25
 
-
-@dataclass(frozen=True)
-class PropagationParams:
-    """Tunable propagation constants (paper-scale units)."""
-
-    reference_rssi: float = 0.0  # reading at d0 with clear line of sight
-    path_loss_per_decade: float = 9.0  # K
-    reference_distance: float = 0.6  # d0, metres
-    wall_penalty: float = 5.0  # W, units per interior wall
-    floor_penalty: float = 6.0  # F, units per floor slab (outside weak zones)
-    shadowing_sigma: float = 0.8  # static spatial shadowing
-    sample_noise_sigma: float = 0.5  # per-measurement noise
-    body_occlusion: float = 0.7  # extra mean loss when body blocks LOS
-    rssi_floor: float = -40.0  # scanner sensitivity limit
+# Propagation constants (paper-scale units).
+REFERENCE_RSSI = 0.0  # reading at d0 with clear line of sight
+PATH_LOSS_PER_DECADE = 9.0  # K
+REFERENCE_DISTANCE = 0.6  # d0, metres
+WALL_PENALTY = 5.0  # W, units per interior wall
+FLOOR_PENALTY = 6.0  # F, units per floor slab (outside weak zones)
+SHADOWING_SIGMA = 0.8  # static spatial shadowing
+SAMPLE_NOISE_SIGMA = 0.5  # per-measurement noise
+BODY_OCCLUSION = 0.7  # extra mean loss when body blocks LOS
+RSSI_FLOOR = -40.0  # scanner sensitivity limit
 
 
 class PropagationModel:
     """Computes speaker-Bluetooth RSSI anywhere in a floor plan."""
 
-    def __init__(
-        self,
-        plan: FloorPlan,
-        params: Optional[PropagationParams] = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, plan: FloorPlan, seed: int = 0) -> None:
         self.plan = plan
-        self.params = params or PropagationParams()
         self._seed = int(seed)
         self._mean_cache: Dict[Tuple[float, ...], float] = {}
         self._shadow_cache: Dict[Tuple[int, ...], float] = {}
@@ -127,19 +116,18 @@ class PropagationModel:
         ``np.log10``); its result becomes a python float at once, so the
         rest is plain IEEE double arithmetic with the same values.
         """
-        p = self.params
-        d = max(distance(tx, rx), p.reference_distance)
-        path_loss = p.path_loss_per_decade * float(np.log10(d / p.reference_distance))
+        d = max(distance(tx, rx), REFERENCE_DISTANCE)
+        path_loss = PATH_LOSS_PER_DECADE * float(np.log10(d / REFERENCE_DISTANCE))
         walls = self.plan.walls_crossed(tx, rx)
-        slab_loss = self.plan.slab_penalties(tx, rx, p.floor_penalty)
+        slab_loss = self.plan.slab_penalties(tx, rx, FLOOR_PENALTY)
         rssi = (
-            p.reference_rssi
+            REFERENCE_RSSI
             - path_loss
-            - p.wall_penalty * walls
+            - WALL_PENALTY * walls
             - slab_loss
             + self._static_shadowing(tx, rx)
         )
-        return float(max(rssi, p.rssi_floor))
+        return float(max(rssi, RSSI_FLOOR))
 
     def mean_rssi_many(self, tx: Point, points: Sequence[Point]) -> np.ndarray:
         """Expected RSSI from ``tx`` to every receiver, vectorized.
@@ -185,13 +173,12 @@ class PropagationModel:
         receiver's coordinates never repeat.
         """
         self._check_plan_version()
-        p = self.params
         plan = self.plan
-        d = np.maximum(distances(tx, coords), p.reference_distance)
-        path_loss = p.path_loss_per_decade * np.log10(d / p.reference_distance)
+        d = np.maximum(distances(tx, coords), REFERENCE_DISTANCE)
+        path_loss = PATH_LOSS_PER_DECADE * np.log10(d / REFERENCE_DISTANCE)
         walls = plan.wall_array.crossing_counts(tx, coords)
-        slab = plan.slab_penalties_many(tx, coords, p.floor_penalty)
-        rssi = p.reference_rssi - path_loss - p.wall_penalty * walls - slab
+        slab = plan.slab_penalties_many(tx, coords, FLOOR_PENALTY)
+        rssi = REFERENCE_RSSI - path_loss - WALL_PENALTY * walls - slab
         # Shadowing cells: round(c * 4) per coordinate, as the scalar
         # path quantizes (np.rint rounds half to even, like round()).
         tx_cell = (round(tx.x * 4), round(tx.y * 4), round(tx.z * 4))
@@ -201,7 +188,7 @@ class PropagationModel:
             key = tx_cell + tuple(cell)
             value = cache.get(key)
             shadow.append(value if value is not None else self._shadow_miss(key))
-        return np.maximum(rssi + np.array(shadow), p.rssi_floor)
+        return np.maximum(rssi + np.array(shadow), RSSI_FLOOR)
 
     def _static_shadowing(self, tx: Point, rx: Point) -> float:
         """Deterministic zero-mean shadowing tied to the endpoint pair.
@@ -231,7 +218,7 @@ class PropagationModel:
         # Inverse-CDF of a normal would be overkill; a scaled sum of two
         # uniforms gives a symmetric, bounded, roughly bell-shaped term.
         unit2 = int.from_bytes(digest[8:16], "little") / float(2**64)
-        value = (unit + unit2 - 1.0) * self.params.shadowing_sigma * 2.0
+        value = (unit + unit2 - 1.0) * SHADOWING_SIGMA * 2.0
         if len(self._shadow_cache) >= _SHADOW_CACHE_MAX:
             self._shadow_cache.clear()
         self._shadow_cache[qkey] = value
@@ -258,11 +245,10 @@ class PropagationModel:
         computes it, ``loc + scale * standard_normal()`` (the identity
         :meth:`sample_rssi_batch` relies on), which skips ``normal``'s
         argument checks."""
-        p = self.params
-        rssi = mean + (0.0 + p.sample_noise_sigma * rng.standard_normal())
+        rssi = mean + (0.0 + SAMPLE_NOISE_SIGMA * rng.standard_normal())
         if body_blocked:
-            rssi -= abs(p.body_occlusion + (p.body_occlusion / 2) * rng.standard_normal())
-        return float(max(rssi, p.rssi_floor))
+            rssi -= abs(BODY_OCCLUSION + (BODY_OCCLUSION / 2) * rng.standard_normal())
+        return float(max(rssi, RSSI_FLOOR))
 
     def sample_rssi_batch(
         self,
@@ -281,7 +267,6 @@ class PropagationModel:
         applied (``Generator.normal(loc, scale)`` is
         ``loc + scale * standard_normal()``).
         """
-        p = self.params
         mean = self.mean_rssi(tx, rx)
         flags = np.asarray(blocked, dtype=bool)
         n = int(flags.size)
@@ -293,13 +278,13 @@ class PropagationModel:
         # draws; a blocked draw's body variate immediately follows it.
         before = np.cumsum(flags) - flags
         noise_index = np.arange(n) + before
-        rssi = mean + (0.0 + p.sample_noise_sigma * z[noise_index])
+        rssi = mean + (0.0 + SAMPLE_NOISE_SIGMA * z[noise_index])
         if occluded:
             body = np.abs(
-                p.body_occlusion + (p.body_occlusion / 2) * z[noise_index[flags] + 1]
+                BODY_OCCLUSION + (BODY_OCCLUSION / 2) * z[noise_index[flags] + 1]
             )
             rssi[flags] = rssi[flags] - body
-        return np.maximum(rssi, p.rssi_floor)
+        return np.maximum(rssi, RSSI_FLOOR)
 
     def average_rssi(
         self,
@@ -320,22 +305,6 @@ class PropagationModel:
         for index in range(samples):
             blocked = (index / samples) < BODY_BLOCKED_FRACTION
             readings.append(self.sample_rssi(tx, rx, rng, body_blocked=blocked))
-        return float(np.mean(readings))
-
-    def average_rssi_batch(
-        self,
-        tx: Point,
-        rx: Point,
-        rng: np.random.Generator,
-        samples: int = 16,
-    ) -> float:
-        """Batched :meth:`average_rssi`: same value, one noise draw."""
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples!r}")
-        blocked = [
-            (index / samples) < BODY_BLOCKED_FRACTION for index in range(samples)
-        ]
-        readings = self.sample_rssi_batch(tx, rx, rng, blocked)
         return float(np.mean(readings))
 
     def average_rssi_grid(
@@ -360,7 +329,6 @@ class PropagationModel:
         count = len(points)
         if count == 0:
             return np.empty(0, dtype=np.float64)
-        p = self.params
         means = self.mean_rssi_many(tx, points)
         flags = np.array(
             [(index / samples) < BODY_BLOCKED_FRACTION for index in range(samples)],
@@ -377,13 +345,13 @@ class PropagationModel:
         # scalar loop's 16-reading list (a strided reduce falls back to
         # naive summation and drifts by 1 ulp).
         rssi = np.ascontiguousarray(
-            means[:, None] + (0.0 + p.sample_noise_sigma * z[:, noise_index])
+            means[:, None] + (0.0 + SAMPLE_NOISE_SIGMA * z[:, noise_index])
         )
         if occluded:
             body = np.abs(
-                p.body_occlusion
-                + (p.body_occlusion / 2) * z[:, noise_index[flags] + 1]
+                BODY_OCCLUSION
+                + (BODY_OCCLUSION / 2) * z[:, noise_index[flags] + 1]
             )
             rssi[:, flags] = rssi[:, flags] - body
-        np.maximum(rssi, p.rssi_floor, out=rssi)
+        np.maximum(rssi, RSSI_FLOOR, out=rssi)
         return rssi.mean(axis=1)

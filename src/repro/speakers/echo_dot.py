@@ -28,7 +28,7 @@ from repro.home.environment import HomeEnvironment
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.dns import DnsClient
 from repro.net.packet import TlsRecordType
-from repro.net.tcp import TcpConnection, TcpState, TcpTuning
+from repro.net.tcp import TcpConnection, TcpState
 from repro.net.tls import TlsSession
 from repro.sim.process import DeadlineTimer
 from repro.sim.random import uniform
@@ -110,7 +110,7 @@ class EchoDot(SmartSpeaker):
 
     def _open_avs_connection(self, ip: IPv4Address) -> None:
         self._reconnect_scheduled = False
-        conn = self.tcp_stack.connect(Endpoint(ip, 443), tuning=TcpTuning())
+        conn = self.tcp_stack.connect(Endpoint(ip, 443))
         tls = TlsSession()
         # The AVS connection is permanent state: its callbacks must be
         # partials/bound methods, which a pickled world snapshot rebinds

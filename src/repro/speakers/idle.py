@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.net.packet import Packet, TlsRecordType
 from repro.net.proxy import TransparentProxy
-from repro.net.tcp import _ACK_FLAG, _PSH_ACK, _TCP
+from repro.net.tcp import _ACK_FLAG, _PSH_ACK, _TCP, KEEPALIVE_IDLE, RTO
 from repro.speakers import signatures as sig
 from repro.speakers.cloud import AvsCloud
 
@@ -73,7 +73,7 @@ def advance_idle_periods(echo: "EchoDot") -> bool:
     stale, horizon = _scan(queue._heap, keepalives, sim._until)
     if stale is None or not horizon < inf:
         return False
-    if not _in_template_order(conns, routes, network.jitter, stale, t0):
+    if not _in_template_order(routes, network.jitter, stale, t0):
         return False
     # Advance all whole periods before the horizon but the last.
     periods = -1
@@ -89,7 +89,6 @@ def advance_idle_periods(echo: "EchoDot") -> bool:
     draws = network._take_jitter(_PACKETS * periods)
     e_base, d_base, u_base, c_base = (route[2] for route in routes)
     reply = AvsCloud.HEARTBEAT_REPLY_DELAY
-    idles = [conn.tuning.keepalive_idle for conn in conns]
     observers = network._observers
     # Each leg's queued keepalive wakeup as (time, seq, leg index).
     pending = sorted((entry[0], entry[1], index) for index, entry in enumerate(stale))
@@ -138,7 +137,7 @@ def advance_idle_periods(echo: "EchoDot") -> bool:
         # Last segment in, per leg: Echo 6, downstream 8, upstream 5, cloud 7.
         last_rx = (a6, a8, a5, a7)
         seq = base_seq + _PUSHES * period + _KEEPALIVE_PUSH
-        pending = [(last_rx[index] + idles[index], seq + rank, index)
+        pending = [(last_rx[index] + KEEPALIVE_IDLE, seq + rank, index)
                    for rank, (_, _, index) in enumerate(sorted(pending))]
         t += _PERIOD
     if observers:
@@ -220,8 +219,7 @@ def _scan(heap: list, keepalives: list, until: float):
     return stale, horizon
 
 
-def _in_template_order(conns: list, routes: list, jitter: float, stale: list,
-                       t0: float) -> bool:
+def _in_template_order(routes: list, jitter: float, stale: list, t0: float) -> bool:
     """Whether every period runs in template order.
 
     ``span`` bounds how long after its heartbeat a period's last packet
@@ -235,12 +233,10 @@ def _in_template_order(conns: list, routes: list, jitter: float, stale: list,
     """
     hops = [route[2] * (1.0 + jitter) + _FIFO_GAP for route in routes]
     span = 2.0 * sum(hops) + AvsCloud.HEARTBEAT_REPLY_DELAY
-    for conn in conns:
-        tuning = conn.tuning
-        lead = tuning.keepalive_idle - _PERIOD
-        if not (span < tuning.rto and span + tuning.rto < _PERIOD
-                and span + _FIFO_GAP < lead < _PERIOD - span - _FIFO_GAP):
-            return False
+    lead = KEEPALIVE_IDLE - _PERIOD
+    if not (span < RTO and span + RTO < _PERIOD
+            and span + _FIFO_GAP < lead < _PERIOD - span - _FIFO_GAP):
+        return False
     return hops[1] < routes[2][2] and all(t0 + span < entry[0] < t0 + _PERIOD
                                           for entry in stale)
 

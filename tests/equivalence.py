@@ -23,8 +23,6 @@ handful of fixed-seed workloads and reduces each to one SHA-256:
   (the guard digests see only their word counts);
 * ``fig6_stream`` — the guard stream of a short Echo Figure 6 run,
   whose table does not see the idle jitter between commands;
-* ``live_morph`` — a short compressed home with a live dummy-burst
-  morphing shim at the guard's tap;
 * ``recognition_windows`` — every window a recognition-robustness cell
   draws and morphs, per speaker and adversary;
 * ``bootstrap`` — seeded bootstrap confidence intervals;
@@ -84,7 +82,7 @@ import pathlib
 from typing import Callable, Dict, Iterator
 
 from repro.analysis import stats
-from repro.attacks.morphing import MORPHERS, MorphingAdversary, create_morpher
+from repro.attacks.morphing import MORPHERS
 from repro.audio.commands import alexa_corpus, google_corpus
 from repro.core.config import VoiceGuardConfig
 from repro.core.floor import TraceClassifier
@@ -105,7 +103,6 @@ COMPRESSED_COUNTS = (10, 7)
 GOOGLE_HOLD_BUDGET = 16_384
 LOSSY_WAN_LOSS = 0.03
 SCRIPT_DRAWS = 3000
-MORPH_HOME_COUNTS = (4, 2)
 SEVEN_DAY_COUNTS = (30, 23)
 PACKET_HOME_COUNTS = (4, 3)
 STATE_HOME_SEED = 616
@@ -359,17 +356,6 @@ def captured_scenarios(module) -> Iterator[list]:
         module.build_scenario = real_build
 
 
-def live_morph() -> str:
-    """The guard stream of a compressed home whose tap runs a live
-    dummy-burst morphing shim."""
-    scenario = scenarios.build_scenario(
-        "house", "echo", deployment=0, owner_count=2, seed=101)
-    MorphingAdversary(create_morpher("dummy-burst"), seed=909).install(scenario.guard.proxy)
-    workload_module.SevenDayWorkload(scenario).run(*MORPH_HOME_COUNTS)
-    scenario.speaker.settle_all()
-    return guard_digest(scenario)
-
-
 def recognition_windows() -> str:
     """SHA-256 over every window a signature-recognizer cell draws and
     morphs, for each speaker and adversary, then each cell's row: the
@@ -528,7 +514,6 @@ RUNS: Dict[str, Callable[[], str]] = {
     "traffic_scripts": traffic_scripts,
     "corpora": corpora,
     "fig6_stream": fig6_stream,
-    "live_morph": live_morph,
     "recognition_windows": recognition_windows,
     "bootstrap": bootstrap,
     "sevenday": sevenday,

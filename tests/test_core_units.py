@@ -253,10 +253,6 @@ class TestTraceClassifier:
         with pytest.raises(ConfigError):
             TraceClassifier().fit({"up": []})
 
-    def test_invalid_gate_rejected(self):
-        with pytest.raises(ConfigError):
-            TraceClassifier(slope_gate=0.0)
-
 
 class TestFloorTracker:
     @pytest.fixture

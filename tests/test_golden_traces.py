@@ -236,27 +236,40 @@ def test_disabled_tracing_event_stream_matches_golden(update_goldens):
 
 
 def test_default_recognizer_and_identity_shim_match_golden():
-    """The record-shim chain provably changes nothing by default.
+    """The default record path and the identity morpher change nothing.
 
-    The legit golden rebuilt with an identity traffic morpher installed
-    as a live record shim in front of the guard's recognizer must
-    reproduce ``events_baseline.json`` byte-for-byte: the shim chain is
-    transparent until a morpher actually reshapes a record."""
-    from repro.attacks.morphing import MorphingAdversary, TrafficMorpher
+    The live guard's record policy is the signature recognizer itself,
+    with nothing in between, and its tracing-off legit run reproduces
+    ``events_baseline.json`` byte-for-byte.  The identity morpher, the
+    base every offline morpher reshapes from, leaves each window's
+    records and the default recognizer's verdict on them unchanged."""
+    import numpy as np
+
+    from repro.attacks.morphing import TrafficMorpher
+    from repro.core.recognizers import (
+        RECOGNIZERS, morph_sample, synth_windows)
 
     scenario = build_scenario(
         "house", "echo", seed=SEED, owner_count=1,
         with_floor_tracking=False, anomalous_rate=0.0, tracing=False,
     )
-    adversary = MorphingAdversary(TrafficMorpher(), seed=2024)
-    adversary.install(scenario.guard.proxy)
+    guard = scenario.guard
+    assert guard.proxy.record_policy == guard.recognition.observe
     env = scenario.env
     scenario.owners[0].teleport(env.testbed.speaker_room(0).center(height=0.0))
     duration = _speak(scenario, "golden.legit")
     env.sim.run_for(duration + 14.0)
-    assert adversary.records_shaped > 0
 
-    stream = [_event_dict(e) for e in scenario.guard.log.events]
+    stream = [_event_dict(e) for e in guard.log.events]
     path = GOLDEN_DIR / "events_baseline.json"
     expected = json.loads(path.read_text(encoding="utf-8"))
     assert json.loads(json.dumps(stream, sort_keys=True)) == expected
+
+    recognizer = RECOGNIZERS["signature"]("echo")
+    morpher = TrafficMorpher()
+    rng = np.random.default_rng(2024)
+    for sample in synth_windows("echo", np.random.default_rng(SEED), 8):
+        shaped = morph_sample(sample, morpher, rng)
+        assert shaped == sample
+        assert (recognizer.predict_window(shaped.lengths, shaped.offsets)
+                is recognizer.predict_window(sample.lengths, sample.offsets))

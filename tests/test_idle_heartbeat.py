@@ -231,10 +231,6 @@ def declines(blob: bytes, prepare, hours: float = 1.0) -> None:
     assert spy.calls and spy.steps == []
 
 
-def _passthrough(flow, packet, policy):
-    return policy(flow, packet)
-
-
 def _flow(scenario):
     proxy = scenario.guard.proxy
     conn = scenario.speaker._conn
@@ -244,10 +240,6 @@ def _flow(scenario):
 def test_lossy_wan_declines(world):
     # Each WAN packet would draw from net.loss; compressed_lossy pins that path.
     declines(world, lambda scenario: setattr(scenario.network, "wan_loss", 0.03))
-
-
-def test_record_shim_declines(world):
-    declines(world, lambda scenario: scenario.guard.proxy.install_record_shim(_passthrough))
 
 
 def test_held_records_decline(world):

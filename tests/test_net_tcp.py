@@ -9,7 +9,7 @@ from repro.net import tcp
 from repro.net.addresses import Endpoint, IPv4Address
 from repro.net.link import Host, Network, TapHost
 from repro.net.packet import Packet, Protocol, TcpFlags, TlsRecordType
-from repro.net.tcp import TcpStack, TcpState, TcpTuning
+from repro.net.tcp import TcpStack, TcpState
 from repro.sim.random import RngHub
 
 
@@ -25,10 +25,10 @@ def world(sim):
     return sim, network, client, server
 
 
-def connect(sim, client, server, tuning=None):
+def connect(sim, client, server):
     accepted = []
-    server.listen(443, accepted.append, tuning=tuning)
-    conn = client.connect(Endpoint(server.host.ip, 443), tuning=tuning)
+    server.listen(443, accepted.append)
+    conn = client.connect(Endpoint(server.host.ip, 443))
     sim.run_for(1.0)
     assert accepted, "server never accepted"
     return conn, accepted[0]
@@ -199,13 +199,14 @@ class TestLossRecovery:
         sim.run_for(1.0)
         assert received == [10]
 
-    def test_total_loss_aborts_after_retries(self, world):
+    def test_total_loss_aborts_after_retries(self, world, monkeypatch):
         sim, network, client, server = world
         tap = _DropTap("tap", IPv4Address("192.168.1.50"), drop_count=10**6)
         network.attach(tap)
         network.install_tap(client.host.ip, tap)
-        tuning = TcpTuning(rto=0.5, max_retries=3)
-        conn, srv = connect(sim, client, server, tuning=tuning)
+        monkeypatch.setattr(tcp, "RTO", 0.5)
+        monkeypatch.setattr(tcp, "MAX_RETRIES", 3)
+        conn, srv = connect(sim, client, server)
         reasons = []
         conn.on_close = lambda c, r: reasons.append(r)
         conn.send_record(10, tls_record_seq=0)
@@ -214,18 +215,21 @@ class TestLossRecovery:
 
 
 class TestKeepalive:
-    def test_idle_connection_probes_and_survives(self, world):
+    def test_idle_connection_probes_and_survives(self, world, monkeypatch):
         sim, network, client, server = world
-        tuning = TcpTuning(keepalive_idle=5.0, keepalive_interval=1.0)
-        conn, srv = connect(sim, client, server, tuning=tuning)
+        monkeypatch.setattr(tcp, "KEEPALIVE_IDLE", 5.0)
+        monkeypatch.setattr(tcp, "KEEPALIVE_INTERVAL", 1.0)
+        conn, srv = connect(sim, client, server)
         sim.run_for(30.0)
         assert conn.state is TcpState.ESTABLISHED
         assert srv.state is TcpState.ESTABLISHED
 
-    def test_unanswered_probes_abort(self, world):
+    def test_unanswered_probes_abort(self, world, monkeypatch):
         sim, network, client, server = world
-        tuning = TcpTuning(keepalive_idle=5.0, keepalive_interval=1.0, keepalive_probes=2)
-        conn, srv = connect(sim, client, server, tuning=tuning)
+        monkeypatch.setattr(tcp, "KEEPALIVE_IDLE", 5.0)
+        monkeypatch.setattr(tcp, "KEEPALIVE_INTERVAL", 1.0)
+        monkeypatch.setattr(tcp, "KEEPALIVE_PROBES", 2)
+        conn, srv = connect(sim, client, server)
         # A black-hole tap eats everything from the client from now on.
         tap = _DropTap("tap", IPv4Address("192.168.1.50"), drop_count=0)
         tap.intercept = lambda packet: None  # type: ignore[assignment]
@@ -276,7 +280,7 @@ class TestPureAckPaths:
         tap = _DropTap("tap", IPv4Address("192.168.1.50"), drop_count=2)
         network.attach(tap)
         network.install_tap(client.host.ip, tap)
-        conn, srv = connect(sim, client, server, tuning=TcpTuning(rto=1.0))
+        conn, srv = connect(sim, client, server)
         received = []
         srv.on_record = lambda c, p: received.append(p.payload_len)
         for size in (10, 20, 30):
@@ -314,13 +318,15 @@ class TestPureAckPaths:
         sim.run_for(3.0)
         assert conn.retransmissions > 0
 
-    def test_probe_reply_resets_probe_count(self, world):
+    def test_probe_reply_resets_probe_count(self, world, monkeypatch):
         sim, network, client, server = world
         probes = []
         network.add_observer(
             lambda p, scope: probes.append(sim.now) if TcpFlags.KEEPALIVE in p.flags else None)
-        tuning = TcpTuning(keepalive_idle=5.0, keepalive_interval=1.0, keepalive_probes=1)
-        conn, srv = connect(sim, client, server, tuning=tuning)
+        monkeypatch.setattr(tcp, "KEEPALIVE_IDLE", 5.0)
+        monkeypatch.setattr(tcp, "KEEPALIVE_INTERVAL", 1.0)
+        monkeypatch.setattr(tcp, "KEEPALIVE_PROBES", 1)
+        conn, srv = connect(sim, client, server)
         sim.run_for(5.5)
         assert probes, "no keepalive probe was sent"
         assert conn._probes_sent == 0
@@ -409,7 +415,7 @@ def _black_holed(world):
     """An established pair whose client-side segments vanish from now on,
     so ACKs reach the client only when a test hands them over."""
     sim, network, client, server = world
-    conn, srv = connect(sim, client, server, tuning=TcpTuning(rto=1.0))
+    conn, srv = connect(sim, client, server)
     tap = _BlackHoleTap("tap", IPv4Address("192.168.1.50"))
     network.attach(tap)
     network.install_tap(client.host.ip, tap)

@@ -296,8 +296,7 @@ class TestQuantileSketch:
         from repro.obs.metrics import QuantileSketch
 
         sketch = QuantileSketch(alpha)
-        for value in values:
-            sketch.add(value)
+        sketch.add(values)
         return sketch
 
     def test_relative_error_bound(self):
@@ -328,7 +327,7 @@ class TestQuantileSketch:
         from repro.obs.metrics import QuantileSketch
 
         with pytest.raises(ConfigError):
-            QuantileSketch().add(-1.0)
+            QuantileSketch().add([2.0, -1.0])
 
     def test_empty_quantile_is_nan(self):
         from repro.obs.metrics import QuantileSketch

@@ -368,28 +368,25 @@ class TestStatistics:
 
     def test_ks_identical_sketches_is_zero(self):
         a, b = QuantileSketch(), QuantileSketch()
-        for value in (1.0, 2.0, 5.0, 9.0):
-            a.add(value)
-            b.add(value)
+        a.add([1.0, 2.0, 5.0, 9.0])
+        b.add([1.0, 2.0, 5.0, 9.0])
         assert sketch_ks_distance(a, b) == 0.0
 
     def test_ks_disjoint_sketches_is_one(self):
         a, b = QuantileSketch(), QuantileSketch()
-        for _ in range(10):
-            a.add(1.0)
-            b.add(100.0)
+        a.add([1.0] * 10)
+        b.add([100.0] * 10)
         assert sketch_ks_distance(a, b) == pytest.approx(1.0)
 
     def test_ks_zero_heavy_side_counts(self):
         a, b = QuantileSketch(), QuantileSketch()
-        for _ in range(10):
-            a.add(0.0)  # all mass in the zero bucket
-            b.add(3.0)
+        a.add([0.0] * 10)  # all mass in the zero bucket
+        b.add([3.0] * 10)
         assert sketch_ks_distance(a, b) == pytest.approx(1.0)
 
     def test_ks_empty_side_is_nan(self):
         a, b = QuantileSketch(), QuantileSketch()
-        a.add(1.0)
+        a.add([1.0])
         assert math.isnan(sketch_ks_distance(a, b))
 
     def test_ks_alpha_mismatch_rejected(self):

@@ -4,6 +4,7 @@ bootstrap statistics, and corpus phrases."""
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from repro.audio.commands import _phrase_with_exact_words
 from repro.core.floor import TraceClassifier, TraceFeatures
 from repro.radio.floorplan import FloorPlan, Room
 from repro.radio.geometry import Point
+from repro.radio import propagation
 from repro.radio.propagation import PropagationModel
 
 
@@ -29,13 +31,12 @@ class TestPropagationProperties:
         distance along any ray in open space."""
         plan = FloorPlan("open")
         plan.add_room(Room("hall", 0, 0, 80, 80, floor=0))
-        from repro.radio.propagation import PropagationParams
-        model = PropagationModel(
-            plan, PropagationParams(shadowing_sigma=0.0), seed=5,
-        )
+        model = PropagationModel(plan, seed=5)
         tx = Point(1.0, 1.0, 1.0)
-        near = model.mean_rssi(tx, Point(1.0 + d, 1.0, 1.0))
-        far = model.mean_rssi(tx, Point(1.0 + d * factor, 1.0, 1.0))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(propagation, "SHADOWING_SIGMA", 0.0)
+            near = model.mean_rssi(tx, Point(1.0 + d, 1.0, 1.0))
+            far = model.mean_rssi(tx, Point(1.0 + d * factor, 1.0, 1.0))
         assert near >= far
 
     @given(st.floats(min_value=0.5, max_value=30.0),
@@ -45,8 +46,8 @@ class TestPropagationProperties:
         tx = Point(20.0, 20.0, 1.0)
         rx = Point(20.0 + d * np.cos(angle) / 2, 20.0 + d * np.sin(angle) / 2, 1.0)
         assume(0 <= rx.x <= 40 and 0 <= rx.y <= 40)
-        assert model.mean_rssi(tx, rx) <= model.params.reference_rssi + \
-            3 * model.params.shadowing_sigma
+        assert model.mean_rssi(tx, rx) <= propagation.REFERENCE_RSSI + \
+            3 * propagation.SHADOWING_SIGMA
 
 
 class TestClassifierProperties:

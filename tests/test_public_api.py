@@ -13,12 +13,14 @@ reason it stays.
 
 A public name that only tests call is API nothing runs.  It gets a
 production caller, or it goes, or it sits on :data:`ALLOWLIST` with the
-reason it stays.  The check is a whole-word search over ``src/``,
-``benchmarks/``, ``examples/`` and ``e2ebench/``; module-level names
-are distinctive enough for that to be precise.  It skips the name's own
-definition, and package ``__init__`` files, which only re-export names.
-Methods are out of scope: their names (``run``, ``render``...) are too
-common for a word search to tell callers apart.
+reason it stays.  The check is a whole-word search over the code and
+string literals of ``src/``, ``benchmarks/``, ``examples/`` and
+``e2ebench/``; module-level names are distinctive enough for that to be
+precise.  Comments and docstrings are not searched: a mention is not a
+call.  It skips the name's own definition, and package ``__init__``
+files, which only re-export names.  Methods are out of scope: their
+names (``run``, ``render``...) are too common for a word search to tell
+callers apart.
 
 Scalar ``uniform``/``choice`` draws and seeded generators go through
 :mod:`repro.sim.random`'s helpers, which spell each numpy call at its
@@ -32,9 +34,11 @@ import ast
 import functools
 import importlib
 import inspect
+import io
 import pathlib
 import re
-from typing import Dict, List, Sequence, Set, Tuple
+import tokenize
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 import pytest
 
@@ -61,6 +65,10 @@ ALLOWLIST: Dict[str, str] = {
                           "(one guard, per-speaker IP keying; paper Section V)",
     "offline_outage": "tests build the home-wide outage plan the golden "
                       "outage trace pins with it",
+    "build_home_cold": "the from-scratch reference build that the pool-identity "
+                       "tests compare each restored snapshot against",
+    "segment_crosses_wall": "the one-wall reference that the crossing tests "
+                            "compare the vectorized WallArray kernel against",
 }
 
 
@@ -145,20 +153,54 @@ def public_definitions() -> List[Tuple[str, pathlib.Path, int, int]]:
     return found
 
 
+def code_words(text: str) -> Iterator[Tuple[int, str]]:
+    """(line, word) of each identifier-like word in the code and string
+    literals of ``text``.  Comments and docstrings are skipped, and so
+    is any other string that is a statement of its own."""
+    bare_strings = [
+        ((node.lineno, node.col_offset), (node.end_lineno, node.end_col_offset))
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    ]
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.COMMENT:
+            continue
+        if token.type == tokenize.STRING and any(
+                start <= token.start < end for start, end in bare_strings):
+            continue
+        for offset, line in enumerate(token.string.splitlines()):
+            for word in re.findall(r"\w+", line):
+                yield token.start[0] + offset, word
+
+
 @functools.lru_cache(maxsize=None)
 def word_index() -> Dict[str, List[Tuple[pathlib.Path, int]]]:
-    """Every identifier-like word in the searched trees, with where it
-    occurs."""
+    """Every identifier-like word in the searched trees' code and string
+    literals, with where it occurs."""
     index: Dict[str, List[Tuple[pathlib.Path, int]]] = {}
     for tree in SEARCHED:
         for path in sorted((ROOT / tree).rglob("*.py")):
             if path.name == "__init__.py":
                 continue
-            text = path.read_text(encoding="utf-8")
-            for number, line in enumerate(text.splitlines(), 1):
-                for word in set(re.findall(r"\w+", line)):
-                    index.setdefault(word, []).append((path, number))
+            for number, word in code_words(path.read_text(encoding="utf-8")):
+                index.setdefault(word, []).append((path, number))
     return index
+
+
+def test_word_search_skips_comments_and_docstrings():
+    text = '\n'.join([
+        '"""Module docstring naming docname."""',
+        "def f():",
+        "    '''Function docstring naming docname.'''",
+        "    g()  # a comment naming comname",
+        "    return 'strname', '''first",
+        "second'''",
+        "",
+    ])
+    words = set(code_words(text))
+    assert {(4, "g"), (5, "strname"), (5, "first"), (6, "second")} <= words
+    assert not {word for _, word in words} & {"docname", "comname", "naming"}
 
 
 def is_referenced(name: str, own: pathlib.Path, first: int, last: int,
@@ -264,10 +306,20 @@ RUNNER_PARAMETERS: Dict[str, List[str]] = {
     "repro.audio.verification:VoiceMatchVerifier.enroll": ["self", "voiceprint", "rng"],
     "repro.radio.propagation:PropagationModel.average_rssi": [
         "self", "tx", "rx", "rng", "samples"],
-    "repro.radio.propagation:PropagationModel.average_rssi_batch": [
-        "self", "tx", "rx", "rng", "samples"],
     "repro.radio.propagation:PropagationModel.average_rssi_grid": [
         "self", "tx", "points", "rng", "samples"],
+    "repro.radio.propagation:PropagationModel": ["plan", "seed"],
+    "repro.net.tcp:TcpConnection": ["stack", "local", "remote"],
+    "repro.net.tcp:TcpStack.listen": ["self", "port", "accept", "transparent"],
+    "repro.net.tcp:TcpStack.connect": ["self", "remote", "local_ip"],
+    "repro.attacks.morphing:PadToFixedMorpher": [],
+    "repro.attacks.morphing:RandomPadMorpher": [],
+    "repro.attacks.morphing:TimingJitterMorpher": [],
+    "repro.attacks.morphing:DummyBurstMorpher": [],
+    "repro.core.recognizers:KnnRecognizer": ["speaker_kind"],
+    "repro.core.recognizers:MlpRecognizer": ["speaker_kind"],
+    "repro.audio.verification:VoiceMatchVerifier": [],
+    "repro.core.floor:TraceClassifier": [],
     "repro.analysis.stats:bootstrap_interval": ["outcomes", "confidence", "seed"],
     "repro.analysis.reporting:render_task_timings": ["timings"],
     "repro.analysis.reporting:render_metrics_snapshot": ["snapshot"],

@@ -17,7 +17,8 @@ from repro.radio.geometry import (
     point_in_rect,
     segment_crosses_wall,
 )
-from repro.radio.propagation import PropagationModel, PropagationParams
+from repro.radio import propagation
+from repro.radio.propagation import PropagationModel
 from repro.radio.testbeds import (
     HOUSE_LEAK_POINT_NUMBERS,
     WalkRoute,
@@ -189,10 +190,11 @@ class TestPropagation:
         ])
         assert open_ > blocked
 
-    def test_rssi_floor_clamps(self):
+    def test_rssi_floor_clamps(self, monkeypatch):
         plan = FloorPlan("p")
         plan.add_room(Room("a", 0, 0, 500, 500, floor=0))
-        model = PropagationModel(plan, PropagationParams(rssi_floor=-20.0))
+        monkeypatch.setattr(propagation, "RSSI_FLOOR", -20.0)
+        model = PropagationModel(plan)
         assert model.mean_rssi(Point(0, 0, 1), Point(499, 499, 1)) == -20.0
 
     def test_average_rssi_rejects_zero_samples(self, simple_model, rng):

@@ -19,7 +19,7 @@ from repro.net.addresses import IPv4Address, endpoint
 from repro.net.link import Host, Network
 from repro.net.packet import Packet, Protocol
 from repro.net.proxy import ProxiedFlow, TransparentProxy
-from repro.radio.propagation import PropagationModel
+from repro.radio.propagation import RSSI_FLOOR, PropagationModel
 from repro.radio.testbeds import testbed_by_name as build_testbed
 from repro.sim.events import EventQueue
 from repro.sim.random import RngHub
@@ -95,7 +95,7 @@ class TestMeanRssiEquivalence:
             # stale memo returning ``before`` without recomputing would
             # be indistinguishable — so check the crossing count too.
             assert plan.walls_crossed(tx, rx) == plan.walls_crossed_scalar(tx, rx)
-            assert isinstance(after, float) and after >= model.params.rssi_floor
+            assert isinstance(after, float) and after >= RSSI_FLOOR
         finally:
             plan.walls.remove(wall)
             plan._invalidate_geometry()
@@ -163,13 +163,15 @@ class TestSampledEquivalence:
     @pytest.mark.parametrize("name", TESTBEDS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_average_batch_matches_scalar(self, name, seed):
+        # A one-location grid is the batched average of one point, each
+        # from a fresh generator (the grid loop below shares one).
         testbed = build_testbed(name)
         model = PropagationModel(testbed.plan, seed=seed)
         tx = testbed.speaker_point(0)
         for rx in grid_points(testbed)[::7]:
             scalar = model.average_rssi(tx, rx, np.random.default_rng(seed))
-            batch = model.average_rssi_batch(tx, rx, np.random.default_rng(seed))
-            assert scalar == batch
+            batch = model.average_rssi_grid(tx, [rx], np.random.default_rng(seed))
+            assert [scalar] == batch.tolist()
 
     @pytest.mark.parametrize("name", TESTBEDS)
     @pytest.mark.parametrize("seed", SEEDS)
@@ -195,8 +197,6 @@ class TestSampledEquivalence:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             model.average_rssi(tx, tx, rng, samples=0)
-        with pytest.raises(ValueError):
-            model.average_rssi_batch(tx, tx, rng, samples=0)
         with pytest.raises(ValueError):
             model.average_rssi_grid(tx, [tx], rng, samples=0)
 
