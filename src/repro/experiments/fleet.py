@@ -33,10 +33,10 @@ Two fidelities share the same population and reducers:
     *real* propagation surface (walls, slabs, shadowing — the paper's
     leak cluster included) at the occupant's measurement point and
     applies the guard's threshold decision plus a retry/push-loss
-    latency model, once per block of homes (:func:`simulate_block`).
-    About 40 microseconds per home at the benchmark's reference host
-    speed (25k homes/s serial), a third of it synthesis.  Each home
-    seeds two generators (in batches, see
+    latency model, once per seed batch of homes (:func:`simulate_block`),
+    which synthesis hands over as columns, not per-home specs.  About 28
+    microseconds per home serially on a 2-CPU x86-64 host, a third of it
+    synthesis.  Each home seeds two generators (in batches, see
     :func:`repro.sim.random.generators`) and draws its integers from
     raw words (:func:`repro.sim.random.raw_integers`); this is what
     makes million-home sweeps possible.
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,6 +64,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.synthesis import (
     FleetWorld,
+    HomeBatch,
     HomeSpec,
     PopulationModel,
     fleet_world,
@@ -94,14 +95,12 @@ _BACKOFF_BY_RETRIES = np.cumsum(
 
 SKETCH_ALPHA = 0.01  # 1% relative error on reported percentiles
 
-# Fast homes per kernel call: enough that the array work after the
-# draws is paid once for many homes, few enough that a chunk's working
-# set stays flat whatever its size.
-BLOCK_HOMES = 64
-# Fast homes synthesized per seeding batch: a batch costs about the
-# same for any size up to about a thousand seeds.  A multiple of
-# BLOCK_HOMES, so blocks do not straddle batches.
-SEED_BATCH = 16 * BLOCK_HOMES
+# Fast homes per seeding batch, each one block of the kernel: a batch's
+# seeding, decoding and array work after the draws are paid once for
+# all of its homes.  Larger batches save little more (about 28 us a
+# home at 128, 25 at 1,024), while a block's working set grows with its
+# size; at 128 it stays about flat whatever a chunk's size.
+SEED_BATCH = 128
 
 
 # ---------------------------------------------------------------------------
@@ -167,62 +166,141 @@ def _segments(sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 class HomeBlock:
     """The outcomes of a block of fast homes, one array entry per home.
 
-    ``counts`` holds every :data:`COUNT_KEYS` counter but the latency
-    total; ``latencies_us`` lists the resolved-decision latencies home
-    by home, and ``latency_home`` names each one's home.
+    ``testbed`` indexes ``testbeds``; ``counts`` holds every
+    :data:`COUNT_KEYS` counter but the latency total; ``latencies_us``
+    lists the resolved-decision latencies home by home, and
+    ``latency_home`` names each one's home.
     """
 
-    testbeds: List[str]
+    testbeds: Tuple[str, ...]
+    testbed: np.ndarray
     counts: Dict[str, np.ndarray]
     latencies_us: np.ndarray
     latency_home: np.ndarray
 
 
-# A loss-free home's push-attempt uniforms: none.
-_NO_ATTEMPTS = np.empty((0, PUSH_ATTEMPTS))
+# Each scan window's low end and width, phone then watch.
+_SCAN_LOW, _SCAN_WIDTH = zip(*[(lo, hi - lo) for lo, hi in (
+    SCAN_WINDOW["smartphone"], SCAN_WINDOW["smartwatch"])])
 
 
-def _home_draws(spec: HomeSpec, world: FleetWorld, rng: np.random.Generator,
-                exact: bool = False):
+def _home_draws(rng: np.random.Generator, head_words: int, normals: np.ndarray,
+                scans: np.ndarray, tails: np.ndarray, attempts: np.ndarray,
+                exact: Optional[Tuple[int, int, int, int]] = None):
     """One fast home's draws from its generator, in the order that
     defines the population: legit-point picks (the speaker's, then each
     extra owner's), away-point picks (extra owners', then every owner's
     per attack), uniforms (body block, then extra owners away),
     standard normals (legit noise, body loss, extra owners' noise,
-    attack noise), then per decision a scan window, a push round-trip
-    tail and, on a lossy network, a uniform per push attempt.
+    attack noise), then per decision a scan-window uniform, a push
+    round-trip tail's standard exponential and, on a lossy network, a
+    uniform per push attempt.
 
-    Returns ``(head, normals, scans, tails, attempts)``.  The head is
-    the raw words the picks and uniforms come from (the picks' words,
-    then one a uniform), which :func:`simulate_block` decodes for its
-    whole block at once; with ``exact`` it is ``(legit picks, away
-    picks, uniforms)`` from numpy's own calls instead, for a home whose
-    words numpy would have drawn differently.
+    The normals, scan uniforms, exponentials and attempt uniforms fill
+    ``normals``, ``scans``, ``tails`` and ``attempts`` (empty for a
+    loss-free home), the home's stretches of its block's arrays, which
+    :func:`simulate_block` scales for the whole block at once.  Returns
+    the head: the ``head_words`` raw words the picks and uniforms come
+    from (the picks' words, then one a uniform); with ``exact =
+    (picks, legit points, away picks, away points)`` it is ``(legit
+    picks, away picks, uniforms)`` from numpy's own calls instead, for
+    a home whose words numpy would have drawn differently.
     """
-    extra = spec.owner_count - 1
-    n = spec.legit_commands + spec.attacks
-    n_picks = (1 + extra) * spec.legit_commands
-    n_away = extra * spec.legit_commands + spec.owner_count * spec.attacks
-    if exact:
-        head = (rng.integers(0, world.legit_means.size, size=n_picks),
-                rng.integers(0, world.away_means.size, size=n_away),
-                rng.random(n_picks))
+    if exact is None:
+        head = rng.bit_generator.random_raw(head_words)
     else:
-        # A pick takes a 32-bit half-word, none among a single point.
-        halves = (n_picks * (world.legit_means.size > 1)
-                  + n_away * (world.away_means.size > 1))
-        head = rng.bit_generator.random_raw((halves + 1) // 2 + n_picks)
-    normals = rng.standard_normal((2 + extra) * spec.legit_commands
-                                  + spec.owner_count * spec.attacks)
-    lo, hi = SCAN_WINDOW[spec.device_kind]
-    scans = lo + (hi - lo) * rng.random(n)  # uniform(lo, hi, n)
-    tails = rng.exponential(PUSH_RTT_TAIL, size=n)
-    attempts = rng.random((n, PUSH_ATTEMPTS)) if spec.push_loss > 0.0 else _NO_ATTEMPTS
-    return head, normals, scans, tails, attempts
+        picks, legit_points, away, away_points = exact
+        head = (rng.integers(0, legit_points, size=picks),
+                rng.integers(0, away_points, size=away), rng.random(picks))
+    rng.standard_normal(out=normals)
+    rng.random(out=scans)
+    rng.standard_exponential(out=tails)
+    if attempts.size:
+        rng.random(out=attempts)
+    return head
 
 
-def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
-    """The reduced-order home model (``fast`` fidelity), for a block of
+def _spans(sizes: np.ndarray) -> Tuple[List[int], List[int]]:
+    """Where each segment of a flat concatenation begins and ends."""
+    ends = np.cumsum(sizes).tolist()
+    return [0] + ends[:-1], ends
+
+
+def _block_draws(seeds: List[int], legit_points: np.ndarray, away_points: np.ndarray,
+                 n_picks: np.ndarray, n_away: np.ndarray, n_normals: np.ndarray,
+                 decisions: np.ndarray, lossy: np.ndarray):
+    """Each home's :func:`_home_draws` from its generator, seeded from
+    ``seeds`` as one batch, as flat arrays: ``(picks, away_picks,
+    uniforms, normals, scans, tails, attempts)``, each home one segment
+    of each, and attempt rows for ``lossy`` homes only."""
+    size = len(seeds)
+    # A pick takes a 32-bit half-word, none among a single point.
+    halves = n_picks * (legit_points > 1) + n_away * (away_points > 1)
+    pick_words = (halves + 1) // 2
+    head_words = pick_words + n_picks
+    normals = np.empty(int(n_normals.sum()))
+    scans = np.empty(int(decisions.sum()))
+    tails = np.empty_like(scans)
+    attempt_rows = decisions * lossy
+    attempts = np.empty((int(attempt_rows.sum()), PUSH_ATTEMPTS))
+    spans = [*_spans(n_normals), *_spans(decisions), *_spans(attempt_rows)]
+    heads = [
+        _home_draws(rng, words, normals[n0:n1], scans[d0:d1], tails[d0:d1], attempts[a0:a1])
+        for rng, words, n0, n1, d0, d1, a0, a1 in zip(
+            generators(seeds), head_words.tolist(), *spans)]
+
+    # -- the heads: each home's pick words, then its uniform words --
+    words = np.concatenate(heads)
+    del heads
+    is_pick = np.repeat(np.tile([True, False], size),
+                        np.column_stack([pick_words, n_picks]).ravel())
+    uniforms = (words[~is_pick] >> np.uint64(11)) * 2.0**-53  # next_double
+    words = words[is_pick]
+    # Per home: its legit picks, its away picks, and a bound-2 pick if it
+    # would leave half a word over.
+    counts = np.column_stack([n_picks, n_away, halves % 2])
+    bounds = np.column_stack([legit_points, away_points, np.full_like(n_picks, 2)])
+    values, retried = raw_integers(words, np.repeat(bounds.ravel(), counts.ravel()))
+    del words
+    kind = np.repeat(np.tile(np.arange(3, dtype=np.int8), size), counts.ravel())
+    picks = values[kind == 0]
+    away_picks = values[kind == 1]
+    del values, kind
+    # Where numpy would have drawn another half-word (at most about one
+    # pick in 10**8), the home is drawn again with numpy's own calls.
+    pick_start = _starts(n_picks)
+    away_start = _starts(n_away)
+    redrawn = np.searchsorted(np.cumsum(counts.sum(axis=1)), np.flatnonzero(retried),
+                              side="right")
+    n0, n1, d0, d1, a0, a1 = spans
+    for h in np.unique(redrawn).tolist():
+        legit, away, uniform = _home_draws(
+            generator(seeds[h]), 0, normals[n0[h]:n1[h]], scans[d0[h]:d1[h]],
+            tails[d0[h]:d1[h]], attempts[a0[h]:a1[h]],
+            exact=(int(n_picks[h]), int(legit_points[h]), int(n_away[h]), int(away_points[h])))
+        picks[pick_start[h]:pick_start[h] + legit.size] = legit
+        away_picks[away_start[h]:away_start[h] + away.size] = away
+        uniforms[pick_start[h]:pick_start[h] + uniform.size] = uniform
+    return picks, away_picks, uniforms, normals, scans, tails, attempts
+
+
+def _block_worlds(homes: HomeBatch) -> Tuple[List[FleetWorld], np.ndarray]:
+    """The worlds of a batch's ``(testbed, deployment, plan scale)``
+    buckets, and each home's place among them."""
+    deployments = int(homes.deployment.max()) + 1
+    scales = len(homes.plan_scales)
+    bucket = (homes.testbed * deployments + homes.deployment) * scales + homes.slot
+    keys, world = np.unique(bucket, return_inverse=True)
+    worlds = []
+    for key in keys.tolist():
+        rest, slot = divmod(key, scales)
+        testbed, deployment = divmod(rest, deployments)
+        worlds.append(fleet_world(homes.testbeds[testbed], deployment, homes.plan_scales[slot]))
+    return worlds, world
+
+
+def simulate_block(homes: HomeBatch) -> HomeBlock:
+    """The reduced-order home model (``fast`` fidelity), for a batch of
     homes.
 
     Every RSSI figure comes from the real propagation substrate
@@ -230,79 +308,43 @@ def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
     per-bucket surfaces); this function adds each home's occupancy,
     noise, and decision policy on top.  Each home draws from its own
     generator in a fixed, documented order (:func:`_home_draws`), which
-    defines the population; everything after the draws runs once for
-    the block on flat arrays, each home one segment of them.
+    defines the population; everything else runs once for the batch on
+    flat arrays, each home one segment of them.
     """
-    slots: Dict[int, int] = {}  # id(world) -> its place in ``worlds``
-    worlds: List[FleetWorld] = []
-    ints, floats, draws = [], [], []
-    seeds = [derive_seed(spec.seed, "home.run") for spec in specs]
-    for spec, rng in zip(specs, generators(seeds)):
-        world = fleet_world(spec.testbed, spec.deployment, spec.plan_scale)
-        slot = slots.setdefault(id(world), len(worlds))
-        if slot == len(worlds):
-            worlds.append(world)
-        draws.append(_home_draws(spec, world, rng))
-        sigma = SAMPLE_NOISE_SIGMA
-        if spec.device_kind == "smartwatch":
-            sigma += WATCH_EXTRA_NOISE
-        ints.append((slot, spec.legit_commands, spec.attacks, spec.owner_count - 1))
-        floats.append((sigma, world.threshold_base - spec.threshold_margin,
-                       spec.away_fraction, spec.body_block_fraction, spec.push_loss))
-
-    slot, n_legit, n_attack, extra = np.array(ints, dtype=np.int64).T
-    owners = 1 + extra
-    sigma, threshold, away_fraction, body_block, push_loss = (
-        np.array(floats, dtype=np.float64).T)
+    size = len(homes)
+    worlds, world = _block_worlds(homes)
     # Every world's mean surfaces, end to end; a home's picks index its
     # own world's stretch of them.
-    legit_table = np.concatenate([world.legit_means for world in worlds])
-    away_table = np.concatenate([world.away_means for world in worlds])
-    world_legit = np.array([world.legit_means.size for world in worlds])
-    world_away = np.array([world.away_means.size for world in worlds])
-    legit_base = _starts(world_legit)[slot]
-    away_base = _starts(world_away)[slot]
+    legit_table = np.concatenate([w.legit_means for w in worlds])
+    away_table = np.concatenate([w.away_means for w in worlds])
+    world_legit = np.array([w.legit_means.size for w in worlds])
+    world_away = np.array([w.away_means.size for w in worlds])
+    legit_base = _starts(world_legit)[world]
+    away_base = _starts(world_away)[world]
+    threshold = np.array([w.threshold_base for w in worlds])[world] - homes.threshold_margin
+    sigma = np.where(homes.watch, SAMPLE_NOISE_SIGMA + WATCH_EXTRA_NOISE, SAMPLE_NOISE_SIGMA)
+    n_legit, n_attack = homes.legit_commands, homes.attacks
+    owners = homes.owner_count
+    extra = owners - 1
     # Legit picks and uniforms have the same per-home sizes.
-    n_picks = (1 + extra) * n_legit
+    n_picks = owners * n_legit
     n_away = extra * n_legit + owners * n_attack
+    n_normals = (2 + extra) * n_legit + owners * n_attack
+    decisions = n_legit + n_attack
     pick_start = _starts(n_picks)
     away_start = _starts(n_away)
-    normal_start = _starts((2 + extra) * n_legit + owners * n_attack)
-
-    # -- the heads: each home's pick words, then its uniform words --
-    legit_points, away_points = world_legit[slot], world_away[slot]
-    halves = n_picks * (legit_points > 1) + n_away * (away_points > 1)
-    pick_words = (halves + 1) // 2
-    home, j = _segments(pick_words + n_picks)
-    words = np.concatenate([head for head, *_ in draws])
-    is_pick = j < pick_words[home]
-    # Per home: its legit picks, its away picks, and a bound-2 pick if it
-    # would leave half a word over.
-    counts = np.column_stack([n_picks, n_away, halves % 2])
-    bounds = np.column_stack([legit_points, away_points, np.full_like(slot, 2)])
-    values, retried = raw_integers(words[is_pick], np.repeat(bounds.ravel(), counts.ravel()))
-    kind = np.repeat(np.tile(np.arange(3), len(specs)), counts.ravel())
-    picks = values[kind == 0]
-    away_picks = values[kind == 1]
-    uniforms = (words[~is_pick] >> np.uint64(11)) * 2.0**-53  # next_double
-    # Where numpy would have drawn another half-word (at most about one
-    # pick in 10**8), the home is drawn again with numpy's own calls.
-    retried = np.repeat(np.arange(len(specs)), counts.sum(axis=1))[retried]
-    for h in sorted(set(retried.tolist())):
-        draws[h] = _home_draws(specs[h], worlds[slot[h]], generator(seeds[h]), exact=True)
-        legit, away, uniform = draws[h][0]
-        picks[pick_start[h]:pick_start[h] + legit.size] = legit
-        away_picks[away_start[h]:away_start[h] + away.size] = away
-        uniforms[pick_start[h]:pick_start[h] + uniform.size] = uniform
-    _, *rest = zip(*draws)
-    normals, scans, tails, attempts = (np.concatenate(arrays) for arrays in rest)
+    normal_start = _starts(n_normals)
+    picks, away_picks, uniforms, normals, scans, tails, attempts = _block_draws(
+        [derive_seed(seed, "home.run") for seed in homes.seed.tolist()],
+        world_legit[world], world_away[world], n_picks, n_away, n_normals, decisions,
+        homes.push_loss > 0.0)
 
     # -- legitimate episodes: the speaking owner is at a legit point --
     home, j = _segments(n_legit)
     at = pick_start[home] + j
     noise = normal_start[home] + j
     samples = legit_table[legit_base[home] + picks[at]] + sigma[home] * normals[noise]
-    blocked_mask = uniforms[at] < body_block[home]
+    blocked_mask = uniforms[at] < homes.body_block_fraction[home]
     body_loss = np.abs(BODY_OCCLUSION
                        + (BODY_OCCLUSION / 2) * normals[noise + n_legit[home]])
     samples -= blocked_mask * body_loss
@@ -310,7 +352,7 @@ def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
     # Extra owners wander; any device above threshold also grants.
     home, k = _segments(extra * n_legit)
     at = pick_start[home] + n_legit[home] + k
-    away = uniforms[at] < away_fraction[home]
+    away = uniforms[at] < homes.away_fraction[home]
     other = np.where(away, away_table[away_base[home] + away_picks[away_start[home] + k]],
                      legit_table[legit_base[home] + picks[at]])
     other += sigma[home] * normals[normal_start[home] + 2 * n_legit[home] + k]
@@ -325,20 +367,31 @@ def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
     attack = _starts(n_attack)[home] + k % n_attack[home]
     attack_exposed = np.zeros(int(n_attack.sum()), dtype=bool)
     attack_exposed[attack[asamples >= threshold[home]]] = True
+    # A block's peak memory is a fleet worker's: the episodes' arrays go
+    # before the decision pipeline builds its own.
+    del picks, away_picks, uniforms, normals, at, noise, samples, blocked_mask, body_loss
+    del away, other, command, asamples, attack
 
     # -- decision pipeline: scans, pushes, retries, timeouts --
-    home, k = _segments(n_legit + n_attack)
+    home, k = _segments(decisions)
+    watch = homes.watch[home]
+    # uniform(low, high, n) and exponential(PUSH_RTT_TAIL, n), as numpy
+    # computes them from the bare draws, plus the round-trip base.
+    scans *= np.where(watch, _SCAN_WIDTH[1], _SCAN_WIDTH[0])
+    scans += np.where(watch, _SCAN_LOW[1], _SCAN_LOW[0])
+    tails *= PUSH_RTT_TAIL
+    tails += PUSH_RTT_BASE
     # Loss-free homes (most of the fleet) drew no attempt uniforms:
     # their first push always lands.
     fails = np.zeros((home.size, PUSH_ATTEMPTS), dtype=bool)
-    lossy = push_loss[home] > 0.0
-    fails[lossy] = attempts < push_loss[home[lossy], None]
-    latency, timeout, retries = _latency_model(scans, PUSH_RTT_BASE + tails, fails)
+    push_loss = homes.push_loss[home]
+    lossy = push_loss > 0.0
+    fails[lossy] = attempts < push_loss[lossy, None]
+    latency, timeout, retries = _latency_model(scans, tails, fails)
     legit = k < n_legit[home]
-    homes = len(specs)
 
     def per_home(owner: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        return np.bincount(owner[mask], minlength=homes)
+        return np.bincount(owner[mask], minlength=size)
 
     # Legit: a resolved below-threshold reading is a false block; a
     # timeout falls open (executes), costing availability, not a block.
@@ -348,17 +401,18 @@ def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
     attack_blocked = ~timeout[~legit] & ~attack_exposed
     resolved = ~timeout
     return HomeBlock(
-        testbeds=[spec.testbed for spec in specs],
+        testbeds=homes.testbeds,
+        testbed=homes.testbed,
         counts={
-            "homes": np.ones(homes, dtype=np.int64),
+            "homes": np.ones(size, dtype=np.int64),
             "homes_attacked": (n_attack > 0).astype(np.int64),
             "legit_commands": n_legit,
             "false_blocks": per_home(home[legit], false_block),
             "attacks": n_attack,
             "attacks_blocked": per_home(home[~legit], attack_blocked),
-            "decisions": n_legit + n_attack,
+            "decisions": decisions,
             "timeouts": per_home(home, timeout),
-            "retries": np.bincount(home, weights=retries, minlength=homes).astype(np.int64),
+            "retries": np.bincount(home, weights=retries, minlength=size).astype(np.int64),
         },
         latencies_us=np.rint(latency[resolved] * 1e6).astype(np.int64),
         latency_home=home[resolved],
@@ -368,7 +422,7 @@ def simulate_block(specs: Sequence[HomeSpec]) -> HomeBlock:
 def simulate_home(spec: HomeSpec) -> HomeSummary:
     """One home of the reduced-order model: a one-home
     :func:`simulate_block`."""
-    block = simulate_block([spec])
+    block = simulate_block(HomeBatch.of(spec))
     counts = {key: int(values[0]) for key, values in block.counts.items()}
     return HomeSummary(
         testbed=spec.testbed,
@@ -478,13 +532,14 @@ class FleetAccumulator:
         self.sketches[summary.testbed].add(summary.latencies_us)
 
     def add_block(self, block: HomeBlock) -> None:
-        testbeds = np.array(block.testbeds)
-        for name in dict.fromkeys(block.testbeds):
-            homes = testbeds == name
+        latency_testbed = block.testbed[block.latency_home]
+        for code in np.unique(block.testbed).tolist():
+            homes = block.testbed == code
+            name = block.testbeds[code]
             counts = self._bucket(name)
             for key, values in block.counts.items():
                 counts[key] += int(values[homes].sum())
-            latencies_us = block.latencies_us[homes[block.latency_home]]
+            latencies_us = block.latencies_us[latency_testbed == code]
             counts["latency_total_us"] += int(latencies_us.sum())
             self.sketches[name].add(latencies_us)
 
@@ -557,12 +612,10 @@ class FleetConfig:
         base, remainder = divmod(self.homes, self.shards)
         return shard * base + min(shard, remainder)
 
-    def iter_chunks(self, shard_order: Optional[List[int]] = None,
-                    ) -> Iterator[Tuple[int, int, int]]:
+    def iter_chunks(self) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(shard, lo, hi)`` chunk bounds, streaming."""
         chunk = self.chunk_size
-        shards = shard_order if shard_order is not None else range(self.shards)
-        for shard in shards:
+        for shard in range(self.shards):
             size = self.shard_size(shard)
             for lo in range(0, size, chunk):
                 yield shard, lo, min(lo + chunk, size)
@@ -577,14 +630,12 @@ def run_fleet_chunk(config: FleetConfig, shard: int, lo: int, hi: int) -> dict:
     """
     accumulator = FleetAccumulator()
     population = config.population
-    start_index = config.shard_start(shard)
     if config.fidelity == "fast":
         for batch_lo in range(lo, hi, SEED_BATCH):
-            specs = population.homes(config.seed, shard, batch_lo,
-                                     min(batch_lo + SEED_BATCH, hi), start_index)
-            for block in range(0, len(specs), BLOCK_HOMES):
-                accumulator.add_block(simulate_block(specs[block:block + BLOCK_HOMES]))
+            accumulator.add_block(simulate_block(population.homes(
+                config.seed, shard, batch_lo, min(batch_lo + SEED_BATCH, hi))))
     else:
+        start_index = config.shard_start(shard)
         # simulate_home_full is looked up per home so that a wrapper
         # installed on the module (e.g. a benchmark audit) sees every home.
         for offset in range(lo, hi):
@@ -722,7 +773,6 @@ def run_fleet(
     config: FleetConfig,
     workers: int = 1,
     progress: bool = False,
-    shard_order: Optional[List[int]] = None,
 ) -> FleetResult:
     """Stream a fleet through the experiment engine.
 
@@ -746,7 +796,7 @@ def run_fleet(
             args=(config, shard, lo, hi),
             label=f"fleet/s{shard}/{lo}-{hi}",
         )
-        for shard, lo, hi in config.iter_chunks(shard_order=shard_order)
+        for shard, lo, hi in config.iter_chunks()
     )
 
     def fold(accumulator, payload, task):

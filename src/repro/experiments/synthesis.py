@@ -30,9 +30,10 @@ chunking — the property the fleet determinism tests pin down.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -60,19 +61,33 @@ PUSH_LOSS_TIERS: Tuple[float, ...] = (0.0, 0.02, 0.08)
 PUSH_LOSS_WEIGHTS: Tuple[float, ...] = (0.7, 0.2, 0.1)
 
 
-def _cumulative(pairs) -> Tuple[Tuple[object, float], ...]:
-    """Normalized cumulative weights for a cheap inverse-CDF pick."""
-    pairs = list(pairs)
-    total = float(sum(weight for _, weight in pairs))
+def _edges(weights) -> Tuple[float, ...]:
+    """The normalized cumulative weights of an inverse-CDF pick, bar
+    the last: a draw picks the first entry whose cumulative weight
+    exceeds it, else the last."""
+    total = float(sum(weights))
     running = 0.0
     out = []
-    for value, weight in pairs:
+    for weight in weights:
         running += weight / total
-        out.append((value, running))
-    return tuple(out)
+        out.append(running)
+    return tuple(out[:-1])
 
 
-_LOSS_CUMULATIVE = _cumulative(zip(PUSH_LOSS_TIERS, PUSH_LOSS_WEIGHTS))
+_LOSS_EDGES = _edges(PUSH_LOSS_WEIGHTS)
+
+
+def _pick(edges: Tuple[float, ...], draw):
+    """The entry index each inverse-CDF ``draw`` picks; ``draw`` is a
+    float or an array of them."""
+    if isinstance(draw, float):
+        return bisect.bisect_right(edges, draw)
+    return np.searchsorted(edges, draw, side="right")
+
+
+def _lookup(values: Tuple, code):
+    """``values[code]`` for an int ``code`` or an array of them."""
+    return values[code] if isinstance(code, int) else np.asarray(values)[code]
 
 
 @dataclass(frozen=True)
@@ -98,6 +113,51 @@ class HomeSpec:
     body_block_fraction: float
     push_loss: float
     threshold_margin: float  # calibration jitter (units of RSSI)
+
+
+@dataclass(frozen=True)
+class HomeBatch:
+    """Homes as columns: entry ``i`` of each array is home ``i``, with
+    :class:`HomeSpec`'s meaning.  ``testbed`` indexes ``testbeds``,
+    ``slot`` indexes ``plan_scales``, and ``watch`` marks the homes
+    whose owners carry a smartwatch, not a smartphone."""
+
+    testbeds: Tuple[str, ...]
+    plan_scales: Tuple[float, ...]
+    seed: np.ndarray
+    testbed: np.ndarray
+    deployment: np.ndarray
+    slot: np.ndarray
+    owner_count: np.ndarray
+    watch: np.ndarray
+    legit_commands: np.ndarray
+    attacks: np.ndarray
+    away_fraction: np.ndarray
+    body_block_fraction: np.ndarray
+    push_loss: np.ndarray
+    threshold_margin: np.ndarray
+
+    def __len__(self) -> int:
+        return self.seed.size
+
+    @classmethod
+    def of(cls, spec: HomeSpec) -> "HomeBatch":
+        """The one-home batch of ``spec``."""
+        return cls(
+            testbeds=(spec.testbed,), plan_scales=(spec.plan_scale,),
+            seed=np.array([spec.seed], dtype=np.uint64),
+            testbed=np.zeros(1, dtype=np.int64),
+            deployment=np.array([spec.deployment]),
+            slot=np.zeros(1, dtype=np.int64),
+            owner_count=np.array([spec.owner_count]),
+            watch=np.array([spec.device_kind == "smartwatch"]),
+            legit_commands=np.array([spec.legit_commands]),
+            attacks=np.array([spec.attacks]),
+            away_fraction=np.array([spec.away_fraction]),
+            body_block_fraction=np.array([spec.body_block_fraction]),
+            push_loss=np.array([spec.push_loss]),
+            threshold_margin=np.array([spec.threshold_margin]),
+        )
 
 
 @dataclass(frozen=True)
@@ -135,7 +195,9 @@ class PopulationModel:
                 raise WorkloadError(f"{knob} must be finite and >= 0, got {mean!r}")
         for name, _ in self.testbed_mix:
             testbed_by_name(name)  # raises on unknown names, at config time
-        object.__setattr__(self, "_mix_cumulative", _cumulative(self.testbed_mix))
+        object.__setattr__(self, "_mix_edges", _edges([weight for _, weight in self.testbed_mix]))
+        object.__setattr__(self, "_testbeds", tuple(name for name, _ in self.testbed_mix))
+        object.__setattr__(self, "_office", tuple(name == "office" for name in self._testbeds))
         # The head's integers: deployment, plan-scale slot, extra owners,
         # and a bound-2 pad where they would leave half a word over.
         slots = len(self.plan_scales)
@@ -144,118 +206,98 @@ class PopulationModel:
     def home(self, base_seed: int, shard: int, offset: int, index: int) -> HomeSpec:
         """Synthesize home ``offset`` of ``shard`` (global ``index``), with
         numpy's own calls: for one home they cost less than decoding its
-        raw words."""
+        raw words.  :meth:`_columns` maps its draws as plain numbers."""
         seed = derive_seed(base_seed, "fleet.home", shard, offset)
-        return self._spec(shard, index, seed, *self._draws(generator(seed), exact=True))
+        (u, head), legit, attacks, normal = self._draws(generator(seed), exact=True)
+        testbed, deployment, slot, owner_count, watch, *rest = self._columns(
+            u, head, legit, attacks, normal)
+        return HomeSpec(index, shard, seed, self._testbeds[testbed], deployment,
+                        float(self.plan_scales[slot]), owner_count,
+                        "smartwatch" if watch else "smartphone", *rest)
 
-    def homes(self, base_seed: int, shard: int, lo: int, hi: int,
-              shard_start: int) -> List[HomeSpec]:
-        """Homes ``lo..hi`` of ``shard``, home ``offset`` at global index
-        ``shard_start + offset``: each equal to :meth:`home`'s, their
-        generators seeded as one batch."""
+    def homes(self, base_seed: int, shard: int, lo: int, hi: int) -> HomeBatch:
+        """Homes ``lo..hi`` of ``shard`` as one batch, each equal to
+        :meth:`home`'s: their generators seeded as one batch, their raw
+        words decoded and mapped once for the batch."""
         seeds = [derive_seed(base_seed, "fleet.home", shard, offset)
                  for offset in range(lo, hi)]
-        return self._specs(shard, shard_start + lo, seeds, generators(seeds))
+        heads, legit, attacks, normals = (
+            list(column) for column in zip(*[self._draws(rng) for rng in generators(seeds)]))
+        bounds = self._head_bounds
+        words = np.concatenate(heads).reshape(len(seeds), -1)
+        values, retried = raw_integers(words[:, 6:].ravel(), np.tile(bounds, len(seeds)))
+        ints = values.reshape(len(seeds), len(bounds))[:, :3]
+        u = (words[:, :6] >> np.uint64(11)) * 2.0**-53  # next_double
+        # Where numpy would have drawn another half-word (at most about
+        # one home in 10**9), the home is drawn again with numpy's calls.
+        for i in np.flatnonzero(retried.reshape(len(seeds), -1).any(axis=1)).tolist():
+            (u[i], ints[i]), legit[i], attacks[i], normals[i] = self._draws(
+                generator(seeds[i]), exact=True)
+        return HomeBatch(
+            self._testbeds, tuple(self.plan_scales), np.array(seeds, dtype=np.uint64),
+            *self._columns(u.T, ints.T, np.array(legit), np.array(attacks), np.array(normals)))
 
     def _draws(self, rng: np.random.Generator, exact: bool = False):
-        """A home's draws from its generator, ``(head, u, legit_commands,
-        attacks, threshold_margin)``.
+        """A home's draws from its generator, ``(head, legit, attacks,
+        normal)``.
 
         The draw order below is part of the population's definition:
         reordering it would re-deal every home in every fleet.  Draws
         come in a fixed-size head (six uniforms, then three integers:
         deployment, plan-scale slot, extra owners) and a variable-size
-        tail, so synthesis stays cheap at millions of homes; unused
-        entries are drawn anyway to keep every home's stream aligned.
+        tail: the legit command count's Poisson draw, the attack count's
+        for a home the campaign reaches (else 0, undrawn), and the
+        calibration margin's standard normal.  Unused entries are drawn
+        anyway to keep every home's stream aligned.
 
         The head is one ``random_raw`` call: the uniforms' words, then
-        the words of the integers, which :meth:`_specs` decodes for its
+        the words of the integers, which :meth:`homes` decodes for its
         whole batch (a one-slot plan-scale draw takes no half-word, so
         one word holds the other two).  With ``exact``, numpy's own
-        calls draw the head instead: for a single home, and for a home
-        whose words numpy would have drawn differently.
+        calls draw the head instead, as ``(uniforms, integers)``: for a
+        single home, and for a home whose words numpy would have drawn
+        differently.
         """
-        # u: [mix pick, watch pick, away, body-block, attacked, loss tier]
+        # uniforms: [mix pick, watch pick, away, body-block, attacked, loss tier]
         if exact:
             u = rng.random(6).tolist()
-            head = [int(rng.integers(0, bound)) for bound in self._head_bounds[:3]]
+            head = (u, [int(rng.integers(0, bound)) for bound in self._head_bounds[:3]])
+            attacked = u[4] < self.attack_prevalence
         else:
-            words = rng.bit_generator.random_raw(6 + len(self._head_bounds) // 2).tolist()
-            u = [(word >> 11) * 2.0**-53 for word in words[:6]]  # next_double
-            head = words[6:]
-        legit_commands = max(1, int(rng.poisson(self.legit_commands_mean)))
-        attacks = 0
-        if u[4] < self.attack_prevalence:
-            attacks = max(1, int(rng.poisson(self.attacks_mean)))
-        threshold_margin = 0.0 + 0.5 * rng.standard_normal()  # normal(0.0, 0.5)
-        return head, u, legit_commands, attacks, threshold_margin
+            head = rng.bit_generator.random_raw(6 + len(self._head_bounds) // 2)
+            attacked = (int(head[4]) >> 11) * 2.0**-53 < self.attack_prevalence
+        legit = rng.poisson(self.legit_commands_mean)
+        attacks = rng.poisson(self.attacks_mean) if attacked else 0
+        return head, legit, attacks, rng.standard_normal()
 
-    def _specs(self, shard: int, first_index: int, seeds: List[int],
-               rngs: Sequence[np.random.Generator]) -> List[HomeSpec]:
-        """The homes with these seeds, home ``i`` drawn from ``rngs[i]``
-        (seeded with ``seeds[i]``) and at global index ``first_index + i``."""
-        draws = [self._draws(rng) for rng in rngs]
-        bounds = self._head_bounds
-        values, retried = raw_integers(
-            np.array([head for head, *_ in draws], dtype=np.uint64).ravel(),
-            np.tile(bounds, len(draws)))
-        heads = values.reshape(len(draws), len(bounds)).tolist()
-        # Where numpy would have drawn another half-word (at most about
-        # one home in 10**9), the home is drawn again with numpy's calls.
-        for i in np.flatnonzero(retried.reshape(len(draws), -1).any(axis=1)).tolist():
-            draws[i] = self._draws(generator(seeds[i]), exact=True)
-            heads[i] = draws[i][0]
-        return [self._spec(shard, first_index + i, seed, head, *draw[1:])
-                for i, (seed, head, draw) in enumerate(zip(seeds, heads, draws))]
-
-    def _spec(self, shard: int, index: int, seed: int, head: List[int], u: List[float],
-              legit_commands: int, attacks: int, threshold_margin: float) -> HomeSpec:
-        """The home with seed ``seed``, from its :meth:`_draws` and their
-        decoded head."""
-        deployment, slot, extra_owners = head[:3]
+    def _columns(self, u, ints, legit, attacks, normal) -> Tuple:
+        """Homes from their decoded draws: :class:`HomeBatch`'s columns
+        after ``seed``, in its field order (which is :class:`HomeSpec`'s
+        from ``testbed`` on).  ``u`` holds the six uniforms, ``ints`` the
+        deployment, plan-scale slot and extra owners, and the rest are
+        :meth:`_draws`' tail.  Each is an array with an entry per home
+        or, for :meth:`home`, one plain number; the arithmetic below,
+        :func:`_pick` and :func:`_lookup` serve both."""
         # 1. Base testbed, by mix weight.
-        testbed = self._mix_cumulative[-1][0]
-        for name, cumulative in self._mix_cumulative:
-            if u[0] < cumulative:
-                testbed = name
-                break
-
-        # 2. Device mix: the office population wears watches (the
-        #    paper's setup); homes carry phones, with a watch minority.
-        if testbed == "office":
-            owner_count = 1
-            device_kind = "smartwatch"
-        else:
-            owner_count = 1 + extra_owners
-            device_kind = "smartwatch" if u[1] < 0.15 else "smartphone"
-
-        # 3. Occupancy schedule.
-        away_fraction = 0.25 + 0.55 * u[2]
-        body_block_fraction = 0.2 + 0.4 * u[3]
-
-        # 4. Operational diversity.
-        tier_pick = u[5]
-        push_loss = _LOSS_CUMULATIVE[-1][0]
-        for tier, cumulative in _LOSS_CUMULATIVE:
-            if tier_pick < cumulative:
-                push_loss = tier
-                break
-
-        return HomeSpec(
-            index=index,
-            shard=shard,
-            seed=seed,
-            testbed=testbed,
-            deployment=deployment,
-            plan_scale=float(self.plan_scales[slot]),
-            owner_count=owner_count,
-            device_kind=device_kind,
-            legit_commands=legit_commands,
-            attacks=attacks,
-            away_fraction=away_fraction,
-            body_block_fraction=body_block_fraction,
-            push_loss=push_loss,
-            threshold_margin=threshold_margin,
+        testbed = _pick(self._mix_edges, u[0])
+        office = _lookup(self._office, testbed)
+        deployment, slot, extra_owners = ints
+        return (
+            testbed, deployment, slot,
+            # 2. Device mix: the office population wears watches (the
+            #    paper's setup); homes carry phones, with a watch minority.
+            1 + extra_owners * (1 - office),
+            office | (u[1] < 0.15),
+            # 3. Occupancy schedule: at least one command (a Poisson
+            #    draw is never negative), attacks where the campaign hit.
+            legit + (legit == 0),
+            (attacks + (attacks == 0)) * (u[4] < self.attack_prevalence),
+            0.25 + 0.55 * u[2],
+            0.2 + 0.4 * u[3],
+            # 4. Operational diversity: push loss, calibration margin
+            #    (normal(0.0, 0.5)).
+            _lookup(PUSH_LOSS_TIERS, _pick(_LOSS_EDGES, u[5])),
+            0.0 + 0.5 * normal,
         )
 
 

@@ -18,6 +18,14 @@ computation; ``(word >> 11) * 2**-53`` is the word's ``random()``.
 :func:`generators` seeds many generators at once the way
 ``default_rng`` seeds each.  ``tests/test_sim_random.py`` pins each
 identity.
+
+The batch helpers also check them where they run: on first use of
+:func:`generators` or :func:`raw_integers`, a one-shot probe compares a
+few seeds and bounds with ``default_rng`` and ``Generator.integers``.
+Should this numpy draw differently, one stderr line names its version,
+:func:`generators` builds ``default_rng``'s own generators, and
+:func:`raw_integers` marks every draw as retried, so callers redraw
+each home with numpy's own calls: slower, the same tables.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import operator
-from typing import Dict, Sequence, Tuple, TypeVar
+import sys
+from typing import Dict, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -67,29 +76,43 @@ def raw_integers(words: np.ndarray, bounds) -> Tuple[np.ndarray, np.ndarray]:
 
     numpy rejects a half, and draws another, when ``(x * n) &
     0xFFFFFFFF < (2**32 - n) % n``: ``retried[i]`` marks such a draw
-    (at most ``n / 2**32`` likely).  From there on the values are not
-    numpy's, and the generator would have drawn more words.
+    (at most ``n / 2**32`` likely), and every draw on a numpy that
+    fails the probe.  From there on the values are not numpy's, and the
+    generator would have drawn more words.
 
     Several generators' draws go in one call, their words and bounds in
     turn, when each uses all the halves of its words: one that would
     leave a half over ends with a bound of 2, which numpy never rejects.
     """
+    values, retried = _lemire(words, bounds)
+    if not _numpy_spelled():
+        retried[:] = True
+    return values, retried
+
+
+def _lemire(words: np.ndarray, bounds) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`raw_integers` as this module spells it, unprobed."""
     bounds = np.asarray(bounds, dtype=np.int64)
     if bounds.size and not (bounds.min() >= 1 and bounds.max() <= 2**32):
         raise SimulationError("an integers bound must be in [1, 2**32]")
-    bounds = bounds.astype(np.uint64)
-    halves = np.empty(2 * words.size, dtype=np.uint64)
-    halves[0::2] = words & _LOW
-    halves[1::2] = words >> _HALF
     drawn = bounds > 1
     count = int(np.count_nonzero(drawn))
-    if count > halves.size:
+    if count > 2 * words.size:
         raise SimulationError(f"{count} half-words drawn from {words.size} words")
+    halves = np.empty(2 * words.size, dtype=np.uint64)
+    np.bitwise_and(words, _LOW, out=halves[0::2])
+    np.right_shift(words, _HALF, out=halves[1::2])
     x = np.zeros(bounds.size, dtype=np.uint64)
     x[drawn] = halves[:count]
-    scaled = x * bounds
-    return ((scaled >> _HALF).astype(np.int64),
-            (scaled & _LOW) < (_TWO_32 - bounds) % bounds)
+    del halves
+    # In place where it can be: a fleet block decodes ~10**5 picks.
+    bounds = bounds.view(np.uint64)
+    x *= bounds
+    values = (x >> _HALF).view(np.int64)
+    x &= _LOW
+    threshold = _TWO_32 - bounds
+    threshold %= bounds
+    return values, x < threshold
 
 
 def generator(seed) -> np.random.Generator:
@@ -209,7 +232,7 @@ class GeneratorBatch:
         return np.random.Generator(np.random.PCG64(self._seed_type(self._words[index])))
 
 
-def generators(seeds: Sequence[int]) -> GeneratorBatch:
+def generators(seeds: Sequence[int]) -> Sequence[np.random.Generator]:
     """``[np.random.default_rng(seed) for seed in seeds]``, seeded as one
     array computation: numpy's SeedSequence hash run on every seed at
     once.  Each generator has ``default_rng(seed)``'s state and draws.
@@ -218,7 +241,51 @@ def generators(seeds: Sequence[int]) -> GeneratorBatch:
     draws, and :func:`generator` for a stream that is stored, pickled or
     spawned.
     """
-    return GeneratorBatch(_pcg64_words(_seed_array(seeds)))
+    seeds = _seed_array(seeds)
+    if not _numpy_spelled():
+        return [generator(seed) for seed in seeds.tolist()]
+    return GeneratorBatch(_pcg64_words(seeds))
+
+
+# Probe seeds (one word, two words, the largest) and bounds (two, one,
+# which draws nothing, small and near 2**32), none of which numpy
+# rejects; then one ``random()`` from the word after them.
+_PROBE_SEEDS = (0, 2**32 + 7, 2**64 - 1)
+_PROBE_BOUNDS = (2, 1, 3, 60, 2**32 - 1)
+
+# The probe's verdict on this process's numpy, once it has run.
+_SPELLED: Optional[bool] = None
+
+
+def _probe() -> bool:
+    """Whether this numpy seeds, draws ``integers(0, n)`` and draws
+    ``random()`` the way this module spells them, on the probe's seeds
+    and bounds."""
+    batch = GeneratorBatch(_pcg64_words(_seed_array(_PROBE_SEEDS)))
+    for ours, seed in zip(batch, _PROBE_SEEDS):
+        numpys = np.random.default_rng(seed)
+        if ours.bit_generator.state != numpys.bit_generator.state:
+            return False
+        words = ours.bit_generator.random_raw(3)
+        values, retried = _lemire(words[:2], _PROBE_BOUNDS)
+        if retried.any() or values.tolist() != numpys.integers(0, _PROBE_BOUNDS).tolist():
+            return False
+        if (words[2] >> np.uint64(11)) * 2.0**-53 != numpys.random():
+            return False
+    return True
+
+
+def _numpy_spelled() -> bool:
+    """:func:`_probe`'s verdict, probed once per process; a failed
+    probe prints one line on stderr."""
+    global _SPELLED
+    if _SPELLED is None:
+        _SPELLED = _probe()
+        if not _SPELLED:
+            print(f"warning: numpy {np.__version__} seeds or draws integers unlike "
+                  "repro.sim.random's spelling; batch draws fall back to numpy's own "
+                  "calls (slower, the same tables)", file=sys.stderr)
+    return _SPELLED
 
 
 class RngHub:

@@ -15,10 +15,10 @@ import pytest
 from repro.errors import WorkloadError
 from repro.experiments import fleet, synthesis
 from repro.experiments.fleet import (
-    BLOCK_HOMES,
     SEED_BATCH,
     FleetAccumulator,
     FleetConfig,
+    FleetResult,
     run_fleet,
     run_fleet_chunk,
     simulate_block,
@@ -36,6 +36,7 @@ from repro.experiments.synthesis import (
     warm_worlds,
 )
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.sim import random as random_module
 # Aliased: a module-level name starting with "test" would be collected
 # by pytest as a test item.
 from repro.radio.testbeds import testbed_by_name as build_testbed
@@ -85,6 +86,22 @@ def numpy_home(pop: PopulationModel, base_seed: int, shard: int, offset: int) ->
         body_block_fraction=0.2 + 0.4 * float(u[3]),
         push_loss=by_weight(zip(PUSH_LOSS_TIERS, PUSH_LOSS_WEIGHTS), u[5]),
         threshold_margin=float(rng.normal(0.0, 0.5)))
+
+
+def as_specs(batch, shard: int, lo: int):
+    """A :class:`HomeBatch`'s rows as the specs ``home(base, shard,
+    offset, offset)`` builds, offsets from ``lo`` on."""
+    return [HomeSpec(
+        index=lo + i, shard=shard, seed=int(batch.seed[i]),
+        testbed=batch.testbeds[batch.testbed[i]], deployment=int(batch.deployment[i]),
+        plan_scale=float(batch.plan_scales[batch.slot[i]]),
+        owner_count=int(batch.owner_count[i]),
+        device_kind="smartwatch" if batch.watch[i] else "smartphone",
+        legit_commands=int(batch.legit_commands[i]), attacks=int(batch.attacks[i]),
+        away_fraction=float(batch.away_fraction[i]),
+        body_block_fraction=float(batch.body_block_fraction[i]),
+        push_loss=float(batch.push_loss[i]),
+        threshold_margin=float(batch.threshold_margin[i])) for i in range(len(batch))]
 
 
 def always_retried(monkeypatch, module):
@@ -150,22 +167,23 @@ class TestSynthesis:
 
     def test_homes_batch_is_home_by_home(self):
         pop = PopulationModel()
-        batch = pop.homes(3, 2, 5, 5 + BLOCK_HOMES + 6, 100)
-        assert batch == [pop.home(3, 2, offset, 100 + offset)
-                         for offset in range(5, 5 + BLOCK_HOMES + 6)]
+        batch = pop.homes(3, 2, 5, 75)
+        assert as_specs(batch, 2, 5) == [pop.home(3, 2, offset, offset)
+                                         for offset in range(5, 75)]
 
     @pytest.mark.parametrize("scales", [(1.0,), DEFAULT_PLAN_SCALES], ids=["one-slot", "default"])
     def test_homes_are_the_numpy_calls(self, scales):
         # One slot is the fleet-full population: its slot draw takes no
         # half-word, so the head is 7 words, not 8.
         pop = PopulationModel(plan_scales=scales)
-        assert pop.homes(3, 1, 0, 300, 0) == [numpy_home(pop, 3, 1, o) for o in range(300)]
+        assert as_specs(pop.homes(3, 1, 0, 300), 1, 0) == [
+            numpy_home(pop, 3, 1, o) for o in range(300)]
 
     def test_forced_rejection_redraws_the_same_homes(self, monkeypatch):
         pop = PopulationModel()
-        normal = pop.homes(3, 0, 0, 200, 0)
+        normal = as_specs(pop.homes(3, 0, 0, 200), 0, 0)
         seeded = always_retried(monkeypatch, synthesis)
-        assert pop.homes(3, 0, 0, 200, 0) == normal
+        assert as_specs(pop.homes(3, 0, 0, 200), 0, 0) == normal
         assert seeded == [spec.seed for spec in normal]
 
     def test_attack_prevalence_knob(self):
@@ -281,7 +299,7 @@ class TestSimulateHome:
         # Every home drawn again with numpy's own calls, on worlds as
         # built and on worlds cut to one point, whose picks take no
         # half-word.
-        specs = PopulationModel().homes(5, 0, 0, BLOCK_HOMES, 0)
+        specs = PopulationModel().homes(5, 0, 0, 64)
         if points:
             field = f"{points}_means"
             monkeypatch.setattr(fleet, "fleet_world", lambda *bucket: dataclasses.replace(
@@ -291,11 +309,34 @@ class TestSimulateHome:
         forced = simulate_block(specs)
         assert len(seeded) == len(specs)
         assert forced.testbeds == normal.testbeds
+        assert np.array_equal(forced.testbed, normal.testbed)
         assert forced.counts.keys() == normal.counts.keys()
         for key, values in normal.counts.items():
             assert np.array_equal(forced.counts[key], values), key
         assert np.array_equal(forced.latencies_us, normal.latencies_us)
         assert np.array_equal(forced.latency_home, normal.latency_home)
+
+    @pytest.mark.parametrize("sizes", [[1] * 1024, [37] * 27 + [25], [1023, 1]],
+                             ids=["ones", "37s", "1023+1"])
+    def test_batch_as_one_block_is_its_homes_in_any_blocks(self, sizes):
+        # A 1,024-home batch as one block of the kernel, and the same
+        # homes cut into other blocks: each home's counts and latencies
+        # are the same.
+        pop = PopulationModel()
+        whole = simulate_block(pop.homes(5, 0, 0, 1024))
+        parts, lo = [], 0
+        for size in sizes:
+            parts.append((lo, simulate_block(pop.homes(5, 0, lo, lo + size))))
+            lo += size
+        assert lo == 1024
+        for key, values in whole.counts.items():
+            assert np.array_equal(np.concatenate([part.counts[key] for _, part in parts]),
+                                  values), key
+        assert np.array_equal(np.concatenate([part.testbed for _, part in parts]), whole.testbed)
+        assert np.array_equal(np.concatenate([part.latencies_us for _, part in parts]),
+                              whole.latencies_us)
+        assert np.array_equal(np.concatenate([start + part.latency_home for start, part in parts]),
+                              whole.latency_home)
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +361,13 @@ class TestFleetAccumulator:
                {name: s.to_dict() for name, s in backward.sketches.items()}
 
     @pytest.mark.parametrize(
-        "chunk", [1, BLOCK_HOMES - 1, BLOCK_HOMES, BLOCK_HOMES + 1, 2 * BLOCK_HOMES + 3],
+        "chunk", [1, SEED_BATCH - 1, SEED_BATCH, SEED_BATCH + 1, 2 * SEED_BATCH + 3],
         ids=["one", "block-1", "block", "block+1", "all"])
     def test_chunk_split_does_not_change_state(self, chunk):
         # Every home of a shard folded one by one vs the same homes in
-        # chunks of ``chunk``, which cut the kernel's blocks elsewhere.
-        config = FleetConfig(homes=2 * BLOCK_HOMES + 3, shards=1, seed=11)
+        # chunks of ``chunk``, which cut the kernel's blocks (its seed
+        # batches) elsewhere.
+        config = FleetConfig(homes=2 * SEED_BATCH + 3, shards=1, seed=11)
         per_home = FleetAccumulator()
         for offset in range(config.homes):
             per_home.add_home(simulate_home(config.population.home(11, 0, offset, offset)))
@@ -335,9 +377,10 @@ class TestFleetAccumulator:
         assert split.to_payload() == per_home.to_payload()
 
     def test_chunk_across_a_seed_batch(self):
-        # One chunk whose homes span two seeding batches, the second
-        # ending mid-block, vs the same homes one chunk per home.
-        homes = SEED_BATCH + BLOCK_HOMES + 3
+        # One chunk whose homes span two seeding batches, each one
+        # block, the second part full, vs the same homes one chunk per
+        # home.
+        homes = SEED_BATCH + 67
         config = FleetConfig(homes=homes, shards=1, seed=11)
         whole = run_fleet_chunk(config, 0, 0, homes)
         single = FleetAccumulator()
@@ -418,9 +461,27 @@ class TestFleetDeterminism:
         assert run_fleet(config, workers=2).render() == reference
 
     def test_shard_order_invariant(self, small_fleet, reference):
-        shuffled = run_fleet(small_fleet, workers=2,
-                             shard_order=[2, 0, 3, 1])
+        accumulator = FleetAccumulator()
+        chunks = 0
+        for shard in [2, 0, 3, 1]:
+            size = small_fleet.shard_size(shard)
+            for lo in range(0, size, small_fleet.chunk_size):
+                accumulator = accumulator.merge_payload(run_fleet_chunk(
+                    small_fleet, shard, lo, min(lo + small_fleet.chunk_size, size)))
+                chunks += 1
+        shuffled = FleetResult(config=small_fleet, accumulator=accumulator, elapsed=1.0,
+                               chunks=chunks, workers=1)
         assert shuffled.render() == reference
+
+    def test_failed_numpy_probe_keeps_the_table(self, small_fleet, reference,
+                                                monkeypatch, capsys):
+        # On a numpy whose internals the batch draws do not match, every
+        # home is drawn with numpy's own calls: the same table.
+        monkeypatch.setattr(random_module, "_probe", lambda: False)
+        monkeypatch.setattr(random_module, "_SPELLED", None)
+        assert run_fleet(small_fleet, workers=1).render() == reference
+        warning = capsys.readouterr().err
+        assert warning.count("\n") == 1 and f"numpy {np.__version__}" in warning
 
     def test_different_seed_differs(self, small_fleet, reference):
         other = FleetConfig(homes=240, shards=4, seed=12, chunk_size=32)

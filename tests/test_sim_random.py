@@ -290,3 +290,28 @@ def test_raw_integers_at_the_bounds():
 def test_raw_integers_reject_what_numpy_would_not_draw(bounds):
     with pytest.raises(SimulationError):
         raw_integers(np.zeros(2, dtype=np.uint64), bounds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.floats(min_value=-10.0, max_value=10.0), st.floats(min_value=0.0, max_value=10.0),
+       st.floats(min_value=0.0, max_value=10.0), st.integers(min_value=0, max_value=64), INTERLEAVE)
+def test_fleet_block_affines_are_the_numpy_calls(seed, low, width, scale, n, highs):
+    # The fast fleet kernel fills each home's stretch of its block's
+    # arrays with bare draws, then scales the whole block at once:
+    # uniform(low, high, n) and exponential(scale, n) as numpy computes
+    # them, and the generator left where numpy's calls leave it.
+    ours, numpys = twins(seed)
+    interleave(ours, numpys, highs)
+    high = low + width
+    block = np.empty(3 * n)
+    ours.standard_normal(out=block[:n])
+    ours.random(out=block[n:2 * n])
+    ours.standard_exponential(out=block[2 * n:])
+    block[n:2 * n] *= high - low
+    block[n:2 * n] += low
+    block[2 * n:] *= scale
+    assert np.array_equal(block[:n], numpys.standard_normal(n))
+    assert np.array_equal(block[n:2 * n], numpys.uniform(low, high, n))
+    assert np.array_equal(block[2 * n:], numpys.exponential(scale, n))
+    assert same_state(ours, numpys)
+    assert ours.random() == numpys.random()
