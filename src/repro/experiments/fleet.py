@@ -34,7 +34,7 @@ Two fidelities share the same population and reducers:
     leak cluster included) at the occupant's measurement point and
     applies the guard's threshold decision plus a retry/push-loss
     latency model, once per seed batch of homes (:func:`simulate_block`),
-    which synthesis hands over as columns, not per-home specs.  About 28
+    which synthesis hands over as columns, not per-home specs.  About 23
     microseconds per home serially on a 2-CPU x86-64 host, a third of it
     synthesis.  Each home seeds two generators (in batches, see
     :func:`repro.sim.random.generators`) and draws its integers from
@@ -48,6 +48,7 @@ Two fidelities share the same population and reducers:
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -57,11 +58,7 @@ import numpy as np
 from repro.analysis.reporting import fmt_percent, render_table
 from repro.core.decision import RETRY_BASE, RETRY_CAP
 from repro.errors import WorkloadError
-from repro.experiments.parallel import (
-    ExperimentEngine,
-    ExperimentTask,
-    derive_seed,
-)
+from repro.experiments.parallel import ExperimentEngine, ExperimentTask
 from repro.experiments.synthesis import (
     FleetWorld,
     HomeBatch,
@@ -226,6 +223,13 @@ def _spans(sizes: np.ndarray) -> Tuple[List[int], List[int]]:
     return [0] + ends[:-1], ends
 
 
+def _run_seeds(seeds: List[int]) -> List[int]:
+    """``[derive_seed(seed, "home.run") for seed in seeds]``: the same
+    SHA-256 input, ``b"<seed>|home.run"``, and its digest bytes 4-8."""
+    return [int.from_bytes(hashlib.sha256(b"%d|home.run" % seed).digest()[4:8], "big")
+            for seed in seeds]
+
+
 def _block_draws(seeds: List[int], legit_points: np.ndarray, away_points: np.ndarray,
                  n_picks: np.ndarray, n_away: np.ndarray, n_normals: np.ndarray,
                  decisions: np.ndarray, lossy: np.ndarray):
@@ -273,7 +277,7 @@ def _block_draws(seeds: List[int], legit_points: np.ndarray, away_points: np.nda
     redrawn = np.searchsorted(np.cumsum(counts.sum(axis=1)), np.flatnonzero(retried),
                               side="right")
     n0, n1, d0, d1, a0, a1 = spans
-    for h in np.unique(redrawn).tolist():
+    for h in set(redrawn.tolist()):
         legit, away, uniform = _home_draws(
             generator(seeds[h]), 0, normals[n0[h]:n1[h]], scans[d0[h]:d1[h]],
             tails[d0[h]:d1[h]], attempts[a0[h]:a1[h]],
@@ -290,9 +294,10 @@ def _block_worlds(homes: HomeBatch) -> Tuple[List[FleetWorld], np.ndarray]:
     deployments = int(homes.deployment.max()) + 1
     scales = len(homes.plan_scales)
     bucket = (homes.testbed * deployments + homes.deployment) * scales + homes.slot
-    keys, world = np.unique(bucket, return_inverse=True)
+    present = np.bincount(bucket) > 0
+    world = (np.cumsum(present) - 1)[bucket]
     worlds = []
-    for key in keys.tolist():
+    for key in np.flatnonzero(present).tolist():
         rest, slot = divmod(key, scales)
         testbed, deployment = divmod(rest, deployments)
         worlds.append(fleet_world(homes.testbeds[testbed], deployment, homes.plan_scales[slot]))
@@ -335,7 +340,7 @@ def simulate_block(homes: HomeBatch) -> HomeBlock:
     away_start = _starts(n_away)
     normal_start = _starts(n_normals)
     picks, away_picks, uniforms, normals, scans, tails, attempts = _block_draws(
-        [derive_seed(seed, "home.run") for seed in homes.seed.tolist()],
+        _run_seeds(homes.seed.tolist()),
         world_legit[world], world_away[world], n_picks, n_away, n_normals, decisions,
         homes.push_loss > 0.0)
 
@@ -532,13 +537,17 @@ class FleetAccumulator:
         self.sketches[summary.testbed].add(summary.latencies_us)
 
     def add_block(self, block: HomeBlock) -> None:
+        # Every count's per-testbed sums in one product: the counts, one
+        # row a key, against the homes' testbed one-hot.
+        onehot = block.testbed[:, None] == np.arange(len(block.testbeds))
+        sums = (np.array(list(block.counts.values()), dtype=np.int64)
+                @ onehot.astype(np.int64)).T.tolist()
         latency_testbed = block.testbed[block.latency_home]
-        for code in np.unique(block.testbed).tolist():
-            homes = block.testbed == code
+        for code in np.flatnonzero(onehot.any(axis=0)).tolist():
             name = block.testbeds[code]
             counts = self._bucket(name)
-            for key, values in block.counts.items():
-                counts[key] += int(values[homes].sum())
+            for key, total in zip(block.counts, sums[code]):
+                counts[key] += total
             latencies_us = block.latencies_us[latency_testbed == code]
             counts["latency_total_us"] += int(latencies_us.sum())
             self.sketches[name].add(latencies_us)
@@ -700,7 +709,7 @@ class FleetResult:
     accumulator: FleetAccumulator
     elapsed: float
     chunks: int
-    workers: int
+    workers: int  # processes that ran the chunks: 1 when no pool started
 
     @property
     def homes_per_sec(self) -> float:
@@ -765,8 +774,8 @@ class FleetResult:
     def render_throughput(self) -> str:
         return (f"{self.config.homes} homes in {self.elapsed:.2f}s — "
                 f"{self.homes_per_sec:,.0f} homes/sec "
-                f"(workers={self.workers}, "
-                f"chunk={self.config.chunk_size}, {self.chunks} tasks)")
+                f"(workers={self.workers}, chunk={self.config.chunk_size}, "
+                f"{self.chunks} task{'' if self.chunks == 1 else 's'})")
 
 
 def run_fleet(
@@ -789,6 +798,10 @@ def run_fleet(
     if config.fidelity == "fast":
         # Build every world bucket before the pool forks: children
         # inherit the warmed cache instead of rebuilding it per worker.
+        # A forked worker still imports numpy.random, and runs the numpy
+        # probe, on its first chunk (about 6 ms).  Importing it here
+        # would spare each worker that, but would add about 1.8 MB to a
+        # pooled run's parent, which never draws.
         warm_worlds(config.population)
     task_stream = (
         ExperimentTask(
@@ -814,5 +827,5 @@ def run_fleet(
         accumulator=accumulator,
         elapsed=elapsed,
         chunks=chunks,
-        workers=engine.workers,
+        workers=engine.width,
     )

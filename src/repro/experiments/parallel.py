@@ -18,7 +18,8 @@ result.  This module provides that executor:
   index.
 * :func:`derive_seed` — deterministic seed derivation per task from a
   base seed and arbitrary labels (SHA-256 based, so stable across
-  processes, platforms and Python hash randomization).
+  processes, platforms and Python hash randomization);
+  :func:`derive_seeds` derives many that differ in the last label only.
 
 Nothing is kept between runs: every result comes from the run that
 returns it.
@@ -55,6 +56,21 @@ def derive_seed(base: int, *parts: object) -> int:
     text = "|".join([str(int(base)), *(str(part) for part in parts)])
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % _SEED_SPACE
+
+
+def derive_seeds(base: int, *parts: object, last: Iterable[object]) -> List[int]:
+    """``[derive_seed(base, *parts, x) for x in last]``, hashing the
+    shared ``base|parts|`` prefix once: each seed hashes its last label
+    onto a copy of the prefix's hash state."""
+    prefix = hashlib.sha256(
+        "|".join([str(int(base)), *(str(part) for part in parts), ""]).encode("utf-8"))
+    seeds = []
+    for part in last:
+        digest = prefix.copy()
+        digest.update(str(part).encode("utf-8"))
+        # Bytes 4-8 are derive_seed's first eight modulo 2**32.
+        seeds.append(int.from_bytes(digest.digest()[4:8], "big"))
+    return seeds
 
 
 @dataclass(frozen=True)
@@ -111,6 +127,9 @@ class ExperimentEngine:
         if workers < 0:
             raise ExperimentError(f"workers must be >= 0, got {workers!r}")
         self.workers = workers if workers > 0 else (os.cpu_count() or 1)
+        # Processes that ran the last run_fold's tasks: its pool's width,
+        # or 1 when every task ran in-process.
+        self.width = 1
         self.progress = progress
         self.timings: List[TaskTiming] = []
 
@@ -165,11 +184,12 @@ class ExperimentEngine:
 
         A pool starts only once two tasks are read ahead, and is never
         wider than the tasks read ahead (up to ``workers``); otherwise
-        every task runs in-process, folding in submission order.  On a
-        pool results fold in *completion* order, so ``fold`` must be
-        commutative and associative for the outcome to be independent
-        of worker count — the fleet reducers (integer counters and
-        mergeable sketches) and :meth:`run`'s indexed store all are.
+        every task runs in-process, folding in submission order.
+        :attr:`width` records which.  On a pool results fold in
+        *completion* order, so ``fold`` must be commutative and
+        associative for the outcome to be independent of worker count —
+        the fleet reducers (integer counters and mergeable sketches) and
+        :meth:`run`'s indexed store all are.
         """
         accumulator = initial
         count = 0
@@ -177,6 +197,7 @@ class ExperimentEngine:
         ahead = list(itertools.islice(queue, self.workers))
         width = len(ahead)
         queue = itertools.chain(ahead, queue)
+        self.width = max(width, 1)
 
         if width < 2:
             for task in queue:

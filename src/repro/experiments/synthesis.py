@@ -38,7 +38,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.experiments.parallel import derive_seed
+from repro.experiments.parallel import derive_seed, derive_seeds
 from repro.radio.floorplan import FLOOR_HEIGHT, Door, FloorPlan, Room, SlabZone
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
@@ -219,8 +219,7 @@ class PopulationModel:
         """Homes ``lo..hi`` of ``shard`` as one batch, each equal to
         :meth:`home`'s: their generators seeded as one batch, their raw
         words decoded and mapped once for the batch."""
-        seeds = [derive_seed(base_seed, "fleet.home", shard, offset)
-                 for offset in range(lo, hi)]
+        seeds = derive_seeds(base_seed, "fleet.home", shard, last=range(lo, hi))
         heads, legit, attacks, normals = (
             list(column) for column in zip(*[self._draws(rng) for rng in generators(seeds)]))
         bounds = self._head_bounds

@@ -300,10 +300,10 @@ class QuantileSketch:
             indices = np.ceil(np.log(v) / self._log_gamma).astype(np.int64)
             base = int(indices.min())
             histogram = np.bincount(indices - base)
+            filled = np.flatnonzero(histogram)
             buckets = self.buckets
-            for offset in np.flatnonzero(histogram):
-                index = base + int(offset)
-                buckets[index] = buckets.get(index, 0) + int(histogram[offset])
+            for index, n in zip((filled + base).tolist(), histogram[filled].tolist()):
+                buckets[index] = buckets.get(index, 0) + n
 
     def merge(self, other: "QuantileSketch") -> None:
         """Fold another sketch in (exact: integer counts add)."""

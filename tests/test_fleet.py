@@ -7,14 +7,22 @@ draws of synthesis and the fast kernel against numpy's own calls."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.experiments import fleet, synthesis
 from repro.experiments.fleet import (
+    COUNT_KEYS,
     SEED_BATCH,
     FleetAccumulator,
     FleetConfig,
@@ -35,7 +43,7 @@ from repro.experiments.synthesis import (
     scale_testbed,
     warm_worlds,
 )
-from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.obs.metrics import MetricsRegistry, QuantileSketch, merge_snapshots
 from repro.sim import random as random_module
 # Aliased: a module-level name starting with "test" would be collected
 # by pytest as a test item.
@@ -338,6 +346,11 @@ class TestSimulateHome:
         assert np.array_equal(np.concatenate([start + part.latency_home for start, part in parts]),
                               whole.latency_home)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=8))
+    def test_run_seeds_are_derive_seed(self, seeds):
+        assert fleet._run_seeds(seeds) == [derive_seed(seed, "home.run") for seed in seeds]
+
 
 # ---------------------------------------------------------------------------
 # Streaming reducers
@@ -375,6 +388,30 @@ class TestFleetAccumulator:
         for lo in range(0, config.homes, chunk):
             split.merge_payload(run_fleet_chunk(config, 0, lo, min(lo + chunk, config.homes)))
         assert split.to_payload() == per_home.to_payload()
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 3), (0, SEED_BATCH), (40, 340)])
+    def test_block_totals_are_home_by_home_sums(self, lo, hi):
+        # add_block's one product against the testbed one-hot, and its
+        # latency split, against every home summed in turn.
+        block = simulate_block(PopulationModel().homes(5, 0, lo, hi))
+        folded = FleetAccumulator()
+        folded.add_block(block)
+        expected, latencies = {}, {}
+        for home, code in enumerate(block.testbed.tolist()):
+            name = block.testbeds[code]
+            counts = expected.setdefault(name, dict.fromkeys(COUNT_KEYS, 0))
+            for key, values in block.counts.items():
+                counts[key] += int(values[home])
+            mine = block.latencies_us[block.latency_home == home].tolist()
+            counts["latency_total_us"] += sum(mine)
+            latencies.setdefault(name, []).extend(mine)
+        assert folded.per_testbed == expected
+        for name, values in latencies.items():
+            sketch = QuantileSketch(fleet.SKETCH_ALPHA)
+            sketch.add(np.array(values))
+            assert folded.sketches[name].to_dict() == sketch.to_dict()
+        assert all(type(total) is int for counts in folded.per_testbed.values()
+                   for total in counts.values())
 
     def test_chunk_across_a_seed_batch(self):
         # One chunk whose homes span two seeding batches, each one
@@ -534,6 +571,53 @@ class TestFleetCli:
         assert "Fleet simulation: 60 homes" in captured.out
         assert "homes/sec" in captured.err
         assert "Fleet simulation" in out_path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("args, telemetry", [
+        (["--homes", "100", "--shards", "1", "--workers", "2"],
+         "(workers=1, chunk=256, 1 task)"),
+        (["--homes", "64", "--shards", "2", "--chunk-size", "16", "--workers", "2"],
+         "(workers=2, chunk=16, 4 tasks)"),
+    ], ids=["one-task-no-pool", "pool"])
+    def test_throughput_names_the_processes_that_ran(self, capsys, args, telemetry):
+        from repro.__main__ import main
+
+        assert main(["fleet", *args]) == 0
+        assert telemetry in capsys.readouterr().err
+
+
+# A pooled fleet's parent, and a pool worker that ran a chunk: neither
+# may import numpy.ma, which costs each process about 9 ms and 1 MB.
+_NUMPY_MA_RUN = """
+import json, os, sys
+from repro.experiments.fleet import FleetConfig, run_fleet, run_fleet_chunk
+from repro.experiments.parallel import ExperimentEngine, ExperimentTask
+
+def chunk_then_modules(config, shard):
+    run_fleet_chunk(config, shard, 0, config.shard_size(shard))
+    return os.getpid(), "numpy.ma" in sys.modules
+
+config = FleetConfig(homes=2048, chunk_size=1024)
+result = run_fleet(config, workers=2)
+workers = ExperimentEngine(workers=2).run(
+    [ExperimentTask(chunk_then_modules, (config, shard)) for shard in range(2)])
+print(json.dumps({"pid": os.getpid(), "width": result.workers,
+                  "parent": "numpy.ma" in sys.modules, "workers": workers}))
+"""
+
+
+def test_no_fleet_process_imports_numpy_ma():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _NUMPY_MA_RUN], capture_output=True,
+                         text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["width"] == 2
+    assert report["parent"] is False
+    assert report["workers"]
+    for pid, imported in report["workers"]:
+        assert pid != report["pid"]
+        assert imported is False
 
 
 class TestFullFidelity:

@@ -345,3 +345,30 @@ class TestQuantileSketch:
     def test_zero_values_tracked(self):
         sketch = self._sketch([0.0, 0.0, 5.0])
         assert sketch.quantile(0.5) == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_add_fills_the_buckets_of_a_per_bucket_loop(self, seed):
+        # The buckets add() fills, against the loop that adds each
+        # nonzero histogram entry as numpy scalars, over two calls (the
+        # second lands on buckets the first filled) of random arrays
+        # with zeros in them.
+        import numpy as np
+
+        from repro.obs.metrics import QuantileSketch
+
+        rng = np.random.default_rng(seed)
+        sketch = QuantileSketch(0.01)
+        buckets = {}
+        for _ in range(2):
+            values = rng.lognormal(0.0, 2.0, size=int(rng.integers(20, 400)))
+            values[rng.random(values.size) < 0.2] = 0.0
+            sketch.add(values)
+            tracked = values[values > QuantileSketch.MIN_TRACKED]
+            indices = np.ceil(np.log(tracked) / sketch._log_gamma).astype(np.int64)
+            base = int(indices.min())
+            histogram = np.bincount(indices - base)
+            for offset in np.flatnonzero(histogram):
+                index = base + int(offset)
+                buckets[index] = buckets.get(index, 0) + int(histogram[offset])
+        assert sketch.buckets == buckets
+        assert all(type(key) is int and type(n) is int for key, n in sketch.buckets.items())

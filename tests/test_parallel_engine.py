@@ -8,6 +8,8 @@ import os
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.metrics import ConfusionMatrix
 from repro.analysis.reporting import fmt_percent, render_task_timings
@@ -16,6 +18,7 @@ from repro.experiments.parallel import (
     ExperimentEngine,
     ExperimentTask,
     derive_seed,
+    derive_seeds,
 )
 from repro.experiments.runner import RssiExperimentResult
 
@@ -57,6 +60,18 @@ class TestDeriveSeed:
         for base in (0, 7, 2**40):
             seed = derive_seed(base, "y")
             assert 0 <= seed < 2**32
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.one_of(st.just(0), st.integers(max_value=-1),
+                       st.integers(min_value=2**63, max_value=2**80),
+                       st.integers(min_value=0, max_value=2**63)),
+        parts=st.lists(st.one_of(st.text(max_size=8), st.integers()), max_size=3),
+        last=st.lists(st.one_of(st.text(max_size=8), st.integers()), max_size=6),
+    )
+    def test_derive_seeds_is_derive_seed_per_last_label(self, base, parts, last):
+        assert derive_seeds(base, *parts, last=last) == [
+            derive_seed(base, *parts, x) for x in last]
 
 
 class TestEngineBasics:
@@ -288,6 +303,13 @@ class TestRunFold:
         engine = ExperimentEngine(workers=1)
         acc, count = engine.run_fold(iter(()), lambda a, v, t: a, initial=7)
         assert (acc, count) == (7, 0)
+
+    @pytest.mark.parametrize("workers, tasks, width",
+                             [(1, 5, 1), (3, 0, 1), (3, 1, 1), (3, 2, 2), (2, 9, 2)])
+    def test_width_is_the_processes_that_ran(self, workers, tasks, width):
+        engine = ExperimentEngine(workers=workers)
+        engine.run_fold(self._tasks(tasks), lambda acc, v, task: acc, initial=None)
+        assert engine.width == width
 
 
 class TestPoolReleasesFutures:
