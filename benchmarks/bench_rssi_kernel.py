@@ -131,10 +131,13 @@ def reference_fit(times: List[float], values: List[float]) -> tuple:
     return slope, float(np.mean(v) - slope * np.mean(t))
 
 
-def _walking_trace(testbed_name: str, seed: int, record) -> Callable[[], int]:
+def _walking_trace(testbed_name: str, seed: int, record,
+                   interrupt: bool = False) -> Callable[[], int]:
     """One op: walk the testbed's stair route (the speaker room's
     perimeter where there is none) and record a 40-sample trace that
-    starts 1.0-1.3 s into it, so no two traces share a position.
+    starts 1.0-1.3 s into it, so no two traces share a position.  With
+    ``interrupt``, a ``measure_rssi`` on the same phone lands 2.3 s into
+    the trace and draws on its streams mid-trace (its scans are kept).
     Returns the op; it counts samples."""
     env = HomeEnvironment(testbeds.testbed_by_name(testbed_name), seed=seed)
     route = env.testbed.routes.get("up") or perimeter_route(env.testbed.speaker_room(0))
@@ -147,12 +150,15 @@ def _walking_trace(testbed_name: str, seed: int, record) -> Callable[[], int]:
         owner.follow(route)
         env.sim.run_for(1.0 + 0.3 * float(jitter.random()))
         record(phone, env.speaker_beacon, traces.append)
+        if interrupt:
+            env.sim.post(2.3, phone.measure_rssi, env.speaker_beacon, op.scans.append)
         env.sim.run_for(TRACE_SAMPLE_COUNT * TRACE_SAMPLE_PERIOD)
         op.traces.extend(traces)
         op.states = (owner._rng.bit_generator.state, phone.scanner._rng.bit_generator.state)
         return TRACE_SAMPLE_COUNT
 
     op.traces = []
+    op.scans = []
     return op
 
 
@@ -261,18 +267,24 @@ def run_bench_rssi(
         min_seconds,
     )
 
-    # A floor trace (one 40-sample walk): the per-trace batched pass of
-    # record_trace against per-tick instant_rssi, on twin worlds whose
-    # traces and generator states are asserted equal first.
+    # A floor trace (one 40-sample walk): record_trace's deferred,
+    # batched draws against per-tick instant_rssi, on twin worlds whose
+    # traces, generator states and (for the interrupted pair, where a
+    # mid-trace scan forces an early settle) scans are asserted equal.
     def batched(device, beacon, callback):
         device.record_trace(beacon, callback)
 
-    checks = [_walking_trace(testbed_name, seed, rec) for rec in (scalar_trace, batched)]
-    for check in checks:
-        for _ in range(3):
-            check()
-    if checks[0].traces != checks[1].traces or checks[0].states != checks[1].states:
-        raise AssertionError("batched trace diverged from per-tick instant_rssi")
+    for interrupt in (True, False):
+        checks = [_walking_trace(testbed_name, seed, rec, interrupt)
+                  for rec in (scalar_trace, batched)]
+        for check in checks:
+            for _ in range(3):
+                check()
+        if interrupt and not checks[1].scans:
+            raise AssertionError("the mid-trace scan never completed")
+        if any(getattr(checks[0], field) != getattr(checks[1], field)
+               for field in ("traces", "states", "scans")):
+            raise AssertionError("batched trace diverged from per-tick instant_rssi")
     benches["trace_scalar"] = _time_ops(_walking_trace(testbed_name, seed, scalar_trace),
                                         min_seconds)
     benches["trace_batched"] = _time_ops(_walking_trace(testbed_name, seed, batched),

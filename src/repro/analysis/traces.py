@@ -22,12 +22,9 @@ class RssiTrace:
         """Build a trace from scanner samples, re-based to t=0."""
         if not samples:
             raise ValueError("cannot build a trace from zero samples")
-        t0 = samples[0].time
-        return RssiTrace(
-            times=[s.time - t0 for s in samples],
-            values=[s.rssi for s in samples],
-            label=label,
-        )
+        values, times = list(zip(*samples))[:2]
+        t0 = times[0]
+        return RssiTrace(times=[t - t0 for t in times], values=list(values), label=label)
 
     def __len__(self) -> int:
         return len(self.times)

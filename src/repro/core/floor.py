@@ -14,6 +14,7 @@ the speaker's floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -158,11 +159,11 @@ class FloorLevelTracker:
     ) -> None:
         if floor_count < 1:
             raise ConfigError(f"floor_count must be >= 1, got {floor_count!r}")
+        self.floor_count = floor_count
+        self.speaker_floor = self.check_floor(speaker_floor, "speaker_floor")
         self.sim = sim
         self.beacon = beacon
         self.classifier = classifier
-        self.speaker_floor = speaker_floor
-        self.floor_count = floor_count
         self.faults = faults
         self._devices: Dict[str, MobileDevice] = {}
         self._floors: Dict[str, int] = {}
@@ -176,12 +177,19 @@ class FloorLevelTracker:
         self._m_transitions = metrics.counter("floor_transitions")
         self._trace_spans: Dict[str, object] = {}
 
+    def check_floor(self, floor: int, what: str = "initial_floor") -> int:
+        """``floor`` as an int, if it is one of the home's floors
+        (``0 <= floor < floor_count``); else a :class:`ConfigError`."""
+        if not 0 <= int(floor) < self.floor_count:
+            raise ConfigError(
+                f"{what} must be in [0, {self.floor_count}), got {floor!r}")
+        return int(floor)
+
     def track(self, device: MobileDevice, initial_floor: Optional[int] = None) -> None:
         """Start tracking ``device``; default assumption: speaker floor."""
+        floor = self.speaker_floor if initial_floor is None else self.check_floor(initial_floor)
         self._devices[device.name] = device
-        self._floors[device.name] = (
-            self.speaker_floor if initial_floor is None else int(initial_floor)
-        )
+        self._floors[device.name] = floor
 
     def floor_of(self, device_name: str) -> Optional[int]:
         """Current floor estimate for a device (None if untracked)."""
@@ -208,7 +216,7 @@ class FloorLevelTracker:
                 continue
             self._recording[name] = True
             self._trace_spans[name] = self.tracer.begin("floor.trace", device=name)
-            device.record_trace(self.beacon, lambda samples, n=name: self._on_trace(n, samples))
+            device.record_trace(self.beacon, partial(self._on_trace, name))
 
     def _on_trace(self, device_name: str, samples: list) -> None:
         self._recording[device_name] = False

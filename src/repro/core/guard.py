@@ -127,9 +127,12 @@ class VoiceGuard:
         is assumed to start on the speaker's floor, as every device
         enrolled before tracking was enabled is.
         """
+        tracker = self.floor_tracker
+        if tracker is not None and initial_floor is not None:
+            tracker.check_floor(initial_floor)  # before anything is enrolled
         self.registry.register(device, threshold, approved_by_owner=approved_by_owner)
-        if self.floor_tracker is not None:
-            self.floor_tracker.track(device, initial_floor=initial_floor)
+        if tracker is not None:
+            tracker.track(device, initial_floor=initial_floor)
 
     def enable_floor_tracking(
         self,

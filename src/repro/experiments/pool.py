@@ -254,6 +254,21 @@ class _Template:
     shared: Tuple[object, ...]
 
 
+def restore(template: _Template, hub: RngHub) -> Scenario:
+    """Unpickle ``template``'s world: its shared immutables are the
+    template's own objects, and its RNG hub and streams are ``hub``
+    and ``hub``'s streams, each built on its first reference."""
+
+    def load(pid: object) -> object:
+        if type(pid) is int:
+            return template.shared[pid]
+        return hub if len(pid) == 1 else hub.stream(pid[1])
+
+    unpickler = pickle.Unpickler(io.BytesIO(template.blob))
+    unpickler.persistent_load = load
+    return unpickler.load()
+
+
 class ScenarioPool:
     """Per-process cache of bucket templates with snapshot restore.
 
@@ -283,17 +298,7 @@ class ScenarioPool:
     def acquire(self, spec: HomeSpec) -> Scenario:
         """A private world for ``spec``: the snapshot restored with a
         hub at the home's seed, and the home's fault plan armed."""
-        entry = self.template(pool_key(spec))
-        hub = RngHub(_home_seed(spec))
-
-        def load(pid: object) -> object:
-            if type(pid) is int:
-                return entry.shared[pid]
-            return hub if len(pid) == 1 else hub.stream(pid[1])
-
-        unpickler = pickle.Unpickler(io.BytesIO(entry.blob))
-        unpickler.persistent_load = load
-        scenario = unpickler.load()
+        scenario = restore(self.template(pool_key(spec)), RngHub(_home_seed(spec)))
         _rearm_faults(scenario, spec)
         self.restores += 1
         return scenario

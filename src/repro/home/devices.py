@@ -9,6 +9,7 @@ threshold-calibration walk (Section IV-C).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from heapq import heappush
 from itertools import accumulate, repeat
 from typing import Callable, List, Optional
@@ -59,6 +60,7 @@ class MobileDevice:
     # -- guard interactions -------------------------------------------------
     def app_wake_delay(self) -> float:
         """Background app activation latency after a push arrives."""
+        self.carrier._settle_traces()
         return uniform(self._app_wake_rng, 0.08, 0.30)
 
     def measure_rssi(
@@ -70,6 +72,7 @@ class MobileDevice:
         self.rssi_requests_served += 1
 
         def after_wake() -> None:
+            self.carrier._settle_traces()  # the scan's duration draws on our stream
             self.scanner.scan(self.sim, beacon, callback)
 
         self.sim.post(self.app_wake_delay(), after_wake)
@@ -80,7 +83,8 @@ class MobileDevice:
         callback: Callable[[List[RssiSample]], None],
     ) -> None:
         """Record :data:`TRACE_SAMPLE_COUNT` RSSI samples,
-        :data:`TRACE_SAMPLE_PERIOD` apart.
+        :data:`TRACE_SAMPLE_PERIOD` apart, and pass them to ``callback``
+        at the last sample's time.
 
         Used for floor-level traces: the Decision Module starts a trace
         whenever the stair motion sensor fires.
@@ -90,89 +94,177 @@ class MobileDevice:
         spot: every walking sample's mean RSSI is computed here in one
         vectorized pass (:meth:`PropagationModel.mean_rssi_coords`), and
         the one mean of the point the carrier stands at after (or
-        throughout) by the scalar :meth:`PropagationModel.mean_rssi`.  A
-        tick of the :class:`_TraceRecorder` then only makes its draws
-        (:meth:`PropagationModel.noisy_rssi`) — unless the carrier has
-        moved since (``follow``/``teleport``), the beacon has moved, or
-        the floor plan has changed, in which case that sample is the
-        scalar :meth:`BluetoothScanner.instant_rssi`.  Either way each
-        sample is the one ``instant_rssi`` would give.
+        throughout) by the scalar :meth:`PropagationModel.mean_rssi`.
+        A move (``follow``/``teleport``), a beacon move or a floor plan
+        change recomputes the means of the samples still to come.
+
+        The draws wait: the trace is one kernel event at its last
+        sample's time, and its samples are drawn in one pass, one draw
+        call per stream, when that event fires or when something else
+        is about to draw on the carrier's or the device's stream (see
+        :class:`_PendingTrace`).  Each sample is the one a tick calling
+        :meth:`BluetoothScanner.instant_rssi` every 0.2 s would give,
+        and every stream ends in the state those ticks leave.
         """
-        scanner, carrier = self.scanner, self.carrier
-        model = scanner.model
-        # The float chain the ticks land on: now + 0.0, then + the period.
-        times = list(accumulate(repeat(TRACE_SAMPLE_PERIOD, TRACE_SAMPLE_COUNT - 1),
-                                initial=self.sim.now + 0.0))
-        walking, still = carrier.device_path(times)
-        means = model.mean_rssi_coords(beacon.position, walking).tolist() if walking.size else []
-        if len(means) < len(times):
-            means.extend(repeat(model.mean_rssi(beacon.position, still),
-                                len(times) - len(means)))
-        recorder = _TraceRecorder(self.sim, scanner, carrier, beacon, means, callback)
-        self.sim.post(0.0, recorder.tick)
+        trace = _PendingTrace(self, beacon, callback)
+        self.carrier._traces.append(trace)
+        beacon.watch(trace)
+        self.scanner.model.plan.watch(trace)
+        queue = self.sim._queue
+        # The end event takes the sequence number the first tick took,
+        # and the counter moves on past the 39 the later ticks took, so
+        # it reads as it did when every tick was an event.
+        seq = queue._next_seq
+        queue._next_seq = seq + TRACE_SAMPLE_COUNT
+        heappush(queue._heap, (trace.times[-1], seq, None, trace.finish, ()))
+        queue._live += 1
 
     def instant_rssi(self, beacon: BluetoothBeacon) -> float:
         """Synchronous single measurement (calibration helper)."""
         return self.scanner.instant_rssi(beacon, self.sim.now).rssi
 
 
-class _TraceRecorder:
-    """One floor trace in flight: its precomputed means, what they
-    depend on, and the samples so far.
+class _PendingTrace:
+    """One floor trace in flight: its sample times, the means at them,
+    and the samples taken so far.
 
-    :meth:`tick` takes one sample and queues the next tick as a
-    handle-free heap entry, pushed directly as ``Network.send`` and
-    ``DeadlineTimer`` push theirs (see :mod:`repro.sim.events`): it
-    takes its sequence number where ``sim.post`` would, after the
-    sample's draws, so a trace is the events and draws of a
-    ``sim.post`` chain at one frame per sample.
+    A tick would draw once on the carrier's stream (body blocking) and
+    once or twice on the device's (noise, then occlusion if blocked).
+    Nothing else reads those draws until the stream is used again, so
+    they are deferred: :meth:`settle` takes every tick that is due in
+    one pass, and runs from the trace's end event and before any other
+    draw on either stream: ``Person.body_blocks_radio`` and
+    ``Person.speak`` settle first, and so do ``app_wake_delay`` and the
+    start of a ``measure_rssi`` scan.  The scanner's other draws (a
+    scan's frames, ``instant_rssi``) each come after a body-blocking
+    draw, which has settled them.  A tick is due once the kernel would
+    have fired it (:meth:`due`).
     """
 
-    __slots__ = ("clock", "queue", "scanner", "carrier", "beacon", "means",
-                 "callback", "samples", "moves", "tx", "plan", "version", "noisy",
-                 "rng", "blocked")
+    __slots__ = ("device", "beacon", "group", "times", "means", "samples",
+                 "callback", "held", "__weakref__")
 
-    def __init__(self, sim: Simulator, scanner: BluetoothScanner, carrier: Person,
-                 beacon: BluetoothBeacon, means: List[float],
+    def __init__(self, device: MobileDevice, beacon: BluetoothBeacon,
                  callback: Callable[[List[RssiSample]], None]) -> None:
-        self.clock = sim._clock
-        self.queue = sim._queue
-        self.scanner = scanner
-        self.carrier = carrier
+        sim = device.sim
+        self.device = device
         self.beacon = beacon
-        self.means = means
-        self.callback = callback
+        # The carrier's traces, this one included: they share its stream.
+        self.group: List[_PendingTrace] = device.carrier._traces
+        # The float chain the ticks ran on: now + 0.0, then + the period.
+        self.times = list(accumulate(repeat(TRACE_SAMPLE_PERIOD, TRACE_SAMPLE_COUNT - 1),
+                                     initial=sim.now + 0.0))
+        self.means: List[float] = []
         self.samples: List[RssiSample] = []
-        # The means hold while these do.
-        self.moves = carrier.move_count
-        self.tx = beacon.position
-        self.plan = scanner.model.plan
-        self.version = self.plan.version
-        self.noisy = scanner.model.noisy_rssi
-        self.rng = scanner._rng
-        self.blocked = scanner.body_blocked_provider
+        self.callback = callback
+        # Started between runs, its first tick (due at this very
+        # instant) would only fire in the next run.
+        self.held = not sim.firing
+        self._aim(0)
 
-    def tick(self) -> None:
-        samples = self.samples
-        now = self.clock._now
-        beacon = self.beacon
-        if (self.carrier.move_count == self.moves and beacon.position is self.tx
-                and self.plan.version == self.version):
-            blocked = self.blocked
-            rssi = self.noisy(self.means[len(samples)], self.rng,
-                              blocked() if blocked is not None else False)
-            samples.append(tuple.__new__(RssiSample,
-                                         (rssi, now, beacon.name, self.scanner.name)))
+    def _aim(self, first: int) -> None:
+        """Compute the means from tick ``first`` on, from where the
+        carrier, the beacon and the plan are now."""
+        times = self.times[first:]
+        model = self.device.scanner.model
+        tx = self.beacon.position
+        walking, still = self.device.carrier.device_path(times)
+        means = model.mean_rssi_coords(tx, walking).tolist() if walking.size else []
+        if len(means) < len(times):
+            means.extend(repeat(model.mean_rssi(tx, still), len(times) - len(means)))
+        self.means[first:] = means
+
+    def due(self, now: float, firing: bool) -> int:
+        """How many ticks the kernel would have fired by ``now``.
+
+        During an event, the ticks strictly before ``now``: an event at
+        a tick's very instant was queued before the tick, which was
+        queued one period earlier.  Between runs, every tick at or
+        before ``now``, except the first tick of a trace started since
+        the last run.
+        """
+        if firing:
+            return bisect_left(self.times, now)
+        if self.held and now == self.times[0]:
+            return 0
+        return bisect_right(self.times, now)
+
+    def retarget(self) -> None:
+        """The carrier, the beacon or the plan changed: the ticks not
+        yet due get means from the new state (as ``instant_rssi`` at
+        each would); those before keep theirs."""
+        sim = self.device.sim
+        first = max(self.due(sim._clock._now, sim.firing), len(self.samples))
+        if first < TRACE_SAMPLE_COUNT:
+            self._aim(first)
+
+    def settle(self) -> None:
+        """Take the due ticks of every trace on this carrier."""
+        sim = self.device.sim
+        _settle(self.group, sim._clock._now, sim.firing)
+
+    def finish(self) -> None:
+        """The end event, at the last tick: take what is left and
+        deliver the samples."""
+        _settle(self.group, self.times[-1], True, last=self)
+        self.group.remove(self)
+        self.beacon.unwatch(self)
+        self.device.scanner.model.plan.unwatch(self)
+        self.callback(self.samples)
+
+
+def _settle(group: List[_PendingTrace], now: float, firing: bool,
+            last: Optional[_PendingTrace] = None) -> None:
+    """Take the due ticks of one carrier's traces (``group``, in start
+    order), as the kernel would have fired them: by time, then, at one
+    instant, in start order.  With ``last``, at its end event: all of
+    its ticks, and the others' up to its last one in that order."""
+    takes = []
+    later = False
+    for trace in group:
+        if trace is last:
+            stop, later = TRACE_SAMPLE_COUNT, True
+        elif last is not None:
+            stop = (bisect_left if later else bisect_right)(trace.times, now)
         else:
-            samples.append(self.scanner.instant_rssi(beacon, now))
-        if len(samples) < len(self.means):
-            queue = self.queue
-            seq = queue._next_seq
-            queue._next_seq = seq + 1
-            heappush(queue._heap, (now + TRACE_SAMPLE_PERIOD, seq, None, self.tick, ()))
-            queue._live += 1
-        else:
-            self.callback(samples)
+            stop = trace.due(now, firing)
+        if stop > len(trace.samples):
+            takes.append((trace, len(trace.samples), stop))
+    if not takes:
+        return
+    carrier = group[0].device.carrier
+    if len(takes) == 1:
+        trace, start, stop = takes[0]
+        _take(trace.device, takes, trace.means[start:stop],
+              carrier._body_blocks_radio_many(stop - start).tolist())
+        return
+    # The carrier's draws interleave across its traces in tick order;
+    # each device's draws do so across the traces on that device.
+    ticks = sorted((trace.times[k], index, k)
+                   for index, (trace, start, stop) in enumerate(takes)
+                   for k in range(start, stop))
+    blocked = carrier._body_blocks_radio_many(len(ticks)).tolist()
+    streams: dict = {}
+    for (_, index, k), flag in zip(ticks, blocked):
+        streams.setdefault(takes[index][0].device, []).append((takes[index][0], k, flag))
+    for device, draws in streams.items():
+        _take(device, [(trace, k, k + 1) for trace, k, _ in draws],
+              [trace.means[k] for trace, k, _ in draws],
+              [flag for _, _, flag in draws])
+
+
+def _take(device: MobileDevice, runs: list, means: List[float], blocked: List[bool]) -> None:
+    """Draw ``device``'s samples for ``runs`` (``(trace, start, stop)``
+    tick ranges, in draw order) around ``means``, and append them."""
+    scanner = device.scanner
+    values = scanner.model.noisy_rssi_batch(means, scanner._rng, blocked)
+    offset = 0
+    for trace, start, stop in runs:
+        count = stop - start
+        trace.samples.extend(map(tuple.__new__, repeat(RssiSample), zip(
+            values[offset:offset + count], trace.times[start:stop],
+            repeat(trace.beacon.name), repeat(scanner.name))))
+        offset += count
 
 
 class Smartphone(MobileDevice):

@@ -23,6 +23,8 @@ from repro.sim.simulator import Simulator
 _NO_COORDINATES = np.empty((3, 0))
 # Point.offset(dz=DEVICE_CARRY_HEIGHT), column-wise.
 _CARRY_OFFSET = np.array([[0.0], [0.0], [DEVICE_CARRY_HEIGHT]])
+# How often the carrier's body shadows the radio path.
+BODY_BLOCKED_PROBABILITY = 0.25
 
 
 class Person:
@@ -45,9 +47,10 @@ class Person:
         self._walk: Optional[WalkRoute] = None
         self._walk_started = 0.0
         self._movement_listeners: list = []
-        # Bumped by every follow/teleport: a position computed ahead of
-        # time stays valid while this is unchanged.
-        self.move_count = 0
+        # Floor traces in flight on this person's devices, in start
+        # order: they defer draws on this person's stream and their
+        # devices' (repro.home.devices), and their means follow moves.
+        self._traces: list = []
 
     # -- position ---------------------------------------------------------
     @property
@@ -96,7 +99,20 @@ class Person:
         quarter of the time, matching the measurement procedure of the
         paper (4 orientations per location).
         """
-        return bool(self._rng.random() < 0.25)
+        self._settle_traces()
+        return bool(self._rng.random() < BODY_BLOCKED_PROBABILITY)
+
+    def _body_blocks_radio_many(self, count: int) -> np.ndarray:
+        """``count`` answers of :meth:`body_blocks_radio` in one draw:
+        ``random(count)`` replays ``count`` scalar ``random()`` calls."""
+        return self._rng.random(count) < BODY_BLOCKED_PROBABILITY
+
+    def _settle_traces(self) -> None:
+        """Take every sample the floor traces on this person's devices
+        have deferred and are due by now: run before any other draw on
+        this person's stream or on one of those devices' streams."""
+        if self._traces:
+            self._traces[0].settle()
 
     # -- movement ---------------------------------------------------------
     def add_movement_listener(self, listener) -> None:
@@ -113,7 +129,8 @@ class Person:
         """Place the person at ``point`` immediately (workload setup)."""
         self._walk = None
         self._anchor = point
-        self.move_count += 1
+        for trace in self._traces:
+            trace.retarget()
         for listener in self._movement_listeners:
             listener()
 
@@ -121,7 +138,8 @@ class Person:
         """Begin walking ``route`` now; position interpolates over time."""
         self._walk = route
         self._walk_started = self.sim.now
-        self.move_count += 1
+        for trace in self._traces:
+            trace.retarget()
         for listener in self._movement_listeners:
             listener()
 
@@ -140,6 +158,7 @@ class Person:
         """Produce a live utterance in this person's voice."""
         if source is None:
             source = UtteranceSource.LIVE_OWNER if self.is_owner else UtteranceSource.LIVE_GUEST
+        self._settle_traces()
         return live_utterance(text, duration, self.voiceprint, self._rng, source=source)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -57,10 +57,22 @@ class BluetoothBeacon:
     def __init__(self, name: str, position: Point) -> None:
         self.name = name
         self.position = position
+        self._watchers: list = []
 
     def move_to(self, position: Point) -> None:
-        """Relocate the beacon."""
+        """Relocate the beacon; every watcher's ``retarget()`` runs after."""
         self.position = position
+        for watcher in self._watchers:
+            watcher.retarget()
+
+    def watch(self, watcher) -> None:
+        """Call ``watcher.retarget()`` after every move, until
+        :meth:`unwatch` (a floor trace in flight measuring this beacon)."""
+        self._watchers.append(watcher)
+
+    def unwatch(self, watcher) -> None:
+        """Stop calling ``watcher``."""
+        self._watchers.remove(watcher)
 
 
 class BluetoothScanner:

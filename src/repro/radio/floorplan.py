@@ -9,6 +9,7 @@ refers to routes by those numbers, so the reproduction does too.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -145,6 +146,15 @@ class MeasurementPoint:
     room_name: str
 
 
+class _Watchers(weakref.WeakSet):
+    """What :meth:`FloorPlan.watch` registered, held weakly: worlds
+    share a plan (the scenario pool), so a world dropped mid-trace must
+    not stay reachable through it.  A pickled plan carries none."""
+
+    def __reduce__(self) -> tuple:
+        return _Watchers, ()
+
+
 class FloorPlan:
     """A building: rooms + walls + numbered measurement points."""
 
@@ -163,6 +173,7 @@ class FloorPlan:
         self._floor_heights = tuple(FLOOR_HEIGHT * level for level in range(1, floor_count))
         self._crossing_cache: Dict[Tuple[float, ...], int] = {}
         self._version = 0
+        self._watchers = _Watchers()
 
     # -- construction -----------------------------------------------------
     def add_room(self, room: Room) -> Room:
@@ -195,14 +206,29 @@ class FloorPlan:
                 f"slab zone height {zone.slab_height} matches no floor slab"
             )
         self.slab_zones.append(zone)
-        self._version += 1
+        self._bump_version()
         return zone
 
     def _invalidate_geometry(self) -> None:
         self._wall_array = None
         self._wall_rows = None
         self._crossing_cache.clear()
+        self._bump_version()
+
+    def _bump_version(self) -> None:
         self._version += 1
+        for watcher in list(self._watchers):
+            watcher.retarget()
+
+    def watch(self, watcher) -> None:
+        """Call ``watcher.retarget()`` after every change to the walls
+        or slab zones, until :meth:`unwatch` (a floor trace in flight
+        recomputes the means of the samples it has still to take)."""
+        self._watchers.add(watcher)
+
+    def unwatch(self, watcher) -> None:
+        """Stop calling ``watcher`` (no-op when it is not watching)."""
+        self._watchers.discard(watcher)
 
     def add_points(self, room_name: str, points: List[Point]) -> List[MeasurementPoint]:
         """Append numbered measurement points (numbering continues)."""

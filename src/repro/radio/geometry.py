@@ -232,6 +232,17 @@ class WallArray:
         self._sy = self.sy[:, None]
         self._z_low = self.z_low[:, None] - 1e-9
         self._z_high = self.z_high[:, None] + 1e-9
+        # The door walls' openings as (door walls, most openings, 1)
+        # bounds, tolerance-widened and padded with empty intervals, so
+        # the kernel clears every door crossing in one pass.
+        widest = max((len(openings) for _, openings in self.door_walls), default=0)
+        self._door_rows = np.array([index for index, _ in self.door_walls], dtype=np.intp)
+        self._door_start = np.full((len(self.door_walls), widest, 1), np.inf)
+        self._door_end = np.full((len(self.door_walls), widest, 1), -np.inf)
+        for row, (_, openings) in enumerate(self.door_walls):
+            for column, (u_start, u_end) in enumerate(openings):
+                self._door_start[row, column, 0] = u_start - 1e-9
+                self._door_end[row, column, 0] = u_end + 1e-9
 
     def crossing_mask(self, a: Point, b: Point) -> np.ndarray:
         """Boolean mask of walls penetrated by the 3-D segment a->b."""
@@ -287,12 +298,8 @@ class WallArray:
             & (u >= -1e-9) & (u <= 1 + 1e-9)
             & (z >= self._z_low) & (z <= self._z_high)
         )
-        for index, openings in self.door_walls:
-            row = ok[index]
-            if not row.any():
-                continue
-            through = u[index]
-            for u_start, u_end in openings:
-                row &= ~((through >= u_start - 1e-9) & (through <= u_end + 1e-9))
-            ok[index] = row
+        if self.door_walls:
+            through = u[self._door_rows][:, None, :]  # (door walls, 1, n)
+            in_door = ((through >= self._door_start) & (through <= self._door_end)).any(axis=1)
+            ok[self._door_rows] &= ~in_door
         return ok.sum(axis=0, dtype=np.int64)

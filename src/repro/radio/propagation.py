@@ -32,9 +32,10 @@ scalar reference:
   ``mean_rssi_many`` wraps it for a measurement grid (behind the
   endpoint memo), and a floor trace feeds it its walking positions
   (see :meth:`repro.home.devices.MobileDevice.record_trace`);
-* ``sample_rssi_batch`` / ``average_rssi_grid`` draw all per-sample
-  noise as one ``Generator.standard_normal(size)`` array, consuming the
-  bitstream in exactly the order of the scalar loop.
+* ``noisy_rssi_batch`` (behind ``sample_rssi_batch`` and a floor
+  trace's deferred samples) and ``average_rssi_grid`` draw all
+  per-sample noise as one ``Generator.standard_normal(size)`` array,
+  consuming the bitstream in exactly the order of the scalar loop.
 
 Note on ``np.log10``: the batch path deliberately keeps numpy's log10
 (array form) rather than ``math.log10``.  Numpy's scalar and array
@@ -257,34 +258,39 @@ class PropagationModel:
         rng: np.random.Generator,
         blocked: Sequence[bool],
     ) -> np.ndarray:
-        """``len(blocked)`` noisy measurements in one vectorized draw.
-
-        Equivalent, bit-for-bit, to calling :meth:`sample_rssi` once per
-        entry of ``blocked``: the scalar loop consumes the generator's
-        bitstream as ``noise_0, [body_0,] noise_1, [body_1,] ...`` and a
-        single ``standard_normal(size)`` call yields exactly that
-        sequence of variates, to which the same affine transforms are
-        applied (``Generator.normal(loc, scale)`` is
-        ``loc + scale * standard_normal()``).
-        """
+        """``len(blocked)`` noisy measurements in one draw: bit-for-bit
+        one :meth:`sample_rssi` per entry of ``blocked`` (see
+        :meth:`noisy_rssi_batch`)."""
         mean = self.mean_rssi(tx, rx)
-        flags = np.asarray(blocked, dtype=bool)
-        n = int(flags.size)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        occluded = int(flags.sum())
-        z = rng.standard_normal(n + occluded)
-        # Draw i's noise variate sits after all earlier noise AND body
-        # draws; a blocked draw's body variate immediately follows it.
-        before = np.cumsum(flags) - flags
-        noise_index = np.arange(n) + before
-        rssi = mean + (0.0 + SAMPLE_NOISE_SIGMA * z[noise_index])
-        if occluded:
-            body = np.abs(
-                BODY_OCCLUSION + (BODY_OCCLUSION / 2) * z[noise_index[flags] + 1]
-            )
-            rssi[flags] = rssi[flags] - body
-        return np.maximum(rssi, RSSI_FLOOR)
+        return np.array(self.noisy_rssi_batch([mean] * len(blocked), rng, blocked),
+                        dtype=np.float64)
+
+    def noisy_rssi_batch(
+        self,
+        means: Sequence[float],
+        rng: np.random.Generator,
+        blocked: Sequence[bool],
+    ) -> List[float]:
+        """:meth:`noisy_rssi` around each of ``means`` with the matching
+        flag of ``blocked``, with every variate from one draw.
+
+        The scalar loop consumes the generator's bitstream as
+        ``noise_0, [body_0,] noise_1, [body_1,] ...``, and a single
+        ``standard_normal(size)`` call yields exactly that sequence of
+        variates (``Generator.normal(loc, scale)`` is
+        ``loc + scale * standard_normal()``).  The arithmetic is
+        :meth:`noisy_rssi`'s on python floats, which for a few dozen
+        samples is cheaper than a chain of array operations.
+        """
+        variates = iter(rng.standard_normal(len(blocked) + sum(blocked)).tolist())
+        sigma, occlusion, floor = SAMPLE_NOISE_SIGMA, BODY_OCCLUSION, RSSI_FLOOR
+        values = []
+        for mean, body_blocked in zip(means, blocked):
+            rssi = mean + (0.0 + sigma * next(variates))
+            if body_blocked:
+                rssi -= abs(occlusion + (occlusion / 2) * next(variates))
+            values.append(rssi if rssi > floor else floor)
+        return values
 
     def average_rssi(
         self,

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 from heapq import heappop
 from math import inf
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
 from repro.sim.events import EventHandle, EventQueue
+
+# The simulators firing an event now, innermost last.  Kept off the
+# Simulator, so a world pickled during an event pickles as it would
+# between runs.
+_FIRING: List["Simulator"] = []
 
 
 class Simulator:
@@ -45,6 +50,14 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._clock._now
+
+    @property
+    def firing(self) -> bool:
+        """Whether :meth:`step` or :meth:`run_until` is firing one of
+        this simulator's events right now (as opposed to the caller
+        acting between runs): whether an event at exactly :attr:`now`
+        has fired yet depends on it."""
+        return self in _FIRING
 
     @property
     def pending_events(self) -> int:
@@ -91,7 +104,11 @@ class Simulator:
         if entry is None:
             return False
         self._clock.advance_to(entry[0])
-        entry[1](*entry[2])
+        _FIRING.append(self)
+        try:
+            entry[1](*entry[2])
+        finally:
+            _FIRING.pop()
         return True
 
     def run(self, max_events: Optional[int] = None) -> int:
@@ -132,32 +149,36 @@ class Simulator:
         budget = -1 if max_events is None else max(max_events, 0)
         self._until = time if max_events is None else -inf
         fired = 0
-        while fired != budget and heap:
-            head = heap[0]
-            event = head[2]
-            if event is None:
-                if head[0] > time:
-                    break
-                heappop(heap)
-                queue._live -= 1
-                # The heap pops in time order and never yields past
-                # events, so advance_to's monotonicity check is redundant.
-                clock._now = head[0]
-                head[3](*head[4])
-            elif event.cancelled:
-                heappop(heap)
-                event._in_queue = False
-                queue._dead -= 1
-                continue
-            else:
-                if head[0] > time:
-                    break
-                heappop(heap)
-                event._in_queue = False
-                queue._live -= 1
-                clock._now = head[0]
-                event.callback(*event.args)
-            fired += 1
+        _FIRING.append(self)
+        try:
+            while fired != budget and heap:
+                head = heap[0]
+                event = head[2]
+                if event is None:
+                    if head[0] > time:
+                        break
+                    heappop(heap)
+                    queue._live -= 1
+                    # The heap pops in time order and never yields past
+                    # events, so advance_to's monotonicity check is redundant.
+                    clock._now = head[0]
+                    head[3](*head[4])
+                elif event.cancelled:
+                    heappop(heap)
+                    event._in_queue = False
+                    queue._dead -= 1
+                    continue
+                else:
+                    if head[0] > time:
+                        break
+                    heappop(heap)
+                    event._in_queue = False
+                    queue._live -= 1
+                    clock._now = head[0]
+                    event.callback(*event.args)
+                fired += 1
+        finally:
+            _FIRING.pop()
         clock.advance_to(time)
         return fired
 

@@ -10,6 +10,7 @@ from repro.core.decision import Verdict
 from repro.core.events import TrafficClass
 from repro.core.handler import MAX_HOLD
 from repro.core.recognition import TrafficRecognition
+from repro.errors import ConfigError
 from repro.experiments.scenarios import build_scenario
 from repro.net.packet import Protocol
 from repro.speakers import signatures as sig
@@ -140,6 +141,18 @@ class TestLateRegistration:
         device = env.add_smartphone("late-phone", person)
         scenario.guard.register_device(device, threshold=-8.0, initial_floor=1)
         assert scenario.guard.floor_tracker.floor_of("late-phone") == 1
+
+    @pytest.mark.parametrize("floor", [-4, 2])
+    def test_late_device_on_a_floor_outside_the_building_is_refused(
+            self, tracked_scenario, floor):
+        scenario = tracked_scenario
+        env = scenario.env
+        person = env.add_person(f"refused-owner{floor}", scenario.owners[0].position)
+        device = env.add_smartphone(f"refused-phone{floor}", person)
+        with pytest.raises(ConfigError, match="initial_floor"):
+            scenario.guard.register_device(device, threshold=-8.0, initial_floor=floor)
+        assert scenario.guard.floor_tracker.floor_of(device.name) is None
+        assert device.name not in {e.device.name for e in scenario.guard.registry.entries()}
 
     def test_late_device_defaults_to_speaker_floor(self, tracked_scenario):
         scenario = tracked_scenario

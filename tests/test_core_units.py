@@ -304,6 +304,23 @@ class TestFloorTracker:
         env.sim.run_for(12.0)
         assert tracker.floor_of("phone") == 0  # clamped at ground
 
+    @pytest.mark.parametrize("floor", [-1, 2, 3])
+    def test_speaker_floor_outside_the_building_is_rejected(self, floor):
+        env = HomeEnvironment(house_testbed(), deployment=0, seed=11)
+        with pytest.raises(ConfigError, match="speaker_floor"):
+            FloorLevelTracker(env.sim, env.speaker_beacon, TraceClassifier(),
+                              speaker_floor=floor, floor_count=2)
+
+    @pytest.mark.parametrize("floor", [-4, -1, 2])
+    def test_initial_floor_outside_the_building_is_rejected(self, tracked, floor):
+        env, person, phone, tracker = tracked
+        watch = env.add_smartwatch("watch", person)
+        with pytest.raises(ConfigError, match="initial_floor"):
+            tracker.track(watch, initial_floor=floor)
+        assert tracker.floor_of("watch") is None
+        tracker.track(watch, initial_floor=1)
+        assert tracker.floor_of("watch") == 1
+
     def test_concurrent_motion_does_not_double_record(self, tracked):
         env, person, phone, tracker = tracked
         tracker.on_motion(env.sim.now)

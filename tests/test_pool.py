@@ -36,8 +36,10 @@ from repro.experiments.pool import (
     _build_bucket_scenario,
     _SnapshotPickler,
     _shared_immutables,
+    _Template,
     build_home_cold,
     pool_key,
+    restore,
     snapshot,
     template_seed,
 )
@@ -266,6 +268,42 @@ class TestSnapshotHazards:
         buffer = io.BytesIO()
         _SnapshotPickler(buffer, (), scenario.env.rng).dump(scenario)
         assert buffer.getvalue()
+
+
+class TestSnapshotMidTrace:
+    def test_world_snapshotted_mid_trace_runs_on_like_the_original(self):
+        """A house world pickles between a stair-motion event and the
+        end of the traces it started; restored through the pool's
+        unpickler, with both hubs at one seed, it takes the same
+        samples and reaches the same floor estimates."""
+        scenario = build_scenario("house", "echo", deployment=0, seed=107, owner_count=1)
+        owner, tracker = scenario.owners[0], scenario.guard.floor_tracker
+        owner.follow(scenario.env.testbed.routes["up"])
+        scenario.env.sim.run_for(1.0)
+        tracker.on_motion(scenario.env.sim.now)
+        scenario.env.sim.run_for(3.0)
+        assert owner._traces
+        shared = _shared_immutables(scenario)
+        restored = restore(_Template(snapshot(scenario, shared, "mid-trace"), shared),
+                           RngHub(7))
+        scenario.env.rng.reseed(7)
+        results = []
+        for world in (scenario, restored):
+            carrier = world.owners[0]
+            world.env.sim.run_for(4.5)  # the last tick is 0.3 s away
+            carrier._settle_traces()
+            samples = [list(trace.samples) for trace in carrier._traces]
+            world.env.sim.run_for(5.0)
+            assert not carrier._traces
+            hub = world.env.rng
+            results.append((
+                samples, world.guard.floor_tracker.trace_events,
+                {name: world.guard.floor_tracker.floor_of(name) for name in
+                 (device.name for device in world.devices)},
+                [(name, hub.stream(name).bit_generator.state)
+                 for name in sorted(restored.env.rng._streams)]))
+        assert results[0][0] and len(results[0][0][0]) > 30
+        assert results[0] == results[1]
 
 
 class TestRngHubReseed:

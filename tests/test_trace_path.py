@@ -4,11 +4,14 @@
 starts, so it computes the receiver positions (``Person.device_path``,
 built on ``WalkRoute.positions_at``) and their mean RSSIs
 (``PropagationModel.mean_rssi_coords``) in one vectorized pass; each
-tick then only makes its draws.  Every piece must reproduce its scalar
-reference exactly — ``position_at`` plus the carry offset, the scalar
-``mean_rssi``, and a trace whose every sample is ``instant_rssi`` —
+trace then defers its draws until its end event or another draw on
+the carrier's or the device's stream, and takes them in one pass.
+Every piece must reproduce its scalar reference exactly —
+``position_at`` plus the carry offset, the scalar ``mean_rssi``, and a
+trace whose every sample is ``instant_rssi`` on a 0.2 s event chain —
 including when the carrier, the beacon or the plan changes mid-trace,
-or another scan on the same device interleaves its draws.  The
+another scan or a speech draws on the same streams, at a tick's very
+instant too, or two traces share a carrier or a device.  The
 tuple-backed ``Point``/``RssiSample`` the path builds are pinned here
 too.
 """
@@ -154,6 +157,18 @@ def scalar_trace(device, beacon, callback) -> None:
     device.sim.post(0.0, take_sample)
 
 
+def batched_trace(device, beacon, callback) -> None:
+    device.record_trace(beacon, callback)
+
+
+def tick_times(start: float) -> list:
+    """A trace's sample times when it starts at ``start``."""
+    times = [start + 0.0]
+    while len(times) < TRACE_SAMPLE_COUNT:
+        times.append(times[-1] + TRACE_SAMPLE_PERIOD)
+    return times
+
+
 MID_TRACE_EVENTS = {
     "none": lambda env, owner, phone, log: None,
     "follow": lambda env, owner, phone, log: owner.follow(env.testbed.routes["down"]),
@@ -164,17 +179,40 @@ MID_TRACE_EVENTS = {
         (0.0, 4.0), (6.0, 4.0), floor=0),
     "measure_rssi": lambda env, owner, phone, log: phone.measure_rssi(
         env.speaker_beacon, log.append),
+    "speak": lambda env, owner, phone, log: log.append(
+        owner.speak("alexa what time is it", 1.5).embedding.tolist()),
 }
-# Events that can change a later sample's mean: from then on the
-# batched recorder must fall back to instant_rssi.
-INVALIDATING = {"follow", "teleport", "beacon.move_to", "add_wall"}
 TRACE_START, EVENT_AFTER = 1.0, 2.3  # the event lands between two ticks
+AT_TICK = 7  # the tick whose very instant an event can land on
+# When the mid-trace event happens:
+WHEN = {
+    # in an event between two ticks;
+    "between": lambda sim, times, fire: sim.post(EVENT_AFTER, fire),
+    # in an event queued at the start for a tick's very instant, which
+    # fires before that tick;
+    "at_tick": lambda sim, times, fire: sim.post_at(times[AT_TICK], fire),
+    # between runs, the last of which ended at a tick's very instant
+    # (that tick has fired);
+    "between_runs_at_tick": lambda sim, times, fire: (sim.run_until(times[AT_TICK]), fire()),
+    # between runs, right after the trace started (its first tick has
+    # not fired).
+    "at_start": lambda sim, times, fire: fire(),
+}
 
 
-def run_trace(record, event: str, walk: bool):
+def house_world():
     env = HomeEnvironment(house_testbed(), seed=31)
     owner = env.add_person("owner", env.testbed.routes["up"].waypoints[0])
     phone = env.add_smartphone("phone", owner)
+    return env, owner, phone
+
+
+def stream_states(env) -> list:
+    return [(name, stream.bit_generator.state) for name, stream in sorted(env.rng._streams.items())]
+
+
+def run_trace(record, event: str, walk: bool, when: str = "between"):
+    env, owner, phone = house_world()
     scalar_calls = []
     instant_rssi = phone.scanner.instant_rssi
 
@@ -186,53 +224,156 @@ def run_trace(record, event: str, walk: bool):
     if walk:
         owner.follow(env.testbed.routes["up"])
     env.sim.run_for(TRACE_START)
-    traces, scans = [], []
+    traces, log = [], []
     record(phone, env.speaker_beacon, traces.append)
-    env.sim.post(EVENT_AFTER, MID_TRACE_EVENTS[event], env, owner, phone, scans)
+    WHEN[when](env.sim, tick_times(env.sim.now),
+               lambda: MID_TRACE_EVENTS[event](env, owner, phone, log))
     env.sim.run_for(12.0)
-    states = (owner._rng.bit_generator.state, phone.scanner._rng.bit_generator.state)
-    return traces, scans, states, scalar_calls
+    return traces, log, stream_states(env), scalar_calls
+
+
+def run_traces(record, starts, events):
+    """Owner (phone and watch) and guest (phone) walk the stairs; at
+    each ``(time, device names)`` of ``starts`` one event records a
+    trace on each named device, in that order, and at each ``(time,
+    event, device name)`` of ``events`` an event runs
+    ``MID_TRACE_EVENTS[event]`` on that device and its carrier."""
+    env, owner, phone = house_world()
+    guest = env.add_person("guest", env.testbed.routes["down"].waypoints[0])
+    devices = {"phone": phone, "watch": env.add_smartwatch("watch", owner),
+               "guest-phone": env.add_smartphone("guest-phone", guest)}
+    owner.follow(env.testbed.routes["up"])
+    guest.follow(env.testbed.routes["down"])
+    traces, log = [], []
+
+    def start(names) -> None:
+        for name in names:
+            record(devices[name], env.speaker_beacon,
+                   lambda samples, name=name: traces.append((name, samples)))
+
+    def fire(event, name) -> None:
+        device = devices[name]
+        MID_TRACE_EVENTS[event](env, device.carrier, device, log)
+
+    for time, names in starts:
+        env.sim.post_at(time, start, names)
+    for time, event, name in events:
+        env.sim.post_at(time, fire, event, name)
+    env.sim.run_for(20.0)
+    return traces, log, stream_states(env)
 
 
 class TestBatchedTrace:
     @pytest.mark.parametrize("walk", [True, False], ids=["walking", "standing"])
     @pytest.mark.parametrize("event", sorted(MID_TRACE_EVENTS))
     def test_batched_trace_equals_scalar_trace(self, event, walk):
-        batched = run_trace(lambda d, b, c: d.record_trace(b, c), event, walk)
+        batched = run_trace(batched_trace, event, walk)
         reference = run_trace(scalar_trace, event, walk)
-        traces, scans, states, scalar_calls = batched
+        traces, log, states, scalar_calls = batched
         assert len(traces) == 1 and len(traces[0]) == TRACE_SAMPLE_COUNT
         assert traces == reference[0]
-        assert scans == reference[1]
+        assert log == reference[1]
         assert states == reference[2]
-        # The fallback runs exactly from the first tick after the event.
-        first_after = [s.time for s in traces[0] if s.time > TRACE_START + EVENT_AFTER]
-        assert scalar_calls == (first_after if event in INVALIDATING else [])
+        # A change recomputes means; no sample falls back to instant_rssi.
+        assert scalar_calls == []
 
-    def test_trace_is_one_event_per_sample_on_the_tick_chain(self):
-        """The recorder's ticks are the heap's only traffic: one event
-        per sample, at ``start + 0.0`` and then ``+ period`` each, and
-        nothing left queued once the trace is delivered."""
-        env = HomeEnvironment(house_testbed(), seed=31)
-        owner = env.add_person("owner", env.testbed.routes["up"].waypoints[0])
-        phone = env.add_smartphone("phone", owner)
+    @pytest.mark.parametrize("when", sorted(set(WHEN) - {"between"}))
+    @pytest.mark.parametrize("event", sorted(set(MID_TRACE_EVENTS) - {"none"}))
+    def test_event_at_a_tick_instant_sees_what_the_ticks_saw(self, event, when):
+        """A draw or a change at exactly a tick's time lands on the same
+        side of that tick as it did when each tick was an event."""
+        batched = run_trace(batched_trace, event, True, when)
+        reference = run_trace(scalar_trace, event, True, when)
+        assert batched[0] == reference[0]
+        assert batched[1] == reference[1]
+        assert batched[2] == reference[2]
+
+    @pytest.mark.parametrize("starts, events", [
+        # phone and watch start at one instant (as on_motion starts
+        # them): the owner's stream interleaves their ticks.
+        ([(1.0, ("phone", "watch"))],
+         [(2.3, "measure_rssi", "watch"), (3.1, "speak", "phone"),
+          (4.7, "measure_rssi", "phone")]),
+        # ... staggered, so their ticks fall at different instants.
+        ([(1.0, ("phone",)), (1.9, ("watch",))],
+         [(2.3, "measure_rssi", "watch"), (5.5, "teleport", "phone"),
+          (7.1, "speak", "watch")]),
+        # two traces on one device, overlapping.
+        ([(1.0, ("phone",)), (2.5, ("phone",))],
+         [(3.3, "measure_rssi", "phone"), (6.0, "follow", "phone")]),
+    ], ids=["one-carrier-same-instant", "one-carrier-staggered", "one-device"])
+    def test_traces_sharing_a_carrier_equal_scalar_traces(self, starts, events):
+        batched = run_traces(batched_trace, starts, events)
+        reference = run_traces(scalar_trace, starts, events)
+        assert len(batched[0]) == sum(len(names) for _, names in starts)
+        assert batched == reference
+
+    def test_overlapping_traces_on_two_carriers_equal_scalar_traces(self):
+        starts = [(1.0, ("phone",)), (3.9, ("guest-phone",))]
+        events = [(4.3, "measure_rssi", "phone"), (5.0, "speak", "guest-phone"),
+                  (6.1, "beacon.move_to", "phone"), (8.2, "measure_rssi", "guest-phone")]
+        batched = run_traces(batched_trace, starts, events)
+        assert len(batched[0]) == 2
+        assert batched == run_traces(scalar_trace, starts, events)
+
+    def test_trace_is_one_event_at_its_last_sample(self):
+        """A trace is one heap entry, at its last sample's time; it takes
+        the 40 sequence numbers its ticks took, and nothing is left
+        queued once the trace is delivered."""
+        env, owner, phone = house_world()
         env.sim.run_for(TRACE_START)
         traces = []
+        queue = env.sim._queue
+        seq = queue._next_seq
         phone.record_trace(env.speaker_beacon, traces.append)
+        expected = tick_times(TRACE_START)
         assert env.sim.pending_events == 1
+        assert [entry[:2] for entry in queue._heap] == [(expected[-1], seq)]
+        assert queue._next_seq == seq + TRACE_SAMPLE_COUNT
         fired = env.sim.run_for(12.0)
-        expected = [TRACE_START + 0.0]
-        while len(expected) < TRACE_SAMPLE_COUNT:
-            expected.append(expected[-1] + TRACE_SAMPLE_PERIOD)
         assert [sample.time for sample in traces[0]] == expected
-        assert fired == TRACE_SAMPLE_COUNT
-        assert env.sim.pending_events == 0 and not env.sim._queue._heap
+        assert fired == 1
+        assert env.sim.pending_events == 0 and not queue._heap
+        assert owner._traces == [] and env.speaker_beacon._watchers == []
+        assert not list(env.testbed.plan._watchers)
+
+    def test_draws_wait_for_the_end_or_a_foreign_use(self):
+        env, owner, phone = house_world()
+        env.sim.run_for(TRACE_START)
+        phone.record_trace(env.speaker_beacon, lambda samples: None)
+        trace = owner._traces[0]
+        before = stream_states(env)
+        env.sim.run_for(3.0)
+        assert trace.samples == [] and stream_states(env) == before
+        phone.app_wake_delay()  # between runs: every tick up to now is due
+        assert [s.time for s in trace.samples] == [t for t in trace.times if t <= env.sim.now]
 
     def test_mid_trace_measurement_interleaves_its_draws(self):
-        traces, scans, _, _ = run_trace(lambda d, b, c: d.record_trace(b, c),
-                                        "measure_rssi", True)
+        traces, scans, _, _ = run_trace(batched_trace, "measure_rssi", True)
         assert len(scans) == 1
         assert TRACE_START + EVENT_AFTER < scans[0].time < traces[0][-1].time
+
+
+class TestBatchedDraws:
+    """The draws a settle batches replay the scalar calls' bitstream."""
+
+    @pytest.mark.parametrize("count", [1, 2, 39, 40, 41, 97])
+    def test_random_k_is_k_scalar_randoms(self, count):
+        batch, scalar = np.random.default_rng(5), np.random.default_rng(5)
+        assert batch.random(count).tolist() == [scalar.random() for _ in range(count)]
+        assert batch.bit_generator.state == scalar.bit_generator.state
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.booleans(), max_size=60),
+           st.lists(st.floats(-40.0, 5.0), min_size=60, max_size=60))
+    def test_noisy_rssi_batch_is_noisy_rssi_per_sample(self, blocked, means):
+        model = PropagationModel(HOUSE.plan, seed=7)
+        batch, scalar = np.random.default_rng(9), np.random.default_rng(9)
+        means = means[:len(blocked)]
+        got = model.noisy_rssi_batch(means, batch, blocked)
+        assert got == [model.noisy_rssi(mean, scalar, flag)
+                       for mean, flag in zip(means, blocked)]
+        assert batch.bit_generator.state == scalar.bit_generator.state
 
 
 # -- tuple-backed values --------------------------------------------------
